@@ -1,0 +1,44 @@
+package spec
+
+import (
+	"testing"
+	"time"
+)
+
+// goldenECMP5Digest is Fingerprint.Digest() of fattree:4 / ecmp5 /
+// permutation:42 (1 Gbps flows, 2s virtual). The parity tests compare
+// fingerprints within one process; this constant compares them across
+// commits, so a refactor that shifts the converged allocation — or the
+// fingerprint's JSON shape — fails here even if it shifts every run
+// the same way. ecmp5 digests are reproducible run to run (proactive
+// installs, 5-tuple hashing; see bench/README.md), which is what makes
+// a checked-in value possible. A deliberate behaviour change updates
+// the constant in the same commit and says why.
+const goldenECMP5Digest = "255bedc45e8687c2"
+
+// TestGoldenFingerprintDigest pins the digest at solver workers 1 and
+// 4: the fingerprint is the converged steady state, so solver
+// parallelism may not move it.
+func TestGoldenFingerprintDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real experiments")
+	}
+	for _, workers := range []int{1, 4} {
+		r := Run{
+			Topo:          "fattree:4",
+			Scenario:      "ecmp5",
+			Traffic:       "permutation:42",
+			Dur:           Duration(2 * time.Second),
+			Pacing:        40,
+			SolverWorkers: workers,
+		}
+		out, err := r.Execute()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got := out.Fingerprint.Digest(); got != goldenECMP5Digest {
+			t.Errorf("workers=%d: digest %s, want %s (steady rx %s, %d flows)",
+				workers, got, goldenECMP5Digest, out.Fingerprint.SteadyRx, len(out.Fingerprint.Flows))
+		}
+	}
+}
