@@ -16,7 +16,7 @@ package horse
 //
 // Benchmarks run with FTI pacing > 1 to keep wall times tractable; the
 // pacing factor is constant across compared configurations, so ratios
-// (who wins, by how much) are preserved. cmd/fig3 runs the same suite at
+// (who wins, by how much) are preserved. `horse fig3` runs the same suite at
 // paper-faithful pacing 1.0.
 
 import (

@@ -7,7 +7,7 @@
 // prints for each the steady aggregate rx plus the second-half goodput
 // tracking and min-host-rx floor a churning fabric carves out. Because
 // every run goes through internal/spec, each row is the identical
-// experiment to the matching cmd/tedemo or campaign invocation.
+// experiment to the matching cmd/horse or campaign invocation.
 //
 //	go run ./examples/workloads
 //	go run ./examples/workloads -traffic incast:42:8 -capacity walk:7:250ms

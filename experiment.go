@@ -27,38 +27,9 @@ const (
 	scenarioSDN
 )
 
-// BGPOptions configures the BGP control plane.
-type BGPOptions struct {
-	// ECMP enables multipath best-path selection (the demo's
-	// "BGP plus ECMP path selection by hashing of IP source and
-	// destination").
-	ECMP bool
-	// HoldTime for all sessions (default 90s wall time).
-	HoldTime time.Duration
-	// AdvertiseDelay is the MRAI-style batching window: route changes
-	// accumulate for this long before flushAdv packs them into
-	// attribute-grouped UPDATE messages (default 2ms wall time). Longer
-	// windows trade convergence latency for fewer, fuller UPDATEs —
-	// the axis the MRAI campaign sweeps.
-	AdvertiseDelay time.Duration
-	// RouteReflection runs same-AS adjacencies as iBGP with RFC 4456
-	// route reflection; reflector roles come from the topology
-	// (topo.Node.RouteReflector, set by the WAN generators). Required
-	// for single-AS WAN topologies, a no-op on all-eBGP ones.
-	RouteReflection bool
-	// LinkLatency delays control plane message delivery by each link's
-	// propagation delay in virtual time, so BGP convergence interacts
-	// with geography (see docs/WAN.md). Zero-delay links behave exactly
-	// as without the flag.
-	LinkLatency bool
-	// Dampening, when non-nil, enables route flap dampening with the
-	// given parameters (zero fields take RFC 2439-flavoured defaults;
-	// see Dampening). Decay and reuse run on the experiment's virtual
-	// clock — a 15s HalfLife spans 15s of the experiment timeline
-	// regardless of Pacing or DES fast-forward — so size it against
-	// the scenario's flap cadence, not the wall clock.
-	Dampening *Dampening
-}
+// BGPOptions configures the BGP control plane. It is the Connection
+// Manager's own configuration, passed down unchanged.
+type BGPOptions = cm.BGPConfig
 
 // Dampening re-exports the BGP route flap dampening parameters.
 type Dampening = bgp.Dampening
@@ -67,6 +38,8 @@ type Dampening = bgp.Dampening
 // and a workload.
 type Experiment struct {
 	cfg        Config
+	captureDir string
+	logf       func(format string, args ...any)
 	g          *Topology
 	kind       scenarioKind
 	bgpOpts    BGPOptions
@@ -102,12 +75,10 @@ func (e *Experiment) SetTopology(g *Topology) {
 	e.g = g
 }
 
-// SetLogf installs a debug logger after construction — equivalent to
-// setting Config.Logf. Callers that build experiments through
-// internal/spec (whose Run is JSON-serializable and so carries no
-// function values) use this to attach logging before Run.
+// SetLogf installs a logger that receives debug logging from every
+// subsystem during Run.
 func (e *Experiment) SetLogf(logf func(format string, args ...any)) {
-	e.cfg.Logf = logf
+	e.logf = logf
 }
 
 // CaptureTo records the run's control plane as pcapng traces in dir:
@@ -116,10 +87,10 @@ func (e *Experiment) SetLogf(logf func(format string, args ...any)) {
 // and stamped with its *delivery* virtual time — on WAN links that is
 // write time plus propagation delay, so UPDATE arrival times in the
 // trace are the convergence timeline. The directory is created on Run;
-// Result.CaptureFiles lists what was written. Equivalent to setting
-// Config.CaptureDir.
+// Result.CaptureFiles lists what was written. An empty dir records
+// nothing.
 func (e *Experiment) CaptureTo(dir string) {
-	e.cfg.CaptureDir = dir
+	e.captureDir = dir
 }
 
 // UseBGP selects an emulated BGP control plane (requires a topology whose
@@ -202,21 +173,18 @@ func (e *Experiment) Run(until Time) (*Result, error) {
 		StartInFTI: true,
 	})
 	e.net = netmodel.New(e.g)
-	if e.cfg.NaiveSolver {
-		e.net.Flows.SetNaive(true)
-	}
 	workers := e.cfg.SolverWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e.net.Flows.SetWorkers(workers)
-	e.mgr = cm.New(e.engine, e.net, e.cfg.Logf)
+	e.mgr = cm.New(e.engine, e.net, e.logf)
 	defer e.mgr.Stop()
 
 	var pcap *capture.Capture
-	if e.cfg.CaptureDir != "" {
+	if e.captureDir != "" {
 		var err error
-		pcap, err = capture.New(e.cfg.CaptureDir)
+		pcap, err = capture.New(e.captureDir)
 		if err != nil {
 			return nil, err
 		}
@@ -233,15 +201,7 @@ func (e *Experiment) Run(until Time) (*Result, error) {
 	// processes at experiment start.
 	switch e.kind {
 	case scenarioBGP:
-		bgpCfg := cm.BGPConfig{
-			ECMP:            e.bgpOpts.ECMP,
-			HoldTime:        e.bgpOpts.HoldTime,
-			AdvertiseDelay:  e.bgpOpts.AdvertiseDelay,
-			RouteReflection: e.bgpOpts.RouteReflection,
-			LinkLatency:     e.bgpOpts.LinkLatency,
-		}
-		bgpCfg.Dampening = e.bgpOpts.Dampening
-		if err := e.mgr.WireBGP(bgpCfg); err != nil {
+		if err := e.mgr.WireBGP(e.bgpOpts); err != nil {
 			return nil, err
 		}
 	case scenarioSDN:
@@ -447,7 +407,7 @@ type Result struct {
 	Injections uint64
 
 	// CaptureFiles lists the pcapng traces the run wrote (empty unless
-	// CaptureTo/Config.CaptureDir was set).
+	// CaptureTo was called).
 	CaptureFiles []string
 }
 

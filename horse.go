@@ -54,7 +54,9 @@ const (
 // Topology is an experiment topology graph.
 type Topology = topo.Graph
 
-// Config tunes the hybrid clock and measurement.
+// Config tunes the hybrid clock and measurement. Where a run's traces
+// and debug log go is not clock configuration: see Experiment.CaptureTo
+// and Experiment.SetLogf.
 type Config struct {
 	// FTIStep is the virtual time per FTI increment (default 1ms).
 	FTIStep Time
@@ -72,26 +74,12 @@ type Config struct {
 	// MaxIdleWall bounds the wait for control plane activity when the
 	// event queue is empty (default 2s).
 	MaxIdleWall time.Duration
-	// NaiveSolver selects the from-scratch progressive-filling rate
-	// solver instead of the incremental water-filling one. The naive
-	// solver re-derives every allocation on each flow or route change;
-	// it exists as an ablation/benchmark baseline (BenchmarkSolveScale)
-	// and should stay off in normal experiments.
-	NaiveSolver bool
 	// SolverWorkers is how many goroutines the rate solver may fan
 	// independent dirty components out to (disjoint pods, disjoint WAN
 	// regions solve in parallel). 0 (the default) uses GOMAXPROCS; 1
 	// reproduces the sequential solver. Rates are bit-identical at any
 	// worker count — see the determinism guarantee in internal/fluid.
 	SolverWorkers int
-	// CaptureDir, when non-empty, records every control plane session
-	// as a pcapng trace in this directory (one file per speaker pair),
-	// stamped with delivery virtual time — Wireshark-dissectable BGP
-	// and OpenFlow conversations. See Experiment.CaptureTo and
-	// internal/capture.
-	CaptureDir string
-	// Logf, when set, receives debug logging from every subsystem.
-	Logf func(format string, args ...any)
 }
 
 // TopoOption adjusts topology generation.

@@ -373,6 +373,16 @@ func TestPerHostRxBytes(t *testing.T) {
 	}
 }
 
+// useNaiveSolver switches exp's data plane to the from-scratch reference
+// solver (fluid.Set.SetNaive) through the run hook, before the engine
+// starts and any flow exists. The reference solver is test scaffolding:
+// no Config field or CLI flag reaches it.
+func useNaiveSolver(exp *Experiment, naive bool) {
+	exp.extraRun = append(exp.extraRun, func(e *Experiment) {
+		e.net.Flows.SetNaive(naive)
+	})
+}
+
 // TestNaiveSolverParity runs the same proactive-ECMP demo with the
 // incremental water-filling solver and the naive full-recompute baseline:
 // max–min allocations are unique, so both must deliver the same steady
@@ -384,9 +394,8 @@ func TestNaiveSolverParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := testConfig()
-		cfg.NaiveSolver = naive
-		exp := NewExperiment(cfg)
+		exp := NewExperiment(testConfig())
+		useNaiveSolver(exp, naive)
 		exp.SetTopology(topo)
 		exp.UseSDN(AppECMP5())
 		if err := exp.SendPermutation(1, 1*Gbps, 0, 0); err != nil {
@@ -398,6 +407,9 @@ func TestNaiveSolverParity(t *testing.T) {
 		}
 		if res.Solves == 0 {
 			t.Fatal("solver never ran")
+		}
+		if exp.net.Flows.Naive() != naive {
+			t.Fatalf("run used naive=%v, want %v", exp.net.Flows.Naive(), naive)
 		}
 		return res
 	}
@@ -752,9 +764,8 @@ func TestFailureParityNaiveVsIncremental(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := testConfig()
-		cfg.NaiveSolver = naive
-		exp := NewExperiment(cfg)
+		exp := NewExperiment(testConfig())
+		useNaiveSolver(exp, naive)
 		exp.SetTopology(topo)
 		exp.UseSDN(AppECMP5())
 		if err := exp.SendPermutation(4, 1*Gbps, 0, 0); err != nil {

@@ -407,7 +407,7 @@ func (s RunStats) RateSeries() *stats.Series {
 // RepairLatency measures, from the sampled timeline, how long after the
 // failure at failAt the delivered rate recovered. It delegates to
 // stats.Series.RepairAfter — the same dip/degraded/recovery extraction
-// cmd/tedemo and cmd/fig3 apply to Horse's aggregate-rx series — so the
+// cmd/horse applies to Horse's aggregate-rx series — so the
 // two systems' repair numbers use one definition. ok is false when the
 // timeline is too sparse or the rate never recovered before healAt.
 func (s RunStats) RepairLatency(failAt, healAt time.Duration, frac float64) (time.Duration, bool) {

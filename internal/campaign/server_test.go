@@ -141,6 +141,7 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 		{"unknown field", `{"topos": ["fattree:4"], "scenarios": ["ecmp5"], "bogus": 1}`, "bogus"},
 		{"no topos", `{"scenarios": ["ecmp5"]}`, "no topologies"},
 		{"bad axis", `{"topos": ["fattree:x"], "scenarios": ["ecmp5"]}`, "positive"},
+		{"removed ablation knob", `{"topos": ["fattree:4"], "scenarios": ["ecmp5"], "base": {"naive_solver": true}}`, "naive_solver"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -273,13 +273,20 @@ func (m *Manager) Clock() controller.Clock { return clock{m} }
 // BGP scenario wiring
 // ---------------------------------------------------------------------------
 
-// BGPConfig parameterizes WireBGP.
+// BGPConfig parameterizes WireBGP. The root package re-exports it as
+// horse.BGPOptions, so this is the one struct a BGP decision is written
+// in from the CLI flag down to the speakers.
 type BGPConfig struct {
-	// ECMP enables multipath best path selection (the demo's BGP+ECMP).
+	// ECMP enables multipath best path selection (the demo's "BGP plus
+	// ECMP path selection by hashing of IP source and destination").
 	ECMP bool
-	// HoldTime for all sessions (default 90s).
+	// HoldTime for all sessions (default 90s wall time).
 	HoldTime time.Duration
-	// AdvertiseDelay batches updates (default 2ms).
+	// AdvertiseDelay is the MRAI-style batching window: route changes
+	// accumulate for this long before the speaker packs them into
+	// attribute-grouped UPDATE messages (default 2ms wall time). Longer
+	// windows trade convergence latency for fewer, fuller UPDATEs —
+	// the axis the MRAI campaign sweeps.
 	AdvertiseDelay time.Duration
 
 	// LinkLatency delivers control plane messages with each cable's
@@ -301,8 +308,12 @@ type BGPConfig struct {
 	// full-mesh or two-router single-AS topologies — the ablation that
 	// shows why reflection exists.
 	RouteReflection bool
-	// Dampening enables per-(peer,prefix) route flap dampening on
-	// every speaker.
+	// Dampening, when non-nil, enables per-(peer,prefix) route flap
+	// dampening on every speaker (zero fields take RFC 2439-flavoured
+	// defaults; see bgp.Dampening). Decay and reuse run on the
+	// experiment's virtual clock — a 15s HalfLife spans 15s of the
+	// experiment timeline regardless of pacing or DES fast-forward — so
+	// size it against the scenario's flap cadence, not the wall clock.
 	Dampening *bgp.Dampening
 }
 

@@ -1,7 +1,7 @@
 // Package spec is the shared experiment-specification layer: the one
 // place that parses the -topo/-scenario/-traffic string forms and
 // expands a fully-specified Run into a configured horse.Experiment.
-// cmd/horse, cmd/tedemo, cmd/fig3 and the horsed campaign daemon all
+// cmd/horse (both of its subcommands) and the horsed campaign daemon
 // consume this package, so a run submitted over the management API is
 // by construction the same experiment as the equivalent CLI
 // invocation — the determinism tests in internal/campaign pin that.
@@ -82,8 +82,6 @@ type Run struct {
 	Pacing float64 `json:"pacing,omitempty"`
 	// SampleInterval overrides the aggregate-rate sampling period.
 	SampleInterval Duration `json:"sample_interval,omitempty"`
-	// NaiveSolver selects the from-scratch rate solver (ablation).
-	NaiveSolver bool `json:"naive_solver,omitempty"`
 	// SolverWorkers is the rate solver worker count (0 = GOMAXPROCS).
 	SolverWorkers int `json:"solver_workers,omitempty"`
 	// DelayScale scales WAN geographic link delays; nil means 1.0 and
@@ -132,47 +130,62 @@ func (r Run) WithDefaults() Run {
 	return r
 }
 
+// parts is a run's four grammar strings, each parsed once.
+type parts struct {
+	topo     TopoSpec
+	scenario ScenarioSpec
+	traffic  TrafficSpec
+	capacity CapacitySpec
+}
+
+// parse is the one place a run's strings and numbers are checked. r
+// must already carry its defaults. Validate keeps only the verdict;
+// Experiment goes on to build from the parsed forms.
+func (r Run) parse() (parts, error) {
+	var p parts
+	var err error
+	if p.topo, err = ParseTopo(r.Topo); err != nil {
+		return p, err
+	}
+	if p.scenario, err = ParseScenario(r.Scenario); err != nil {
+		return p, err
+	}
+	if p.traffic, err = ParseTraffic(r.Traffic); err != nil {
+		return p, err
+	}
+	if p.capacity, err = ParseCapacity(r.Capacity); err != nil {
+		return p, err
+	}
+	if p.topo.WAN() && !p.scenario.BGP() {
+		return p, fmt.Errorf("spec: topology %q is a BGP router mesh; it needs a bgp scenario (use bgp-rr), not %q", r.Topo, r.Scenario)
+	}
+	if r.RateGbps < 0 {
+		return p, fmt.Errorf("spec: negative rate %vGbps", r.RateGbps)
+	}
+	if r.Dur < 0 {
+		return p, fmt.Errorf("spec: negative duration %v", r.Dur.Duration())
+	}
+	if r.Pacing < 0 {
+		return p, fmt.Errorf("spec: negative pacing %v", r.Pacing)
+	}
+	if r.SolverWorkers < 0 {
+		return p, fmt.Errorf("spec: negative solver workers %d", r.SolverWorkers)
+	}
+	if ds := r.DelayScale; ds != nil && *ds < 0 {
+		return p, fmt.Errorf("spec: negative delay scale %v", *ds)
+	}
+	if r.AdvertiseDelay < 0 {
+		return p, fmt.Errorf("spec: negative advertise delay %v", r.AdvertiseDelay.Duration())
+	}
+	return p, nil
+}
+
 // Validate parses every component of the run without building the
 // topology, so a malformed sweep is rejected at submission time with an
 // error naming the offending part.
 func (r Run) Validate() error {
-	r = r.WithDefaults()
-	ts, err := ParseTopo(r.Topo)
-	if err != nil {
-		return err
-	}
-	sc, err := ParseScenario(r.Scenario)
-	if err != nil {
-		return err
-	}
-	if _, err := ParseTraffic(r.Traffic); err != nil {
-		return err
-	}
-	if _, err := ParseCapacity(r.Capacity); err != nil {
-		return err
-	}
-	if ts.WAN() && !sc.BGP() {
-		return fmt.Errorf("spec: topology %q is a BGP router mesh; it needs a bgp scenario (use bgp-rr), not %q", r.Topo, r.Scenario)
-	}
-	if r.RateGbps < 0 {
-		return fmt.Errorf("spec: negative rate %vGbps", r.RateGbps)
-	}
-	if r.Dur < 0 {
-		return fmt.Errorf("spec: negative duration %v", r.Dur.Duration())
-	}
-	if r.Pacing < 0 {
-		return fmt.Errorf("spec: negative pacing %v", r.Pacing)
-	}
-	if r.SolverWorkers < 0 {
-		return fmt.Errorf("spec: negative solver workers %d", r.SolverWorkers)
-	}
-	if ds := r.DelayScale; ds != nil && *ds < 0 {
-		return fmt.Errorf("spec: negative delay scale %v", *ds)
-	}
-	if r.AdvertiseDelay < 0 {
-		return fmt.Errorf("spec: negative advertise delay %v", r.AdvertiseDelay.Duration())
-	}
-	return nil
+	_, err := r.WithDefaults().parse()
+	return err
 }
 
 // Until is the virtual end time of the run.
@@ -187,56 +200,37 @@ func (r Run) Until() core.Time {
 // is exactly the code path the CLIs execute.
 func (r Run) Experiment() (*horse.Experiment, error) {
 	r = r.WithDefaults()
-	if err := r.Validate(); err != nil {
-		return nil, err
-	}
-	ts, err := ParseTopo(r.Topo)
+	p, err := r.parse()
 	if err != nil {
 		return nil, err
 	}
-	sc, err := ParseScenario(r.Scenario)
+	g, err := p.topo.Build(p.scenario.BGP(), *r.DelayScale)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := ParseTraffic(r.Traffic)
-	if err != nil {
-		return nil, err
-	}
-	g, err := ts.Build(sc.BGP(), *r.DelayScale)
-	if err != nil {
-		return nil, err
-	}
-	cfg := horse.Config{
-		Pacing:        r.Pacing,
-		NaiveSolver:   r.NaiveSolver,
-		SolverWorkers: r.SolverWorkers,
-		CaptureDir:    r.CaptureDir,
-	}
-	if r.SampleInterval > 0 {
-		cfg.SampleInterval = core.FromDuration(r.SampleInterval.Duration())
-	}
-	exp := horse.NewExperiment(cfg)
+	exp := horse.NewExperiment(horse.Config{
+		Pacing:         r.Pacing,
+		SampleInterval: core.FromDuration(r.SampleInterval.Duration()),
+		SolverWorkers:  r.SolverWorkers,
+	})
+	exp.CaptureTo(r.CaptureDir)
 	exp.SetTopology(g)
 	base := horse.BGPOptions{AdvertiseDelay: r.AdvertiseDelay.Duration()}
 	if r.Dampening {
 		base.Dampening = &horse.Dampening{}
 	}
-	sc.Apply(exp, base)
+	p.scenario.Apply(exp, base)
 	rate := core.Rate(r.RateGbps) * core.Gbps
-	p, err := tr.Pattern(rate, r.Until())
+	pattern, err := p.traffic.Pattern(rate, r.Until())
 	if err != nil {
 		return nil, err
 	}
-	if p != nil {
-		if err := exp.AddTraffic(p); err != nil {
+	if pattern != nil {
+		if err := exp.AddTraffic(pattern); err != nil {
 			return nil, err
 		}
 	}
-	cs, err := ParseCapacity(r.Capacity)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := cs.Apply(exp, r.Until()); err != nil {
+	if _, err := p.capacity.Apply(exp, r.Until()); err != nil {
 		return nil, err
 	}
 	return exp, nil

@@ -455,7 +455,7 @@ func TestRunJSONRoundTrip(t *testing.T) {
 		Capacity: "walk:7:250ms",
 		RateGbps: 2, Dur: Duration(5 * time.Second), Pacing: 40,
 		SampleInterval: Duration(10 * time.Millisecond),
-		NaiveSolver:    true, SolverWorkers: 4, DelayScale: &ds,
+		SolverWorkers:  4, DelayScale: &ds,
 		Dampening: true, AdvertiseDelay: Duration(50 * time.Millisecond),
 		CaptureDir: "pcap",
 	}

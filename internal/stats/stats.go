@@ -156,7 +156,7 @@ func (s *Series) FirstAtLeast(t core.Time, threshold float64) (Sample, bool) {
 
 // DefaultRepairFrac is the recovery threshold repair-latency metrics
 // use: a dipped rate counts as repaired when it re-reaches this fraction
-// of the degraded steady rate. Shared by cmd/tedemo, cmd/fig3,
+// of the degraded steady rate. Shared by cmd/horse (-fail and fig3),
 // examples/failures and the packet-level baseline so both systems'
 // repair numbers use one definition.
 const DefaultRepairFrac = 0.98
@@ -206,7 +206,7 @@ func (s *Series) RepairAfter(failAt, healAt core.Time, frac float64) (Repair, bo
 // Ratio returns num/den and reports whether the quotient is meaningful:
 // ok is false (and the ratio 0) when the denominator is zero or negative
 // or either operand is not finite. It is the shared guard for summary
-// arithmetic over possibly-empty measurement windows — cmd/fig3's
+// arithmetic over possibly-empty measurement windows — horse fig3's
 // speedup and repair-ratio columns and capture.Summary's per-second
 // message rates (via PerSecond) both divide by quantities that
 // legitimately come out zero (no repair observed, an empty trace), and
