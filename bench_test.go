@@ -13,6 +13,9 @@ package horse
 //     the per-TE aggregate receive rate graphs (Demo-G1..G3).
 //   - BenchmarkModeTransitions — Figure 1's DES<->FTI transition cost.
 //   - BenchmarkAblation* — design-choice sweeps called out in DESIGN.md.
+//   - BenchmarkECMPInstall / BenchmarkFlowTable — the SDN control path
+//     (BENCH_sdn.json): the proactive install without the simulator, and
+//     the switch flow table alone.
 //
 // Benchmarks run with FTI pacing > 1 to keep wall times tractable; the
 // pacing factor is constant across compared configurations, so ratios
@@ -22,12 +25,17 @@ package horse
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/controller"
 	"repro/internal/core"
+	"repro/internal/emu"
+	"repro/internal/flowtable"
 	"repro/internal/fluid"
+	"repro/internal/openflow"
 	"repro/internal/sim"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -621,5 +629,127 @@ func BenchmarkEngineDES(b *testing.B) {
 	e.Run(core.MaxTime)
 	if count < b.N {
 		b.Fatalf("executed %d events, want %d", count, b.N)
+	}
+}
+
+// countingDataPlane stands in for the simulated switches behind the
+// OpenFlow agents: it counts FLOW_MODs and signals the want-th.
+type countingDataPlane struct {
+	applied atomic.Int64
+	want    int64
+	done    chan struct{}
+}
+
+func (d *countingDataPlane) ApplyFlowMod(openflow.FlowMod) error {
+	if d.applied.Add(1) == d.want {
+		close(d.done)
+	}
+	return nil
+}
+func (*countingDataPlane) PortStats() []openflow.PortStatsEntry { return nil }
+func (*countingDataPlane) FlowStats() []openflow.FlowStatsEntry { return nil }
+func (*countingDataPlane) PacketOut(openflow.PacketOut)         {}
+
+// wallClock gives the controller a clock without a simulation engine.
+type wallClock struct{}
+
+func (wallClock) Now() core.Time               { return 0 }
+func (wallClock) After(d core.Time, fn func()) { time.AfterFunc(d.Duration(), fn) }
+
+// BenchmarkECMPInstall measures the proactive ECMP install as the control
+// plane alone pays for it: the controller running ecmp5, one OpenFlow
+// agent per switch over emu pipes, from the first Connect until every
+// switch has been handed a rule for every host (k=10: 31 250 FLOW_MODs,
+// k=16: 327 680). Path computation, FLOW_MOD codec and the OpenFlow
+// channel are in it; sim, netmodel and the flow table are not.
+func BenchmarkECMPInstall(b *testing.B) {
+	for _, k := range []int{10, 16} {
+		k := k
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			g, err := topo.FatTree(topo.FatTreeOpts{K: k})
+			if err != nil {
+				b.Fatal(err)
+			}
+			switches := g.Switches()
+			want := int64(len(switches) * len(g.Hosts()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dp := &countingDataPlane{want: want, done: make(chan struct{})}
+				ctl := controller.New(g, wallClock{}, &controller.ECMPApp{}, nil)
+				agents := make([]*openflow.Agent, 0, len(switches))
+				for _, sw := range switches {
+					var ports []openflow.PhyPort
+					for _, p := range sw.Ports {
+						ports = append(ports, openflow.PhyPort{PortNo: uint16(p.ID), HWAddr: p.MAC})
+					}
+					swEnd, ctlEnd := emu.Pipe()
+					agent := openflow.NewAgent(controller.DPIDOf(sw.ID), ports, swEnd, dp, nil)
+					agent.Start()
+					agents = append(agents, agent)
+					if err := ctl.Connect(sw.ID, controller.DPIDOf(sw.ID), ctlEnd); err != nil {
+						b.Fatal(err)
+					}
+				}
+				select {
+				case <-dp.done:
+				case <-time.After(20 * time.Minute):
+					b.Fatalf("%d of %d FLOW_MODs applied", dp.applied.Load(), want)
+				}
+				b.StopTimer()
+				ctl.Stop()
+				for _, a := range agents {
+					a.Stop()
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(want), "flowmods")
+		})
+	}
+}
+
+// BenchmarkFlowTable measures one switch's table holding ecmp5's rule set
+// (n dst/32 rules at one priority; n = hosts at k=10 and k=16): the mean
+// cost of an Add while the table fills from empty to n, and of a Lookup
+// that hits and one that misses in the full table.
+func BenchmarkFlowTable(b *testing.B) {
+	entry := func(i int) flowtable.Entry {
+		return flowtable.Entry{
+			Priority: 100,
+			Match:    flowtable.Match{DstBits: 32, Dst: core.IPv4FromUint32(0x0A000000 + uint32(i))},
+			Actions:  []flowtable.Action{{Type: flowtable.ActionOutput, Port: core.PortID(1 + i%4)}},
+		}
+	}
+	packet := func(dst uint32) core.FiveTuple {
+		return core.FiveTuple{Src: core.IPv4FromUint32(0x0A090909), Dst: core.IPv4FromUint32(dst), Proto: core.ProtoUDP, SrcPort: 1, DstPort: 2}
+	}
+	for _, n := range []int{250, 1024} {
+		n := n
+		b.Run(fmt.Sprintf("add/n=%d", n), func(b *testing.B) {
+			var t *flowtable.Table
+			for i := 0; i < b.N; i++ {
+				if i%n == 0 {
+					t = flowtable.New()
+				}
+				t.Add(entry(i%n), 0)
+			}
+		})
+		full := flowtable.New()
+		for i := 0; i < n; i++ {
+			full.Add(entry(i), 0)
+		}
+		for _, c := range []struct {
+			name string
+			base uint32
+			hit  bool
+		}{{"lookup_hit", 0x0A000000, true}, {"lookup_miss", 0x0B000000, false}} {
+			c := c
+			b.Run(fmt.Sprintf("%s/n=%d", c.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, ok := full.Lookup(1, packet(c.base+uint32(i%n))); ok != c.hit {
+						b.Fatalf("lookup %d: found %v, want %v", i, ok, c.hit)
+					}
+				}
+			})
+		}
 	}
 }

@@ -84,10 +84,11 @@ type token struct {
 	bytes int
 }
 
-// ecmpTables maps (forwarding node, destination host) to candidate
-// egress ports. Tables are immutable once published; repairs build a
-// fresh set and swap the pointer, so forwarding loops read lock-free.
-type ecmpTables map[core.NodeID]map[core.NodeID][]core.PortID
+// ecmpTables holds, per forwarding node and destination (both indexed by
+// NodeID; host rows stay nil), the candidate egress ports. Tables are
+// immutable once published; repairs build a fresh set and swap the
+// pointer, so forwarding loops read lock-free.
+type ecmpTables [][][]core.PortID
 
 // Emulator is a running emulated network.
 type Emulator struct {
@@ -153,32 +154,11 @@ func New(g *topo.Graph, cfg Config) (*Emulator, error) {
 // emulated control plane's reconvergence.
 func (e *Emulator) rebuildTables() {
 	g := e.g
-	hosts := g.Hosts()
 	tables := make(ecmpTables, len(g.Nodes))
 	for _, n := range g.Nodes {
-		if n.Kind == topo.Host {
-			continue
+		if n.Kind != topo.Host {
+			tables[n.ID] = g.NextHopPorts(n.ID)
 		}
-		table := make(map[core.NodeID][]core.PortID, len(hosts))
-		for _, h := range hosts {
-			paths := g.AllShortestPaths(n.ID, h.ID)
-			seen := map[core.PortID]bool{}
-			var ports []core.PortID
-			for _, p := range paths {
-				if len(p) == 0 {
-					continue
-				}
-				l := g.Link(p[0])
-				if l != nil && !seen[l.FromPort] {
-					seen[l.FromPort] = true
-					ports = append(ports, l.FromPort)
-				}
-			}
-			if len(ports) > 0 {
-				table[h.ID] = ports
-			}
-		}
-		tables[n.ID] = table
 	}
 	e.ecmp.Store(&tables)
 }
@@ -240,7 +220,10 @@ func (e *Emulator) nodeProc(n *topo.Node) {
 				}
 				continue
 			}
-			ports := (*e.ecmp.Load())[n.ID][tk.dst]
+			var ports []core.PortID
+			if next := (*e.ecmp.Load())[n.ID]; int(tk.dst) < len(next) {
+				ports = next[tk.dst]
+			}
 			if len(ports) == 0 {
 				e.dropped.Add(uint64(tk.bytes))
 				continue

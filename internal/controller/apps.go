@@ -113,9 +113,10 @@ func (a *ECMPApp) repairPass() {
 	}
 }
 
-// install computes one rule per destination host and sends FLOW_MODs
-// for the destinations whose next-hop port set differs from what the
-// switch already holds (per the installed cache). Destinations that
+// install computes one rule per destination host (one BFS from the
+// switch answers for all of them) and sends FLOW_MODs for the
+// destinations whose next-hop port set differs from what the switch
+// already holds (per the installed cache). Destinations that
 // became unreachable have their rules deleted so flows blackhole at the
 // table miss (and re-punt) rather than into a dead port; destinations
 // whose ports are unchanged cost nothing. Caller holds repairMu.
@@ -126,8 +127,9 @@ func (a *ECMPApp) install(sw *SwitchHandle) {
 		cache = make(map[core.NodeID][]core.PortID)
 		a.installed[sw.Node] = cache
 	}
+	next := g.NextHopPorts(sw.Node)
 	for _, host := range g.Hosts() {
-		ports := nextHopPorts(g, sw.Node, host.ID)
+		ports := next[host.ID]
 		prev, had := cache[host.ID]
 		if portSeqEqual(prev, ports) {
 			continue
@@ -173,27 +175,6 @@ func portSeqEqual(a, b []core.PortID) bool {
 		}
 	}
 	return true
-}
-
-// nextHopPorts returns the egress ports of all shortest paths from a
-// switch to a host, sorted for determinism.
-func nextHopPorts(g *topo.Graph, from core.NodeID, to core.NodeID) []core.PortID {
-	paths := g.AllShortestPaths(from, to)
-	seen := map[core.PortID]bool{}
-	var ports []core.PortID
-	for _, p := range paths {
-		if len(p) == 0 {
-			continue
-		}
-		l := g.Link(p[0])
-		if l == nil || seen[l.FromPort] {
-			continue
-		}
-		seen[l.FromPort] = true
-		ports = append(ports, l.FromPort)
-	}
-	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-	return ports
 }
 
 // ---------------------------------------------------------------------------

@@ -268,8 +268,8 @@ func TestNextHopPortsDeterministic(t *testing.T) {
 	g, _ := topo.FatTree(topo.FatTreeOpts{K: 4})
 	edge, _ := g.NodeByName("edge-0-0")
 	remote, _ := g.NodeByName("host-3-1-1")
-	a := nextHopPorts(g, edge.ID, remote.ID)
-	b := nextHopPorts(g, edge.ID, remote.ID)
+	a := g.NextHopPorts(edge.ID)[remote.ID]
+	b := g.NextHopPorts(edge.ID)[remote.ID]
 	if len(a) != 2 {
 		t.Fatalf("uplink ports = %v, want the 2 agg-facing ports", a)
 	}
@@ -280,7 +280,7 @@ func TestNextHopPortsDeterministic(t *testing.T) {
 	}
 	// Local host: single port.
 	local, _ := g.NodeByName("host-0-0-0")
-	if p := nextHopPorts(g, edge.ID, local.ID); len(p) != 1 {
+	if p := g.NextHopPorts(edge.ID)[local.ID]; len(p) != 1 {
 		t.Fatalf("local ports = %v", p)
 	}
 }

@@ -211,7 +211,8 @@ type Entry struct {
 	Packets uint64
 	Bytes   uint64
 
-	seq uint64 // insertion order tiebreak
+	seq  uint64 // insertion order tiebreak
+	next *Entry // the table's index chain, see band
 }
 
 // Expired reports whether the entry has timed out at virtual time now.
@@ -228,13 +229,117 @@ func (e *Entry) Expired(now core.Time) bool {
 // Table is a single OpenFlow-style flow table. Not safe for concurrent
 // use; all access happens on the simulation engine goroutine.
 type Table struct {
+	// entries is the table in match order: priority descending, then
+	// insertion order. Entries, String, flow statistics and the
+	// non-strict, prune and expiry filters walk it.
 	entries []*Entry
 	seq     uint64
+
+	// bands is a tuple-space index over the same entries for Lookup and
+	// the strict probes of Add and DeleteStrict: one hash map per
+	// (priority, wildcard shape), priority descending. A table holds as
+	// many bands as its rules have shapes — two for the controller apps
+	// (dst/32 at 100, exact five-tuple at 200).
+	bands []*band
 
 	// MissToController selects table-miss behaviour: true (default, as
 	// in OpenFlow 1.0) punts unmatched flows to the controller; false
 	// drops them.
 	MissToController bool
+}
+
+// shape is what a match compares — which fields, how many address bits —
+// together with the entry's priority. Entries of one shape differ only in
+// the values compared, so a hash map over those values finds them.
+type shape struct {
+	priority                                uint16
+	hasInPort, hasProto, hasTpSrc, hasTpDst bool
+	srcBits, dstBits                        int
+}
+
+func shapeOf(priority uint16, m Match) shape {
+	return shape{
+		priority:  priority,
+		hasInPort: m.HasInPort, hasProto: m.HasProto, hasTpSrc: m.HasTpSrc, hasTpDst: m.HasTpDst,
+		srcBits: m.SrcBits, dstBits: m.DstBits,
+	}
+}
+
+// key holds the fields a shape compares, masked; the others stay zero.
+type key struct {
+	src, dst     uint32
+	inPort       core.PortID
+	tpSrc, tpDst uint16
+	proto        core.Proto
+	// unmatchable marks a match that compares a non-IPv4 address, which
+	// no packet satisfies (see prefixEq): it is indexed for the strict
+	// probes under a key no packet produces.
+	unmatchable bool
+}
+
+// packetKey reduces a packet to the fields s compares. ok is false when
+// no match of this shape can select the packet.
+func (s shape) packetKey(inPort core.PortID, ft core.FiveTuple) (k key, ok bool) {
+	if k.src, ok = maskAddr(ft.Src, s.srcBits); !ok {
+		return key{}, false
+	}
+	if k.dst, ok = maskAddr(ft.Dst, s.dstBits); !ok {
+		return key{}, false
+	}
+	if s.hasInPort {
+		k.inPort = inPort
+	}
+	if s.hasProto {
+		k.proto = ft.Proto
+	}
+	if s.hasTpSrc {
+		k.tpSrc = ft.SrcPort
+	}
+	if s.hasTpDst {
+		k.tpDst = ft.DstPort
+	}
+	return k, true
+}
+
+// matchKey is the key of the packets m selects; s is m's shape.
+func (s shape) matchKey(m Match) key {
+	k, ok := s.packetKey(m.InPort, core.FiveTuple{Src: m.Src, Dst: m.Dst, Proto: m.Proto, SrcPort: m.TpSrc, DstPort: m.TpDst})
+	if !ok {
+		return key{unmatchable: true}
+	}
+	return k
+}
+
+// maskAddr keeps the leading bits of an IPv4 address, as prefixEq
+// compares them.
+func maskAddr(a netip.Addr, bits int) (uint32, bool) {
+	if bits == 0 {
+		return 0, true
+	}
+	if !a.Is4() {
+		return 0, false
+	}
+	shift := 32 - bits
+	return core.IPv4ToUint32(a) >> shift << shift, true
+}
+
+// band indexes the entries of one shape. Entries under one key select
+// the same packets (their matches may still differ in masked-out bits,
+// so they are distinct to Match.Equal): the map holds the oldest, the
+// only one Lookup can ever return, and the others follow it in insertion
+// order through Entry.next.
+type band struct {
+	shape shape
+	m     map[key]*Entry
+}
+
+// link makes e follow prev in k's chain, or head it when prev is nil.
+func (b *band) link(k key, prev, e *Entry) {
+	if prev == nil {
+		b.m[k] = e
+	} else {
+		prev.next = e
+	}
 }
 
 // New returns an empty table with OpenFlow 1.0 miss behaviour.
@@ -243,22 +348,91 @@ func New() *Table { return &Table{MissToController: true} }
 // Len reports the number of installed entries.
 func (t *Table) Len() int { return len(t.entries) }
 
+// bandOf finds the band of shape s, or the position it would take in
+// t.bands.
+func (t *Table) bandOf(s shape) (int, bool) {
+	i := sort.Search(len(t.bands), func(i int) bool { return t.bands[i].shape.priority <= s.priority })
+	for ; i < len(t.bands) && t.bands[i].shape.priority == s.priority; i++ {
+		if t.bands[i].shape == s {
+			return i, true
+		}
+	}
+	return i, false
+}
+
+// position finds e's index in t.entries.
+func (t *Table) position(e *Entry) int {
+	return sort.Search(len(t.entries), func(i int) bool {
+		x := t.entries[i]
+		return x.Priority < e.Priority || (x.Priority == e.Priority && x.seq >= e.seq)
+	})
+}
+
+// find returns the entry with exactly this match and priority.
+func (t *Table) find(m Match, priority uint16) *Entry {
+	s := shapeOf(priority, m)
+	if i, ok := t.bandOf(s); ok {
+		for e := t.bands[i].m[s.matchKey(m)]; e != nil; e = e.next {
+			if e.Match.Equal(m) {
+				return e
+			}
+		}
+	}
+	return nil
+}
+
+// unindex drops e from its band, and the band once it is empty.
+func (t *Table) unindex(e *Entry) {
+	s := shapeOf(e.Priority, e.Match)
+	i, _ := t.bandOf(s)
+	b, k := t.bands[i], s.matchKey(e.Match)
+	var prev *Entry
+	for x := b.m[k]; x != e; x = x.next {
+		prev = x
+	}
+	if prev != nil || e.next != nil {
+		b.link(k, prev, e.next)
+		e.next = nil
+		return
+	}
+	delete(b.m, k)
+	if len(b.m) == 0 {
+		t.bands = append(t.bands[:i], t.bands[i+1:]...)
+	}
+}
+
 // Add installs e at virtual time now. Per OpenFlow ADD semantics an entry
 // with identical match and priority is replaced (counters reset).
 func (t *Table) Add(e Entry, now core.Time) {
 	e.InstalledAt = now
 	e.LastUsed = now
-	for i, old := range t.entries {
-		if old.Priority == e.Priority && old.Match.Equal(e.Match) {
-			e.seq = old.seq
-			t.entries[i] = &e
+	s := shapeOf(e.Priority, e.Match)
+	k := s.matchKey(e.Match)
+	i, ok := t.bandOf(s)
+	if !ok {
+		t.bands = append(t.bands, nil)
+		copy(t.bands[i+1:], t.bands[i:])
+		t.bands[i] = &band{shape: s, m: make(map[key]*Entry)}
+	}
+	b := t.bands[i]
+	var prev *Entry
+	for old := b.m[k]; old != nil; old = old.next {
+		if old.Match.Equal(e.Match) {
+			e.seq, e.next = old.seq, old.next
+			t.entries[t.position(old)] = &e
+			b.link(k, prev, &e)
 			return
 		}
+		prev = old
 	}
 	t.seq++
-	e.seq = t.seq
-	t.entries = append(t.entries, &e)
-	t.sort()
+	e.seq, e.next = t.seq, nil
+	b.link(k, prev, &e)
+	// The newest entry of its priority goes after all the others.
+	at := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Priority < e.Priority })
+	t.entries = append(t.entries, nil)
+	copy(t.entries[at+1:], t.entries[at:])
+	t.entries[at] = &e
 }
 
 // Modify updates the actions of all entries covered by match (non-strict
@@ -281,11 +455,24 @@ func (t *Table) Modify(e Entry, now core.Time, addIfAbsent bool) int {
 
 // DeleteStrict removes the entry with exactly this match and priority.
 func (t *Table) DeleteStrict(m Match, priority uint16) []*Entry {
+	e := t.find(m, priority)
+	if e == nil {
+		return nil
+	}
+	at := t.position(e)
+	t.entries = append(t.entries[:at], t.entries[at+1:]...)
+	t.unindex(e)
+	return []*Entry{e}
+}
+
+// removeIf removes and returns, in match order, the entries drop selects.
+func (t *Table) removeIf(drop func(*Entry) bool) []*Entry {
 	var removed []*Entry
 	kept := t.entries[:0]
 	for _, e := range t.entries {
-		if e.Priority == priority && e.Match.Equal(m) {
+		if drop(e) {
 			removed = append(removed, e)
+			t.unindex(e)
 		} else {
 			kept = append(kept, e)
 		}
@@ -296,29 +483,27 @@ func (t *Table) DeleteStrict(m Match, priority uint16) []*Entry {
 
 // Delete removes all entries covered by m (non-strict semantics).
 func (t *Table) Delete(m Match) []*Entry {
-	var removed []*Entry
-	kept := t.entries[:0]
-	for _, e := range t.entries {
-		if m.Covers(e.Match) {
-			removed = append(removed, e)
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	t.entries = kept
-	return removed
+	return t.removeIf(func(e *Entry) bool { return m.Covers(e.Match) })
 }
 
 // Lookup returns the highest-priority entry matching the five-tuple on
 // inPort. Ties are broken by insertion order (older first), which is
 // deterministic.
 func (t *Table) Lookup(inPort core.PortID, ft core.FiveTuple) (*Entry, bool) {
-	for _, e := range t.entries {
-		if e.Match.Matches(inPort, ft) {
-			return e, true
+	var best *Entry
+	for _, b := range t.bands {
+		if best != nil && b.shape.priority != best.Priority {
+			break // the lower priorities cannot win any more
+		}
+		k, ok := b.shape.packetKey(inPort, ft)
+		if !ok {
+			continue
+		}
+		if e := b.m[k]; e != nil && (best == nil || e.seq < best.seq) {
+			best = e
 		}
 	}
-	return nil, false
+	return best, best != nil
 }
 
 // PrunePort removes entries whose forwarding output is the given port,
@@ -331,54 +516,25 @@ func (t *Table) Lookup(inPort core.PortID, ft core.FiveTuple) (*Entry, bool) {
 // OpenFlow 1.0 behaviour Horse emulates. Removed entries are returned so
 // the agent can emit FLOW_REMOVED.
 func (t *Table) PrunePort(port core.PortID) []*Entry {
-	var removed []*Entry
-	kept := t.entries[:0]
-	for _, e := range t.entries {
-		dead := false
+	return t.removeIf(func(e *Entry) bool {
 		for _, a := range e.Actions {
 			if a.Type == ActionOutput && a.Port == port {
-				dead = true
-				break
+				return true
 			}
 		}
-		if dead {
-			removed = append(removed, e)
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	t.entries = kept
-	return removed
+		return false
+	})
 }
 
 // ExpireDue removes and returns all entries expired at now.
 func (t *Table) ExpireDue(now core.Time) []*Entry {
-	var removed []*Entry
-	kept := t.entries[:0]
-	for _, e := range t.entries {
-		if e.Expired(now) {
-			removed = append(removed, e)
-		} else {
-			kept = append(kept, e)
-		}
-	}
-	t.entries = kept
-	return removed
+	return t.removeIf(func(e *Entry) bool { return e.Expired(now) })
 }
 
 // Entries returns the entries in match order (priority desc, then
 // insertion order). The returned slice is the table's own; callers must
 // not mutate it.
 func (t *Table) Entries() []*Entry { return t.entries }
-
-func (t *Table) sort() {
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		if t.entries[i].Priority != t.entries[j].Priority {
-			return t.entries[i].Priority > t.entries[j].Priority
-		}
-		return t.entries[i].seq < t.entries[j].seq
-	})
-}
 
 // String dumps the table for debugging.
 func (t *Table) String() string {

@@ -50,8 +50,9 @@ type Network struct {
 	OnFlowRemoved func(node core.NodeID, e *flowtable.Entry)
 
 	// punted deduplicates outstanding PACKET_INs per (node, tuple) so a
-	// pending flow does not re-punt on every reroute.
-	punted map[puntKey]bool
+	// pending flow does not re-punt on every reroute: for each tuple, the
+	// nodes that punted it and have not seen it routed since.
+	punted map[core.FiveTuple][]core.NodeID
 
 	// rxDrop counts flows blackholed for lack of forwarding state.
 	rxDrop uint64
@@ -76,11 +77,6 @@ type Network struct {
 	rxByDst map[core.NodeID]core.Rate
 }
 
-type puntKey struct {
-	node  core.NodeID
-	tuple core.FiveTuple
-}
-
 // New builds the data plane for a topology: a FIB per router, a flow
 // table per switch, and a fluid flow set sized by the links' rates.
 func New(g *topo.Graph) *Network {
@@ -88,7 +84,7 @@ func New(g *topo.Graph) *Network {
 		G:           g,
 		fibs:        make(map[core.NodeID]*fib.Table),
 		tables:      make(map[core.NodeID]*flowtable.Table),
-		punted:      make(map[puntKey]bool),
+		punted:      make(map[core.FiveTuple][]core.NodeID),
 		AutoReroute: true,
 	}
 	for _, node := range g.Nodes {
@@ -296,23 +292,19 @@ func (n *Network) forwardAt(node *topo.Node, inPort core.PortID, ft core.FiveTup
 }
 
 func (n *Network) punt(node core.NodeID, inPort core.PortID, ft core.FiveTuple) {
-	key := puntKey{node: node, tuple: ft}
-	if n.punted[key] {
-		return
+	nodes := n.punted[ft]
+	for _, at := range nodes {
+		if at == node {
+			return
+		}
 	}
-	n.punted[key] = true
+	n.punted[ft] = append(nodes, node)
 	if n.OnPacketIn != nil {
 		n.OnPacketIn(PacketIn{Node: node, InPort: inPort, Tuple: ft})
 	}
 }
 
-func (n *Network) clearPunts(ft core.FiveTuple) {
-	for k := range n.punted {
-		if k.tuple == ft {
-			delete(n.punted, k)
-		}
-	}
-}
+func (n *Network) clearPunts(ft core.FiveTuple) { delete(n.punted, ft) }
 
 // ReRouteAll recomputes the path of every live flow after forwarding
 // state changed (FIB install, FLOW_MOD, expiry). Pending flows whose
@@ -543,15 +535,16 @@ func (n *Network) ApplyFlowMod(node core.NodeID, mod FlowMod, now core.Time) err
 	return nil
 }
 
-// ExpireFlowEntries removes timed-out entries on every switch, fires
+// ExpireFlowEntries removes timed-out entries on every switch (in node ID
+// order, so the FLOW_REMOVED stream is the same from run to run), fires
 // OnFlowRemoved, and reroutes if anything expired. Returns the count.
 func (n *Network) ExpireFlowEntries(now core.Time) int {
 	total := 0
-	for id, t := range n.tables {
-		for _, e := range t.ExpireDue(now) {
+	for _, sw := range n.G.Switches() {
+		for _, e := range n.tables[sw.ID].ExpireDue(now) {
 			total++
 			if n.OnFlowRemoved != nil {
-				n.OnFlowRemoved(id, e)
+				n.OnFlowRemoved(sw.ID, e)
 			}
 		}
 	}

@@ -371,6 +371,88 @@ func TestExpireFlowEntries(t *testing.T) {
 	}
 }
 
+// TestExpireFlowEntriesInSwitchOrder pins the order of the FLOW_REMOVED
+// stream: switches in node ID order (it used to follow map iteration and
+// so differed from run to run), entries in table order within a switch.
+func TestExpireFlowEntriesInSwitchOrder(t *testing.T) {
+	g, err := topo.FatTree(topo.FatTreeOpts{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(g)
+	var want []core.NodeID
+	for _, sw := range g.Switches() {
+		for prio := uint16(2); prio >= 1; prio-- {
+			n.Table(sw.ID).Add(flowtable.Entry{Priority: prio, Match: flowtable.MatchAll(),
+				Actions: []flowtable.Action{{Type: flowtable.ActionDrop}}, HardTimeout: core.Second}, 0)
+			want = append(want, sw.ID)
+		}
+	}
+	var got []core.NodeID
+	var prios []uint16
+	n.OnFlowRemoved = func(node core.NodeID, e *flowtable.Entry) {
+		got = append(got, node)
+		prios = append(prios, e.Priority)
+	}
+	if removed := n.ExpireFlowEntries(2 * core.Second); removed != len(want) {
+		t.Fatalf("expired %d entries, want %d", removed, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] || prios[i] != uint16(2-i%2) {
+			t.Fatalf("removal %d: node %v priority %d, want node %v priority %d", i, got[i], prios[i], want[i], 2-i%2)
+		}
+	}
+}
+
+// TestPuntsDedupPerNodeAndClearPerTuple: a tuple punts once per switch it
+// misses at, another tuple's punts are its own, and routing a tuple forgets
+// every switch that punted it while leaving the other tuple's record alone.
+func TestPuntsDedupPerNodeAndClearPerTuple(t *testing.T) {
+	g, err := topo.Linear(2, topo.Switch, core.Gbps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(g)
+	var punts []PacketIn
+	n.OnPacketIn = func(p PacketIn) { punts = append(punts, p) }
+	s0, s1 := g.Switches()[0], g.Switches()[1]
+	h0, h1 := g.Hosts()[0], g.Hosts()[1]
+	fwd := core.FiveTuple{Src: h0.IP, Dst: h1.IP, Proto: core.ProtoUDP, SrcPort: 1, DstPort: 2}
+	rev := core.FiveTuple{Src: h1.IP, Dst: h0.IP, Proto: core.ProtoUDP, SrcPort: 2, DstPort: 1}
+	n.StartFlow(&fluid.Flow{ID: 1, Tuple: fwd, Src: h0.ID, Dst: h1.ID, Demand: core.Gbps}, 0)
+	n.StartFlow(&fluid.Flow{ID: 2, Tuple: rev, Src: h1.ID, Dst: h0.ID, Demand: core.Gbps}, 0)
+	if len(punts) != 2 || punts[0].Node != s0.ID || punts[1].Node != s1.ID {
+		t.Fatalf("punts = %+v, want fwd at %v and rev at %v", punts, s0.ID, s1.ID)
+	}
+	// fwd gets past s0 and misses at s1: a second punt of the same tuple,
+	// at another node; rev stays deduplicated.
+	toward := func(sw *topo.Node, dst *topo.Node) {
+		t.Helper()
+		port := g.NextHopPorts(sw.ID)[dst.ID][0]
+		mod := FlowMod{Kind: FlowModAdd, Entry: flowtable.Entry{Priority: 100,
+			Match:   flowtable.Match{DstBits: 32, Dst: dst.IP},
+			Actions: []flowtable.Action{{Type: flowtable.ActionOutput, Port: port}}}}
+		if err := n.ApplyFlowMod(sw.ID, mod, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	toward(s0, h1)
+	if len(punts) != 3 || punts[2].Node != s1.ID || punts[2].Tuple != fwd {
+		t.Fatalf("punts = %+v, want a third: fwd at %v", punts, s1.ID)
+	}
+	// fwd routes: both of its punt records go, rev's stays.
+	toward(s1, h1)
+	if f, _ := n.Flows.Flow(1); f.State != fluid.Active {
+		t.Fatalf("fwd state = %v, want active", f.State)
+	}
+	if len(punts) != 3 {
+		t.Fatalf("punts = %+v, want no new one", punts)
+	}
+	if _, ok := n.punted[fwd]; ok || len(n.punted[rev]) != 1 {
+		t.Fatalf("punted = %v, want only rev's record", n.punted)
+	}
+}
+
 func TestStopFlowClearsPunt(t *testing.T) {
 	n, g := starNet(t)
 	punts := 0

@@ -9,13 +9,17 @@ import (
 // Conn frames OpenFlow messages over a duplex byte stream. Writes are
 // queued to a dedicated writer goroutine so protocol handlers never block
 // on the transport (unbuffered in-memory pipes would otherwise deadlock
-// two endpoints writing simultaneously).
+// two endpoints writing simultaneously). The queue is unbounded, like
+// sim's post queue: a controller installing a whole table back to back
+// outruns any fixed bound, and a dropped FLOW_MOD is a silently missing
+// rule.
 type Conn struct {
 	rw io.ReadWriteCloser
 
 	mu     sync.Mutex
-	out    chan []byte
+	out    [][]byte
 	closed bool
+	wake   chan struct{} // capacity 1: wake signal for the writer
 	done   chan struct{}
 }
 
@@ -23,34 +27,51 @@ type Conn struct {
 func NewConn(rw io.ReadWriteCloser) *Conn {
 	c := &Conn{
 		rw:   rw,
-		out:  make(chan []byte, 512),
+		wake: make(chan struct{}, 1),
 		done: make(chan struct{}),
 	}
 	go c.writeLoop()
 	return c
 }
 
+// writeLoop writes the whole backlog, one message per Write, each time
+// it is woken; it exits once Close has been called and the messages
+// queued before it are written.
 func (c *Conn) writeLoop() {
 	defer close(c.done)
-	for b := range c.out {
-		if _, err := c.rw.Write(b); err != nil {
-			// The reader observes the broken transport; keep draining
-			// so senders never block.
-			continue
+	for range c.wake {
+		c.mu.Lock()
+		batch, closed := c.out, c.closed
+		c.out = nil
+		c.mu.Unlock()
+		for _, b := range batch {
+			// A failed write means a broken transport, which the
+			// reader observes; the rest of the backlog fails the same
+			// way.
+			_, _ = c.rw.Write(b)
+		}
+		if closed {
+			return
 		}
 	}
 }
 
-// Send queues one already-encoded message. Messages sent after Close (or
-// into a full queue on a dead transport) are dropped.
+// Send queues one already-encoded message and never blocks. Messages
+// sent after Close are dropped.
 func (c *Conn) Send(msg []byte) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return
 	}
+	c.out = append(c.out, msg)
+	c.mu.Unlock()
+	c.signal()
+}
+
+func (c *Conn) signal() {
 	select {
-	case c.out <- msg:
+	case c.wake <- struct{}{}:
 	default:
 	}
 }
@@ -77,11 +98,9 @@ func (c *Conn) Recv() ([]byte, error) {
 // Close shuts the connection down; safe to call multiple times.
 func (c *Conn) Close() error {
 	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
-		close(c.out)
-	}
+	c.closed = true
 	c.mu.Unlock()
+	c.signal()
 	err := c.rw.Close()
 	<-c.done
 	return err

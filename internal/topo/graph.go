@@ -15,7 +15,9 @@ package topo
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"net/netip"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -169,6 +171,11 @@ type Graph struct {
 	Nodes  []*Node
 	Links  []*Link
 	byName map[string]core.NodeID
+
+	// byIP backs HostByIP; built on its first call, by which time the
+	// graph is complete (nodes are never added after build).
+	byIPOnce sync.Once
+	byIP     map[netip.Addr]*Node
 
 	macSeq uint64
 	p2pSeq uint32 // allocator for point-to-point /31 subnets
@@ -348,14 +355,22 @@ func (g *Graph) Neighbors(n core.NodeID) []core.NodeID {
 	return out
 }
 
-// HostByIP finds the host owning addr.
+// HostByIP finds the host owning addr (the lowest-ID one, should two
+// hosts share an address).
 func (g *Graph) HostByIP(addr netip.Addr) (*Node, bool) {
-	for _, n := range g.Nodes {
-		if n.Kind == Host && n.IP == addr {
-			return n, true
+	g.byIPOnce.Do(func() {
+		g.byIP = make(map[netip.Addr]*Node)
+		for _, n := range g.Nodes {
+			if n.Kind != Host {
+				continue
+			}
+			if _, dup := g.byIP[n.IP]; !dup {
+				g.byIP[n.IP] = n
+			}
 		}
-	}
-	return nil, false
+	})
+	n, ok := g.byIP[addr]
+	return n, ok
 }
 
 // Validate performs structural sanity checks: ports reference existing
@@ -449,6 +464,77 @@ func (g *Graph) AllShortestPaths(src, dst core.NodeID) [][]core.LinkID {
 	}
 	walk(src, nil)
 	return paths
+}
+
+// NextHopPorts returns, indexed by destination NodeID, the ports of from
+// that start a shortest path to that destination, in ascending port
+// order; nil for from itself and for unreachable nodes. It follows
+// AllShortestPaths' rules (live links only, hosts never transit) but
+// answers for every destination with one BFS: each node inherits the
+// union of the first-hop ports of its predecessors on the shortest-path
+// DAG, which BFS order has completed before the node is expanded.
+// Callers must not modify the returned port lists.
+func (g *Graph) NextHopPorts(from core.NodeID) [][]core.PortID {
+	out := make([][]core.PortID, len(g.Nodes))
+	src := g.Node(from)
+	if src == nil || len(src.Ports) == 0 {
+		return out
+	}
+	// One bitset over from's ports per node, words wide.
+	words := (len(src.Ports) + 63) / 64
+	sets := make([]uint64, len(g.Nodes)*words)
+	const unseen = -1
+	dist := make([]int32, len(g.Nodes))
+	for i := range dist {
+		dist[i] = unseen
+	}
+	dist[from] = 0
+	queue := make([]core.NodeID, 1, len(g.Nodes))
+	queue[0] = from
+	for head := 0; head < len(queue); head++ {
+		cur := queue[head]
+		n := g.Nodes[cur]
+		if cur != from && n.Kind == Host {
+			continue // do not expand through hosts
+		}
+		for i, p := range n.Ports {
+			if !g.LinkAlive(p.Link) {
+				continue
+			}
+			nxt := p.Peer
+			if dist[nxt] == unseen {
+				dist[nxt] = dist[cur] + 1
+				queue = append(queue, nxt)
+			}
+			if dist[nxt] != dist[cur]+1 {
+				continue
+			}
+			set := sets[int(nxt)*words:][:words]
+			if cur == from {
+				set[i/64] |= 1 << (i % 64)
+				continue
+			}
+			for w, v := range sets[int(cur)*words:][:words] {
+				set[w] |= v
+			}
+		}
+	}
+	total := 0
+	for _, v := range sets {
+		total += bits.OnesCount64(v)
+	}
+	// All lists share one backing array, each capped at its own length.
+	flat := make([]core.PortID, 0, total)
+	for _, id := range queue[1:] {
+		start := len(flat)
+		for w, v := range sets[int(id)*words:][:words] {
+			for ; v != 0; v &= v - 1 {
+				flat = append(flat, src.Ports[w*64+bits.TrailingZeros64(v)].ID)
+			}
+		}
+		out[id] = flat[start:len(flat):len(flat)]
+	}
+	return out
 }
 
 // PathDelay sums the per-link propagation delay along a directed-link
