@@ -69,6 +69,7 @@ func (c *Conn) Send(msg []byte) {
 	c.signal()
 }
 
+// signal wakes the writer; a wake already pending covers this one too.
 func (c *Conn) signal() {
 	select {
 	case c.wake <- struct{}{}:

@@ -50,6 +50,12 @@ func FatTree(opts FatTreeOpts) (*Graph, error) {
 	}
 	g := New()
 	half := k / 2
+	// The counts are known up front; growing by append allocates about
+	// twice what the graph keeps.
+	size := FatTreeExpected(k)
+	g.Nodes = make([]*Node, 0, size.Hosts+size.Switches)
+	g.Links = make([]*Link, 0, 2*size.Cables)
+	g.byName = make(map[string]core.NodeID, size.Hosts+size.Switches)
 
 	swKind := Switch
 	if opts.Routers {
@@ -67,6 +73,7 @@ func FatTree(opts FatTreeOpts) (*Graph, error) {
 	for j := 0; j < half; j++ {
 		for i := 0; i < half; i++ {
 			n := g.AddNode(fmt.Sprintf("core-%d-%d", j, i), swKind)
+			n.Ports = make([]Port, 0, k)
 			n.Layer = LayerCore
 			n.Pod = -1
 			n.Idx = j*half + i
@@ -82,6 +89,7 @@ func FatTree(opts FatTreeOpts) (*Graph, error) {
 		edges := make([]*Node, half)
 		for a := 0; a < half; a++ {
 			n := g.AddNode(fmt.Sprintf("agg-%d-%d", p, a), swKind)
+			n.Ports = make([]Port, 0, k)
 			n.Layer = LayerAgg
 			n.Pod = p
 			n.Idx = a
@@ -92,6 +100,7 @@ func FatTree(opts FatTreeOpts) (*Graph, error) {
 		}
 		for e := 0; e < half; e++ {
 			n := g.AddNode(fmt.Sprintf("edge-%d-%d", p, e), swKind)
+			n.Ports = make([]Port, 0, k)
 			n.Layer = LayerEdge
 			n.Pod = p
 			n.Idx = e
