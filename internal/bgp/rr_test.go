@@ -1,17 +1,19 @@
 package bgp
 
 import (
-	"net"
+	"io"
 	"net/netip"
 	"testing"
 	"time"
+
+	"repro/internal/emu"
 )
 
 // ibgpPair wires two same-AS speakers; aClient/bClient say whether each
 // side treats its peer as a route reflection client.
 func ibgpPair(t *testing.T, a, b *Speaker, aAddr, bAddr string, aClient, bClient bool) {
 	t.Helper()
-	ca, cb := net.Pipe()
+	ca, cb := emu.Pipe()
 	if err := a.AddPeer(PeerConfig{
 		Conn: ca, LocalAddr: addr(aAddr), RemoteAddr: addr(bAddr),
 		RemoteAS: b.cfg.ASN, Port: 1, IBGP: true, RRClient: aClient,
@@ -174,24 +176,17 @@ func TestReflectorMeshConverges(t *testing.T) {
 }
 
 // scriptedPeer drives one side of a session with hand-rolled wire bytes:
-// it completes the handshake and returns the conn for further writes,
-// spawning a reader so the speaker's writes never block.
-func scriptedPeer(t *testing.T, s *Speaker, localAddr, remoteAddr string, ibgp bool) net.Conn {
+// it completes the handshake and returns the conn for further writes
+// (what the speaker writes stays unread in the pipe).
+func scriptedPeer(t *testing.T, s *Speaker, localAddr, remoteAddr string, ibgp bool) io.ReadWriteCloser {
 	t.Helper()
-	ca, cb := net.Pipe()
+	ca, cb := emu.Pipe()
 	if err := s.AddPeer(PeerConfig{
 		Conn: ca, LocalAddr: addr(localAddr), RemoteAddr: addr(remoteAddr),
 		Port: 1, IBGP: ibgp,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		for {
-			if _, err := ReadMessage(cb); err != nil {
-				return
-			}
-		}
-	}()
 	if _, err := cb.Write(EncodeOpen(Open{Version: 4, ASN: uint16(s.cfg.ASN), HoldTime: 0, RouterID: addr(remoteAddr)})); err != nil {
 		t.Fatal(err)
 	}

@@ -55,6 +55,11 @@ type RouteEvent struct {
 
 // PeerConfig describes one session to establish.
 type PeerConfig struct {
+	// Conn is the pre-connected transport. Its Write must not block (the
+	// transport contract of the emulated control plane, kept by emu.Pipe
+	// and the Connection Manager's taps over it): the session writes each
+	// message on the goroutine that produced it — the reader, a timer, or
+	// the simulator's engine goroutine in ResetPeer.
 	Conn       io.ReadWriteCloser
 	LocalAddr  netip.Addr // local /31 interface address (our NEXT_HOP)
 	RemoteAddr netip.Addr // peer /31 interface address
@@ -154,13 +159,10 @@ type session struct {
 	peerRouterID netip.Addr
 	negotiated   time.Duration // negotiated hold time
 
-	// Outbound messages are queued to a dedicated writer goroutine so
-	// that message handling never blocks on the transport (unbuffered
-	// pipes would otherwise deadlock two speakers writing to each
-	// other simultaneously).
-	sendMu   sync.Mutex
-	out      chan []byte
-	outClose bool
+	// sendMu makes each outbound message one whole Write (see send) and
+	// guards closed and the two timers below.
+	sendMu sync.Mutex
+	closed bool
 
 	holdTimer *time.Timer
 	kaTimer   *time.Timer
@@ -236,20 +238,15 @@ func (s *Speaker) AddPeer(pc PeerConfig) error {
 		sp:      s,
 		cfg:     pc,
 		state:   StateIdle,
-		out:     make(chan []byte, 512),
 		pending: make(map[netip.Prefix]*Path),
 	}
 	s.sessions[pc.RemoteAddr] = sess
-	s.wg.Add(2)
-	go func() {
-		defer s.wg.Done()
-		sess.writeLoop()
-	}()
 	sess.send(EncodeOpen(Open{
 		Version: bgpVersion, ASN: s.asn16, HoldTime: s.hold, RouterID: s.cfg.RouterID,
 	}))
 	s.Stats.OpensSent.Add(1)
 	sess.state = StateOpenSent
+	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		sess.readLoop()
@@ -280,12 +277,13 @@ func (s *Speaker) Stop() {
 
 // ResetPeer tears down the session to peer immediately — the
 // interface-down reaction of a routing daemon when the underlying link
-// fails. A CEASE notification is queued (best effort: the transport is
-// usually dying with the link), the session closes, everything learned
-// from the peer is withdrawn from the Loc-RIB, and withdrawals flood to
-// the remaining sessions. After a ResetPeer the speaker accepts a fresh
-// AddPeer for the same address (link repair re-peers over a new
-// transport). It reports whether a session to peer existed.
+// fails. A CEASE notification is written (it is on the wire before the
+// transport closes, so an undelayed peer reads it ahead of EOF), the
+// session closes, everything learned from the peer is withdrawn from the
+// Loc-RIB, and withdrawals flood to the remaining sessions. After a
+// ResetPeer the speaker accepts a fresh AddPeer for the same address
+// (link repair re-peers over a new transport). It reports whether a
+// session to peer existed.
 func (s *Speaker) ResetPeer(peer netip.Addr) bool {
 	s.mu.Lock()
 	sess := s.sessions[peer]
@@ -335,28 +333,18 @@ func fibHops(paths []*Path) []fib.NextHop {
 
 // ---- session internals ----
 
-// send enqueues a message for the writer goroutine. Messages enqueued
-// after close are dropped; a full queue drops the message too (the
-// transport is dead or pathologically slow — the hold timer will fire).
+// send writes one message to the transport on the caller's goroutine;
+// PeerConfig.Conn's Write does not block, so neither does send, and no
+// message is ever dropped for want of room. Messages sent after close go
+// nowhere; a failed write means a broken transport, which the reader
+// observes.
 func (x *session) send(b []byte) {
 	x.sendMu.Lock()
 	defer x.sendMu.Unlock()
-	if x.outClose {
+	if x.closed {
 		return
 	}
-	select {
-	case x.out <- b:
-	default:
-	}
-}
-
-func (x *session) writeLoop() {
-	for b := range x.out {
-		if _, err := x.cfg.Conn.Write(b); err != nil {
-			// Reader will observe the failure; just drain.
-			continue
-		}
-	}
+	_, _ = x.cfg.Conn.Write(b)
 }
 
 func (x *session) sendNotification(n Notification) {
@@ -366,10 +354,7 @@ func (x *session) sendNotification(n Notification) {
 
 func (x *session) close() {
 	x.sendMu.Lock()
-	if !x.outClose {
-		x.outClose = true
-		close(x.out)
-	}
+	x.closed = true
 	ht, kt := x.holdTimer, x.kaTimer
 	x.sendMu.Unlock()
 	_ = x.cfg.Conn.Close()
@@ -506,7 +491,7 @@ func (x *session) startKeepalive() {
 		x.send(EncodeKeepalive())
 		x.sp.Stats.KeepalivesSent.Add(1)
 		x.sendMu.Lock()
-		if !x.outClose {
+		if !x.closed {
 			x.kaTimer = time.AfterFunc(interval, tick)
 		}
 		x.sendMu.Unlock()
@@ -524,7 +509,7 @@ func (x *session) resetHold() {
 	if x.holdTimer != nil {
 		x.holdTimer.Stop()
 	}
-	if x.outClose {
+	if x.closed {
 		x.sendMu.Unlock()
 		return
 	}

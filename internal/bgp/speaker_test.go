@@ -1,13 +1,14 @@
 package bgp
 
 import (
-	"net"
+	"io"
 	"net/netip"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/emu"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -46,10 +47,10 @@ func (rs *routeSink) latest() map[netip.Prefix]RouteEvent {
 	return out
 }
 
-// pair wires two speakers over a net.Pipe (a -> b uses aPort on a's side).
+// pair wires two speakers over an emu.Pipe (a -> b uses aPort on a's side).
 func pair(t *testing.T, a, b *Speaker, aAddr, bAddr string, aPort, bPort int) {
 	t.Helper()
-	ca, cb := net.Pipe()
+	ca, cb := emu.Pipe()
 	if err := a.AddPeer(PeerConfig{
 		Conn: ca, LocalAddr: addr(aAddr), RemoteAddr: addr(bAddr),
 		RemoteAS: b.cfg.ASN, Port: core.PortID(aPort),
@@ -252,7 +253,7 @@ func TestWrongASRejected(t *testing.T) {
 	}
 	defer a.Stop()
 	defer b.Stop()
-	ca, cb := net.Pipe()
+	ca, cb := emu.Pipe()
 	// a expects AS 64999 but the peer is 65002.
 	if err := a.AddPeer(PeerConfig{Conn: ca, LocalAddr: addr("172.16.0.0"), RemoteAddr: addr("172.16.0.1"), RemoteAS: 64999, Port: 1}); err != nil {
 		t.Fatal(err)
@@ -274,7 +275,7 @@ func TestDuplicatePeerRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Stop()
-	ca, _ := net.Pipe()
+	ca, _ := emu.Pipe()
 	cfg := PeerConfig{Conn: ca, LocalAddr: addr("172.16.0.0"), RemoteAddr: addr("172.16.0.1"), Port: 1}
 	if err := a.AddPeer(cfg); err != nil {
 		t.Fatal(err)
@@ -290,7 +291,7 @@ func TestAddPeerAfterStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Stop()
-	ca, _ := net.Pipe()
+	ca, _ := emu.Pipe()
 	if err := a.AddPeer(PeerConfig{Conn: ca, RemoteAddr: addr("172.16.0.1")}); err == nil {
 		t.Fatal("AddPeer after Stop accepted")
 	}
@@ -308,7 +309,7 @@ func TestHoldTimerExpires(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Stop()
-	ca, cb := net.Pipe()
+	ca, cb := emu.Pipe()
 	if err := a.AddPeer(PeerConfig{Conn: ca, LocalAddr: addr("172.16.0.0"), RemoteAddr: addr("172.16.0.1"), Port: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -318,11 +319,6 @@ func TestHoldTimerExpires(t *testing.T) {
 		_, _ = ReadMessage(cb)
 		_, _ = cb.Write(EncodeOpen(Open{Version: 4, ASN: 65002, HoldTime: 3, RouterID: addr("2.2.2.2")}))
 		_, _ = cb.Write(EncodeKeepalive())
-		for { // keep reading so a's writes do not block
-			if _, err := ReadMessage(cb); err != nil {
-				return
-			}
-		}
 	}()
 	waitFor(t, "established", func() bool {
 		return a.SessionState(addr("172.16.0.1")) == StateEstablished
@@ -408,4 +404,117 @@ func TestResetPeerWithdrawsAndAllowsRePeering(t *testing.T) {
 		ev, ok := sinkA.latest()[pfx("10.0.2.0/24")]
 		return ok && len(ev.NextHops) == 1
 	})
+}
+
+// TestSessionSendIsLossless: a session that outruns its peer by any
+// margin loses nothing and keeps the order. Nobody reads the pipe until
+// every message is written (a bounded send queue once kept the first 512
+// of a burst and dropped the rest, with UpdatesSent counting them all).
+func TestSessionSendIsLossless(t *testing.T) {
+	const n = 20000
+	a, err := NewSpeaker(Config{Name: "r1", ASN: 65001, RouterID: addr("1.1.1.1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Stop()
+	ca, cb := emu.Pipe()
+	peer := addr("172.16.0.1")
+	if err := a.AddPeer(PeerConfig{Conn: ca, LocalAddr: addr("172.16.0.0"), RemoteAddr: peer, Port: 1}); err != nil {
+		t.Fatal(err)
+	}
+	a.mu.Lock()
+	sess := a.sessions[peer]
+	a.mu.Unlock()
+
+	nth := func(i int) netip.Prefix {
+		return netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
+	}
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for i := 0; i < n; i++ {
+			b, err := EncodeUpdate(Update{Withdrawn: []netip.Prefix{nth(i)}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sess.send(b)
+		}
+	}()
+	select {
+	case <-sent:
+	case <-time.After(5 * time.Second):
+		t.Fatal("send blocks while nobody reads")
+	}
+	// Closing first turns a lost message into an early EOF below
+	// rather than a read that waits forever.
+	a.Stop()
+	if raw, err := ReadMessage(cb); err != nil || raw[18] != MsgOpen {
+		t.Fatalf("first message = %v, %v; want OPEN", raw, err)
+	}
+	for i := 0; i < n; i++ {
+		raw, err := ReadMessage(cb)
+		if err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+		m, err := Decode(raw)
+		if err != nil || m.Type != MsgUpdate || len(m.Upd.Withdrawn) != 1 {
+			t.Fatalf("message %d: %+v, %v", i, m, err)
+		}
+		if got := m.Upd.Withdrawn[0]; got != nth(i) {
+			t.Fatalf("%v arrived where %v (message %d) was due", got, nth(i), i)
+		}
+	}
+}
+
+// TestCeaseReachesPeerBeforeEOF: Stop and ResetPeer put the CEASE on the
+// wire before they close the transport, so the peer reads it — last, and
+// then EOF — every time, not only when a writer goroutine wins a race.
+func TestCeaseReachesPeerBeforeEOF(t *testing.T) {
+	peer := addr("172.16.0.1")
+	for _, tc := range []struct {
+		name string
+		end  func(*Speaker)
+	}{
+		{"Stop", (*Speaker).Stop},
+		{"ResetPeer", func(s *Speaker) { s.ResetPeer(peer) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := NewSpeaker(Config{
+				Name: "r1", ASN: 65001, RouterID: addr("1.1.1.1"),
+				Networks: []netip.Prefix{pfx("10.1.0.0/24")},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Stop()
+			ca, cb := emu.Pipe()
+			if err := a.AddPeer(PeerConfig{Conn: ca, LocalAddr: addr("172.16.0.0"), RemoteAddr: peer, Port: 1}); err != nil {
+				t.Fatal(err)
+			}
+			_, _ = cb.Write(EncodeOpen(Open{Version: 4, ASN: 65002, HoldTime: 0, RouterID: addr("2.2.2.2")}))
+			_, _ = cb.Write(EncodeKeepalive())
+			// The first flush out of the way, nothing but the teardown
+			// writes to the session any more.
+			waitFor(t, "table advertised", func() bool { return a.Stats.UpdatesSent.Load() == 1 })
+			tc.end(a)
+
+			var last *Message
+			for {
+				raw, err := ReadMessage(cb)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if last, err = Decode(raw); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if last == nil || last.Type != MsgNotification || last.Notif.Code != NotifCease {
+				t.Fatalf("last message before EOF = %+v, want NOTIFICATION/Cease", last)
+			}
+		})
+	}
 }

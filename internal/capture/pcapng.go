@@ -1,6 +1,6 @@
 // Package capture records and replays the emulated control plane as
 // pcapng traces. The Connection Manager's channel taps see every control
-// byte with virtual-time delivery stamps (internal/cm, tap/delayTap);
+// byte with virtual-time delivery stamps (internal/cm, tap);
 // this package turns those observations into capture files that stock
 // Wireshark dissects — each emulated BGP or OpenFlow session becomes a
 // synthesized TCP conversation (fabricated SYN handshake, monotonically

@@ -37,7 +37,7 @@ func captureFixture(t *testing.T, delay core.Time) (*sim.Engine, io.ReadWriteClo
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := m.tappedPipeDelayed(delay, delay, sess)
+	a, _ := m.tappedPipe(delay, delay, sess)
 	return engine, a, c, filepath.Join(c.Dir(), "pair.pcapng")
 }
 

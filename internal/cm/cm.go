@@ -54,15 +54,14 @@ type Manager struct {
 
 	Stats Stats
 
-	procs    emu.Group
+	stops    []func() // Stop of every speaker and agent, in start order
 	speakers map[core.NodeID]*bgp.Speaker
 	agents   map[core.NodeID]*openflow.Agent
 	ctl      *controller.Controller
 	bgpCfg   BGPConfig // retained for re-peering after link repair
 
 	// cap, when set, records every control plane session as a pcapng
-	// trace stamped with delivery virtual time (the third tap layer:
-	// tap -> delayTap -> capture).
+	// trace stamped with delivery virtual time (see tap).
 	cap *capture.Capture
 
 	// flushArmed coalesces reroute flushes; engine goroutine only.
@@ -116,9 +115,13 @@ func (m *Manager) scheduleFlush() {
 	})
 }
 
-// Stop terminates every emulated process.
+// Stop terminates every emulated process: speakers and agents in reverse
+// start order, then the controller.
 func (m *Manager) Stop() {
-	m.procs.StopAll()
+	for i := len(m.stops) - 1; i >= 0; i-- {
+		m.stops[i]()
+	}
+	m.stops = nil
 	if m.ctl != nil {
 		m.ctl.Stop()
 	}
@@ -142,82 +145,57 @@ func (m *Manager) Speaker(n core.NodeID) *bgp.Speaker { return m.speakers[n] }
 // Channel taps
 // ---------------------------------------------------------------------------
 
-// tap wraps one end of a control channel; every write is control plane
-// activity and wakes the hybrid clock into FTI mode. When a capture
-// session is attached, each write is also recorded — an undelayed pipe
-// delivers instantly, so the record is stamped with the engine's
-// current virtual time, taken on the engine goroutine (the capture
-// layer sits under tap/delayTap and sees delivery, not write, time).
-type tap struct {
-	io.ReadWriteCloser
-	m    *Manager
-	sess *capture.Session
-	dir  capture.Dir
-}
-
-func (t tap) Write(p []byte) (int, error) {
-	n, err := t.ReadWriteCloser.Write(p)
-	if n > 0 {
-		t.m.Stats.ControlBytes.Add(uint64(n))
-		t.m.Stats.ControlWrites.Add(1)
-		if t.sess != nil {
-			cp := append([]byte(nil), p[:n]...)
-			sess, dir, m := t.sess, t.dir, t.m
-			m.Engine.PostData(func() { sess.Data(dir, cp, m.Engine.Now()) })
-		}
-		t.m.Engine.NotifyControl()
-	}
-	return n, err
-}
-
-// TappedPipe returns a duplex channel pair whose writes (either
-// direction) notify the engine of control activity.
-func (m *Manager) TappedPipe() (io.ReadWriteCloser, io.ReadWriteCloser) {
-	return m.tappedPipe(nil)
-}
-
-// tappedPipe is TappedPipe with an optional capture session: writes on
-// the first end are recorded as AtoB.
-func (m *Manager) tappedPipe(sess *capture.Session) (io.ReadWriteCloser, io.ReadWriteCloser) {
-	a, b := emu.Pipe()
-	return tap{a, m, sess, capture.AtoB}, tap{b, m, sess, capture.BtoA}
-}
-
-// delayTap is one end of a latency-delayed control channel: a write is
-// counted as control activity immediately (the sender is active now),
-// but the bytes become readable at the peer only after the link's
-// propagation delay in virtual time. Delivery is an engine event that
+// tap is one end of a control channel: an emu.Pipe end whose writes are
+// counted, wake the hybrid clock into FTI mode, cross the link's
+// propagation delay (when there is one) and are recorded by the capture
+// session (when there is one) — tap -> optional delay -> capture. Like
+// the pipe's, its Write never blocks; reads and Close pass through.
+//
+// Undelayed, the bytes are readable at the peer when Write returns, and
+// the capture record is stamped with the engine's virtual time at
+// delivery, taken on the engine goroutine.
+//
+// Delayed, a write is counted as control activity immediately (the
+// sender is active now), but the bytes become readable at the peer only
+// after the delay in virtual time. Delivery is an engine event that
 // itself marks control activity, so the hybrid clock stays in (or
 // returns to) FTI while a delayed message lands and the receiver
 // reacts — a convergence wave crossing a continental WAN holds the
-// clock for every RTT it takes.
-//
-// Ordering: the engine's post queue is FIFO and its event heap breaks
-// timestamp ties by insertion order, so two writes on the same
-// direction always deliver in write order — BGP's framing survives.
-type delayTap struct {
-	io.ReadWriteCloser // underlying pipe end: reads (and Close) pass through
-	m                  *Manager
-	delay              core.Time
-	sess               *capture.Session
-	dir                capture.Dir
+// clock for every RTT it takes. The engine's post queue is FIFO and its
+// event heap breaks timestamp ties by insertion order, so two writes on
+// the same direction always deliver in write order — BGP's framing
+// survives.
+type tap struct {
+	io.ReadWriteCloser
+	m     *Manager
+	delay core.Time
+	sess  *capture.Session
+	dir   capture.Dir
 }
 
-func (t delayTap) Write(p []byte) (int, error) {
-	cp := make([]byte, len(p))
-	copy(cp, p)
-	t.m.Stats.ControlBytes.Add(uint64(len(p)))
-	t.m.Stats.ControlWrites.Add(1)
-	end := t.ReadWriteCloser
-	delay := t.delay
-	m := t.m
-	sess, dir := t.sess, t.dir
+func (t tap) Write(p []byte) (int, error) {
+	m, end, sess, dir := t.m, t.ReadWriteCloser, t.sess, t.dir
+	if t.delay <= 0 {
+		n, err := end.Write(p)
+		if n > 0 {
+			m.Stats.ControlBytes.Add(uint64(n))
+			m.Stats.ControlWrites.Add(1)
+			if sess != nil {
+				cp := append([]byte(nil), p[:n]...)
+				m.Engine.PostData(func() { sess.Data(dir, cp, m.Engine.Now()) })
+			}
+			m.Engine.NotifyControl()
+		}
+		return n, err
+	}
+	cp := append([]byte(nil), p...)
+	m.Stats.ControlBytes.Add(uint64(len(p)))
+	m.Stats.ControlWrites.Add(1)
 	m.Engine.Post(func() {
-		m.Engine.After(delay, func() {
+		m.Engine.After(t.delay, func() {
 			m.Engine.MarkControl()
-			// The pipe write never blocks (unbounded buffer); a closed
-			// pipe (session torn down while the message was in flight)
-			// just swallows it, like a packet arriving at a dead
+			// A closed pipe (session torn down while the message was in
+			// flight) just swallows it, like a packet arriving at a dead
 			// interface — in which case the capture, standing in for the
 			// receiver's NIC, never sees the packet either.
 			if _, err := end.Write(cp); err == nil && sess != nil {
@@ -231,16 +209,17 @@ func (t delayTap) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// tappedPipeDelayed returns a duplex control channel whose two
-// directions deliver after the given per-direction propagation delays.
-// Zero-delay directions use the plain tap (byte-for-byte the pre-latency
-// behaviour).
-func (m *Manager) tappedPipeDelayed(delayAB, delayBA core.Time, sess *capture.Session) (io.ReadWriteCloser, io.ReadWriteCloser) {
-	if delayAB <= 0 && delayBA <= 0 {
-		return m.tappedPipe(sess)
-	}
+// TappedPipe returns a duplex channel pair whose writes (either
+// direction) notify the engine of control activity.
+func (m *Manager) TappedPipe() (io.ReadWriteCloser, io.ReadWriteCloser) {
+	return m.tappedPipe(0, 0, nil)
+}
+
+// tappedPipe is TappedPipe with per-direction propagation delays and an
+// optional capture session; writes on the first end are recorded as AtoB.
+func (m *Manager) tappedPipe(delayAB, delayBA core.Time, sess *capture.Session) (io.ReadWriteCloser, io.ReadWriteCloser) {
 	a, b := emu.Pipe()
-	return delayTap{a, m, delayAB, sess, capture.AtoB}, delayTap{b, m, delayBA, sess, capture.BtoA}
+	return tap{a, m, delayAB, sess, capture.AtoB}, tap{b, m, delayBA, sess, capture.BtoA}
 }
 
 // ---------------------------------------------------------------------------
@@ -350,7 +329,7 @@ func (m *Manager) WireBGP(cfg BGPConfig) error {
 			return fmt.Errorf("cm: speaker for %s: %w", r.Name, err)
 		}
 		m.speakers[r.ID] = speaker
-		m.procs.Add(emu.ProcFunc{StopFn: speaker.Stop})
+		m.stops = append(m.stops, speaker.Stop)
 		m.installConnectedRoutes(r)
 	}
 	// Peer across every router-router cable (one session per cable,
@@ -401,7 +380,7 @@ func (m *Manager) peerCable(l *topo.Link) error {
 			return err
 		}
 	}
-	ca, cb := m.tappedPipeDelayed(delayAB, delayBA, sess)
+	ca, cb := m.tappedPipe(delayAB, delayBA, sess)
 	// A same-AS adjacency is iBGP by definition (an eBGP session would
 	// prepend the shared AS and every receiver would reject the routes
 	// as loops); RouteReflection additionally honors the topology's
@@ -514,7 +493,7 @@ func (m *Manager) WireSDN(app controller.App) error {
 				return err
 			}
 		}
-		swEnd, ctlEnd := m.tappedPipe(sess)
+		swEnd, ctlEnd := m.tappedPipe(0, 0, sess)
 		var ports []openflow.PhyPort
 		for _, p := range sw.Ports {
 			ports = append(ports, openflow.PhyPort{
@@ -526,7 +505,8 @@ func (m *Manager) WireSDN(app controller.App) error {
 		}
 		agent := openflow.NewAgent(controller.DPIDOf(node), ports, swEnd, &dataPlane{m: m, node: node}, m.Logf)
 		m.agents[node] = agent
-		m.procs.Add(emu.ProcFunc{StartFn: agent.Start, StopFn: agent.Stop})
+		agent.Start()
+		m.stops = append(m.stops, agent.Stop)
 		if err := m.ctl.Connect(node, controller.DPIDOf(node), ctlEnd); err != nil {
 			return err
 		}
@@ -750,8 +730,8 @@ func (m *Manager) handlePacketIn(pi netmodel.PacketIn) {
 	}
 	m.Stats.PacketIns.Add(1)
 	// The punt is a control plane event: hold the clock in FTI while
-	// the controller reacts. Sending is a queue write on the tapped
-	// channel; safe from the engine goroutine.
+	// the controller reacts. Sending is one write on the tapped channel,
+	// which never blocks; safe from the engine goroutine.
 	m.Engine.MarkControl()
 	agent.SendPacketIn(uint16(pi.InPort), frame)
 }

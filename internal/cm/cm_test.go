@@ -1,6 +1,8 @@
 package cm
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -176,5 +178,63 @@ func TestWireSDNHandshakesAllSwitches(t *testing.T) {
 	}
 	if m.Stats.FlowModsApplied.Load() == 0 {
 		t.Fatal("no flow mods crossed the CM")
+	}
+}
+
+// TestStopRunsInReverseStartOrder: Stop stops what was started last
+// first, once; a second Stop finds nothing left.
+func TestStopRunsInReverseStartOrder(t *testing.T) {
+	g, _ := topo.TwoRouters(core.Gbps, 0)
+	m := New(newEngine(), netmodel.New(g), nil)
+	var order []string
+	for _, name := range []string{"a", "b", "c"} {
+		m.stops = append(m.stops, func() { order = append(order, name) })
+	}
+	m.Stop()
+	m.Stop()
+	if got := strings.Join(order, ""); got != "cba" {
+		t.Fatalf("stop order = %q, want \"cba\"", got)
+	}
+}
+
+// TestStopLeavesNoGoroutine: a wired, briefly run and stopped control
+// plane — fattree:4 once as BGP, once as SDN — leaves no goroutine
+// behind: every session reader, connection reader and controller worker
+// is gone when Stop returns (timers in flight get a moment to fire).
+func TestStopLeavesNoGoroutine(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		routers bool
+		wire    func(*Manager) error
+	}{
+		{"bgp", true, func(m *Manager) error { return m.WireBGP(BGPConfig{ECMP: true}) }},
+		{"sdn", false, func(m *Manager) error { return m.WireSDN(&controller.ECMPApp{}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := topo.FatTree(topo.FatTreeOpts{K: 4, Routers: tc.routers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			engine := newEngine()
+			m := New(engine, netmodel.New(g), nil)
+			if err := tc.wire(m); err != nil {
+				t.Fatal(err)
+			}
+			if wired := runtime.NumGoroutine(); wired <= before {
+				t.Fatalf("wiring started no goroutine (%d -> %d)", before, wired)
+			}
+			engine.Run(core.Second)
+			m.Stop()
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines before wiring, %d after Stop:\n%s",
+						before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }

@@ -124,18 +124,10 @@ func (sw *SwitchHandle) RequestFlowStats(cb func([]openflow.FlowStatsEntry)) {
 }
 
 // XIDs hands out transaction ids.
-type XIDs struct {
-	mu sync.Mutex
-	n  uint32
-}
+type XIDs struct{ n atomic.Uint32 }
 
 // Next returns a fresh transaction id.
-func (x *XIDs) Next() uint32 {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.n++
-	return x.n
-}
+func (x *XIDs) Next() uint32 { return x.n.Add(1) }
 
 // ControllerStats counts controller activity; all fields are atomically
 // updated and safe to read at any time.

@@ -1,11 +1,11 @@
-// Package emu provides the emulation harness plumbing: buffered in-memory
-// duplex connections for control plane channels, and the Proc abstraction
-// for emulated control plane processes (BGP daemons, OpenFlow agents, the
-// SDN controller).
+// Package emu provides the emulation harness plumbing: the buffered
+// in-memory duplex stream every control plane channel (BGP session,
+// OpenFlow connection) runs over.
 //
-// In the original Horse these are OS processes wired through virtual
-// interfaces; here they are goroutines wired through in-memory streams —
-// the Connection Manager still sees every byte (see internal/cm).
+// In the original Horse the control plane processes are OS processes wired
+// through virtual interfaces; here they are goroutines wired through
+// in-memory streams — the Connection Manager still sees every byte (see
+// internal/cm).
 package emu
 
 import (
@@ -13,10 +13,14 @@ import (
 	"sync"
 )
 
-// Pipe returns a connected pair of buffered duplex streams. Unlike
-// net.Pipe, writes never block (the buffer grows as needed), which
-// matches the behaviour of a kernel socket pair with ample buffers and
-// avoids artificial lockstep between emulated processes.
+// Pipe returns a connected pair of buffered duplex streams. It is where
+// the transport contract of the emulated control plane is kept: Write
+// never blocks (the buffer grows as needed, like a kernel socket pair
+// with ample buffers), each Write lands whole and in call order, and
+// what was written before Close is still read before EOF. BGP sessions
+// and OpenFlow connections rely on it — they write on whatever goroutine
+// produced the message, the engine goroutine included, with no queue or
+// writer goroutine of their own.
 func Pipe() (io.ReadWriteCloser, io.ReadWriteCloser) {
 	ab := newHalf()
 	ba := newHalf()
@@ -83,64 +87,4 @@ func (p *pipeEnd) Close() error {
 	p.r.close()
 	p.w.close()
 	return nil
-}
-
-// Proc is an emulated control plane process.
-type Proc interface {
-	// Start launches the process (non-blocking).
-	Start()
-	// Stop terminates it and releases its channels.
-	Stop()
-}
-
-// Group manages the lifecycle of a set of processes.
-type Group struct {
-	mu    sync.Mutex
-	procs []Proc
-}
-
-// Add registers (and starts) a process.
-func (g *Group) Add(p Proc) {
-	g.mu.Lock()
-	g.procs = append(g.procs, p)
-	g.mu.Unlock()
-	p.Start()
-}
-
-// StopAll stops every process in reverse start order.
-func (g *Group) StopAll() {
-	g.mu.Lock()
-	procs := g.procs
-	g.procs = nil
-	g.mu.Unlock()
-	for i := len(procs) - 1; i >= 0; i-- {
-		procs[i].Stop()
-	}
-}
-
-// Len reports how many processes are managed.
-func (g *Group) Len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.procs)
-}
-
-// ProcFunc adapts start/stop function pairs to Proc.
-type ProcFunc struct {
-	StartFn func()
-	StopFn  func()
-}
-
-// Start implements Proc.
-func (p ProcFunc) Start() {
-	if p.StartFn != nil {
-		p.StartFn()
-	}
-}
-
-// Stop implements Proc.
-func (p ProcFunc) Stop() {
-	if p.StopFn != nil {
-		p.StopFn()
-	}
 }

@@ -119,31 +119,3 @@ func TestPipeConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestGroupLifecycle(t *testing.T) {
-	var order []string
-	var mu sync.Mutex
-	mk := func(name string) Proc {
-		return ProcFunc{
-			StartFn: func() { mu.Lock(); order = append(order, "start-"+name); mu.Unlock() },
-			StopFn:  func() { mu.Lock(); order = append(order, "stop-"+name); mu.Unlock() },
-		}
-	}
-	var g Group
-	g.Add(mk("a"))
-	g.Add(mk("b"))
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d", g.Len())
-	}
-	g.StopAll()
-	if g.Len() != 0 {
-		t.Fatal("StopAll left processes")
-	}
-	want := []string{"start-a", "start-b", "stop-b", "stop-a"}
-	for i, w := range want {
-		if order[i] != w {
-			t.Fatalf("order = %v", order)
-		}
-	}
-	g.StopAll() // idempotent
-}

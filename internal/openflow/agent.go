@@ -37,7 +37,7 @@ type Agent struct {
 	DPID uint64
 	conn *Conn
 	dp   DataPlane
-	xids xidGen
+	xids atomic.Uint32
 
 	// portMu guards ports: the reader goroutine serves FEATURES_REQUEST
 	// from it while the simulation side mutates link state through
@@ -63,7 +63,7 @@ func NewAgent(dpid uint64, ports []PhyPort, rw io.ReadWriteCloser, dp DataPlane,
 // Start sends HELLO and begins serving the controller. It returns
 // immediately; use Stop to shut down.
 func (a *Agent) Start() {
-	a.conn.Send(EncodeHello(a.xids.next()))
+	a.conn.Send(EncodeHello(a.xids.Add(1)))
 	a.wg.Add(1)
 	go func() {
 		defer a.wg.Done()
@@ -83,7 +83,7 @@ func (a *Agent) Ready() bool { return a.handshakeDone.Load() }
 // SendPacketIn emits a PACKET_IN for a table miss; called by the
 // Connection Manager when the simulated data plane punts a flow.
 func (a *Agent) SendPacketIn(inPort uint16, frame []byte) {
-	a.conn.Send(EncodePacketIn(a.xids.next(), PacketIn{
+	a.conn.Send(EncodePacketIn(a.xids.Add(1), PacketIn{
 		BufferID: 0xFFFFFFFF,
 		InPort:   inPort,
 		Reason:   0, // OFPR_NO_MATCH
@@ -116,7 +116,7 @@ func (a *Agent) SetPortDown(portNo uint16, down bool) bool {
 	}
 	snapshot := *desc
 	a.portMu.Unlock()
-	a.conn.Send(EncodePortStatus(a.xids.next(), PortStatus{
+	a.conn.Send(EncodePortStatus(a.xids.Add(1), PortStatus{
 		Reason: PortReasonModify,
 		Desc:   snapshot,
 	}))
@@ -130,7 +130,7 @@ func (a *Agent) SendFlowRemoved(m Match, priority uint16) {
 	// fixed ofp_flow_removed is 88 bytes; Horse's controller only reads
 	// the match and priority, so encode exactly those fields.
 	b := make([]byte, headerLen+matchLen+40)
-	putHeader(b, TypeFlowRemoved, len(b), a.xids.next())
+	putHeader(b, TypeFlowRemoved, len(b), a.xids.Add(1))
 	putMatch(b[8:48], m)
 	b[48+8] = 0 // reason: idle timeout
 	b[56+1] = byte(priority >> 8)

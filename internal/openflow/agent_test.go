@@ -1,10 +1,12 @@
 package openflow
 
 import (
-	"net"
+	"io"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/emu"
 )
 
 // fakeDP records what the agent applies.
@@ -48,7 +50,7 @@ type ctl struct {
 	msgs map[uint8][][]byte
 }
 
-func newCtl(rw net.Conn) *ctl {
+func newCtl(rw io.ReadWriteCloser) *ctl {
 	c := &ctl{conn: NewConn(rw), msgs: make(map[uint8][][]byte)}
 	go func() {
 		for {
@@ -98,7 +100,7 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 
 func startAgent(t *testing.T) (*Agent, *ctl, *fakeDP) {
 	t.Helper()
-	a2c, c2a := net.Pipe()
+	a2c, c2a := emu.Pipe()
 	dp := &fakeDP{}
 	agent := NewAgent(42, []PhyPort{{PortNo: 1, Name: "p1"}}, a2c, dp, t.Logf)
 	c := newCtl(c2a)
@@ -212,7 +214,7 @@ func TestAgentIgnoresGarbageGracefully(t *testing.T) {
 }
 
 func TestConnSendAfterClose(t *testing.T) {
-	a, _ := net.Pipe()
+	a, _ := emu.Pipe()
 	c := NewConn(a)
 	_ = c.Close()
 	c.Send(EncodeHello(1)) // must not panic

@@ -6,75 +6,30 @@ import (
 	"sync"
 )
 
-// Conn frames OpenFlow messages over a duplex byte stream. Writes are
-// queued to a dedicated writer goroutine so protocol handlers never block
-// on the transport (unbuffered in-memory pipes would otherwise deadlock
-// two endpoints writing simultaneously). The queue is unbounded, like
-// sim's post queue: a controller installing a whole table back to back
-// outruns any fixed bound, and a dropped FLOW_MOD is a silently missing
-// rule.
+// Conn frames OpenFlow messages over a duplex byte stream.
 type Conn struct {
 	rw io.ReadWriteCloser
-
-	mu     sync.Mutex
-	out    [][]byte
-	closed bool
-	wake   chan struct{} // capacity 1: wake signal for the writer
-	done   chan struct{}
+	mu sync.Mutex // one Write per message, whole, whoever sends
 }
 
-// NewConn wraps a duplex stream.
+// NewConn wraps a duplex stream whose Write must not block (the
+// transport contract of the emulated control plane, kept by emu.Pipe and
+// the Connection Manager's taps over it): Send writes on the caller's
+// goroutine, and the simulator's engine goroutine is one of the callers.
 func NewConn(rw io.ReadWriteCloser) *Conn {
-	c := &Conn{
-		rw:   rw,
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
-	}
-	go c.writeLoop()
-	return c
+	return &Conn{rw: rw}
 }
 
-// writeLoop writes the whole backlog, one message per Write, each time
-// it is woken; it exits once Close has been called and the messages
-// queued before it are written.
-func (c *Conn) writeLoop() {
-	defer close(c.done)
-	for range c.wake {
-		c.mu.Lock()
-		batch, closed := c.out, c.closed
-		c.out = nil
-		c.mu.Unlock()
-		for _, b := range batch {
-			// A failed write means a broken transport, which the
-			// reader observes; the rest of the backlog fails the same
-			// way.
-			_, _ = c.rw.Write(b)
-		}
-		if closed {
-			return
-		}
-	}
-}
-
-// Send queues one already-encoded message and never blocks. Messages
-// sent after Close are dropped.
+// Send writes one already-encoded message. It blocks no longer than the
+// transport's Write does — by NewConn's contract, not at all — and loses
+// nothing: a controller installing a whole table back to back piles up
+// in the transport's buffer. A failed write means a closed or broken
+// transport, which the reader observes; messages sent after Close go
+// nowhere.
 func (c *Conn) Send(msg []byte) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.out = append(c.out, msg)
+	_, _ = c.rw.Write(msg)
 	c.mu.Unlock()
-	c.signal()
-}
-
-// signal wakes the writer; a wake already pending covers this one too.
-func (c *Conn) signal() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
 }
 
 // Recv blocks until one complete message arrives and returns its raw
@@ -97,15 +52,7 @@ func (c *Conn) Recv() ([]byte, error) {
 }
 
 // Close shuts the connection down; safe to call multiple times.
-func (c *Conn) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-	c.signal()
-	err := c.rw.Close()
-	<-c.done
-	return err
-}
+func (c *Conn) Close() error { return c.rw.Close() }
 
 func readFull(r io.Reader, b []byte) error {
 	for off := 0; off < len(b); {
@@ -122,17 +69,4 @@ func readFull(r io.Reader, b []byte) error {
 		}
 	}
 	return nil
-}
-
-// xidGen hands out transaction IDs.
-type xidGen struct {
-	mu  sync.Mutex
-	nxt uint32
-}
-
-func (g *xidGen) next() uint32 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.nxt++
-	return g.nxt
 }
