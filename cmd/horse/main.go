@@ -182,10 +182,14 @@ func summarize(w io.Writer, r spec.Run, res *horse.Result) {
 	if conv, ok := res.ConvergedAt(0.95); ok {
 		fmt.Fprintf(w, "converged           : aggregate rx reached 95%% of steady at t=%v\n", conv)
 	}
-	fmt.Fprintf(w, "execution wall time : %v (setup %v)\n",
-		res.Sim.WallTotal.Round(time.Millisecond), res.SetupWall.Round(time.Millisecond))
-	fmt.Fprintf(w, "clock               : FTI %v / DES %v virtual, %d transitions\n",
-		res.Sim.VirtualFTI, res.Sim.VirtualDES, res.Sim.Transitions)
+	fmt.Fprintf(w, "execution wall time : %v (setup %v, teardown %v)\n",
+		res.Sim.WallTotal.Round(time.Millisecond), res.SetupWall.Round(time.Millisecond),
+		res.TeardownWall.Round(time.Millisecond))
+	// FTI exits "on timeout" waited out QuietTimeout with work still
+	// counted in flight: a leaked ledger token, worth a look.
+	fmt.Fprintf(w, "clock               : FTI %v / DES %v virtual, %d transitions (%d on evidence, %d on timeout)\n",
+		res.Sim.VirtualFTI, res.Sim.VirtualDES, res.Sim.Transitions,
+		res.Sim.EvidenceExits, res.Sim.TimeoutExits)
 	fmt.Fprintf(w, "control plane       : %d bytes, %d writes, %d flowmods, %d routes, %d packet-ins, %d stats\n",
 		res.ControlBytes, res.ControlWrites, res.FlowModsApplied,
 		res.RouteInstalls, res.PacketIns, res.StatsQueries)

@@ -257,9 +257,10 @@ func (e *Experiment) Run(until Time) (*Result, error) {
 				})
 			}
 		}
-		// Failure & dynamics injections. Each injection marks control
-		// activity inside the applying method, so the clock is already
-		// in FTI when the emulated plane starts reacting.
+		// Failure & dynamics injections. Each injection the control plane
+		// reacts to marks control activity inside the applying method, so
+		// the clock is already in FTI when the emulated plane starts
+		// reacting.
 		for _, inj := range e.injections {
 			apply := inj.apply
 			e.engine.Schedule(inj.at, func() { apply(e.mgr) })
@@ -337,6 +338,13 @@ func (e *Experiment) Run(until Time) (*Result, error) {
 	result.PacketIns = e.mgr.Stats.PacketIns.Load()
 	result.StatsQueries = e.mgr.Stats.StatsQueries.Load()
 	result.Drops = e.net.Drops()
+	// Tear the emulated plane down here, timed, rather than in the defer
+	// (which stays for the error paths; a second Stop is a no-op): after
+	// the counters above are read, so the sessions' closing withdrawals
+	// are not booked to the run.
+	teardownStart := time.Now()
+	e.mgr.Stop()
+	result.TeardownWall = time.Since(teardownStart)
 	if pcap != nil {
 		result.CaptureFiles = pcap.Files()
 		if err := pcap.Close(); err != nil {
@@ -358,6 +366,10 @@ type Result struct {
 	Topology  topo.Stats
 	Sim       sim.Stats
 	SetupWall time.Duration
+	// TeardownWall is the wall time spent stopping the emulated control
+	// plane after the engine finished — paid by every run, inside Run,
+	// outside Sim.WallTotal.
+	TeardownWall time.Duration
 
 	// AggregateRx is the demo's headline series: total rate arriving at
 	// all hosts over virtual time.

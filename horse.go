@@ -7,10 +7,14 @@
 //
 // The hybrid clock runs the experiment in Fixed Time Increment (FTI) mode
 // — real-time paced — while the control plane is active, and falls back to
-// Discrete Event Simulation (DES) fast-forward after a configurable quiet
-// period. Experiments therefore pay wall-clock time only for control
-// plane activity, which is where Horse's speedup over full emulation
-// (e.g. Mininet) comes from.
+// Discrete Event Simulation (DES) fast-forward once it is quiescent. The
+// paper infers that from a quiet period; here the emulated plane is
+// in-process, so the work in flight (unread control messages, readers
+// still deciding, pending advertisement batches, running timer callbacks)
+// is counted and the clock leaves FTI when the count reads zero, with
+// the quiet period kept as an upper bound. Experiments therefore pay
+// wall-clock time only for control plane activity, which is where Horse's
+// speedup over full emulation (e.g. Mininet) comes from.
 //
 // A minimal experiment:
 //
@@ -60,8 +64,11 @@ type Topology = topo.Graph
 type Config struct {
 	// FTIStep is the virtual time per FTI increment (default 1ms).
 	FTIStep Time
-	// QuietTimeout is how long the clock stays in FTI after the last
-	// control plane event before resuming DES (default 500ms).
+	// QuietTimeout is the upper bound on how long the clock stays in FTI
+	// after the last control plane event before resuming DES (default
+	// 500ms). The clock normally leaves FTI on evidence — no control
+	// plane work left in flight — long before that; Result.Sim counts the
+	// exits of each kind, and one on the timeout means the count leaked.
 	QuietTimeout Time
 	// Pacing is the virtual:wall ratio in FTI mode. 1.0 (default) is
 	// paper-faithful real time; larger values accelerate experiments

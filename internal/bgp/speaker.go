@@ -116,9 +116,28 @@ type Config struct {
 	// AdvertiseDelay batches outgoing UPDATEs (a light-weight MRAI);
 	// default 2ms.
 	AdvertiseDelay time.Duration
+	// InFlight, when set, is told while an advertisement batch is pending:
+	// Hold when a session arms its AdvertiseDelay timer, Release when the
+	// batch has been written (or the session closed first). The Connection
+	// Manager passes its ledger, so the hybrid clock knows a quiet wire is
+	// not a quiet speaker during the batching window.
+	InFlight InFlight
 	// Logf, when set, receives debug logs.
 	Logf func(format string, args ...any)
 }
+
+// InFlight is what a speaker needs of the Connection Manager's ledger of
+// control plane work in flight (emu.Ledger).
+type InFlight interface {
+	Hold()
+	Release()
+}
+
+// untracked is the InFlight of a speaker nobody is counting for.
+type untracked struct{}
+
+func (untracked) Hold()    {}
+func (untracked) Release() {}
 
 // Stats counts messages by type; all fields are atomically updated.
 type Stats struct {
@@ -167,7 +186,8 @@ type session struct {
 	holdTimer *time.Timer
 	kaTimer   *time.Timer
 
-	// pending advertisement batch: prefix -> path (nil = withdraw).
+	// pending advertisement batch: prefix -> path (nil = withdraw). While
+	// advTimer is armed the session holds one Config.InFlight token.
 	pending  map[netip.Prefix]*Path
 	advTimer *time.Timer
 }
@@ -189,6 +209,9 @@ func NewSpeaker(cfg Config) (*Speaker, error) {
 	}
 	if !cfg.ClusterID.IsValid() {
 		cfg.ClusterID = cfg.RouterID
+	}
+	if cfg.InFlight == nil {
+		cfg.InFlight = untracked{}
 	}
 	if cfg.Dampening != nil {
 		d := cfg.Dampening.withDefaults()
@@ -365,8 +388,10 @@ func (x *session) close() {
 		kt.Stop()
 	}
 	x.sp.mu.Lock()
-	if x.advTimer != nil {
-		x.advTimer.Stop()
+	// A timer stopped before it fired never reaches flushAdv: give its
+	// token back here (a second close finds it already stopped).
+	if x.advTimer != nil && x.advTimer.Stop() {
+		x.sp.cfg.InFlight.Release()
 	}
 	x.sp.mu.Unlock()
 }
@@ -562,6 +587,7 @@ func (x *session) queueAdvLocked(p netip.Prefix, path *Path) {
 	}
 	x.pending[p] = path
 	if x.advTimer == nil {
+		x.sp.cfg.InFlight.Hold()
 		x.advTimer = time.AfterFunc(x.sp.cfg.AdvertiseDelay, x.flushAdv)
 	}
 }
@@ -609,6 +635,7 @@ type advKey struct {
 // splitting at the 4096-byte message limit.
 func (x *session) flushAdv() {
 	s := x.sp
+	defer s.cfg.InFlight.Release() // taken when the timer was armed
 	s.mu.Lock()
 	if x.state != StateEstablished && x.state != StateOpenConfirm && x.state != StateOpenSent {
 		x.advTimer = nil

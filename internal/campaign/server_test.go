@@ -18,12 +18,22 @@ import (
 )
 
 // newTestServer wires a Server over a stubbed runner and returns it with
-// its httptest front end.
+// its httptest front end. No test outlives its campaigns: the server is
+// drained when the test ends — cleanups run last-registered first, so
+// that is before the runner's TempDir is removed and while t.Logf may
+// still be called.
 func newTestServer(t *testing.T, exec func(r spec.Run) (*spec.Outcome, error)) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := NewServer(newTestRunner(t, exec), t.Logf)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Drain(ctx); err != nil {
+			t.Error(err)
+		}
+	})
 	return srv, ts
 }
 

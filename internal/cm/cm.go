@@ -5,6 +5,10 @@
 //     agents, the SDN controller) to each other over tapped channels;
 //   - observes every control plane byte and notifies the hybrid engine,
 //     which is what triggers DES->FTI transitions;
+//   - keeps the ledger of control plane work in flight (unread channel
+//     deliveries, armed advertisement batches, running timer callbacks),
+//     which is what lets the engine go back FTI->DES on evidence instead
+//     of waiting out the quiet period;
 //   - applies control plane decisions (BGP RIB changes, FLOW_MODs) to the
 //     simulated data plane on the engine goroutine;
 //   - answers data plane queries (port/flow statistics) for the emulated
@@ -54,6 +58,16 @@ type Manager struct {
 
 	Stats Stats
 
+	// ledger counts the control plane work in flight; the engine reads it
+	// to leave FTI (sim.Engine.SetInFlight). Its tokens are held by the
+	// channels (tappedPipe), the speakers' advertisement timers (WireBGP)
+	// and running clock callbacks (clock.After). Deliberately not counted,
+	// because the engine already knows about them: keepalive and hold
+	// timers (wall-clock; they re-enter FTI through the tap when they
+	// fire), delayed tap deliveries and dampening reuse wakeups (engine
+	// events that MarkControl when due), capture records (PostData).
+	ledger emu.Ledger
+
 	stops    []func() // Stop of every speaker and agent, in start order
 	speakers map[core.NodeID]*bgp.Speaker
 	agents   map[core.NodeID]*openflow.Agent
@@ -89,6 +103,7 @@ func New(engine *sim.Engine, net *netmodel.Network, logf func(string, ...any)) *
 		agents:     make(map[core.NodeID]*openflow.Agent),
 		nodeDowned: make(map[core.NodeID][]*topo.Link),
 	}
+	engine.SetInFlight(m.ledger.InFlight)
 	net.OnPacketIn = m.handlePacketIn
 	// The CM coalesces reroutes: control plane bursts (a fat-tree BGP
 	// convergence installs tens of thousands of routes) mutate
@@ -145,11 +160,13 @@ func (m *Manager) Speaker(n core.NodeID) *bgp.Speaker { return m.speakers[n] }
 // Channel taps
 // ---------------------------------------------------------------------------
 
-// tap is one end of a control channel: an emu.Pipe end whose writes are
-// counted, wake the hybrid clock into FTI mode, cross the link's
-// propagation delay (when there is one) and are recorded by the capture
-// session (when there is one) — tap -> optional delay -> capture. Like
-// the pipe's, its Write never blocks; reads and Close pass through.
+// tap is one end of a control channel: an emu pipe end (on the manager's
+// ledger, so what it delivers counts as in flight until the reader has
+// dealt with it) whose writes are counted, wake the hybrid clock into FTI
+// mode, cross the link's propagation delay (when there is one) and are
+// recorded by the capture session (when there is one) — tap -> optional
+// delay -> capture. Like the pipe's, its Write never blocks; reads and
+// Close pass through.
 //
 // Undelayed, the bytes are readable at the peer when Write returns, and
 // the capture record is stamped with the engine's virtual time at
@@ -218,7 +235,7 @@ func (m *Manager) TappedPipe() (io.ReadWriteCloser, io.ReadWriteCloser) {
 // tappedPipe is TappedPipe with per-direction propagation delays and an
 // optional capture session; writes on the first end are recorded as AtoB.
 func (m *Manager) tappedPipe(delayAB, delayBA core.Time, sess *capture.Session) (io.ReadWriteCloser, io.ReadWriteCloser) {
-	a, b := emu.Pipe()
+	a, b := m.ledger.Pipe()
 	return tap{a, m, delayAB, sess, capture.AtoB}, tap{b, m, delayBA, sess, capture.BtoA}
 }
 
@@ -236,11 +253,17 @@ func (c clock) After(d core.Time, fn func()) {
 	// executes on the engine goroutine. Firing the timer IS control
 	// plane activity: the woken app is about to send messages, so the
 	// clock must hold in FTI while it does (paper §2: the CM "sends
-	// events that trigger a change to the FTI mode").
+	// events that trigger a change to the FTI mode") — entered by
+	// MarkControl, held by a ledger token taken before the goroutine
+	// starts and returned when the callback does.
 	c.m.Engine.PostData(func() {
 		c.m.Engine.After(d, func() {
 			c.m.Engine.MarkControl()
-			go fn()
+			c.m.ledger.Hold()
+			go func() {
+				defer c.m.ledger.Release()
+				fn()
+			}()
 		})
 	})
 }
@@ -319,6 +342,7 @@ func (m *Manager) WireBGP(cfg BGPConfig) error {
 			AdvertiseDelay: cfg.AdvertiseDelay,
 			Dampening:      cfg.Dampening,
 			DampeningClock: m.Clock(),
+			InFlight:       &m.ledger,
 			Networks:       m.originatedPrefixes(r),
 			Logf:           m.Logf,
 			OnRoute: func(ev bgp.RouteEvent) {
@@ -618,9 +642,10 @@ func (m *Manager) restoreListed(id core.NodeID, ab *topo.Link) bool {
 
 // CableRate changes the capacity of the cable containing ab (both
 // directions) — a pure data plane dynamics event: allocations re-solve
-// over the dirty region, no session or port state changes.
+// over the dirty region, no session or port state changes, no message is
+// sent, so unlike the other injections it does not mark control activity
+// (a capacity walk runs in DES).
 func (m *Manager) CableRate(ab *topo.Link, rate core.Rate) {
-	m.Engine.MarkControl()
 	m.Stats.Injections.Add(1)
 	m.Net.SetCableRate(ab.ID, rate, m.Engine.Now())
 }

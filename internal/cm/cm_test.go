@@ -197,19 +197,22 @@ func TestStopRunsInReverseStartOrder(t *testing.T) {
 	}
 }
 
+// wirings is fattree:4 wired once as BGP, once as SDN.
+var wirings = []struct {
+	name    string
+	routers bool
+	wire    func(*Manager) error
+}{
+	{"bgp", true, func(m *Manager) error { return m.WireBGP(BGPConfig{ECMP: true}) }},
+	{"sdn", false, func(m *Manager) error { return m.WireSDN(&controller.ECMPApp{}) }},
+}
+
 // TestStopLeavesNoGoroutine: a wired, briefly run and stopped control
 // plane — fattree:4 once as BGP, once as SDN — leaves no goroutine
 // behind: every session reader, connection reader and controller worker
 // is gone when Stop returns (timers in flight get a moment to fire).
 func TestStopLeavesNoGoroutine(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		routers bool
-		wire    func(*Manager) error
-	}{
-		{"bgp", true, func(m *Manager) error { return m.WireBGP(BGPConfig{ECMP: true}) }},
-		{"sdn", false, func(m *Manager) error { return m.WireSDN(&controller.ECMPApp{}) }},
-	} {
+	for _, tc := range wirings {
 		t.Run(tc.name, func(t *testing.T) {
 			g, err := topo.FatTree(topo.FatTreeOpts{K: 4, Routers: tc.routers})
 			if err != nil {
@@ -237,4 +240,87 @@ func TestStopLeavesNoGoroutine(t *testing.T) {
 			}
 		})
 	}
+}
+
+// waitLedgerZero polls for the ledger to read zero: Stop waits for every
+// reader, but an advertisement timer that fired just before its session
+// closed may still be inside flushAdv for a moment.
+func waitLedgerZero(t *testing.T, m *Manager) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for m.ledger.InFlight() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("ledger reads %d, want 0", m.ledger.InFlight())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLedgerZeroAfterStop: every token taken while a control plane was
+// wired, converged and torn down comes back — fattree:4 once as BGP, once
+// as SDN — and the run left FTI on that evidence, not on the timeout.
+func TestLedgerZeroAfterStop(t *testing.T) {
+	for _, tc := range wirings {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := topo.FatTree(topo.FatTreeOpts{K: 4, Routers: tc.routers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine := newEngine()
+			m := New(engine, netmodel.New(g), nil)
+			if err := tc.wire(m); err != nil {
+				t.Fatal(err)
+			}
+			if m.ledger.InFlight() == 0 {
+				t.Fatal("wired channels hold no token before the engine runs")
+			}
+			// An event at the horizon gives DES something to jump to
+			// instead of idling out the wall-clock wait.
+			engine.Schedule(core.Second, func() {})
+			st := engine.Run(core.Second)
+			if st.EvidenceExits != 1 || st.TimeoutExits != 0 {
+				t.Fatalf("FTI exits: %d on evidence, %d on timeout; want 1, 0", st.EvidenceExits, st.TimeoutExits)
+			}
+			m.Stop()
+			waitLedgerZero(t, m)
+		})
+	}
+}
+
+// TestLedgerClearsAfterCableFlap: a CableDown/CableUp pair resets two BGP
+// sessions (CEASE, EOF, withdrawals) and re-peers them over a fresh
+// channel; each episode ends with the ledger back at zero — the clock
+// leaves FTI three times, boot included, never on the timeout — and
+// nothing is left held after Stop.
+func TestLedgerClearsAfterCableFlap(t *testing.T) {
+	g, err := topo.FatTree(topo.FatTreeOpts{K: 4, Routers: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := newEngine()
+	m := New(engine, netmodel.New(g), nil)
+	if err := m.WireBGP(BGPConfig{ECMP: true}); err != nil {
+		t.Fatal(err)
+	}
+	agg, _ := g.NodeByName("agg-0-0")
+	core0, _ := g.NodeByName("core-0-0")
+	cable := g.CableBetween(agg.ID, core0.ID)
+	if cable == nil {
+		t.Fatal("no agg-0-0 <-> core-0-0 cable")
+	}
+	engine.Schedule(300*core.Millisecond, func() { m.CableDown(cable) })
+	engine.Schedule(600*core.Millisecond, func() { m.CableUp(cable) })
+	engine.Schedule(core.Second, func() {}) // something for DES to jump to
+	st := engine.Run(core.Second)
+	if m.Stats.Injections.Load() != 2 {
+		t.Fatalf("injections = %d, want 2", m.Stats.Injections.Load())
+	}
+	if st.EvidenceExits != 3 || st.TimeoutExits != 0 {
+		t.Fatalf("FTI exits: %d on evidence, %d on timeout; want 3, 0", st.EvidenceExits, st.TimeoutExits)
+	}
+	if got := m.ledger.InFlight(); got != 0 {
+		t.Fatalf("ledger reads %d after the last episode, want 0", got)
+	}
+	m.Stop()
+	waitLedgerZero(t, m)
 }

@@ -6,10 +6,13 @@
 // scheduled event. When a control plane event is observed (a BGP message, an
 // OpenFlow message, ...) the engine enters FTI mode: virtual time advances
 // in small fixed increments paced against the wall clock, reproducing the
-// real-time operation the emulated control plane expects. After a
-// user-defined quiet period without control activity the engine falls back
-// to DES and fast-forwards again. This is the core mechanism of the paper
-// (Section 2, Figure 1).
+// real-time operation the emulated control plane expects. Once the control
+// plane is quiescent the engine falls back to DES and fast-forwards again.
+// This is the core mechanism of the paper (Section 2, Figure 1). The paper
+// infers quiescence from a user-defined quiet period, because its control
+// plane is opaque processes; an engine that was given a reading of the
+// work in flight (SetInFlight) leaves on that evidence and keeps the quiet
+// period as the upper bound.
 //
 // Threading model: all simulation state is owned by the single goroutine
 // that calls Run. Emulated control plane goroutines inject work with Post
@@ -52,8 +55,9 @@ type Config struct {
 	FTIStep core.Time
 
 	// QuietTimeout is how long (virtual time) the engine stays in FTI
-	// after the last control plane event before resuming DES.
-	// Default 500ms.
+	// after the last control plane event before resuming DES: the exit
+	// rule of an engine without SetInFlight, the upper bound of one with
+	// it. Default 500ms.
 	QuietTimeout core.Time
 
 	// Pacing is the ratio of virtual to wall time in FTI mode.
@@ -74,12 +78,20 @@ type Config struct {
 	// control plane need this: the emulated processes boot in wall
 	// time, and a pure-DES start would fast-forward the entire
 	// experiment before their first message arrives. The engine drops
-	// to DES after QuietTimeout as usual.
+	// to DES by the usual rule.
 	StartInFTI bool
 
 	// OnModeChange, when non-nil, observes every DES<->FTI transition.
 	OnModeChange func(from, to Mode, at core.Time)
 }
+
+// settleSteps is how many FTI increments without control activity the
+// engine lets pass before it believes an in-flight reading of zero
+// (SetInFlight). Work that lives on the engine side for a moment — the
+// Connection Manager's reroute flush one increment after a route install,
+// whose re-pathed flows may punt PACKET_INs — is in no ledger; the settle
+// keeps the clock in FTI across it instead of flapping through DES.
+const settleSteps = 3
 
 func (c *Config) setDefaults() {
 	if c.FTIStep <= 0 {
@@ -110,6 +122,8 @@ type Stats struct {
 	ControlPosts   uint64        // external posts flagged as control activity
 	DataPosts      uint64        // external posts without the control flag
 	Transitions    int           // DES<->FTI mode switches
+	EvidenceExits  int           // FTI->DES switches on an in-flight reading of zero (SetInFlight)
+	TimeoutExits   int           // FTI->DES switches after QuietTimeout without control activity
 	EndedIdle      bool          // run ended because the queue drained and no activity arrived
 	PeakQueueDepth int           // high-water mark of the event queue
 }
@@ -172,6 +186,12 @@ func (p *postQueue) put(x external) {
 	}
 }
 
+func (p *postQueue) empty() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.q) == 0
+}
+
 // take returns all queued work (nil when empty).
 func (p *postQueue) take() []external {
 	p.mu.Lock()
@@ -191,7 +211,8 @@ type Engine struct {
 	inbox postQueue
 	mode  Mode
 
-	lastControl core.Time // virtual timestamp of most recent control activity
+	lastControl core.Time    // virtual timestamp of most recent control activity
+	inFlight    func() int64 // control plane work in flight; nil: unknown (see SetInFlight)
 	running     atomic.Bool
 	stopped     atomic.Bool
 	done        chan struct{}
@@ -233,6 +254,15 @@ func (e *Engine) Mode() Mode { return e.mode }
 
 // Config returns the engine's effective configuration.
 func (e *Engine) Config() Config { return e.cfg }
+
+// SetInFlight gives the engine a reading of the control plane work still
+// in flight (the Connection Manager's emu.Ledger); read is called on the
+// engine goroutine. With it the engine leaves FTI on evidence: settleSteps
+// increments after the last control activity, once the reading is zero
+// and the inbox is empty. A reading that never clears — a leaked token, a
+// channel nobody reads — degrades to the QuietTimeout exit, never to an
+// early one. Without it QuietTimeout is the only exit. Call before Run.
+func (e *Engine) SetInFlight(read func() int64) { e.inFlight = read }
 
 // Schedule queues fn to run at virtual time at. Events scheduled in the
 // past run at the current time (and are counted in Stats.LateEvents).
@@ -421,7 +451,8 @@ func (e *Engine) stepDES(until core.Time) bool {
 }
 
 // stepFTI advances one fixed increment, pacing against the wall clock, and
-// drops back to DES once the control plane has been quiet long enough.
+// drops back to DES once the control plane is quiescent (or has been quiet
+// for QuietTimeout).
 func (e *Engine) stepFTI(until core.Time) {
 	target := e.now + e.cfg.FTIStep
 	if target > until {
@@ -456,9 +487,24 @@ func (e *Engine) stepFTI(until core.Time) {
 		}
 	}
 
-	if e.now-e.lastControl >= e.cfg.QuietTimeout {
+	switch quiet := e.now - e.lastControl; {
+	case quiet >= e.cfg.QuietTimeout:
+		e.stats.TimeoutExits++
+		e.switchMode(DES)
+	case quiet >= settleSteps*e.cfg.FTIStep && e.quiescent():
+		e.stats.EvidenceExits++
 		e.switchMode(DES)
 	}
+}
+
+// quiescent reports whether the emulated control plane provably has
+// nothing left to do. The order of the two reads matters: a control plane
+// goroutine posts to the engine before it parks in Read and gives its
+// token back, so once the ledger reads zero everything those goroutines
+// produced is already in the inbox — reading the inbox first could miss a
+// post made between the two reads.
+func (e *Engine) quiescent() bool {
+	return e.inFlight != nil && e.inFlight() == 0 && e.inbox.empty()
 }
 
 // advance moves the virtual clock forward to t (never backward).

@@ -73,8 +73,16 @@ type FlowPrint struct {
 type WallStats struct {
 	Setup       Duration `json:"setup"`
 	Exec        Duration `json:"exec"`
+	Teardown    Duration `json:"teardown"`
 	VirtualEnd  Duration `json:"virtual_end"`
 	Transitions int      `json:"transitions"`
+	// EvidenceExits and TimeoutExits split the FTI->DES transitions by
+	// why the clock left FTI: the in-flight ledger read zero, or the
+	// quiet timeout ran out with work still counted in flight — the
+	// latter means a leaked token (or a channel nobody reads) and a run
+	// that paid wall time for nothing.
+	EvidenceExits int `json:"evidence_exits"`
+	TimeoutExits  int `json:"timeout_exits"`
 
 	Solves          int    `json:"solves"`
 	SolverWorkers   int    `json:"solver_workers"`
@@ -140,8 +148,11 @@ func NewOutcome(r Run, res *horse.Result) *Outcome {
 		Wall: WallStats{
 			Setup:           Duration(res.SetupWall),
 			Exec:            Duration(res.Sim.WallTotal),
+			Teardown:        Duration(res.TeardownWall),
 			VirtualEnd:      Duration(res.Sim.VirtualEnd.Duration()),
 			Transitions:     res.Sim.Transitions,
+			EvidenceExits:   res.Sim.EvidenceExits,
+			TimeoutExits:    res.Sim.TimeoutExits,
 			Solves:          res.Solves,
 			SolverWorkers:   res.SolverWorkers,
 			ControlBytes:    res.ControlBytes,
