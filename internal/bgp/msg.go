@@ -192,6 +192,33 @@ func decodePrefix(b []byte) (netip.Prefix, []byte, error) {
 	return p.Masked(), b[1+n:], nil
 }
 
+// decodePrefixes reads a whole NLRI-form prefix list into a slice sized
+// by counting the length bytes first: a full UPDATE carries a thousand
+// prefixes, and growing the list by doubling allocates it twice over.
+func decodePrefixes(b []byte) ([]netip.Prefix, error) {
+	if len(b) == 0 {
+		return nil, nil
+	}
+	n := 0
+	for rest := b; len(rest) > 0; n++ {
+		step := 1 + (int(rest[0])+7)/8
+		if step > len(rest) {
+			break // truncated: decodePrefix reports it below
+		}
+		rest = rest[step:]
+	}
+	out := make([]netip.Prefix, 0, n)
+	for len(b) > 0 {
+		p, rest, err := decodePrefix(b)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, p)
+		b = rest
+	}
+	return out, nil
+}
+
 // encodeAttrs serializes one path-attribute set (the per-message attrs
 // block both EncodeUpdate and PackUpdates share).
 func encodeAttrs(a PathAttrs) ([]byte, error) {
@@ -432,16 +459,11 @@ func decodeUpdate(body []byte) (*Message, error) {
 	if len(body) < wlen {
 		return nil, Notification{Code: NotifUpdateError, Subcode: 1}
 	}
-	wd := body[:wlen]
-	body = body[wlen:]
-	for len(wd) > 0 {
-		p, rest, err := decodePrefix(wd)
-		if err != nil {
-			return nil, Notification{Code: NotifUpdateError, Subcode: 10}
-		}
-		u.Withdrawn = append(u.Withdrawn, p)
-		wd = rest
+	var err error
+	if u.Withdrawn, err = decodePrefixes(body[:wlen]); err != nil {
+		return nil, Notification{Code: NotifUpdateError, Subcode: 10}
 	}
+	body = body[wlen:]
 	if len(body) < 2 {
 		return nil, Notification{Code: NotifUpdateError, Subcode: 1}
 	}
@@ -538,13 +560,8 @@ func decodeUpdate(body []byte) (*Message, error) {
 			// single-implementation).
 		}
 	}
-	for len(nlri) > 0 {
-		p, rest, err := decodePrefix(nlri)
-		if err != nil {
-			return nil, Notification{Code: NotifUpdateError, Subcode: 10}
-		}
-		u.NLRI = append(u.NLRI, p)
-		nlri = rest
+	if u.NLRI, err = decodePrefixes(nlri); err != nil {
+		return nil, Notification{Code: NotifUpdateError, Subcode: 10}
 	}
 	if len(u.NLRI) > 0 && !seenNextHop {
 		return nil, Notification{Code: NotifUpdateError, Subcode: 3} // missing well-known attribute

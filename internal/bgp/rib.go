@@ -151,6 +151,16 @@ type ribEntry struct {
 	scratch  []*Path
 }
 
+// peerIndex is the position of peer's path in e.peers, or -1.
+func (e *ribEntry) peerIndex(peer netip.Addr) int {
+	for i, pp := range e.peers {
+		if pp.PeerAddr == peer {
+			return i
+		}
+	}
+	return -1
+}
+
 // known reports whether any route (local or learned) exists here.
 func (e *ribEntry) known() bool { return e.local != nil || len(e.peers) > 0 }
 
@@ -202,23 +212,20 @@ func (r *RIB) UpdateAdjIn(peer netip.Addr, prefix netip.Prefix, path *Path) bool
 		if e == nil {
 			return false
 		}
-		for i, pp := range e.peers {
-			if pp.PeerAddr == peer {
-				releaseAttrs(pp.Attrs)
-				e.peers = append(e.peers[:i], e.peers[i+1:]...)
-				return true
-			}
+		i := e.peerIndex(peer)
+		if i < 0 {
+			return false
 		}
-		return false
+		releaseAttrs(e.peers[i].Attrs)
+		e.peers = append(e.peers[:i], e.peers[i+1:]...)
+		return true
 	}
 	e := r.trie.insert(addr, length)
 	retainAttrs(path.Attrs)
-	for i, pp := range e.peers {
-		if pp.PeerAddr == peer {
-			releaseAttrs(pp.Attrs)
-			e.peers[i] = path
-			return true
-		}
+	if i := e.peerIndex(peer); i >= 0 {
+		releaseAttrs(e.peers[i].Attrs)
+		e.peers[i] = path
+		return true
 	}
 	// Insert keeping peer-address order (the deterministic candidate
 	// order the decision process depends on).
@@ -236,17 +243,26 @@ func (r *RIB) UpdateAdjIn(peer netip.Addr, prefix netip.Prefix, path *Path) bool
 }
 
 // DropPeer removes every path learned from peer (session down),
-// returning the affected prefixes in sorted order.
+// returning the affected prefixes in sorted order. The result is counted
+// before it is filled: a full-table peer would otherwise grow it by
+// doubling through a hundred thousand entries.
 func (r *RIB) DropPeer(peer netip.Addr) []netip.Prefix {
-	var out []netip.Prefix
+	n := 0
+	r.trie.walk(func(_ netip.Prefix, e *ribEntry) bool {
+		if e.peerIndex(peer) >= 0 {
+			n++
+		}
+		return true
+	})
+	if n == 0 {
+		return nil
+	}
+	out := make([]netip.Prefix, 0, n)
 	r.trie.walk(func(p netip.Prefix, e *ribEntry) bool {
-		for i, pp := range e.peers {
-			if pp.PeerAddr == peer {
-				releaseAttrs(pp.Attrs)
-				e.peers = append(e.peers[:i], e.peers[i+1:]...)
-				out = append(out, p)
-				break
-			}
+		if i := e.peerIndex(peer); i >= 0 {
+			releaseAttrs(e.peers[i].Attrs)
+			e.peers = append(e.peers[:i], e.peers[i+1:]...)
+			out = append(out, p)
 		}
 		return true
 	})
@@ -343,16 +359,23 @@ func (r *RIB) Lookup(addr netip.Addr) []*Path {
 	return e.selected
 }
 
+// eachSelected visits every prefix present in the Loc-RIB with its
+// selection, in sorted order — the walk Prefixes makes, without the list
+// and without a second descent per prefix to fetch the selection.
+func (r *RIB) eachSelected(visit func(netip.Prefix, []*Path)) {
+	r.trie.walk(func(p netip.Prefix, e *ribEntry) bool {
+		if len(e.selected) > 0 {
+			visit(p, e.selected)
+		}
+		return true
+	})
+}
+
 // Prefixes returns every prefix present in the Loc-RIB, sorted (the
 // trie walk is ordered; no sort pass needed).
 func (r *RIB) Prefixes() []netip.Prefix {
 	out := make([]netip.Prefix, 0, r.trie.n)
-	r.trie.walk(func(p netip.Prefix, e *ribEntry) bool {
-		if len(e.selected) > 0 {
-			out = append(out, p)
-		}
-		return true
-	})
+	r.eachSelected(func(p netip.Prefix, _ []*Path) { out = append(out, p) })
 	return out
 }
 

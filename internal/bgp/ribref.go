@@ -146,3 +146,14 @@ func (r *refRIB) KnownPrefixes() []netip.Prefix {
 	sortPrefixes(out)
 	return out
 }
+
+// sortPrefixes orders prefixes by address, then prefix length — the
+// order the RIB trie walks in and pfxKey integers sort in.
+func sortPrefixes(ps []netip.Prefix) {
+	sort.Slice(ps, func(i, j int) bool {
+		if c := ps[i].Addr().Compare(ps[j].Addr()); c != 0 {
+			return c < 0
+		}
+		return ps[i].Bits() < ps[j].Bits()
+	})
+}

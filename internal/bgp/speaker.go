@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -164,8 +165,14 @@ type Speaker struct {
 	rib      *RIB
 	sessions map[netip.Addr]*session
 	damp     map[dampKey]*dampState
-	closed   bool
-	wg       sync.WaitGroup
+	// closed is set once the speaker has been told it is stopping
+	// (BeginStop): from then on it only closes sessions. The Loc-RIB stays
+	// what it was, no route event is emitted and nothing is advertised.
+	closed bool
+	// advertiseTo is redecideLocked's list of established sessions,
+	// rebuilt per call and kept between calls for its backing array.
+	advertiseTo []*session
+	wg          sync.WaitGroup
 
 	Stats Stats
 }
@@ -188,8 +195,12 @@ type session struct {
 
 	// pending advertisement batch: prefix -> path (nil = withdraw). While
 	// advTimer is armed the session holds one Config.InFlight token.
-	pending  map[netip.Prefix]*Path
+	pending  map[pfxKey]*Path
 	advTimer *time.Timer
+	// flushMu is held across one whole flushAdv, so a batch armed while
+	// the previous one is still being packed goes out after it, never in
+	// between its messages.
+	flushMu sync.Mutex
 }
 
 // NewSpeaker creates a speaker; call AddPeer to open sessions.
@@ -261,7 +272,7 @@ func (s *Speaker) AddPeer(pc PeerConfig) error {
 		sp:      s,
 		cfg:     pc,
 		state:   StateIdle,
-		pending: make(map[netip.Prefix]*Path),
+		pending: make(map[pfxKey]*Path),
 	}
 	s.sessions[pc.RemoteAddr] = sess
 	sess.send(EncodeOpen(Open{
@@ -277,14 +288,25 @@ func (s *Speaker) AddPeer(pc PeerConfig) error {
 	return nil
 }
 
-// Stop closes every session (sending CEASE) and waits for readers.
+// BeginStop tells the speaker it is stopping, ahead of Stop. A stopping
+// speaker whose peer goes away keeps what it learned from it: no
+// withdrawal from the Loc-RIB, no dampening penalty, no route event, no
+// UPDATE processed and no batch flushed. Whoever stops several peered
+// speakers calls BeginStop on all of them before the first Stop;
+// otherwise each Stop makes the speakers still running withdraw and
+// re-advertise every route the stopped one carried, to sessions that are
+// about to close too.
+func (s *Speaker) BeginStop() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+}
+
+// Stop closes every session (sending CEASE) and waits for readers. The
+// Loc-RIB is left as it was when the speaker was told to stop (see
+// BeginStop); LocRIB still reads it afterwards.
 func (s *Speaker) Stop() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
 	s.closed = true
 	sessions := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
@@ -334,10 +356,8 @@ func (s *Speaker) SessionState(peer netip.Addr) SessionState {
 func (s *Speaker) LocRIB() map[netip.Prefix][]fib.NextHop {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[netip.Prefix][]fib.NextHop)
-	for _, p := range s.rib.Prefixes() {
-		out[p] = fibHops(s.rib.Best(p))
-	}
+	out := make(map[netip.Prefix][]fib.NextHop, s.rib.trie.n)
+	s.rib.eachSelected(func(p netip.Prefix, best []*Path) { out[p] = fibHops(best) })
 	return out
 }
 
@@ -468,7 +488,9 @@ func (x *session) handle(m *Message) error {
 			x.sendNotification(Notification{Code: NotifFSMError})
 			return fmt.Errorf("bgp: UPDATE in state %v", x.state)
 		}
-		s.processUpdateLocked(x, m.Upd)
+		if !s.closed {
+			s.processUpdateLocked(x, m.Upd)
+		}
 		s.mu.Unlock()
 		return nil
 
@@ -491,11 +513,11 @@ func (x *session) established() {
 	}
 	x.startKeepalive()
 	s.mu.Lock()
-	for _, p := range s.rib.Prefixes() {
-		best := s.rib.Best(p)
-		if len(best) > 0 {
-			x.queueAdvLocked(p, best[0])
+	if !s.closed {
+		if len(x.pending) == 0 {
+			x.pending = make(map[pfxKey]*Path, s.rib.trie.n) // the whole table is about to land in it
 		}
+		s.rib.eachSelected(func(p netip.Prefix, best []*Path) { x.queueAdvLocked(prefixKey(p), best[0]) })
 	}
 	s.mu.Unlock()
 }
@@ -545,7 +567,8 @@ func (x *session) resetHold() {
 	x.sendMu.Unlock()
 }
 
-// down tears the session down and withdraws everything learned from it.
+// down tears the session down and, unless the speaker is stopping,
+// withdraws everything learned from it.
 func (x *session) down(cause error) {
 	s := x.sp
 	s.mu.Lock()
@@ -556,17 +579,19 @@ func (x *session) down(cause error) {
 	was := x.state
 	x.state = StateClosed
 	delete(s.sessions, x.cfg.RemoteAddr)
-	affected := s.rib.DropPeer(x.cfg.RemoteAddr)
-	// A session loss withdraws everything learned from the peer; each
-	// of those counts as a flap toward dampening, so a flapping cable
-	// suppresses its neighbor's routes after repeated resets. Parked
-	// announcements die with the session — whether the re-peered
-	// session still advertises them is for it to say.
-	for _, p := range affected {
-		s.dampWithdrawLocked(x.cfg.RemoteAddr, p)
+	if !s.closed {
+		affected := s.rib.DropPeer(x.cfg.RemoteAddr)
+		// A session loss withdraws everything learned from the peer; each
+		// of those counts as a flap toward dampening, so a flapping cable
+		// suppresses its neighbor's routes after repeated resets. Parked
+		// announcements die with the session — whether the re-peered
+		// session still advertises them is for it to say.
+		for _, p := range affected {
+			s.dampWithdrawLocked(x.cfg.RemoteAddr, p)
+		}
+		s.dampDropPeerLocked(x.cfg.RemoteAddr)
+		s.redecideLocked(affected)
 	}
-	s.dampDropPeerLocked(x.cfg.RemoteAddr)
-	s.redecideLocked(affected)
 	s.mu.Unlock()
 	x.close()
 	if was == StateEstablished {
@@ -581,11 +606,11 @@ func (x *session) down(cause error) {
 // for the peer; the batch flushes after AdvertiseDelay. Paths the
 // session's advertisement policy forbids are queued as withdrawals so
 // stale state clears. Caller holds s.mu.
-func (x *session) queueAdvLocked(p netip.Prefix, path *Path) {
+func (x *session) queueAdvLocked(k pfxKey, path *Path) {
 	if path != nil && !x.mayAdvertise(path) {
 		path = nil
 	}
-	x.pending[p] = path
+	x.pending[k] = path
 	if x.advTimer == nil {
 		x.sp.cfg.InFlight.Hold()
 		x.advTimer = time.AfterFunc(x.sp.cfg.AdvertiseDelay, x.flushAdv)
@@ -633,49 +658,69 @@ type advKey struct {
 // NLRIs (and the withdrawals) ride in each message — an MRAI window
 // emits O(attr-groups) UPDATEs, not O(prefixes), with PackUpdates
 // splitting at the 4096-byte message limit.
+//
+// What it allocates is per flush, at final size: one integer per pending
+// prefix — its group number (0 = withdrawn) above its pfxKey, so a single
+// integer sort both gathers the groups and orders every group's prefixes
+// by (address, length) — and one netip.Prefix list that the withdrawn and
+// NLRI lists are cut from.
 func (x *session) flushAdv() {
 	s := x.sp
 	defer s.cfg.InFlight.Release() // taken when the timer was armed
+	x.flushMu.Lock()
+	defer x.flushMu.Unlock()
 	s.mu.Lock()
-	if x.state != StateEstablished && x.state != StateOpenConfirm && x.state != StateOpenSent {
-		x.advTimer = nil
+	x.advTimer = nil
+	if s.closed || (x.state != StateEstablished && x.state != StateOpenConfirm && x.state != StateOpenSent) {
 		s.mu.Unlock()
 		return
 	}
 	batch := x.pending
-	x.pending = make(map[netip.Prefix]*Path)
-	x.advTimer = nil
-
-	var withdrawn []netip.Prefix
-	idx := make(map[advKey]int)
-	var groups []UpdateGroup
-	for p, path := range batch {
-		if path == nil {
-			withdrawn = append(withdrawn, p)
-			continue
-		}
-		k := advKey{attrs: path.Attrs, ibgp: path.IBGP}
-		if path.IBGP {
-			k.orig = originatorOf(path)
-		}
-		gi, ok := idx[k]
-		if !ok {
-			gi = len(groups)
-			idx[k] = gi
-			groups = append(groups, UpdateGroup{Attrs: x.outgoingAttrs(path)})
-		}
-		groups[gi].NLRI = append(groups[gi].NLRI, p)
-	}
+	x.pending = make(map[pfxKey]*Path)
 	s.mu.Unlock()
 
-	sortPrefixes(withdrawn)
-	keys := make([]string, len(groups))
+	// The batch is this goroutine's now, and a stored Path never changes.
+	keys := make([]uint64, 0, len(batch))
+	idx := make(map[advKey]uint64)
+	var groups []UpdateGroup
+	for k, path := range batch {
+		var group uint64
+		if path != nil {
+			ak := advKey{attrs: path.Attrs, ibgp: path.IBGP}
+			if path.IBGP {
+				ak.orig = originatorOf(path)
+			}
+			if group = idx[ak]; group == 0 {
+				groups = append(groups, UpdateGroup{Attrs: x.outgoingAttrs(path)})
+				group = uint64(len(groups))
+				idx[ak] = group
+			}
+		}
+		keys = append(keys, group<<pfxKeyBits|uint64(k))
+	}
+	slices.Sort(keys)
+	var withdrawn []netip.Prefix
+	prefixes := make([]netip.Prefix, len(keys))
+	start := 0
+	for i, k := range keys {
+		prefixes[i] = pfxKey(k).prefix()
+		group := k >> pfxKeyBits
+		if i+1 < len(keys) && keys[i+1]>>pfxKeyBits == group {
+			continue
+		}
+		if run := prefixes[start : i+1 : i+1]; group == 0 {
+			withdrawn = run
+		} else {
+			groups[group-1].NLRI = run
+		}
+		start = i + 1
+	}
+	gkeys := make([]string, len(groups))
 	for i := range groups {
-		sortPrefixes(groups[i].NLRI)
-		keys[i] = attrsKey(groups[i].Attrs)
+		gkeys[i] = attrsKey(groups[i].Attrs)
 	}
 	// Deterministic message order across groups.
-	sort.Sort(&groupsByKey{keys, groups})
+	sort.Sort(&groupsByKey{gkeys, groups})
 	msgs, err := PackUpdates(withdrawn, groups)
 	if err != nil {
 		s.logf("flush to %v failed: %v", x.cfg.RemoteAddr, err)
@@ -699,17 +744,6 @@ func (g *groupsByKey) Less(i, j int) bool { return g.keys[i] < g.keys[j] }
 func (g *groupsByKey) Swap(i, j int) {
 	g.keys[i], g.keys[j] = g.keys[j], g.keys[i]
 	g.groups[i], g.groups[j] = g.groups[j], g.groups[i]
-}
-
-// sortPrefixes orders prefixes by address, then prefix length — the
-// same order the RIB trie walks in.
-func sortPrefixes(ps []netip.Prefix) {
-	sort.Slice(ps, func(i, j int) bool {
-		if c := ps[i].Addr().Compare(ps[j].Addr()); c != 0 {
-			return c < 0
-		}
-		return ps[i].Bits() < ps[j].Bits()
-	})
 }
 
 // outgoingAttrs computes the attributes a path is advertised with on
@@ -777,7 +811,7 @@ func attrsKey(a PathAttrs) string {
 // ---- speaker-side update processing (mu held) ----
 
 func (s *Speaker) processUpdateLocked(x *session, u *Update) {
-	var affected []netip.Prefix
+	affected := make([]netip.Prefix, 0, len(u.Withdrawn)+len(u.NLRI))
 	for _, p := range u.Withdrawn {
 		if s.rib.UpdateAdjIn(x.cfg.RemoteAddr, p, nil) {
 			affected = append(affected, p)
@@ -791,19 +825,19 @@ func (s *Speaker) processUpdateLocked(x *session, u *Update) {
 		}
 	}
 	if len(u.NLRI) > 0 && s.acceptLocked(x, &u.Attrs, len(u.NLRI)) {
-		// Intern once per UPDATE: every NLRI in the message shares the
-		// one attribute handle, so a full-table announcement allocates
-		// per distinct attribute set, not per route.
-		h := s.rib.Intern(u.Attrs)
+		// Intern once and build one Path per UPDATE: everything in a Path
+		// belongs to the session or to the message, and a stored Path is
+		// never mutated, so every NLRI in the message shares the one. A
+		// full-table announcement allocates per message, not per route.
+		path := &Path{
+			Attrs:        s.rib.Intern(u.Attrs),
+			PeerAddr:     x.cfg.RemoteAddr,
+			PeerRouterID: x.peerRouterID,
+			Port:         x.cfg.Port,
+			IBGP:         x.cfg.IBGP,
+			FromClient:   x.cfg.RRClient,
+		}
 		for _, p := range u.NLRI {
-			path := &Path{
-				Attrs:        h,
-				PeerAddr:     x.cfg.RemoteAddr,
-				PeerRouterID: x.peerRouterID,
-				Port:         x.cfg.Port,
-				IBGP:         x.cfg.IBGP,
-				FromClient:   x.cfg.RRClient,
-			}
 			if s.dampSuppressLocked(x.cfg.RemoteAddr, p, path) {
 				continue
 			}
@@ -841,37 +875,44 @@ func (s *Speaker) acceptLocked(x *session, a *PathAttrs, nlri int) bool {
 	return true
 }
 
-// redecideLocked re-runs the decision process for the given prefixes,
-// emits FIB events for Loc-RIB changes, and propagates new bests to all
-// established sessions. Caller holds s.mu.
+// redecideLocked re-runs the decision process for the given prefixes and,
+// for each Loc-RIB change as it is found, emits the FIB event and queues
+// the new best toward every established session. Caller holds s.mu.
 func (s *Speaker) redecideLocked(prefixes []netip.Prefix) {
-	type change struct {
-		prefix netip.Prefix
-		best   []*Path
-	}
-	var changes []change
-	for _, p := range prefixes {
-		if best, changed := s.rib.Decide(p); changed {
-			changes = append(changes, change{p, best})
+	s.advertiseTo = s.advertiseTo[:0]
+	for _, sess := range s.sessions {
+		if sess.state == StateEstablished {
+			s.advertiseTo = append(s.advertiseTo, sess)
 		}
 	}
-	if len(changes) == 0 {
-		return
-	}
-	for _, c := range changes {
+	// A burst is mostly runs of prefixes whose selection is the same one
+	// path (one UPDATE's NLRI); a run shares its next-hop slice, which the
+	// receiver may keep but not write to (fib.Insert copies it).
+	var shared *Path
+	var hops []fib.NextHop
+	for _, p := range prefixes {
+		best, changed := s.rib.Decide(p)
+		if !changed {
+			continue
+		}
 		// FIB install/withdraw.
 		if s.cfg.OnRoute != nil {
-			s.cfg.OnRoute(RouteEvent{Prefix: c.prefix, NextHops: fibHops(c.best)})
+			if len(best) != 1 || best[0] != shared {
+				hops, shared = fibHops(best), nil
+				if len(best) == 1 {
+					shared = best[0]
+				}
+			}
+			s.cfg.OnRoute(RouteEvent{Prefix: p, NextHops: hops})
 		}
 		// Propagate the single best (not the ECMP set) to peers.
 		var adv *Path
-		if len(c.best) > 0 {
-			adv = c.best[0]
+		if len(best) > 0 {
+			adv = best[0]
 		}
-		for _, sess := range s.sessions {
-			if sess.state == StateEstablished {
-				sess.queueAdvLocked(c.prefix, adv)
-			}
+		k := prefixKey(p)
+		for _, sess := range s.advertiseTo {
+			sess.queueAdvLocked(k, adv)
 		}
 	}
 }

@@ -518,3 +518,107 @@ func TestCeaseReachesPeerBeforeEOF(t *testing.T) {
 		})
 	}
 }
+
+// TestStoppingSpeakerIgnoresPeerLoss: a speaker told it is stopping
+// (BeginStop) answers a peer's CEASE by closing that session and nothing
+// else — no route event, the Loc-RIB as it was, not one UPDATE to its
+// other sessions — while the same CEASE, or a ResetPeer, on a speaker that
+// is not stopping still withdraws the peer's routes and says so to the
+// other sessions, exactly as before.
+func TestStoppingSpeakerIgnoresPeerLoss(t *testing.T) {
+	const leaving, staying = "172.16.0.1", "172.16.1.1"
+	route := pfx("10.0.5.0/24")
+	cease := func(s *Speaker, conn io.Writer) {
+		_, _ = conn.Write(EncodeNotification(Notification{Code: NotifCease}))
+	}
+	for _, tc := range []struct {
+		name     string
+		stopping bool
+		end      func(s *Speaker, leavingConn io.Writer)
+	}{
+		{"stopping/peer CEASE", true, cease},
+		{"running/peer CEASE", false, cease},
+		{"running/ResetPeer", false, func(s *Speaker, _ io.Writer) { s.ResetPeer(addr(leaving)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sink routeSink
+			s, err := NewSpeaker(Config{Name: "r1", ASN: 65001, RouterID: addr("1.1.1.1"), OnRoute: sink.add})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Stop()
+			c1 := scriptedPeer(t, s, "172.16.0.0", leaving, false)
+			c2 := scriptedPeer(t, s, "172.16.1.0", staying, false)
+			upd, err := EncodeUpdate(Update{
+				Attrs: PathAttrs{ASPath: []uint16{65010}, NextHop: addr(leaving)},
+				NLRI:  []netip.Prefix{route},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c1.Write(upd); err != nil {
+				t.Fatal(err)
+			}
+			// nextUpdate reads the staying peer's side up to the next
+			// UPDATE; nil at EOF.
+			nextUpdate := func() *Update {
+				for {
+					raw, err := ReadMessage(c2)
+					if err == io.EOF {
+						return nil
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m, err := Decode(raw); err != nil {
+						t.Fatal(err)
+					} else if m.Type == MsgUpdate {
+						return m.Upd
+					}
+				}
+			}
+			if u := nextUpdate(); u == nil || len(u.NLRI) != 1 || u.NLRI[0] != route {
+				t.Fatalf("staying peer's first UPDATE = %+v, want %v announced", u, route)
+			}
+			routeEvents := func() int {
+				sink.mu.Lock()
+				defer sink.mu.Unlock()
+				return len(sink.events)
+			}
+			before := routeEvents()
+			if tc.stopping {
+				s.BeginStop()
+			}
+			tc.end(s, c1)
+			// The session is gone from the table under the same lock hold
+			// that decides what to withdraw and advertise.
+			waitFor(t, "session to the leaving peer closed", func() bool {
+				return s.SessionState(addr(leaving)) == StateClosed
+			})
+			if tc.stopping {
+				if hops, ok := s.LocRIB()[route]; !ok || len(hops) != 1 {
+					t.Fatalf("Loc-RIB of a stopping speaker lost %v: %v", route, hops)
+				}
+				if got := routeEvents(); got != before {
+					t.Fatalf("%d route events after the peer left a stopping speaker, want none", got-before)
+				}
+				// After Stop everything the speaker will ever write is in
+				// the pipe: no UPDATE may precede the EOF.
+				s.Stop()
+				if u := nextUpdate(); u != nil {
+					t.Fatalf("stopping speaker sent its other session %+v", u)
+				}
+				return
+			}
+			if u := nextUpdate(); u == nil || len(u.Withdrawn) != 1 || u.Withdrawn[0] != route || len(u.NLRI) != 0 {
+				t.Fatalf("staying peer's second UPDATE = %+v, want %v withdrawn", u, route)
+			}
+			if ev := sink.latest()[route]; len(ev.NextHops) != 0 {
+				t.Fatalf("last route event for %v = %+v, want a withdrawal", route, ev)
+			}
+			if _, ok := s.LocRIB()[route]; ok {
+				t.Fatalf("%v still in the Loc-RIB", route)
+			}
+		})
+	}
+}

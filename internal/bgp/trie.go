@@ -48,6 +48,25 @@ func keyPrefix(addr uint32, length uint8) netip.Prefix {
 	}), int(length))
 }
 
+// pfxKey is a trie key packed into one integer, addr<<8 | len. Its
+// integer order is the (address, length) order the trie walks in, so a
+// batch of prefixes sorts as plain integers; sessions key their pending
+// advertisements by it (8 bytes to hash and compare, not a 32-byte
+// netip.Prefix).
+type pfxKey uint64
+
+// pfxKeyBits is how many low bits of an integer a pfxKey occupies.
+const pfxKeyBits = 40
+
+func prefixKey(p netip.Prefix) pfxKey {
+	addr, length := v4key(p)
+	return pfxKey(addr)<<8 | pfxKey(length)
+}
+
+// prefix reads the low pfxKeyBits bits only, so whatever a caller packs
+// above them (flushAdv's group number) need not be masked off first.
+func (k pfxKey) prefix() netip.Prefix { return keyPrefix(uint32(k>>8), uint8(k)) }
+
 // bitAt extracts bit i (0 = most significant) of addr.
 func bitAt(addr uint32, i uint8) int {
 	return int(addr>>(31-i)) & 1

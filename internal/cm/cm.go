@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -81,6 +82,10 @@ type Manager struct {
 	// flushArmed coalesces reroute flushes; engine goroutine only.
 	flushArmed bool
 
+	// routes is where every speaker's Loc-RIB changes wait for the engine
+	// goroutine (applyRoute, drainRoutes).
+	routes routeQueue
+
 	// nodeDowned records, per crashed node, the cables that NodeDown
 	// itself failed — NodeUp restores exactly those, so an independent
 	// scripted LinkDown that predates (or outlives) the node outage is
@@ -131,8 +136,14 @@ func (m *Manager) scheduleFlush() {
 }
 
 // Stop terminates every emulated process: speakers and agents in reverse
-// start order, then the controller.
+// start order, then the controller. Every speaker is told it is stopping
+// before the first session closes, so none of them reacts to its peers
+// going away: stopping is CEASE, close, wait, and each Loc-RIB is left as
+// the run left it.
 func (m *Manager) Stop() {
+	for _, sp := range m.speakers {
+		sp.BeginStop()
+	}
 	for i := len(m.stops) - 1; i >= 0; i-- {
 		m.stops[i]()
 	}
@@ -466,24 +477,74 @@ func connectedRoute(p *topo.Port, host *topo.Node) fib.Route {
 	}
 }
 
-// applyRoute applies a BGP Loc-RIB change to the simulated FIB. Runs on
-// the speaker's goroutine; marshals to the engine. Route installs are
-// control plane activity (they correspond to kernel route installs in the
-// original Horse).
+// routeChange is one Loc-RIB change on its way to a router's FIB.
+type routeChange struct {
+	node core.NodeID
+	bgp.RouteEvent
+}
+
+// routeQueue holds the route changes the speakers have emitted and the
+// engine goroutine has not yet applied, in arrival order. One engine post
+// drains however many have gathered by the time it runs — a full-table
+// burst is a few thousand posts, not one per route — and the two buffers
+// swap roles at each drain, so after the first bursts nothing is
+// allocated.
+type routeQueue struct {
+	mu      sync.Mutex
+	backlog []routeChange
+	posted  bool          // a drainRoutes post is in the engine's inbox
+	spare   []routeChange // the last drained buffer; engine goroutine only
+}
+
+// applyRoute queues a BGP Loc-RIB change for the simulated FIB. Runs on
+// the speaker's goroutine; the engine goroutine applies it. Route installs
+// are control plane activity (they correspond to kernel route installs in
+// the original Horse), so the drain is posted as such.
+//
+// The clock cannot leave FTI with routes unapplied: a non-empty backlog
+// always has its post in the inbox (posted is set with the first append
+// and cleared only by the drain that takes the backlog), the speaker
+// goroutine appending here still holds its channel's ledger token, and
+// the engine calls a quiet plane quiescent only with the ledger at zero
+// and the inbox empty. (Once the run has ended the engine drops posts, so
+// what a speaker still emits stays in the backlog, unapplied.)
 func (m *Manager) applyRoute(node core.NodeID, ev bgp.RouteEvent) {
 	if len(ev.NextHops) == 0 {
 		m.Stats.RouteWithdraws.Add(1)
-		m.Engine.Post(func() {
-			_ = m.Net.WithdrawRoute(node, fib.Route{Prefix: ev.Prefix}, m.Engine.Now())
-			m.scheduleFlush()
-		})
-		return
+	} else {
+		m.Stats.RouteInstalls.Add(1)
 	}
-	m.Stats.RouteInstalls.Add(1)
-	m.Engine.Post(func() {
-		_ = m.Net.InstallRoute(node, fib.Route{Prefix: ev.Prefix, NextHops: ev.NextHops}, m.Engine.Now())
-		m.scheduleFlush()
-	})
+	q := &m.routes
+	q.mu.Lock()
+	q.backlog = append(q.backlog, routeChange{node, ev})
+	post := !q.posted
+	q.posted = true
+	q.mu.Unlock()
+	if post {
+		m.Engine.Post(m.drainRoutes)
+	}
+}
+
+// drainRoutes applies the queued route changes to the simulated FIBs in
+// arrival order; engine goroutine only.
+func (m *Manager) drainRoutes() {
+	q := &m.routes
+	q.mu.Lock()
+	batch := q.backlog
+	q.backlog = q.spare[:0]
+	q.posted = false
+	q.mu.Unlock()
+	now := m.Engine.Now()
+	for i, rc := range batch {
+		if len(rc.NextHops) == 0 {
+			_ = m.Net.WithdrawRoute(rc.node, fib.Route{Prefix: rc.Prefix}, now)
+		} else {
+			_ = m.Net.InstallRoute(rc.node, fib.Route{Prefix: rc.Prefix, NextHops: rc.NextHops}, now)
+		}
+		batch[i] = routeChange{} // the spare buffer pins no next-hop slice
+	}
+	q.spare = batch
+	m.scheduleFlush()
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 package cm
 
 import (
+	"net/netip"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bgp"
 	"repro/internal/controller"
 	"repro/internal/core"
+	"repro/internal/fib"
 	"repro/internal/flowtable"
 	"repro/internal/netmodel"
 	"repro/internal/openflow"
@@ -323,4 +328,153 @@ func TestLedgerClearsAfterCableFlap(t *testing.T) {
 	}
 	m.Stop()
 	waitLedgerZero(t, m)
+}
+
+// TestStopIsSilent: stopping a converged BGP control plane is CEASE,
+// close, wait — nothing else. No speaker sends an UPDATE, emits a route
+// event or touches its Loc-RIB on the way down, no FIB changes, the only
+// messages written are NOTIFICATIONs, every ledger token comes back and
+// every goroutine exits. Without the stopping signal each closing session
+// makes its peer withdraw and re-advertise everything the session carried,
+// to sessions that are about to close too.
+func TestStopIsSilent(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		topo func() (*topo.Graph, error)
+		wire func(*Manager) error
+	}{
+		{"fattree:4", func() (*topo.Graph, error) { return topo.FatTree(topo.FatTreeOpts{K: 4, Routers: true}) },
+			wirings[0].wire},
+		{"wan:multi", func() (*topo.Graph, error) {
+			return topo.WANMultiAS(topo.MultiASOpts{WANOpts: topo.WANOpts{PoPs: 4, Seed: 11}, ASes: 2, FullTablePrefixes: 600})
+		}, func(m *Manager) error {
+			return m.WireBGP(BGPConfig{RouteReflection: true, LinkLatency: true, AdvertiseDelay: 10 * time.Millisecond})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := tc.topo()
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			engine := newEngine()
+			net := netmodel.New(g)
+			m := New(engine, net, nil)
+			if err := tc.wire(m); err != nil {
+				t.Fatal(err)
+			}
+			engine.Schedule(2*core.Second, func() {}) // something for DES to jump to
+			if st := engine.Run(2 * core.Second); st.EvidenceExits == 0 || st.TimeoutExits != 0 {
+				t.Fatalf("FTI exits: %d on evidence, %d on timeout: the plane did not converge", st.EvidenceExits, st.TimeoutExits)
+			}
+			waitLedgerZero(t, m)
+
+			sessions := 0
+			for _, l := range g.Links {
+				if l.ID < l.Reverse && g.Node(l.From).Kind == topo.Router && g.Node(l.To).Kind == topo.Router {
+					sessions++
+				}
+			}
+			type counts struct {
+				updates, notifications, installs, withdraws, writes uint64
+				fib, locRIB                                         []int // per router
+			}
+			snapshot := func() counts {
+				c := counts{
+					installs:  m.Stats.RouteInstalls.Load(),
+					withdraws: m.Stats.RouteWithdraws.Load(),
+					writes:    m.Stats.ControlWrites.Load(),
+				}
+				for _, r := range g.Routers() {
+					sp := m.Speaker(r.ID)
+					c.updates += sp.Stats.UpdatesSent.Load()
+					c.notifications += sp.Stats.NotificationsSent.Load()
+					c.fib = append(c.fib, net.FIB(r.ID).Len())
+					c.locRIB = append(c.locRIB, len(sp.LocRIB()))
+				}
+				return c
+			}
+			was := snapshot()
+			if was.updates == 0 || was.installs == 0 {
+				t.Fatalf("nothing to be silent about: %+v", was)
+			}
+			m.Stop()
+			waitLedgerZero(t, m)
+			now := snapshot()
+
+			sent := now.notifications - was.notifications
+			if sent < uint64(sessions) || sent > 2*uint64(sessions) {
+				t.Errorf("%d NOTIFICATIONs for %d sessions, want one per session to one per session end", sent, sessions)
+			}
+			// A CEASE to a session the peer's CEASE already closed is
+			// counted but not written.
+			if wrote := now.writes - was.writes; wrote < uint64(sessions) || wrote > sent {
+				t.Errorf("%d control writes during Stop for %d NOTIFICATIONs over %d sessions", wrote, sent, sessions)
+			}
+			now.notifications, now.writes = was.notifications, was.writes
+			if !reflect.DeepEqual(was, now) {
+				t.Errorf("Stop was not silent:\nbefore %+v\nafter  %+v", was, now)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines before wiring, %d after Stop", before, runtime.NumGoroutine())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestRouteQueueKeepsArrivalOrder: route changes emitted by several
+// speaker goroutines wait in one queue and reach the FIB in the order each
+// goroutine emitted them — a prefix installed, withdrawn and installed
+// again inside one drain ends installed, with the later next hop — for one
+// engine post, however many routes it carries.
+func TestRouteQueueKeepsArrivalOrder(t *testing.T) {
+	const speakers, routes = 4, 2000
+	g, _ := topo.TwoRouters(core.Gbps, 0)
+	r1, _ := g.NodeByName("r1")
+	engine := newEngine()
+	net := netmodel.New(g)
+	m := New(engine, net, nil)
+	defer m.Stop()
+	prefix := func(s, i int) netip.Prefix {
+		return netip.PrefixFrom(netip.AddrFrom4([4]byte{20, byte(s), byte(i >> 8), byte(i)}), 32)
+	}
+	first := []fib.NextHop{{Port: 1, Via: netip.MustParseAddr("172.16.0.1")}}
+	last := []fib.NextHop{{Port: 2, Via: netip.MustParseAddr("172.16.0.3")}}
+	var wg sync.WaitGroup
+	for s := 0; s < speakers; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < routes; i++ {
+				p := prefix(s, i)
+				m.applyRoute(r1.ID, bgp.RouteEvent{Prefix: p, NextHops: first})
+				m.applyRoute(r1.ID, bgp.RouteEvent{Prefix: p})
+				m.applyRoute(r1.ID, bgp.RouteEvent{Prefix: p, NextHops: last})
+			}
+		}()
+	}
+	wg.Wait()
+	engine.Schedule(10*core.Millisecond, func() {})
+	st := engine.Run(10 * core.Millisecond)
+	if st.ControlPosts != 1 {
+		t.Errorf("%d control posts for %d queued route changes, want 1", st.ControlPosts, 3*speakers*routes)
+	}
+	if in, out := m.Stats.RouteInstalls.Load(), m.Stats.RouteWithdraws.Load(); in != 2*speakers*routes || out != speakers*routes {
+		t.Errorf("counted %d installs and %d withdrawals, want %d and %d", in, out, 2*speakers*routes, speakers*routes)
+	}
+	table := net.FIB(r1.ID)
+	if table.Len() != speakers*routes {
+		t.Fatalf("FIB holds %d routes, want %d", table.Len(), speakers*routes)
+	}
+	for s := 0; s < speakers; s++ {
+		for i := 0; i < routes; i++ {
+			if r, ok := table.Lookup(prefix(s, i).Addr()); !ok || len(r.NextHops) != 1 || r.NextHops[0] != last[0] {
+				t.Fatalf("%v -> %v, %v; want %v", prefix(s, i), r.NextHops, ok, last)
+			}
+		}
+	}
 }

@@ -74,7 +74,8 @@ func (l *Ledger) Pipe() (io.ReadWriteCloser, io.ReadWriteCloser) {
 type half struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	buf    []byte
+	buf    []byte // written bytes; buf[off:] are unread
+	off    int
 	closed bool // by either end: writes fail, reads drain then EOF
 
 	ledger *Ledger
@@ -110,6 +111,13 @@ func (h *half) write(p []byte) (int, error) {
 	if h.closed {
 		return 0, io.ErrClosedPipe
 	}
+	if h.off > 0 && len(h.buf)+len(p) > cap(h.buf) {
+		// Out of room behind a reader that has not caught up: move the
+		// unread bytes down over the read ones rather than carry those
+		// into a bigger array.
+		h.buf = h.buf[:copy(h.buf, h.buf[h.off:])]
+		h.off = 0
+	}
 	h.buf = append(h.buf, p...)
 	h.hold()
 	h.cond.Broadcast()
@@ -119,15 +127,20 @@ func (h *half) write(p []byte) (int, error) {
 func (h *half) read(p []byte) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for len(h.buf) == 0 && !h.closed {
+	for h.off == len(h.buf) && !h.closed {
 		h.release() // parked: whatever was delivered has been dealt with
 		h.cond.Wait()
 	}
-	if len(h.buf) == 0 {
+	if h.off == len(h.buf) {
 		return 0, io.EOF
 	}
-	n := copy(p, h.buf)
-	h.buf = h.buf[n:]
+	n := copy(p, h.buf[h.off:])
+	if h.off += n; h.off == len(h.buf) {
+		// Drained: the next write starts the array over. A pipe that is
+		// emptied and refilled — every control channel, all run long —
+		// settles on one buffer instead of reallocating for ever.
+		h.buf, h.off = h.buf[:0], 0
+	}
 	return n, nil
 }
 

@@ -119,3 +119,50 @@ func TestPipeConcurrentWriters(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPipeReusesBufferWhenDrained: a direction that is written, read to
+// empty and written again — what every control channel does all run long —
+// settles on one buffer: once warm, a cycle allocates nothing.
+func TestPipeReusesBufferWhenDrained(t *testing.T) {
+	w, r := Pipe()
+	msg := bytes.Repeat([]byte("u"), 4096)
+	buf := make([]byte, 1500) // several reads per message, like a framed reader
+	cycle := func() {
+		for i := 0; i < 3; i++ {
+			if _, err := w.Write(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for left := 3 * len(msg); left > 0; {
+			n, err := r.Read(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			left -= n
+		}
+	}
+	cycle() // warm-up: the buffer grows to its working size
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("%v allocations per write-then-drain cycle, want 0", allocs)
+	}
+}
+
+// TestPipeCompactsBehindSlowReader: a reader that never quite catches up
+// does not make the buffer carry what it has already read.
+func TestPipeCompactsBehindSlowReader(t *testing.T) {
+	w, r := Pipe()
+	msg := bytes.Repeat([]byte("u"), 1024)
+	buf := make([]byte, len(msg))
+	_, _ = w.Write(msg)
+	for i := 0; i < 10000; i++ { // always one message behind
+		if _, err := w.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(r, buf); err != nil || !bytes.Equal(buf, msg) {
+			t.Fatalf("cycle %d: read %v", i, err)
+		}
+	}
+	if c := cap(w.(*pipeEnd).w.buf); c > 16*len(msg) {
+		t.Fatalf("buffer grew to %d bytes behind a reader at most %d behind", c, 2*len(msg))
+	}
+}

@@ -55,8 +55,9 @@ func (t *Table) Len() int { return t.count }
 
 func bit(v uint32, i int) int { return int(v>>(31-i)) & 1 }
 
-// Insert installs (or replaces) prefix with the given ECMP group. Empty
-// next-hop groups are rejected: use Remove to delete a route.
+// Insert installs (or replaces) prefix with the given ECMP group, which
+// it copies. Empty next-hop groups are rejected: use Remove to delete a
+// route.
 func (t *Table) Insert(prefix netip.Prefix, hops []NextHop) error {
 	if !prefix.Addr().Is4() {
 		return fmt.Errorf("fib: non-IPv4 prefix %v", prefix)
@@ -64,14 +65,8 @@ func (t *Table) Insert(prefix netip.Prefix, hops []NextHop) error {
 	if len(hops) == 0 {
 		return fmt.Errorf("fib: empty next-hop group for %v", prefix)
 	}
-	sorted := append([]NextHop(nil), hops...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if c := sorted[i].Via.Compare(sorted[j].Via); c != 0 {
-			return c < 0
-		}
-		return sorted[i].Port < sorted[j].Port
-	})
-	v := core.IPv4ToUint32(prefix.Masked().Addr())
+	prefix = prefix.Masked()
+	v := core.IPv4ToUint32(prefix.Addr())
 	cur := &t.root
 	for i := 0; i < prefix.Bits(); i++ {
 		b := bit(v, i)
@@ -80,35 +75,59 @@ func (t *Table) Insert(prefix netip.Prefix, hops []NextHop) error {
 		}
 		cur = cur.children[b]
 	}
-	if cur.route == nil {
+	// A replace rewrites the installed group in place, as PrunePort does:
+	// Lookup and Routes hand out copies of the Route struct, and nothing
+	// keeps one across a table change.
+	r := cur.route
+	if r == nil {
+		r = &Route{Prefix: prefix}
+		cur.route = r
 		t.count++
 	}
-	cur.route = &Route{Prefix: prefix.Masked(), NextHops: sorted}
+	r.NextHops = append(r.NextHops[:0], hops...)
+	if len(hops) > 1 { // a full table installs one-hop groups by the million
+		sorted := r.NextHops
+		sort.Slice(sorted, func(i, j int) bool {
+			if c := sorted[i].Via.Compare(sorted[j].Via); c != 0 {
+				return c < 0
+			}
+			return sorted[i].Port < sorted[j].Port
+		})
+	}
 	return nil
 }
 
-// Remove deletes prefix; it reports whether the prefix was present.
-// Interior nodes are left in place (the trie is small and rebuilt per
-// convergence event; pruning is not worth the complexity).
+// Remove deletes prefix; it reports whether the prefix was present. The
+// nodes that led only to it go too: a withdrawn /24 would otherwise strand
+// up to 24 of them, and a full table withdraws by the hundred thousand.
 func (t *Table) Remove(prefix netip.Prefix) bool {
 	if !prefix.Addr().Is4() {
 		return false
 	}
 	v := core.IPv4ToUint32(prefix.Masked().Addr())
+	var path [32]*node // path[i] is the node above bit i
 	cur := &t.root
 	for i := 0; i < prefix.Bits(); i++ {
-		b := bit(v, i)
-		if cur.children[b] == nil {
+		path[i] = cur
+		if cur = cur.children[bit(v, i)]; cur == nil {
 			return false
 		}
-		cur = cur.children[b]
 	}
 	if cur.route == nil {
 		return false
 	}
 	cur.route = nil
 	t.count--
+	for i := prefix.Bits() - 1; i >= 0 && cur.empty(); i-- {
+		path[i].children[bit(v, i)] = nil
+		cur = path[i]
+	}
 	return true
+}
+
+// empty reports whether nothing hangs off n: no route, no children.
+func (n *node) empty() bool {
+	return n.route == nil && n.children[0] == nil && n.children[1] == nil
 }
 
 // Lookup returns the longest-prefix-match route for addr.
@@ -156,11 +175,10 @@ func (t *Table) LookupHash(addr netip.Addr, hash uint32) (NextHop, bool) {
 // It reports how many routes were touched.
 func (t *Table) PrunePort(port core.PortID) int {
 	touched := 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
+	// walk prunes below n and reports whether n is left empty, so its
+	// parent unlinks it on the way back up.
+	var walk func(n *node) bool
+	walk = func(n *node) bool {
 		if r := n.route; r != nil {
 			kept := r.NextHops[:0]
 			for _, nh := range r.NextHops {
@@ -177,8 +195,12 @@ func (t *Table) PrunePort(port core.PortID) int {
 				}
 			}
 		}
-		walk(n.children[0])
-		walk(n.children[1])
+		for b, c := range n.children {
+			if c != nil && walk(c) {
+				n.children[b] = nil
+			}
+		}
+		return n.empty()
 	}
 	walk(&t.root)
 	return touched

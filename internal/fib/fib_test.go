@@ -285,3 +285,65 @@ func TestPrunePort(t *testing.T) {
 		t.Fatalf("PrunePort(9) touched %d", got)
 	}
 }
+
+// TestRemovePrunesEmptyBranches: a withdrawn route takes the nodes that led
+// only to it along, so a table that held a full table and lost it is as
+// small as a new one — while a route sharing the upper part of the branch
+// keeps it, and the prefixes can come back.
+func TestRemovePrunesEmptyBranches(t *testing.T) {
+	const n = 10000
+	nth := func(i int) netip.Prefix {
+		return netip.PrefixFrom(netip.AddrFrom4([4]byte{20, byte(i >> 8), byte(i), 0}), 24)
+	}
+	hop := []NextHop{nh(1, "172.16.0.1")}
+	tbl := New()
+	for i := 0; i < n; i++ {
+		must(t, tbl.Insert(nth(i), hop))
+	}
+	cover := netip.MustParsePrefix("20.0.0.0/16")
+	must(t, tbl.Insert(cover, []NextHop{nh(2, "172.16.0.3")}))
+	for i := 0; i < n; i++ {
+		if !tbl.Remove(nth(i)) {
+			t.Fatalf("%v was not installed", nth(i))
+		}
+	}
+	if r, ok := tbl.Lookup(netip.MustParseAddr("20.0.7.9")); !ok || r.Prefix != cover {
+		t.Fatalf("lookup under the covering /16 = %v, %v", r, ok)
+	}
+	// What is left is the /16's own branch: one node per prefix bit.
+	nodes := 0
+	var count func(*node)
+	count = func(nd *node) {
+		if nd != nil {
+			nodes++
+			count(nd.children[0])
+			count(nd.children[1])
+		}
+	}
+	count(&tbl.root)
+	if nodes != 1+cover.Bits() {
+		t.Fatalf("%d nodes left beside the /16, want %d", nodes, 1+cover.Bits())
+	}
+	if !tbl.Remove(cover) || tbl.Len() != 0 {
+		t.Fatalf("removing the /16: Len = %d", tbl.Len())
+	}
+	if tbl.root.children != [2]*node{} {
+		t.Fatal("emptied table's root still has children")
+	}
+	if tbl.Remove(cover) {
+		t.Fatal("second remove of the /16 reported it present")
+	}
+	for i := 0; i < n; i += 97 {
+		must(t, tbl.Insert(nth(i), hop))
+		if r, ok := tbl.Lookup(nth(i).Addr()); !ok || r.Prefix != nth(i) {
+			t.Fatalf("re-inserted %v: lookup = %v, %v", nth(i), r, ok)
+		}
+	}
+	// PrunePort unlinks what it empties, too.
+	if back, got := tbl.Len(), tbl.PrunePort(1); got != back || tbl.Len() != 0 {
+		t.Fatalf("PrunePort touched %d of %d routes, Len = %d", got, back, tbl.Len())
+	}
+	if tbl.root.children != [2]*node{} {
+		t.Fatal("root still has children after PrunePort emptied the table")
+	}
+}
