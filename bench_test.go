@@ -379,7 +379,7 @@ func BenchmarkAblationECMPHash(b *testing.B) {
 //     the flows per change.
 //
 // cmd/benchjson turns `go test -bench SolveScale -benchmem` output into
-// the BENCH_solve.json trajectory file CI archives.
+// the checked-in BENCH_solve.json trajectory.
 func BenchmarkSolveScale(b *testing.B) {
 	for _, sc := range []struct {
 		k, nFlows int

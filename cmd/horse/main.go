@@ -193,9 +193,9 @@ func summarize(w io.Writer, r spec.Run, res *horse.Result) {
 	fmt.Fprintf(w, "control plane       : %d bytes, %d writes, %d flowmods, %d routes, %d packet-ins, %d stats\n",
 		res.ControlBytes, res.ControlWrites, res.FlowModsApplied,
 		res.RouteInstalls, res.PacketIns, res.StatsQueries)
-	fmt.Fprintf(w, "rate solver         : %d solves, %d components (largest %d flows), %d parallel, workers=%d\n",
+	fmt.Fprintf(w, "rate solver         : %d solves, %d components (largest %d flows), %d parallel, workers=%d, %d refills (%d links promoted)\n",
 		res.Solves, res.Solver.Components, res.Solver.MaxComponentFlows,
-		res.Solver.ParallelSolves, res.SolverWorkers)
+		res.Solver.ParallelSolves, res.SolverWorkers, res.Solver.Refills, res.Solver.Promoted)
 	mem := res.Solver.Mem
 	fmt.Fprintf(w, "solver memory       : %d flow slots (%d live, %d free), %d links, arenas %d B paths + %d B members, %d B scratch\n",
 		mem.FlowSlots, mem.LiveFlows, mem.FreeFlows, mem.LinkSlots,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/topo"
 )
 
 // randPath draws plen distinct links out of nLinks.
@@ -92,6 +93,71 @@ func BenchmarkChurn(b *testing.B) {
 				}
 			})
 		}
+	}
+	b.Run("contended", func(b *testing.B) {
+		s, churn := contendedChurn(b)
+		for i := 0; i < 1000; i++ {
+			churn() // grow the scratch and reach the churned steady state
+		}
+		base := s.Totals()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			churn()
+		}
+		b.StopTimer()
+		tot := s.Totals()
+		solves := float64(tot.Solves - base.Solves)
+		b.ReportMetric(float64(tot.Flows-base.Flows)/solves, "flows/solve")
+		b.ReportMetric(float64(tot.Links-base.Links)/solves, "links/solve")
+		b.ReportMetric(float64(tot.Refills-base.Refills)/solves, "refills/solve")
+	})
+}
+
+// contendedChurn holds 190 flows of 1 Gbps live between random host pairs
+// of a fattree:8 with 1 Gbps links — the regime the des-churn benchmark
+// workload lives in: links outnumber flows, a handful of saturated host
+// links tie nearly every flow into one component, and most links a flow
+// crosses are slack. It returns the set and one churn op: the oldest flow
+// leaves and comes back on a re-hashed ECMP path.
+func contendedChurn(tb testing.TB) (s *Set, churn func()) {
+	const k, nFlows = 8, 190
+	g, err := topo.FatTree(topo.FatTreeOpts{K: k})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	paths, err := topo.NewFatTreePaths(g, k)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hosts := g.Hosts()
+	rng := rand.New(rand.NewSource(1))
+	s = NewSet(func(l core.LinkID) core.Rate { return g.Link(l).Rate() })
+	flows := make([]*Flow, nFlows)
+	s.Defer()
+	for i := range flows {
+		src := rng.Intn(len(hosts))
+		dst := rng.Intn(len(hosts) - 1)
+		if dst >= src {
+			dst++
+		}
+		f := &Flow{ID: FlowID(i + 1), Src: hosts[src].ID, Dst: hosts[dst].ID, Demand: core.Gbps, State: Active}
+		if f.Path, err = paths.Path(f.Src, f.Dst, rng.Uint64()); err != nil {
+			tb.Fatal(err)
+		}
+		flows[i] = f
+		s.Add(f, 0)
+	}
+	s.Resume(0)
+	i := 0
+	return s, func() {
+		f := flows[i%nFlows]
+		i++
+		s.Remove(f.ID, 0)
+		if f.Path, err = paths.AppendPath(f.Path[:0], f.Src, f.Dst, rng.Uint64()); err != nil {
+			tb.Fatal(err)
+		}
+		s.Add(f, 0)
 	}
 }
 

@@ -46,6 +46,67 @@
 // tasks of a solve (a CSR over components), and each worker water-fills
 // with its own grown-once heap slice.
 //
+// # Speculative closure: passive and active links
+//
+// Max–min allocation is bottleneck-local: a flow is governed by the one
+// saturated link that froze it, and a link that ends a fill unsaturated
+// never fired and set no level. Where links outnumber flows most of a
+// region's links are of that kind, so the closure speculates. A link whose
+// standing granted load sits below its capacity by more than a margin
+// (slack) is passive for the solve: it does not pull its other members
+// into the region, does not enter the saturation heap and is not synced
+// when a flow freezes. Every other link is active and behaves as
+// described above. The flows attached since the last solve are seeds in
+// their own right, since a passive link would not lead to them.
+//
+// After the fill the speculation is checked (promote): each passive
+// link's load is recomputed over all its members, inside the region or
+// not, and a link found over capacity is promoted to active, the closure
+// continues from it, and the whole region discovered so far is filled
+// again as one component on the caller. At most maxSpecRefills such
+// refills are followed by one fill with every link of the region active,
+// which is the full closure, so a solve is bounded by a fixed number of
+// fills of at most its full component however the speculation fares.
+//
+// The result is exact by the bottleneck property, not by agreement with a
+// second solver. Every link that can fire is active and has all its
+// members in the region, so the region's flows are frozen exactly as a
+// full fill would freeze them once no passive link is over capacity. A
+// flow left outside was frozen by its demand or by a link that fired in
+// an earlier fill; that link is saturated up to epsilon per member, hence
+// not slack, hence never passive: had the region touched it, the flow
+// would be inside. It meets region flows only on links verified to stay
+// within capacity, so its bottleneck stands. A link whose capacity just
+// changed is always active (its standing load says nothing about its new
+// capacity), as are zero-capacity links and links within the margin.
+//
+// Speculating trims per-link work and risks redoing per-flow work, so it
+// is gated on two things the Set observes. First, fewer live flows than
+// known links: with 60 000 flows on a 768-link fat-tree every link is
+// saturated or nearly so, nothing would stay passive, and the check would
+// be pure overhead. Second, the solve answers a single mutation (a direct
+// Add, Remove, SetPath or SetCapacity), not a Defer batch: standing loads
+// predict well when one mutation separates the standing allocation from
+// the new one and badly after a coalesced reroute storm (0.14 refills per
+// solve under flow churn against 0.7-0.85 over the batches of a BGP
+// convergence, same fat-tree), and batches are what the control plane
+// produces in wall-clock order, where a fill of history-dependent regions
+// would leave history-dependent last bits in the converged rates (below).
+// Gated off, under MarkDirty and in naive mode every link is active, no
+// flow is a seed that its links have not already reached, and the solve is
+// the plain closure and fill: same regions, same discovery order, same
+// arithmetic.
+//
+// Solver output is defined up to epsilon, not to the bit: when several
+// links sit within epsilon of a round's level, whichever is on top of the
+// heap sets it, and the heap's order depends on which links are in it. Two
+// histories reaching the same state — or two versions of this solver —
+// may differ in the last bits of a rate (a few ulp, healing on the next
+// solve of the region), the more so the more the regions they filled
+// differ, which is the second reason batches take the plain closure. What
+// is bit-identical is one history at any worker count; across versions the
+// contract is the fingerprint digests of the pinned specs.
+//
 // # Parallel component solves
 //
 // Explicit max–min rate allocation is bottleneck-local: two dirty
@@ -57,15 +118,20 @@
 // only on the mutation history, each component is water-filled by exactly
 // one goroutine with deterministically ordered inputs, and stats merge in
 // component order — so every rate (and every stat, including the memory
-// counters) is bit-identical at any worker count. The single-component
+// counters) is bit-identical at any worker count. Two components may share
+// passive links, which a fill only skips (it reads their passive mark and
+// nothing else); the check and any refill run on the caller after the
+// workers have finished, so Refills and Promoted are as deterministic as
+// the rest. The single-component
 // steady-state path runs inline on the caller with zero synchronization
 // and zero allocations.
 //
-// Complexity per solve, for a dirty component with F flows, L links and
-// total path length P: O(P + F log F + (L + P) log L), components running
-// concurrently. A full naive recompute (kept behind SetNaive for
-// benchmarking) is O(rounds · (F + L) + P) with fresh map and slice
-// allocations per solve.
+// Complexity per fill, for a dirty component with F flows, L active links
+// and P hops of which Pa cross active links: O(P + F log F + (L + Pa) log L),
+// components running concurrently; a speculating solve adds O(P) for the
+// check and makes at most maxSpecRefills+2 fills. A full naive recompute
+// (kept behind SetNaive for benchmarking) is O(rounds · (F + L) + P) with
+// fresh map and slice allocations per solve.
 package fluid
 
 import (
@@ -298,13 +364,21 @@ func (m *MemStats) max(o MemStats) {
 // finish, so the struct is identical at any worker count.
 type SolveStats struct {
 	// Flows and Links are the total sizes of the re-solved dirty
-	// components (Links includes memberless links whose load was reset).
+	// components (Links includes memberless links whose load was reset
+	// and passive links whose load was recomputed).
 	Flows, Links int
 	// Rounds is the number of water-filling freeze rounds, summed over
-	// components.
+	// components and over refills.
 	Rounds int
+	// Refills counts the fills of the region beyond the first, each after
+	// a passive link was found over capacity; Promoted counts the links
+	// turned active for them. Both stay 0 where the speculation is gated
+	// off (at least as many live flows as known links, a Defer batch, or
+	// a full solve).
+	Refills, Promoted int
 	// Components is the number of independent dirty components
-	// water-filled by this solve.
+	// water-filled by this solve (1 after a refill, which fills everything
+	// discovered as one component).
 	Components int
 	// MaxComponentFlows is the flow count of the largest component — the
 	// critical path of a parallel solve.
@@ -329,6 +403,8 @@ type Totals struct {
 	Solves int
 	// Flows, Links and Rounds sum the per-solve dirty-region sizes.
 	Flows, Links, Rounds int
+	// Refills and Promoted sum the per-solve speculation misses.
+	Refills, Promoted int
 	// Components sums per-solve independent component counts.
 	Components int
 	// MaxComponentFlows is the largest single component ever solved.
@@ -349,11 +425,11 @@ type shardState struct {
 }
 
 // taskRef is one independent dirty component: a slice of the shared
-// discovery CSR (taskFlows/taskLinks) plus its per-component stats.
+// discovery CSR (taskFlows/taskLinks) plus the rounds its last fill took.
 type taskRef struct {
 	fOff, fN int32 // flow handles: taskFlows[fOff : fOff+fN]
-	lOff, lN int32 // link handles: taskLinks[lOff : lOff+lN]
-	stats    SolveStats
+	lOff, lN int32 // active link handles: taskLinks[lOff : lOff+lN]
+	rounds   int
 }
 
 // Set is the collection of flows sharing a network, responsible for rate
@@ -395,6 +471,8 @@ type Set struct {
 	lBytes    []uint64    // delivered bytes (the former linkB map)
 	lVisit    []uint64    // component-walk epoch
 	lSeeded   []uint64    // dirty-seed epoch
+	lCapGen   []uint64    // seedGen of the last SetCapacity: never passive in that solve
+	lPassive  []bool      // speculated slack by the current solve: left out of the fill
 	lResidual []core.Rate
 	lLast     []core.Rate
 	lKey      []core.Rate // heap key: saturation level when pushed
@@ -414,6 +492,11 @@ type Set struct {
 	dirty   []*shardState // shards holding seeds, in first-seed order
 	workers int
 
+	// seedFlows lists the flows attached since the last solve. Their path
+	// links are seeded too, but a passive link does not pull its members
+	// into the region, so the flow that changed is named itself.
+	seedFlows []int32
+
 	deferDepth int  // >0 suspends solving (batched mutations)
 	naive      bool // full-recompute baseline for benchmarks
 	last       SolveStats
@@ -421,10 +504,13 @@ type Set struct {
 
 	// Solve scratch, reused across solves; the steady-state re-solve path
 	// allocates nothing. tasks/taskFlows/taskLinks form the component
-	// CSR; heaps[w] is worker w's water-filling heap.
+	// CSR (taskLinks holds active links only); passive lists the links the
+	// region's flows cross that were speculated slack, shared by all
+	// tasks; heaps[w] is worker w's water-filling heap.
 	tasks     []taskRef
 	taskFlows []int32
 	taskLinks []int32
+	passive   []int32
 	heaps     [][]int32
 }
 
@@ -544,14 +630,13 @@ func (s *Set) Totals() Totals { return s.totals }
 func (s *Set) Defer() { s.deferDepth++ }
 
 // Resume re-enables solving and, when the outermost deferred batch ends,
-// runs the solver over everything the batch dirtied.
+// runs the solver over everything the batch dirtied. A batch's solve
+// never speculates (see the package comment).
 func (s *Set) Resume(now core.Time) {
 	if s.deferDepth > 0 {
 		s.deferDepth--
 	}
-	if s.deferDepth == 0 {
-		s.Solve(now)
-	}
+	s.solve(true)
 }
 
 // linkHandle returns (creating if needed) the dense handle of link id.
@@ -571,6 +656,8 @@ func (s *Set) linkHandle(id core.LinkID) int32 {
 	s.lBytes = append(s.lBytes, 0)
 	s.lVisit = append(s.lVisit, 0)
 	s.lSeeded = append(s.lSeeded, 0)
+	s.lCapGen = append(s.lCapGen, 0)
+	s.lPassive = append(s.lPassive, false)
 	s.lResidual = append(s.lResidual, 0)
 	s.lLast = append(s.lLast, 0)
 	s.lKey = append(s.lKey, 0)
@@ -640,7 +727,7 @@ func (s *Set) storePath(fh int32, path []core.LinkID) {
 }
 
 // attach inserts an active routed flow into the member list of every link
-// on its stored path and seeds those links.
+// on its stored path and seeds those links and the flow itself.
 func (s *Set) attach(fh int32) {
 	b := s.fPath[fh]
 	if s.fState[fh] != Active || b.n == 0 {
@@ -652,6 +739,7 @@ func (s *Set) attach(fh int32) {
 		s.seed(lh)
 	}
 	s.fAttach[fh] = true
+	s.seedFlows = append(s.seedFlows, fh)
 }
 
 // detach removes the flow from its links' member lists (O(path length)
@@ -857,6 +945,7 @@ func (s *Set) SetCapacity(id core.LinkID, c core.Rate, now core.Time) {
 	}
 	s.Integrate(now)
 	s.lCap[lh] = c
+	s.lCapGen[lh] = s.seedGen
 	s.seed(lh)
 	s.Solve(now)
 }
@@ -866,11 +955,11 @@ func (s *Set) SetCapacity(id core.LinkID, c core.Rate, now core.Time) {
 func (s *Set) Capacity(id core.LinkID) core.Rate { return s.lCap[s.linkHandle(id)] }
 
 // Integrate accrues delivered bytes at the current rates up to now.
-// It must be called before any rate-affecting mutation.
+// It must be called before any rate-affecting mutation. The clock never
+// runs backwards: a now at or before the last integration is a no-op.
 func (s *Set) Integrate(now core.Time) {
 	dt := now - s.lastAt
 	if dt <= 0 {
-		s.lastAt = now
 		return
 	}
 	for fh := range s.fID {
@@ -890,7 +979,10 @@ func (s *Set) Integrate(now core.Time) {
 // Solve recomputes max–min fair allocations over the dirty region. It is
 // a no-op when nothing changed since the last solve or while a Defer
 // batch is open.
-func (s *Set) Solve(now core.Time) {
+func (s *Set) Solve(now core.Time) { s.solve(false) }
+
+// solve is Solve; batch says that the solve ends a Defer batch.
+func (s *Set) solve(batch bool) {
 	if s.deferDepth > 0 {
 		return
 	}
@@ -901,16 +993,22 @@ func (s *Set) Solve(now core.Time) {
 	if s.naive {
 		s.solveNaive()
 	} else {
+		// Passive links trim per-link work and risk redoing per-flow work,
+		// and they are picked by the standing loads: the closure
+		// speculates only where links outnumber flows and one mutation
+		// separates the standing allocation from the new one.
+		speculate := !batch && !s.dirtyAll && len(s.byID) < len(s.lID)
 		if s.dirtyAll {
 			s.seedAll()
 		}
-		s.solveShards()
+		s.solveShards(speculate)
 	}
 	s.dirtyAll = false
 	for _, sh := range s.dirty {
 		sh.seeds = sh.seeds[:0]
 	}
 	s.dirty = s.dirty[:0]
+	s.seedFlows = s.seedFlows[:0]
 	s.seedGen++
 	s.last.Mem = s.memStats()
 	s.accumulate()
@@ -927,7 +1025,7 @@ func (s *Set) memStats() MemStats {
 		LinkSlots:        len(s.lID),
 		PathArenaBytes:   s.paths.bytes(),
 		MemberArenaBytes: s.members.bytes(),
-		ScratchBytes:     4 * (cap(s.taskFlows) + cap(s.taskLinks)),
+		ScratchBytes:     4 * (cap(s.taskFlows) + cap(s.taskLinks) + cap(s.passive)),
 	}
 }
 
@@ -939,6 +1037,8 @@ func (s *Set) accumulate() {
 	s.totals.Flows += st.Flows
 	s.totals.Links += st.Links
 	s.totals.Rounds += st.Rounds
+	s.totals.Refills += st.Refills
+	s.totals.Promoted += st.Promoted
 	s.totals.Components += st.Components
 	if st.MaxComponentFlows > s.totals.MaxComponentFlows {
 		s.totals.MaxComponentFlows = st.MaxComponentFlows
@@ -966,100 +1066,206 @@ func (s *Set) seedAll() {
 	// blackholed flows already hold rate 0.
 }
 
-// solveShards expands the per-shard dirty seeds into independent
-// connected components and water-fills them on the worker pool, leaving
-// all other allocations untouched.
+// maxSpecRefills caps the speculative refills of one solve; a check that
+// still fails after them is answered by one pass with every link of the
+// region active, so a solve costs at most maxSpecRefills+2 fills of its
+// region no matter how the speculation fares.
+const maxSpecRefills = 2
+
+// slack reports whether the link's standing load sits below its capacity
+// by more than the speculation margin. lLoad is the load granted by the
+// previous solve: it still counts a flow detached since (erring towards
+// "saturated") and does not yet count one attached since (which the check
+// after the fill catches). The margin keeps every link that bound a flow
+// in the standing allocation out of the passive set — a link that fired
+// is saturated up to epsilon per member, and no link ever had more members
+// than there are flow slots — as it does zero-capacity links.
+func (s *Set) slack(lh int32) bool {
+	c := s.lCap[lh]
+	return c-s.lLoad[lh] > c/8+s.epsilon*core.Rate(len(s.fID)+1)
+}
+
+// visitLink enters an unvisited link into the region: onto taskLinks when
+// it is active, onto the passive list when it is speculated to stay slack.
+func (s *Set) visitLink(lh int32, speculate bool) {
+	s.lVisit[lh] = s.epoch
+	if speculate && s.lCapGen[lh] != s.seedGen && s.slack(lh) {
+		s.lPassive[lh] = true
+		s.passive = append(s.passive, lh)
+		return
+	}
+	s.lPassive[lh] = false
+	s.taskLinks = append(s.taskLinks, lh)
+}
+
+// visitFlow enters an unvisited flow into the region and every link of
+// its path with it.
+func (s *Set) visitFlow(fh int32, speculate bool) {
+	s.fVisit[fh] = s.epoch
+	s.taskFlows = append(s.taskFlows, fh)
+	pb := s.fPath[fh]
+	for p := int32(0); p < pb.n; p++ {
+		if nl := s.paths.a[pb.off+p]; s.lVisit[nl] != s.epoch {
+			s.visitLink(nl, speculate)
+		}
+	}
+}
+
+// expand closes the region over taskLinks[from:]: every member of an
+// active link joins and drags the links of its path in, active ones to be
+// expanded in turn. A passive link pulls in nobody.
+func (s *Set) expand(from int32, speculate bool) {
+	for i := from; i < int32(len(s.taskLinks)); i++ {
+		mb := s.lMem[s.taskLinks[i]]
+		for j := int32(0); j < mb.n; j++ {
+			if fh := s.members.a[mb.off+j]; s.fVisit[fh] != s.epoch {
+				s.visitFlow(fh, speculate)
+			}
+		}
+	}
+}
+
+// closeTask expands what a seed entered at (fOff, lOff) into one
+// component and files it as a task. A component without flows (e.g. a
+// capacity change on an idle link) needs no water-fill: its loads are
+// reset inline and their count returned.
+func (s *Set) closeTask(fOff, lOff int32, speculate bool) (quiet int) {
+	s.expand(lOff, speculate)
+	fN := int32(len(s.taskFlows)) - fOff
+	lN := int32(len(s.taskLinks)) - lOff
+	if fN == 0 {
+		for _, lh := range s.taskLinks[lOff:] {
+			s.lLoad[lh] = 0
+		}
+		s.taskLinks = s.taskLinks[:lOff]
+		return int(lN)
+	}
+	s.tasks = append(s.tasks, taskRef{fOff: fOff, fN: fN, lOff: lOff, lN: lN})
+	return 0
+}
+
+// promote checks the speculation after a fill: each passive link's load is
+// recomputed over all its members, re-solved or not, and a link found over
+// capacity turns active — onto taskLinks, for expand to close the region
+// from. With all set, every remaining passive link is promoted unchecked.
+// It runs on the caller after the worker tasks, so two components sharing
+// a passive link never race on it.
+func (s *Set) promote(all bool) {
+	keep := s.passive[:0]
+	for _, lh := range s.passive {
+		if !all {
+			mb := s.lMem[lh]
+			var load core.Rate
+			for j := int32(0); j < mb.n; j++ {
+				load += s.fRate[s.members.a[mb.off+j]]
+			}
+			s.lLoad[lh] = load
+			if load <= s.lCap[lh]+s.epsilon {
+				keep = append(keep, lh)
+				continue
+			}
+		}
+		s.lPassive[lh] = false
+		s.taskLinks = append(s.taskLinks, lh)
+	}
+	s.passive = keep
+}
+
+// solveShards expands the dirty seeds into independent connected
+// components and water-fills them on the worker pool, leaving all other
+// allocations untouched.
 //
 // Component discovery is sequential and worker-count-independent: seeds
-// are visited in shard dirty order, and each unvisited seed's closure —
-// every flow on a component link joins and drags all links of its path in
-// — is appended to the shared task CSR (taskFlows/taskLinks) and becomes
-// one task. Because the closure is an equivalence class, a seed already
-// visited belongs entirely to an earlier task and is skipped, and two
-// tasks can never share a flow or a link: each task's water-fill touches
-// disjoint state, so tasks parallelize without locks.
-func (s *Set) solveShards() {
+// are visited in shard dirty order, then the attached flows, and each
+// unvisited seed's closure — every flow on an active component link joins
+// and drags all links of its path in — is appended to the shared task CSR
+// (taskFlows/taskLinks) and becomes one task. Because the closure is an
+// equivalence class, a seed already visited belongs entirely to an earlier
+// task and is skipped, and two tasks can never share a flow or an active
+// link: each task's water-fill touches disjoint state, so tasks
+// parallelize without locks.
+//
+// With speculate the closure is speculative (see the package comment):
+// slack links stay passive, the fill is checked against them afterwards,
+// and a miss promotes the link and refills.
+func (s *Set) solveShards(speculate bool) {
 	s.epoch++
 	quietLinks := 0
 	s.tasks = s.tasks[:0]
 	s.taskFlows = s.taskFlows[:0]
 	s.taskLinks = s.taskLinks[:0]
+	s.passive = s.passive[:0]
 	for _, sh := range s.dirty {
 		for _, lh := range sh.seeds {
 			if s.lVisit[lh] == s.epoch {
 				continue
 			}
-			fOff := int32(len(s.taskFlows))
-			lOff := int32(len(s.taskLinks))
-			s.lVisit[lh] = s.epoch
-			s.taskLinks = append(s.taskLinks, lh)
-			for i := lOff; i < int32(len(s.taskLinks)); i++ {
-				mb := s.lMem[s.taskLinks[i]]
-				for j := int32(0); j < mb.n; j++ {
-					fh := s.members.a[mb.off+j]
-					if s.fVisit[fh] == s.epoch {
-						continue
-					}
-					s.fVisit[fh] = s.epoch
-					s.taskFlows = append(s.taskFlows, fh)
-					pb := s.fPath[fh]
-					for p := int32(0); p < pb.n; p++ {
-						nl := s.paths.a[pb.off+p]
-						if s.lVisit[nl] != s.epoch {
-							s.lVisit[nl] = s.epoch
-							s.taskLinks = append(s.taskLinks, nl)
-						}
-					}
-				}
-			}
-			fN := int32(len(s.taskFlows)) - fOff
-			lN := int32(len(s.taskLinks)) - lOff
-			if fN == 0 {
-				// A memberless component (e.g. a capacity change on an
-				// idle link): reset loads inline, no water-fill needed.
-				for i := lOff; i < lOff+lN; i++ {
-					s.lLoad[s.taskLinks[i]] = 0
-				}
-				quietLinks += int(lN)
-				s.taskLinks = s.taskLinks[:lOff]
-				continue
-			}
-			s.tasks = append(s.tasks, taskRef{fOff: fOff, fN: fN, lOff: lOff, lN: lN})
+			fOff, lOff := int32(len(s.taskFlows)), int32(len(s.taskLinks))
+			s.visitLink(lh, speculate)
+			quietLinks += s.closeTask(fOff, lOff, speculate)
 		}
+	}
+	for _, fh := range s.seedFlows {
+		if !s.fAttach[fh] || s.fVisit[fh] == s.epoch {
+			continue // gone again, or reached through an active link
+		}
+		fOff, lOff := int32(len(s.taskFlows)), int32(len(s.taskLinks))
+		s.visitFlow(fh, speculate)
+		s.closeTask(fOff, lOff, speculate)
 	}
 	ntasks := len(s.tasks)
 	workers := s.workers
 	if workers > ntasks {
 		workers = ntasks
 	}
+	if len(s.heaps) == 0 {
+		s.heaps = append(s.heaps, nil)
+	}
 	if workers <= 1 {
-		if len(s.heaps) == 0 {
-			s.heaps = append(s.heaps, nil)
-		}
 		for i := 0; i < ntasks; i++ {
 			s.heaps[0] = s.waterfill(&s.tasks[i], s.heaps[0])
 		}
-		if workers < 1 {
-			workers = 1
-		}
+		workers = 1
 	} else {
 		s.runTasks(ntasks, workers)
 	}
 	s.last = SolveStats{
-		Links:      quietLinks,
 		Components: ntasks,
 		Workers:    workers,
 		Full:       s.dirtyAll,
 	}
 	for i := 0; i < ntasks; i++ {
-		st := s.tasks[i].stats
-		s.last.Flows += st.Flows
-		s.last.Links += st.Links
-		s.last.Rounds += st.Rounds
-		if st.Flows > s.last.MaxComponentFlows {
-			s.last.MaxComponentFlows = st.Flows
+		s.last.Rounds += s.tasks[i].rounds
+		if n := int(s.tasks[i].fN); n > s.last.MaxComponentFlows {
+			s.last.MaxComponentFlows = n
 		}
 	}
+	// Verify, promote, refill. A refill continues the closure from the
+	// promoted links and fills everything discovered so far as one
+	// component on the caller: a promoted link may join what were separate
+	// tasks. The last allowed refill promotes every passive link left and
+	// closes without speculating, which is the full closure.
+	for len(s.passive) > 0 {
+		lOff := int32(len(s.taskLinks))
+		s.promote(false)
+		if int32(len(s.taskLinks)) == lOff {
+			break
+		}
+		last := s.last.Refills == maxSpecRefills
+		if last {
+			s.promote(true)
+		}
+		s.last.Refills++
+		s.last.Promoted += len(s.taskLinks) - int(lOff)
+		s.expand(lOff, !last)
+		s.tasks = append(s.tasks[:0], taskRef{fN: int32(len(s.taskFlows)), lN: int32(len(s.taskLinks))})
+		s.heaps[0] = s.waterfill(&s.tasks[0], s.heaps[0])
+		s.last.Rounds += s.tasks[0].rounds
+		s.last.Components = 1
+		s.last.MaxComponentFlows = len(s.taskFlows)
+	}
+	s.last.Flows = len(s.taskFlows)
+	s.last.Links = quietLinks + len(s.taskLinks) + len(s.passive)
 }
 
 // runTasks water-fills tasks[0:ntasks] on a pool of worker goroutines
@@ -1128,7 +1334,6 @@ func (s *Set) syncLink(lh int32, level core.Rate) {
 func (s *Set) waterfill(t *taskRef, heap []int32) []int32 {
 	flows := s.taskFlows[t.fOff : t.fOff+t.fN]
 	links := s.taskLinks[t.lOff : t.lOff+t.lN]
-	t.stats = SolveStats{Flows: len(flows), Links: len(links)}
 	inf := core.Rate(math.Inf(1))
 	for _, lh := range links {
 		s.lResidual[lh] = s.lCap[lh]
@@ -1189,9 +1394,9 @@ func (s *Set) waterfill(t *taskRef, heap []int32) []int32 {
 		if di < len(flows) {
 			lambdaD = s.fDemand[flows[di]]
 		}
-		// Pop stale heap entries: keys only grow as flows freeze, so a
-		// link whose current saturation level moved past its key is
-		// re-pushed with the fresh key (lazy deletion).
+		// Refresh stale heap entries: keys only grow as flows freeze, so
+		// a link whose current saturation level moved past its key is
+		// re-keyed and sifted down where it sits (lazy update).
 		lambdaL := inf
 		for len(heap) > 0 {
 			top := heap[0]
@@ -1201,9 +1406,8 @@ func (s *Set) waterfill(t *taskRef, heap []int32) []int32 {
 			}
 			cur := s.satLevel(top)
 			if cur > s.lKey[top]+s.epsilon {
-				heap = s.heapPop(heap)
 				s.lKey[top] = cur
-				heap = s.heapPush(heap, top)
+				s.siftDown(heap, 0)
 				continue
 			}
 			lambdaL = cur
@@ -1256,18 +1460,22 @@ func (s *Set) waterfill(t *taskRef, heap []int32) []int32 {
 			}
 		}
 	}
-	t.stats.Rounds = rounds
+	t.rounds = rounds
 	return heap[:0]
 }
 
-// freeze finalizes a flow's rate and retires it from every link it
+// freeze finalizes a flow's rate and retires it from every active link it
 // crosses: the links' residuals are synced to the fill level, their
-// unfrozen counts drop, and the granted load is recorded.
+// unfrozen counts drop, and the granted load is recorded. Passive links
+// take no part in the fill; promote recomputes their load afterwards.
 func (s *Set) freeze(fh int32, rate, level core.Rate) {
 	s.fRate[fh] = rate
 	b := s.fPath[fh]
 	for i := int32(0); i < b.n; i++ {
 		lh := s.paths.a[b.off+i]
+		if s.lPassive[lh] {
+			continue
+		}
 		s.syncLink(lh, level)
 		s.lNact[lh]--
 		s.lLoad[lh] += rate
@@ -1295,7 +1503,12 @@ func (s *Set) heapPop(h []int32) []int32 {
 	last := len(h) - 1
 	h[0] = h[last]
 	h = h[:last]
-	i := 0
+	s.siftDown(h, 0)
+	return h
+}
+
+// siftDown restores the heap order below position i after its key grew.
+func (s *Set) siftDown(h []int32, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
@@ -1311,7 +1524,6 @@ func (s *Set) heapPop(h []int32) []int32 {
 		h[i], h[smallest] = h[smallest], h[i]
 		i = smallest
 	}
-	return h
 }
 
 // AggregateRx reports the total rate currently arriving at all

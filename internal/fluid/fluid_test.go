@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -174,6 +175,30 @@ func TestByteIntegration(t *testing.T) {
 	}
 }
 
+// TestIntegrateNeverRewinds: a now earlier than the last integration must
+// not move the clock back, or the next call integrates an interval twice
+// (10 ms, then 5 ms, then 10 ms again used to deliver 15 ms worth).
+func TestIntegrateNeverRewinds(t *testing.T) {
+	s := NewSet(capsConst(1 * core.Gbps))
+	s.Add(mkFlow(1, 1*core.Gbps, 0, 1), 0)
+	s.Integrate(10 * core.Millisecond)
+	s.Integrate(5 * core.Millisecond)
+	s.Integrate(10 * core.Millisecond)
+	// 1 Gbps for 10 ms = 1.25 MB, once.
+	if got := bytesOf(s, 1); got != 1_250_000 {
+		t.Fatalf("flow bytes = %d, want 1250000", got)
+	}
+	if s.LinkBytes(0) != 1_250_000 || s.LinkBytes(1) != 1_250_000 {
+		t.Fatalf("link bytes = %d/%d, want 1250000 each", s.LinkBytes(0), s.LinkBytes(1))
+	}
+	// A mutation stamped in the past integrates nothing and rewinds nothing.
+	s.Add(mkFlow(2, 1*core.Gbps, 2), 2*core.Millisecond)
+	s.Integrate(20 * core.Millisecond)
+	if f1, f2 := bytesOf(s, 1), bytesOf(s, 2); f1 != 2_500_000 || f2 != 1_250_000 {
+		t.Fatalf("bytes after a late-stamped Add = %d / %d, want 2500000 / 1250000", f1, f2)
+	}
+}
+
 func TestByteIntegrationAcrossRateChange(t *testing.T) {
 	s := NewSet(capsConst(1 * core.Gbps))
 	s.Add(mkFlow(1, 1*core.Gbps, 0), 0)
@@ -341,6 +366,65 @@ func TestMaxMinInvariants(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckInvariants hand-builds the states the checker exists to catch.
+// The solver never produces them, so they are written into the store
+// directly.
+func TestCheckInvariants(t *testing.T) {
+	build := func() *Set {
+		s := NewSet(capsConst(core.Gbps))
+		s.Add(mkFlow(1, core.Gbps, 0, 1), 0)
+		s.Add(mkFlow(2, core.Gbps, 1, 2), 0)
+		s.Add(mkFlow(3, 100*core.Mbps, 3), 0)
+		s.Add(mkFlow(4, core.Gbps), 0) // blackholed
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("solved state: %v", err)
+		}
+		return s
+	}
+	h := func(s *Set, id FlowID) int32 { return s.byID[id] }
+	for _, tc := range []struct {
+		name    string
+		corrupt func(s *Set)
+		want    string
+	}{
+		{"over capacity", func(s *Set) {
+			s.fRate[h(s, 1)] = 700 * core.Mbps // link 1 now carries 1.2 Gbps
+			s.lLoad[s.byLink[0]] = 700 * core.Mbps
+			s.lLoad[s.byLink[1]] = 1200 * core.Mbps
+		}, "over capacity"},
+		{"stale load", func(s *Set) { s.lLoad[s.byLink[3]] = 0 }, "granted load"},
+		{"no bottleneck", func(s *Set) {
+			// Both flows held below the fair share: link 1 is no longer
+			// saturated, so nothing explains why they are not at demand.
+			for _, id := range []FlowID{1, 2} {
+				s.fRate[h(s, id)] = 400 * core.Mbps
+			}
+			for _, l := range []core.LinkID{0, 2} {
+				s.lLoad[s.byLink[l]] = 400 * core.Mbps
+			}
+			s.lLoad[s.byLink[1]] = 800 * core.Mbps
+		}, "no bottleneck"},
+		{"unfair share", func(s *Set) {
+			// Link 1 saturated, but flow 1 sits below flow 2 on it.
+			s.fRate[h(s, 1)], s.fRate[h(s, 2)] = 300*core.Mbps, 700*core.Mbps
+			s.lLoad[s.byLink[0]], s.lLoad[s.byLink[2]] = 300*core.Mbps, 700*core.Mbps
+		}, "no bottleneck"},
+		{"above demand", func(s *Set) {
+			s.fRate[h(s, 3)] = 200 * core.Mbps
+			s.lLoad[s.byLink[3]] = 200 * core.Mbps
+		}, "outside"},
+		{"blackholed flow with a rate", func(s *Set) { s.fRate[h(s, 4)] = 1 }, "want 0"},
+		{"unsolved mutation", func(s *Set) { s.Defer(); s.Remove(3, 0) }, "pending"},
+	} {
+		s := build()
+		tc.corrupt(s)
+		err := s.CheckInvariants()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: CheckInvariants = %v, want an error mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -677,6 +761,9 @@ func TestNaiveIncrementalParity(t *testing.T) {
 					break
 				}
 			}
+			if err := inc.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
+			}
 		}
 		// Oracle: same final flows, naive full solve.
 		oracle := NewSet(caps)
@@ -850,6 +937,9 @@ func TestSetCapacityParity(t *testing.T) {
 					inc.SetPath(id, randPath(), 0)
 					break
 				}
+			}
+			if err := inc.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}
 		}
 		oracle := NewSet(caps)

@@ -13,6 +13,11 @@ import (
 // random adds, removes, reroutes and capacity flaps across nClusters
 // disjoint link clusters of width clusterLinks.
 func mutate(s *Set, seed int64, idBase, nClusters, clusterLinks, ops int) {
+	mutateEach(s, seed, idBase, nClusters, clusterLinks, ops, func() {})
+}
+
+// mutateEach is mutate with a callback after every solve.
+func mutateEach(s *Set, seed int64, idBase, nClusters, clusterLinks, ops int, solved func()) {
 	rng := rand.New(rand.NewSource(seed))
 	randPath := func() []core.LinkID {
 		cluster := rng.Intn(nClusters)
@@ -59,6 +64,7 @@ func mutate(s *Set, seed int64, idBase, nClusters, clusterLinks, ops int) {
 			}
 			s.Resume(0)
 		}
+		solved()
 	}
 }
 

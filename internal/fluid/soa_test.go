@@ -84,6 +84,26 @@ func testChurnZeroAlloc(t *testing.T, mkPath func(i int) []core.LinkID) {
 func TestChurnZeroAllocPodLocal(t *testing.T)  { testChurnZeroAlloc(t, podLocalPath) }
 func TestChurnZeroAllocCrossCore(t *testing.T) { testChurnZeroAlloc(t, crossCorePath) }
 
+// TestChurnZeroAllocContended pins the same property where the closure
+// speculates (links outnumber flows; see contendedChurn): passive lists,
+// promotions and refills reuse grown-once scratch like the rest.
+func TestChurnZeroAllocContended(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; guard runs in the non-race job")
+	}
+	s, churn := contendedChurn(t)
+	for i := 0; i < 1000; i++ {
+		churn()
+	}
+	base := s.Totals()
+	if avg := testing.AllocsPerRun(500, churn); avg != 0 {
+		t.Fatalf("steady-state contended churn+solve allocates %.2f allocs/op, want 0", avg)
+	}
+	if tot := s.Totals(); tot.Refills == base.Refills || tot.Promoted == base.Promoted {
+		t.Fatalf("the guarded ops never refilled: %+v", tot)
+	}
+}
+
 // TestFullSolveZeroAlloc pins the MarkDirty+Solve path (the cost the WAN
 // scenarios pay on a topology-wide event): after the first full solve has
 // sized the scratch, repeats must not allocate either.
@@ -172,7 +192,11 @@ func TestChurnFailureParityAcrossWorkers(t *testing.T) {
 			s.SetNaive(cfg.naive)
 			s.SetWorkers(cfg.workers)
 			s.SetShardOf(func(l core.LinkID) int { return int(l) / 8 })
-			mutate(s, seed, 1, 6, 8, 400)
+			mutateEach(s, seed, 1, 6, 8, 400, func() {
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatalf("seed %d workers=%d naive=%v: %v", seed, cfg.workers, cfg.naive, err)
+				}
+			})
 			rates := map[FlowID]core.Rate{}
 			for _, f := range s.Flows() {
 				rates[f.ID] = f.Rate

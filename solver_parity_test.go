@@ -251,10 +251,16 @@ func TestParallelSolverParityUnderFailures(t *testing.T) {
 	}
 }
 
-// assertParity checks workers=2/8 bit-identical with workers=1, and the
-// naive oracle within relative tolerance.
+// assertParity checks every configuration's allocation against the max–min
+// invariants, workers=2/8 bit-identical with workers=1, and the naive
+// oracle within relative tolerance.
 func assertParity(t *testing.T, configs []*parityNet, ctx string) {
 	t.Helper()
+	for _, c := range configs {
+		if err := c.net.Flows.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %s: %v", ctx, c.name, err)
+		}
+	}
 	ref := configs[0]
 	for _, c := range configs[1:] {
 		naive := c.net.Flows.Naive()
