@@ -44,10 +44,9 @@ import (
 // benchConfig is the accelerated clock used throughout the benches.
 func benchConfig() Config {
 	return Config{
-		FTIStep:      Millisecond,
-		QuietTimeout: 200 * Millisecond,
-		Pacing:       20,
-		MaxIdleWall:  3 * time.Second,
+		FTIStep:     Millisecond,
+		Pacing:      20,
+		MaxIdleWall: 3 * time.Second,
 	}
 }
 
@@ -305,32 +304,6 @@ func BenchmarkAblationFTIStep(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationQuietTimeout sweeps the FTI->DES quiet timeout: too
-// small flaps modes mid-convergence, too large wastes real time.
-func BenchmarkAblationQuietTimeout(b *testing.B) {
-	for _, q := range []Time{20 * Millisecond, 100 * Millisecond, 500 * Millisecond, 2 * Second} {
-		b.Run(q.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := benchConfig()
-				cfg.QuietTimeout = q
-				g, err := TwoRouters()
-				if err != nil {
-					b.Fatal(err)
-				}
-				exp := NewExperiment(cfg)
-				exp.SetTopology(g)
-				exp.UseBGP(BGPOptions{})
-				res, err := exp.Run(10 * Second)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(res.Sim.Transitions), "transitions")
-				b.ReportMetric(res.Sim.WallTotal.Seconds(), "wall-s")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationECMPHash contrasts the demo's two hash choices on the
 // same reactive control plane: (src,dst) hashing (the BGP demo's
 // collision behaviour) vs full 5-tuple hashing.
@@ -396,9 +369,8 @@ func BenchmarkSolveScale(b *testing.B) {
 }
 
 // benchSolveScale runs the churn benches on one fat-tree scale. smoke
-// trims the matrix to a single worker count and workload so the largest
-// topology stays a build-works/solve-converges check rather than a
-// measurement.
+// trims the matrix to the pod-local workloads so the largest topology
+// stays a build-works/solve-converges check rather than a measurement.
 func benchSolveScale(b *testing.B, k, nFlows int, smoke bool) {
 	g, err := topo.FatTree(topo.FatTreeOpts{K: k})
 	if err != nil {
@@ -435,12 +407,10 @@ func benchSolveScale(b *testing.B, k, nFlows int, smoke bool) {
 		return hosts[si], hosts[di]
 	}
 	// combined: failure/dynamics injections (cable flaps, capacity
-	// changes) concurrent with flow churn, pod-local workload, swept over
-	// solver worker counts. Each op is one coalesced multi-pod batch —
-	// the shape a control plane storm produces — so the dirty region
-	// splits into several independent pod components and the sharded
-	// solver fans them out. Reported per worker count to expose the
-	// parallel scaling (workers=1 is the sequential baseline).
+	// changes) concurrent with flow churn, pod-local workload. Each op is
+	// one coalesced multi-pod batch — the shape a control plane storm
+	// produces — so the dirty region splits into several independent pod
+	// components, filled one after another.
 	aggEdge := make([][]*topo.Link, k)
 	for _, l := range g.Links {
 		if l.ID > l.Reverse {
@@ -452,101 +422,92 @@ func benchSolveScale(b *testing.B, k, nFlows int, smoke bool) {
 			aggEdge[from.Pod] = append(aggEdge[from.Pod], l)
 		}
 	}
-	workerCounts := []int{1, 2, 4, 8}
-	if smoke {
-		workerCounts = []int{8}
-	}
-	for _, workers := range workerCounts {
-		b.Run(fmt.Sprintf("combined/workers=%d/flows=%d", workers, nFlows), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			s := fluid.NewSet(caps)
-			s.SetWorkers(workers)
-			comps := topo.NewComponents(g)
-			s.SetShardOf(comps.OfLink)
-			flowsByPod := make([][]*fluid.Flow, k)
+	b.Run(fmt.Sprintf("combined/flows=%d", nFlows), func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		s := fluid.NewSet(caps)
+		flowsByPod := make([][]*fluid.Flow, k)
+		s.Defer()
+		for i := 0; i < nFlows; i++ {
+			src, dst := pair(rng, true)
+			path, err := fp.Path(src.ID, dst.ID, rng.Uint64())
+			if err != nil {
+				b.Fatal(err)
+			}
+			f := &fluid.Flow{
+				ID: fluid.FlowID(i + 1), Src: src.ID, Dst: dst.ID,
+				Demand: core.Gbps, Path: path, State: fluid.Active,
+			}
+			flowsByPod[g.Node(src.ID).Pod] = append(flowsByPod[g.Node(src.ID).Pod], f)
+			s.Add(f, 0)
+		}
+		s.Resume(0)
+		if s.AggregateRx() <= 0 {
+			b.Fatal("combined scenario delivered no traffic")
+		}
+		const podsPerOp = 8
+		churn := make([]int, k)
+		visits := make([]int, k)
+		var err error
+		var components, maxComp int
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			s.Defer()
-			for i := 0; i < nFlows; i++ {
-				src, dst := pair(rng, true)
-				path, err := fp.Path(src.ID, dst.ID, rng.Uint64())
-				if err != nil {
-					b.Fatal(err)
+			for j := 0; j < podsPerOp; j++ {
+				pod := (i*podsPerOp + j) % k
+				links := aggEdge[pod]
+				v := visits[pod]
+				visits[pod]++
+				// Flap: consecutive visits to a pod pair up — one
+				// cable goes down, the next visit restores that same
+				// cable — cycling through the pod's agg-edge cables
+				// (capacities only; liveness-level flaps are the
+				// netmodel parity test's job).
+				flap := links[(v/2)%len(links)]
+				if v%2 == 0 {
+					s.SetCapacity(flap.ID, 0, 0)
+					s.SetCapacity(flap.Reverse, 0, 0)
+				} else {
+					s.SetCapacity(flap.ID, core.Gbps, 0)
+					s.SetCapacity(flap.Reverse, core.Gbps, 0)
 				}
-				f := &fluid.Flow{
-					ID: fluid.FlowID(i + 1), Src: src.ID, Dst: dst.ID,
-					Demand: core.Gbps, Path: path, State: fluid.Active,
+				// Capacity change on a second cable, offset by half
+				// the list so it never touches the flapping one.
+				rl := links[(v/2+len(links)/2)%len(links)]
+				rate := core.Gbps
+				if v%3 == 0 {
+					rate = 500 * core.Mbps
 				}
-				flowsByPod[g.Node(src.ID).Pod] = append(flowsByPod[g.Node(src.ID).Pod], f)
-				s.Add(f, 0)
+				s.SetCapacity(rl.ID, rate, 0)
+				s.SetCapacity(rl.Reverse, rate, 0)
+				// Churn two of the pod's flows.
+				pf := flowsByPod[pod]
+				for c := 0; c < 2; c++ {
+					f := pf[churn[pod]%len(pf)]
+					churn[pod]++
+					s.Remove(f.ID, 0)
+					f.Path, err = fp.AppendPath(f.Path[:0], f.Src, f.Dst, rng.Uint64())
+					if err != nil {
+						b.Fatal(err)
+					}
+					f.State = fluid.Active
+					s.Add(f, 0)
+				}
 			}
 			s.Resume(0)
-			if s.AggregateRx() <= 0 {
-				b.Fatal("combined scenario delivered no traffic")
+			st := s.LastSolve()
+			components += st.Components
+			if st.MaxComponentFlows > maxComp {
+				maxComp = st.MaxComponentFlows
 			}
-			const podsPerOp = 8
-			churn := make([]int, k)
-			visits := make([]int, k)
-			var err error
-			var components, maxComp int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Defer()
-				for j := 0; j < podsPerOp; j++ {
-					pod := (i*podsPerOp + j) % k
-					links := aggEdge[pod]
-					v := visits[pod]
-					visits[pod]++
-					// Flap: consecutive visits to a pod pair up — one
-					// cable goes down, the next visit restores that same
-					// cable — cycling through the pod's agg-edge cables
-					// (capacities only; liveness-level flaps are the
-					// netmodel parity test's job).
-					flap := links[(v/2)%len(links)]
-					if v%2 == 0 {
-						s.SetCapacity(flap.ID, 0, 0)
-						s.SetCapacity(flap.Reverse, 0, 0)
-					} else {
-						s.SetCapacity(flap.ID, core.Gbps, 0)
-						s.SetCapacity(flap.Reverse, core.Gbps, 0)
-					}
-					// Capacity change on a second cable, offset by half
-					// the list so it never touches the flapping one.
-					rl := links[(v/2+len(links)/2)%len(links)]
-					rate := core.Gbps
-					if v%3 == 0 {
-						rate = 500 * core.Mbps
-					}
-					s.SetCapacity(rl.ID, rate, 0)
-					s.SetCapacity(rl.Reverse, rate, 0)
-					// Churn two of the pod's flows.
-					pf := flowsByPod[pod]
-					for c := 0; c < 2; c++ {
-						f := pf[churn[pod]%len(pf)]
-						churn[pod]++
-						s.Remove(f.ID, 0)
-						f.Path, err = fp.AppendPath(f.Path[:0], f.Src, f.Dst, rng.Uint64())
-						if err != nil {
-							b.Fatal(err)
-						}
-						f.State = fluid.Active
-						s.Add(f, 0)
-					}
-				}
-				s.Resume(0)
-				st := s.LastSolve()
-				components += st.Components
-				if st.MaxComponentFlows > maxComp {
-					maxComp = st.MaxComponentFlows
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(components)/float64(b.N), "components/op")
-			b.ReportMetric(float64(maxComp), "maxcomp-flows")
-			if s.Len() != nFlows {
-				b.Fatalf("flow count drifted to %d", s.Len())
-			}
-		})
-	}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(components)/float64(b.N), "components/op")
+		b.ReportMetric(float64(maxComp), "maxcomp-flows")
+		if s.Len() != nFlows {
+			b.Fatalf("flow count drifted to %d", s.Len())
+		}
+	})
 	for _, workload := range []struct {
 		name     string
 		podLocal bool

@@ -77,7 +77,6 @@ const fineSample = spec.Duration(10 * time.Millisecond)
 func runFlags(fs *flag.FlagSet, r *spec.Run) (fail *bool) {
 	fs.DurationVar((*time.Duration)(&r.Dur), "dur", r.Dur.Duration(), "virtual duration of each run")
 	fs.Float64Var(&r.Pacing, "pacing", r.Pacing, "FTI pacing (1.0 = paper-faithful real time)")
-	fs.IntVar(&r.SolverWorkers, "solver-workers", 0, "rate solver worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
 	fs.StringVar(&r.CaptureDir, "pcap", "", "record control plane traffic as pcapng traces in DIR (one file per speaker pair; open them in Wireshark)")
 	return fs.Bool("fail", false, "take the "+failFrom+" <-> "+failTo+" cable down at dur/3 and repair it at 2*dur/3")
 }
@@ -193,9 +192,9 @@ func summarize(w io.Writer, r spec.Run, res *horse.Result) {
 	fmt.Fprintf(w, "control plane       : %d bytes, %d writes, %d flowmods, %d routes, %d packet-ins, %d stats\n",
 		res.ControlBytes, res.ControlWrites, res.FlowModsApplied,
 		res.RouteInstalls, res.PacketIns, res.StatsQueries)
-	fmt.Fprintf(w, "rate solver         : %d solves, %d components (largest %d flows), %d parallel, workers=%d, %d refills (%d links promoted)\n",
+	fmt.Fprintf(w, "rate solver         : %d solves, %d components (largest %d flows), %d refills (%d links promoted)\n",
 		res.Solves, res.Solver.Components, res.Solver.MaxComponentFlows,
-		res.Solver.ParallelSolves, res.SolverWorkers, res.Solver.Refills, res.Solver.Promoted)
+		res.Solver.Refills, res.Solver.Promoted)
 	mem := res.Solver.Mem
 	fmt.Fprintf(w, "solver memory       : %d flow slots (%d live, %d free), %d links, arenas %d B paths + %d B members, %d B scratch\n",
 		mem.FlowSlots, mem.LiveFlows, mem.FreeFlows, mem.LinkSlots,

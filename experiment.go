@@ -3,7 +3,6 @@ package horse
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/bgp"
@@ -164,20 +163,14 @@ func (e *Experiment) Run(until Time) (*Result, error) {
 
 	setupStart := time.Now()
 	e.engine = sim.New(sim.Config{
-		FTIStep:      e.cfg.FTIStep,
-		QuietTimeout: e.cfg.QuietTimeout,
-		Pacing:       e.cfg.Pacing,
-		MaxIdleWall:  e.cfg.MaxIdleWall,
+		FTIStep:     e.cfg.FTIStep,
+		Pacing:      e.cfg.Pacing,
+		MaxIdleWall: e.cfg.MaxIdleWall,
 		// The emulated control plane boots in wall time at experiment
 		// start; begin in FTI so DES cannot outrun it (paper §2).
 		StartInFTI: true,
 	})
 	e.net = netmodel.New(e.g)
-	workers := e.cfg.SolverWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	e.net.Flows.SetWorkers(workers)
 	e.mgr = cm.New(e.engine, e.net, e.logf)
 	defer e.mgr.Stop()
 
@@ -328,7 +321,6 @@ func (e *Experiment) Run(until Time) (*Result, error) {
 	result.Sim = simStats
 	result.Solves = e.net.Flows.Solves()
 	result.Solver = e.net.Flows.Totals()
-	result.SolverWorkers = e.net.Flows.Workers()
 	result.Injections = e.mgr.Stats.Injections.Load()
 	result.ControlBytes = e.mgr.Stats.ControlBytes.Load()
 	result.ControlWrites = e.mgr.Stats.ControlWrites.Load()
@@ -393,11 +385,9 @@ type Result struct {
 	Solves int
 
 	// Solver aggregates per-solve statistics (dirty-region sizes,
-	// independent components, parallel fan-outs), accumulated once per
+	// independent components, speculation misses), accumulated once per
 	// solve regardless of Defer/Resume batching.
 	Solver fluid.Totals
-	// SolverWorkers is the effective worker count the run used.
-	SolverWorkers int
 
 	// MeanPathLatency is the rate-weighted mean one-way propagation
 	// latency of the active flows' final paths — nonzero only on

@@ -60,16 +60,13 @@ type Topology = topo.Graph
 
 // Config tunes the hybrid clock and measurement. Where a run's traces
 // and debug log go is not clock configuration: see Experiment.CaptureTo
-// and Experiment.SetLogf.
+// and Experiment.SetLogf. How long the clock stays in FTI is not a setting:
+// it leaves on evidence — no control plane work left in flight — and the
+// bound a leaked in-flight count degrades to is the engine's own (500ms,
+// sim.Config.QuietTimeout); Result.Sim counts the exits of each kind.
 type Config struct {
 	// FTIStep is the virtual time per FTI increment (default 1ms).
 	FTIStep Time
-	// QuietTimeout is the upper bound on how long the clock stays in FTI
-	// after the last control plane event before resuming DES (default
-	// 500ms). The clock normally leaves FTI on evidence — no control
-	// plane work left in flight — long before that; Result.Sim counts the
-	// exits of each kind, and one on the timeout means the count leaked.
-	QuietTimeout Time
 	// Pacing is the virtual:wall ratio in FTI mode. 1.0 (default) is
 	// paper-faithful real time; larger values accelerate experiments
 	// at the cost of compressing control plane timing. Results taken
@@ -81,12 +78,6 @@ type Config struct {
 	// MaxIdleWall bounds the wait for control plane activity when the
 	// event queue is empty (default 2s).
 	MaxIdleWall time.Duration
-	// SolverWorkers is how many goroutines the rate solver may fan
-	// independent dirty components out to (disjoint pods, disjoint WAN
-	// regions solve in parallel). 0 (the default) uses GOMAXPROCS; 1
-	// reproduces the sequential solver. Rates are bit-identical at any
-	// worker count — see the determinism guarantee in internal/fluid.
-	SolverWorkers int
 }
 
 // TopoOption adjusts topology generation.

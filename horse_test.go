@@ -14,10 +14,9 @@ import (
 // shapes are preserved (see Config.Pacing docs).
 func testConfig() Config {
 	return Config{
-		FTIStep:      Millisecond,
-		QuietTimeout: 200 * Millisecond,
-		Pacing:       10,
-		MaxIdleWall:  3 * time.Second,
+		FTIStep:     Millisecond,
+		Pacing:      10,
+		MaxIdleWall: 3 * time.Second,
 	}
 }
 

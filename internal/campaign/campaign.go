@@ -21,9 +21,9 @@ import (
 )
 
 // Spec is a sweep submission: the axes are crossed in the fixed order
-// topos × scenarios × traffics × capacities × seeds × solver workers ×
-// advertise delays × dampenings, so run indices are deterministic and
-// a resubmitted spec maps runs to the same indices.
+// topos × scenarios × traffics × capacities × seeds × advertise delays ×
+// dampenings, so run indices are deterministic and a resubmitted spec
+// maps runs to the same indices.
 type Spec struct {
 	// Name labels the campaign (used in its ID slug).
 	Name string `json:"name,omitempty"`
@@ -50,10 +50,6 @@ type Spec struct {
 	// regardless.
 	Seeds []int64 `json:"seeds,omitempty"`
 
-	// SolverWorkers is the solver worker-count axis; empty means one
-	// instance with the base run's worker count.
-	SolverWorkers []int `json:"solver_workers,omitempty"`
-
 	// AdvertiseDelays is the BGP MRAI-style batching-window axis (only
 	// meaningful for bgp scenarios); empty means one instance with the
 	// base run's delay. The MRAI × dampening campaign sweeps this.
@@ -64,8 +60,8 @@ type Spec struct {
 	Dampenings []bool `json:"dampenings,omitempty"`
 
 	// Base carries the shared per-run fields (dur, rate, pacing,
-	// dampening, ...). Its Topo/Scenario/Traffic/SolverWorkers fields
-	// are overwritten by the axes.
+	// dampening, ...). Its Topo/Scenario/Traffic fields are overwritten
+	// by the axes.
 	Base spec.Run `json:"base,omitempty"`
 
 	// Timeout bounds each run's wall time (default 5m). A timed-out
@@ -142,10 +138,6 @@ func (s Spec) Expand() ([]spec.Run, error) {
 			}
 		}
 	}
-	workerCounts := s.SolverWorkers
-	if len(workerCounts) == 0 {
-		workerCounts = []int{s.Base.SolverWorkers}
-	}
 	advDelays := s.AdvertiseDelays
 	if len(advDelays) == 0 {
 		advDelays = []spec.Duration{s.Base.AdvertiseDelay}
@@ -159,23 +151,20 @@ func (s Spec) Expand() ([]spec.Run, error) {
 	for _, topo := range s.Topos {
 		for _, scenario := range s.Scenarios {
 			for _, workload := range workloads {
-				for _, workers := range workerCounts {
-					for _, adv := range advDelays {
-						for _, damp := range dampenings {
-							r := s.Base
-							r.Topo = topo
-							r.Scenario = scenario
-							r.Traffic = workload.traffic
-							r.Capacity = workload.capacity
-							r.SolverWorkers = workers
-							r.AdvertiseDelay = adv
-							r.Dampening = damp
-							r = r.WithDefaults()
-							if err := r.Validate(); err != nil {
-								return nil, fmt.Errorf("campaign: run %d (%s): %w", len(runs), r, err)
-							}
-							runs = append(runs, r)
+				for _, adv := range advDelays {
+					for _, damp := range dampenings {
+						r := s.Base
+						r.Topo = topo
+						r.Scenario = scenario
+						r.Traffic = workload.traffic
+						r.Capacity = workload.capacity
+						r.AdvertiseDelay = adv
+						r.Dampening = damp
+						r = r.WithDefaults()
+						if err := r.Validate(); err != nil {
+							return nil, fmt.Errorf("campaign: run %d (%s): %w", len(runs), r, err)
 						}
+						runs = append(runs, r)
 					}
 				}
 			}

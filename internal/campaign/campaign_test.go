@@ -56,29 +56,6 @@ func TestExpand(t *testing.T) {
 	}
 }
 
-// TestExpandWorkerAxis pins the solver-worker axis as the fastest one.
-func TestExpandWorkerAxis(t *testing.T) {
-	s := Spec{
-		Topos:         []string{"fattree:4"},
-		Scenarios:     []string{"ecmp5"},
-		SolverWorkers: []int{1, 4},
-	}
-	runs, err := s.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 {
-		t.Fatalf("%d runs, want 2", len(runs))
-	}
-	if runs[0].SolverWorkers != 1 || runs[1].SolverWorkers != 4 {
-		t.Fatalf("worker axis = [%d %d], want [1 4]", runs[0].SolverWorkers, runs[1].SolverWorkers)
-	}
-	// Both runs share the default traffic.
-	if runs[0].Traffic != spec.DefaultTraffic {
-		t.Errorf("traffic = %q, want default %q", runs[0].Traffic, spec.DefaultTraffic)
-	}
-}
-
 // TestExpandCapacityAxis pins the capacity axis: it nests inside the
 // traffic axis, and a seeded capacity template shares each run's seed
 // with a seeded traffic template (one seed per run, not seeds²).

@@ -14,8 +14,7 @@ import (
 // TestDaemonRunMatchesCLIRun is the service-boundary determinism pin: a
 // run submitted to the daemon over HTTP must produce the bit-identical
 // Fingerprint to the same spec executed directly through spec.Run
-// (which is cmd/horse's code path), and the fingerprint must not depend
-// on the solver worker count.
+// (which is cmd/horse's code path), on each of two workload seeds.
 //
 // Full Results are NOT comparable across executions — the FTI clock
 // paces the control plane against the wall, so byte and solve counters
@@ -37,7 +36,7 @@ func TestDaemonRunMatchesCLIRun(t *testing.T) {
 	}
 
 	// The daemon side: a real runner (Exec nil = spec.Run.Execute), a
-	// worker axis of 1 and 4, submitted over HTTP like any client.
+	// seed axis of 42 and 7, submitted over HTTP like any client.
 	srv := NewServer(&Runner{Dir: t.TempDir(), Concurrency: 2, Logf: t.Logf}, t.Logf)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -46,8 +45,8 @@ func TestDaemonRunMatchesCLIRun(t *testing.T) {
 		"name": "determinism",
 		"topos": ["fattree:4"],
 		"scenarios": ["ecmp5"],
-		"traffics": ["permutation:42"],
-		"solver_workers": [1, 4],
+		"traffics": ["permutation"],
+		"seeds": [42, 7],
 		"base": {"dur": "2s", "pacing": 40},
 		"timeout": "2m"
 	}`
@@ -73,25 +72,26 @@ func TestDaemonRunMatchesCLIRun(t *testing.T) {
 	for n := 0; n < 2; n++ {
 		getJSON(t, ts.URL+"/campaigns/"+created.ID+"/runs/"+string(rune('0'+n)), http.StatusOK, &daemon[n])
 	}
-	if daemon[0].Wall.SolverWorkers != 1 || daemon[1].Wall.SolverWorkers != 4 {
-		t.Fatalf("worker axis = [%d %d], want [1 4]",
-			daemon[0].Wall.SolverWorkers, daemon[1].Wall.SolverWorkers)
-	}
 
-	// The CLI side: the same spec through Run.Execute, which is exactly
+	// The CLI side: the same specs through Run.Execute, which is exactly
 	// what cmd/horse does after flag parsing.
-	cli := base
-	cli.Topo = "fattree:4"
-	cli.Scenario = "ecmp5"
-	cli.Traffic = "permutation:42"
-	cli.SolverWorkers = 1
-	cliOut, err := cli.Execute()
-	if err != nil {
-		t.Fatal(err)
+	for n, traffic := range []string{"permutation:42", "permutation:7"} {
+		if daemon[n].Spec.Traffic != traffic {
+			t.Fatalf("daemon run %d ran %s, want %s", n, daemon[n].Spec.Traffic, traffic)
+		}
+		cli := base
+		cli.Topo = "fattree:4"
+		cli.Scenario = "ecmp5"
+		cli.Traffic = traffic
+		cliOut, err := cli.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertFingerprintsEqual(t, "daemon vs CLI on "+traffic, daemon[n].Fingerprint, cliOut.Fingerprint)
 	}
-
-	assertFingerprintsEqual(t, "daemon w1 vs daemon w4", daemon[0].Fingerprint, daemon[1].Fingerprint)
-	assertFingerprintsEqual(t, "daemon w1 vs CLI", daemon[0].Fingerprint, cliOut.Fingerprint)
+	if daemon[0].Fingerprint.Digest() == daemon[1].Fingerprint.Digest() {
+		t.Error("the two seeds produced one fingerprint: the seed axis did not reach the workload")
+	}
 }
 
 // assertFingerprintsEqual compares two fingerprints field by field so a

@@ -31,20 +31,19 @@
 // The set keeps persistent per-link state — capacity, the member list of
 // active flows crossing the link, and the granted load — updated
 // incrementally on Add, Remove and SetPath rather than rebuilt inside
-// Solve. A mutation seeds its links into a per-shard dirty set (shards are
-// topology partition labels supplied by SetShardOf; netmodel wires them to
-// the incremental topo.Components index). Solve expands each shard's seeds
-// into connected components of links and flows reachable through shared
-// links and re-solves only those regions, leaving every other allocation
-// (and link load) untouched. Within a component, rates are computed by
-// sorted water-filling: links sit in a min-heap keyed by the fill level at
-// which they saturate, and each round freezes a whole saturated link (all
-// its unfrozen flows at the current level) or a batch of demand-limited
-// flows — never one epsilon increment at a time. The re-solve path
+// Solve. A mutation seeds its links into the dirty set. Solve expands the
+// seeds, in seeding order, into connected components of links and flows
+// reachable through shared links and re-solves only those regions, one
+// after another, leaving every other allocation (and link load) untouched.
+// Within a component, rates are computed by sorted water-filling: links
+// sit in a min-heap keyed by the fill level at which they saturate, and
+// each round freezes a whole saturated link (all its unfrozen flows at the
+// current level) or a batch of demand-limited flows — never one epsilon
+// increment at a time. The re-solve path
 // performs no heap allocations in steady state: component discovery writes
 // flow and link handles into two grown-once scratch slices shared by all
-// tasks of a solve (a CSR over components), and each worker water-fills
-// with its own grown-once heap slice.
+// tasks of a solve (a CSR over components), and the water-fill reuses one
+// grown-once heap slice.
 //
 // # Speculative closure: passive and active links
 //
@@ -63,10 +62,10 @@
 // link's load is recomputed over all its members, inside the region or
 // not, and a link found over capacity is promoted to active, the closure
 // continues from it, and the whole region discovered so far is filled
-// again as one component on the caller. At most maxSpecRefills such
-// refills are followed by one fill with every link of the region active,
-// which is the full closure, so a solve is bounded by a fixed number of
-// fills of at most its full component however the speculation fares.
+// again as one component. At most maxSpecRefills such refills are followed
+// by one fill with every link of the region active, which is the full
+// closure, so a solve is bounded by a fixed number of fills of at most its
+// full component however the speculation fares.
 //
 // The result is exact by the bottleneck property, not by agreement with a
 // second solver. Every link that can fire is active and has all its
@@ -104,32 +103,15 @@
 // may differ in the last bits of a rate (a few ulp, healing on the next
 // solve of the region), the more so the more the regions they filled
 // differ, which is the second reason batches take the plain closure. What
-// is bit-identical is one history at any worker count; across versions the
-// contract is the fingerprint digests of the pinned specs.
-//
-// # Parallel component solves
-//
-// Explicit max–min rate allocation is bottleneck-local: two dirty
-// components sharing no link and no flow have independent water-filling
-// problems. Solve therefore fans the expanded components out to
-// SetWorkers goroutines (a work-stealing counter over a fixed task list)
-// and merges rates and SolveStats deterministically. Determinism
-// guarantee: component discovery is a sequential walk whose order depends
-// only on the mutation history, each component is water-filled by exactly
-// one goroutine with deterministically ordered inputs, and stats merge in
-// component order — so every rate (and every stat, including the memory
-// counters) is bit-identical at any worker count. Two components may share
-// passive links, which a fill only skips (it reads their passive mark and
-// nothing else); the check and any refill run on the caller after the
-// workers have finished, so Refills and Promoted are as deterministic as
-// the rest. The single-component
-// steady-state path runs inline on the caller with zero synchronization
-// and zero allocations.
+// is bit-identical is one history, every time: discovery order and fill
+// arithmetic depend on the mutation history alone (the golden rate digests
+// in the tests pin it); across versions the contract is the fingerprint
+// digests of the pinned specs.
 //
 // Complexity per fill, for a dirty component with F flows, L active links
-// and P hops of which Pa cross active links: O(P + F log F + (L + Pa) log L),
-// components running concurrently; a speculating solve adds O(P) for the
-// check and makes at most maxSpecRefills+2 fills. A full naive recompute
+// and P hops of which Pa cross active links: O(P + F log F + (L + Pa) log L);
+// a speculating solve adds O(P) for the check and makes at most
+// maxSpecRefills+2 fills. A full naive recompute
 // (kept behind SetNaive for benchmarking) is O(rounds · (F + L) + P) with
 // fresh map and slice allocations per solve.
 package fluid
@@ -139,8 +121,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
 )
@@ -310,9 +290,7 @@ func (ar *pairArena) bytes() int {
 }
 
 // MemStats gauges the set's resident storage after a solve. Everything
-// here is a function of the mutation history alone — per-worker heap
-// scratch is deliberately excluded — so the struct is identical at any
-// worker count (part of the determinism guarantee).
+// here is a function of the mutation history alone.
 type MemStats struct {
 	// FlowSlots is the length of the dense flow table: live flows plus
 	// freelist slots awaiting reuse.
@@ -360,8 +338,7 @@ func (m *MemStats) max(o MemStats) {
 
 // SolveStats describes the work done by the most recent Solve. A solve
 // covering several independent dirty components reports their merged
-// totals; counters are accumulated in component order after all workers
-// finish, so the struct is identical at any worker count.
+// totals.
 type SolveStats struct {
 	// Flows and Links are the total sizes of the re-solved dirty
 	// components (Links includes memberless links whose load was reset
@@ -380,12 +357,8 @@ type SolveStats struct {
 	// water-filled by this solve (1 after a refill, which fills everything
 	// discovered as one component).
 	Components int
-	// MaxComponentFlows is the flow count of the largest component — the
-	// critical path of a parallel solve.
+	// MaxComponentFlows is the flow count of the largest component.
 	MaxComponentFlows int
-	// Workers is how many goroutines the solve fanned out to (1 = inline
-	// on the caller).
-	Workers int
 	// Full reports whether the solve covered the whole set (MarkDirty or
 	// naive mode) rather than a dirty region.
 	Full bool
@@ -409,19 +382,10 @@ type Totals struct {
 	Components int
 	// MaxComponentFlows is the largest single component ever solved.
 	MaxComponentFlows int
-	// ParallelSolves counts solves that fanned out to more than one
-	// worker goroutine.
+	// ParallelSolves is never written: bench/layers.go still reads it.
 	ParallelSolves int
 	// Mem is the elementwise peak of the per-solve memory gauges.
 	Mem MemStats
-}
-
-// shardState buckets dirty seeds (link handles) by topology partition
-// label so a solve walks coherent regions together and per-shard seed
-// storage is reused.
-type shardState struct {
-	label int
-	seeds []int32
 }
 
 // taskRef is one independent dirty component: a slice of the shared
@@ -486,11 +450,8 @@ type Set struct {
 	epoch    uint64 // component-walk epoch counter
 	seedGen  uint64 // seed-dedup epoch counter
 
-	// Sharding and the worker pool (see the package comment).
-	shardOf func(core.LinkID) int
-	shards  map[int]*shardState
-	dirty   []*shardState // shards holding seeds, in first-seed order
-	workers int
+	// seeds lists the links dirtied since the last solve, in seeding order.
+	seeds []int32
 
 	// seedFlows lists the flows attached since the last solve. Their path
 	// links are seeded too, but a passive link does not pull its members
@@ -506,12 +467,12 @@ type Set struct {
 	// allocates nothing. tasks/taskFlows/taskLinks form the component
 	// CSR (taskLinks holds active links only); passive lists the links the
 	// region's flows cross that were speculated slack, shared by all
-	// tasks; heaps[w] is worker w's water-filling heap.
+	// tasks; heap is the water-filling heap.
 	tasks     []taskRef
 	taskFlows []int32
 	taskLinks []int32
 	passive   []int32
-	heaps     [][]int32
+	heap      []int32
 }
 
 // NewSet creates a flow set over a network whose link capacities are
@@ -522,35 +483,10 @@ func NewSet(caps func(core.LinkID) core.Rate) *Set {
 		caps:    caps,
 		byID:    make(map[FlowID]int32),
 		byLink:  make(map[core.LinkID]int32),
-		shards:  make(map[int]*shardState),
-		workers: 1,
 		epsilon: 1, // 1 bps resolution
 		seedGen: 1,
 	}
 }
-
-// SetWorkers sets how many goroutines a solve may fan independent dirty
-// components out to. 1 (the default) reproduces the sequential solver
-// exactly; any value yields bit-identical rates (see the package
-// comment's determinism guarantee). Call from the engine goroutine.
-func (s *Set) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-}
-
-// Workers reports the configured solver worker count.
-func (s *Set) Workers() int { return s.workers }
-
-// SetShardOf installs the topology partition function used to bucket
-// dirty seeds (netmodel wires topo.Components.OfLink). The partition is a
-// routing hint, not a correctness requirement: component expansion walks
-// flow/link closure regardless of labels, so a stale label (e.g. a path
-// crossing a just-failed cable mid-batch) only changes which bucket a
-// seed sits in, never the solved result. nil (the default) buckets
-// everything under one shard.
-func (s *Set) SetShardOf(f func(core.LinkID) int) { s.shardOf = f }
 
 // SetDelayOf installs the per-link propagation delay function (netmodel
 // wires it to the topology's link delays). It feeds PathLatency and
@@ -639,19 +575,23 @@ func (s *Set) Resume(now core.Time) {
 	s.solve(true)
 }
 
+// capOf reads a link's capacity from the caps callback, clamped at zero.
+func (s *Set) capOf(id core.LinkID) core.Rate {
+	if c := s.caps(id); c > 0 {
+		return c
+	}
+	return 0
+}
+
 // linkHandle returns (creating if needed) the dense handle of link id.
 func (s *Set) linkHandle(id core.LinkID) int32 {
 	if lh, ok := s.byLink[id]; ok {
 		return lh
 	}
-	c := s.caps(id)
-	if c < 0 {
-		c = 0
-	}
 	lh := int32(len(s.lID))
 	s.byLink[id] = lh
 	s.lID = append(s.lID, id)
-	s.lCap = append(s.lCap, c)
+	s.lCap = append(s.lCap, s.capOf(id))
 	s.lLoad = append(s.lLoad, 0)
 	s.lBytes = append(s.lBytes, 0)
 	s.lVisit = append(s.lVisit, 0)
@@ -688,28 +628,13 @@ func (s *Set) allocFlow() int32 {
 	return fh
 }
 
-// seed marks a link as a dirty-region seed for the next solve, routed to
-// the shard of its current partition label. Labels are re-read on every
-// (first-per-solve) seeding, so a topology change that relabels a region
-// is picked up the next time any of its links is dirtied.
+// seed marks a link as a dirty-region seed for the next solve.
 func (s *Set) seed(lh int32) {
 	if s.lSeeded[lh] == s.seedGen {
 		return
 	}
 	s.lSeeded[lh] = s.seedGen
-	label := 0
-	if s.shardOf != nil {
-		label = s.shardOf(s.lID[lh])
-	}
-	sh := s.shards[label]
-	if sh == nil {
-		sh = &shardState{label: label}
-		s.shards[label] = sh
-	}
-	if len(sh.seeds) == 0 {
-		s.dirty = append(s.dirty, sh)
-	}
-	sh.seeds = append(sh.seeds, lh)
+	s.seeds = append(s.seeds, lh)
 }
 
 // storePath writes the flow's path into the path arena as link handles
@@ -767,8 +692,6 @@ func (s *Set) detach(fh int32) {
 }
 
 // maybeCompact reclaims arena garbage once abandoned regions dominate.
-// Compaction timing is a pure function of the mutation history, so the
-// memory gauges stay identical at any worker count.
 func (s *Set) maybeCompact() {
 	if s.paths.needCompact() {
 		s.paths.compact(s.fPath)
@@ -951,8 +874,14 @@ func (s *Set) SetCapacity(id core.LinkID, c core.Rate, now core.Time) {
 }
 
 // Capacity reports the solver's current cached capacity for a link (the
-// value from the caps callback or the last SetCapacity).
-func (s *Set) Capacity(id core.LinkID) core.Rate { return s.lCap[s.linkHandle(id)] }
+// value from the caps callback or the last SetCapacity). A read creates no
+// link slot: a link the set has not seen yet answers from the callback.
+func (s *Set) Capacity(id core.LinkID) core.Rate {
+	if lh, ok := s.byLink[id]; ok {
+		return s.lCap[lh]
+	}
+	return s.capOf(id)
+}
 
 // Integrate accrues delivered bytes at the current rates up to now.
 // It must be called before any rate-affecting mutation. The clock never
@@ -986,7 +915,7 @@ func (s *Set) solve(batch bool) {
 	if s.deferDepth > 0 {
 		return
 	}
-	if !s.dirtyAll && len(s.dirty) == 0 {
+	if !s.dirtyAll && len(s.seeds) == 0 {
 		return
 	}
 	s.solves++
@@ -1001,22 +930,17 @@ func (s *Set) solve(batch bool) {
 		if s.dirtyAll {
 			s.seedAll()
 		}
-		s.solveShards(speculate)
+		s.solveDirty(speculate)
 	}
 	s.dirtyAll = false
-	for _, sh := range s.dirty {
-		sh.seeds = sh.seeds[:0]
-	}
-	s.dirty = s.dirty[:0]
+	s.seeds = s.seeds[:0]
 	s.seedFlows = s.seedFlows[:0]
 	s.seedGen++
 	s.last.Mem = s.memStats()
 	s.accumulate()
 }
 
-// memStats gauges resident storage. Worker heap scratch is excluded: it
-// is the only storage whose size depends on the worker count, and the
-// gauge must not (SolveStats are bit-compared across worker counts).
+// memStats gauges resident storage.
 func (s *Set) memStats() MemStats {
 	return MemStats{
 		FlowSlots:        len(s.fID),
@@ -1043,22 +967,15 @@ func (s *Set) accumulate() {
 	if st.MaxComponentFlows > s.totals.MaxComponentFlows {
 		s.totals.MaxComponentFlows = st.MaxComponentFlows
 	}
-	if st.Workers > 1 {
-		s.totals.ParallelSolves++
-	}
 	s.totals.Mem.max(st.Mem)
 }
 
 // seedAll refreshes every cached capacity from caps and seeds every known
 // link (in handle order, for run-to-run determinism), turning the next
-// sharded solve into a full one.
+// solve into a full one.
 func (s *Set) seedAll() {
 	for lh := range s.lID {
-		c := s.caps(s.lID[lh])
-		if c < 0 {
-			c = 0
-		}
-		s.lCap[lh] = c
+		s.lCap[lh] = s.capOf(s.lID[lh])
 		s.seed(int32(lh))
 	}
 	// Flows whose whole path vanished from link state cannot exist:
@@ -1148,8 +1065,6 @@ func (s *Set) closeTask(fOff, lOff int32, speculate bool) (quiet int) {
 // recomputed over all its members, re-solved or not, and a link found over
 // capacity turns active — onto taskLinks, for expand to close the region
 // from. With all set, every remaining passive link is promoted unchecked.
-// It runs on the caller after the worker tasks, so two components sharing
-// a passive link never race on it.
 func (s *Set) promote(all bool) {
 	keep := s.passive[:0]
 	for _, lh := range s.passive {
@@ -1171,39 +1086,36 @@ func (s *Set) promote(all bool) {
 	s.passive = keep
 }
 
-// solveShards expands the dirty seeds into independent connected
-// components and water-fills them on the worker pool, leaving all other
+// solveDirty expands the dirty seeds into independent connected
+// components and water-fills them one after another, leaving all other
 // allocations untouched.
 //
-// Component discovery is sequential and worker-count-independent: seeds
-// are visited in shard dirty order, then the attached flows, and each
+// Seeds are visited in seeding order, then the attached flows, and each
 // unvisited seed's closure — every flow on an active component link joins
 // and drags all links of its path in — is appended to the shared task CSR
 // (taskFlows/taskLinks) and becomes one task. Because the closure is an
 // equivalence class, a seed already visited belongs entirely to an earlier
 // task and is skipped, and two tasks can never share a flow or an active
-// link: each task's water-fill touches disjoint state, so tasks
-// parallelize without locks.
+// link: each task's water-fill touches disjoint state, so the order the
+// tasks are filled in does not show in the rates.
 //
 // With speculate the closure is speculative (see the package comment):
 // slack links stay passive, the fill is checked against them afterwards,
 // and a miss promotes the link and refills.
-func (s *Set) solveShards(speculate bool) {
+func (s *Set) solveDirty(speculate bool) {
 	s.epoch++
 	quietLinks := 0
 	s.tasks = s.tasks[:0]
 	s.taskFlows = s.taskFlows[:0]
 	s.taskLinks = s.taskLinks[:0]
 	s.passive = s.passive[:0]
-	for _, sh := range s.dirty {
-		for _, lh := range sh.seeds {
-			if s.lVisit[lh] == s.epoch {
-				continue
-			}
-			fOff, lOff := int32(len(s.taskFlows)), int32(len(s.taskLinks))
-			s.visitLink(lh, speculate)
-			quietLinks += s.closeTask(fOff, lOff, speculate)
+	for _, lh := range s.seeds {
+		if s.lVisit[lh] == s.epoch {
+			continue
 		}
+		fOff, lOff := int32(len(s.taskFlows)), int32(len(s.taskLinks))
+		s.visitLink(lh, speculate)
+		quietLinks += s.closeTask(fOff, lOff, speculate)
 	}
 	for _, fh := range s.seedFlows {
 		if !s.fAttach[fh] || s.fVisit[fh] == s.epoch {
@@ -1213,28 +1125,12 @@ func (s *Set) solveShards(speculate bool) {
 		s.visitFlow(fh, speculate)
 		s.closeTask(fOff, lOff, speculate)
 	}
-	ntasks := len(s.tasks)
-	workers := s.workers
-	if workers > ntasks {
-		workers = ntasks
-	}
-	if len(s.heaps) == 0 {
-		s.heaps = append(s.heaps, nil)
-	}
-	if workers <= 1 {
-		for i := 0; i < ntasks; i++ {
-			s.heaps[0] = s.waterfill(&s.tasks[i], s.heaps[0])
-		}
-		workers = 1
-	} else {
-		s.runTasks(ntasks, workers)
-	}
 	s.last = SolveStats{
-		Components: ntasks,
-		Workers:    workers,
+		Components: len(s.tasks),
 		Full:       s.dirtyAll,
 	}
-	for i := 0; i < ntasks; i++ {
+	for i := range s.tasks {
+		s.waterfill(&s.tasks[i])
 		s.last.Rounds += s.tasks[i].rounds
 		if n := int(s.tasks[i].fN); n > s.last.MaxComponentFlows {
 			s.last.MaxComponentFlows = n
@@ -1242,9 +1138,9 @@ func (s *Set) solveShards(speculate bool) {
 	}
 	// Verify, promote, refill. A refill continues the closure from the
 	// promoted links and fills everything discovered so far as one
-	// component on the caller: a promoted link may join what were separate
-	// tasks. The last allowed refill promotes every passive link left and
-	// closes without speculating, which is the full closure.
+	// component: a promoted link may join what were separate tasks. The
+	// last allowed refill promotes every passive link left and closes
+	// without speculating, which is the full closure.
 	for len(s.passive) > 0 {
 		lOff := int32(len(s.taskLinks))
 		s.promote(false)
@@ -1259,44 +1155,13 @@ func (s *Set) solveShards(speculate bool) {
 		s.last.Promoted += len(s.taskLinks) - int(lOff)
 		s.expand(lOff, !last)
 		s.tasks = append(s.tasks[:0], taskRef{fN: int32(len(s.taskFlows)), lN: int32(len(s.taskLinks))})
-		s.heaps[0] = s.waterfill(&s.tasks[0], s.heaps[0])
+		s.waterfill(&s.tasks[0])
 		s.last.Rounds += s.tasks[0].rounds
 		s.last.Components = 1
 		s.last.MaxComponentFlows = len(s.taskFlows)
 	}
 	s.last.Flows = len(s.taskFlows)
 	s.last.Links = quietLinks + len(s.taskLinks) + len(s.passive)
-}
-
-// runTasks water-fills tasks[0:ntasks] on a pool of worker goroutines
-// pulling from a work-stealing counter. Which goroutine runs which task
-// does not affect the result: tasks touch disjoint state (each worker
-// water-fills with its own heap scratch), and stats merge afterwards in
-// task order. Kept out of solveShards so the parallel closure's captures
-// cannot force heap allocations onto the inline single-component
-// steady-state path.
-func (s *Set) runTasks(ntasks, workers int) {
-	for len(s.heaps) < workers {
-		s.heaps = append(s.heaps, nil)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			heap := s.heaps[w]
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= ntasks {
-					break
-				}
-				heap = s.waterfill(&s.tasks[i], heap)
-			}
-			s.heaps[w] = heap
-		}(w)
-	}
-	wg.Wait()
 }
 
 // satLevel is the fill level at which the link saturates given its
@@ -1325,13 +1190,8 @@ func (s *Set) syncLink(lh int32, level core.Rate) {
 // saturate; each round raises the water level to the next event — a link
 // saturating (all its unfrozen flows freeze at the level) or the smallest
 // unmet demand (those flows freeze at their demand) — so whole links
-// freeze per round rather than epsilon steps. It water-fills with the
-// caller's heap scratch and returns it (possibly grown).
-//
-// Safe to run concurrently for disjoint tasks: it writes only the task's
-// own flows' and links' slots plus its CSR segments and the private heap,
-// and reads shared Set state (the arenas, epsilon) without mutating it.
-func (s *Set) waterfill(t *taskRef, heap []int32) []int32 {
+// freeze per round rather than epsilon steps.
+func (s *Set) waterfill(t *taskRef) {
 	flows := s.taskFlows[t.fOff : t.fOff+t.fN]
 	links := s.taskLinks[t.lOff : t.lOff+t.lN]
 	inf := core.Rate(math.Inf(1))
@@ -1374,7 +1234,7 @@ func (s *Set) waterfill(t *taskRef, heap []int32) []int32 {
 			}
 		})
 	}
-	heap = heap[:0]
+	heap := s.heap[:0]
 	for _, lh := range links {
 		if s.lNact[lh] > 0 {
 			s.lKey[lh] = s.satLevel(lh)
@@ -1461,7 +1321,7 @@ func (s *Set) waterfill(t *taskRef, heap []int32) []int32 {
 		}
 	}
 	t.rounds = rounds
-	return heap[:0]
+	s.heap = heap[:0]
 }
 
 // freeze finalizes a flow's rate and retires it from every active link it
@@ -1483,8 +1343,8 @@ func (s *Set) freeze(fh int32, rate, level core.Rate) {
 }
 
 // heapPush and heapPop maintain a binary min-heap of link handles keyed
-// by lKey (saturation level). Hand-rolled over the caller's scratch slice
-// so the solve path stays allocation-free.
+// by lKey (saturation level). Hand-rolled over the Set's scratch slice so
+// the solve path stays allocation-free.
 func (s *Set) heapPush(h []int32, lh int32) []int32 {
 	h = append(h, lh)
 	i := len(h) - 1

@@ -54,7 +54,7 @@ func (s *Set) solveNaive() {
 		}
 	}
 	s.last = SolveStats{Flows: len(active), Links: len(links), Components: 1,
-		MaxComponentFlows: len(active), Workers: 1, Full: true}
+		MaxComponentFlows: len(active), Full: true}
 
 	// Progressive filling: raise all active flows together until a link
 	// saturates or a flow reaches its demand; freeze and repeat.

@@ -35,11 +35,6 @@ type Network struct {
 	fibs   map[core.NodeID]*fib.Table
 	tables map[core.NodeID]*flowtable.Table
 
-	// comps is the incremental connected-component index over live
-	// links, maintained through SetCableState/SetNodeState and consumed
-	// by the fluid solver to shard dirty regions by topology partition.
-	comps *topo.Components
-
 	// OnPacketIn, when set, receives table-miss punts (the Connection
 	// Manager forwards them to the emulated controller as real
 	// PACKET_IN messages). If nil, misses blackhole the flow.
@@ -102,15 +97,8 @@ func New(g *topo.Graph) *Network {
 		}
 		return 0
 	})
-	n.comps = topo.NewComponents(g)
-	n.Flows.SetShardOf(n.comps.OfLink)
 	return n
 }
-
-// Components exposes the live-link component index (engine-goroutine
-// state, like the FIBs): tests and stats consumers read partition counts
-// and labels from it.
-func (n *Network) Components() *topo.Components { return n.comps }
 
 // effectiveRate is the capacity a link offers the fluid model: its
 // configured rate, or zero while the link (or either endpoint node) is
@@ -402,9 +390,6 @@ func (n *Network) SetCableState(ab core.LinkID, down bool, now core.Time) bool {
 	}
 	l.SetDown(down)
 	rev.SetDown(down)
-	// Update the partition index before seeding the fluid layer so the
-	// dirtied links are bucketed under their post-change labels.
-	n.comps.OnCableState(l.ID)
 	n.Flows.Defer()
 	n.Flows.SetCapacity(l.ID, n.effectiveRate(l.ID), now)
 	n.Flows.SetCapacity(rev.ID, n.effectiveRate(rev.ID), now)
@@ -446,7 +431,6 @@ func (n *Network) SetNodeState(id core.NodeID, down bool, now core.Time) bool {
 		return false
 	}
 	node.SetDown(down)
-	n.comps.OnNodeState(id)
 	n.Flows.Defer()
 	for _, p := range node.Ports {
 		l := n.G.Link(p.Link)

@@ -767,91 +767,3 @@ func TestSetNodeStateKillsTransit(t *testing.T) {
 		t.Fatalf("flow after node repair: state=%v rate=%v", got.State, got.Rate)
 	}
 }
-
-func TestComponentsTrackInjections(t *testing.T) {
-	// A 3-node chain: failing the middle cable must split the partition,
-	// repairing it must merge, and a node outage must isolate the node —
-	// all through the netmodel injection surface, which is what keeps the
-	// index consistent with LinkAlive for the sharded solver.
-	g, err := topo.Linear(3, topo.Switch, core.Gbps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := New(g)
-	comps := n.Components()
-	if comps.Count() != 1 {
-		t.Fatalf("connected chain has %d components, want 1", comps.Count())
-	}
-	s0, _ := g.NodeByName("s0")
-	s1, _ := g.NodeByName("s1")
-	s2, _ := g.NodeByName("s2")
-	cable := g.CableBetween(s0.ID, s1.ID)
-
-	if !n.SetCableState(cable.ID, true, 0) {
-		t.Fatal("SetCableState reported no change")
-	}
-	if comps.Count() != 2 || comps.SameComponent(s0.ID, s1.ID) {
-		t.Fatalf("after cable down: count=%d s0~s1=%v", comps.Count(), comps.SameComponent(s0.ID, s1.ID))
-	}
-	n.SetCableState(cable.ID, false, 0)
-	if comps.Count() != 1 {
-		t.Fatalf("after repair: count=%d, want 1", comps.Count())
-	}
-
-	// Node outage: netmodel only flips the node (the CM fails the cables
-	// separately); the index must still isolate it.
-	n.SetNodeState(s1.ID, true, 0)
-	if comps.SameComponent(s0.ID, s2.ID) || comps.SameComponent(s1.ID, s0.ID) {
-		t.Fatalf("after s1 down: s0~s2=%v s1~s0=%v, want both split",
-			comps.SameComponent(s0.ID, s2.ID), comps.SameComponent(s1.ID, s0.ID))
-	}
-	n.SetNodeState(s1.ID, false, 0)
-	if comps.Count() != 1 {
-		t.Fatalf("after s1 up: count=%d, want 1", comps.Count())
-	}
-}
-
-func TestShardedSolveAcrossCableBatch(t *testing.T) {
-	// Two hosts on each of two chain switches; failing a host access
-	// cable while flows run must leave rates consistent whether solved
-	// with 1 worker or many (the netmodel-level determinism check; the
-	// full oracle lives in the root package's parity test).
-	mk := func(workers int) (*Network, *topo.Graph) {
-		g, err := topo.Star(4, topo.Switch, core.Gbps, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := New(g)
-		n.Flows.SetWorkers(workers)
-		return n, g
-	}
-	run := func(workers int) []core.Rate {
-		n, g := mk(workers)
-		n.AutoReroute = false
-		hosts := g.Hosts()
-		// Two flows to distinct destinations through the hub.
-		for i := 0; i < 2; i++ {
-			src, dst := hosts[i], hosts[2+i]
-			path := []core.LinkID{src.Ports[0].Link, g.Node(src.Ports[0].Peer).Ports[2+i].Link}
-			n.Flows.Add(&fluid.Flow{
-				ID: fluid.FlowID(i + 1), Src: src.ID, Dst: dst.ID,
-				Demand: core.Gbps, Path: path, State: fluid.Active,
-			}, 0)
-		}
-		cable := g.Link(hosts[2].Ports[0].Link)
-		n.SetCableState(cable.ID, true, 0)
-		n.SetCableState(cable.ID, false, 0)
-		rates := make([]core.Rate, 0, 2)
-		for _, f := range n.Flows.Flows() {
-			rates = append(rates, f.Rate)
-		}
-		return rates
-	}
-	seq := run(1)
-	par := run(8)
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("flow %d: rate %v (workers=1) vs %v (workers=8)", i+1, seq[i], par[i])
-		}
-	}
-}

@@ -163,8 +163,12 @@ func TestQuietTimeoutReturnsToDES(t *testing.T) {
 
 func TestRepeatedControlKeepsFTI(t *testing.T) {
 	cfg := fast()
-	cfg.QuietTimeout = 50 * core.Millisecond
-	cfg.Pacing = 100
+	// The quiet period must outlast the gap between posts in wall time by
+	// construction (200ms virtual at pacing 10 is 20ms against a 2ms gap,
+	// room for a loaded machine to stretch the sleeps), not because the
+	// runtime happens to round sub-millisecond sleeps up.
+	cfg.QuietTimeout = 200 * core.Millisecond
+	cfg.Pacing = 10
 	e := New(cfg)
 	var tick func()
 	tick = func() { e.After(core.Millisecond, tick) }

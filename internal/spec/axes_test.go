@@ -21,17 +21,16 @@ func TestRunAxes(t *testing.T) {
 			want: map[string]string{
 				"topo": "fattree:4", "scenario": "ecmp5",
 				"traffic": "permutation", "seed": "42",
-				"solver_workers": "0", "advertise_delay": "0s", "dampening": "false",
+				"advertise_delay": "0s", "dampening": "false",
 			},
 		},
 		{
 			name: "seeded pareto",
-			run: Run{Topo: "linear:4", Scenario: "ecmp5", Traffic: "pareto:7:2000",
-				SolverWorkers: 4},
+			run:  Run{Topo: "linear:4", Scenario: "ecmp5", Traffic: "pareto:7:2000"},
 			want: map[string]string{
 				"topo": "linear:4", "scenario": "ecmp5",
 				"traffic": "pareto:*:2000", "seed": "7",
-				"solver_workers": "4", "advertise_delay": "0s", "dampening": "false",
+				"advertise_delay": "0s", "dampening": "false",
 			},
 		},
 		{
@@ -41,7 +40,7 @@ func TestRunAxes(t *testing.T) {
 			want: map[string]string{
 				"topo": "wan:tier1", "scenario": "bgp-rr",
 				"traffic": "permutation", "seed": "7",
-				"solver_workers": "0", "advertise_delay": "50ms", "dampening": "true",
+				"advertise_delay": "50ms", "dampening": "true",
 			},
 		},
 		{
@@ -51,7 +50,7 @@ func TestRunAxes(t *testing.T) {
 			want: map[string]string{
 				"topo": "fattree:4", "scenario": "ecmp5",
 				"traffic": "stride:8", "capacity": "walk:*:250ms", "seed": "9",
-				"solver_workers": "0", "advertise_delay": "0s", "dampening": "false",
+				"advertise_delay": "0s", "dampening": "false",
 			},
 		},
 	}

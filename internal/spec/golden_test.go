@@ -16,29 +16,26 @@ import (
 // the constant in the same commit and says why.
 const goldenECMP5Digest = "255bedc45e8687c2"
 
-// TestGoldenFingerprintDigest pins the digest at solver workers 1 and
-// 4: the fingerprint is the converged steady state, so solver
-// parallelism may not move it.
+// TestGoldenFingerprintDigest pins the digest: the fingerprint is the
+// converged steady state, and nothing about how the run got there may
+// move it.
 func TestGoldenFingerprintDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
 	}
-	for _, workers := range []int{1, 4} {
-		r := Run{
-			Topo:          "fattree:4",
-			Scenario:      "ecmp5",
-			Traffic:       "permutation:42",
-			Dur:           Duration(2 * time.Second),
-			Pacing:        40,
-			SolverWorkers: workers,
-		}
-		out, err := r.Execute()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if got := out.Fingerprint.Digest(); got != goldenECMP5Digest {
-			t.Errorf("workers=%d: digest %s, want %s (steady rx %s, %d flows)",
-				workers, got, goldenECMP5Digest, out.Fingerprint.SteadyRx, len(out.Fingerprint.Flows))
-		}
+	r := Run{
+		Topo:     "fattree:4",
+		Scenario: "ecmp5",
+		Traffic:  "permutation:42",
+		Dur:      Duration(2 * time.Second),
+		Pacing:   40,
+	}
+	out, err := r.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Fingerprint.Digest(); got != goldenECMP5Digest {
+		t.Errorf("digest %s, want %s (steady rx %s, %d flows)",
+			got, goldenECMP5Digest, out.Fingerprint.SteadyRx, len(out.Fingerprint.Flows))
 	}
 }

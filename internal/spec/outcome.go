@@ -31,9 +31,9 @@ type Outcome struct {
 
 // Fingerprint is the deterministic projection of a horse.Result: the
 // converged steady state, which depends only on the spec — same seed,
-// any solver worker count, any wall-clock jitter — once the control
-// plane has settled. Two executions of the same spec must produce
-// bit-identical fingerprints (rates are compared via Float64bits).
+// any wall-clock jitter — once the control plane has settled. Two
+// executions of the same spec must produce bit-identical fingerprints
+// (rates are compared via Float64bits).
 // Quantities accumulated through the convergence window (delivered
 // bytes, event counts, solve counts) are wall-timing-sensitive and live
 // in WallStats instead.
@@ -85,7 +85,6 @@ type WallStats struct {
 	TimeoutExits  int `json:"timeout_exits"`
 
 	Solves          int    `json:"solves"`
-	SolverWorkers   int    `json:"solver_workers"`
 	ControlBytes    uint64 `json:"control_bytes"`
 	RouteInstalls   uint64 `json:"route_installs,omitempty"`
 	RouteWithdraws  uint64 `json:"route_withdraws,omitempty"`
@@ -154,7 +153,6 @@ func NewOutcome(r Run, res *horse.Result) *Outcome {
 			EvidenceExits:   res.Sim.EvidenceExits,
 			TimeoutExits:    res.Sim.TimeoutExits,
 			Solves:          res.Solves,
-			SolverWorkers:   res.SolverWorkers,
 			ControlBytes:    res.ControlBytes,
 			RouteInstalls:   res.RouteInstalls,
 			RouteWithdraws:  res.RouteWithdraws,

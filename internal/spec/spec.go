@@ -82,8 +82,6 @@ type Run struct {
 	Pacing float64 `json:"pacing,omitempty"`
 	// SampleInterval overrides the aggregate-rate sampling period.
 	SampleInterval Duration `json:"sample_interval,omitempty"`
-	// SolverWorkers is the rate solver worker count (0 = GOMAXPROCS).
-	SolverWorkers int `json:"solver_workers,omitempty"`
 	// DelayScale scales WAN geographic link delays; nil means 1.0 and
 	// an explicit 0 is the zero-latency ablation.
 	DelayScale *float64 `json:"delay_scale,omitempty"`
@@ -168,9 +166,6 @@ func (r Run) parse() (parts, error) {
 	if r.Pacing < 0 {
 		return p, fmt.Errorf("spec: negative pacing %v", r.Pacing)
 	}
-	if r.SolverWorkers < 0 {
-		return p, fmt.Errorf("spec: negative solver workers %d", r.SolverWorkers)
-	}
 	if ds := r.DelayScale; ds != nil && *ds < 0 {
 		return p, fmt.Errorf("spec: negative delay scale %v", *ds)
 	}
@@ -211,7 +206,6 @@ func (r Run) Experiment() (*horse.Experiment, error) {
 	exp := horse.NewExperiment(horse.Config{
 		Pacing:         r.Pacing,
 		SampleInterval: core.FromDuration(r.SampleInterval.Duration()),
-		SolverWorkers:  r.SolverWorkers,
 	})
 	exp.CaptureTo(r.CaptureDir)
 	exp.SetTopology(g)
@@ -256,7 +250,7 @@ func (r Run) Execute() (*Outcome, error) {
 // endpoints group completed runs by them.
 var AxisNames = []string{
 	"topo", "scenario", "traffic", "capacity",
-	"seed", "solver_workers", "advertise_delay", "dampening",
+	"seed", "advertise_delay", "dampening",
 }
 
 // Axes labels the run with its position on every sweep axis — the
@@ -272,7 +266,6 @@ func (r Run) Axes() map[string]string {
 		"topo":            r.Topo,
 		"scenario":        r.Scenario,
 		"traffic":         r.Traffic,
-		"solver_workers":  strconv.Itoa(r.SolverWorkers),
 		"advertise_delay": r.AdvertiseDelay.Duration().String(),
 		"dampening":       strconv.FormatBool(r.Dampening),
 	}
@@ -297,9 +290,6 @@ func (r Run) String() string {
 	s := fmt.Sprintf("%s/%s/%s", r.Topo, r.Scenario, r.Traffic)
 	if r.Capacity != "" {
 		s += "/" + r.Capacity
-	}
-	if r.SolverWorkers != 0 {
-		s += fmt.Sprintf("/w%d", r.SolverWorkers)
 	}
 	return s
 }

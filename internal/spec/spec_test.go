@@ -353,7 +353,6 @@ func TestRunValidate(t *testing.T) {
 		{"negative rate", neg(func(r *Run) { r.RateGbps = -1 }), "negative rate"},
 		{"negative dur", neg(func(r *Run) { r.Dur = Duration(-time.Second) }), "negative duration"},
 		{"negative pacing", neg(func(r *Run) { r.Pacing = -2 }), "negative pacing"},
-		{"negative workers", neg(func(r *Run) { r.SolverWorkers = -1 }), "negative solver workers"},
 		{"negative delay scale", neg(func(r *Run) { r.DelayScale = &negDS }), "negative delay scale"},
 		{"negative advertise delay", neg(func(r *Run) { r.AdvertiseDelay = Duration(-time.Millisecond) }), "negative advertise delay"},
 		{"wan multi needs bgp", Run{Topo: "wan:multi:7", Scenario: "ecmp5"}, "needs a bgp scenario"},
@@ -454,8 +453,7 @@ func TestRunJSONRoundTrip(t *testing.T) {
 		Topo: "wan:mesh:7:24", Scenario: "bgp-rr", Traffic: "permutation:9",
 		Capacity: "walk:7:250ms",
 		RateGbps: 2, Dur: Duration(5 * time.Second), Pacing: 40,
-		SampleInterval: Duration(10 * time.Millisecond),
-		SolverWorkers:  4, DelayScale: &ds,
+		SampleInterval: Duration(10 * time.Millisecond), DelayScale: &ds,
 		Dampening: true, AdvertiseDelay: Duration(50 * time.Millisecond),
 		CaptureDir: "pcap",
 	}
@@ -482,12 +480,8 @@ func TestRunString(t *testing.T) {
 	if got := r.String(); got != "fattree:4/ecmp5/permutation:7" {
 		t.Fatalf("String() = %q", got)
 	}
-	r.SolverWorkers = 4
-	if got := r.String(); got != "fattree:4/ecmp5/permutation:7/w4" {
-		t.Fatalf("String() = %q", got)
-	}
 	r.Capacity = "walk:7"
-	if got := r.String(); got != "fattree:4/ecmp5/permutation:7/walk:7/w4" {
+	if got := r.String(); got != "fattree:4/ecmp5/permutation:7/walk:7" {
 		t.Fatalf("String() = %q", got)
 	}
 }

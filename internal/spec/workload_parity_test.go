@@ -8,15 +8,27 @@ import (
 	"time"
 )
 
-// TestWorkloadFingerprintSolverParity pins the new workload generators
-// into the determinism contract: a capacity-churn run (seeded pareto
+// executeTwice runs one spec twice and returns both fingerprints.
+func executeTwice(t *testing.T, r Run) (fps [2]Fingerprint) {
+	t.Helper()
+	for i := range fps {
+		out, err := r.Execute()
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		fps[i] = out.Fingerprint
+	}
+	return fps
+}
+
+// TestWorkloadFingerprintRepeatable pins the workload generators into
+// the determinism contract: a capacity-churn run (seeded pareto
 // heavy-tail traffic under a seeded capacity random walk) must produce
-// the bit-identical Fingerprint at every solver worker count. The
-// injections fire at fixed virtual times and the workload is a pure
-// function of its seed, so the converged rate vector — captured via
-// Float64bits in the fingerprint — may not depend on solver
-// parallelism.
-func TestWorkloadFingerprintSolverParity(t *testing.T) {
+// the bit-identical Fingerprint every time. The injections fire at fixed
+// virtual times and the workload is a pure function of its seed, so the
+// converged rate vector — captured via Float64bits in the fingerprint —
+// may not depend on anything else.
+func TestWorkloadFingerprintRepeatable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
 	}
@@ -28,31 +40,19 @@ func TestWorkloadFingerprintSolverParity(t *testing.T) {
 		Dur:      Duration(2 * time.Second),
 		Pacing:   40,
 	}
-	var fps []Fingerprint
-	for _, workers := range []int{1, 2, 8} {
-		r := base
-		r.SolverWorkers = workers
-		out, err := r.Execute()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		fps = append(fps, out.Fingerprint)
-	}
+	fps := executeTwice(t, base)
 	if len(fps[0].Flows) == 0 {
 		t.Fatal("fingerprint holds no flows — the workload never started")
 	}
-	for i := 1; i < len(fps); i++ {
-		if !reflect.DeepEqual(fps[0], fps[i]) {
-			t.Errorf("fingerprint diverged between workers=1 and workers=%d:\n  %+v\n  %+v",
-				[]int{1, 2, 8}[i], fps[0], fps[i])
-		}
+	if !reflect.DeepEqual(fps[0], fps[1]) {
+		t.Errorf("fingerprint diverged between two runs of one spec:\n  %+v\n  %+v", fps[0], fps[1])
 	}
 }
 
 // TestCapacityTraceApply pins the trace-replay half of the -capacity
 // axis end to end: a RateSchedule CSV compiles into one SetLinkRate
 // injection per row, a row naming an unknown link fails at build time,
-// and a replayed run is deterministic across worker counts.
+// and a replayed run is deterministic run to run.
 func TestCapacityTraceApply(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
@@ -74,18 +74,9 @@ func TestCapacityTraceApply(t *testing.T) {
 		Dur:      Duration(2 * time.Second),
 		Pacing:   40,
 	}
-	var fps []Fingerprint
-	for _, workers := range []int{1, 8} {
-		r := base
-		r.SolverWorkers = workers
-		out, err := r.Execute()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		fps = append(fps, out.Fingerprint)
-	}
+	fps := executeTwice(t, base)
 	if !reflect.DeepEqual(fps[0], fps[1]) {
-		t.Errorf("trace-replay fingerprint diverged across worker counts:\n  %+v\n  %+v", fps[0], fps[1])
+		t.Errorf("trace-replay fingerprint diverged between two runs:\n  %+v\n  %+v", fps[0], fps[1])
 	}
 
 	// A trace naming an unknown node errors at experiment build.

@@ -1,22 +1,21 @@
 package horse
 
-// Parity oracle for the component-sharded parallel max–min solver: the
-// same failure-injection history (seeded link flaps via netmodel's
-// SetCableState, capacity changes, flow churn) on a fat-tree k=8 must
-// produce
+// Parity oracle for the incremental max–min solver: a seeded
+// failure-injection history (link flaps via netmodel's SetCableState,
+// capacity changes, flow churn) on a fat-tree must produce
 //
-//   - bit-identical rates at solver worker counts 1, 2 and 8 (the
-//     determinism guarantee: component discovery is sequential, each
-//     component is solved by one goroutine, stats merge in order), and
+//   - the same rates to the bit every time: an FNV-1a digest over every
+//     flow's rate after every event is pinned as a golden value (one
+//     history, one answer — a change that moves a digest has changed
+//     discovery order or fill arithmetic and has to say so), and
 //   - rates agreeing with the from-scratch naive solver within float
 //     tolerance (max–min allocations are unique; the naive solver's
 //     different operation order makes bit equality too strong).
-//
-// The whole suite runs under `go test -race` in CI, so the parallel
-// fan-out is also race-checked here.
 
 import (
 	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -37,7 +36,7 @@ type parityNet struct {
 	fp   *topo.FatTreePaths
 }
 
-func newParityNet(t *testing.T, k int, name string, workers int, naive bool) *parityNet {
+func newParityNet(t *testing.T, k int, name string, naive bool) *parityNet {
 	t.Helper()
 	g, err := topo.FatTree(topo.FatTreeOpts{K: k})
 	if err != nil {
@@ -52,7 +51,6 @@ func newParityNet(t *testing.T, k int, name string, workers int, naive bool) *pa
 	if naive {
 		n.Flows.SetNaive(true)
 	}
-	n.Flows.SetWorkers(workers)
 	return &parityNet{name: name, net: n, g: g, fp: fp}
 }
 
@@ -86,23 +84,30 @@ func eligibleCables(g *topo.Graph) []*topo.Link {
 	return cables
 }
 
-func TestParallelSolverParityUnderFailures(t *testing.T) {
+// foldRates folds the id and the rate bits of every live flow into h.
+func foldRates(h hash.Hash64, s *fluid.Set) {
+	for _, f := range s.Flows() {
+		fmt.Fprintf(h, "%d=%016x;", f.ID, math.Float64bits(float64(f.Rate)))
+	}
+}
+
+func TestSolverParityUnderFailures(t *testing.T) {
 	const k = 8
 	const nFlows = 256
 	const nEvents = 120
+	const golden = 0x705be7bbf2afd449
 
 	configs := []*parityNet{
-		newParityNet(t, k, "workers=1", 1, false),
-		newParityNet(t, k, "workers=2", 2, false),
-		newParityNet(t, k, "workers=8", 8, false),
-		newParityNet(t, k, "naive", 1, true),
+		newParityNet(t, k, "incremental", false),
+		newParityNet(t, k, "naive", true),
 	}
+	digest := fnv.New64a()
 
 	// Seed the same pod-local workload into every configuration: src and
 	// dst share a pod, so the fat-tree decomposes into k independent
-	// fluid components and multi-pod event batches exercise the parallel
-	// fan-out. (Cross-core traffic fuses everything into one component —
-	// correctly solved inline; the fluid-level tests cover that shape.)
+	// fluid components and multi-pod event batches solve several of them
+	// at once. (Cross-core traffic fuses everything into one component;
+	// the fluid-level tests cover that shape.)
 	rng := rand.New(rand.NewSource(7))
 	hosts := configs[0].g.Hosts()
 	hostsPerPod := k * k / 4
@@ -135,6 +140,7 @@ func TestParallelSolverParityUnderFailures(t *testing.T) {
 		c.net.Flows.Resume(0)
 	}
 	assertParity(t, configs, "initial workload")
+	foldRates(digest, configs[0].net.Flows)
 
 	// Shared seeded event history: flaps (SetCableState, the
 	// FlapRandomLinks mechanism at netmodel level), capacity changes and
@@ -170,7 +176,7 @@ func TestParallelSolverParityUnderFailures(t *testing.T) {
 			})
 		case r < 0.85:
 			// A coalesced storm touching several pods at once — the shape
-			// the Connection Manager produces, and the one that fans out.
+			// the Connection Manager produces: several components a solve.
 			batch := make([]int, 6)
 			for j := range batch {
 				batch[j] = rng.Intn(len(cables))
@@ -241,19 +247,22 @@ func TestParallelSolverParityUnderFailures(t *testing.T) {
 			}
 		}
 		assertParity(t, configs, fmt.Sprintf("event %d (%+v)", i, ev))
+		foldRates(digest, configs[0].net.Flows)
 	}
 
-	// The parallel configurations must actually have fanned out.
-	for _, c := range configs[1:3] {
-		if c.net.Flows.Totals().ParallelSolves == 0 {
-			t.Errorf("%s: no solve ever used more than one worker", c.name)
-		}
+	// The multi-pod batches must actually have solved several components.
+	tot := configs[0].net.Flows.Totals()
+	if tot.Components <= tot.Solves {
+		t.Errorf("no solve ever covered more than one component: %+v", tot)
+	}
+	if got := digest.Sum64(); got != golden {
+		t.Errorf("rate digest %#016x, want %#016x", got, uint64(golden))
 	}
 }
 
 // assertParity checks every configuration's allocation against the max–min
-// invariants, workers=2/8 bit-identical with workers=1, and the naive
-// oracle within relative tolerance.
+// invariants and the naive oracle against the incremental solver within
+// relative tolerance.
 func assertParity(t *testing.T, configs []*parityNet, ctx string) {
 	t.Helper()
 	for _, c := range configs {
@@ -263,22 +272,14 @@ func assertParity(t *testing.T, configs []*parityNet, ctx string) {
 	}
 	ref := configs[0]
 	for _, c := range configs[1:] {
-		naive := c.net.Flows.Naive()
 		for _, f := range ref.net.Flows.Flows() {
 			o, ok := c.net.Flows.Flow(f.ID)
 			if !ok {
 				t.Fatalf("%s: %s missing flow %d", ctx, c.name, f.ID)
 			}
-			if naive {
-				if !ratesClose(f.Rate, o.Rate) {
-					t.Fatalf("%s: flow %d rate %v (workers=1) vs %v (naive oracle)",
-						ctx, f.ID, f.Rate, o.Rate)
-				}
-				continue
-			}
-			if math.Float64bits(float64(f.Rate)) != math.Float64bits(float64(o.Rate)) {
-				t.Fatalf("%s: flow %d rate %v (workers=1) vs %v (%s) — not bit-identical",
-					ctx, f.ID, f.Rate, o.Rate, c.name)
+			if !ratesClose(f.Rate, o.Rate) {
+				t.Fatalf("%s: flow %d rate %v (%s) vs %v (%s)",
+					ctx, f.ID, f.Rate, ref.name, o.Rate, c.name)
 			}
 		}
 	}
@@ -287,4 +288,121 @@ func assertParity(t *testing.T, configs []*parityNet, ctx string) {
 func ratesClose(a, b core.Rate) bool {
 	diff := math.Abs(float64(a - b))
 	return diff <= 1e-3 || diff <= 1e-6*math.Max(math.Abs(float64(a)), math.Abs(float64(b)))
+}
+
+// TestSolverParityPartitioned is the same contract on a live topology that
+// an outage has cut into pieces: an edge switch of a fat-tree k=4 goes down
+// and comes back at the netmodel level with nothing rerouting, so flows
+// keep paths into the dead switch (rate 0) while reroutes, churn and
+// coalesced rate changes land on both sides of the cut.
+func TestSolverParityPartitioned(t *testing.T) {
+	const k = 4
+	const nFlows = 48
+	const golden = 0x4dd74715a92edd1a
+
+	configs := []*parityNet{
+		newParityNet(t, k, "incremental", false),
+		newParityNet(t, k, "naive", true),
+	}
+	digest := fnv.New64a()
+	rng := rand.New(rand.NewSource(11))
+	nHosts := len(configs[0].g.Hosts())
+	nCables := len(configs[0].g.Links) / 2
+
+	// step applies one mutation to every configuration and checks them.
+	step := func(ctx string, apply func(c *parityNet)) {
+		t.Helper()
+		for _, c := range configs {
+			apply(c)
+		}
+		assertParity(t, configs, ctx)
+		foldRates(digest, configs[0].net.Flows)
+	}
+	// ends[id] are the host indices flow id runs between; add and reroute
+	// put it on the hash-selected path between them.
+	ends := make([][2]int, nFlows+1)
+	route := func(c *parityNet, id int, hash uint64) (src, dst core.NodeID, path []core.LinkID) {
+		hosts := c.g.Hosts()
+		src, dst = hosts[ends[id][0]].ID, hosts[ends[id][1]].ID
+		path, err := c.fp.Path(src, dst, hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return src, dst, path
+	}
+	add := func(c *parityNet, id int, hash uint64, demand core.Rate) {
+		src, dst, path := route(c, id, hash)
+		c.net.Flows.Add(&fluid.Flow{
+			ID: fluid.FlowID(id), Src: src, Dst: dst,
+			Demand: demand, Path: path, State: fluid.Active,
+		}, 0)
+	}
+	reroute := func(c *parityNet, id int, hash uint64) {
+		_, _, path := route(c, id, hash)
+		c.net.Flows.SetPath(fluid.FlowID(id), path, 0)
+	}
+	// cable is the i-th cable of the graph, host access cables included.
+	cable := func(c *parityNet, i int) core.LinkID {
+		for _, l := range c.g.Links {
+			if l.ID < l.Reverse {
+				if i == 0 {
+					return l.ID
+				}
+				i--
+			}
+		}
+		t.Fatalf("no cable %d", i)
+		return 0
+	}
+
+	for id := 1; id <= nFlows; id++ {
+		si := rng.Intn(nHosts)
+		ends[id] = [2]int{si, (si + 1 + rng.Intn(nHosts-1)) % nHosts}
+		hash, demand := rng.Uint64(), core.Rate(rng.Intn(900)+100)*core.Mbps
+		step(fmt.Sprintf("add flow %d", id), func(c *parityNet) { add(c, id, hash, demand) })
+	}
+
+	// churn is a seeded mix of reroutes, remove-and-re-add, single rate
+	// changes and coalesced batches mixing all three across the topology.
+	churn := func(phase string, n int) {
+		for i := 0; i < n; i++ {
+			id := 1 + rng.Intn(nFlows)
+			hash := rng.Uint64()
+			ci, rate := rng.Intn(nCables), core.Rate(rng.Intn(800)+200)*core.Mbps
+			ctx := fmt.Sprintf("%s op %d", phase, i)
+			switch r := rng.Float64(); {
+			case r < 0.3:
+				step(ctx, func(c *parityNet) { reroute(c, id, hash) })
+			case r < 0.55:
+				step(ctx, func(c *parityNet) {
+					f, _ := c.net.Flows.Remove(fluid.FlowID(id), 0)
+					add(c, id, hash, f.Demand)
+				})
+			case r < 0.7:
+				step(ctx, func(c *parityNet) { c.net.SetCableRate(cable(c, ci), rate, 0) })
+			default:
+				other := 1 + rng.Intn(nFlows)
+				cj := rng.Intn(nCables)
+				step(ctx, func(c *parityNet) {
+					c.net.Flows.Defer()
+					c.net.SetCableRate(cable(c, ci), rate, 0)
+					reroute(c, id, hash)
+					c.net.SetCableRate(cable(c, cj), rate/2, 0)
+					reroute(c, other, hash+1)
+					c.net.Flows.Resume(0)
+				})
+			}
+		}
+	}
+
+	edgeOf := func(c *parityNet) core.NodeID { return c.g.Hosts()[0].Ports[0].Peer }
+	churn("whole", 20)
+	step("edge switch down", func(c *parityNet) { c.net.SetNodeState(edgeOf(c), true, 0) })
+	churn("partitioned", 60)
+	step("edge switch up", func(c *parityNet) { c.net.SetNodeState(edgeOf(c), false, 0) })
+	churn("healed", 20)
+
+	if got := digest.Sum64(); got != golden {
+		t.Errorf("rate digest %#016x, want %#016x", got, uint64(golden))
+	}
 }
