@@ -12,7 +12,6 @@ package horse
 //   - BenchmarkDemoBGPECMP / BenchmarkDemoHedera / BenchmarkDemoSDNECMP —
 //     the per-TE aggregate receive rate graphs (Demo-G1..G3).
 //   - BenchmarkModeTransitions — Figure 1's DES<->FTI transition cost.
-//   - BenchmarkAblation* — design-choice sweeps called out in DESIGN.md.
 //   - BenchmarkECMPInstall / BenchmarkFlowTable — the SDN control path
 //     (BENCH_sdn.json): the proactive install without the simulator, and
 //     the switch flow table alone.
@@ -43,11 +42,7 @@ import (
 
 // benchConfig is the accelerated clock used throughout the benches.
 func benchConfig() Config {
-	return Config{
-		FTIStep:     Millisecond,
-		Pacing:      20,
-		MaxIdleWall: 3 * time.Second,
-	}
+	return Config{Pacing: 20}
 }
 
 // teDuration is the virtual duration of each TE experiment in the suite.
@@ -275,62 +270,6 @@ func BenchmarkModeTransitions(b *testing.B) {
 		}
 		b.ReportMetric(float64(res.Sim.Transitions), "transitions")
 		b.ReportMetric(res.Sim.WallTotal.Seconds(), "wall-s")
-	}
-}
-
-// BenchmarkAblationFTIStep sweeps the FTI increment: smaller steps track
-// control plane timing more precisely but add stepping overhead.
-func BenchmarkAblationFTIStep(b *testing.B) {
-	for _, step := range []Time{100 * Microsecond, Millisecond, 10 * Millisecond, 100 * Millisecond} {
-		b.Run(step.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := benchConfig()
-				cfg.FTIStep = step
-				g, err := TwoRouters()
-				if err != nil {
-					b.Fatal(err)
-				}
-				exp := NewExperiment(cfg)
-				exp.SetTopology(g)
-				exp.UseBGP(BGPOptions{})
-				res, err := exp.Run(10 * Second)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Sim.WallTotal.Seconds(), "wall-s")
-				b.ReportMetric(float64(res.Sim.Events), "events")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationECMPHash contrasts the demo's two hash choices on the
-// same reactive control plane: (src,dst) hashing (the BGP demo's
-// collision behaviour) vs full 5-tuple hashing.
-func BenchmarkAblationECMPHash(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		srcDst bool
-	}{{"srcdst", true}, {"5tuple", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g, err := FatTree(4, SDN())
-				if err != nil {
-					b.Fatal(err)
-				}
-				exp := NewExperiment(benchConfig())
-				exp.SetTopology(g)
-				exp.UseSDN(AppReactive(mode.srcDst))
-				if err := exp.SendPermutation(42, 1*Gbps, 0, 0); err != nil {
-					b.Fatal(err)
-				}
-				res, err := exp.Run(teDuration)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportDemoMetrics(b, 4, res)
-			}
-		})
 	}
 }
 
@@ -611,11 +550,11 @@ func (*countingDataPlane) PortStats() []openflow.PortStatsEntry { return nil }
 func (*countingDataPlane) FlowStats() []openflow.FlowStatsEntry { return nil }
 func (*countingDataPlane) PacketOut(openflow.PacketOut)         {}
 
-// wallClock gives the controller a clock without a simulation engine.
-type wallClock struct{}
+// timerClock gives the controller a clock without a simulation engine.
+type timerClock struct{}
 
-func (wallClock) Now() core.Time               { return 0 }
-func (wallClock) After(d core.Time, fn func()) { time.AfterFunc(d.Duration(), fn) }
+func (timerClock) Now() core.Time               { return 0 }
+func (timerClock) After(d core.Time, fn func()) { time.AfterFunc(d.Duration(), fn) }
 
 // BenchmarkECMPInstall measures the proactive ECMP install as the control
 // plane alone pays for it: the controller running ecmp5, one OpenFlow
@@ -636,7 +575,7 @@ func BenchmarkECMPInstall(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				dp := &countingDataPlane{want: want, done: make(chan struct{})}
-				ctl := controller.New(g, wallClock{}, &controller.ECMPApp{}, nil)
+				ctl := controller.New(g, timerClock{}, &controller.ECMPApp{}, nil)
 				agents := make([]*openflow.Agent, 0, len(switches))
 				for _, sw := range switches {
 					var ports []openflow.PhyPort

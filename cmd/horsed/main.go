@@ -1,9 +1,9 @@
 // Command horsed is the experiment campaign daemon: a long-running
 // service that accepts sweep specifications over an HTTP JSON API,
 // expands them into the cross-product of runs (topology × scenario ×
-// traffic × seed × solver workers), executes them on a bounded worker
-// pool, and persists per-run results and pcapng capture artifacts under
-// a campaign directory.
+// traffic × seed), executes them on a bounded worker pool, and persists
+// per-run results and pcapng capture artifacts under a campaign
+// directory.
 //
 // Every run goes through internal/spec — the same parsing and wiring
 // cmd/horse uses — so a submitted run is the identical experiment to

@@ -45,6 +45,6 @@ func run(name string, app horse.App, seed int64) {
 func main() {
 	fmt.Println("k=4 fat-tree, 16 hosts, permutation workload, 16 Gbps offered")
 	// Use the same seed so both schemes face identical traffic.
-	run("ecmp (baseline)", horse.AppReactive(false), 11)
+	run("ecmp (baseline)", horse.AppReactive(), 11)
 	run("hedera", horse.AppHedera(5*horse.Second), 11)
 }

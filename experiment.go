@@ -149,8 +149,14 @@ func (e *Experiment) SendPermutation(seed int64, rate Rate, start, duration Time
 }
 
 // Run executes the experiment until the given virtual time and returns
-// the results. Run may only be called once per Experiment.
+// the results. An Experiment runs once: link and node state live on the
+// topology, so a second Run would start from wherever the first run's
+// injections left it, and is refused instead. A Run that failed
+// validation — before anything was built — may be retried.
 func (e *Experiment) Run(until Time) (*Result, error) {
+	if e.engine != nil {
+		return nil, fmt.Errorf("horse: Run called twice; build a new Experiment (and a new topology) per run")
+	}
 	if e.g == nil {
 		return nil, fmt.Errorf("horse: no topology")
 	}
@@ -163,9 +169,7 @@ func (e *Experiment) Run(until Time) (*Result, error) {
 
 	setupStart := time.Now()
 	e.engine = sim.New(sim.Config{
-		FTIStep:     e.cfg.FTIStep,
-		Pacing:      e.cfg.Pacing,
-		MaxIdleWall: e.cfg.MaxIdleWall,
+		Pacing: e.cfg.Pacing,
 		// The emulated control plane boots in wall time at experiment
 		// start; begin in FTI so DES cannot outrun it (paper §2).
 		StartInFTI: true,
@@ -345,10 +349,6 @@ func (e *Experiment) Run(until Time) (*Result, error) {
 	}
 	return result, nil
 }
-
-// Engine exposes the simulation engine for tests and ablations; it is nil
-// before Run.
-func (e *Experiment) Engine() *sim.Engine { return e.engine }
 
 // Manager exposes the Connection Manager; nil before Run.
 func (e *Experiment) Manager() *cm.Manager { return e.mgr }

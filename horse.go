@@ -28,8 +28,6 @@
 package horse
 
 import (
-	"time"
-
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/topo"
@@ -58,15 +56,17 @@ const (
 // Topology is an experiment topology graph.
 type Topology = topo.Graph
 
-// Config tunes the hybrid clock and measurement. Where a run's traces
-// and debug log go is not clock configuration: see Experiment.CaptureTo
-// and Experiment.SetLogf. How long the clock stays in FTI is not a setting:
-// it leaves on evidence — no control plane work left in flight — and the
-// bound a leaked in-flight count degrades to is the engine's own (500ms,
-// sim.Config.QuietTimeout); Result.Sim counts the exits of each kind.
+// Config is what a run chooses about its clock and its measurement: two
+// fields. Where a run's traces and debug log go is not clock
+// configuration: see Experiment.CaptureTo and Experiment.SetLogf. The
+// rest of the hybrid clock is not a setting. The FTI increment (1ms) and
+// the wall-time bound on waiting for control plane activity with an empty
+// event queue (2s) are the engine's defaults; how long the clock stays in
+// FTI is decided by evidence — no control plane work left in flight —
+// and the bound a leaked in-flight count degrades to is the engine's own
+// as well (500ms, sim.Config.QuietTimeout); Result.Sim counts the exits
+// of each kind.
 type Config struct {
-	// FTIStep is the virtual time per FTI increment (default 1ms).
-	FTIStep Time
 	// Pacing is the virtual:wall ratio in FTI mode. 1.0 (default) is
 	// paper-faithful real time; larger values accelerate experiments
 	// at the cost of compressing control plane timing. Results taken
@@ -75,9 +75,6 @@ type Config struct {
 	// SampleInterval is the aggregate-rate sampling period
 	// (default 100ms).
 	SampleInterval Time
-	// MaxIdleWall bounds the wait for control plane activity when the
-	// event queue is empty (default 2s).
-	MaxIdleWall time.Duration
 }
 
 // TopoOption adjusts topology generation.
@@ -89,7 +86,6 @@ type topoOpts struct {
 	linkDelay   Time
 	routers     bool
 	delayScale  float64
-	zeroLatency bool
 	fullTable   int
 }
 
@@ -99,15 +95,16 @@ func LinkRate(r Rate) TopoOption {
 	return func(o *topoOpts) { o.linkRate = r; o.linkRateSet = true }
 }
 
-// wanLinkRate is the rate passed to the WAN generators: an explicit
-// LinkRate wins, otherwise 0 lets topo.WANOpts apply its own 10 Gbps
-// backbone default (the generic 1 Gbps seed here is a LAN-ish default
-// that would misrepresent a WAN core).
-func (o topoOpts) wanLinkRate() Rate {
+// wan is what the three WAN generators take from the options. An
+// explicit LinkRate wins, otherwise 0 lets topo.WANOpts apply its own
+// 10 Gbps backbone default (the generic 1 Gbps seed here is a LAN-ish
+// default that would misrepresent a WAN core).
+func (o topoOpts) wan() topo.WANOpts {
+	w := topo.WANOpts{DelayScale: o.delayScale, ZeroLatency: o.delayScale == 0}
 	if o.linkRateSet {
-		return o.linkRate
+		w.LinkRate = o.linkRate
 	}
-	return 0
+	return w
 }
 
 // LinkDelay sets the per-direction propagation delay (default 10µs).
@@ -116,12 +113,7 @@ func LinkDelay(d Time) TopoOption { return func(o *topoOpts) { o.linkDelay = d }
 // DelayScale multiplies the geographic propagation delays of WAN
 // topologies (WAN, WANMesh); 0 zeroes them — the zero-latency ablation
 // used by the parity tests. Non-WAN generators ignore it.
-func DelayScale(f float64) TopoOption {
-	return func(o *topoOpts) {
-		o.delayScale = f
-		o.zeroLatency = f == 0
-	}
-}
+func DelayScale(f float64) TopoOption { return func(o *topoOpts) { o.delayScale = f } }
 
 // FullTable originates n synthetic /24 prefixes (from 20.0.0.0) at the
 // edge ASes of a WANMultiAS topology, modelling stub networks injecting
@@ -184,12 +176,7 @@ func WANRing(n, chord int, opts ...TopoOption) (*Topology, error) {
 // BGPOptions{RouteReflection: true, LinkLatency: true}. LinkDelay is
 // ignored — WAN delay comes from geography, scaled by DelayScale.
 func WAN(name string, opts ...TopoOption) (*Topology, error) {
-	o := applyTopoOpts(opts)
-	return topo.WANNamed(name, topo.WANOpts{
-		LinkRate:    o.wanLinkRate(),
-		DelayScale:  o.delayScale,
-		ZeroLatency: o.zeroLatency,
-	})
+	return topo.WANNamed(name, applyTopoOpts(opts).wan())
 }
 
 // WANMesh generates a seeded Rocketfuel-style WAN of pops PoPs:
@@ -198,14 +185,9 @@ func WAN(name string, opts ...TopoOption) (*Topology, error) {
 // reproduces the identical topology. LinkDelay is ignored — WAN delay
 // comes from geography, scaled by DelayScale.
 func WANMesh(pops int, seed int64, opts ...TopoOption) (*Topology, error) {
-	o := applyTopoOpts(opts)
-	return topo.WANGraph(topo.WANOpts{
-		PoPs:        pops,
-		Seed:        seed,
-		LinkRate:    o.wanLinkRate(),
-		DelayScale:  o.delayScale,
-		ZeroLatency: o.zeroLatency,
-	})
+	w := applyTopoOpts(opts).wan()
+	w.PoPs, w.Seed = pops, seed
+	return topo.WANGraph(w)
 }
 
 // WANMultiAS composes ases WANMesh-style backbones (pops PoPs each)
@@ -219,21 +201,13 @@ func WANMesh(pops int, seed int64, opts ...TopoOption) (*Topology, error) {
 // by DelayScale.
 func WANMultiAS(ases, pops int, seed int64, opts ...TopoOption) (*Topology, error) {
 	o := applyTopoOpts(opts)
-	return topo.WANMultiAS(topo.MultiASOpts{
-		WANOpts: topo.WANOpts{
-			PoPs:        pops,
-			Seed:        seed,
-			LinkRate:    o.wanLinkRate(),
-			DelayScale:  o.delayScale,
-			ZeroLatency: o.zeroLatency,
-		},
-		ASes:              ases,
-		FullTablePrefixes: o.fullTable,
-	})
+	w := o.wan()
+	w.PoPs, w.Seed = pops, seed
+	return topo.WANMultiAS(topo.MultiASOpts{WANOpts: w, ASes: ases, FullTablePrefixes: o.fullTable})
 }
 
 func applyTopoOpts(opts []TopoOption) topoOpts {
-	o := topoOpts{linkRate: 1 * Gbps, linkDelay: 10 * Microsecond}
+	o := topoOpts{linkRate: 1 * Gbps, linkDelay: 10 * Microsecond, delayScale: 1}
 	for _, f := range opts {
 		f(&o)
 	}
@@ -259,10 +233,10 @@ func AppHedera(poll Time) App {
 	return App{name: "hedera", build: func() controller.App { return &controller.HederaApp{PollInterval: poll} }}
 }
 
-// AppReactive pins each flow to a hash-chosen shortest path with no
-// periodic scheduling; srcDstHash selects (src,dst)-only hashing.
-func AppReactive(srcDstHash bool) App {
-	return App{name: "reactive", build: func() controller.App { return &controller.ReactiveApp{HashSrcDst: srcDstHash} }}
+// AppReactive pins each flow to a shortest path chosen by 5-tuple hash,
+// with no periodic scheduling.
+func AppReactive() App {
+	return App{name: "reactive", build: func() controller.App { return &controller.ReactiveApp{} }}
 }
 
 // Name reports the application's name.

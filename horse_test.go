@@ -13,11 +13,7 @@ import (
 // Pacing 10 compresses control plane wall time 10x into virtual time;
 // shapes are preserved (see Config.Pacing docs).
 func testConfig() Config {
-	return Config{
-		FTIStep:     Millisecond,
-		Pacing:      10,
-		MaxIdleWall: 3 * time.Second,
-	}
+	return Config{Pacing: 10}
 }
 
 func TestFigure1Scenario(t *testing.T) {
@@ -169,29 +165,6 @@ func TestBGPFatTreeECMP(t *testing.T) {
 	}
 }
 
-func TestReactiveAppSrcDstHash(t *testing.T) {
-	topo, err := FatTree(2, SDN())
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp := NewExperiment(testConfig())
-	exp.SetTopology(topo)
-	exp.UseSDN(AppReactive(true))
-	if err := exp.SendPermutation(5, 1*Gbps, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	res, err := exp.Run(20 * Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PacketIns == 0 || res.FlowModsApplied == 0 {
-		t.Errorf("reactive app inactive: packetins=%d flowmods=%d", res.PacketIns, res.FlowModsApplied)
-	}
-	if got := res.SteadyAggregateRx(); got <= 0 {
-		t.Error("no traffic delivered")
-	}
-}
-
 func TestExperimentValidation(t *testing.T) {
 	exp := NewExperiment(Config{})
 	if _, err := exp.Run(Second); err == nil {
@@ -220,6 +193,28 @@ func TestExperimentValidation(t *testing.T) {
 	}
 }
 
+// TestRunTwiceRefused: link state lives on the topology, so a second Run
+// after a first one that took a link down for good would silently start
+// from the damaged graph. It is an error instead.
+func TestRunTwiceRefused(t *testing.T) {
+	topo, err := FatTree(4, SDN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := NewExperiment(testConfig())
+	exp.SetTopology(topo)
+	exp.UseSDN(AppECMP5())
+	if err := exp.At(Second).LinkDown("agg-0-0", "core-0-0"); err != nil {
+		t.Fatal(err)
+	}
+	if first, err := exp.Run(2 * Second); err != nil || first.Injections != 1 {
+		t.Fatalf("first Run: %v, %d injections applied, want 1", err, first.Injections)
+	}
+	if _, err := exp.Run(2 * Second); err == nil {
+		t.Fatal("second Run accepted on a topology the first left with a link down")
+	}
+}
+
 func TestFlowWithDuration(t *testing.T) {
 	topo, err := Star(4, SDN())
 	if err != nil {
@@ -227,7 +222,7 @@ func TestFlowWithDuration(t *testing.T) {
 	}
 	exp := NewExperiment(testConfig())
 	exp.SetTopology(topo)
-	exp.UseSDN(AppReactive(false))
+	exp.UseSDN(AppReactive())
 	// A 5-second flow inside a 20-second run.
 	if err := exp.AddFlow("h0", "h1", 800*Mbps, 2*Second, 5*Second); err != nil {
 		t.Fatal(err)
@@ -345,7 +340,7 @@ func TestPerHostRxBytes(t *testing.T) {
 	}
 	exp := NewExperiment(testConfig())
 	exp.SetTopology(topo)
-	exp.UseSDN(AppReactive(false))
+	exp.UseSDN(AppReactive())
 	if err := exp.AddFlow("h0", "h1", 100*Mbps, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +427,7 @@ func TestChurnWorkload(t *testing.T) {
 	exp := NewExperiment(testConfig())
 	exp.SetTopology(topo)
 	exp.UseSDN(AppECMP5())
-	if err := exp.AddTraffic(traffic.Churn(3, 64, 500*Mbps, 8*Second, 2*Second)); err != nil {
+	if err := exp.AddTraffic(traffic.Pareto(3, 64, 500*Mbps, 8*Second)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := exp.Run(12 * Second)
@@ -683,7 +678,7 @@ func TestSetLinkRateMidRun(t *testing.T) {
 	cfg.SampleInterval = 10 * Millisecond
 	exp := NewExperiment(cfg)
 	exp.SetTopology(topo)
-	exp.UseSDN(AppReactive(false))
+	exp.UseSDN(AppReactive())
 	if err := exp.AddFlow("h0", "h1", 800*Mbps, 0, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -8,31 +8,6 @@ import (
 	"repro/internal/core"
 )
 
-// Clock abstracts time for long-horizon control plane state. Short BGP
-// timers (hold time, MRAI) are wall-clock — the emulated control plane
-// runs in real time under FTI — but flap dampening horizons (minutes of
-// decay in production) only make sense on the experiment's virtual
-// clock, where DES fast-forward can cross them. The Connection Manager
-// supplies its virtual clock; a standalone speaker (unit tests) falls
-// back to wall time.
-type Clock interface {
-	// Now is the current time.
-	Now() core.Time
-	// After schedules fn after d. Implementations must treat the wake
-	// as control plane activity (the woken speaker mutates routes).
-	After(d core.Time, fn func())
-}
-
-// wallClock is the fallback Clock: wall time since process start.
-type wallClock struct{}
-
-var processStart = time.Now()
-
-func (wallClock) Now() core.Time { return core.Time(time.Since(processStart)) }
-func (wallClock) After(d core.Time, fn func()) {
-	time.AfterFunc(d.Duration(), fn)
-}
-
 // Dampening configures route flap dampening (an RFC 2439 subset).
 // Each withdrawal of a (peer, prefix) route — explicit, or implied by a
 // session loss — adds Penalty to that route's figure of merit, which
@@ -43,10 +18,9 @@ func (wallClock) After(d core.Time, fn func()) {
 // survive session resets — a flapping link keeps accruing merit across
 // re-peerings, which is the point.
 //
-// Thresholds and half-life are interpreted on the speaker's Clock: in
-// an experiment that is virtual time (so a 15s half-life spans 15s of
-// the experiment timeline no matter how the hybrid clock paces), in a
-// standalone speaker it is wall time.
+// Thresholds and half-life are interpreted on Config.DampeningClock: in
+// an experiment that is virtual time, so a 15s half-life spans 15s of
+// the experiment timeline no matter how the hybrid clock paces.
 type Dampening struct {
 	// Penalty added per withdrawal (default 1000).
 	Penalty float64

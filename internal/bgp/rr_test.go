@@ -3,9 +3,12 @@ package bgp
 import (
 	"io"
 	"net/netip"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/emu"
 )
 
@@ -248,7 +251,7 @@ func TestOriginatorIDLoopRejected(t *testing.T) {
 
 func TestClusterListLoopRejected(t *testing.T) {
 	s, err := NewSpeaker(Config{
-		Name: "a", ASN: 65000, RouterID: addr("1.1.1.1"), ClusterID: addr("8.8.8.8"),
+		Name: "a", ASN: 65000, RouterID: addr("8.8.8.8"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -279,26 +282,72 @@ func TestClusterListLoopRejected(t *testing.T) {
 	}
 }
 
-func TestDampeningSuppressAndReuse(t *testing.T) {
-	// Two quick flaps push the penalty over the suppress threshold; the
-	// re-announcement is parked, and after the penalty decays below the
-	// reuse threshold the parked route installs.
-	var sink routeSink
+// manualClock is a core.Clock a test moves by hand: Advance runs, on the
+// caller, the After callbacks that have come due.
+type manualClock struct {
+	mu     sync.Mutex
+	now    core.Time
+	timers []manualTimer
+}
+
+type manualTimer struct {
+	at core.Time
+	fn func()
+}
+
+func (c *manualClock) Now() core.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *manualClock) After(d core.Time, fn func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.timers = append(c.timers, manualTimer{c.now + d, fn})
+}
+
+func (c *manualClock) Advance(d core.Time) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now += d
+	for i := 0; i < len(c.timers); i++ { // a callback may re-arm: len grows
+		if tm := c.timers[i]; tm.at <= c.now {
+			c.timers = append(c.timers[:i], c.timers[i+1:]...)
+			i--
+			c.mu.Unlock()
+			tm.fn()
+			c.mu.Lock()
+		}
+	}
+}
+
+// dampeningHalfLife is virtual: no test below waits for it.
+const dampeningHalfLife = 15 * time.Second
+
+// suppressedSpeaker returns a dampening speaker on a manual clock whose
+// scripted iBGP peer has flapped p twice at one instant — penalty
+// exactly 2000, over the 1500 threshold — and announced it a third
+// time, which parked. The peer's conn and an encoded withdrawal of p
+// come back for the test to continue the script.
+func suppressedSpeaker(t *testing.T, p netip.Prefix) (s *Speaker, clk *manualClock, sink *routeSink, cb io.ReadWriteCloser, withdraw []byte) {
+	t.Helper()
+	clk, sink = &manualClock{}, &routeSink{}
 	s, err := NewSpeaker(Config{
 		Name: "a", ASN: 65000, RouterID: addr("1.1.1.1"),
 		OnRoute: sink.add,
 		Dampening: &Dampening{
 			Penalty: 1000, Suppress: 1500, Reuse: 750,
-			HalfLife: 300 * time.Millisecond,
+			HalfLife: dampeningHalfLife,
 		},
+		DampeningClock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Stop()
-	cb := scriptedPeer(t, s, "172.16.0.0", "172.16.0.1", true)
+	t.Cleanup(s.Stop)
+	cb = scriptedPeer(t, s, "172.16.0.0", "172.16.0.1", true)
 
-	p := pfx("10.0.5.0/24")
 	announce, err := EncodeUpdate(Update{
 		Attrs: PathAttrs{NextHop: addr("172.16.0.1"), HasLP: true, LocalPref: 100},
 		NLRI:  []netip.Prefix{p},
@@ -306,49 +355,47 @@ func TestDampeningSuppressAndReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withdraw, err := EncodeUpdate(Update{Withdrawn: []netip.Prefix{p}})
+	withdraw, err = EncodeUpdate(Update{Withdrawn: []netip.Prefix{p}})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	flap := func() {
-		if _, err := cb.Write(announce); err != nil {
+	// The pipe keeps order and the clock stands still, so the five
+	// messages need no waiting between them.
+	for _, msg := range [][]byte{announce, withdraw, announce, withdraw, announce} {
+		if _, err := cb.Write(msg); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "route installed", func() bool {
-			ev, ok := sink.latest()[p]
-			return ok && len(ev.NextHops) == 1
-		})
-		if _, err := cb.Write(withdraw); err != nil {
-			t.Fatal(err)
-		}
-		waitFor(t, "route withdrawn", func() bool {
-			ev, ok := sink.latest()[p]
-			return ok && len(ev.NextHops) == 0
-		})
 	}
-	flap()
-	flap() // second withdrawal: penalty ~2000 >= 1500 -> suppressed
-
-	// Re-announce: must be parked, not installed.
-	if _, err := cb.Write(announce); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "announcement suppressed", func() bool {
+	waitFor(t, "third announcement parked", func() bool {
 		return s.Stats.RoutesSuppressed.Load() == 1
 	})
-	if ev, ok := sink.latest()[p]; ok && len(ev.NextHops) > 0 {
-		t.Fatal("suppressed route was installed")
+	var hops []int
+	sink.mu.Lock()
+	for _, ev := range sink.events {
+		hops = append(hops, len(ev.NextHops))
 	}
+	sink.mu.Unlock()
+	if !slices.Equal(hops, []int{1, 0, 1, 0}) {
+		t.Fatalf("next hops per route event = %v, want two install/withdraw flaps and nothing after", hops)
+	}
+	return s, clk, sink, cb, withdraw
+}
 
-	// Decay to below Reuse takes halfLife*log2(2000/750) ~ 425ms; the
-	// reuse timer must then install the parked path.
-	waitFor(t, "route reused after decay", func() bool {
-		ev, ok := sink.latest()[p]
-		return ok && len(ev.NextHops) == 1
-	})
-	if s.Stats.RoutesReused.Load() != 1 {
-		t.Fatalf("RoutesReused = %d, want 1", s.Stats.RoutesReused.Load())
+func TestDampeningSuppressAndReuse(t *testing.T) {
+	// Two flaps push the penalty over the suppress threshold; the
+	// re-announcement is parked, and once the penalty has decayed below
+	// the reuse threshold the parked route installs.
+	p := pfx("10.0.5.0/24")
+	s, clk, sink, _, _ := suppressedSpeaker(t, p)
+
+	// Decay from 2000 to Reuse takes log2(2000/750) ≈ 1.42 half-lives.
+	clk.Advance(core.FromDuration(dampeningHalfLife))
+	if n := s.Stats.RoutesReused.Load(); n != 0 {
+		t.Fatalf("RoutesReused = %d after one half-life (penalty 1000 > 750)", n)
+	}
+	clk.Advance(core.FromDuration(dampeningHalfLife / 2))
+	if ev, n := sink.latest()[p], s.Stats.RoutesReused.Load(); len(ev.NextHops) != 1 || n != 1 {
+		t.Fatalf("after 1.5 half-lives: last event %+v, RoutesReused = %d; want the parked route installed, once", ev, n)
 	}
 }
 
@@ -356,62 +403,20 @@ func TestDampeningWithdrawClearsParked(t *testing.T) {
 	// A withdrawal of a parked (suppressed, never installed) route must
 	// discard the parked announcement: when the penalty later decays,
 	// reuse must NOT resurrect a route the peer already withdrew.
-	var sink routeSink
-	s, err := NewSpeaker(Config{
-		Name: "a", ASN: 65000, RouterID: addr("1.1.1.1"),
-		OnRoute: sink.add,
-		Dampening: &Dampening{
-			Penalty: 1000, Suppress: 1500, Reuse: 750,
-			HalfLife: 200 * time.Millisecond,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Stop()
-	cb := scriptedPeer(t, s, "172.16.0.0", "172.16.0.1", true)
-
 	p := pfx("10.0.5.0/24")
-	announce, err := EncodeUpdate(Update{
-		Attrs: PathAttrs{NextHop: addr("172.16.0.1"), HasLP: true, LocalPref: 100},
-		NLRI:  []netip.Prefix{p},
+	s, clk, sink, cb, withdraw := suppressedSpeaker(t, p)
+	if _, err := cb.Write(withdraw); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "parked announcement discarded", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.damp[dampKey{addr("172.16.0.1"), p}].parked == nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withdraw, err := EncodeUpdate(Update{Withdrawn: []netip.Prefix{p}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	write := func(b []byte) {
-		if _, err := cb.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Two flaps suppress; the third announcement parks; its withdrawal
-	// must clear the parked state.
-	for i := 0; i < 2; i++ {
-		write(announce)
-		waitFor(t, "installed", func() bool {
-			ev, ok := sink.latest()[p]
-			return ok && len(ev.NextHops) == 1
-		})
-		write(withdraw)
-		waitFor(t, "withdrawn", func() bool {
-			ev, ok := sink.latest()[p]
-			return ok && len(ev.NextHops) == 0
-		})
-	}
-	write(announce)
-	waitFor(t, "parked", func() bool { return s.Stats.RoutesSuppressed.Load() == 1 })
-	write(withdraw) // withdraw the parked route
 
-	// Wait well past the decay-to-reuse horizon: nothing may install.
-	time.Sleep(1500 * time.Millisecond)
-	if ev, ok := sink.latest()[p]; ok && len(ev.NextHops) > 0 {
-		t.Fatal("reuse resurrected a withdrawn route")
-	}
-	if s.Stats.RoutesReused.Load() != 0 {
-		t.Fatalf("RoutesReused = %d, want 0", s.Stats.RoutesReused.Load())
+	// Well past the decay-to-reuse horizon: nothing may install.
+	clk.Advance(core.FromDuration(20 * dampeningHalfLife))
+	if ev, n := sink.latest()[p], s.Stats.RoutesReused.Load(); len(ev.NextHops) > 0 || n != 0 {
+		t.Fatalf("reuse resurrected a withdrawn route: last event %+v, RoutesReused = %d", ev, n)
 	}
 }

@@ -79,7 +79,7 @@ type PeerConfig struct {
 	// (we are a reflector for it). Routes learned from clients are
 	// reflected to every session; routes learned from non-clients are
 	// reflected only to clients. Reflected routes carry ORIGINATOR_ID
-	// and our cluster ID prepended to CLUSTER_LIST.
+	// and our cluster ID — the router ID — prepended to CLUSTER_LIST.
 	RRClient bool
 }
 
@@ -92,9 +92,6 @@ type Config struct {
 	Multipath bool          // ECMP across equal-cost paths (multipath-relax)
 	Networks  []netip.Prefix
 
-	// ClusterID identifies this speaker's reflection cluster when it
-	// acts as a route reflector (RFC 4456); defaults to RouterID.
-	ClusterID netip.Addr
 	// Dampening, when non-nil, enables route flap dampening
 	// (RFC 2439 subset): withdrawals accrue a per-(peer,prefix)
 	// penalty that decays exponentially; while the penalty exceeds the
@@ -102,18 +99,14 @@ type Config struct {
 	// installed, and the route returns once the penalty decays below
 	// the reuse threshold.
 	Dampening *Dampening
-	// DampeningClock drives the dampening decay and reuse wakeups
-	// (default: wall clock). The Connection Manager installs the
-	// experiment's virtual clock so dampening horizons live on the
+	// DampeningClock drives the dampening decay and reuse wakeups;
+	// required with Dampening. The Connection Manager passes the
+	// experiment's virtual clock, so dampening horizons live on the
 	// experiment timeline.
-	DampeningClock Clock
+	DampeningClock core.Clock
 
 	// OnRoute receives Loc-RIB changes for FIB installation.
 	OnRoute func(RouteEvent)
-	// OnSessionUp fires when a session reaches Established.
-	OnSessionUp func(peer netip.Addr)
-	// OnSessionDown fires when an established session ends.
-	OnSessionDown func(peer netip.Addr)
 	// AdvertiseDelay batches outgoing UPDATEs (a light-weight MRAI);
 	// default 2ms.
 	AdvertiseDelay time.Duration
@@ -159,7 +152,7 @@ type Speaker struct {
 	cfg       Config
 	asn16     uint16
 	hold      uint16 // configured hold time, seconds
-	dampClock Clock
+	dampClock core.Clock
 
 	mu       sync.Mutex
 	rib      *RIB
@@ -218,13 +211,13 @@ func NewSpeaker(cfg Config) (*Speaker, error) {
 	if cfg.AdvertiseDelay == 0 {
 		cfg.AdvertiseDelay = 2 * time.Millisecond
 	}
-	if !cfg.ClusterID.IsValid() {
-		cfg.ClusterID = cfg.RouterID
-	}
 	if cfg.InFlight == nil {
 		cfg.InFlight = untracked{}
 	}
 	if cfg.Dampening != nil {
+		if cfg.DampeningClock == nil {
+			return nil, fmt.Errorf("bgp: Dampening needs a DampeningClock")
+		}
 		d := cfg.Dampening.withDefaults()
 		cfg.Dampening = &d
 	}
@@ -236,9 +229,6 @@ func NewSpeaker(cfg Config) (*Speaker, error) {
 		rib:       NewRIB(cfg.Multipath),
 		sessions:  make(map[netip.Addr]*session),
 		damp:      make(map[dampKey]*dampState),
-	}
-	if s.dampClock == nil {
-		s.dampClock = wallClock{}
 	}
 	for _, p := range cfg.Networks {
 		s.rib.SetLocal(p, PathAttrs{Origin: OriginIGP})
@@ -508,9 +498,6 @@ func (x *session) handle(m *Message) error {
 func (x *session) established() {
 	s := x.sp
 	s.logf("session %v established", x.cfg.RemoteAddr)
-	if s.cfg.OnSessionUp != nil {
-		s.cfg.OnSessionUp(x.cfg.RemoteAddr)
-	}
 	x.startKeepalive()
 	s.mu.Lock()
 	if !s.closed {
@@ -596,9 +583,6 @@ func (x *session) down(cause error) {
 	x.close()
 	if was == StateEstablished {
 		s.logf("session %v down: %v", x.cfg.RemoteAddr, cause)
-		if s.cfg.OnSessionDown != nil {
-			s.cfg.OnSessionDown(x.cfg.RemoteAddr)
-		}
 	}
 }
 
@@ -774,7 +758,7 @@ func (x *session) outgoingAttrs(path *Path) PathAttrs {
 		if !out.OriginatorID.Is4() {
 			out.OriginatorID = path.PeerRouterID
 		}
-		out.ClusterList = append([]netip.Addr{s.cfg.ClusterID}, path.Attrs.ClusterList...)
+		out.ClusterList = append([]netip.Addr{s.cfg.RouterID}, path.Attrs.ClusterList...)
 	}
 	return out
 }
@@ -866,7 +850,7 @@ func (s *Speaker) acceptLocked(x *session, a *PathAttrs, nlri int) bool {
 		return false
 	}
 	for _, c := range a.ClusterList {
-		if c == s.cfg.ClusterID {
+		if c == s.cfg.RouterID {
 			s.Stats.ReflectionLoops.Add(1)
 			s.logf("rejecting %d prefixes from %v: own cluster ID in CLUSTER_LIST", nlri, x.cfg.RemoteAddr)
 			return false

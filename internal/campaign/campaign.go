@@ -1,10 +1,10 @@
 // Package campaign is the experiment campaign engine behind the horsed
 // daemon: it expands a sweep specification into the cross-product of
-// runs (topology × scenario × traffic × capacity × seed × solver
-// workers × advertise delay × dampening),
-// schedules them on a bounded worker pool with per-run timeout and
-// retry, and persists each run's spec.Outcome as JSON under a campaign
-// directory alongside its pcapng capture artifacts.
+// runs (topology × scenario × traffic × capacity × seed × advertise
+// delay × dampening), schedules them on a bounded worker pool with
+// per-run timeout and retry, and persists each run's spec.Outcome as
+// JSON under a campaign directory alongside its pcapng capture
+// artifacts.
 //
 // Because every run executes through internal/spec — the same package
 // cmd/horse parses its flags into — a submitted campaign run is by

@@ -237,14 +237,10 @@ func (t tap) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TappedPipe returns a duplex channel pair whose writes (either
-// direction) notify the engine of control activity.
-func (m *Manager) TappedPipe() (io.ReadWriteCloser, io.ReadWriteCloser) {
-	return m.tappedPipe(0, 0, nil)
-}
-
-// tappedPipe is TappedPipe with per-direction propagation delays and an
-// optional capture session; writes on the first end are recorded as AtoB.
+// tappedPipe returns a duplex channel pair whose writes (either
+// direction) notify the engine of control activity, with per-direction
+// propagation delays and an optional capture session; writes on the
+// first end are recorded as AtoB.
 func (m *Manager) tappedPipe(delayAB, delayBA core.Time, sess *capture.Session) (io.ReadWriteCloser, io.ReadWriteCloser) {
 	a, b := m.ledger.Pipe()
 	return tap{a, m, delayAB, sess, capture.AtoB}, tap{b, m, delayBA, sess, capture.BtoA}
@@ -254,7 +250,7 @@ func (m *Manager) tappedPipe(delayAB, delayBA core.Time, sess *capture.Session) 
 // Virtual clock for emulated apps
 // ---------------------------------------------------------------------------
 
-// clock implements controller.Clock on top of the engine.
+// clock implements core.Clock on top of the engine.
 type clock struct{ m *Manager }
 
 func (c clock) Now() core.Time { return c.m.Engine.NowExternal() }
@@ -280,7 +276,7 @@ func (c clock) After(d core.Time, fn func()) {
 }
 
 // Clock exposes the virtual-time clock for emulated applications.
-func (m *Manager) Clock() controller.Clock { return clock{m} }
+func (m *Manager) Clock() core.Clock { return clock{m} }
 
 // ---------------------------------------------------------------------------
 // BGP scenario wiring
@@ -293,8 +289,6 @@ type BGPConfig struct {
 	// ECMP enables multipath best path selection (the demo's "BGP plus
 	// ECMP path selection by hashing of IP source and destination").
 	ECMP bool
-	// HoldTime for all sessions (default 90s wall time).
-	HoldTime time.Duration
 	// AdvertiseDelay is the MRAI-style batching window: route changes
 	// accumulate for this long before the speaker packs them into
 	// attribute-grouped UPDATE messages (default 2ms wall time). Longer
@@ -349,7 +343,6 @@ func (m *Manager) WireBGP(cfg BGPConfig) error {
 			ASN:            r.ASN,
 			RouterID:       r.IP,
 			Multipath:      cfg.ECMP,
-			HoldTime:       cfg.HoldTime,
 			AdvertiseDelay: cfg.AdvertiseDelay,
 			Dampening:      cfg.Dampening,
 			DampeningClock: m.Clock(),

@@ -37,7 +37,7 @@ func TestTappedPipeNotifiesEngine(t *testing.T) {
 	m := New(engine, net, nil)
 	defer m.Stop()
 
-	a, b := m.TappedPipe()
+	a, b := m.tappedPipe(0, 0, nil)
 	done := make(chan sim.Stats, 1)
 	go func() { done <- engine.Run(core.Second) }()
 	if _, err := a.Write([]byte("control")); err != nil {

@@ -251,37 +251,49 @@ func (a *HederaApp) PortStatus(sw *SwitchHandle, ps openflow.PortStatus) {
 	a.mu.Unlock()
 }
 
-// PacketIn implements App: pin the new flow to a hash-chosen shortest
-// path by installing exact-match rules on every switch along it.
+// PacketIn implements App: pin the new flow (pinPuntedFlow) and record
+// the placement for the scheduler.
 func (a *HederaApp) PacketIn(sw *SwitchHandle, pi openflow.PacketIn) {
-	ft, err := wire.ParseFlowFrame(pi.Data)
-	if err != nil {
-		a.ctx.Logf("hedera: undecodable packet-in: %v", err)
-		return
-	}
-	g := a.ctx.Topo
-	src, ok := g.HostByIP(ft.Src)
+	ft, path, ok := pinPuntedFlow(a.ctx, pi)
 	if !ok {
 		return
 	}
-	dst, ok := g.HostByIP(ft.Dst)
-	if !ok {
-		return
-	}
-	paths := g.AllShortestPaths(src.ID, dst.ID)
-	if len(paths) == 0 {
-		return
-	}
-	path := paths[int(ft.Hash()%uint32(len(paths)))]
-	a.installPath(ft, path)
 	a.mu.Lock()
 	a.installed[ft] = path
 	a.mu.Unlock()
 }
 
+// pinPuntedFlow is reactive path setup, shared by HederaApp and
+// ReactiveApp: parse the punted frame, choose one of the shortest paths
+// between its hosts by 5-tuple hash, and pin the flow to it. ok is false
+// when the frame does not parse or its hosts have no path.
+func pinPuntedFlow(ctx *Context, pi openflow.PacketIn) (ft core.FiveTuple, path []core.LinkID, ok bool) {
+	ft, err := wire.ParseFlowFrame(pi.Data)
+	if err != nil {
+		ctx.Logf("controller: undecodable packet-in: %v", err)
+		return ft, nil, false
+	}
+	g := ctx.Topo
+	src, ok := g.HostByIP(ft.Src)
+	if !ok {
+		return ft, nil, false
+	}
+	dst, ok := g.HostByIP(ft.Dst)
+	if !ok {
+		return ft, nil, false
+	}
+	paths := g.AllShortestPaths(src.ID, dst.ID)
+	if len(paths) == 0 {
+		return ft, nil, false
+	}
+	path = paths[int(ft.Hash()%uint32(len(paths)))]
+	installPath(ctx, ft, path)
+	return ft, path, true
+}
+
 // installPath installs exact-match rules for ft on every switch hop.
-func (a *HederaApp) installPath(ft core.FiveTuple, path []core.LinkID) {
-	g := a.ctx.Topo
+func installPath(ctx *Context, ft core.FiveTuple, path []core.LinkID) {
+	g := ctx.Topo
 	for _, lid := range path {
 		l := g.Link(lid)
 		if l == nil {
@@ -291,7 +303,7 @@ func (a *HederaApp) installPath(ft core.FiveTuple, path []core.LinkID) {
 		if from == nil || from.Kind != topo.Switch {
 			continue
 		}
-		sw, ok := a.ctx.Ctl.Switch(dpidOf(l.From))
+		sw, ok := ctx.Ctl.Switch(dpidOf(l.From))
 		if !ok {
 			continue
 		}
@@ -453,7 +465,7 @@ func (a *HederaApp) schedule(byteCounts map[core.FiveTuple]uint64) {
 		}
 		a.mu.Unlock()
 		if !same {
-			a.installPath(ft, pl.Path)
+			installPath(a.ctx, ft, pl.Path)
 			moved++
 		}
 	}
@@ -515,9 +527,6 @@ func DPIDOf(n core.NodeID) uint64 { return dpidOf(n) }
 // periodic scheduling. It is Hedera's "baseline ECMP" behaviour.
 type ReactiveApp struct {
 	ctx *Context
-	// HashSrcDst selects the (src,dst)-only hash (the paper's BGP-style
-	// ECMP collision behaviour); default is the full 5-tuple hash.
-	HashSrcDst bool
 }
 
 // Name implements App.
@@ -536,45 +545,5 @@ func (a *ReactiveApp) PortStatus(sw *SwitchHandle, ps openflow.PortStatus) {}
 
 // PacketIn implements App.
 func (a *ReactiveApp) PacketIn(sw *SwitchHandle, pi openflow.PacketIn) {
-	ft, err := wire.ParseFlowFrame(pi.Data)
-	if err != nil {
-		return
-	}
-	g := a.ctx.Topo
-	src, ok := g.HostByIP(ft.Src)
-	if !ok {
-		return
-	}
-	dst, ok := g.HostByIP(ft.Dst)
-	if !ok {
-		return
-	}
-	paths := g.AllShortestPaths(src.ID, dst.ID)
-	if len(paths) == 0 {
-		return
-	}
-	h := ft.Hash()
-	if a.HashSrcDst {
-		h = ft.HashSrcDst()
-	}
-	path := paths[int(h%uint32(len(paths)))]
-	for _, lid := range path {
-		l := g.Link(lid)
-		if l == nil {
-			continue
-		}
-		if from := g.Node(l.From); from == nil || from.Kind != topo.Switch {
-			continue
-		}
-		swh, ok := a.ctx.Ctl.Switch(dpidOf(l.From))
-		if !ok {
-			continue
-		}
-		swh.SendFlowMod(openflow.FlowMod{
-			Match:    openflow.TupleToExactMatch(ft),
-			Command:  openflow.FCAdd,
-			Priority: 200,
-			Actions:  []openflow.Action{{Output: uint16(l.FromPort)}},
-		})
-	}
+	pinPuntedFlow(a.ctx, pi)
 }

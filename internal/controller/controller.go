@@ -5,10 +5,10 @@
 //
 // The controller is a real control plane process: it exchanges real
 // OpenFlow bytes over real duplex channels in wall time. Its only
-// concession to the hybrid architecture is the Clock interface, through
-// which periodic work (Hedera's 5-second statistics poll) is scheduled in
-// virtual time by the Connection Manager — otherwise DES fast-forward
-// would starve wall-clock timers.
+// concession to the hybrid architecture is the core.Clock interface,
+// through which periodic work (Hedera's 5-second statistics poll) is
+// scheduled in virtual time by the Connection Manager — otherwise DES
+// fast-forward would starve wall-clock timers.
 package controller
 
 import (
@@ -21,13 +21,6 @@ import (
 	"repro/internal/openflow"
 	"repro/internal/topo"
 )
-
-// Clock schedules work in virtual time; implemented by the Connection
-// Manager.
-type Clock interface {
-	Now() core.Time
-	After(d core.Time, fn func())
-}
 
 // App is a controller application.
 type App interface {
@@ -47,7 +40,7 @@ type App interface {
 // Context gives apps access to shared controller facilities.
 type Context struct {
 	Topo  *topo.Graph
-	Clock Clock
+	Clock core.Clock
 	Ctl   *Controller
 	Logf  func(string, ...any)
 }
@@ -98,20 +91,8 @@ func (sw *SwitchHandle) SendFlowMod(fm openflow.FlowMod) {
 	sw.ctl.Stats.FlowModsSent.Add(1)
 }
 
-// RequestPortStats asks for port counters; cb runs on the switch's reader
-// goroutine when the reply arrives.
-func (sw *SwitchHandle) RequestPortStats(cb func([]openflow.PortStatsEntry)) {
-	xid := sw.ctl.xids.Next()
-	sw.ctl.addPending(xid, func(raw []byte) {
-		if entries, err := openflow.DecodePortStatsReply(raw); err == nil {
-			cb(entries)
-		}
-	})
-	sw.conn.Send(openflow.EncodeStatsRequest(xid, openflow.StatsPort))
-	sw.ctl.Stats.StatsRequestsSent.Add(1)
-}
-
-// RequestFlowStats asks for flow entry counters.
+// RequestFlowStats asks for flow entry counters; cb runs on the switch's
+// reader goroutine when the reply arrives.
 func (sw *SwitchHandle) RequestFlowStats(cb func([]openflow.FlowStatsEntry)) {
 	xid := sw.ctl.xids.Next()
 	sw.ctl.addPending(xid, func(raw []byte) {
@@ -155,7 +136,7 @@ type Controller struct {
 }
 
 // New creates a controller running the given app over the given topology.
-func New(g *topo.Graph, clock Clock, app App, logf func(string, ...any)) *Controller {
+func New(g *topo.Graph, clock core.Clock, app App, logf func(string, ...any)) *Controller {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -301,7 +282,7 @@ func (c *Controller) serve(sw *SwitchHandle) {
 			if cb := c.takePending(h.XID); cb != nil {
 				cb(raw)
 			}
-		case openflow.TypeFlowRemoved, openflow.TypeBarrierReply, openflow.TypeError:
+		case openflow.TypeBarrierReply, openflow.TypeError:
 			// Observed but not acted upon by the demo apps.
 		default:
 			c.ctx.Logf("controller: dpid %d: unhandled type %d", sw.DPID, h.Type)

@@ -192,6 +192,60 @@ func TestReactiveAppPinsPath(t *testing.T) {
 	}
 }
 
+// TestReactiveAndHederaPinTheSamePaths: both apps set a punted flow up
+// through pinPuntedFlow, so the same punts leave the same exact-match
+// rules, in the same order, on every switch.
+func TestReactiveAndHederaPinTheSamePaths(t *testing.T) {
+	g, err := topo.FatTree(topo.FatTreeOpts{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := g.Hosts()
+	tables := func(app App) map[string]string {
+		ctl := New(g, &manualClock{}, app, t.Logf)
+		defer ctl.Stop()
+		dps := map[string]*tableDP{}
+		for _, sw := range g.Switches() {
+			dps[sw.Name] = wireSwitch(t, ctl, g, sw)
+		}
+		waitFor(t, "all ready", func() bool { return ctl.ReadyCount() == len(dps) })
+		want := 0
+		for i, src := range hosts {
+			dst := hosts[(i+5)%len(hosts)] // same pod and other pods both occur
+			ft := core.FiveTuple{Src: src.IP, Dst: dst.IP, Proto: core.ProtoUDP, SrcPort: uint16(10000 + i), DstPort: 20000}
+			frame, err := wire.BuildFlowFrame(src.MAC, dst.MAC, ft, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edge, _ := ctl.Switch(DPIDOf(src.Ports[0].Peer))
+			ctl.app.PacketIn(edge, openflow.PacketIn{InPort: 1, Data: frame})
+			// One rule per link of the path that leaves a switch: all
+			// but the host's own.
+			want += len(g.AllShortestPaths(src.ID, dst.ID)[0]) - 1
+		}
+		waitFor(t, "every hop's rule installed", func() bool {
+			n := 0
+			for _, dp := range dps {
+				n += dp.tableLen()
+			}
+			return n == want
+		})
+		out := map[string]string{}
+		for name, dp := range dps {
+			dp.mu.Lock()
+			out[name] = dp.table.String()
+			dp.mu.Unlock()
+		}
+		return out
+	}
+	reactive, hedera := tables(&ReactiveApp{}), tables(&HederaApp{})
+	for name, want := range reactive {
+		if got := hedera[name]; got != want {
+			t.Errorf("%s: hedera installed\n%swhere reactive installed\n%s", name, got, want)
+		}
+	}
+}
+
 func TestHederaAppPollsAndSchedules(t *testing.T) {
 	// Build a k=4 data plane with a REAL netmodel so flow stats carry
 	// actual byte counts, then let Hedera poll and re-place.

@@ -46,6 +46,22 @@ func (t Time) String() string {
 	return time.Duration(t).String()
 }
 
+// Clock is the experiment's virtual clock as emulated control plane code
+// sees it. That code runs in wall time, but whatever it schedules over
+// long horizons — Hedera's 5-second poll, the ECMP repair debounce, BGP
+// flap dampening decay (minutes, in production) — must sit on the
+// virtual axis, where DES fast-forward can cross it instead of starving
+// a wall-clock timer. The Connection Manager implements it over the
+// engine; there is no wall-clock implementation to fall back to.
+type Clock interface {
+	// Now is the current virtual time.
+	Now() Time
+	// After schedules fn after d. Implementations must treat the wake
+	// as control plane activity: the woken code is about to send
+	// messages or change routes.
+	After(d Time, fn func())
+}
+
 // Rate is a traffic rate in bits per second. Fluid-model computations use
 // float64 so that fair-share divisions do not truncate.
 type Rate float64

@@ -231,12 +231,6 @@ func (t *Table) Routes() []Route {
 	return out
 }
 
-// Clear removes every route.
-func (t *Table) Clear() {
-	t.root = node{}
-	t.count = 0
-}
-
 // String renders the table like a routing table dump.
 func (t *Table) String() string {
 	var b strings.Builder

@@ -241,11 +241,6 @@ type Table struct {
 	// many bands as its rules have shapes — two for the controller apps
 	// (dst/32 at 100, exact five-tuple at 200).
 	bands []*band
-
-	// MissToController selects table-miss behaviour: true (default, as
-	// in OpenFlow 1.0) punts unmatched flows to the controller; false
-	// drops them.
-	MissToController bool
 }
 
 // shape is what a match compares — which fields, how many address bits —
@@ -342,8 +337,9 @@ func (b *band) link(k key, prev, e *Entry) {
 	}
 }
 
-// New returns an empty table with OpenFlow 1.0 miss behaviour.
-func New() *Table { return &Table{MissToController: true} }
+// New returns an empty table. What a miss does is the data plane's
+// business: netmodel punts it to the controller, as OpenFlow 1.0 does.
+func New() *Table { return &Table{} }
 
 // Len reports the number of installed entries.
 func (t *Table) Len() int { return len(t.entries) }
@@ -513,8 +509,7 @@ func (t *Table) Lookup(inPort core.PortID, ft core.FiveTuple) (*Entry, bool) {
 // Select-group entries are left intact — the hash keeps picking the dead
 // member and blackholing deterministically until the controller
 // reinstalls the group (the PORT_STATUS repair path), which is the
-// OpenFlow 1.0 behaviour Horse emulates. Removed entries are returned so
-// the agent can emit FLOW_REMOVED.
+// OpenFlow 1.0 behaviour Horse emulates. The removed entries are returned.
 func (t *Table) PrunePort(port core.PortID) []*Entry {
 	return t.removeIf(func(e *Entry) bool {
 		for _, a := range e.Actions {

@@ -202,13 +202,6 @@ func TestTimeouts(t *testing.T) {
 	}
 }
 
-func TestMissBehaviourFlag(t *testing.T) {
-	tbl := New()
-	if !tbl.MissToController {
-		t.Fatal("default miss behaviour must punt to controller (OpenFlow 1.0)")
-	}
-}
-
 func TestSelectGroupAction(t *testing.T) {
 	a := Action{Type: ActionSelectGroup, Group: []core.PortID{1, 2, 3}}
 	if a.String() == "" {

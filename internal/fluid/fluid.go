@@ -120,7 +120,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 )
@@ -1426,14 +1425,6 @@ func (s *Set) LinkRate(l core.LinkID) core.Rate {
 	return 0
 }
 
-// LinkFlows reports how many active flows currently cross a link.
-func (s *Set) LinkFlows(l core.LinkID) int {
-	if lh, ok := s.byLink[l]; ok {
-		return int(s.lMem[lh].n)
-	}
-	return 0
-}
-
 // LinkBytes reports the bytes delivered over a directed link so far
 // (integrate first to bring the figure up to now).
 func (s *Set) LinkBytes(l core.LinkID) uint64 {
@@ -1476,33 +1467,7 @@ func (s *Set) AppendFlows(buf []Flow) []Flow {
 	return buf
 }
 
-// FlowsByDst returns the ids of active flows grouped by destination, each
-// group in handle order; Hedera-style demand estimation consumes this
-// shape.
-func (s *Set) FlowsByDst() map[core.NodeID][]FlowID {
-	out := make(map[core.NodeID][]FlowID)
-	for fh := range s.fID {
-		if s.fState[fh] == Active {
-			out[s.fDst[fh]] = append(out[s.fDst[fh]], s.fID[fh])
-		}
-	}
-	return out
-}
-
 // MarkDirty forces the next Solve to re-read link capacities and
 // recompute every allocation, used when capacities change underneath the
 // set (e.g. link failure injection).
 func (s *Set) MarkDirty() { s.dirtyAll = true }
-
-// SortedLinkIDs returns the ids of links that carried traffic, sorted;
-// handy for deterministic test assertions and dumps.
-func (s *Set) SortedLinkIDs() []core.LinkID {
-	ids := make([]core.LinkID, 0, len(s.lID))
-	for lh := range s.lID {
-		if s.lBytes[lh] > 0 {
-			ids = append(ids, s.lID[lh])
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}

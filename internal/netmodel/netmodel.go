@@ -40,10 +40,6 @@ type Network struct {
 	// PACKET_IN messages). If nil, misses blackhole the flow.
 	OnPacketIn func(PacketIn)
 
-	// OnFlowRemoved, when set, observes flow table entries that expired
-	// (idle or hard timeout).
-	OnFlowRemoved func(node core.NodeID, e *flowtable.Entry)
-
 	// punted deduplicates outstanding PACKET_INs per (node, tuple) so a
 	// pending flow does not re-punt on every reroute: for each tuple, the
 	// nodes that punted it and have not seen it routed since.
@@ -243,7 +239,7 @@ func (n *Network) forwardAt(node *topo.Node, inPort core.PortID, ft core.FiveTup
 		t := n.tables[node.ID]
 		e, ok := t.Lookup(inPort, ft)
 		if !ok {
-			if t.MissToController && punt {
+			if punt {
 				n.punt(node.ID, inPort, ft)
 				return core.PortNone, routePunted
 			}
@@ -449,11 +445,7 @@ func (n *Network) invalidatePort(node core.NodeID, port core.PortID) {
 		t.PrunePort(port)
 	}
 	if t := n.tables[node]; t != nil {
-		for _, e := range t.PrunePort(port) {
-			if n.OnFlowRemoved != nil {
-				n.OnFlowRemoved(node, e)
-			}
-		}
+		t.PrunePort(port)
 	}
 }
 
@@ -519,18 +511,12 @@ func (n *Network) ApplyFlowMod(node core.NodeID, mod FlowMod, now core.Time) err
 	return nil
 }
 
-// ExpireFlowEntries removes timed-out entries on every switch (in node ID
-// order, so the FLOW_REMOVED stream is the same from run to run), fires
-// OnFlowRemoved, and reroutes if anything expired. Returns the count.
+// ExpireFlowEntries removes timed-out entries on every switch and
+// reroutes if anything expired. Returns the count.
 func (n *Network) ExpireFlowEntries(now core.Time) int {
 	total := 0
 	for _, sw := range n.G.Switches() {
-		for _, e := range n.tables[sw.ID].ExpireDue(now) {
-			total++
-			if n.OnFlowRemoved != nil {
-				n.OnFlowRemoved(sw.ID, e)
-			}
-		}
+		total += len(n.tables[sw.ID].ExpireDue(now))
 	}
 	if total > 0 {
 		n.ReRouteAll(now)
@@ -630,13 +616,3 @@ func (n *Network) ingressAt(node core.NodeID, path []core.LinkID) (core.PortID, 
 
 // Drops reports how many route walks ended in a blackhole so far.
 func (n *Network) Drops() uint64 { return n.rxDrop }
-
-// HostIDs returns the NodeIDs of all hosts in ID order.
-func (n *Network) HostIDs() []core.NodeID {
-	hosts := n.G.Hosts()
-	out := make([]core.NodeID, len(hosts))
-	for i, h := range hosts {
-		out[i] = h.ID
-	}
-	return out
-}

@@ -124,20 +124,6 @@ func (a *Agent) SetPortDown(portNo uint16, down bool) bool {
 	return true
 }
 
-// SendFlowRemoved notifies the controller of an expired entry.
-func (a *Agent) SendFlowRemoved(m Match, priority uint16) {
-	// Reuse the flow stats entry layout prefixed as FLOW_REMOVED: the
-	// fixed ofp_flow_removed is 88 bytes; Horse's controller only reads
-	// the match and priority, so encode exactly those fields.
-	b := make([]byte, headerLen+matchLen+40)
-	putHeader(b, TypeFlowRemoved, len(b), a.xids.Add(1))
-	putMatch(b[8:48], m)
-	b[48+8] = 0 // reason: idle timeout
-	b[56+1] = byte(priority >> 8)
-	b[56+2] = byte(priority)
-	a.conn.Send(b)
-}
-
 func (a *Agent) readLoop() {
 	for {
 		raw, err := a.conn.Recv()

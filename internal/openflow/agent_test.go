@@ -220,15 +220,3 @@ func TestConnSendAfterClose(t *testing.T) {
 	c.Send(EncodeHello(1)) // must not panic
 	_ = c.Close()          // double close must be safe
 }
-
-func TestSendFlowRemoved(t *testing.T) {
-	agent, c, _ := startAgent(t)
-	agent.SendFlowRemoved(TupleToExactMatch(sampleTuple()), 55)
-	waitCond(t, "flow removed", func() bool { return c.count(TypeFlowRemoved) == 1 })
-	raw := c.last(TypeFlowRemoved)
-	m := parseMatch(raw[8:48])
-	ft, err := MatchToTuple(m)
-	if err != nil || ft != sampleTuple() {
-		t.Fatalf("flow removed match = %v, %v", ft, err)
-	}
-}

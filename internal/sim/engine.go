@@ -523,6 +523,3 @@ func (e *Engine) runDue(t core.Time) {
 		ev.fn()
 	}
 }
-
-// QueueLen reports the number of pending events. Engine goroutine only.
-func (e *Engine) QueueLen() int { return len(e.queue) }

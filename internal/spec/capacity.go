@@ -2,7 +2,6 @@ package spec
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -45,20 +44,15 @@ func ParseCapacity(s string) (CapacitySpec, error) {
 	case "walk":
 		cs := CapacitySpec{Kind: "walk", Seed: 42, Period: DefaultWalkPeriod}
 		if hasArg {
-			parts := strings.Split(arg, ":")
-			if len(parts) > 2 {
-				return CapacitySpec{}, fmt.Errorf("spec: want walk[:SEED[:PERIOD]], got %q", s)
-			}
-			seed, err := strconv.ParseInt(parts[0], 10, 64)
+			seed, rest, err := seedFields("walk", "want walk[:SEED[:PERIOD]]", arg, s, 2)
 			if err != nil {
-				return CapacitySpec{}, fmt.Errorf("spec: walk seed must be an integer, got %q in %q", parts[0], s)
+				return CapacitySpec{}, err
 			}
-			cs.Seed = seed
-			cs.ExplicitSeed = true
-			if len(parts) == 2 {
-				period, err := time.ParseDuration(parts[1])
+			cs.Seed, cs.ExplicitSeed = seed, true
+			if len(rest) == 1 {
+				period, err := time.ParseDuration(rest[0])
 				if err != nil || period <= 0 {
-					return CapacitySpec{}, fmt.Errorf("spec: walk period must be a positive duration like \"250ms\", got %q in %q", parts[1], s)
+					return CapacitySpec{}, fmt.Errorf("spec: walk period must be a positive duration like \"250ms\", got %q in %q", rest[0], s)
 				}
 				cs.Period = Duration(period)
 			}

@@ -39,3 +39,22 @@ func TestGoldenFingerprintDigest(t *testing.T) {
 			got, goldenECMP5Digest, out.Fingerprint.SteadyRx, len(out.Fingerprint.Flows))
 	}
 }
+
+// goldenReactiveDigest is the same workload under "reactive": each flow
+// pinned to the shortest path its 5-tuple hash picks, so the digest is
+// a pure function of the hash and of the pin function ReactiveApp and
+// HederaApp share. Recorded at c8d54be, before they shared it.
+const goldenReactiveDigest = "b7b75ddb26d12dc8"
+
+func TestGoldenReactiveDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real experiments")
+	}
+	out, err := Run{Topo: "fattree:4", Scenario: "reactive", Traffic: "permutation:42"}.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.Fingerprint.Digest(); got != goldenReactiveDigest {
+		t.Errorf("digest %s, want %s (steady rx %s)", got, goldenReactiveDigest, out.Fingerprint.SteadyRx)
+	}
+}

@@ -41,7 +41,7 @@ var scenarioAppliers = map[string]func(exp *horse.Experiment, base horse.BGPOpti
 		exp.UseSDN(horse.AppHedera(5 * horse.Second))
 	},
 	"reactive": func(exp *horse.Experiment, _ horse.BGPOptions) {
-		exp.UseSDN(horse.AppReactive(false))
+		exp.UseSDN(horse.AppReactive())
 	},
 }
 

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	horse "repro"
@@ -173,6 +174,34 @@ func (r Run) parse() (parts, error) {
 		return p, fmt.Errorf("spec: negative advertise delay %v", r.AdvertiseDelay.Duration())
 	}
 	return p, nil
+}
+
+// seedFields parses the SEED[:…] tail that the seeded grammars share
+// (pareto, lognormal, incast, walk, wan:mesh, wan:multi): arg, split on
+// ":" into at most max fields, starts with an integer seed, and the
+// fields after it are the caller's to interpret. kind names the grammar
+// in the errors, wants is what an over-long spec is told, s is the whole
+// spec as the user wrote it.
+func seedFields(kind, wants, arg, s string, max int) (seed int64, rest []string, err error) {
+	fields := strings.Split(arg, ":")
+	if len(fields) > max {
+		return 0, nil, fmt.Errorf("spec: %s, got %q", wants, s)
+	}
+	seed, err = strconv.ParseInt(fields[0], 10, 64)
+	if err != nil {
+		return 0, nil, fmt.Errorf("spec: %s seed must be an integer, got %q in %q", kind, fields[0], s)
+	}
+	return seed, fields[1:], nil
+}
+
+// positiveInt parses one count field of a spec; noun names it in the
+// error.
+func positiveInt(kind, noun, field, s string) (int, error) {
+	n, err := strconv.Atoi(field)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("spec: %s %s must be a positive integer, got %q in %q", kind, noun, field, s)
+	}
+	return n, nil
 }
 
 // Validate parses every component of the run without building the

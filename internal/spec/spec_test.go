@@ -2,14 +2,37 @@ package spec
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 )
 
+// topoString is the canonical spelling of a TopoSpec. Nothing outside
+// the tests prints one, so the round trip in TestParseTopo owns the
+// printer it needs.
+func topoString(ts TopoSpec) string {
+	switch ts.Kind {
+	case TopoFatTree, TopoLinear, TopoStar:
+		return fmt.Sprintf("%s:%d", ts.Kind, ts.K)
+	case TopoRing:
+		return fmt.Sprintf("ring:%d:%d", ts.K, ts.Chord)
+	case TopoWAN:
+		return "wan:" + ts.Name
+	case TopoWANMesh:
+		return fmt.Sprintf("wan:mesh:%d:%d", ts.Seed, ts.PoPs)
+	case TopoWANMultiAS:
+		return fmt.Sprintf("wan:multi:%d:%d:%d:%d", ts.Seed, ts.ASes, ts.PoPs, ts.FullTable)
+	default:
+		return string(ts.Kind)
+	}
+}
+
 // TestParseTopo covers every -topo form the CLIs accept, plus the
 // malformed specs a campaign submission must reject with an error that
-// names the offending part.
+// names the offending part. Every accepted form also round-trips:
+// Parse(x.String()) == x, the property each of the four grammar tables
+// in this file checks row by row.
 func TestParseTopo(t *testing.T) {
 	cases := []struct {
 		in      string
@@ -78,6 +101,9 @@ func TestParseTopo(t *testing.T) {
 			if got != tc.want {
 				t.Fatalf("ParseTopo(%q) = %+v, want %+v", tc.in, got, tc.want)
 			}
+			if back, err := ParseTopo(topoString(got)); err != nil || back != got {
+				t.Errorf("ParseTopo(%q) = %+v, %v; want %+v back", topoString(got), back, err, got)
+			}
 		})
 	}
 }
@@ -124,6 +150,9 @@ func TestParseScenario(t *testing.T) {
 		}
 		if sc.Name != name {
 			t.Errorf("ParseScenario(%q).Name = %q", name, sc.Name)
+		}
+		if back, err := ParseScenario(sc.Name); err != nil || back != sc {
+			t.Errorf("ParseScenario(%q) = %+v, %v; want %+v back", sc.Name, back, err, sc)
 		}
 		want, ok := wantBGP[name]
 		if !ok {
@@ -213,6 +242,12 @@ func TestParseTraffic(t *testing.T) {
 			if got.Seeded() != tc.wantSeeded {
 				t.Errorf("ParseTraffic(%q).Seeded() = %v, want %v", tc.in, got.Seeded(), tc.wantSeeded)
 			}
+			// The canonical string names its seed, so only a seed
+			// template ("pareto") comes back changed, and only there.
+			got.ExplicitSeed = got.Seeded()
+			if back, err := ParseTraffic(tc.wantStr); err != nil || back != got || back.String() != tc.wantStr {
+				t.Errorf("ParseTraffic(%q) = %+v, %v; want %+v back", tc.wantStr, back, err, got)
+			}
 		})
 	}
 }
@@ -292,6 +327,10 @@ func TestParseCapacity(t *testing.T) {
 			}
 			if got.Seeded() != tc.wantSeeded {
 				t.Errorf("ParseCapacity(%q).Seeded() = %v, want %v", tc.in, got.Seeded(), tc.wantSeeded)
+			}
+			got.ExplicitSeed = got.Seeded()
+			if back, err := ParseCapacity(tc.wantStr); err != nil || back != got || back.String() != tc.wantStr {
+				t.Errorf("ParseCapacity(%q) = %+v, %v; want %+v back", tc.wantStr, back, err, got)
 			}
 		})
 	}

@@ -110,21 +110,15 @@ func ParseTopo(s string) (TopoSpec, error) {
 			if !hasMeshArg {
 				return TopoSpec{}, fmt.Errorf("spec: wan:mesh needs a seed (wan:mesh:SEED[:POPS]), got %q", s)
 			}
-			parts := strings.Split(arg, ":")
-			if len(parts) > 2 {
-				return TopoSpec{}, fmt.Errorf("spec: wan:mesh wants wan:mesh:SEED[:POPS], got %q", s)
-			}
-			seed, err := strconv.ParseInt(parts[0], 10, 64)
+			seed, rest, err := seedFields("wan:mesh", "wan:mesh wants wan:mesh:SEED[:POPS]", arg, s, 2)
 			if err != nil {
-				return TopoSpec{}, fmt.Errorf("spec: wan:mesh seed must be an integer, got %q in %q", parts[0], s)
+				return TopoSpec{}, err
 			}
 			ts := TopoSpec{Kind: TopoWANMesh, Seed: seed, PoPs: 16}
-			if len(parts) == 2 {
-				pops, err := strconv.Atoi(parts[1])
-				if err != nil || pops <= 0 {
-					return TopoSpec{}, fmt.Errorf("spec: wan:mesh PoP count must be a positive integer, got %q in %q", parts[1], s)
+			if len(rest) == 1 {
+				if ts.PoPs, err = positiveInt("wan:mesh", "PoP count", rest[0], s); err != nil {
+					return TopoSpec{}, err
 				}
-				ts.PoPs = pops
 			}
 			return ts, nil
 		}
@@ -132,33 +126,27 @@ func ParseTopo(s string) (TopoSpec, error) {
 			if !hasMeshArg {
 				return TopoSpec{}, fmt.Errorf("spec: wan:multi needs a seed (wan:multi:SEED[:ASES[:POPS[:PREFIXES]]]), got %q", s)
 			}
-			parts := strings.Split(arg, ":")
-			if len(parts) > 4 {
-				return TopoSpec{}, fmt.Errorf("spec: wan:multi wants wan:multi:SEED[:ASES[:POPS[:PREFIXES]]], got %q", s)
-			}
-			seed, err := strconv.ParseInt(parts[0], 10, 64)
+			seed, rest, err := seedFields("wan:multi", "wan:multi wants wan:multi:SEED[:ASES[:POPS[:PREFIXES]]]", arg, s, 4)
 			if err != nil {
-				return TopoSpec{}, fmt.Errorf("spec: wan:multi seed must be an integer, got %q in %q", parts[0], s)
+				return TopoSpec{}, err
 			}
 			ts := TopoSpec{Kind: TopoWANMultiAS, Seed: seed, ASes: 3, PoPs: 6}
-			if len(parts) >= 2 {
-				ases, err := strconv.Atoi(parts[1])
+			if len(rest) >= 1 {
+				ases, err := strconv.Atoi(rest[0])
 				if err != nil || ases < 2 {
-					return TopoSpec{}, fmt.Errorf("spec: wan:multi AS count must be an integer >= 2, got %q in %q", parts[1], s)
+					return TopoSpec{}, fmt.Errorf("spec: wan:multi AS count must be an integer >= 2, got %q in %q", rest[0], s)
 				}
 				ts.ASes = ases
 			}
-			if len(parts) >= 3 {
-				pops, err := strconv.Atoi(parts[2])
-				if err != nil || pops <= 0 {
-					return TopoSpec{}, fmt.Errorf("spec: wan:multi PoP count must be a positive integer, got %q in %q", parts[2], s)
+			if len(rest) >= 2 {
+				if ts.PoPs, err = positiveInt("wan:multi", "PoP count", rest[1], s); err != nil {
+					return TopoSpec{}, err
 				}
-				ts.PoPs = pops
 			}
-			if len(parts) == 4 {
-				n, err := strconv.Atoi(parts[3])
+			if len(rest) == 3 {
+				n, err := strconv.Atoi(rest[2])
 				if err != nil || n < 0 {
-					return TopoSpec{}, fmt.Errorf("spec: wan:multi prefix count must be a non-negative integer, got %q in %q", parts[3], s)
+					return TopoSpec{}, fmt.Errorf("spec: wan:multi prefix count must be a non-negative integer, got %q in %q", rest[2], s)
 				}
 				ts.FullTable = n
 			}

@@ -82,47 +82,22 @@ func ParseTraffic(s string) (TrafficSpec, error) {
 			}
 		}
 		return ts, nil
-	case "pareto", "lognormal":
+	case "pareto", "lognormal", "incast":
 		ts := TrafficSpec{Kind: kind, Seed: 42}
 		if hasArg {
-			parts := strings.Split(arg, ":")
-			if len(parts) > 2 {
-				return TrafficSpec{}, fmt.Errorf("spec: want %s[:SEED[:N]], got %q", kind, s)
+			wants, noun := "want "+kind+"[:SEED[:N]]", "flow count"
+			if kind == "incast" {
+				wants, noun = "want incast[:SEED[:FANIN]]", "fan-in"
 			}
-			seed, err := strconv.ParseInt(parts[0], 10, 64)
+			seed, rest, err := seedFields(kind, wants, arg, s, 2)
 			if err != nil {
-				return TrafficSpec{}, fmt.Errorf("spec: %s seed must be an integer, got %q in %q", kind, parts[0], s)
+				return TrafficSpec{}, err
 			}
-			ts.Seed = seed
-			ts.ExplicitSeed = true
-			if len(parts) == 2 {
-				n, err := strconv.Atoi(parts[1])
-				if err != nil || n < 1 {
-					return TrafficSpec{}, fmt.Errorf("spec: %s flow count must be a positive integer, got %q in %q", kind, parts[1], s)
+			ts.Seed, ts.ExplicitSeed = seed, true
+			if len(rest) == 1 {
+				if ts.N, err = positiveInt(kind, noun, rest[0], s); err != nil {
+					return TrafficSpec{}, err
 				}
-				ts.N = n
-			}
-		}
-		return ts, nil
-	case "incast":
-		ts := TrafficSpec{Kind: "incast", Seed: 42}
-		if hasArg {
-			parts := strings.Split(arg, ":")
-			if len(parts) > 2 {
-				return TrafficSpec{}, fmt.Errorf("spec: want incast[:SEED[:FANIN]], got %q", s)
-			}
-			seed, err := strconv.ParseInt(parts[0], 10, 64)
-			if err != nil {
-				return TrafficSpec{}, fmt.Errorf("spec: incast seed must be an integer, got %q in %q", parts[0], s)
-			}
-			ts.Seed = seed
-			ts.ExplicitSeed = true
-			if len(parts) == 2 {
-				n, err := strconv.Atoi(parts[1])
-				if err != nil || n < 1 {
-					return TrafficSpec{}, fmt.Errorf("spec: incast fan-in must be a positive integer, got %q in %q", parts[1], s)
-				}
-				ts.N = n
 			}
 		}
 		return ts, nil

@@ -342,19 +342,6 @@ func (g *Graph) byKind(k Kind) []*Node {
 	return out
 }
 
-// Neighbors returns the node IDs adjacent to n.
-func (g *Graph) Neighbors(n core.NodeID) []core.NodeID {
-	node := g.Node(n)
-	if node == nil {
-		return nil
-	}
-	out := make([]core.NodeID, 0, len(node.Ports))
-	for _, p := range node.Ports {
-		out = append(out, p.Peer)
-	}
-	return out
-}
-
 // HostByIP finds the host owning addr (the lowest-ID one, should two
 // hosts share an address).
 func (g *Graph) HostByIP(addr netip.Addr) (*Node, bool) {
@@ -535,18 +522,6 @@ func (g *Graph) NextHopPorts(from core.NodeID) [][]core.PortID {
 		out[id] = flat[start:len(flat):len(flat)]
 	}
 	return out
-}
-
-// PathDelay sums the per-link propagation delay along a directed-link
-// path (the one-way latency a packet following it would see).
-func (g *Graph) PathDelay(path []core.LinkID) core.Time {
-	var total core.Time
-	for _, id := range path {
-		if l := g.Link(id); l != nil {
-			total += l.Delay
-		}
-	}
-	return total
 }
 
 // Stats summarises graph size.

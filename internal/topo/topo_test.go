@@ -342,18 +342,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestNeighbors(t *testing.T) {
-	g, _ := TwoRouters(core.Gbps, 0)
-	r1, _ := g.NodeByName("r1")
-	nbrs := g.Neighbors(r1.ID)
-	if len(nbrs) != 2 {
-		t.Fatalf("r1 neighbors = %v", nbrs)
-	}
-	if g.Neighbors(core.NodeID(99)) != nil {
-		t.Error("missing node has neighbors")
-	}
-}
-
 func TestFatTreePathsStructural(t *testing.T) {
 	const k = 4
 	g, err := FatTree(FatTreeOpts{K: k})

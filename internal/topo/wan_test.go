@@ -383,22 +383,3 @@ func TestWANMultiASRejectsBadOptions(t *testing.T) {
 		}
 	}
 }
-
-func TestPathDelay(t *testing.T) {
-	g, err := WANNamed("abilene", WANOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sea, _ := g.NodeByName("sea")
-	nyc, _ := g.NodeByName("nyc")
-	paths := g.AllShortestPaths(sea.ID, nyc.ID)
-	if len(paths) == 0 {
-		t.Fatal("no sea->nyc path")
-	}
-	if d := g.PathDelay(paths[0]); d < core.Millisecond {
-		t.Fatalf("sea->nyc path delay %v, want coast-to-coast >= 1ms", d)
-	}
-	if g.PathDelay(nil) != 0 {
-		t.Fatal("empty path has nonzero delay")
-	}
-}

@@ -239,19 +239,6 @@ func (m *Matrix) Flows() int {
 	return count
 }
 
-// TotalDemand sums every off-diagonal demand.
-func (m *Matrix) TotalDemand() core.Rate {
-	var total core.Rate
-	for i, row := range m.Demand {
-		for j, d := range row {
-			if i != j {
-				total += d
-			}
-		}
-	}
-	return total
-}
-
 // Pattern schedules one long-lived flow per non-zero demand entry,
 // mapped onto the topology's hosts by index. Entries beyond the
 // topology's host count are skipped (a 4-host matrix drives the first

@@ -48,17 +48,18 @@ func TestLoadCSVMatrixGolden(t *testing.T) {
 	if m.Flows() != 7 {
 		t.Errorf("Flows() = %d, want 7", m.Flows())
 	}
-	if !approxRate(m.TotalDemand(), core.Rate(3.8)*core.Gbps) {
-		t.Errorf("TotalDemand() = %v, want 3.8Gbps", m.TotalDemand())
-	}
 
 	// Scale multiplies every demand.
 	scaled, err := LoadMatrix(goldenPath, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !approxRate(scaled.TotalDemand(), core.Rate(7.6)*core.Gbps) {
-		t.Errorf("scaled TotalDemand() = %v, want 7.6Gbps", scaled.TotalDemand())
+	for i := range m.Demand {
+		for j := range m.Demand[i] {
+			if !approxRate(scaled.Demand[i][j], 2*m.Demand[i][j]) {
+				t.Errorf("scaled Demand[%d][%d] = %v, want %v", i, j, scaled.Demand[i][j], 2*m.Demand[i][j])
+			}
+		}
 	}
 }
 

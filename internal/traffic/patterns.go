@@ -31,9 +31,9 @@ const (
 )
 
 // heavyTail generates n flows between random distinct hosts with
-// arrivals uniform in the horizon (Churn's arrival machinery) and
-// lifetimes drawn from sample (a size distribution expressed directly
-// in lifetime at the given rate). n <= 0 defaults to 4 flows per host.
+// arrivals uniform in the horizon and lifetimes drawn from sample (a
+// size distribution expressed directly in lifetime at the given rate).
+// n <= 0 defaults to 4 flows per host.
 func heavyTail(seed int64, n int, rate core.Rate, horizon core.Time, sample func(*rand.Rand) core.Time) Pattern {
 	return func(nHosts int) []Spec {
 		if nHosts < 2 || horizon <= 0 || rate <= 0 {
@@ -58,7 +58,11 @@ func heavyTail(seed int64, n int, rate core.Rate, horizon core.Time, sample func
 				Duration: sample(rng),
 				Proto:    core.ProtoUDP,
 				SrcPort:  uint16(1024 + i%60000),
-				DstPort:  uint16(1024 + (i+i/60000)%60000),
+				// The offset by i/60000 keeps (SrcPort, DstPort) pairs
+				// distinct after the src range wraps; plain i/60000 here
+				// used to collapse almost every flow onto port 1024,
+				// starving 5-tuple ECMP of hash entropy.
+				DstPort: uint16(1024 + (i+i/60000)%60000),
 			})
 		}
 		return out

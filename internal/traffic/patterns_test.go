@@ -252,7 +252,7 @@ func TestRing(t *testing.T) {
 // entropy.
 func TestChurnPortEntropy(t *testing.T) {
 	const n = 1000
-	specs := Churn(7, n, core.Gbps, 10*core.Second, 2*core.Second)(64)
+	specs := Pareto(7, n, core.Gbps, 10*core.Second)(64)
 	ports := map[uint16]bool{}
 	tuples := map[[2]uint16]bool{}
 	for _, s := range specs {

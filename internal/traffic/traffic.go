@@ -1,8 +1,8 @@
 // Package traffic generates experiment workloads. The paper's demo uses a
 // single pattern — "each server of the DC sends a single UDP flow to
 // another server inside the DC, at the constant rate of 1 Gbps" — which is
-// Permutation here; Stride and Pairs cover other common DC evaluation
-// patterns.
+// Permutation here; Stride and the generators in patterns.go cover other
+// common DC evaluation patterns.
 package traffic
 
 import (
@@ -90,64 +90,6 @@ func Stride(stride int, rate core.Rate, start, duration core.Time) Pattern {
 				Proto:   core.ProtoUDP,
 				SrcPort: uint16(10000 + src),
 				DstPort: uint16(20000 + (src+stride)%n),
-			})
-		}
-		return out
-	}
-}
-
-// Churn generates an arrival/departure workload: n flows between random
-// distinct hosts, each starting uniformly within the horizon and living
-// for a bounded random lifetime between meanLife/2 and 3·meanLife/2.
-// Unlike Permutation (one long-lived flow per host) this keeps the flow
-// set mutating for the whole run — the regime the incremental rate
-// solver is built for.
-func Churn(seed int64, n int, rate core.Rate, horizon, meanLife core.Time) Pattern {
-	return func(nHosts int) []Spec {
-		if nHosts < 2 || n <= 0 || horizon <= 0 || meanLife <= 0 {
-			return nil
-		}
-		rng := rand.New(rand.NewSource(seed))
-		out := make([]Spec, 0, n)
-		for i := 0; i < n; i++ {
-			src := rng.Intn(nHosts)
-			dst := rng.Intn(nHosts - 1)
-			if dst >= src {
-				dst++
-			}
-			life := meanLife/2 + core.Time(rng.Int63n(int64(meanLife)))
-			out = append(out, Spec{
-				SrcHost: src, DstHost: dst,
-				Rate:     rate,
-				Start:    core.Time(rng.Int63n(int64(horizon))),
-				Duration: life,
-				Proto:    core.ProtoUDP,
-				SrcPort:  uint16(1024 + i%60000),
-				// The offset by i/60000 keeps (SrcPort, DstPort) pairs
-				// distinct after the src range wraps; plain i/60000 here
-				// used to collapse almost every flow onto port 1024,
-				// starving 5-tuple ECMP of hash entropy.
-				DstPort: uint16(1024 + (i+i/60000)%60000),
-			})
-		}
-		return out
-	}
-}
-
-// Pairs sends flows between explicit host index pairs.
-func Pairs(rate core.Rate, start, duration core.Time, pairs ...[2]int) Pattern {
-	return func(n int) []Spec {
-		var out []Spec
-		for i, p := range pairs {
-			if p[0] >= n || p[1] >= n || p[0] == p[1] {
-				continue
-			}
-			out = append(out, Spec{
-				SrcHost: p[0], DstHost: p[1],
-				Rate: rate, Start: start, Duration: duration,
-				Proto:   core.ProtoUDP,
-				SrcPort: uint16(10000 + i),
-				DstPort: uint16(20000 + i),
 			})
 		}
 		return out

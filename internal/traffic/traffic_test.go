@@ -77,48 +77,3 @@ func TestStride(t *testing.T) {
 		t.Fatal("identity stride accepted")
 	}
 }
-
-func TestPairs(t *testing.T) {
-	specs := Pairs(core.Gbps, 0, 0, [2]int{0, 1}, [2]int{2, 3}, [2]int{5, 5}, [2]int{9, 0})(4)
-	// {5,5} is self-traffic, {9,0} is out of range: both skipped.
-	if len(specs) != 2 {
-		t.Fatalf("pairs = %+v", specs)
-	}
-	if specs[0].SrcHost != 0 || specs[0].DstHost != 1 || specs[1].SrcHost != 2 {
-		t.Fatalf("pairs = %+v", specs)
-	}
-}
-
-func TestChurn(t *testing.T) {
-	const n = 500
-	horizon := 10 * core.Second
-	meanLife := 2 * core.Second
-	specs := Churn(7, n, core.Gbps, horizon, meanLife)(64)
-	if len(specs) != n {
-		t.Fatalf("got %d specs, want %d", len(specs), n)
-	}
-	for i, s := range specs {
-		if s.SrcHost == s.DstHost {
-			t.Fatalf("spec %d: self flow", i)
-		}
-		if s.SrcHost < 0 || s.SrcHost >= 64 || s.DstHost < 0 || s.DstHost >= 64 {
-			t.Fatalf("spec %d: host out of range", i)
-		}
-		if s.Start < 0 || s.Start >= horizon {
-			t.Fatalf("spec %d: start %v outside horizon", i, s.Start)
-		}
-		if s.Duration < meanLife/2 || s.Duration > 3*meanLife/2 {
-			t.Fatalf("spec %d: lifetime %v outside [%v, %v]", i, s.Duration, meanLife/2, 3*meanLife/2)
-		}
-	}
-	// Deterministic per seed.
-	again := Churn(7, n, core.Gbps, horizon, meanLife)(64)
-	for i := range specs {
-		if specs[i] != again[i] {
-			t.Fatal("same seed produced different workloads")
-		}
-	}
-	if Churn(7, n, core.Gbps, horizon, meanLife)(1) != nil {
-		t.Fatal("degenerate host count accepted")
-	}
-}

@@ -54,12 +54,6 @@ func (b *Buffer) PrependBytes(n int) []byte {
 	return b.data[b.start : b.start+n]
 }
 
-// AppendBytes returns n writable bytes at the end of the packet.
-func (b *Buffer) AppendBytes(n int) []byte {
-	b.data = append(b.data, make([]byte, n)...)
-	return b.data[len(b.data)-n:]
-}
-
 // Bytes returns the serialized packet.
 func (b *Buffer) Bytes() []byte { return b.data[b.start:] }
 
