@@ -4,6 +4,7 @@ import (
 	"net/netip"
 
 	"repro/internal/core"
+	"repro/internal/ptrie"
 )
 
 // Path is one candidate route for a prefix, as stored in Adj-RIB-In (or
@@ -164,12 +165,15 @@ func (e *ribEntry) peerIndex(peer netip.Addr) int {
 // known reports whether any route (local or learned) exists here.
 func (e *ribEntry) known() bool { return e.local != nil || len(e.peers) > 0 }
 
-// RIB holds Adj-RIB-In entries per prefix in a path-compressed binary
-// trie plus locally originated routes, and computes the Loc-RIB with
-// optional ECMP multipath. Attribute sets are interned in a refcounted
-// pool shared by every path the RIB stores.
+// RIB holds Adj-RIB-In entries and locally originated routes per prefix
+// in the per-bit prefix trie the FIB also uses (internal/ptrie), and
+// computes the Loc-RIB with optional ECMP multipath. The trie gives
+// ordered walks (address, then length: sortPrefixes order, no sort
+// pass), longest-prefix match, and a stable per-prefix entry the decision
+// process recomputes incrementally. Attribute sets are interned in a
+// refcounted pool shared by every path the RIB stores.
 type RIB struct {
-	trie *prefixTrie
+	trie ptrie.Trie[ribEntry]
 	pool *attrPool
 	// Multipath enables ECMP: all paths tying through the comparison
 	// are selected (the "bgp bestpath as-path multipath-relax"
@@ -179,7 +183,7 @@ type RIB struct {
 
 // NewRIB creates an empty RIB.
 func NewRIB(multipath bool) *RIB {
-	return &RIB{trie: newPrefixTrie(), pool: newAttrPool(), Multipath: multipath}
+	return &RIB{pool: newAttrPool(), Multipath: multipath}
 }
 
 // Intern dedupes an attribute set against the RIB's pool. The speaker
@@ -194,7 +198,7 @@ func (r *RIB) AttrSets() int { return r.pool.len() }
 
 // SetLocal originates a prefix locally.
 func (r *RIB) SetLocal(p netip.Prefix, attrs PathAttrs) {
-	e := r.trie.insert(v4key(p))
+	e := r.trie.Insert(v4key(p))
 	if e.local != nil {
 		releaseAttrs(e.local.Attrs)
 	}
@@ -208,7 +212,7 @@ func (r *RIB) SetLocal(p netip.Prefix, attrs PathAttrs) {
 func (r *RIB) UpdateAdjIn(peer netip.Addr, prefix netip.Prefix, path *Path) bool {
 	addr, length := v4key(prefix)
 	if path == nil {
-		e := r.trie.lookup(addr, length)
+		e := r.trie.Get(addr, length)
 		if e == nil {
 			return false
 		}
@@ -220,7 +224,7 @@ func (r *RIB) UpdateAdjIn(peer netip.Addr, prefix netip.Prefix, path *Path) bool
 		e.peers = append(e.peers[:i], e.peers[i+1:]...)
 		return true
 	}
-	e := r.trie.insert(addr, length)
+	e := r.trie.Insert(addr, length)
 	retainAttrs(path.Attrs)
 	if i := e.peerIndex(peer); i >= 0 {
 		releaseAttrs(e.peers[i].Attrs)
@@ -248,7 +252,7 @@ func (r *RIB) UpdateAdjIn(peer netip.Addr, prefix netip.Prefix, path *Path) bool
 // doubling through a hundred thousand entries.
 func (r *RIB) DropPeer(peer netip.Addr) []netip.Prefix {
 	n := 0
-	r.trie.walk(func(_ netip.Prefix, e *ribEntry) bool {
+	r.trie.Walk(func(_ uint32, _ uint8, e *ribEntry) bool {
 		if e.peerIndex(peer) >= 0 {
 			n++
 		}
@@ -258,11 +262,11 @@ func (r *RIB) DropPeer(peer netip.Addr) []netip.Prefix {
 		return nil
 	}
 	out := make([]netip.Prefix, 0, n)
-	r.trie.walk(func(p netip.Prefix, e *ribEntry) bool {
+	r.trie.Walk(func(addr uint32, length uint8, e *ribEntry) bool {
 		if i := e.peerIndex(peer); i >= 0 {
 			releaseAttrs(e.peers[i].Attrs)
 			e.peers = append(e.peers[:i], e.peers[i+1:]...)
-			out = append(out, p)
+			out = append(out, keyPrefix(addr, length))
 		}
 		return true
 	})
@@ -275,7 +279,7 @@ func (r *RIB) DropPeer(peer netip.Addr) []netip.Prefix {
 // the next Decide of the same prefix.
 func (r *RIB) Decide(prefix netip.Prefix) ([]*Path, bool) {
 	addr, length := v4key(prefix)
-	e := r.trie.lookup(addr, length)
+	e := r.trie.Get(addr, length)
 	if e == nil {
 		return nil, false
 	}
@@ -312,7 +316,7 @@ func (r *RIB) Decide(prefix netip.Prefix) ([]*Path, bool) {
 			e.scratch = sel
 		}
 		if e.selected == nil && !e.known() {
-			r.trie.remove(addr, length)
+			r.trie.Remove(addr, length)
 		}
 		return e.selected, false
 	}
@@ -320,7 +324,7 @@ func (r *RIB) Decide(prefix netip.Prefix) ([]*Path, bool) {
 	e.selected = sel
 	if e.selected == nil && !e.known() {
 		// Fully empty entry: prune its node.
-		r.trie.remove(addr, length)
+		r.trie.Remove(addr, length)
 	}
 	return e.selected, true
 }
@@ -337,7 +341,7 @@ func sortTieBreak(ps []*Path) {
 
 // Best returns the Loc-RIB selection for prefix.
 func (r *RIB) Best(prefix netip.Prefix) []*Path {
-	e := r.trie.lookup(v4key(prefix))
+	e := r.trie.Get(v4key(prefix))
 	if e == nil {
 		return nil
 	}
@@ -350,9 +354,7 @@ func (r *RIB) Lookup(addr netip.Addr) []*Path {
 	if !addr.Is4() {
 		return nil
 	}
-	a4 := addr.As4()
-	key := uint32(a4[0])<<24 | uint32(a4[1])<<16 | uint32(a4[2])<<8 | uint32(a4[3])
-	e := r.trie.lpm(key, func(e *ribEntry) bool { return len(e.selected) > 0 })
+	e := r.trie.Longest(core.IPv4ToUint32(addr), func(e *ribEntry) bool { return len(e.selected) > 0 })
 	if e == nil {
 		return nil
 	}
@@ -363,9 +365,9 @@ func (r *RIB) Lookup(addr netip.Addr) []*Path {
 // selection, in sorted order — the walk Prefixes makes, without the list
 // and without a second descent per prefix to fetch the selection.
 func (r *RIB) eachSelected(visit func(netip.Prefix, []*Path)) {
-	r.trie.walk(func(p netip.Prefix, e *ribEntry) bool {
+	r.trie.Walk(func(addr uint32, length uint8, e *ribEntry) bool {
 		if len(e.selected) > 0 {
-			visit(p, e.selected)
+			visit(keyPrefix(addr, length), e.selected)
 		}
 		return true
 	})
@@ -374,7 +376,7 @@ func (r *RIB) eachSelected(visit func(netip.Prefix, []*Path)) {
 // Prefixes returns every prefix present in the Loc-RIB, sorted (the
 // trie walk is ordered; no sort pass needed).
 func (r *RIB) Prefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, r.trie.n)
+	out := make([]netip.Prefix, 0, r.trie.Len())
 	r.eachSelected(func(p netip.Prefix, _ []*Path) { out = append(out, p) })
 	return out
 }
@@ -382,10 +384,10 @@ func (r *RIB) Prefixes() []netip.Prefix {
 // KnownPrefixes returns every prefix seen in local or any Adj-RIB-In,
 // sorted; the decision process re-evaluates these after session changes.
 func (r *RIB) KnownPrefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, r.trie.n)
-	r.trie.walk(func(p netip.Prefix, e *ribEntry) bool {
+	out := make([]netip.Prefix, 0, r.trie.Len())
+	r.trie.Walk(func(addr uint32, length uint8, e *ribEntry) bool {
 		if e.known() {
-			out = append(out, p)
+			out = append(out, keyPrefix(addr, length))
 		}
 		return true
 	})

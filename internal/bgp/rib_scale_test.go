@@ -153,7 +153,7 @@ func TestRIBTrieMatchesMapOracle(t *testing.T) {
 							}
 						}
 						var trieAdj []*Path
-						if e := trie.trie.lookup(v4key(p)); e != nil {
+						if e := trie.trie.Get(v4key(p)); e != nil {
 							trieAdj = e.peers
 						}
 						t.Fatalf("Decide(%v) selection diverged:\n trie:   %s\n oracle: %s\n trie adjIn:   %s\n oracle adjIn: %s",

@@ -205,6 +205,11 @@ func NewSpeaker(cfg Config) (*Speaker, error) {
 	if !cfg.RouterID.Is4() {
 		return nil, fmt.Errorf("bgp: router ID must be IPv4, got %v", cfg.RouterID)
 	}
+	for _, p := range cfg.Networks {
+		if !p.IsValid() || !p.Addr().Is4() {
+			return nil, fmt.Errorf("bgp: network %v is not a valid IPv4 prefix", p)
+		}
+	}
 	if cfg.HoldTime == 0 {
 		cfg.HoldTime = 90 * time.Second
 	}
@@ -346,7 +351,7 @@ func (s *Speaker) SessionState(peer netip.Addr) SessionState {
 func (s *Speaker) LocRIB() map[netip.Prefix][]fib.NextHop {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[netip.Prefix][]fib.NextHop, s.rib.trie.n)
+	out := make(map[netip.Prefix][]fib.NextHop, s.rib.trie.Len())
 	s.rib.eachSelected(func(p netip.Prefix, best []*Path) { out[p] = fibHops(best) })
 	return out
 }
@@ -502,7 +507,7 @@ func (x *session) established() {
 	s.mu.Lock()
 	if !s.closed {
 		if len(x.pending) == 0 {
-			x.pending = make(map[pfxKey]*Path, s.rib.trie.n) // the whole table is about to land in it
+			x.pending = make(map[pfxKey]*Path, s.rib.trie.Len()) // the whole table is about to land in it
 		}
 		s.rib.eachSelected(func(p netip.Prefix, best []*Path) { x.queueAdvLocked(prefixKey(p), best[0]) })
 	}

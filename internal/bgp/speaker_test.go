@@ -3,6 +3,7 @@ package bgp
 import (
 	"io"
 	"net/netip"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -71,6 +72,12 @@ func TestSpeakerConfigValidation(t *testing.T) {
 	}
 	if _, err := NewSpeaker(Config{ASN: 1, RouterID: netip.MustParseAddr("::1")}); err == nil {
 		t.Fatal("IPv6 router ID accepted")
+	}
+	for _, bad := range []netip.Prefix{pfx("2001:db8::/32"), {}, netip.PrefixFrom(addr("10.0.0.0"), 33)} {
+		_, err := NewSpeaker(Config{ASN: 1, RouterID: addr("1.1.1.1"), Networks: []netip.Prefix{pfx("10.0.0.0/24"), bad}})
+		if err == nil || !strings.Contains(err.Error(), bad.String()) {
+			t.Fatalf("network %v: err = %v, want one naming the prefix", bad, err)
+		}
 	}
 	if _, err := NewSpeaker(Config{ASN: 1, RouterID: addr("1.1.1.1"), Dampening: &Dampening{}}); err == nil {
 		t.Fatal("Dampening without a DampeningClock accepted")

@@ -26,161 +26,8 @@ func randPrefix(rng *rand.Rand) netip.Prefix {
 	return p
 }
 
-func TestTrieInsertLookupRemove(t *testing.T) {
-	tr := newPrefixTrie()
-	rng := rand.New(rand.NewSource(7))
-	ref := map[netip.Prefix]*ribEntry{}
-	for i := 0; i < 4000; i++ {
-		p := randPrefix(rng)
-		e := tr.insert(v4key(p))
-		if e == nil {
-			t.Fatalf("insert %v returned nil", p)
-		}
-		if prev, ok := ref[p]; ok && prev != e {
-			t.Fatalf("re-insert of %v returned a different entry", p)
-		}
-		ref[p] = e
-	}
-	if tr.n != len(ref) {
-		t.Fatalf("trie.n = %d, want %d", tr.n, len(ref))
-	}
-	for p, e := range ref {
-		if got := tr.lookup(v4key(p)); got != e {
-			t.Fatalf("lookup %v = %p, want %p", p, got, e)
-		}
-	}
-	// Absent prefixes (same addresses, different lengths) miss.
-	misses := 0
-	for p := range ref {
-		if p.Bits() > 9 {
-			q := netip.PrefixFrom(p.Addr(), p.Bits()-1).Masked()
-			if _, ok := ref[q]; !ok {
-				misses++
-				if tr.lookup(v4key(q)) != nil {
-					t.Fatalf("phantom entry for %v", q)
-				}
-			}
-		}
-	}
-	if misses == 0 {
-		t.Fatal("no miss cases exercised")
-	}
-	// Remove half, verify the rest survive.
-	i := 0
-	for p := range ref {
-		if i%2 == 0 {
-			tr.remove(v4key(p))
-			delete(ref, p)
-		}
-		i++
-	}
-	if tr.n != len(ref) {
-		t.Fatalf("after removal trie.n = %d, want %d", tr.n, len(ref))
-	}
-	for p, e := range ref {
-		if got := tr.lookup(v4key(p)); got != e {
-			t.Fatalf("post-removal lookup %v = %p, want %p", p, got, e)
-		}
-	}
-	// Remove the rest: empty trie.
-	for p := range ref {
-		tr.remove(v4key(p))
-	}
-	if tr.n != 0 {
-		t.Fatalf("trie not empty: n = %d", tr.n)
-	}
-	count := 0
-	tr.walk(func(netip.Prefix, *ribEntry) bool { count++; return true })
-	if count != 0 {
-		t.Fatalf("walk of empty trie visited %d entries", count)
-	}
-}
-
-func TestTrieWalkIsSortedPrefixOrder(t *testing.T) {
-	tr := newPrefixTrie()
-	rng := rand.New(rand.NewSource(11))
-	set := map[netip.Prefix]bool{}
-	for i := 0; i < 3000; i++ {
-		p := randPrefix(rng)
-		tr.insert(v4key(p))
-		set[p] = true
-	}
-	// Nested prefixes sharing an address: /16, /20, /24 of one block.
-	for _, s := range []string{"10.0.0.0/16", "10.0.0.0/20", "10.0.0.0/24", "0.0.0.0/0"} {
-		p := pfx(s)
-		tr.insert(v4key(p))
-		set[p] = true
-	}
-	want := make([]netip.Prefix, 0, len(set))
-	for p := range set {
-		want = append(want, p)
-	}
-	sortPrefixes(want)
-	var got []netip.Prefix
-	tr.walk(func(p netip.Prefix, _ *ribEntry) bool {
-		got = append(got, p)
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("walk visited %d entries, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("walk order diverges at %d: got %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Early stop.
-	n := 0
-	tr.walk(func(netip.Prefix, *ribEntry) bool { n++; return n < 10 })
-	if n != 10 {
-		t.Fatalf("early-stopped walk visited %d", n)
-	}
-}
-
-func TestTrieLongestPrefixMatch(t *testing.T) {
-	tr := newPrefixTrie()
-	rng := rand.New(rand.NewSource(23))
-	var ps []netip.Prefix
-	for i := 0; i < 2000; i++ {
-		p := randPrefix(rng)
-		tr.insert(v4key(p))
-		ps = append(ps, p)
-	}
-	accept := func(*ribEntry) bool { return true }
-	for trial := 0; trial < 2000; trial++ {
-		// Probe addresses inside known prefixes (hits guaranteed) and
-		// fully random ones (may miss).
-		var probe netip.Addr
-		if trial%2 == 0 {
-			probe = ps[rng.Intn(len(ps))].Addr()
-		} else {
-			probe = netip.AddrFrom4([4]byte{
-				byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)),
-			})
-		}
-		// Brute-force longest containing prefix.
-		bestLen := -1
-		for _, p := range ps {
-			if p.Contains(probe) && p.Bits() > bestLen {
-				bestLen = p.Bits()
-			}
-		}
-		a4 := probe.As4()
-		key := uint32(a4[0])<<24 | uint32(a4[1])<<16 | uint32(a4[2])<<8 | uint32(a4[3])
-		got := tr.lpm(key, accept)
-		if bestLen < 0 {
-			if got != nil {
-				t.Fatalf("lpm(%v) found an entry, brute force found none", probe)
-			}
-			continue
-		}
-		want := tr.lookup(key&maskBits(uint8(bestLen)), uint8(bestLen))
-		if got != want {
-			t.Fatalf("lpm(%v) = %p, want the /%d entry %p", probe, got, bestLen, want)
-		}
-	}
-}
-
+// TestTrieLPMRespectsAcceptFilter: RIB.Lookup is the trie's longest
+// match over prefixes that have a selection, not over every known one.
 func TestTrieLPMRespectsAcceptFilter(t *testing.T) {
 	r := NewRIB(false)
 	r.UpdateAdjIn(addr("172.16.0.1"), pfx("10.0.0.0/8"), learned("172.16.0.1", "1.1.1.1", 1, 65001))
@@ -238,5 +85,44 @@ func TestRIBInterningSharesAttrSets(t *testing.T) {
 		if r.Intern(a) == h {
 			t.Fatal("evicted handle resurrected")
 		}
+	}
+}
+
+// TestRIBShrinksWithItsTable: a RIB that learned a full table from one
+// peer and lost the session is, once the decision process has run over
+// the affected prefixes, as small as a new one — the speaker's
+// peer-down path (DropPeer, then Decide each prefix) leaves no trie node
+// behind, while a locally originated prefix keeps exactly its own branch.
+func TestRIBShrinksWithItsTable(t *testing.T) {
+	r := NewRIB(false)
+	peer := addr("172.16.0.1")
+	h := r.Intern(PathAttrs{Origin: OriginIGP, ASPath: []uint16{65001}, NextHop: peer})
+	prefixes := scalePrefixes(10000)
+	for _, p := range prefixes {
+		r.UpdateAdjIn(peer, p, &Path{Attrs: h, PeerAddr: peer, PeerRouterID: addr("1.1.1.1"), Port: 1})
+		r.Decide(p)
+	}
+	own := pfx("20.0.0.0/16")
+	r.SetLocal(own, PathAttrs{Origin: OriginIGP})
+	r.Decide(own)
+	if got := len(r.Prefixes()); got != len(prefixes)+1 {
+		t.Fatalf("Loc-RIB holds %d prefixes, want %d", got, len(prefixes)+1)
+	}
+	affected := r.DropPeer(peer)
+	if !samePrefixes(affected, prefixes) {
+		t.Fatalf("DropPeer returned %d prefixes, want the %d learned ones in order", len(affected), len(prefixes))
+	}
+	for _, p := range affected {
+		if sel, changed := r.Decide(p); sel != nil || !changed {
+			t.Fatalf("Decide(%v) after the drop = %v, changed %v", p, sel, changed)
+		}
+	}
+	fresh := NewRIB(false)
+	fresh.SetLocal(own, PathAttrs{Origin: OriginIGP})
+	if got, want := r.trie.Nodes(), fresh.trie.Nodes(); got != want || r.trie.Len() != 1 {
+		t.Fatalf("%d trie nodes and %d prefixes after the table left, want %d and 1", got, r.trie.Len(), want)
+	}
+	if got := r.Prefixes(); len(got) != 1 || got[0] != own {
+		t.Fatalf("Loc-RIB after the drop = %v, want %v alone", got, own)
 	}
 }

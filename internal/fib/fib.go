@@ -1,6 +1,6 @@
 // Package fib implements the forwarding information base of simulated
-// routers: an IPv4 longest-prefix-match binary trie whose entries carry
-// ECMP next-hop groups.
+// routers: an IPv4 longest-prefix-match table of ECMP next-hop groups,
+// held in the per-bit prefix trie the BGP RIB also uses (internal/ptrie).
 //
 // The emulated BGP control plane installs routes here through the
 // Connection Manager, exactly where the original Horse intercepts Quagga's
@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/ptrie"
 )
 
 // NextHop is one ECMP member: the local egress port and the neighbor
@@ -35,55 +36,44 @@ type Route struct {
 	NextHops []NextHop
 }
 
-type node struct {
-	children [2]*node
-	route    *Route // non-nil when a prefix terminates here
-}
-
 // Table is an IPv4 LPM table. It is not safe for concurrent use; in Horse
 // all FIB access happens on the simulation engine goroutine.
 type Table struct {
-	root  node
-	count int
+	trie ptrie.Trie[Route]
 }
 
 // New returns an empty table.
 func New() *Table { return &Table{} }
 
 // Len reports the number of installed prefixes.
-func (t *Table) Len() int { return t.count }
+func (t *Table) Len() int { return t.trie.Len() }
 
-func bit(v uint32, i int) int { return int(v>>(31-i)) & 1 }
+// key is prefix in trie form; ok is false for anything but a valid IPv4
+// prefix (netip.PrefixFrom keeps an out-of-range length, whose Masked is
+// the zero Prefix).
+func key(prefix netip.Prefix) (addr uint32, length uint8, ok bool) {
+	if !prefix.IsValid() || !prefix.Addr().Is4() {
+		return 0, 0, false
+	}
+	return core.IPv4ToUint32(prefix.Addr()), uint8(prefix.Bits()), true
+}
 
 // Insert installs (or replaces) prefix with the given ECMP group, which
 // it copies. Empty next-hop groups are rejected: use Remove to delete a
 // route.
 func (t *Table) Insert(prefix netip.Prefix, hops []NextHop) error {
-	if !prefix.Addr().Is4() {
-		return fmt.Errorf("fib: non-IPv4 prefix %v", prefix)
+	addr, length, ok := key(prefix)
+	if !ok {
+		return fmt.Errorf("fib: not a valid IPv4 prefix: %v", prefix)
 	}
 	if len(hops) == 0 {
 		return fmt.Errorf("fib: empty next-hop group for %v", prefix)
 	}
-	prefix = prefix.Masked()
-	v := core.IPv4ToUint32(prefix.Addr())
-	cur := &t.root
-	for i := 0; i < prefix.Bits(); i++ {
-		b := bit(v, i)
-		if cur.children[b] == nil {
-			cur.children[b] = &node{}
-		}
-		cur = cur.children[b]
-	}
 	// A replace rewrites the installed group in place, as PrunePort does:
 	// Lookup and Routes hand out copies of the Route struct, and nothing
 	// keeps one across a table change.
-	r := cur.route
-	if r == nil {
-		r = &Route{Prefix: prefix}
-		cur.route = r
-		t.count++
-	}
+	r := t.trie.Insert(addr, length)
+	r.Prefix = prefix.Masked()
 	r.NextHops = append(r.NextHops[:0], hops...)
 	if len(hops) > 1 { // a full table installs one-hop groups by the million
 		sorted := r.NextHops
@@ -98,36 +88,10 @@ func (t *Table) Insert(prefix netip.Prefix, hops []NextHop) error {
 }
 
 // Remove deletes prefix; it reports whether the prefix was present. The
-// nodes that led only to it go too: a withdrawn /24 would otherwise strand
-// up to 24 of them, and a full table withdraws by the hundred thousand.
+// trie nodes that led only to it go too.
 func (t *Table) Remove(prefix netip.Prefix) bool {
-	if !prefix.Addr().Is4() {
-		return false
-	}
-	v := core.IPv4ToUint32(prefix.Masked().Addr())
-	var path [32]*node // path[i] is the node above bit i
-	cur := &t.root
-	for i := 0; i < prefix.Bits(); i++ {
-		path[i] = cur
-		if cur = cur.children[bit(v, i)]; cur == nil {
-			return false
-		}
-	}
-	if cur.route == nil {
-		return false
-	}
-	cur.route = nil
-	t.count--
-	for i := prefix.Bits() - 1; i >= 0 && cur.empty(); i-- {
-		path[i].children[bit(v, i)] = nil
-		cur = path[i]
-	}
-	return true
-}
-
-// empty reports whether nothing hangs off n: no route, no children.
-func (n *node) empty() bool {
-	return n.route == nil && n.children[0] == nil && n.children[1] == nil
+	addr, length, ok := key(prefix)
+	return ok && t.trie.Remove(addr, length)
 }
 
 // Lookup returns the longest-prefix-match route for addr.
@@ -135,22 +99,7 @@ func (t *Table) Lookup(addr netip.Addr) (Route, bool) {
 	if !addr.Is4() {
 		return Route{}, false
 	}
-	v := core.IPv4ToUint32(addr)
-	var best *Route
-	cur := &t.root
-	for i := 0; ; i++ {
-		if cur.route != nil {
-			best = cur.route
-		}
-		if i == 32 {
-			break
-		}
-		next := cur.children[bit(v, i)]
-		if next == nil {
-			break
-		}
-		cur = next
-	}
+	best := t.trie.Longest(core.IPv4ToUint32(addr), func(*Route) bool { return true })
 	if best == nil {
 		return Route{}, false
 	}
@@ -175,58 +124,33 @@ func (t *Table) LookupHash(addr netip.Addr, hash uint32) (NextHop, bool) {
 // It reports how many routes were touched.
 func (t *Table) PrunePort(port core.PortID) int {
 	touched := 0
-	// walk prunes below n and reports whether n is left empty, so its
-	// parent unlinks it on the way back up.
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		if r := n.route; r != nil {
-			kept := r.NextHops[:0]
-			for _, nh := range r.NextHops {
-				if nh.Port != port {
-					kept = append(kept, nh)
-				}
-			}
-			if len(kept) != len(r.NextHops) {
-				touched++
-				r.NextHops = kept
-				if len(kept) == 0 {
-					n.route = nil
-					t.count--
-				}
+	t.trie.Walk(func(addr uint32, length uint8, r *Route) bool {
+		kept := r.NextHops[:0]
+		for _, nh := range r.NextHops {
+			if nh.Port != port {
+				kept = append(kept, nh)
 			}
 		}
-		for b, c := range n.children {
-			if c != nil && walk(c) {
-				n.children[b] = nil
+		if len(kept) != len(r.NextHops) {
+			touched++
+			r.NextHops = kept
+			if len(kept) == 0 {
+				t.trie.Remove(addr, length)
 			}
 		}
-		return n.empty()
-	}
-	walk(&t.root)
+		return true
+	})
 	return touched
 }
 
 // Routes returns all installed routes sorted by prefix (address, then
-// length): a stable order for tests and dumps.
+// length, the order the trie walks in): a stable order for tests and
+// dumps.
 func (t *Table) Routes() []Route {
-	var out []Route
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		if n.route != nil {
-			out = append(out, *n.route)
-		}
-		walk(n.children[0])
-		walk(n.children[1])
-	}
-	walk(&t.root)
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Prefix.Addr().Compare(out[j].Prefix.Addr()); c != 0 {
-			return c < 0
-		}
-		return out[i].Prefix.Bits() < out[j].Prefix.Bits()
+	out := make([]Route, 0, t.Len())
+	t.trie.Walk(func(_ uint32, _ uint8, r *Route) bool {
+		out = append(out, *r)
+		return true
 	})
 	return out
 }

@@ -122,6 +122,19 @@ func TestInsertRejectsBadInput(t *testing.T) {
 	if tbl.Remove(netip.MustParsePrefix("2001:db8::/64")) {
 		t.Error("IPv6 remove reported present")
 	}
+	// netip.PrefixFrom keeps a length it cannot represent; the zero
+	// Prefix is invalid too.
+	for _, bad := range []netip.Prefix{netip.PrefixFrom(netip.MustParseAddr("10.0.1.0"), 33), {}} {
+		if err := tbl.Insert(bad, []NextHop{nh(1, "172.16.0.1")}); err == nil {
+			t.Errorf("invalid prefix %v accepted", bad)
+		}
+		if tbl.Remove(bad) {
+			t.Errorf("remove of invalid prefix %v reported present", bad)
+		}
+	}
+	if tbl.Len() != 0 {
+		t.Errorf("Len = %d after rejected inserts", tbl.Len())
+	}
 }
 
 func TestECMPDeterministicOrder(t *testing.T) {
@@ -307,24 +320,14 @@ func TestRemovePrunesEmptyBranches(t *testing.T) {
 		t.Fatalf("lookup under the covering /16 = %v, %v", r, ok)
 	}
 	// What is left is the /16's own branch: one node per prefix bit.
-	nodes := 0
-	var count func(*node)
-	count = func(nd *node) {
-		if nd != nil {
-			nodes++
-			count(nd.children[0])
-			count(nd.children[1])
-		}
-	}
-	count(&tbl.root)
-	if nodes != 1+cover.Bits() {
+	if nodes := tbl.trie.Nodes(); nodes != 1+cover.Bits() {
 		t.Fatalf("%d nodes left beside the /16, want %d", nodes, 1+cover.Bits())
 	}
 	if !tbl.Remove(cover) || tbl.Len() != 0 {
 		t.Fatalf("removing the /16: Len = %d", tbl.Len())
 	}
-	if tbl.root.children != [2]*node{} {
-		t.Fatal("emptied table's root still has children")
+	if nodes := tbl.trie.Nodes(); nodes != 1 {
+		t.Fatalf("emptied table has %d nodes, want the root alone", nodes)
 	}
 	if tbl.Remove(cover) {
 		t.Fatal("second remove of the /16 reported it present")
@@ -339,7 +342,7 @@ func TestRemovePrunesEmptyBranches(t *testing.T) {
 	if back, got := tbl.Len(), tbl.PrunePort(1); got != back || tbl.Len() != 0 {
 		t.Fatalf("PrunePort touched %d of %d routes, Len = %d", got, back, tbl.Len())
 	}
-	if tbl.root.children != [2]*node{} {
-		t.Fatal("root still has children after PrunePort emptied the table")
+	if nodes := tbl.trie.Nodes(); nodes != 1 {
+		t.Fatalf("%d nodes after PrunePort emptied the table, want the root alone", nodes)
 	}
 }
