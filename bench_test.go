@@ -12,6 +12,8 @@ package horse
 //   - BenchmarkDemoBGPECMP / BenchmarkDemoHedera / BenchmarkDemoSDNECMP —
 //     the per-TE aggregate receive rate graphs (Demo-G1..G3).
 //   - BenchmarkModeTransitions — Figure 1's DES<->FTI transition cost.
+//   - BenchmarkMRAISweep — the advertisement window axis at pacing 1
+//     (BENCH_clock.json): wall time must not grow with the window.
 //   - BenchmarkECMPInstall / BenchmarkFlowTable — the SDN control path
 //     (BENCH_sdn.json): the proactive install without the simulator, and
 //     the switch flow table alone.
@@ -270,6 +272,24 @@ func BenchmarkModeTransitions(b *testing.B) {
 		}
 		b.ReportMetric(float64(res.Sim.Transitions), "transitions")
 		b.ReportMetric(res.Sim.WallTotal.Seconds(), "wall-s")
+	}
+}
+
+// BenchmarkMRAISweep is 120 virtual seconds of wan:tier1 under bgp-rr at
+// paper-faithful pacing 1, swept over the advertisement window from the
+// speaker default to RFC 4271's 30 s. Waiting out a window is not control
+// plane activity: wall time should follow the number of FTI episodes, not
+// the window, and every window should converge (norm-rx > 0).
+func BenchmarkMRAISweep(b *testing.B) {
+	for _, delay := range []time.Duration{2 * time.Millisecond, 100 * time.Millisecond, time.Second, 30 * time.Second} {
+		b.Run(delay.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res := runTier1(b, delay, 120*Second)
+				b.ReportMetric(float64(res.SteadyAggregateRx())/float64(Gbps)/float64(len(res.Flows)), "norm-rx")
+				b.ReportMetric(res.Sim.WallTotal.Seconds(), "wall-s")
+				b.ReportMetric(float64(res.Sim.Transitions), "transitions")
+			}
+		})
 	}
 }
 

@@ -119,7 +119,7 @@ func single(args []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&r.RateGbps, "rate", spec.DefaultRate, "per-flow rate in Gbps")
 	r.DelayScale = fs.Float64("delay-scale", 1.0, "scale WAN geographic link delays (0 = zero-latency ablation)")
 	fs.BoolVar(&r.Dampening, "dampening", false, "enable BGP route flap dampening")
-	fs.DurationVar((*time.Duration)(&r.AdvertiseDelay), "advertise-delay", 0, "BGP MRAI-style batching window (0 = speaker default 2ms)")
+	fs.DurationVar((*time.Duration)(&r.AdvertiseDelay), "advertise-delay", 0, "BGP MRAI-style batching window, virtual time (0 = speaker default 2ms)")
 	verbose := fs.Bool("v", false, "log subsystem activity")
 	tsv := fs.Bool("tsv", false, "dump aggregate rx series as TSV")
 	if err := fs.Parse(args); err != nil {

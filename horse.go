@@ -10,9 +10,11 @@
 // Discrete Event Simulation (DES) fast-forward once it is quiescent. The
 // paper infers that from a quiet period; here the emulated plane is
 // in-process, so the work in flight (unread control messages, readers
-// still deciding, pending advertisement batches, running timer callbacks)
-// is counted and the clock leaves FTI when the count reads zero, with
-// the quiet period kept as an upper bound. Experiments therefore pay
+// still deciding, running timer callbacks) is counted and the clock leaves
+// FTI when the count reads zero, with the quiet period kept as an upper
+// bound; the timers that code arms (BGP's advertisement window, keepalive
+// and hold time included) are deadlines on the virtual clock, which DES
+// jumps to. Experiments therefore pay
 // wall-clock time only for control plane activity, which is where Horse's
 // speedup over full emulation (e.g. Mininet) comes from.
 //

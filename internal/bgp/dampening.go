@@ -18,7 +18,7 @@ import (
 // survive session resets — a flapping link keeps accruing merit across
 // re-peerings, which is the point.
 //
-// Thresholds and half-life are interpreted on Config.DampeningClock: in
+// Thresholds and half-life are interpreted on Config.Clock: in
 // an experiment that is virtual time, so a 15s half-life spans 15s of
 // the experiment timeline no matter how the hybrid clock paces.
 type Dampening struct {
@@ -90,7 +90,7 @@ func (s *Speaker) dampWithdrawLocked(peer netip.Addr, prefix netip.Prefix) {
 		return
 	}
 	key := dampKey{peer, prefix.Masked()}
-	now := s.dampClock.Now()
+	now := s.cfg.Clock.Now()
 	ds := s.damp[key]
 	if ds == nil {
 		ds = &dampState{updated: now}
@@ -120,7 +120,7 @@ func (s *Speaker) dampParkedWithdrawLocked(peer netip.Addr, prefix netip.Prefix)
 		return
 	}
 	ds.parked = nil
-	ds.decay(s.dampClock.Now(), d.HalfLife)
+	ds.decay(s.cfg.Clock.Now(), d.HalfLife)
 	ds.penalty += d.Penalty
 }
 
@@ -162,7 +162,7 @@ func (s *Speaker) scheduleReuseLocked(key dampKey, ds *dampState) {
 	}
 	ds.reuseGen++
 	gen := ds.reuseGen
-	s.dampClock.After(wait, func() { s.dampReuse(key, gen) })
+	s.cfg.Clock.After(wait, func() { s.dampReuse(key, gen) })
 }
 
 // dampReuse runs on the reuse wakeup: if the penalty has decayed below
@@ -180,7 +180,7 @@ func (s *Speaker) dampReuse(key dampKey, gen uint64) {
 		s.mu.Unlock()
 		return
 	}
-	ds.decay(s.dampClock.Now(), d.HalfLife)
+	ds.decay(s.cfg.Clock.Now(), d.HalfLife)
 	if ds.penalty > d.Reuse {
 		s.scheduleReuseLocked(key, ds)
 		s.mu.Unlock()

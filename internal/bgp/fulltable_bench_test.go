@@ -71,8 +71,9 @@ func BenchmarkFlushAdv(b *testing.B) {
 	for _, n := range []int{100_000} {
 		prefixes := scalePrefixes(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			// The timer queueAdvLocked arms must not fire on its own.
-			s, err := NewSpeaker(Config{Name: "r1", ASN: 65001, RouterID: addr("1.1.1.1"), AdvertiseDelay: time.Hour})
+			// The window queueAdvLocked opens must not end on its own:
+			// nobody advances this clock.
+			s, err := NewSpeaker(Config{Name: "r1", ASN: 65001, RouterID: addr("1.1.1.1"), Clock: &manualClock{}})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -103,7 +104,6 @@ func BenchmarkFlushAdv(b *testing.B) {
 				for j, p := range prefixes {
 					sess.queueAdvLocked(prefixKey(p), paths[j%groups])
 				}
-				sess.advTimer.Stop()
 				s.mu.Unlock()
 				b.StartTimer()
 				sess.flushAdv()

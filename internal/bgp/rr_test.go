@@ -4,7 +4,6 @@ import (
 	"io"
 	"net/netip"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -282,50 +281,10 @@ func TestClusterListLoopRejected(t *testing.T) {
 	}
 }
 
-// manualClock is a core.Clock a test moves by hand: Advance runs, on the
-// caller, the After callbacks that have come due.
-type manualClock struct {
-	mu     sync.Mutex
-	now    core.Time
-	timers []manualTimer
-}
-
-type manualTimer struct {
-	at core.Time
-	fn func()
-}
-
-func (c *manualClock) Now() core.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *manualClock) After(d core.Time, fn func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.timers = append(c.timers, manualTimer{c.now + d, fn})
-}
-
-func (c *manualClock) Advance(d core.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now += d
-	for i := 0; i < len(c.timers); i++ { // a callback may re-arm: len grows
-		if tm := c.timers[i]; tm.at <= c.now {
-			c.timers = append(c.timers[:i], c.timers[i+1:]...)
-			i--
-			c.mu.Unlock()
-			tm.fn()
-			c.mu.Lock()
-		}
-	}
-}
-
 // dampeningHalfLife is virtual: no test below waits for it.
 const dampeningHalfLife = 15 * time.Second
 
-// suppressedSpeaker returns a dampening speaker on a manual clock whose
+// suppressedSpeaker returns a dampening speaker on a manualClock whose
 // scripted iBGP peer has flapped p twice at one instant — penalty
 // exactly 2000, over the 1500 threshold — and announced it a third
 // time, which parked. The peer's conn and an encoded withdrawal of p
@@ -340,7 +299,7 @@ func suppressedSpeaker(t *testing.T, p netip.Prefix) (s *Speaker, clk *manualClo
 			Penalty: 1000, Suppress: 1500, Reuse: 750,
 			HalfLife: dampeningHalfLife,
 		},
-		DampeningClock: clk,
+		Clock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)

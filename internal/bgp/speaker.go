@@ -59,8 +59,8 @@ type PeerConfig struct {
 	// Conn is the pre-connected transport. Its Write must not block (the
 	// transport contract of the emulated control plane, kept by emu.Pipe
 	// and the Connection Manager's taps over it): the session writes each
-	// message on the goroutine that produced it — the reader, a timer, or
-	// the simulator's engine goroutine in ResetPeer.
+	// message on the goroutine that produced it — the reader, a Clock
+	// callback, or the simulator's engine goroutine in ResetPeer.
 	Conn       io.ReadWriteCloser
 	LocalAddr  netip.Addr // local /31 interface address (our NEXT_HOP)
 	RemoteAddr netip.Addr // peer /31 interface address
@@ -88,9 +88,17 @@ type Config struct {
 	Name      string
 	ASN       uint32
 	RouterID  netip.Addr
-	HoldTime  time.Duration // default 90s; 0 disables keepalives
+	HoldTime  time.Duration // default 90s, on Clock
 	Multipath bool          // ECMP across equal-cost paths (multipath-relax)
 	Networks  []netip.Prefix
+
+	// Clock is the one time base of everything the speaker schedules: the
+	// advertisement window, keepalive ticks, the hold deadline, dampening
+	// decay and reuse. The Connection Manager passes the experiment's
+	// virtual clock, so an armed timer is a deadline the engine can jump
+	// to, not work in flight. nil is wall time, for a speaker that runs
+	// outside an experiment.
+	Clock core.Clock
 
 	// Dampening, when non-nil, enables route flap dampening
 	// (RFC 2439 subset): withdrawals accrue a per-(peer,prefix)
@@ -99,39 +107,24 @@ type Config struct {
 	// installed, and the route returns once the penalty decays below
 	// the reuse threshold.
 	Dampening *Dampening
-	// DampeningClock drives the dampening decay and reuse wakeups;
-	// required with Dampening. The Connection Manager passes the
-	// experiment's virtual clock, so dampening horizons live on the
-	// experiment timeline.
-	DampeningClock core.Clock
 
 	// OnRoute receives Loc-RIB changes for FIB installation.
 	OnRoute func(RouteEvent)
 	// AdvertiseDelay batches outgoing UPDATEs (a light-weight MRAI);
-	// default 2ms.
+	// default 2ms, on Clock.
 	AdvertiseDelay time.Duration
-	// InFlight, when set, is told while an advertisement batch is pending:
-	// Hold when a session arms its AdvertiseDelay timer, Release when the
-	// batch has been written (or the session closed first). The Connection
-	// Manager passes its ledger, so the hybrid clock knows a quiet wire is
-	// not a quiet speaker during the batching window.
-	InFlight InFlight
 	// Logf, when set, receives debug logs.
 	Logf func(format string, args ...any)
 }
 
-// InFlight is what a speaker needs of the Connection Manager's ledger of
-// control plane work in flight (emu.Ledger).
-type InFlight interface {
-	Hold()
-	Release()
-}
+// wallClock is the core.Clock of a speaker that was given none (the
+// package's standalone speakers in tests, bench/'s session probe): wall
+// time since the speaker was made.
+type wallClock struct{ epoch time.Time }
 
-// untracked is the InFlight of a speaker nobody is counting for.
-type untracked struct{}
+func (c wallClock) Now() core.Time { return core.FromDuration(time.Since(c.epoch)) }
 
-func (untracked) Hold()    {}
-func (untracked) Release() {}
+func (c wallClock) After(d core.Time, fn func()) { time.AfterFunc(d.Duration(), fn) }
 
 // Stats counts messages by type; all fields are atomically updated.
 type Stats struct {
@@ -149,10 +142,9 @@ type Stats struct {
 
 // Speaker is one emulated BGP routing daemon.
 type Speaker struct {
-	cfg       Config
-	asn16     uint16
-	hold      uint16 // configured hold time, seconds
-	dampClock core.Clock
+	cfg   Config
+	asn16 uint16
+	hold  uint16 // configured hold time, seconds
 
 	mu       sync.Mutex
 	rib      *RIB
@@ -178,18 +170,19 @@ type session struct {
 	peerRouterID netip.Addr
 	negotiated   time.Duration // negotiated hold time
 
+	// lastRecv is Config.Clock's reading when the latest message came in;
+	// the hold deadline measures the silence from it (holdCheck).
+	lastRecv atomic.Int64
+
 	// sendMu makes each outbound message one whole Write (see send) and
-	// guards closed and the two timers below.
+	// guards closed.
 	sendMu sync.Mutex
 	closed bool
 
-	holdTimer *time.Timer
-	kaTimer   *time.Timer
-
-	// pending advertisement batch: prefix -> path (nil = withdraw). While
-	// advTimer is armed the session holds one Config.InFlight token.
+	// pending advertisement batch: prefix -> path (nil = withdraw);
+	// advArmed while a flushAdv wakeup for it is due.
 	pending  map[pfxKey]*Path
-	advTimer *time.Timer
+	advArmed bool
 	// flushMu is held across one whole flushAdv, so a batch armed while
 	// the previous one is still being packed goes out after it, never in
 	// between its messages.
@@ -216,24 +209,20 @@ func NewSpeaker(cfg Config) (*Speaker, error) {
 	if cfg.AdvertiseDelay == 0 {
 		cfg.AdvertiseDelay = 2 * time.Millisecond
 	}
-	if cfg.InFlight == nil {
-		cfg.InFlight = untracked{}
+	if cfg.Clock == nil {
+		cfg.Clock = wallClock{time.Now()}
 	}
 	if cfg.Dampening != nil {
-		if cfg.DampeningClock == nil {
-			return nil, fmt.Errorf("bgp: Dampening needs a DampeningClock")
-		}
 		d := cfg.Dampening.withDefaults()
 		cfg.Dampening = &d
 	}
 	s := &Speaker{
-		cfg:       cfg,
-		asn16:     asn16,
-		hold:      uint16(cfg.HoldTime / time.Second),
-		dampClock: cfg.DampeningClock,
-		rib:       NewRIB(cfg.Multipath),
-		sessions:  make(map[netip.Addr]*session),
-		damp:      make(map[dampKey]*dampState),
+		cfg:      cfg,
+		asn16:    asn16,
+		hold:     uint16(cfg.HoldTime / time.Second),
+		rib:      NewRIB(cfg.Multipath),
+		sessions: make(map[netip.Addr]*session),
+		damp:     make(map[dampKey]*dampState),
 	}
 	for _, p := range cfg.Networks {
 		s.rib.SetLocal(p, PathAttrs{Origin: OriginIGP})
@@ -393,22 +382,8 @@ func (x *session) sendNotification(n Notification) {
 func (x *session) close() {
 	x.sendMu.Lock()
 	x.closed = true
-	ht, kt := x.holdTimer, x.kaTimer
 	x.sendMu.Unlock()
 	_ = x.cfg.Conn.Close()
-	if ht != nil {
-		ht.Stop()
-	}
-	if kt != nil {
-		kt.Stop()
-	}
-	x.sp.mu.Lock()
-	// A timer stopped before it fired never reaches flushAdv: give its
-	// token back here (a second close finds it already stopped).
-	if x.advTimer != nil && x.advTimer.Stop() {
-		x.sp.cfg.InFlight.Release()
-	}
-	x.sp.mu.Unlock()
 }
 
 func (x *session) readLoop() {
@@ -435,7 +410,7 @@ func (x *session) readLoop() {
 
 func (x *session) handle(m *Message) error {
 	s := x.sp
-	x.resetHold()
+	x.lastRecv.Store(int64(s.cfg.Clock.Now()))
 	switch m.Type {
 	case MsgOpen:
 		s.Stats.OpensRecv.Add(1)
@@ -461,6 +436,9 @@ func (x *session) handle(m *Message) error {
 		s.mu.Unlock()
 		x.send(EncodeKeepalive())
 		s.Stats.KeepalivesSent.Add(1)
+		if hold > 0 {
+			s.cfg.Clock.After(core.FromDuration(hold), x.holdCheck)
+		}
 		return nil
 
 	case MsgKeepalive:
@@ -498,12 +476,12 @@ func (x *session) handle(m *Message) error {
 	}
 }
 
-// established runs when the session reaches Established: start timers and
-// advertise the full Loc-RIB.
+// established runs when the session reaches Established: start the
+// keepalive tick and advertise the full Loc-RIB.
 func (x *session) established() {
 	s := x.sp
 	s.logf("session %v established", x.cfg.RemoteAddr)
-	x.startKeepalive()
+	x.armKeepalive()
 	s.mu.Lock()
 	if !s.closed {
 		if len(x.pending) == 0 {
@@ -514,49 +492,50 @@ func (x *session) established() {
 	s.mu.Unlock()
 }
 
-func (x *session) startKeepalive() {
-	if x.negotiated <= 0 {
-		return
+// armKeepalive schedules the next KEEPALIVE a third of the hold time on.
+func (x *session) armKeepalive() {
+	if x.negotiated > 0 {
+		x.sp.cfg.Clock.After(core.FromDuration(x.negotiated/3), x.keepalive)
 	}
-	interval := x.negotiated / 3
-	var tick func()
-	tick = func() {
-		x.sp.mu.Lock()
-		live := x.state == StateEstablished
-		x.sp.mu.Unlock()
-		if !live {
-			return
-		}
-		x.send(EncodeKeepalive())
-		x.sp.Stats.KeepalivesSent.Add(1)
-		x.sendMu.Lock()
-		if !x.closed {
-			x.kaTimer = time.AfterFunc(interval, tick)
-		}
-		x.sendMu.Unlock()
-	}
-	x.sendMu.Lock()
-	x.kaTimer = time.AfterFunc(interval, tick)
-	x.sendMu.Unlock()
 }
 
-func (x *session) resetHold() {
-	if x.negotiated <= 0 {
+// keepalive is the keepalive tick: it sends one and re-arms itself for as
+// long as the session is established.
+func (x *session) keepalive() {
+	x.sp.mu.Lock()
+	live := x.state == StateEstablished
+	x.sp.mu.Unlock()
+	if !live {
 		return
 	}
-	x.sendMu.Lock()
-	if x.holdTimer != nil {
-		x.holdTimer.Stop()
-	}
-	if x.closed {
-		x.sendMu.Unlock()
+	x.send(EncodeKeepalive())
+	x.sp.Stats.KeepalivesSent.Add(1)
+	x.armKeepalive()
+}
+
+// holdCheck is the session's one standing hold deadline. A received
+// message does not re-arm it — handle only records when it came in — so
+// when the deadline comes due it measures the silence: short of the hold
+// time it waits out the remainder, past it the session goes down. A
+// deadline reached is not yet a deadline passed: the peer's KEEPALIVE due
+// at that very instant is in time whichever of the two callbacks the clock
+// happens to run first, so at zero remaining the check comes back once the
+// clock has moved on.
+func (x *session) holdCheck() {
+	s := x.sp
+	s.mu.Lock()
+	closed := x.state == StateClosed
+	s.mu.Unlock()
+	if closed {
 		return
 	}
-	x.holdTimer = time.AfterFunc(x.negotiated, func() {
+	remain := core.FromDuration(x.negotiated) - (s.cfg.Clock.Now() - core.Time(x.lastRecv.Load()))
+	if remain < 0 {
 		x.sendNotification(Notification{Code: NotifHoldTimerExpired})
 		x.down(fmt.Errorf("bgp: hold timer expired for %v", x.cfg.RemoteAddr))
-	})
-	x.sendMu.Unlock()
+		return
+	}
+	s.cfg.Clock.After(max(remain, core.Nanosecond), x.holdCheck)
 }
 
 // down tears the session down and, unless the speaker is stopping,
@@ -600,9 +579,9 @@ func (x *session) queueAdvLocked(k pfxKey, path *Path) {
 		path = nil
 	}
 	x.pending[k] = path
-	if x.advTimer == nil {
-		x.sp.cfg.InFlight.Hold()
-		x.advTimer = time.AfterFunc(x.sp.cfg.AdvertiseDelay, x.flushAdv)
+	if !x.advArmed {
+		x.advArmed = true
+		x.sp.cfg.Clock.After(core.FromDuration(x.sp.cfg.AdvertiseDelay), x.flushAdv)
 	}
 }
 
@@ -655,11 +634,10 @@ type advKey struct {
 // NLRI lists are cut from.
 func (x *session) flushAdv() {
 	s := x.sp
-	defer s.cfg.InFlight.Release() // taken when the timer was armed
 	x.flushMu.Lock()
 	defer x.flushMu.Unlock()
 	s.mu.Lock()
-	x.advTimer = nil
+	x.advArmed = false
 	if s.closed || (x.state != StateEstablished && x.state != StateOpenConfirm && x.state != StateOpenSent) {
 		s.mu.Unlock()
 		return

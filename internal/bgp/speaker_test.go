@@ -79,9 +79,6 @@ func TestSpeakerConfigValidation(t *testing.T) {
 			t.Fatalf("network %v: err = %v, want one naming the prefix", bad, err)
 		}
 	}
-	if _, err := NewSpeaker(Config{ASN: 1, RouterID: addr("1.1.1.1"), Dampening: &Dampening{}}); err == nil {
-		t.Fatal("Dampening without a DampeningClock accepted")
-	}
 }
 
 func TestTwoSpeakersEstablishAndExchange(t *testing.T) {
@@ -301,42 +298,93 @@ func TestAddPeerAfterStop(t *testing.T) {
 	a.Stop() // double stop must be safe
 }
 
-func TestHoldTimerExpires(t *testing.T) {
-	// A peer that opens the session but then goes silent: the hold
-	// timer must tear the session down. Use a tiny hold time.
+// The timer tests' hold time (a keepalive every second) and the address of
+// silentPeer's remote side. All of it is virtual: no test waits for it.
+const (
+	holdTime = 3 * time.Second
+	silent   = "172.16.0.1"
+)
+
+// silentPeer opens a session to a speaker on clk with a 3 s hold time from
+// a hand-rolled remote side — read the OPEN, answer OPEN and KEEPALIVE, then
+// nothing — and returns the speaker and the remote end once the session is
+// established. The clock has not moved: the hold deadline is 3 s away.
+func silentPeer(t *testing.T, clk *manualClock) (*Speaker, io.ReadWriteCloser) {
+	t.Helper()
 	a, err := NewSpeaker(Config{
 		Name: "r1", ASN: 65001, RouterID: addr("1.1.1.1"),
-		HoldTime: 3 * time.Second,
+		HoldTime: holdTime, Clock: clk,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer a.Stop()
+	t.Cleanup(a.Stop)
 	ca, cb := emu.Pipe()
-	if err := a.AddPeer(PeerConfig{Conn: ca, LocalAddr: addr("172.16.0.0"), RemoteAddr: addr("172.16.0.1"), Port: 1}); err != nil {
+	if err := a.AddPeer(PeerConfig{Conn: ca, LocalAddr: addr("172.16.0.0"), RemoteAddr: addr(silent), Port: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Hand-roll the remote side: read the OPEN, send OPEN+KEEPALIVE,
-	// then fall silent (no keepalives).
-	go func() {
-		_, _ = ReadMessage(cb)
-		_, _ = cb.Write(EncodeOpen(Open{Version: 4, ASN: 65002, HoldTime: 3, RouterID: addr("2.2.2.2")}))
-		_, _ = cb.Write(EncodeKeepalive())
-	}()
-	waitFor(t, "established", func() bool {
-		return a.SessionState(addr("172.16.0.1")) == StateEstablished
-	})
-	waitFor(t, "hold timer teardown", func() bool {
-		return a.SessionState(addr("172.16.0.1")) == StateClosed
-	})
+	if _, err := ReadMessage(cb); err != nil {
+		t.Fatal(err)
+	}
+	_, _ = cb.Write(EncodeOpen(Open{Version: 4, ASN: 65002, HoldTime: uint16(holdTime / time.Second), RouterID: addr("2.2.2.2")}))
+	_, _ = cb.Write(EncodeKeepalive())
+	waitFor(t, "established", func() bool { return a.SessionState(addr(silent)) == StateEstablished })
+	return a, cb
+}
+
+func TestHoldTimerExpires(t *testing.T) {
+	// A peer that opens the session but then goes silent: the hold timer
+	// tears the session down once the clock has moved past the deadline —
+	// not on it.
+	clk := &manualClock{}
+	a, _ := silentPeer(t, clk)
+	clk.Advance(core.FromDuration(holdTime))
+	if st := a.SessionState(addr(silent)); st != StateEstablished {
+		t.Fatalf("session %v with the clock on the hold deadline, want Established until it has passed", st)
+	}
+	clk.Advance(core.Nanosecond)
+	if st, n := a.SessionState(addr(silent)), a.Stats.NotificationsSent.Load(); st != StateClosed || n != 1 {
+		t.Fatalf("past the hold deadline: session %v, %d NOTIFICATIONs; want Closed, 1", st, n)
+	}
+}
+
+// TestKeepaliveDueAtHoldDeadlineIsInTime pins the order of one instant.
+// Hold is three keepalive intervals, so a peer whose first two keepalives
+// have not been read yet has its third due exactly on the hold deadline —
+// which is where a clock that jumps (DES, or Advance here) lands. The
+// deadline callback runs first and finds three seconds of silence; the
+// session must still be up when the keepalive of that same instant comes
+// in, and the hold time then counts from it.
+func TestKeepaliveDueAtHoldDeadlineIsInTime(t *testing.T) {
+	clk := &manualClock{}
+	a, cb := silentPeer(t, clk)
+	clk.Advance(core.FromDuration(holdTime)) // the deadline callback has run
+	recv := a.Stats.KeepalivesRecv.Load()
+	if _, err := cb.Write(EncodeKeepalive()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "keepalive read", func() bool { return a.Stats.KeepalivesRecv.Load() == recv+1 })
+	clk.Advance(core.FromDuration(holdTime)) // over the re-check, onto the new deadline
+	if st := a.SessionState(addr(silent)); st != StateEstablished {
+		t.Fatalf("session %v one hold time after a keepalive that was due on the previous deadline", st)
+	}
+	clk.Advance(core.Nanosecond)
+	if st := a.SessionState(addr(silent)); st != StateClosed {
+		t.Fatalf("session %v past the second deadline with nothing received, want Closed", st)
+	}
 }
 
 func TestKeepalivesFlowOnShortHoldTime(t *testing.T) {
-	a, err := NewSpeaker(Config{Name: "r1", ASN: 65001, RouterID: addr("1.1.1.1"), HoldTime: 3 * time.Second})
+	// Two speakers on one clock. The first jump lands on both hold
+	// deadlines with three keepalives a side written on the way and read
+	// whenever the readers get to them; after it the clock moves a
+	// keepalive interval at a time, each tick read before the next.
+	clk := &manualClock{}
+	a, err := NewSpeaker(Config{Name: "r1", ASN: 65001, RouterID: addr("1.1.1.1"), HoldTime: holdTime, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSpeaker(Config{Name: "r2", ASN: 65002, RouterID: addr("2.2.2.2"), HoldTime: 3 * time.Second})
+	b, err := NewSpeaker(Config{Name: "r2", ASN: 65002, RouterID: addr("2.2.2.2"), HoldTime: holdTime, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,15 +392,27 @@ func TestKeepalivesFlowOnShortHoldTime(t *testing.T) {
 	defer b.Stop()
 	pair(t, a, b, "172.16.0.0", "172.16.0.1", 1, 1)
 	waitFor(t, "established", func() bool {
-		return a.SessionState(addr("172.16.0.1")) == StateEstablished
+		return a.SessionState(addr("172.16.0.1")) == StateEstablished &&
+			b.SessionState(addr("172.16.0.0")) == StateEstablished
 	})
-	// Session must survive well past the hold time thanks to keepalives.
-	time.Sleep(3500 * time.Millisecond)
-	if a.SessionState(addr("172.16.0.1")) != StateEstablished {
-		t.Fatal("session died despite keepalives")
+	// The handshake's own KEEPALIVE, then one per tick.
+	ticksRead := func(ticks uint64) func() bool {
+		return func() bool {
+			return a.Stats.KeepalivesRecv.Load() == 1+ticks && b.Stats.KeepalivesRecv.Load() == 1+ticks
+		}
 	}
-	if a.Stats.KeepalivesSent.Load() < 2 {
-		t.Fatalf("keepalives sent = %d, want >= 2", a.Stats.KeepalivesSent.Load())
+	clk.Advance(core.FromDuration(holdTime))
+	waitFor(t, "three keepalives a side", ticksRead(3))
+	for tick := uint64(4); tick <= 9; tick++ {
+		clk.Advance(core.FromDuration(holdTime / 3))
+		waitFor(t, "the tick's keepalives", ticksRead(tick))
+	}
+	// Three hold times in, the sessions live on keepalives alone.
+	if sa, sb := a.SessionState(addr("172.16.0.1")), b.SessionState(addr("172.16.0.0")); sa != StateEstablished || sb != StateEstablished {
+		t.Fatalf("sessions %v / %v despite keepalives", sa, sb)
+	}
+	if n := a.Stats.KeepalivesSent.Load(); n != 10 {
+		t.Fatalf("keepalives sent = %d, want the handshake's and 9 ticks", n)
 	}
 }
 

@@ -49,16 +49,31 @@ type Server struct {
 	wg        sync.WaitGroup
 }
 
-// NewServer creates the management plane over the given runner.
+// NewServer creates the management plane over the given runner. Campaign
+// numbering continues after the highest cNNNN already under the runner's
+// data root: Runner.Run truncates the events log and overwrites the status
+// and results of the ID it is given, so a restarted daemon must not hand
+// out c0001 again.
 func NewServer(rn *Runner, logf func(format string, args ...any)) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
+	s := &Server{
 		runner:    rn,
 		logf:      logf,
 		ctx:       ctx,
 		cancel:    cancel,
 		campaigns: map[string]*Campaign{},
 	}
+	entries, err := os.ReadDir(rn.Dir)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) && logf != nil {
+		logf("campaign: numbering from c0001, data root unreadable: %v", err)
+	}
+	for _, e := range entries {
+		var n int
+		if _, err := fmt.Sscanf(e.Name(), "c%d", &n); err == nil && n > s.nextID {
+			s.nextID = n
+		}
+	}
+	return s
 }
 
 // Submit expands and schedules a campaign. The returned campaign is

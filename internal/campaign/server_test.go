@@ -342,6 +342,50 @@ func TestSlugify(t *testing.T) {
 	}
 }
 
+// TestRestartedServerNumbersAfterExistingCampaigns: a second server over
+// the same data root continues the numbering, so the first campaign of the
+// new daemon does not truncate the events log and overwrite the results of
+// the first campaign of the old one.
+func TestRestartedServerNumbersAfterExistingCampaigns(t *testing.T) {
+	rn := newTestRunner(t, func(r spec.Run) (*spec.Outcome, error) { return okOutcome(r), nil })
+	sp := Spec{Topos: []string{"fattree:4"}, Scenarios: []string{"ecmp5"}, Name: "sweep"}
+	submit := func() (id string, events []byte) {
+		t.Helper()
+		srv := NewServer(rn, t.Logf)
+		c, err := srv.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-c.Done()
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		events, err = os.ReadFile(filepath.Join(rn.CampaignDir(c.ID), "events.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.ID, events
+	}
+	first, before := submit()
+	// Entries that are not campaigns, and a gap, do not confuse the scan.
+	for _, name := range []string{"c0007-older", "notes", "c-x"} {
+		if err := os.Mkdir(filepath.Join(rn.Dir, name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second, _ := submit()
+	if first != "c0001-sweep" || second != "c0008-sweep" {
+		t.Fatalf("ids = %s then %s after a restart, want c0001-sweep then c0008-sweep", first, second)
+	}
+	after, err := os.ReadFile(filepath.Join(rn.CampaignDir(first), "events.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(before) == 0 || !bytes.Equal(before, after) {
+		t.Fatalf("the first campaign's events log changed across the restart: %d bytes, then %d", len(before), len(after))
+	}
+}
+
 // TestServerIDsAreSequential pins that submissions get distinct ordered
 // IDs even when names collide.
 func TestServerIDsAreSequential(t *testing.T) {

@@ -6,9 +6,9 @@
 //   - observes every control plane byte and notifies the hybrid engine,
 //     which is what triggers DES->FTI transitions;
 //   - keeps the ledger of control plane work in flight (unread channel
-//     deliveries, armed advertisement batches, running timer callbacks),
-//     which is what lets the engine go back FTI->DES on evidence instead
-//     of waiting out the quiet period;
+//     deliveries, running clock callbacks), which is what lets the engine
+//     go back FTI->DES on evidence instead of waiting out the quiet
+//     period;
 //   - applies control plane decisions (BGP RIB changes, FLOW_MODs) to the
 //     simulated data plane on the engine goroutine;
 //   - answers data plane queries (port/flow statistics) for the emulated
@@ -61,12 +61,12 @@ type Manager struct {
 
 	// ledger counts the control plane work in flight; the engine reads it
 	// to leave FTI (sim.Engine.SetInFlight). Its tokens are held by the
-	// channels (tappedPipe), the speakers' advertisement timers (WireBGP)
-	// and running clock callbacks (clock.After). Deliberately not counted,
-	// because the engine already knows about them: keepalive and hold
-	// timers (wall-clock; they re-enter FTI through the tap when they
-	// fire), delayed tap deliveries and dampening reuse wakeups (engine
-	// events that MarkControl when due), capture records (PostData).
+	// channels (tappedPipe) and by running clock callbacks (clock.After).
+	// Deliberately not counted, because they are events in the engine's own
+	// queue that MarkControl when due: every armed clock deadline — a
+	// speaker's advertisement window, keepalive tick and hold deadline, a
+	// dampening reuse, a controller poll — and delayed tap deliveries; and
+	// capture records (PostData).
 	ledger emu.Ledger
 
 	stops    []func() // Stop of every speaker and agent, in start order
@@ -291,9 +291,10 @@ type BGPConfig struct {
 	ECMP bool
 	// AdvertiseDelay is the MRAI-style batching window: route changes
 	// accumulate for this long before the speaker packs them into
-	// attribute-grouped UPDATE messages (default 2ms wall time). Longer
-	// windows trade convergence latency for fewer, fuller UPDATEs —
-	// the axis the MRAI campaign sweeps.
+	// attribute-grouped UPDATE messages (default 2ms of virtual time, like
+	// every speaker timer: the clock leaves FTI while a window is open and
+	// DES jumps to its end). Longer windows trade convergence latency for
+	// fewer, fuller UPDATEs — the axis the MRAI campaign sweeps.
 	AdvertiseDelay time.Duration
 
 	// LinkLatency delivers control plane messages with each cable's
@@ -345,8 +346,7 @@ func (m *Manager) WireBGP(cfg BGPConfig) error {
 			Multipath:      cfg.ECMP,
 			AdvertiseDelay: cfg.AdvertiseDelay,
 			Dampening:      cfg.Dampening,
-			DampeningClock: m.Clock(),
-			InFlight:       &m.ledger,
+			Clock:          m.Clock(),
 			Networks:       m.originatedPrefixes(r),
 			Logf:           m.Logf,
 			OnRoute: func(ev bgp.RouteEvent) {

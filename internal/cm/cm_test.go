@@ -248,8 +248,8 @@ func TestStopLeavesNoGoroutine(t *testing.T) {
 }
 
 // waitLedgerZero polls for the ledger to read zero: Stop waits for every
-// reader, but an advertisement timer that fired just before its session
-// closed may still be inside flushAdv for a moment.
+// reader, but a clock callback that fired just before its session closed
+// may still be inside flushAdv for a moment, holding clock.After's token.
 func waitLedgerZero(t *testing.T, m *Manager) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

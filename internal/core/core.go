@@ -47,12 +47,15 @@ func (t Time) String() string {
 }
 
 // Clock is the experiment's virtual clock as emulated control plane code
-// sees it. That code runs in wall time, but whatever it schedules over
-// long horizons — Hedera's 5-second poll, the ECMP repair debounce, BGP
-// flap dampening decay (minutes, in production) — must sit on the
-// virtual axis, where DES fast-forward can cross it instead of starving
-// a wall-clock timer. The Connection Manager implements it over the
-// engine; there is no wall-clock implementation to fall back to.
+// sees it. That code runs in wall time, but whatever it schedules —
+// Hedera's 5-second poll, the ECMP repair debounce, a BGP speaker's
+// advertisement window, keepalive, hold deadline and dampening decay —
+// must sit on the virtual axis, where an armed timer is a deadline DES
+// fast-forward jumps to instead of a wall-clock timer it starves. The
+// Connection Manager implements it over the engine. The one wall-time
+// source is unexported in internal/bgp, for a speaker that was given no
+// Clock because it runs outside any experiment (unit tests, bench/'s
+// session probe).
 type Clock interface {
 	// Now is the current virtual time.
 	Now() Time

@@ -89,8 +89,9 @@ type Run struct {
 	// Dampening enables BGP route flap dampening with defaults.
 	Dampening bool `json:"dampening,omitempty"`
 	// AdvertiseDelay overrides the BGP MRAI-style batching window
-	// (zero = the speaker default of 2ms). Only BGP scenarios consult
-	// it; the MRAI campaign sweeps this against Dampening.
+	// (zero = the speaker default of 2ms; virtual time, so a long window
+	// costs no wall time). Only BGP scenarios consult it; the MRAI
+	// campaign sweeps this against Dampening.
 	AdvertiseDelay Duration `json:"advertise_delay,omitempty"`
 	// CaptureDir, when non-empty, records the control plane as pcapng
 	// traces there (the campaign runner points it at the run's

@@ -45,9 +45,9 @@ var surface = []struct {
 		"Name", "ASN", "RouterID", "Networks", "OnRoute",
 		// cm.WireBGP, from BGPConfig.ECMP, .Dampening and .AdvertiseDelay:
 		"Multipath", "Dampening", "AdvertiseDelay",
-		// cm.WireBGP passes its virtual clock and its ledger; test fakes:
-		// rr_test's manual clock, and no ledger on a standalone speaker.
-		"DampeningClock", "InFlight",
+		// cm.WireBGP passes its virtual clock; test fake: the bgp tests'
+		// manualClock; bench/ and standalone speakers leave it nil (wall time).
+		"Clock",
 		// cm.WireBGP from Experiment.SetLogf (cmd/horse -v):
 		"Logf",
 		// test fake: 90s in production, speaker tests substitute 1-3s.

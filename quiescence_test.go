@@ -106,6 +106,60 @@ func TestClockLeavesFTIOnEvidence(t *testing.T) {
 	}
 }
 
+// runTier1 is `horse -topo wan:tier1 -scenario bgp-rr -advertise-delay
+// delay -dur until`: the MRAI axis at paper-faithful pacing 1.
+func runTier1(tb testing.TB, delay time.Duration, until Time) *Result {
+	tb.Helper()
+	g, err := WAN("tier1", BGP())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	exp := NewExperiment(Config{})
+	exp.SetTopology(g)
+	exp.UseBGP(BGPOptions{RouteReflection: true, LinkLatency: true, AdvertiseDelay: delay})
+	if err := exp.SendPermutation(42, 1*Gbps, 0, 0); err != nil {
+		tb.Fatal(err)
+	}
+	res, err := exp.Run(until)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// TestAdvertiseDelayIsVirtual: an advertisement window is a deadline on
+// the virtual axis, so a long one costs no wall time and cannot be lost.
+// A window kept by a wall timer that holds a ledger token outlives the
+// 500 ms quiet timeout: the clock leaves FTI on the timeout, DES finishes
+// the run before the timer fires and nothing is ever advertised — 0 bps
+// and one timeout exit on both runs below. 30 s is RFC 4271's
+// MinRouteAdvertisementInterval for eBGP.
+func TestAdvertiseDelayIsVirtual(t *testing.T) {
+	for _, tc := range []struct {
+		delay time.Duration
+		until Time
+	}{
+		{time.Second, 10 * Second},
+		{30 * time.Second, 120 * Second},
+	} {
+		t.Run(tc.delay.String(), func(t *testing.T) {
+			res := runTier1(t, tc.delay, tc.until)
+			sim := res.Sim
+			t.Logf("wall %v, steady rx %v, %d transitions (%d on evidence, %d on timeout)",
+				sim.WallTotal.Round(time.Millisecond), res.SteadyAggregateRx(), sim.Transitions, sim.EvidenceExits, sim.TimeoutExits)
+			if res.SteadyAggregateRx() <= 0 {
+				t.Error("no traffic delivered: the first advertisement window never ended")
+			}
+			if sim.TimeoutExits != 0 {
+				t.Errorf("%d FTI exits on the quiet timeout: something held the ledger through a window", sim.TimeoutExits)
+			}
+			if sim.WallTotal >= 2*time.Second {
+				t.Errorf("run took %v of wall, want < 2s: waiting is not control plane activity", sim.WallTotal)
+			}
+		})
+	}
+}
+
 // TestBootRaceAlwaysConverges: the engine may take its first in-flight
 // reading before any control plane goroutine was ever scheduled. What
 // holds the clock in FTI then is the tokens the channels have held since
