@@ -190,18 +190,19 @@ func (s *Speaker) dampReuse(key dampKey, gen uint64) {
 	parked := ds.parked
 	ds.parked = nil
 	var affected []netip.Prefix
+	var entries []*ribEntry
 	if parked != nil {
 		// The parked path is only valid while a session to its peer
 		// exists (a session reset after parking would leave a stale
 		// transport behind; the re-peered session re-announces anyway).
 		if _, live := s.sessions[key.peer]; live {
-			if s.rib.UpdateAdjIn(key.peer, key.prefix, parked) {
-				affected = append(affected, key.prefix)
+			if e := s.rib.updateAdjIn(key.peer, key.prefix, parked); e != nil {
+				affected, entries = append(affected, key.prefix), append(entries, e)
 				s.Stats.RoutesReused.Add(1)
 				s.logf("dampening: reusing %v from %v", key.prefix, key.peer)
 			}
 		}
 	}
-	s.redecideLocked(affected)
+	s.redecideLocked(affected, entries)
 	s.mu.Unlock()
 }

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"net/netip"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/ptrie"
@@ -141,15 +142,21 @@ func originatorOf(p *Path) netip.Addr {
 // sorted by peer address), and the current Loc-RIB selection. The
 // decision process for a prefix touches only its entry — no global
 // iteration, no per-call candidate re-sort.
+//
+// Most prefixes have one candidate, which is the selection, so each of the
+// two lists starts out on the one-element array beside it and moves to
+// the heap only when a second path arrives: a full table from one peer is
+// entries in the trie's slab and nothing else. (A slice into its own entry
+// is sound because ptrie never moves a value and nothing copies a
+// ribEntry.)
 type ribEntry struct {
 	local *Path
 	// peers holds one path per advertising peer, ordered by PeerAddr.
 	peers []*Path
-	// selected is the current Loc-RIB selection (nil = unreachable);
-	// scratch is its double buffer so steady-state re-decides allocate
-	// nothing.
+	// selected is the current Loc-RIB selection (nil = unreachable).
 	selected []*Path
-	scratch  []*Path
+
+	peer1, selected1 [1]*Path
 }
 
 // peerIndex is the position of peer's path in e.peers, or -1.
@@ -210,26 +217,36 @@ func (r *RIB) SetLocal(p netip.Prefix, attrs PathAttrs) {
 // UpdateAdjIn records a path learned from peer; a nil path withdraws.
 // It returns whether anything changed.
 func (r *RIB) UpdateAdjIn(peer netip.Addr, prefix netip.Prefix, path *Path) bool {
+	return r.updateAdjIn(peer, prefix, path) != nil
+}
+
+// updateAdjIn is UpdateAdjIn returning the entry it changed, or nil: the
+// caller that goes on to decide the prefix hands it to decide, and the
+// route has cost one descent of the trie, not two.
+func (r *RIB) updateAdjIn(peer netip.Addr, prefix netip.Prefix, path *Path) *ribEntry {
 	addr, length := v4key(prefix)
 	if path == nil {
 		e := r.trie.Get(addr, length)
 		if e == nil {
-			return false
+			return nil
 		}
 		i := e.peerIndex(peer)
 		if i < 0 {
-			return false
+			return nil
 		}
 		releaseAttrs(e.peers[i].Attrs)
-		e.peers = append(e.peers[:i], e.peers[i+1:]...)
-		return true
+		e.peers = slices.Delete(e.peers, i, i+1)
+		return e
 	}
 	e := r.trie.Insert(addr, length)
 	retainAttrs(path.Attrs)
 	if i := e.peerIndex(peer); i >= 0 {
 		releaseAttrs(e.peers[i].Attrs)
 		e.peers[i] = path
-		return true
+		return e
+	}
+	if e.peers == nil {
+		e.peers = e.peer1[:0]
 	}
 	// Insert keeping peer-address order (the deterministic candidate
 	// order the decision process depends on).
@@ -240,10 +257,8 @@ func (r *RIB) UpdateAdjIn(peer netip.Addr, prefix netip.Prefix, path *Path) bool
 			break
 		}
 	}
-	e.peers = append(e.peers, nil)
-	copy(e.peers[at+1:], e.peers[at:])
-	e.peers[at] = path
-	return true
+	e.peers = slices.Insert(e.peers, at, path)
+	return e
 }
 
 // DropPeer removes every path learned from peer (session down),
@@ -251,6 +266,13 @@ func (r *RIB) UpdateAdjIn(peer netip.Addr, prefix netip.Prefix, path *Path) bool
 // before it is filled: a full-table peer would otherwise grow it by
 // doubling through a hundred thousand entries.
 func (r *RIB) DropPeer(peer netip.Addr) []netip.Prefix {
+	prefixes, _ := r.dropPeer(peer)
+	return prefixes
+}
+
+// dropPeer is DropPeer returning the affected entries beside their
+// prefixes, for decide.
+func (r *RIB) dropPeer(peer netip.Addr) ([]netip.Prefix, []*ribEntry) {
 	n := 0
 	r.trie.Walk(func(_ uint32, _ uint8, e *ribEntry) bool {
 		if e.peerIndex(peer) >= 0 {
@@ -259,18 +281,18 @@ func (r *RIB) DropPeer(peer netip.Addr) []netip.Prefix {
 		return true
 	})
 	if n == 0 {
-		return nil
+		return nil, nil
 	}
-	out := make([]netip.Prefix, 0, n)
+	out, entries := make([]netip.Prefix, 0, n), make([]*ribEntry, 0, n)
 	r.trie.Walk(func(addr uint32, length uint8, e *ribEntry) bool {
 		if i := e.peerIndex(peer); i >= 0 {
 			releaseAttrs(e.peers[i].Attrs)
-			e.peers = append(e.peers[:i], e.peers[i+1:]...)
-			out = append(out, keyPrefix(addr, length))
+			e.peers = slices.Delete(e.peers, i, i+1)
+			out, entries = append(out, keyPrefix(addr, length)), append(entries, e)
 		}
 		return true
 	})
-	return out
+	return out, entries
 }
 
 // Decide recomputes the Loc-RIB selection for prefix and returns the new
@@ -278,13 +300,21 @@ func (r *RIB) DropPeer(peer netip.Addr) []netip.Prefix {
 // returned slice aliases the entry's selection buffer: it is valid until
 // the next Decide of the same prefix.
 func (r *RIB) Decide(prefix netip.Prefix) ([]*Path, bool) {
-	addr, length := v4key(prefix)
-	e := r.trie.Get(addr, length)
+	e := r.trie.Get(v4key(prefix))
 	if e == nil {
 		return nil, false
 	}
-	sel := e.scratch[:0]
-	if len(e.peers) > 0 || e.local != nil {
+	return r.decide(e, prefix)
+}
+
+// decide is Decide on the entry of prefix. An entry left with no route at
+// all is removed, and e is dead from then on.
+func (r *RIB) decide(e *ribEntry, prefix netip.Prefix) ([]*Path, bool) {
+	// The candidates are gathered on the stack; an ECMP set wider than
+	// this spills to the heap for the length of the call.
+	var buf [8]*Path
+	sel := buf[:0]
+	if e.known() {
 		// Candidates in deterministic order: local first, then peers by
 		// address (e.peers maintains that order).
 		best := e.local
@@ -306,27 +336,22 @@ func (r *RIB) Decide(prefix netip.Prefix) ([]*Path, bool) {
 			sel = sel[:1]
 		}
 	}
-	if len(sel) == 0 {
-		sel = nil
-	}
 	changed := !pathSetEqual(e.selected, sel)
-	if !changed {
-		// Keep the previous buffer; sel (the scratch) stays scratch.
-		if sel != nil {
-			e.scratch = sel
+	switch {
+	case !changed:
+	case len(sel) == 0:
+		e.selected = nil
+	default:
+		if e.selected == nil {
+			e.selected = e.selected1[:0]
 		}
-		if e.selected == nil && !e.known() {
-			r.trie.Remove(addr, length)
-		}
-		return e.selected, false
+		e.selected = append(e.selected[:0], sel...)
 	}
-	e.scratch = e.selected[:0]
-	e.selected = sel
-	if e.selected == nil && !e.known() {
-		// Fully empty entry: prune its node.
-		r.trie.Remove(addr, length)
+	if !e.known() {
+		r.trie.Remove(v4key(prefix))
+		return nil, changed
 	}
-	return e.selected, true
+	return e.selected, changed
 }
 
 // sortTieBreak orders a (small) selection deterministically by tieBreak
@@ -354,7 +379,7 @@ func (r *RIB) Lookup(addr netip.Addr) []*Path {
 	if !addr.Is4() {
 		return nil
 	}
-	e := r.trie.Longest(core.IPv4ToUint32(addr), func(e *ribEntry) bool { return len(e.selected) > 0 })
+	e, _ := r.trie.Longest(core.IPv4ToUint32(addr), func(e *ribEntry) bool { return len(e.selected) > 0 })
 	if e == nil {
 		return nil
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -155,8 +154,12 @@ type Speaker struct {
 	// what it was, no route event is emitted and nothing is advertised.
 	closed bool
 	// advertiseTo is redecideLocked's list of established sessions,
-	// rebuilt per call and kept between calls for its backing array.
+	// rebuilt per call and kept between calls for its backing array; so are
+	// affected and entries, processUpdateLocked's list of what one UPDATE
+	// changed.
 	advertiseTo []*session
+	affected    []netip.Prefix
+	entries     []*ribEntry
 	wg          sync.WaitGroup
 
 	Stats Stats
@@ -179,14 +182,17 @@ type session struct {
 	sendMu sync.Mutex
 	closed bool
 
-	// pending advertisement batch: prefix -> path (nil = withdraw);
-	// advArmed while a flushAdv wakeup for it is due.
-	pending  map[pfxKey]*Path
+	// The pending advertisement batch (see advBatch); advArmed while a
+	// flushAdv wakeup for it is due.
+	pending  advBatch
 	advArmed bool
 	// flushMu is held across one whole flushAdv, so a batch armed while
 	// the previous one is still being packed goes out after it, never in
-	// between its messages.
-	flushMu sync.Mutex
+	// between its messages. It guards flushing: the batch a flush swapped
+	// out of pending, empty between flushes, whose buffers the next swap
+	// makes pending's.
+	flushMu  sync.Mutex
+	flushing advBatch
 }
 
 // NewSpeaker creates a speaker; call AddPeer to open sessions.
@@ -252,12 +258,7 @@ func (s *Speaker) AddPeer(pc PeerConfig) error {
 	if _, dup := s.sessions[pc.RemoteAddr]; dup {
 		return fmt.Errorf("bgp: duplicate peer %v", pc.RemoteAddr)
 	}
-	sess := &session{
-		sp:      s,
-		cfg:     pc,
-		state:   StateIdle,
-		pending: make(map[pfxKey]*Path),
-	}
+	sess := &session{sp: s, cfg: pc, state: StateIdle}
 	s.sessions[pc.RemoteAddr] = sess
 	sess.send(EncodeOpen(Open{
 		Version: bgpVersion, ASN: s.asn16, HoldTime: s.hold, RouterID: s.cfg.RouterID,
@@ -484,9 +485,7 @@ func (x *session) established() {
 	x.armKeepalive()
 	s.mu.Lock()
 	if !s.closed {
-		if len(x.pending) == 0 {
-			x.pending = make(map[pfxKey]*Path, s.rib.trie.Len()) // the whole table is about to land in it
-		}
+		x.pending.expect(s.rib.trie.Len()) // the whole table is about to land in it
 		s.rib.eachSelected(func(p netip.Prefix, best []*Path) { x.queueAdvLocked(prefixKey(p), best[0]) })
 	}
 	s.mu.Unlock()
@@ -551,7 +550,7 @@ func (x *session) down(cause error) {
 	x.state = StateClosed
 	delete(s.sessions, x.cfg.RemoteAddr)
 	if !s.closed {
-		affected := s.rib.DropPeer(x.cfg.RemoteAddr)
+		affected, entries := s.rib.dropPeer(x.cfg.RemoteAddr)
 		// A session loss withdraws everything learned from the peer; each
 		// of those counts as a flap toward dampening, so a flapping cable
 		// suppresses its neighbor's routes after repeated resets. Parked
@@ -561,7 +560,7 @@ func (x *session) down(cause error) {
 			s.dampWithdrawLocked(x.cfg.RemoteAddr, p)
 		}
 		s.dampDropPeerLocked(x.cfg.RemoteAddr)
-		s.redecideLocked(affected)
+		s.redecideLocked(affected, entries)
 	}
 	s.mu.Unlock()
 	x.close()
@@ -578,7 +577,7 @@ func (x *session) queueAdvLocked(k pfxKey, path *Path) {
 	if path != nil && !x.mayAdvertise(path) {
 		path = nil
 	}
-	x.pending[k] = path
+	x.pending.add(k, path)
 	if !x.advArmed {
 		x.advArmed = true
 		x.sp.cfg.Clock.After(core.FromDuration(x.sp.cfg.AdvertiseDelay), x.flushAdv)
@@ -627,11 +626,13 @@ type advKey struct {
 // emits O(attr-groups) UPDATEs, not O(prefixes), with PackUpdates
 // splitting at the 4096-byte message limit.
 //
-// What it allocates is per flush, at final size: one integer per pending
-// prefix — its group number (0 = withdrawn) above its pfxKey, so a single
-// integer sort both gathers the groups and orders every group's prefixes
-// by (address, length) — and one netip.Prefix list that the withdrawn and
-// NLRI lists are cut from.
+// The batch is a log (advBatch): one sort, which finds it nearly in
+// order, leaves every prefix's last write standing in (address, length)
+// order. What the flush then works out — may this path go to this peer was
+// settled when it was queued; with which attributes, in which message
+// group — it works out once per run of the log, not once per prefix, and a
+// counting pass cuts the one netip.Prefix list it allocates into the
+// withdrawn list and each group's NLRI, already sorted.
 func (x *session) flushAdv() {
 	s := x.sp
 	x.flushMu.Lock()
@@ -642,46 +643,53 @@ func (x *session) flushAdv() {
 		s.mu.Unlock()
 		return
 	}
-	batch := x.pending
-	x.pending = make(map[pfxKey]*Path)
+	x.pending, x.flushing = x.flushing, x.pending
 	s.mu.Unlock()
 
 	// The batch is this goroutine's now, and a stored Path never changes.
-	keys := make([]uint64, 0, len(batch))
-	idx := make(map[advKey]uint64)
+	defer x.flushing.reset()
+	log, runs := settleAdv(x.flushing.log), x.flushing.runs
+	idx := make(map[advKey]uint32)
 	var groups []UpdateGroup
-	for k, path := range batch {
-		var group uint64
-		if path != nil {
-			ak := advKey{attrs: path.Attrs, ibgp: path.IBGP}
-			if path.IBGP {
-				ak.orig = originatorOf(path)
-			}
-			if group = idx[ak]; group == 0 {
-				groups = append(groups, UpdateGroup{Attrs: x.outgoingAttrs(path)})
-				group = uint64(len(groups))
-				idx[ak] = group
-			}
-		}
-		keys = append(keys, group<<pfxKeyBits|uint64(k))
-	}
-	slices.Sort(keys)
-	var withdrawn []netip.Prefix
-	prefixes := make([]netip.Prefix, len(keys))
-	start := 0
-	for i, k := range keys {
-		prefixes[i] = pfxKey(k).prefix()
-		group := k >> pfxKeyBits
-		if i+1 < len(keys) && keys[i+1]>>pfxKeyBits == group {
+	groupOf := make([]uint32, len(runs)) // 0 = withdrawn
+	for r, path := range runs {
+		if path == nil {
 			continue
 		}
-		if run := prefixes[start : i+1 : i+1]; group == 0 {
-			withdrawn = run
-		} else {
-			groups[group-1].NLRI = run
+		ak := advKey{attrs: path.Attrs, ibgp: path.IBGP}
+		if path.IBGP {
+			ak.orig = originatorOf(path)
 		}
-		start = i + 1
+		group := idx[ak]
+		if group == 0 {
+			groups = append(groups, UpdateGroup{Attrs: x.outgoingAttrs(path)})
+			group = uint32(len(groups))
+			idx[ak] = group
+		}
+		groupOf[r] = group
 	}
+	// A counting sort by group, stable, so every list comes out in log
+	// order: count each list, lay the lists out end to end in one array,
+	// fill them. at[g] ends up one past list g, which is where g+1 begins.
+	at := make([]int, len(groups)+1)
+	for _, e := range log {
+		at[groupOf[e&advRunMask]]++
+	}
+	sum := 0
+	for g, n := range at {
+		at[g], sum = sum, sum+n
+	}
+	prefixes := make([]netip.Prefix, len(log))
+	for _, e := range log {
+		g := groupOf[e&advRunMask]
+		prefixes[at[g]] = pfxKey(e >> advRunBits).prefix()
+		at[g]++
+	}
+	withdrawn := prefixes[:at[0]:at[0]]
+	for g := range groups {
+		groups[g].NLRI = prefixes[at[g]:at[g+1]:at[g+1]]
+	}
+
 	gkeys := make([]string, len(groups))
 	for i := range groups {
 		gkeys[i] = attrsKey(groups[i].Attrs)
@@ -778,10 +786,11 @@ func attrsKey(a PathAttrs) string {
 // ---- speaker-side update processing (mu held) ----
 
 func (s *Speaker) processUpdateLocked(x *session, u *Update) {
-	affected := make([]netip.Prefix, 0, len(u.Withdrawn)+len(u.NLRI))
+	// The prefixes whose candidates changed, each with its RIB entry.
+	affected, entries := s.affected[:0], s.entries[:0]
 	for _, p := range u.Withdrawn {
-		if s.rib.UpdateAdjIn(x.cfg.RemoteAddr, p, nil) {
-			affected = append(affected, p)
+		if e := s.rib.updateAdjIn(x.cfg.RemoteAddr, p, nil); e != nil {
+			affected, entries = append(affected, p), append(entries, e)
 			s.dampWithdrawLocked(x.cfg.RemoteAddr, p)
 		} else {
 			// The route may be parked under suppression rather than
@@ -808,12 +817,13 @@ func (s *Speaker) processUpdateLocked(x *session, u *Update) {
 			if s.dampSuppressLocked(x.cfg.RemoteAddr, p, path) {
 				continue
 			}
-			if s.rib.UpdateAdjIn(x.cfg.RemoteAddr, p, path) {
-				affected = append(affected, p)
+			if e := s.rib.updateAdjIn(x.cfg.RemoteAddr, p, path); e != nil {
+				affected, entries = append(affected, p), append(entries, e)
 			}
 		}
 	}
-	s.redecideLocked(affected)
+	s.redecideLocked(affected, entries)
+	s.affected, s.entries = affected, entries
 }
 
 // acceptLocked runs the receive-side loop checks: the AS-path check on
@@ -842,10 +852,14 @@ func (s *Speaker) acceptLocked(x *session, a *PathAttrs, nlri int) bool {
 	return true
 }
 
-// redecideLocked re-runs the decision process for the given prefixes and,
-// for each Loc-RIB change as it is found, emits the FIB event and queues
-// the new best toward every established session. Caller holds s.mu.
-func (s *Speaker) redecideLocked(prefixes []netip.Prefix) {
+// redecideLocked re-runs the decision process for the given prefixes,
+// entries[i] being the RIB entry of prefixes[i], and, for each Loc-RIB
+// change as it is found, emits the FIB event and queues the new best toward
+// every established session. A decision that leaves an entry without a
+// route removes it, which is safe here: a prefix listed twice (withdrawn
+// and announced by one UPDATE) still holds the announced path, and nothing
+// is inserted before the list is done. Caller holds s.mu.
+func (s *Speaker) redecideLocked(prefixes []netip.Prefix, entries []*ribEntry) {
 	s.advertiseTo = s.advertiseTo[:0]
 	for _, sess := range s.sessions {
 		if sess.state == StateEstablished {
@@ -857,8 +871,8 @@ func (s *Speaker) redecideLocked(prefixes []netip.Prefix) {
 	// receiver may keep but not write to (fib.Insert copies it).
 	var shared *Path
 	var hops []fib.NextHop
-	for _, p := range prefixes {
-		best, changed := s.rib.Decide(p)
+	for i, p := range prefixes {
+		best, changed := s.rib.decide(entries[i], p)
 		if !changed {
 			continue
 		}

@@ -17,9 +17,9 @@ func keyPrefix(addr uint32, length uint8) netip.Prefix {
 
 // pfxKey is a trie key packed into one integer, addr<<8 | len. Its
 // integer order is the (address, length) order the trie walks in, so a
-// batch of prefixes sorts as plain integers; sessions key their pending
-// advertisements by it (8 bytes to hash and compare, not a 32-byte
-// netip.Prefix).
+// batch of prefixes sorts as plain integers; a session's pending
+// advertisements are a log of them (advBatch), each with a run number in
+// the bits a pfxKey leaves free.
 type pfxKey uint64
 
 // pfxKeyBits is how many low bits of an integer a pfxKey occupies.
@@ -30,6 +30,5 @@ func prefixKey(p netip.Prefix) pfxKey {
 	return pfxKey(addr)<<8 | pfxKey(length)
 }
 
-// prefix reads the low pfxKeyBits bits only, so whatever a caller packs
-// above them (flushAdv's group number) need not be masked off first.
+// prefix reads the low pfxKeyBits bits only.
 func (k pfxKey) prefix() netip.Prefix { return keyPrefix(uint32(k>>8), uint8(k)) }

@@ -519,7 +519,9 @@ func (m *Manager) applyRoute(node core.NodeID, ev bgp.RouteEvent) {
 }
 
 // drainRoutes applies the queued route changes to the simulated FIBs in
-// arrival order; engine goroutine only.
+// arrival order; engine goroutine only. A change the network refuses (the
+// FIB takes valid IPv4 prefixes only) was counted when it was queued and
+// is reported here, or it would vanish without a trace.
 func (m *Manager) drainRoutes() {
 	q := &m.routes
 	q.mu.Lock()
@@ -529,10 +531,14 @@ func (m *Manager) drainRoutes() {
 	q.mu.Unlock()
 	now := m.Engine.Now()
 	for i, rc := range batch {
+		var err error
 		if len(rc.NextHops) == 0 {
-			_ = m.Net.WithdrawRoute(rc.node, fib.Route{Prefix: rc.Prefix}, now)
+			err = m.Net.WithdrawRoute(rc.node, fib.Route{Prefix: rc.Prefix}, now)
 		} else {
-			_ = m.Net.InstallRoute(rc.node, fib.Route{Prefix: rc.Prefix, NextHops: rc.NextHops}, now)
+			err = m.Net.InstallRoute(rc.node, fib.Route{Prefix: rc.Prefix, NextHops: rc.NextHops}, now)
+		}
+		if err != nil {
+			m.Logf("cm: route %v on %v not applied: %v", rc.Prefix, rc.node, err)
 		}
 		batch[i] = routeChange{} // the spare buffer pins no next-hop slice
 	}

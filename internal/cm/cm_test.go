@@ -1,6 +1,7 @@
 package cm
 
 import (
+	"fmt"
 	"net/netip"
 	"reflect"
 	"runtime"
@@ -476,5 +477,46 @@ func TestRouteQueueKeepsArrivalOrder(t *testing.T) {
 				t.Fatalf("%v -> %v, %v; want %v", prefix(s, i), r.NextHops, ok, last)
 			}
 		}
+	}
+}
+
+// TestRefusedRouteIsReported: a route change the network refuses — here a
+// prefix the FIB does not take, and a node that has no FIB — is counted when
+// it is queued, so the drain has to say that it was not applied, with the
+// node and the prefix; the changes around it are.
+func TestRefusedRouteIsReported(t *testing.T) {
+	g, _ := topo.TwoRouters(core.Gbps, 0)
+	r1, _ := g.NodeByName("r1")
+	h1, _ := g.NodeByName("h1")
+	var mu sync.Mutex
+	var logged []string
+	engine := newEngine()
+	net := netmodel.New(g)
+	m := New(engine, net, func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+	})
+	defer m.Stop()
+	hops := []fib.NextHop{{Port: 1, Via: netip.MustParseAddr("172.16.0.1")}}
+	good := netip.MustParsePrefix("20.0.0.0/24")
+	v6 := netip.MustParsePrefix("2001:db8::/32")
+	m.applyRoute(r1.ID, bgp.RouteEvent{Prefix: v6, NextHops: hops})
+	m.applyRoute(h1.ID, bgp.RouteEvent{Prefix: good})
+	m.applyRoute(r1.ID, bgp.RouteEvent{Prefix: good, NextHops: hops})
+	engine.Schedule(10*core.Millisecond, func() {})
+	engine.Run(10 * core.Millisecond)
+	if in, out := m.Stats.RouteInstalls.Load(), m.Stats.RouteWithdraws.Load(); in != 2 || out != 1 {
+		t.Errorf("counted %d installs and %d withdrawals, want 2 and 1", in, out)
+	}
+	if table := net.FIB(r1.ID); table.Len() != 1 {
+		t.Errorf("FIB holds %d routes, want the valid one", table.Len())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logged) != 2 ||
+		!strings.Contains(logged[0], v6.String()) || !strings.Contains(logged[0], r1.ID.String()) ||
+		!strings.Contains(logged[1], good.String()) || !strings.Contains(logged[1], h1.ID.String()) {
+		t.Fatalf("refused routes were logged as %q, want one line each naming node and prefix", logged)
 	}
 }

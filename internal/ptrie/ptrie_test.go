@@ -92,7 +92,7 @@ func TestTrieInsertLookupRemove(t *testing.T) {
 	i := 0
 	for k := range ref {
 		if i%2 == 0 {
-			if !tr.Remove(k.addr, k.length) {
+			if _, ok := tr.Remove(k.addr, k.length); !ok {
 				t.Fatalf("Remove %v reported it absent", k)
 			}
 			delete(ref, k)
@@ -185,15 +185,15 @@ func TestTrieLongestPrefixMatch(t *testing.T) {
 				bestLen = int(k.length)
 			}
 		}
-		got := tr.Longest(probe, accept)
+		got, gotLen := tr.Longest(probe, accept)
 		if bestLen < 0 {
 			if got != nil {
 				t.Fatalf("Longest(%#x) found a value, brute force found none", probe)
 			}
 			continue
 		}
-		if want := tr.Get(probe, uint8(bestLen)); got != want {
-			t.Fatalf("Longest(%#x) = %p, want the /%d value %p", probe, got, bestLen, want)
+		if want := tr.Get(probe, uint8(bestLen)); got != want || int(gotLen) != bestLen {
+			t.Fatalf("Longest(%#x) = %p at /%d, want the /%d value %p", probe, got, gotLen, bestLen, want)
 		}
 	}
 }
@@ -203,17 +203,17 @@ func TestTrieLPMRespectsAcceptFilter(t *testing.T) {
 	*tr.Insert(10<<24, 8) = 8
 	*tr.Insert(10<<24|1<<16, 16) = 16
 	probe := uint32(10<<24 | 1<<16 | 2<<8 | 3)
-	if got := tr.Longest(probe, func(*int) bool { return true }); got == nil || *got != 16 {
-		t.Fatalf("Longest = %v, want the /16", got)
+	if got, l := tr.Longest(probe, func(*int) bool { return true }); got == nil || *got != 16 || l != 16 {
+		t.Fatalf("Longest = %v at /%d, want the /16", got, l)
 	}
 	// A rejected /16 falls back to the /8 above it.
-	if got := tr.Longest(probe, func(v *int) bool { return *v != 16 }); got == nil || *got != 8 {
-		t.Fatalf("Longest without the /16 = %v, want the /8", got)
+	if got, l := tr.Longest(probe, func(v *int) bool { return *v != 16 }); got == nil || *got != 8 || l != 8 {
+		t.Fatalf("Longest without the /16 = %v at /%d, want the /8", got, l)
 	}
-	if got := tr.Longest(probe, func(*int) bool { return false }); got != nil {
+	if got, _ := tr.Longest(probe, func(*int) bool { return false }); got != nil {
 		t.Fatalf("Longest with nothing acceptable = %d", *got)
 	}
-	if got := tr.Longest(11<<24|1, func(*int) bool { return true }); got != nil {
+	if got, _ := tr.Longest(11<<24|1, func(*int) bool { return true }); got != nil {
 		t.Fatalf("Longest outside any prefix = %d", *got)
 	}
 }
@@ -221,79 +221,114 @@ func TestTrieLPMRespectsAcceptFilter(t *testing.T) {
 // runModel drives a Trie and a map through the operations ops encodes,
 // six bytes each (operation, length, address), checking after every one
 // that the two agree; Longest and Walk are checked against a linear scan
-// of the map. It ends by removing everything, after which the trie must
-// be down to its root.
+// of the map. The map holds, for every live prefix, the pointer Insert
+// returned for it and the value written through it: operation 5 reads
+// every one of those pointers back, after whatever inserts and removes of
+// other prefixes came in between, and operation 6 removes prefixes from
+// inside a Walk. It ends by removing everything, after which the trie
+// must be down to its root.
 func runModel(t *testing.T, ops []byte) {
+	type held struct {
+		p   *int
+		val int
+	}
 	var tr Trie[int]
-	ref := map[key]*int{}
+	ref := map[key]held{}
 	next := 0
+	sorted := func() []key {
+		ks := make([]key, 0, len(ref))
+		for rk := range ref {
+			ks = append(ks, rk)
+		}
+		sortKeys(ks)
+		return ks
+	}
+	checkHeld := func(when string) {
+		for rk, h := range ref {
+			if *h.p != h.val {
+				t.Fatalf("%s: the pointer held for %v reads %d, want %d", when, rk, *h.p, h.val)
+			}
+			if got := tr.Get(rk.addr, rk.length); got != h.p {
+				t.Fatalf("%s: Get %v = %p, want the held %p", when, rk, got, h.p)
+			}
+		}
+	}
 	for ; len(ops) >= 6; ops = ops[6:] {
 		length := ops[1] % 33
 		addr := binary.BigEndian.Uint32(ops[2:6]) // unmasked: the trie ignores the low bits
 		k := mkKey(addr, length)
-		switch ops[0] % 5 {
+		parity := int(ops[0] / 7 % 2) // from the operation, so both halves of the values get picked over a run
+		switch ops[0] % 7 {
 		case 0:
 			v := tr.Insert(addr, length)
 			if old, ok := ref[k]; ok {
-				if v != old {
+				if v != old.p {
 					t.Fatalf("Insert %v: value moved", k)
 				}
 			} else {
+				// A slot a removed prefix left behind comes back zeroed.
 				if *v != 0 {
 					t.Fatalf("Insert %v: new value is %d, want zero", k, *v)
 				}
 				next++
 				*v = next
-				ref[k] = v
+				ref[k] = held{v, next}
 			}
 		case 1:
 			_, want := ref[k]
-			if got := tr.Remove(addr, length); got != want {
-				t.Fatalf("Remove %v = %v, want %v", k, got, want)
+			if old, got := tr.Remove(addr, length); got != want || old != ref[k].val {
+				t.Fatalf("Remove %v = %d, %v; want %d, %v", k, old, got, ref[k].val, want)
 			}
 			delete(ref, k)
 		case 2:
-			if got := tr.Get(addr, length); got != ref[k] {
-				t.Fatalf("Get %v = %p, want %p", k, got, ref[k])
+			if got := tr.Get(addr, length); got != ref[k].p {
+				t.Fatalf("Get %v = %p, want %p", k, got, ref[k].p)
 			}
 		case 3:
-			// The filter's parity bit comes from the operation, so both
-			// halves of the values get rejected over a run.
-			accept := func(v *int) bool { return *v%2 == int(ops[0]/5%2) }
+			accept := func(v *int) bool { return *v%2 == parity }
 			var want *int
 			best := -1
-			for rk, v := range ref {
-				if rk.contains(addr) && accept(v) && int(rk.length) > best {
-					want, best = v, int(rk.length)
+			for rk, h := range ref {
+				if rk.contains(addr) && accept(h.p) && int(rk.length) > best {
+					want, best = h.p, int(rk.length)
 				}
 			}
-			if got := tr.Longest(addr, accept); got != want {
-				t.Fatalf("Longest(%#x) = %p, want the /%d value %p", addr, got, best, want)
+			got, gotLen := tr.Longest(addr, accept)
+			if got != want || (want != nil && int(gotLen) != best) {
+				t.Fatalf("Longest(%#x) = %p at /%d, want the /%d value %p", addr, got, gotLen, best, want)
 			}
-		case 4:
-			want := make([]key, 0, len(ref))
-			for rk := range ref {
-				want = append(want, rk)
-			}
-			sortKeys(want)
+		case 4, 6:
+			// 6 removes every visited prefix of one parity from inside the
+			// walk, which must still reach every other prefix once.
+			remove := ops[0]%7 == 6
+			want := sorted()
 			i := 0
 			tr.Walk(func(a uint32, l uint8, v *int) bool {
-				if i >= len(want) || want[i] != (key{a, l}) || ref[want[i]] != v {
+				if i >= len(want) || want[i] != (key{a, l}) || ref[want[i]].p != v {
 					t.Fatalf("Walk step %d visited %v, want %v", i, key{a, l}, want)
 				}
 				i++
+				if remove && *v%2 == parity {
+					if _, ok := tr.Remove(a, l); !ok {
+						t.Fatalf("Remove of the visited prefix %v failed", key{a, l})
+					}
+					delete(ref, key{a, l})
+				}
 				return true
 			})
 			if i != len(want) {
 				t.Fatalf("Walk visited %d prefixes, want %d", i, len(want))
 			}
+		case 5:
+			checkHeld("mid-run")
 		}
 		if tr.Len() != len(ref) {
 			t.Fatalf("Len = %d, want %d", tr.Len(), len(ref))
 		}
 	}
+	checkHeld("at the end")
 	for k := range ref {
-		if !tr.Remove(k.addr, k.length) {
+		if _, ok := tr.Remove(k.addr, k.length); !ok {
 			t.Fatalf("final Remove %v reported it absent", k)
 		}
 	}
@@ -325,7 +360,9 @@ func TestTrieMatchesModel(t *testing.T) {
 
 // FuzzTrie is runModel on whatever bytes the fuzzer finds; the corpus
 // under testdata/fuzz/FuzzTrie seeds it with nesting, /0 and /32,
-// re-insertion after a remove, and a remove that prunes a shared branch.
+// re-insertion after a remove, a remove that prunes a shared branch,
+// pointers held across the reuse of a removed prefix's slot and nodes, and
+// a walk that removes a leaf, a prefix with others below it, and the /0.
 func FuzzTrie(f *testing.F) { f.Fuzz(runModel) }
 
 // TestEmptiedTrieIsOnlyItsRoot: a trie that held 10 000 prefixes and lost
@@ -345,17 +382,17 @@ func TestEmptiedTrieIsOnlyItsRoot(t *testing.T) {
 	}
 	tr.Insert(20<<24, 16)
 	for _, i := range rand.New(rand.NewSource(1)).Perm(n) {
-		if !tr.Remove(nth(i), 24) {
+		if _, ok := tr.Remove(nth(i), 24); !ok {
 			t.Fatalf("prefix %d was not present", i)
 		}
 	}
 	if nodes := tr.Nodes(); nodes != 1+16 {
 		t.Fatalf("%d nodes left beside the /16, want %d", nodes, 1+16)
 	}
-	if !tr.Remove(20<<24, 16) || tr.Len() != 0 || tr.Nodes() != 1 {
+	if _, ok := tr.Remove(20<<24, 16); !ok || tr.Len() != 0 || tr.Nodes() != 1 {
 		t.Fatalf("after the /16 left: Len = %d, %d nodes", tr.Len(), tr.Nodes())
 	}
-	if tr.Remove(20<<24, 16) {
+	if _, ok := tr.Remove(20<<24, 16); ok {
 		t.Fatal("second remove of the /16 reported it present")
 	}
 }
@@ -377,8 +414,10 @@ func TestWalkMayRemoveTheVisitedPrefix(t *testing.T) {
 	visited := 0
 	tr.Walk(func(addr uint32, length uint8, v *int) bool {
 		visited++
-		if *v == 1 && !tr.Remove(addr, length) {
-			t.Fatalf("Remove of the visited prefix %v failed", key{addr, length})
+		if *v == 1 {
+			if _, ok := tr.Remove(addr, length); !ok {
+				t.Fatalf("Remove of the visited prefix %v failed", key{addr, length})
+			}
 		}
 		return true
 	})
@@ -395,5 +434,61 @@ func TestWalkMayRemoveTheVisitedPrefix(t *testing.T) {
 	}
 	if tr.Nodes() != 1 {
 		t.Fatalf("%d nodes left after everything was removed", tr.Nodes())
+	}
+}
+
+// TestValuesDoNotMove holds the pointer of the first prefix while the node
+// slice and the value slab grow a dozen times over and half the table
+// leaves again: it must keep reading what was written through it, and Get
+// must keep returning it.
+func TestValuesDoNotMove(t *testing.T) {
+	var tr Trie[[2]int]
+	first := tr.Insert(10<<24, 24)
+	*first = [2]int{7, 7}
+	ptrs := map[int]*[2]int{}
+	for i := 1; i <= 50000; i++ {
+		p := tr.Insert(10<<24|uint32(i)<<8, 24)
+		*p = [2]int{i, -i}
+		ptrs[i] = p
+	}
+	for i := 1; i <= 50000; i += 2 {
+		tr.Remove(10<<24|uint32(i)<<8, 24)
+		delete(ptrs, i)
+	}
+	for i := 50001; i <= 60000; i++ { // into the slots the odd ones left
+		p := tr.Insert(10<<24|uint32(i)<<8, 24)
+		*p = [2]int{i, -i}
+		ptrs[i] = p
+	}
+	if *first != [2]int{7, 7} || tr.Get(10<<24, 24) != first {
+		t.Fatalf("the first prefix's value reads %v through the held pointer, Get = %p, held %p", *first, tr.Get(10<<24, 24), first)
+	}
+	for i, p := range ptrs {
+		if *p != [2]int{i, -i} || tr.Get(10<<24|uint32(i)<<8, 24) != p {
+			t.Fatalf("prefix %d: held pointer reads %v", i, *p)
+		}
+	}
+}
+
+// TestRemovedSlotIsZeroedAndReused: Remove clears the value where it lies
+// (so what it pointed to is garbage at once, not when the slot is next
+// used), and the next new prefix gets that slot rather than a fresh one.
+func TestRemovedSlotIsZeroedAndReused(t *testing.T) {
+	var tr Trie[*int]
+	x := 5
+	a := tr.Insert(10<<24, 8)
+	*a = &x
+	tr.Insert(11<<24, 8)
+	if old, ok := tr.Remove(10<<24, 8); !ok || old != &x {
+		t.Fatalf("Remove = %p, %v; want the value held, %p", old, ok, &x)
+	}
+	if *a != nil {
+		t.Fatal("the removed prefix's slot still holds its pointer")
+	}
+	if b := tr.Insert(12<<24, 8); b != a || *b != nil {
+		t.Fatalf("the next insert got slot %p holding %v, want the freed slot %p holding nil", b, *b, a)
+	}
+	if got := len(tr.chunks); got != 1 {
+		t.Fatalf("three inserts and a remove took %d value chunks, want 1", got)
 	}
 }

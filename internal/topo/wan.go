@@ -493,9 +493,23 @@ func WANMultiAS(o MultiASOpts) (*Graph, error) {
 	// edge ASes and round-robin over each one's PoP routers.
 	if o.FullTablePrefixes > 0 {
 		edgeASes := []int{0, o.ASes - 1}
-		for k := 0; k < o.FullTablePrefixes; k++ {
+		owner := func(k int) *Node {
 			rs := routers[edgeASes[k%len(edgeASes)]]
-			r := rs[(k/len(edgeASes))%len(rs)]
+			return rs[(k/len(edgeASes))%len(rs)]
+		}
+		// Count each router's share first: grown by append, a 12 500-entry
+		// list is copied a dozen times on the way up.
+		share := make([]int, len(g.Nodes))
+		for k := 0; k < o.FullTablePrefixes; k++ {
+			share[owner(k).ID]++
+		}
+		for id, n := range share {
+			if n > 0 {
+				g.Nodes[id].Originate = make([]netip.Prefix, 0, n)
+			}
+		}
+		for k := 0; k < o.FullTablePrefixes; k++ {
+			r := owner(k)
 			r.Originate = append(r.Originate, fullTablePrefix(k))
 		}
 	}
