@@ -2,6 +2,9 @@ package horse
 
 import (
 	"net/netip"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -64,6 +67,37 @@ func TestCaptureBGPEndToEnd(t *testing.T) {
 	}
 	if sum.Last > res.Sim.VirtualEnd {
 		t.Errorf("capture timestamp %v beyond the run's virtual end %v", sum.Last, res.Sim.VirtualEnd)
+	}
+}
+
+// TestCaptureDirFailureIsRetryable pins where Run creates the capture
+// directory: before it builds the engine, so a directory that cannot be
+// created fails the Run without spending the Experiment, and the
+// corrected Run on the same Experiment succeeds.
+func TestCaptureDirFailureIsRetryable(t *testing.T) {
+	topo, err := TwoRouters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := NewExperiment(testConfig())
+	exp.SetTopology(topo)
+	exp.UseBGP(BGPOptions{})
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(file, "pcap") // beneath a regular file
+	exp.CaptureTo(bad)
+	if _, err := exp.Run(2 * Second); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Errorf("Run with capture dir %s: err = %v, want an error naming it", bad, err)
+	}
+	exp.CaptureTo("")
+	res, err := exp.Run(2 * Second)
+	if err != nil {
+		t.Fatalf("retry without capture: %v", err)
+	}
+	if res.RouteInstalls == 0 || len(res.CaptureFiles) != 0 {
+		t.Fatalf("retry: %d route installs, capture files %v; want installs and no files", res.RouteInstalls, res.CaptureFiles)
 	}
 }
 

@@ -17,15 +17,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// scenarioKind selects the control plane flavour.
-type scenarioKind int
-
-const (
-	scenarioNone scenarioKind = iota
-	scenarioBGP
-	scenarioSDN
-)
-
 // BGPOptions configures the BGP control plane. It is the Connection
 // Manager's own configuration, passed down unchanged.
 type BGPOptions = cm.BGPConfig
@@ -40,17 +31,13 @@ type Experiment struct {
 	captureDir string
 	logf       func(format string, args ...any)
 	g          *Topology
-	kind       scenarioKind
-	bgpOpts    BGPOptions
-	app        App
+	// wire starts the control plane UseBGP or UseSDN chose; nil until
+	// one is called.
+	wire       func(m *cm.Manager) error
 	flows      []traffic.Spec
-	injections []injection           // scheduled failure/dynamics events
-	extraRun   []func(e *Experiment) // test/ablation hooks
+	injections []injection // scheduled failure/dynamics events
 
-	// populated during Run
-	engine *sim.Engine
-	net    *netmodel.Network
-	mgr    *cm.Manager
+	mgr *cm.Manager // set by Run
 }
 
 // NewExperiment creates an experiment with the given clock configuration.
@@ -85,9 +72,10 @@ func (e *Experiment) SetLogf(logf func(format string, args ...any)) {
 // connection), every message framed as a synthesized TCP conversation
 // and stamped with its *delivery* virtual time — on WAN links that is
 // write time plus propagation delay, so UPDATE arrival times in the
-// trace are the convergence timeline. The directory is created on Run;
-// Result.CaptureFiles lists what was written. An empty dir records
-// nothing.
+// trace are the convergence timeline. Run creates the directory before
+// it builds anything else, so a Run that fails to create it may be
+// retried; Result.CaptureFiles lists what was written. An empty dir
+// records nothing.
 func (e *Experiment) CaptureTo(dir string) {
 	e.captureDir = dir
 }
@@ -95,15 +83,13 @@ func (e *Experiment) CaptureTo(dir string) {
 // UseBGP selects an emulated BGP control plane (requires a topology whose
 // forwarding nodes are routers).
 func (e *Experiment) UseBGP(opts BGPOptions) {
-	e.kind = scenarioBGP
-	e.bgpOpts = opts
+	e.wire = func(m *cm.Manager) error { return m.WireBGP(opts) }
 }
 
 // UseSDN selects an emulated OpenFlow control plane running the given app
 // (requires a topology whose forwarding nodes are switches).
 func (e *Experiment) UseSDN(app App) {
-	e.kind = scenarioSDN
-	e.app = app
+	e.wire = func(m *cm.Manager) error { return m.WireSDN(app.build()) }
 }
 
 // AddFlow schedules one flow between two named hosts.
@@ -149,18 +135,19 @@ func (e *Experiment) SendPermutation(seed int64, rate Rate, start, duration Time
 }
 
 // Run executes the experiment until the given virtual time and returns
-// the results. An Experiment runs once: link and node state live on the
-// topology, so a second Run would start from wherever the first run's
-// injections left it, and is refused instead. A Run that failed
-// validation — before anything was built — may be retried.
+// the results: build, wire, schedule, run the engine, collect. An
+// Experiment runs once: link and node state live on the topology, so a
+// second Run would start from wherever the first run's injections left
+// it, and is refused instead. A Run that failed before anything was
+// built (validation, or the capture directory) may be retried.
 func (e *Experiment) Run(until Time) (*Result, error) {
-	if e.engine != nil {
+	if e.mgr != nil {
 		return nil, fmt.Errorf("horse: Run called twice; build a new Experiment (and a new topology) per run")
 	}
 	if e.g == nil {
 		return nil, fmt.Errorf("horse: no topology")
 	}
-	if e.kind == scenarioNone {
+	if e.wire == nil {
 		return nil, fmt.Errorf("horse: no control plane scenario (UseBGP or UseSDN)")
 	}
 	if err := e.g.Validate(); err != nil {
@@ -168,88 +155,96 @@ func (e *Experiment) Run(until Time) (*Result, error) {
 	}
 
 	setupStart := time.Now()
-	e.engine = sim.New(sim.Config{
+	pcap, err := e.build()
+	if err != nil {
+		return nil, err
+	}
+	// These cover the error paths; collect stops and closes explicitly,
+	// and a second call of either is a no-op.
+	defer e.mgr.Stop()
+	if pcap != nil {
+		defer pcap.Close()
+	}
+	// Wire launches the emulated processes, like Horse booting its daemons:
+	// their first messages are queued control activity before the clock moves.
+	if err := e.wire(e.mgr); err != nil {
+		return nil, err
+	}
+	rs := &runState{until: until, pcap: pcap, setupWall: time.Since(setupStart)}
+	e.schedule(rs)
+	return e.collect(rs, e.mgr.Engine.Run(until))
+}
+
+// runState is what one Run gathers for its Result: written by schedule's
+// events on the engine goroutine, read by collect after the engine
+// returned.
+type runState struct {
+	until     Time
+	pcap      *capture.Capture
+	setupWall time.Duration
+	// flows keeps the scheduled flows for final reporting; finals
+	// records each stopped flow's last snapshot (the flow set recycles
+	// the slot on StopFlow, so the stop event is the only chance to read
+	// its delivered bytes).
+	flows        []*fluid.Flow
+	finals       map[fluid.FlowID]fluid.Flow
+	aggRx, minRx stats.Series
+}
+
+// build creates the capture, the engine, the network model and the
+// Connection Manager. The capture directory comes first: it is the one
+// step that can fail, and failing before e.mgr is set leaves the
+// Experiment retryable.
+func (e *Experiment) build() (pcap *capture.Capture, err error) {
+	if e.captureDir != "" {
+		if pcap, err = capture.New(e.captureDir); err != nil {
+			return nil, fmt.Errorf("horse: capture to %s: %w", e.captureDir, err)
+		}
+	}
+	engine := sim.New(sim.Config{
 		Pacing: e.cfg.Pacing,
 		// The emulated control plane boots in wall time at experiment
 		// start; begin in FTI so DES cannot outrun it (paper §2).
 		StartInFTI: true,
 	})
-	e.net = netmodel.New(e.g)
-	e.mgr = cm.New(e.engine, e.net, e.logf)
-	defer e.mgr.Stop()
-
-	var pcap *capture.Capture
-	if e.captureDir != "" {
-		var err error
-		pcap, err = capture.New(e.captureDir)
-		if err != nil {
-			return nil, err
-		}
+	e.mgr = cm.New(engine, netmodel.New(e.g), e.logf)
+	if pcap != nil {
 		e.mgr.SetCapture(pcap)
-		// The deferred Close covers the wiring error paths (sessions may
-		// already hold open files); the success path closes explicitly
-		// below to surface write errors, and a second Close is a no-op.
-		defer pcap.Close()
 	}
+	return pcap, nil
+}
 
-	// Wire the control plane. This launches the emulated processes; their
-	// first messages are already queued as control activity when the
-	// engine starts, exactly like Horse booting Quagga/controller
-	// processes at experiment start.
-	switch e.kind {
-	case scenarioBGP:
-		if err := e.mgr.WireBGP(e.bgpOpts); err != nil {
-			return nil, err
-		}
-	case scenarioSDN:
-		if err := e.mgr.WireSDN(e.app.build()); err != nil {
-			return nil, err
-		}
-	}
-	setupWall := time.Since(setupStart)
-
-	// Schedule the workload.
+// schedule posts the run's events: flow starts and stops, then the
+// injections, then the sampler. Events due at the same instant run in
+// the order they were scheduled, so an injection at t sees the flows
+// that start at t, and the sampler's tick at t sees both.
+func (e *Experiment) schedule(rs *runState) {
+	m := e.mgr
 	hosts := e.g.Hosts()
-	specs := e.flows
-	result := &Result{
-		Topology:  e.g.Size(),
-		SetupWall: setupWall,
-	}
-	result.AggregateRx = &stats.Series{Name: "aggregate-rx"}
-	result.MinHostRx = &stats.Series{Name: "min-host-rx"}
-	// flowSpecs keeps the scheduled specs for final reporting; finals
-	// records each stopped flow's last snapshot (the flow set recycles
-	// the slot on StopFlow, so the stop event is the only chance to read
-	// its delivered bytes).
-	var flowSpecs []*fluid.Flow
-	finals := make(map[fluid.FlowID]fluid.Flow)
-
-	e.engine.PostData(func() {
-		for i, spec := range specs {
+	rs.finals = make(map[fluid.FlowID]fluid.Flow)
+	rs.aggRx.Name, rs.minRx.Name = "aggregate-rx", "min-host-rx"
+	m.Engine.PostData(func() {
+		for i, spec := range e.flows {
 			if spec.SrcHost >= len(hosts) || spec.DstHost >= len(hosts) {
 				continue
 			}
-			id := fluid.FlowID(i + 1)
-			src := hosts[spec.SrcHost]
-			dst := hosts[spec.DstHost]
+			src, dst := hosts[spec.SrcHost], hosts[spec.DstHost]
 			f := &fluid.Flow{
-				ID: id,
+				ID: fluid.FlowID(i + 1),
 				Tuple: core.FiveTuple{
 					Src: src.IP, Dst: dst.IP, Proto: spec.Proto,
 					SrcPort: spec.SrcPort, DstPort: spec.DstPort,
 				},
 				Src: src.ID, Dst: dst.ID, Demand: spec.Rate,
 			}
-			flowSpecs = append(flowSpecs, f)
-			start := spec.Start
-			dur := spec.Duration
-			e.engine.Schedule(start, func() {
-				e.net.StartFlow(f, e.engine.Now())
+			rs.flows = append(rs.flows, f)
+			m.Engine.Schedule(spec.Start, func() {
+				m.Net.StartFlow(f, m.Engine.Now())
 			})
-			if dur > 0 {
-				e.engine.Schedule(start+dur, func() {
-					if final, ok := e.net.StopFlow(f.ID, e.engine.Now()); ok {
-						finals[f.ID] = final
+			if spec.Duration > 0 {
+				m.Engine.Schedule(spec.Start+spec.Duration, func() {
+					if final, ok := m.Net.StopFlow(f.ID, m.Engine.Now()); ok {
+						rs.finals[f.ID] = final
 					}
 				})
 			}
@@ -260,16 +255,16 @@ func (e *Experiment) Run(until Time) (*Result, error) {
 		// reacting.
 		for _, inj := range e.injections {
 			apply := inj.apply
-			e.engine.Schedule(inj.at, func() { apply(e.mgr) })
+			m.Engine.Schedule(inj.at, func() { apply(m) })
 		}
 		// Aggregate receive rate sampling. RxRateByDst refills the
 		// network's reused per-destination map each tick (no per-tick
 		// allocation); its minimum is the fairness floor series.
 		var sample func()
 		sample = func() {
-			now := e.engine.Now()
-			rx := e.net.RxRateByDst(now) // integrates up to now
-			result.AggregateRx.Add(now, float64(e.net.Flows.AggregateRx()))
+			now := m.Engine.Now()
+			rx := m.Net.RxRateByDst(now) // integrates up to now
+			rs.aggRx.Add(now, float64(m.Net.Flows.AggregateRx()))
 			if len(rx) > 0 {
 				minRx := math.Inf(1)
 				for _, r := range rx {
@@ -277,35 +272,54 @@ func (e *Experiment) Run(until Time) (*Result, error) {
 						minRx = float64(r)
 					}
 				}
-				result.MinHostRx.Add(now, minRx)
+				rs.minRx.Add(now, minRx)
 			}
-			if now < until {
-				e.engine.After(e.cfg.SampleInterval, sample)
+			if now < rs.until {
+				m.Engine.After(e.cfg.SampleInterval, sample)
 			}
 		}
-		e.engine.Schedule(0, sample)
+		m.Engine.Schedule(0, sample)
 	})
+}
 
-	for _, hook := range e.extraRun {
-		hook(e)
+// collect turns the finished run into its Result: it integrates, snapshots
+// the flows and reads the counters, and only then tears the emulated plane
+// down, timed, so the sessions' closing messages are not booked to the run.
+func (e *Experiment) collect(rs *runState, simStats sim.Stats) (*Result, error) {
+	m := e.mgr
+	flows := m.Net.Flows
+	flows.Integrate(simStats.VirtualEnd)
+	res := &Result{
+		Topology:        e.g.Size(),
+		Sim:             simStats,
+		SetupWall:       rs.setupWall,
+		AggregateRx:     &rs.aggRx,
+		MinHostRx:       &rs.minRx,
+		PerHostRxBytes:  make(map[string]uint64),
+		MeanPathLatency: flows.MeanPathLatency(),
+		Solves:          flows.Solves(),
+		Solver:          flows.Totals(),
+		Injections:      m.Stats.Injections.Load(),
+		ControlBytes:    m.Stats.ControlBytes.Load(),
+		ControlWrites:   m.Stats.ControlWrites.Load(),
+		RouteInstalls:   m.Stats.RouteInstalls.Load(),
+		RouteWithdraws:  m.Stats.RouteWithdraws.Load(),
+		FlowModsApplied: m.Stats.FlowModsApplied.Load(),
+		PacketIns:       m.Stats.PacketIns.Load(),
+		StatsQueries:    m.Stats.StatsQueries.Load(),
+		Drops:           m.Net.Drops(),
 	}
-
-	simStats := e.engine.Run(until)
-
-	// Final integration and flow accounting.
-	e.net.Flows.Integrate(simStats.VirtualEnd)
-	result.PerHostRxBytes = make(map[string]uint64)
-	for _, f := range e.net.Flows.Flows() {
+	for _, f := range flows.Flows() {
 		if dst := e.g.Node(f.Dst); dst != nil {
-			result.PerHostRxBytes[dst.Name] += f.Bytes
+			res.PerHostRxBytes[dst.Name] += f.Bytes
 		}
 	}
-	for _, f := range flowSpecs {
-		snap, live := e.net.Flows.Flow(f.ID)
+	for _, f := range rs.flows {
+		snap, live := flows.Flow(f.ID)
 		if !live {
 			// Stopped mid-run (final snapshot recorded at the stop
 			// event) or never started (zero value: pending, no bytes).
-			snap = finals[f.ID]
+			snap = rs.finals[f.ID]
 		}
 		fr := FlowResult{
 			Tuple: f.Tuple,
@@ -313,41 +327,24 @@ func (e *Experiment) Run(until Time) (*Result, error) {
 			Rate:  snap.Rate,
 			State: snap.State.String(),
 		}
-		if until > 0 {
-			fr.AvgRate = Rate(float64(snap.Bytes*8) / until.Seconds())
+		if rs.until > 0 {
+			fr.AvgRate = Rate(float64(snap.Bytes*8) / rs.until.Seconds())
 		}
-		if lat, ok := e.net.Flows.PathLatency(f.ID); ok {
+		if lat, ok := flows.PathLatency(f.ID); ok {
 			fr.PathLatency = lat
 		}
-		result.Flows = append(result.Flows, fr)
+		res.Flows = append(res.Flows, fr)
 	}
-	result.MeanPathLatency = e.net.Flows.MeanPathLatency()
-	result.Sim = simStats
-	result.Solves = e.net.Flows.Solves()
-	result.Solver = e.net.Flows.Totals()
-	result.Injections = e.mgr.Stats.Injections.Load()
-	result.ControlBytes = e.mgr.Stats.ControlBytes.Load()
-	result.ControlWrites = e.mgr.Stats.ControlWrites.Load()
-	result.RouteInstalls = e.mgr.Stats.RouteInstalls.Load()
-	result.RouteWithdraws = e.mgr.Stats.RouteWithdraws.Load()
-	result.FlowModsApplied = e.mgr.Stats.FlowModsApplied.Load()
-	result.PacketIns = e.mgr.Stats.PacketIns.Load()
-	result.StatsQueries = e.mgr.Stats.StatsQueries.Load()
-	result.Drops = e.net.Drops()
-	// Tear the emulated plane down here, timed, rather than in the defer
-	// (which stays for the error paths; a second Stop is a no-op): after
-	// the counters above are read, so the sessions' closing withdrawals
-	// are not booked to the run.
 	teardownStart := time.Now()
-	e.mgr.Stop()
-	result.TeardownWall = time.Since(teardownStart)
-	if pcap != nil {
-		result.CaptureFiles = pcap.Files()
-		if err := pcap.Close(); err != nil {
-			return result, fmt.Errorf("horse: closing capture: %w", err)
+	m.Stop()
+	res.TeardownWall = time.Since(teardownStart)
+	if rs.pcap != nil {
+		res.CaptureFiles = rs.pcap.Files()
+		if err := rs.pcap.Close(); err != nil {
+			return res, fmt.Errorf("horse: closing capture: %w", err)
 		}
 	}
-	return result, nil
+	return res, nil
 }
 
 // Manager exposes the Connection Manager; nil before Run.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cm"
 	"repro/internal/fluid"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -215,6 +216,45 @@ func TestRunTwiceRefused(t *testing.T) {
 	}
 }
 
+// TestScheduleOrderAtOneInstant pins the order in which Run schedules
+// events that fall on the same virtual instant: an injection at t = 0
+// sees the flows starting at t = 0 and none later, and an injection at
+// the horizon runs before the sampler's last tick (armed during the run,
+// so queued behind it) and before collect reads the counters.
+func TestScheduleOrderAtOneInstant(t *testing.T) {
+	topo, err := Star(4, SDN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := NewExperiment(testConfig())
+	exp.SetTopology(topo)
+	exp.UseSDN(AppReactive())
+	for i, src := range []string{"h0", "h2", "h3"} { // h3 starts at 1s
+		if err := exp.AddFlow(src, "h1", 100*Mbps, Time(i/2)*Second, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	started := -1
+	exp.addInjection(0, func(m *cm.Manager) { started = len(m.Net.Flows.Flows()) })
+	const until = 2 * Second
+	if err := exp.At(until).SetLinkRate("h1", "s0", 10*Mbps); err != nil {
+		t.Fatal(err)
+	}
+	res, err := exp.Run(until)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if started != 2 {
+		t.Errorf("injection at t=0 saw %d flows, want the 2 starting at t=0", started)
+	}
+	if res.Injections != 1 {
+		t.Errorf("injections = %d, want the one at the horizon", res.Injections)
+	}
+	if last := res.AggregateRx.Last(); last.At != until || last.Value != float64(10*Mbps) {
+		t.Errorf("last sample %v at %v, want %v at the horizon", Rate(last.Value), last.At, 10*Mbps)
+	}
+}
+
 func TestFlowWithDuration(t *testing.T) {
 	topo, err := Star(4, SDN())
 	if err != nil {
@@ -302,16 +342,11 @@ func TestRouterFailureWithdrawsRoutes(t *testing.T) {
 	if err := exp.AddFlow("h1", "h2", 500*Mbps, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Schedule the crash at 5s virtual through the run hook.
-	exp.extraRun = append(exp.extraRun, func(e *Experiment) {
-		r2, _ := e.g.NodeByName("r2")
-		e.engine.PostData(func() {
-			e.engine.Schedule(5*Second, func() {
-				e.engine.MarkControl() // the crash is a control plane event
-				sp := e.mgr.Speaker(r2.ID)
-				go sp.Stop()
-			})
-		})
+	// Crash r2's daemon at 5s virtual.
+	r2, _ := topo.NodeByName("r2")
+	exp.addInjection(5*Second, func(m *cm.Manager) {
+		m.Engine.MarkControl() // the crash is a control plane event
+		go m.Speaker(r2.ID).Stop()
 	})
 	res, err := exp.Run(30 * Second)
 	if err != nil {
@@ -368,13 +403,12 @@ func TestPerHostRxBytes(t *testing.T) {
 }
 
 // useNaiveSolver switches exp's data plane to the from-scratch reference
-// solver (fluid.Set.SetNaive) through the run hook, before the engine
-// starts and any flow exists. The reference solver is test scaffolding:
-// no Config field or CLI flag reaches it.
+// solver (fluid.Set.SetNaive) at t = 0. The injection runs after the
+// flows starting at t = 0 and SetNaive marks every flow dirty, so the
+// next solve is a full naive one. The reference solver is test
+// scaffolding: no Config field or CLI flag reaches it.
 func useNaiveSolver(exp *Experiment, naive bool) {
-	exp.extraRun = append(exp.extraRun, func(e *Experiment) {
-		e.net.Flows.SetNaive(naive)
-	})
+	exp.addInjection(0, func(m *cm.Manager) { m.Net.Flows.SetNaive(naive) })
 }
 
 // TestNaiveSolverParity runs the same proactive-ECMP demo with the
@@ -402,8 +436,8 @@ func TestNaiveSolverParity(t *testing.T) {
 		if res.Solves == 0 {
 			t.Fatal("solver never ran")
 		}
-		if exp.net.Flows.Naive() != naive {
-			t.Fatalf("run used naive=%v, want %v", exp.net.Flows.Naive(), naive)
+		if got := exp.Manager().Net.Flows.Naive(); got != naive {
+			t.Fatalf("run used naive=%v, want %v", got, naive)
 		}
 		return res
 	}
@@ -821,20 +855,16 @@ func TestNodeUpDoesNotReviveScriptedLinkDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	var linkStates []bool
-	exp.extraRun = append(exp.extraRun, func(e *Experiment) {
-		e.engine.PostData(func() {
-			check := func(at Time) {
-				e.engine.Schedule(at, func() {
-					r0, _ := e.g.NodeByName("r0")
-					r1, _ := e.g.NodeByName("r1")
-					ab := e.g.CableBetween(r0.ID, r1.ID)
-					linkStates = append(linkStates, e.g.LinkAlive(ab.ID))
-				})
-			}
-			check(10 * Second) // after NodeUp, before LinkUp
-			check(13 * Second) // after LinkUp
+	r0, _ := topo.NodeByName("r0")
+	r1, _ := topo.NodeByName("r1")
+	ab := topo.CableBetween(r0.ID, r1.ID)
+	check := func(at Time) {
+		exp.addInjection(at, func(m *cm.Manager) {
+			linkStates = append(linkStates, m.G.LinkAlive(ab.ID))
 		})
-	})
+	}
+	check(10 * Second) // after NodeUp, before LinkUp
+	check(13 * Second) // after LinkUp
 	res, err := exp.Run(15 * Second)
 	if err != nil {
 		t.Fatal(err)
@@ -918,20 +948,16 @@ func TestLinkDownDuringNodeOutageSurvivesNodeUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	var alive []bool
-	exp.extraRun = append(exp.extraRun, func(e *Experiment) {
-		e.engine.PostData(func() {
-			check := func(at Time) {
-				e.engine.Schedule(at, func() {
-					r0, _ := e.g.NodeByName("r0")
-					r1, _ := e.g.NodeByName("r1")
-					ab := e.g.CableBetween(r0.ID, r1.ID)
-					alive = append(alive, e.g.LinkAlive(ab.ID))
-				})
-			}
-			check(8 * Second)  // after NodeUp: must still be down
-			check(11 * Second) // after its own LinkUp: restored
+	r0, _ := topo.NodeByName("r0")
+	r1, _ := topo.NodeByName("r1")
+	ab := topo.CableBetween(r0.ID, r1.ID)
+	check := func(at Time) {
+		exp.addInjection(at, func(m *cm.Manager) {
+			alive = append(alive, m.G.LinkAlive(ab.ID))
 		})
-	})
+	}
+	check(8 * Second)  // after NodeUp: must still be down
+	check(11 * Second) // after its own LinkUp: restored
 	res, err := exp.Run(13 * Second)
 	if err != nil {
 		t.Fatal(err)
@@ -973,20 +999,16 @@ func TestAdjacentNodeOutagesDeferSharedCable(t *testing.T) {
 		t.Fatal(err)
 	}
 	var alive []bool
-	exp.extraRun = append(exp.extraRun, func(e *Experiment) {
-		e.engine.PostData(func() {
-			check := func(at Time) {
-				e.engine.Schedule(at, func() {
-					r1, _ := e.g.NodeByName("r1")
-					r2, _ := e.g.NodeByName("r2")
-					ab := e.g.CableBetween(r1.ID, r2.ID)
-					alive = append(alive, e.g.LinkAlive(ab.ID))
-				})
-			}
-			check(8 * Second)  // r1 up, r2 still down: shared cable must stay dead
-			check(11 * Second) // both up: restored
+	r1, _ := topo.NodeByName("r1")
+	r2, _ := topo.NodeByName("r2")
+	ab := topo.CableBetween(r1.ID, r2.ID)
+	check := func(at Time) {
+		exp.addInjection(at, func(m *cm.Manager) {
+			alive = append(alive, m.G.LinkAlive(ab.ID))
 		})
-	})
+	}
+	check(8 * Second)  // r1 up, r2 still down: shared cable must stay dead
+	check(11 * Second) // both up: restored
 	res, err := exp.Run(14 * Second)
 	if err != nil {
 		t.Fatal(err)
