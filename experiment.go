@@ -401,8 +401,10 @@ type Result struct {
 	StatsQueries    uint64
 	Drops           uint64
 
-	// Injections counts applied failure/dynamics events (LinkDown,
-	// LinkUp, SetLinkRate, node transitions, flaps).
+	// Injections counts one per cable whose liveness an outage injection
+	// (LinkDown, LinkUp, NodeDown, NodeUp, flaps) changed, plus one per
+	// SetLinkRate: a NodeDown on a node with three live cables counts 3,
+	// a LinkDown on a cable already dead counts 0.
 	Injections uint64
 
 	// CaptureFiles lists the pcapng traces the run wrote (empty unless

@@ -130,8 +130,9 @@ func (p *InjectionPoint) NodeDown(name string) error {
 	return nil
 }
 
-// NodeUp restores a crashed node and its links; the control plane
-// re-converges around it.
+// NodeUp restores a crashed node and every link of it whose far end is
+// up and which no LinkDown holds; the control plane re-converges around
+// it.
 func (p *InjectionPoint) NodeUp(name string) error {
 	n, err := p.node(name)
 	if err != nil {

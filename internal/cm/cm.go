@@ -47,7 +47,9 @@ type Stats struct {
 	FlowModsApplied atomic.Uint64
 	PacketIns       atomic.Uint64
 	StatsQueries    atomic.Uint64
-	Injections      atomic.Uint64
+	// Injections counts one per cable whose liveness an outage injection
+	// changed (notifyCable) plus one per CableRate.
+	Injections atomic.Uint64
 }
 
 // Manager is the Connection Manager.
@@ -85,12 +87,6 @@ type Manager struct {
 	// routes is where every speaker's Loc-RIB changes wait for the engine
 	// goroutine (applyRoute, drainRoutes).
 	routes routeQueue
-
-	// nodeDowned records, per crashed node, the cables that NodeDown
-	// itself failed — NodeUp restores exactly those, so an independent
-	// scripted LinkDown that predates (or outlives) the node outage is
-	// not silently revived. Engine goroutine only.
-	nodeDowned map[core.NodeID][]*topo.Link
 }
 
 // New creates a Connection Manager bridging the given engine and
@@ -100,13 +96,12 @@ func New(engine *sim.Engine, net *netmodel.Network, logf func(string, ...any)) *
 		logf = func(string, ...any) {}
 	}
 	m := &Manager{
-		Engine:     engine,
-		Net:        net,
-		G:          net.G,
-		Logf:       logf,
-		speakers:   make(map[core.NodeID]*bgp.Speaker),
-		agents:     make(map[core.NodeID]*openflow.Agent),
-		nodeDowned: make(map[core.NodeID][]*topo.Link),
+		Engine:   engine,
+		Net:      net,
+		G:        net.G,
+		Logf:     logf,
+		speakers: make(map[core.NodeID]*bgp.Speaker),
+		agents:   make(map[core.NodeID]*openflow.Agent),
 	}
 	engine.SetInFlight(m.ledger.InFlight)
 	net.OnPacketIn = m.handlePacketIn
@@ -630,74 +625,24 @@ func (m *Manager) expireLoop() {
 // clock enters FTI and the emulated processes react in wall time.
 // Engine goroutine only (injections are scheduled simulation events).
 
-// CableDown fails the cable containing the directed link ab.
-func (m *Manager) CableDown(ab *topo.Link) {
-	m.Engine.MarkControl()
-	if !m.Net.SetCableState(ab.ID, true, m.Engine.Now()) {
-		// Already down — e.g. a node outage took the cable with it. The
-		// explicit down-intent still matters: strip the cable from any
-		// node's restore list so NodeUp does not revive it; only its own
-		// LinkUp will.
-		m.forgetNodeDowned(ab)
-		return
-	}
-	m.Stats.Injections.Add(1)
-	m.notifyCable(ab, true)
-	m.scheduleFlush()
-}
+// The four outage injections — CableDown, CableUp, NodeDown, NodeUp —
+// flip one flag in the topology (netmodel.SetCableState/SetNodeState)
+// and notify the control plane of each cable whose liveness that
+// changed. The CM keeps no outage state of its own.
 
-// forgetNodeDowned removes a cable from every crashed node's restore
-// list.
-func (m *Manager) forgetNodeDowned(ab *topo.Link) {
-	for id, links := range m.nodeDowned {
-		kept := links[:0]
-		for _, l := range links {
-			if l.ID != ab.ID && l.ID != ab.Reverse {
-				kept = append(kept, l)
-			}
-		}
-		m.nodeDowned[id] = kept
-	}
-}
+// CableDown fails the cable containing the directed link ab.
+func (m *Manager) CableDown(ab *topo.Link) { m.setCable(ab, true) }
 
 // CableUp repairs the cable containing ab: capacity returns, BGP
 // sessions re-peer over a fresh transport, switches report the port up.
-//
-// A cable cannot come up while an endpoint node is crashed — plugging a
-// cable back into a dead router does nothing until the router boots. In
-// that case the up-intent is recorded on the crashed node's restore
-// list and NodeUp completes the repair (this also covers two adjacent
-// crashed nodes: the first NodeUp defers their shared cable to the
-// second).
-func (m *Manager) CableUp(ab *topo.Link) {
-	m.Engine.MarkControl()
-	from := m.G.Node(ab.From)
-	to := m.G.Node(ab.To)
-	if from.Down() || to.Down() {
-		for _, n := range []*topo.Node{from, to} {
-			if n.Down() && !m.restoreListed(n.ID, ab) {
-				m.nodeDowned[n.ID] = append(m.nodeDowned[n.ID], ab)
-			}
-		}
-		return
-	}
-	if !m.Net.SetCableState(ab.ID, false, m.Engine.Now()) {
-		return
-	}
-	m.Stats.Injections.Add(1)
-	m.notifyCable(ab, false)
-	m.scheduleFlush()
-}
+func (m *Manager) CableUp(ab *topo.Link) { m.setCable(ab, false) }
 
-// restoreListed reports whether the cable is already on a crashed
-// node's restore list.
-func (m *Manager) restoreListed(id core.NodeID, ab *topo.Link) bool {
-	for _, l := range m.nodeDowned[id] {
-		if l.ID == ab.ID || l.ID == ab.Reverse {
-			return true
-		}
+func (m *Manager) setCable(ab *topo.Link, down bool) {
+	m.Engine.MarkControl()
+	if m.Net.SetCableState(ab.ID, down, m.Engine.Now()) {
+		m.notifyCable(ab, down)
 	}
-	return false
+	m.scheduleFlush()
 }
 
 // CableRate changes the capacity of the cable containing ab (both
@@ -710,45 +655,29 @@ func (m *Manager) CableRate(ab *topo.Link, rate core.Rate) {
 	m.Net.SetCableRate(ab.ID, rate, m.Engine.Now())
 }
 
-// NodeDown fails a node: every attached cable goes down (sessions reset,
-// PORT_STATUS floods from the surviving neighbors) and the node stops
-// forwarding. The node's emulated process keeps running but is isolated,
+// NodeDown fails a node: it stops forwarding and every live attached
+// cable dies with it (sessions reset, PORT_STATUS from the surviving
+// neighbors). The node's emulated process keeps running but is isolated,
 // like a router whose every interface lost carrier.
-func (m *Manager) NodeDown(id core.NodeID) {
-	node := m.G.Node(id)
-	if node == nil || node.Down() {
-		return
+func (m *Manager) NodeDown(id core.NodeID) { m.setNode(id, true) }
+
+// NodeUp restores a node and with it every attached cable whose far end
+// is up and which no LinkDown holds; BGP sessions re-peer and the control
+// plane re-converges.
+func (m *Manager) NodeUp(id core.NodeID) { m.setNode(id, false) }
+
+func (m *Manager) setNode(id core.NodeID, down bool) {
+	m.Engine.MarkControl()
+	for _, l := range m.Net.SetNodeState(id, down, m.Engine.Now()) {
+		m.notifyCable(l, down)
 	}
-	var downed []*topo.Link
-	for _, p := range node.Ports {
-		if l := m.G.Link(p.Link); l != nil && !l.Down() {
-			m.CableDown(l)
-			downed = append(downed, l)
-		}
-	}
-	m.nodeDowned[id] = downed
-	m.Net.SetNodeState(id, true, m.Engine.Now())
 	m.scheduleFlush()
 }
 
-// NodeUp restores a node and the cables its NodeDown failed (cables
-// failed by an independent LinkDown stay down until their own LinkUp);
-// BGP sessions re-peer and the control plane re-converges.
-func (m *Manager) NodeUp(id core.NodeID) {
-	node := m.G.Node(id)
-	if node == nil || !node.Down() {
-		return
-	}
-	m.Net.SetNodeState(id, false, m.Engine.Now())
-	for _, l := range m.nodeDowned[id] {
-		m.CableUp(l)
-	}
-	delete(m.nodeDowned, id)
-	m.scheduleFlush()
-}
-
-// notifyCable delivers the control plane's view of a cable transition.
+// notifyCable counts a cable whose liveness changed as one injection and
+// delivers the control plane's view of it.
 func (m *Manager) notifyCable(ab *topo.Link, down bool) {
+	m.Stats.Injections.Add(1)
 	from := m.G.Node(ab.From)
 	to := m.G.Node(ab.To)
 	pa := m.G.Port(ab.From, ab.FromPort)

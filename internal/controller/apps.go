@@ -303,7 +303,7 @@ func installPath(ctx *Context, ft core.FiveTuple, path []core.LinkID) {
 		if from == nil || from.Kind != topo.Switch {
 			continue
 		}
-		sw, ok := ctx.Ctl.Switch(dpidOf(l.From))
+		sw, ok := ctx.Ctl.Switch(DPIDOf(l.From))
 		if !ok {
 			continue
 		}
@@ -323,7 +323,7 @@ func (a *HederaApp) poll() {
 	var edges []*SwitchHandle
 	for _, n := range g.Switches() {
 		if n.Layer == topo.LayerEdge {
-			if sw, ok := a.ctx.Ctl.Switch(dpidOf(n.ID)); ok && sw.Ready() {
+			if sw, ok := a.ctx.Ctl.Switch(DPIDOf(n.ID)); ok && sw.Ready() {
 				edges = append(edges, sw)
 			}
 		}
@@ -511,16 +511,13 @@ func sortTuples(ts []core.FiveTuple) {
 	})
 }
 
-// dpidOf maps a topology node to its datapath id; the Connection Manager
-// uses the same mapping when wiring agents.
-func dpidOf(n core.NodeID) uint64 { return uint64(n) + 1 }
-
-// DPIDOf is the exported form for the harness.
-func DPIDOf(n core.NodeID) uint64 { return dpidOf(n) }
+// DPIDOf maps a topology node to its datapath id; the Connection Manager
+// uses it when wiring agents, and the apps to address switches.
+func DPIDOf(n core.NodeID) uint64 { return uint64(n) + 1 }
 
 // ---------------------------------------------------------------------------
-// Reactive shortest-path app (used by examples and as a Hedera baseline
-// without the scheduler)
+// Reactive shortest-path app (the reactive scenario, and a Hedera
+// baseline without the scheduler)
 // ---------------------------------------------------------------------------
 
 // ReactiveApp pins each new flow to a hash-chosen shortest path, with no

@@ -358,43 +358,30 @@ func (n *Network) RxRateByDst(now core.Time) map[core.NodeID]core.Rate {
 // Failure & dynamics injection
 // ---------------------------------------------------------------------------
 
-// SetCableState fails (down=true) or restores (down=false) the cable
-// containing the directed link ab, applying the data plane consequences
-// in one batch:
-//
-//   - both directions' effective capacity drops to zero / returns to the
-//     configured rate (a single dirty-region solve via fluid.SetCapacity);
-//   - on failure, the adjacent nodes' forwarding state over the dead
-//     cable is invalidated: routers prune FIB next hops through the dead
-//     port (kernel-style interface-down cleanup), switches drop
-//     exact/output entries into it (their flows re-punt to the
-//     controller for repair);
-//   - flows are rerouted (immediately, or on the next FlushReroutes when
-//     the Connection Manager coalesces).
-//
-// Control plane notifications (BGP session teardown, OpenFlow
-// PORT_STATUS) are the Connection Manager's job, layered on top. It
-// reports whether the cable state actually changed.
+// Outage state is two flags and one predicate: a cable's link flags
+// record LinkDown/LinkUp, a node's flag NodeDown/NodeUp, and
+// Graph.LinkAlive composes them, so a LinkDown outlives a NodeUp and a
+// cable between two crashed nodes waits for the second NodeUp.
+// SetCableState and SetNodeState apply the data plane consequences to
+// exactly the cables whose liveness changed; control plane notifications
+// are the Connection Manager's job.
+
+// SetCableState records a LinkDown (down=true) or LinkUp (down=false) on
+// the cable containing the directed link ab. It reports whether the
+// cable's liveness changed; only then are the consequences applied (see
+// applyLiveness).
 func (n *Network) SetCableState(ab core.LinkID, down bool, now core.Time) bool {
 	l := n.G.Link(ab)
 	if l == nil {
 		return false
 	}
-	rev := n.G.Link(l.Reverse)
-	if l.Down() == down && rev.Down() == down {
+	was := n.G.LinkAlive(ab)
+	l.SetDown(down)
+	n.G.Link(l.Reverse).SetDown(down)
+	if n.G.LinkAlive(ab) == was {
 		return false
 	}
-	l.SetDown(down)
-	rev.SetDown(down)
-	n.Flows.Defer()
-	n.Flows.SetCapacity(l.ID, n.effectiveRate(l.ID), now)
-	n.Flows.SetCapacity(rev.ID, n.effectiveRate(rev.ID), now)
-	if down {
-		n.invalidatePort(l.From, l.FromPort)
-		n.invalidatePort(rev.From, rev.FromPort)
-	}
-	n.Flows.Resume(now)
-	n.maybeReroute(now)
+	n.applyLiveness([]*topo.Link{l}, now)
 	return true
 }
 
@@ -416,26 +403,56 @@ func (n *Network) SetCableRate(ab core.LinkID, rate core.Rate, now core.Time) {
 	n.Flows.Resume(now)
 }
 
-// SetNodeState fails or restores a node itself. The caller (the
-// Connection Manager) is responsible for also failing/restoring the
-// node's cables so sessions reset and PORT_STATUS fires; this method
-// only flips the node flag and refreshes adjacent capacities so the
-// fluid layer agrees with LinkAlive.
-func (n *Network) SetNodeState(id core.NodeID, down bool, now core.Time) bool {
+// SetNodeState records a NodeDown (down=true) or NodeUp (down=false). It
+// returns the node's cables whose liveness changed, as the directed links
+// leaving it, in port order (nil if the node was already in that state):
+// those alive with the node up. A cable failed by its own LinkDown, or
+// whose far end is down, is not among them.
+func (n *Network) SetNodeState(id core.NodeID, down bool, now core.Time) []*topo.Link {
 	node := n.G.Node(id)
 	if node == nil || node.Down() == down {
-		return false
+		return nil
+	}
+	// Read liveness with the node up: a failing node still is, a restored
+	// one ends up so, and concurrent readers never see another state.
+	node.SetDown(false)
+	var changed []*topo.Link
+	for _, p := range node.Ports {
+		if n.G.LinkAlive(p.Link) {
+			changed = append(changed, n.G.Link(p.Link))
+		}
 	}
 	node.SetDown(down)
+	n.applyLiveness(changed, now)
+	return changed
+}
+
+// applyLiveness brings the data plane in line with cables whose liveness
+// just changed, in one solve batch:
+//
+//   - both directions' capacity is set to their effective rate: zero on a
+//     dead cable, the configured rate on a live one (a dirty-region solve
+//     via fluid.SetCapacity);
+//   - on a dead cable, the forwarding state over it is invalidated at both
+//     ends: routers prune FIB next hops through the dead port
+//     (kernel-style interface-down cleanup), switches drop exact/output
+//     entries into it (their flows re-punt to the controller for repair);
+//
+// then flows are rerouted (immediately, or on the next FlushReroutes when
+// the Connection Manager coalesces).
+func (n *Network) applyLiveness(cables []*topo.Link, now core.Time) {
 	n.Flows.Defer()
-	for _, p := range node.Ports {
-		l := n.G.Link(p.Link)
+	for _, l := range cables {
+		rev := n.G.Link(l.Reverse)
 		n.Flows.SetCapacity(l.ID, n.effectiveRate(l.ID), now)
-		n.Flows.SetCapacity(l.Reverse, n.effectiveRate(l.Reverse), now)
+		n.Flows.SetCapacity(rev.ID, n.effectiveRate(rev.ID), now)
+		if !n.G.LinkAlive(l.ID) {
+			n.invalidatePort(l.From, l.FromPort)
+			n.invalidatePort(rev.From, rev.FromPort)
+		}
 	}
 	n.Flows.Resume(now)
 	n.maybeReroute(now)
-	return true
 }
 
 // invalidatePort removes forwarding state through a dead port on one

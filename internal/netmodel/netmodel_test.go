@@ -725,17 +725,24 @@ func TestSetNodeStateKillsTransit(t *testing.T) {
 	if f.State != fluid.Active {
 		t.Fatalf("flow state = %v", f.State)
 	}
-	if !n.SetNodeState(sw.ID, true, core.Second) {
+	if len(n.SetNodeState(sw.ID, true, core.Second)) == 0 {
 		t.Fatal("SetNodeState reported no change")
 	}
 	if got := flowOf(t, n, 1); got.State != fluid.Pending || got.Rate != 0 {
 		t.Fatalf("flow through dead switch: state=%v rate=%v", got.State, got.Rate)
 	}
 	// Idempotent.
-	if n.SetNodeState(sw.ID, true, core.Second) {
+	if len(n.SetNodeState(sw.ID, true, core.Second)) != 0 {
 		t.Fatal("second SetNodeState(true) reported a change")
 	}
 	n.SetNodeState(sw.ID, false, 2*core.Second)
+	// The outage pruned the entry outputting into the dead switch's port;
+	// the controller would reinstall it.
+	must(t, n.ApplyFlowMod(sw.ID, FlowMod{Kind: FlowModAdd, Entry: flowtable.Entry{
+		Priority: 100,
+		Match:    flowtable.MatchAll(),
+		Actions:  []flowtable.Action{{Type: flowtable.ActionOutput, Port: 2}},
+	}}, 2*core.Second))
 	if got := flowOf(t, n, 1); got.State != fluid.Active || got.Rate != core.Gbps {
 		t.Fatalf("flow after node repair: state=%v rate=%v", got.State, got.Rate)
 	}

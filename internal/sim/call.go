@@ -25,7 +25,7 @@ func Call[T any](e *Engine, control bool, fn func() T) (T, bool) {
 	select {
 	case v := <-ch:
 		return v, true
-	case <-e.doneCh():
+	case <-e.done:
 		// The engine may have executed the fn concurrently with
 		// shutting down; prefer the value if present.
 		select {

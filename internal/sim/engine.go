@@ -215,7 +215,7 @@ type Engine struct {
 	inFlight    func() int64 // control plane work in flight; nil: unknown (see SetInFlight)
 	running     atomic.Bool
 	stopped     atomic.Bool
-	done        chan struct{}
+	done        chan struct{} // closed when Run returns; Call selects on it
 	stats       Stats
 	modeEntered time.Time // wall time current mode was entered
 	virtEntered core.Time // virtual time current mode was entered
@@ -235,12 +235,6 @@ func New(cfg Config) *Engine {
 	}
 	return e
 }
-
-// doneCh is closed when Run returns.
-func (e *Engine) doneCh() <-chan struct{} { return e.done }
-
-// Done is closed when Run returns; safe to select on from any goroutine.
-func (e *Engine) Done() <-chan struct{} { return e.done }
 
 // Now reports the current virtual time. Engine goroutine only.
 func (e *Engine) Now() core.Time { return e.now }

@@ -156,9 +156,9 @@ func (s *Series) FirstAtLeast(t core.Time, threshold float64) (Sample, bool) {
 
 // DefaultRepairFrac is the recovery threshold repair-latency metrics
 // use: a dipped rate counts as repaired when it re-reaches this fraction
-// of the degraded steady rate. Shared by cmd/horse (-fail and fig3),
-// examples/failures and the packet-level baseline so both systems'
-// repair numbers use one definition.
+// of the degraded steady rate. Shared by cmd/horse (-fail and fig3) and
+// the packet-level baseline so both systems' repair numbers use one
+// definition.
 const DefaultRepairFrac = 0.98
 
 // Repair summarizes a dip-and-recover episode of a rate series around a

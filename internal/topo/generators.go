@@ -8,7 +8,7 @@ import (
 )
 
 // Linear builds a chain of n forwarding nodes, each with one attached
-// host: h0 - s0 - s1 - ... - s(n-1) - h(n-1). Used by examples and tests.
+// host: h0 - s0 - s1 - ... - s(n-1) - h(n-1). Behind the linear:N topology and tests.
 func Linear(n int, kind Kind, rate core.Rate, delay core.Time) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("topo: linear topology needs >= 1 node, got %d", n)

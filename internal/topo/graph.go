@@ -113,9 +113,9 @@ type Node struct {
 	// at least one reflector and the reflector backbone is connected.
 	RouteReflector bool
 
-	// down marks a failed node: it neither forwards nor originates
-	// traffic, and every attached link behaves as dead. Atomic for the
-	// same reason as Link's mutable state; mutated only through
+	// down records a NodeDown: the node neither forwards nor originates
+	// traffic, and LinkAlive is false on every attached link. Atomic for
+	// the same reason as Link's mutable state; mutated only through
 	// netmodel.SetNodeState.
 	down atomic.Bool
 }
@@ -156,9 +156,10 @@ func (l *Link) Rate() core.Rate { return core.Rate(math.Float64frombits(l.rate.L
 // must go through netmodel.SetCableRate.
 func (l *Link) SetRate(r core.Rate) { l.rate.Store(math.Float64bits(float64(r))) }
 
-// Down reports whether the link is failed. A down link carries no
-// traffic and is excluded from path computation (both directions of a
-// cable fail together; the injection layer keeps the pair in sync).
+// Down reports whether a LinkDown holds the link's cable (both directions
+// carry the same flag). It is not liveness: a link whose endpoint node is
+// down is dead with this flag clear. Readers that ask whether traffic
+// can cross go through Graph.LinkAlive.
 func (l *Link) Down() bool { return l.down.Load() }
 
 // SetDown fails or restores the link. Callers outside this package must
@@ -298,7 +299,8 @@ func (g *Graph) Connect(a, b *Node, rate core.Rate, delay core.Time) (*Link, *Li
 }
 
 // LinkAlive reports whether a directed link can carry traffic: the link
-// itself and both endpoint nodes must be up.
+// itself and both endpoint nodes must be up. It is the only liveness
+// there is; nothing stores it.
 func (g *Graph) LinkAlive(id core.LinkID) bool {
 	l := g.Link(id)
 	if l == nil || l.Down() {
