@@ -120,12 +120,15 @@ func TestCaptureSDNEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(res.CaptureFiles) != 1 {
+		t.Fatalf("capture files = %q, want one per run", res.CaptureFiles)
+	}
 	sum, _ := validateCapture(t, res.CaptureFiles)
 	if sum.FlowMods == 0 {
 		t.Errorf("no FLOW_MOD in the capture (summary: %v)", sum)
 	}
-	if got, want := len(res.CaptureFiles), len(topo.Switches()); got != want {
-		t.Errorf("capture files = %d, want one per switch-controller pair (%d)", got, want)
+	if got, want := len(sum.Sessions), len(topo.Switches()); got != want {
+		t.Errorf("capture sessions = %d, want one per switch-controller pair (%d)", got, want)
 	}
 }
 

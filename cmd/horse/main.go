@@ -77,7 +77,7 @@ const fineSample = spec.Duration(10 * time.Millisecond)
 func runFlags(fs *flag.FlagSet, r *spec.Run) (fail *bool) {
 	fs.DurationVar((*time.Duration)(&r.Dur), "dur", r.Dur.Duration(), "virtual duration of each run")
 	fs.Float64Var(&r.Pacing, "pacing", r.Pacing, "FTI pacing (1.0 = paper-faithful real time)")
-	fs.StringVar(&r.CaptureDir, "pcap", "", "record control plane traffic as pcapng traces in DIR (one file per speaker pair; open them in Wireshark)")
+	fs.StringVar(&r.CaptureDir, "pcap", "", "record control plane traffic as one pcapng trace, DIR/control.pcapng (one interface per session; open it in Wireshark)")
 	return fs.Bool("fail", false, "take the "+failFrom+" <-> "+failTo+" cable down at dur/3 and repair it at 2*dur/3")
 }
 
@@ -203,8 +203,8 @@ func summarize(w io.Writer, r spec.Run, res *horse.Result) {
 		fmt.Fprintf(w, "path latency        : %v rate-weighted mean one-way\n", res.MeanPathLatency)
 	}
 	if len(res.CaptureFiles) > 0 {
-		fmt.Fprintf(w, "capture             : %d pcapng traces in %s (inspect with Wireshark or cmd/pcapcheck)\n",
-			len(res.CaptureFiles), r.CaptureDir)
+		fmt.Fprintf(w, "capture             : %s (inspect with Wireshark or cmd/pcapcheck)\n",
+			strings.Join(res.CaptureFiles, " "))
 	}
 }
 

@@ -67,10 +67,11 @@ func (e *Experiment) SetLogf(logf func(format string, args ...any)) {
 	e.logf = logf
 }
 
-// CaptureTo records the run's control plane as pcapng traces in dir:
-// one file per speaker pair (BGP session or switch-controller
-// connection), every message framed as a synthesized TCP conversation
-// and stamped with its *delivery* virtual time — on WAN links that is
+// CaptureTo records the run's control plane as one pcapng trace,
+// dir/control.pcapng: one capture interface per session (BGP session or
+// switch-controller connection, named after its speaker pair), every
+// message framed as a synthesized TCP conversation and stamped with its
+// *delivery* virtual time — on WAN links that is
 // write time plus propagation delay, so UPDATE arrival times in the
 // trace are the convergence timeline. Run creates the directory before
 // it builds anything else, so a Run that fails to create it may be
@@ -407,8 +408,8 @@ type Result struct {
 	// a LinkDown on a cable already dead counts 0.
 	Injections uint64
 
-	// CaptureFiles lists the pcapng traces the run wrote (empty unless
-	// CaptureTo was called).
+	// CaptureFiles lists the pcapng trace the run wrote, control.pcapng
+	// in the capture directory (empty unless CaptureTo was called).
 	CaptureFiles []string
 }
 

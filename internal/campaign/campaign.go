@@ -69,7 +69,7 @@ type Spec struct {
 	Timeout spec.Duration `json:"timeout,omitempty"`
 	// Retries is how many extra attempts a failed run gets.
 	Retries int `json:"retries,omitempty"`
-	// Capture records each run's control plane as pcapng traces under
+	// Capture records each run's control plane as one pcapng trace in
 	// the run's artifact directory.
 	Capture bool `json:"capture,omitempty"`
 }

@@ -21,7 +21,7 @@ import (
 //	<id>/status.json       progress snapshot, rewritten as runs finish
 //	<id>/events.jsonl      the typed lifecycle event log (one JSON per line)
 //	<id>/runs/<n>/result.json   the run's spec.Outcome
-//	<id>/runs/<n>/pcap/*.pcapng capture artifacts (Spec.Capture)
+//	<id>/runs/<n>/pcap/control.pcapng capture artifact (Spec.Capture)
 type Runner struct {
 	// Dir is the data root.
 	Dir string

@@ -6,8 +6,6 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -24,8 +22,8 @@ const (
 )
 
 // firstEphemeral is where fabricated active-opener source ports start
-// (the IANA dynamic range), one per session so re-peered sessions in the
-// same file stay distinct TCP streams.
+// (the IANA dynamic range), one per session so re-peered sessions stay
+// distinct TCP streams.
 const firstEphemeral uint16 = 49152
 
 // mss bounds a synthesized segment's payload: control plane writes
@@ -54,49 +52,54 @@ const (
 	BtoA
 )
 
-// Capture writes one pcapng file per speaker pair into a directory. It
-// is safe for concurrent use; per-file writes are serialized internally.
+// fileName is the one pcapng file a Capture writes into its directory.
+const fileName = "control.pcapng"
+
+// Capture writes one pcapng file, control.pcapng, into a directory: every
+// session of the run (each BGP speaker pair's incarnations, each
+// switch-controller connection) is one capture interface in it. It is
+// safe for concurrent use: one mutex serializes every session's writes,
+// which all come from the engine goroutine in a run.
 type Capture struct {
 	mu        sync.Mutex
-	dir       string
-	files     map[string]*file
+	path      string
+	f         *os.File // nil once closed
+	buf       *bufio.Writer
+	w         *Writer
 	ephemeral uint16
-
-	// errMu guards err alone and is always innermost (fail is called
-	// with a file lock held, Close reads the error with c.mu held — a
-	// shared mutex would invert lock order and deadlock).
-	errMu sync.Mutex
+	// lastTS is the latest stamp written: stamps never run backwards in
+	// file order, which is what Validate checks.
+	lastTS core.Time
+	// frame is where segment builds each Ethernet/IPv4/TCP frame; its
+	// array is reused, so recording a segment allocates nothing.
+	frame wire.Buffer
 	err   error // first deferred I/O error, surfaced by Close
 }
 
-// file is one per-speaker-pair pcapng file; sessions (re-peered
-// incarnations included) append interfaces and packets under one lock.
-type file struct {
-	mu   sync.Mutex
-	path string
-	f    *os.File
-	buf  *bufio.Writer
-	w    *Writer
-}
-
-// New creates (or reuses) dir and returns a capture sink writing one
-// pcapng file per speaker pair into it.
+// New creates (or reuses) dir and creates the capture file in it.
 func New(dir string) (*Capture, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("capture: %w", err)
 	}
-	return &Capture{
-		dir:       dir,
-		files:     make(map[string]*file),
-		ephemeral: firstEphemeral,
-	}, nil
+	path := filepath.Join(dir, fileName)
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("capture: %w", err)
+	}
+	buf := bufio.NewWriter(f)
+	w, err := NewWriter(buf)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &Capture{path: path, f: f, buf: buf, w: w, ephemeral: firstEphemeral}, nil
 }
 
 // nextEphemeral hands out the next fabricated source port, staying in
 // the dynamic range: past 65535 it wraps back to firstEphemeral (never
 // to 0 or a well-known port). A single pair re-peering >16384 times
-// could then reuse a port within one file; real stacks have the same
-// reuse horizon. c.mu held.
+// could then reuse a port; real stacks have the same reuse horizon.
+// c.mu held.
 func (c *Capture) nextEphemeral() uint16 {
 	p := c.ephemeral
 	c.ephemeral++
@@ -106,109 +109,63 @@ func (c *Capture) nextEphemeral() uint16 {
 	return p
 }
 
-// fileName flattens a speaker-pair name into a safe file stem.
-func fileName(pair string) string {
-	var b strings.Builder
-	for _, r := range pair {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			b.WriteRune(r)
-		default:
-			b.WriteRune('-')
-		}
-	}
-	return b.String() + ".pcapng"
-}
-
-// Session opens a capture session between a and b in the pair's pcapng
-// file, declaring one capture interface for it. A zero Port on either
-// endpoint gets a fresh ephemeral port, so a re-peered session (same
-// pair name, new transport) becomes a distinct TCP stream in the same
-// file rather than a seq-number collision. Endpoint a is the active
-// opener of the fabricated handshake.
+// Session opens a capture session between a and b, declaring one
+// capture interface for it named "<pair> <a>:<port> <-> <b>:<port>". A
+// zero Port on either endpoint gets a fresh ephemeral port, so a
+// re-peered session (same pair, new transport) becomes a distinct
+// interface and TCP stream rather than a seq-number collision. Endpoint
+// a is the active opener of the fabricated handshake.
 func (c *Capture) Session(pair string, a, b Endpoint) (*Session, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.f == nil {
+		return nil, fmt.Errorf("capture: session %s after Close", pair)
+	}
 	if a.Port == 0 {
 		a.Port = c.nextEphemeral()
 	}
 	if b.Port == 0 {
 		b.Port = c.nextEphemeral()
 	}
-	f := c.files[fileName(pair)]
-	if f == nil {
-		path := filepath.Join(c.dir, fileName(pair))
-		osf, err := os.Create(path)
-		if err != nil {
-			c.mu.Unlock()
-			return nil, fmt.Errorf("capture: %w", err)
-		}
-		buf := bufio.NewWriter(osf)
-		w, err := NewWriter(buf)
-		if err != nil {
-			osf.Close()
-			c.mu.Unlock()
-			return nil, err
-		}
-		f = &file{path: path, f: osf, buf: buf, w: w}
-		c.files[fileName(pair)] = f
-	}
-	c.mu.Unlock()
-
-	name := fmt.Sprintf("%s:%d <-> %s:%d", a.Name, a.Port, b.Name, b.Port)
-	f.mu.Lock()
-	iface, err := f.w.AddInterface(name)
-	f.mu.Unlock()
+	iface, err := c.w.AddInterface(fmt.Sprintf("%s %s:%d <-> %s:%d", pair, a.Name, a.Port, b.Name, b.Port))
 	if err != nil {
 		c.fail(err)
 		return nil, err
 	}
-	return &Session{cap: c, f: f, iface: iface, a: a, b: b}, nil
+	return &Session{cap: c, iface: iface, a: a, b: b}, nil
 }
 
 // fail records the first deferred write error for Close to surface.
-// Callers may hold a file lock; errMu is leaf-level so that is safe.
+// c.mu held.
 func (c *Capture) fail(err error) {
-	c.errMu.Lock()
 	if c.err == nil {
 		c.err = err
 	}
-	c.errMu.Unlock()
 }
 
-// Files lists the capture files written so far, sorted.
-func (c *Capture) Files() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.files))
-	for _, f := range c.files {
-		out = append(out, f.path)
-	}
-	sort.Strings(out)
-	return out
-}
+// Files lists the capture file: one path, control.pcapng in the
+// directory, written from New on.
+func (c *Capture) Files() []string { return []string{c.path} }
 
 // Dir reports the capture directory.
-func (c *Capture) Dir() string { return c.dir }
+func (c *Capture) Dir() string { return filepath.Dir(c.path) }
 
-// Close flushes and closes every capture file, returning the first
-// error any write encountered. Closing twice is safe (the second call
-// is a no-op that re-reports the same error).
+// Close flushes and closes the capture file, returning the first error
+// any write encountered. Closing twice is safe (the second call is a
+// no-op that re-reports the same error); sessions record nothing after
+// Close.
 func (c *Capture) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, f := range c.files {
-		f.mu.Lock()
-		if err := f.buf.Flush(); err != nil {
+	if c.f != nil {
+		if err := c.buf.Flush(); err != nil {
 			c.fail(err)
 		}
-		if err := f.f.Close(); err != nil {
+		if err := c.f.Close(); err != nil {
 			c.fail(err)
 		}
-		f.mu.Unlock()
+		c.f = nil
 	}
-	c.files = make(map[string]*file)
-	c.errMu.Lock()
-	defer c.errMu.Unlock()
 	return c.err
 }
 
@@ -217,18 +174,16 @@ func (c *Capture) Close() error {
 // per captured control plane write (split at MSS), with sequence and
 // acknowledgment numbers accumulated exactly as a real stack would — so
 // Wireshark's TCP reassembly (and this package's reader) can stitch the
-// multi-message BGP/OpenFlow byte streams back together.
+// multi-message BGP/OpenFlow byte streams back together. Its state is
+// guarded by the Capture's mutex.
 type Session struct {
 	cap   *Capture
-	f     *file
 	iface int
 	a, b  Endpoint
 
-	mu     sync.Mutex
 	opened bool
 	seq    [2]uint32 // next sequence number per direction (post-handshake: 1)
 	ipID   [2]uint16
-	lastTS core.Time
 }
 
 // Data records len(p) control plane bytes delivered in direction d at
@@ -238,28 +193,27 @@ func (s *Session) Data(d Dir, p []byte, at core.Time) {
 	if s == nil || len(p) == 0 {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Delivery stamps within one session never run backwards: the engine
-	// clock is monotone and all recording happens on the engine
-	// goroutine, but clamp defensively so a reordered hand-off can never
-	// corrupt the trace invariant the validator enforces.
-	if at < s.lastTS {
-		at = s.lastTS
+	c := s.cap
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.f == nil {
+		return
 	}
-	s.lastTS = at
+	// Delivery stamps never run backwards: the engine clock is monotone
+	// and all recording happens on the engine goroutine, but clamp
+	// defensively so a reordered hand-off can never corrupt the trace
+	// invariant the validator enforces.
+	if at < c.lastTS {
+		at = c.lastTS
+	}
+	c.lastTS = at
 
-	s.f.mu.Lock()
-	defer s.f.mu.Unlock()
 	if !s.opened {
 		s.opened = true
 		s.handshake(at)
 	}
 	for len(p) > 0 {
-		n := len(p)
-		if n > mss {
-			n = mss
-		}
+		n := min(len(p), mss)
 		s.segment(d, wire.TCPPsh|wire.TCPAck, p[:n], at)
 		s.seq[d] += uint32(n)
 		p = p[n:]
@@ -267,7 +221,7 @@ func (s *Session) Data(d Dir, p []byte, at core.Time) {
 }
 
 // handshake fabricates SYN / SYN-ACK / ACK at the first delivery time;
-// endpoint a actively opens. File lock held.
+// endpoint a actively opens. c.mu held.
 func (s *Session) handshake(at core.Time) {
 	s.segment(AtoB, wire.TCPSyn, nil, at)
 	s.seq[AtoB] = 1
@@ -276,31 +230,34 @@ func (s *Session) handshake(at core.Time) {
 	s.segment(AtoB, wire.TCPAck, nil, at)
 }
 
-// segment writes one synthesized Ethernet/IPv4/TCP frame. File lock held.
+// segment writes one synthesized Ethernet/IPv4/TCP frame, built in the
+// capture's reused buffer from stack-held layers. c.mu held.
 func (s *Session) segment(d Dir, flags uint8, payload []byte, at core.Time) {
-	src, dst := s.a, s.b
+	src, dst := &s.a, &s.b
 	if d == BtoA {
-		src, dst = s.b, s.a
+		src, dst = dst, src
 	}
+	c := s.cap
 	// The ACK number is the peer's next expected sequence number; before
 	// the peer's SYN is counted it is 0 and the ACK flag is clear.
-	frame, err := wire.Serialize(
-		&wire.Ethernet{Dst: dst.MAC, Src: src.MAC, EtherType: wire.EtherTypeIPv4},
-		&wire.IPv4{Src: src.IP, Dst: dst.IP, Protocol: core.ProtoTCP, TTL: 64, ID: s.ipID[d]},
-		&wire.TCP{
-			SrcPort: src.Port, DstPort: dst.Port,
-			Seq: s.seq[d], Ack: s.ack(d, flags),
-			Flags: flags, Window: 65535,
-		},
-		wire.Payload(payload),
-	)
-	if err != nil {
-		s.cap.fail(err)
+	tcp := wire.TCP{
+		SrcPort: src.Port, DstPort: dst.Port,
+		Seq: s.seq[d], Ack: s.ack(d, flags),
+		Flags: flags, Window: 65535,
+	}
+	ip := wire.IPv4{Src: src.IP, Dst: dst.IP, Protocol: core.ProtoTCP, TTL: 64, ID: s.ipID[d]}
+	eth := wire.Ethernet{Dst: dst.MAC, Src: src.MAC, EtherType: wire.EtherTypeIPv4}
+	c.frame.Reset()
+	_ = wire.Payload(payload).SerializeTo(&c.frame) // cannot fail
+	_ = tcp.SerializeTo(&c.frame)                   // cannot fail
+	if err := ip.SerializeTo(&c.frame); err != nil {
+		c.fail(err)
 		return
 	}
+	_ = eth.SerializeTo(&c.frame) // cannot fail
 	s.ipID[d]++
-	if err := s.f.w.WritePacket(s.iface, at, frame); err != nil {
-		s.cap.fail(err)
+	if err := c.w.WritePacket(s.iface, at, c.frame.Bytes()); err != nil {
+		c.fail(err)
 	}
 }
 

@@ -1,8 +1,12 @@
 package capture
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"net/netip"
-	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bgp"
@@ -47,8 +51,7 @@ func mustUpdate(t *testing.T, announce, withdraw []netip.Prefix) []byte {
 // directions, a message split across two fragmented writes, and a write
 // carrying two messages back to back.
 func TestSessionRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(dir)
+	c, err := New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,8 +76,7 @@ func TestSessionRoundTrip(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	files := []string{filepath.Join(dir, "bgp-r1-r2.pcapng")}
-	tr, err := ReadFile(files[0])
+	tr, err := ReadFile(c.Files()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +143,7 @@ func TestSessionRoundTrip(t *testing.T) {
 // peer's progress, and a large write is split at the MSS with contiguous
 // seqs.
 func TestSeqAckContinuity(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(dir)
+	c, err := New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestSeqAckContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr, err := ReadFile(filepath.Join(dir, "pair.pcapng"))
+	tr, err := ReadFile(c.Files()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +216,7 @@ func TestSeqAckContinuity(t *testing.T) {
 // for the same speaker pair lands in the same file as a new interface
 // and a distinct ephemeral port, so the two TCP streams stay separate.
 func TestRepeeredSessionSharesFile(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(dir)
+	c, err := New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,13 +233,13 @@ func TestRepeeredSessionSharesFile(t *testing.T) {
 	}
 	s2.Data(AtoB, keep, 5*core.Millisecond)
 	if files := c.Files(); len(files) != 1 {
-		t.Fatalf("files = %v, want one per speaker pair", files)
+		t.Fatalf("files = %v, want one per capture", files)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	tr, err := ReadFile(filepath.Join(dir, "bgp-r1-r2.pcapng"))
+	tr, err := ReadFile(c.Files()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +262,7 @@ func TestRepeeredSessionSharesFile(t *testing.T) {
 // TCP/6633 decode with their wire names, and the Summary counts the
 // FLOW_MOD.
 func TestOpenFlowDecode(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(dir)
+	c, err := New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +282,7 @@ func TestOpenFlowDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr, err := ReadFile(filepath.Join(dir, "openflow-s1.pcapng"))
+	tr, err := ReadFile(c.Files()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,8 +305,7 @@ func TestOpenFlowDecode(t *testing.T) {
 // TestTimestampClampMonotone: a delivery handed over out of order can
 // never write a backwards timestamp (Validate would reject the file).
 func TestTimestampClampMonotone(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(dir)
+	c, err := New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +320,7 @@ func TestTimestampClampMonotone(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := ReadFile(filepath.Join(dir, "pair.pcapng"))
+	tr, err := ReadFile(c.Files()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,8 +337,7 @@ func TestTimestampClampMonotone(t *testing.T) {
 // instant has a zero window; the shared stats guard must keep the
 // per-second rates at 0 instead of +Inf/NaN.
 func TestSummaryEmptyWindowGuard(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(dir)
+	c, err := New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +351,7 @@ func TestSummaryEmptyWindowGuard(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := ReadFile(filepath.Join(dir, "pair.pcapng"))
+	tr, err := ReadFile(c.Files()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,8 +374,7 @@ func TestSummaryEmptyWindowGuard(t *testing.T) {
 // packing factor and the per-window burst bounded by the attr-group
 // count — not by the prefix count.
 func TestPackedUpdateSummary(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(dir)
+	c, err := New(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +416,7 @@ func TestPackedUpdateSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tr, err := ReadFile(filepath.Join(dir, "pair.pcapng"))
+	tr, err := ReadFile(c.Files()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,5 +444,184 @@ func TestPackedUpdateSummary(t *testing.T) {
 	// A sub-millisecond window separates the two deliveries.
 	if burst := MaxUpdateBurst(decoded, core.Microsecond); burst != 1 {
 		t.Errorf("MaxUpdateBurst(1us) = %d, want 1", burst)
+	}
+}
+
+// TestDecodeRejectsStreamEndingInsideMessage: every emulated write is
+// whole, so bytes left over after the last complete message mean the
+// trace lost or invented data. Decode names the stream and the count.
+func TestDecodeRejectsStreamEndingInsideMessage(t *testing.T) {
+	c, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := bgpEndpoints()
+	sess, err := c.Session("pair", a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Data(AtoB, bgp.EncodeKeepalive(), core.Millisecond)
+	sess.Data(AtoB, make([]byte, 10), 2*core.Millisecond)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadFile(c.Files()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Validate(tr)
+	if err == nil {
+		t.Fatal("a stream ending 10 bytes into a message validated")
+	}
+	for _, want := range []string{"interface 0", "10.0.0.1:49152", "10.0.0.2:179", "10 bytes"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+}
+
+// TestFrameParity drives a seeded random mix of sessions, re-peers,
+// both directions and writes above and below the MSS through one
+// capture, and rebuilds every frame independently with wire.Serialize:
+// each interface must hold exactly those frames, stamped in write order.
+func TestFrameParity(t *testing.T) {
+	c, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type want struct {
+		at    core.Time
+		frame []byte
+	}
+	// model is what the test expects of one session, kept apart from
+	// the writer's own state.
+	type model struct {
+		sess   *Session
+		a, b   Endpoint
+		seq    [2]uint32
+		ipID   [2]uint16
+		opened bool
+		frames []want
+	}
+	serialize := func(m *model, d Dir, flags uint8, payload []byte, at core.Time) {
+		src, dst := m.a, m.b
+		if d == BtoA {
+			src, dst = dst, src
+		}
+		var ack uint32
+		if flags&wire.TCPAck != 0 {
+			ack = m.seq[1-d]
+		}
+		frame, err := wire.Serialize(
+			&wire.Ethernet{Dst: dst.MAC, Src: src.MAC, EtherType: wire.EtherTypeIPv4},
+			&wire.IPv4{Src: src.IP, Dst: dst.IP, Protocol: core.ProtoTCP, TTL: 64, ID: m.ipID[d]},
+			&wire.TCP{SrcPort: src.Port, DstPort: dst.Port, Seq: m.seq[d], Ack: ack, Flags: flags, Window: 65535},
+			wire.Payload(payload),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.ipID[d]++
+		m.frames = append(m.frames, want{at, frame})
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([]string, 12)
+	for i := range pairs {
+		pairs[i] = fmt.Sprintf("bgp-r%d-r%d", i, i+1)
+	}
+	var (
+		models    []*model
+		wantNames []string
+		ephemeral = firstEphemeral
+		at        core.Time
+	)
+	open := func() {
+		i := rng.Intn(len(pairs)) // a pair opened before is a re-peer
+		a := Endpoint{Name: fmt.Sprintf("r%d", i), MAC: core.MACFromUint64(uint64(2 * i)), IP: core.IPv4FromUint32(0x0A000000 + uint32(2*i))}
+		b := Endpoint{Name: fmt.Sprintf("r%d", i+1), MAC: core.MACFromUint64(uint64(2*i + 1)), IP: core.IPv4FromUint32(0x0A000001 + uint32(2*i)), Port: PortBGP}
+		sess, err := c.Session(pairs[i], a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Port = ephemeral
+		ephemeral++
+		models = append(models, &model{sess: sess, a: a, b: b})
+		wantNames = append(wantNames, fmt.Sprintf("%s %s:%d <-> %s:%d", pairs[i], a.Name, a.Port, b.Name, b.Port))
+	}
+	for step := 0; step < 2000; step++ {
+		if len(models) == 0 || rng.Intn(20) == 0 {
+			open()
+			continue
+		}
+		m := models[rng.Intn(len(models))]
+		d := Dir(rng.Intn(2))
+		p := make([]byte, 1+rng.Intn(3*mss))
+		rng.Read(p)
+		at += core.Time(rng.Intn(3)) * core.Millisecond
+		m.sess.Data(d, p, at)
+
+		if !m.opened {
+			m.opened = true
+			serialize(m, AtoB, wire.TCPSyn, nil, at)
+			m.seq[AtoB] = 1
+			serialize(m, BtoA, wire.TCPSyn|wire.TCPAck, nil, at)
+			m.seq[BtoA] = 1
+			serialize(m, AtoB, wire.TCPAck, nil, at)
+		}
+		for len(p) > 0 {
+			n := min(len(p), mss)
+			serialize(m, d, wire.TCPPsh|wire.TCPAck, p[:n], at)
+			m.seq[d] += uint32(n)
+			p = p[n:]
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	tr, err := ReadFile(c.Files()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tr.Interfaces, wantNames) {
+		t.Fatalf("interfaces = %q, want %q", tr.Interfaces, wantNames)
+	}
+	got := make([][]Packet, len(tr.Interfaces))
+	for _, p := range tr.Packets {
+		got[p.Interface] = append(got[p.Interface], p)
+	}
+	for i, m := range models {
+		if len(got[i]) != len(m.frames) {
+			t.Fatalf("interface %d holds %d packets, want %d", i, len(got[i]), len(m.frames))
+		}
+		for j, w := range m.frames {
+			if p := got[i][j]; p.Time != w.at || !bytes.Equal(p.Data, w.frame) {
+				t.Fatalf("interface %d packet %d at %v = % x\nwant at %v % x", i, j, p.Time, p.Data, w.at, w.frame)
+			}
+		}
+	}
+}
+
+// TestDataAllocatesNothing: once the handshake is written and the frame
+// buffer has grown, recording a 1 KB write allocates nothing.
+func TestDataAllocatesNothing(t *testing.T) {
+	c, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	a, b := bgpEndpoints()
+	sess, err := c.Session("pair", a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := make([]byte, 1024)
+	var at core.Time
+	if n := testing.AllocsPerRun(1000, func() {
+		at += core.Microsecond
+		sess.Data(AtoB, msg, at)
+	}); n != 0 {
+		t.Errorf("Session.Data: %.2f allocs per 1 KB write, want 0", n)
 	}
 }

@@ -1,11 +1,14 @@
 // Package capture records and replays the emulated control plane as
 // pcapng traces. The Connection Manager's channel taps see every control
 // byte with virtual-time delivery stamps (internal/cm, tap);
-// this package turns those observations into capture files that stock
-// Wireshark dissects — each emulated BGP or OpenFlow session becomes a
-// synthesized TCP conversation (fabricated SYN handshake, monotonically
-// consistent seq/ack numbers, BGP on TCP/179, OpenFlow on TCP/6633) so
-// "who withdrew what, when" is a display filter away.
+// this package turns those observations into one capture file per run,
+// control.pcapng, that stock Wireshark dissects. Each emulated BGP or
+// OpenFlow session is one capture interface in it, named after its
+// speaker pair and ports, and becomes a synthesized TCP conversation
+// (fabricated SYN handshake, monotonically consistent seq/ack numbers,
+// BGP on TCP/179, OpenFlow on TCP/6633), so "who withdrew what, when"
+// is a display filter away; frame.interface_name contains "bgp-sea-den"
+// selects one speaker pair.
 //
 // The package is self-contained on purpose: the writer emits the three
 // pcapng block types the format requires (Section Header, Interface
@@ -102,29 +105,15 @@ func encodeIDB(name string) []byte {
 	return b
 }
 
-// encodeEPB renders an Enhanced Packet Block for one synthesized frame.
-func encodeEPB(iface uint32, at core.Time, data []byte) []byte {
-	length := 32 + pad4(len(data))
-	b := make([]byte, length)
-	le := binary.LittleEndian
-	le.PutUint32(b[0:4], blockEPB)
-	le.PutUint32(b[4:8], uint32(length))
-	le.PutUint32(b[8:12], iface)
-	ts := uint64(at)
-	le.PutUint32(b[12:16], uint32(ts>>32)) // timestamp high
-	le.PutUint32(b[16:20], uint32(ts))     // timestamp low
-	le.PutUint32(b[20:24], uint32(len(data)))
-	le.PutUint32(b[24:28], uint32(len(data)))
-	copy(b[28:], data)
-	le.PutUint32(b[length-4:], uint32(length))
-	return b
-}
-
 // Writer emits pcapng blocks to an underlying stream. It is not
-// concurrency-safe; callers serialize (capture.file holds a mutex).
+// concurrency-safe; callers serialize (Capture holds its mutex).
 type Writer struct {
 	w      io.Writer
 	ifaces int
+	// epb holds an Enhanced Packet Block's 28-byte header, then up to 3
+	// padding bytes and the 4-byte trailing length, so WritePacket
+	// writes the frame between them without copying it into a block.
+	epb [28 + 3 + 4]byte
 }
 
 // NewWriter writes the Section Header Block and returns a block writer.
@@ -152,8 +141,24 @@ func (w *Writer) WritePacket(iface int, at core.Time, data []byte) error {
 	if iface < 0 || iface >= w.ifaces {
 		return fmt.Errorf("capture: packet on undeclared interface %d", iface)
 	}
-	if _, err := w.w.Write(encodeEPB(uint32(iface), at, data)); err != nil {
-		return fmt.Errorf("capture: writing packet block: %w", err)
+	padded := pad4(len(data))
+	length := uint32(32 + padded)
+	le := binary.LittleEndian
+	hdr, tail := w.epb[:28], w.epb[28:28+padded-len(data)+4]
+	le.PutUint32(hdr[0:4], blockEPB)
+	le.PutUint32(hdr[4:8], length)
+	le.PutUint32(hdr[8:12], uint32(iface))
+	ts := uint64(at)
+	le.PutUint32(hdr[12:16], uint32(ts>>32)) // timestamp high
+	le.PutUint32(hdr[16:20], uint32(ts))     // timestamp low
+	le.PutUint32(hdr[20:24], uint32(len(data)))
+	le.PutUint32(hdr[24:28], uint32(len(data)))
+	clear(tail[:len(tail)-4])
+	le.PutUint32(tail[len(tail)-4:], length)
+	for _, b := range [...][]byte{hdr, data, tail} {
+		if _, err := w.w.Write(b); err != nil {
+			return fmt.Errorf("capture: writing packet block: %w", err)
+		}
 	}
 	return nil
 }

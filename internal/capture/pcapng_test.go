@@ -51,7 +51,24 @@ func TestGoldenEPB(t *testing.T) {
 		"05000000" + // original length
 		"deadbeef01" + "000000" + // data, padded to 32 bits
 		"28000000" // trailing total length
-	if got := hex.EncodeToString(encodeEPB(0, at, data)); got != want {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.AddInterface("s1"); err != nil {
+		t.Fatal(err)
+	}
+	// A longer packet first: the block the writer reuses must not leak
+	// its padding or trailer into the next one.
+	if err := w.WritePacket(0, at, make([]byte, 7)); err != nil {
+		t.Fatal(err)
+	}
+	head := buf.Len()
+	if err := w.WritePacket(0, at, data); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf.Bytes()[head:]); got != want {
 		t.Errorf("EPB:\n got %s\nwant %s", got, want)
 	}
 }

@@ -180,9 +180,12 @@ type streamKey struct {
 // the synthesized Ethernet/IPv4/TCP framing, verifies per-direction
 // sequence continuity (a discontinuity means the writer corrupted the
 // stream and is an error), reassembles the byte streams, and decodes
-// them as BGP (a port is 179) or OpenFlow (a port is 6633).
+// them as BGP (a port is 179) or OpenFlow (a port is 6633). Every
+// emulated write is whole, so a stream that ends inside a message is an
+// error too.
 func Decode(tr *Trace) ([]Message, error) {
 	streams := make(map[streamKey]*stream)
+	var order []*stream // streams in first-seen order, for the tail check
 	var out []Message
 	for i, pkt := range tr.Packets {
 		_, rest, err := wire.DecodeEthernet(pkt.Data)
@@ -219,6 +222,7 @@ func Decode(tr *Trace) ([]Message, error) {
 				Proto: proto,
 			}}
 			streams[key] = st
+			order = append(order, st)
 		}
 		if tcp.Flags&wire.TCPSyn != 0 {
 			st.expect = tcp.Seq + 1
@@ -243,6 +247,13 @@ func Decode(tr *Trace) ([]Message, error) {
 			return nil, fmt.Errorf("packet %d: %w", i, err)
 		}
 		out = append(out, msgs...)
+	}
+	for _, st := range order {
+		if len(st.buf) > 0 {
+			m := st.msg
+			return nil, fmt.Errorf("interface %d %v:%d -> %v:%d: stream ends inside a message (%d bytes left over)",
+				m.Interface, m.Src, m.SrcPort, m.Dst, m.DstPort, len(st.buf))
+		}
 	}
 	return out, nil
 }

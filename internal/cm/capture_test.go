@@ -3,7 +3,6 @@ package cm
 import (
 	"io"
 	"net/netip"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/bgp"
@@ -38,7 +37,7 @@ func captureFixture(t *testing.T, delay core.Time) (*sim.Engine, io.ReadWriteClo
 		t.Fatal(err)
 	}
 	a, _ := m.tappedPipe(delay, delay, sess)
-	return engine, a, c, filepath.Join(c.Dir(), "pair.pcapng")
+	return engine, a, c, c.Files()[0]
 }
 
 // dataPackets returns the delivery timestamps of the payload-bearing

@@ -389,10 +389,11 @@ func (m *Manager) peerCable(l *topo.Link) error {
 	pb := m.G.Port(l.To, l.ToPort)
 	var sess *capture.Session
 	if m.cap != nil {
-		// One pcapng file per speaker pair; a re-peer after link repair
-		// opens a fresh session (new interface, new ephemeral port) in
-		// the same file. The higher-named side passively listens on
-		// TCP/179, the lower actively opens from an ephemeral port.
+		// One capture interface per session, labelled with the speaker
+		// pair; a re-peer after link repair opens a fresh session (new
+		// interface, new ephemeral port). The higher-named side
+		// passively listens on TCP/179, the lower actively opens from
+		// an ephemeral port.
 		var err error
 		sess, err = m.cap.Session(
 			fmt.Sprintf("bgp-%s-%s", from.Name, to.Name),

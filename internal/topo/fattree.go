@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 
 	"repro/internal/core"
 )
@@ -72,7 +73,7 @@ func FatTree(opts FatTreeOpts) (*Graph, error) {
 	cores := make([]*Node, 0, half*half)
 	for j := 0; j < half; j++ {
 		for i := 0; i < half; i++ {
-			n := g.AddNode(fmt.Sprintf("core-%d-%d", j, i), swKind)
+			n := g.AddNode("core-"+strconv.Itoa(j)+"-"+strconv.Itoa(i), swKind)
 			n.Ports = make([]Port, 0, k)
 			n.Layer = LayerCore
 			n.Pod = -1
@@ -88,7 +89,7 @@ func FatTree(opts FatTreeOpts) (*Graph, error) {
 		aggs := make([]*Node, half)
 		edges := make([]*Node, half)
 		for a := 0; a < half; a++ {
-			n := g.AddNode(fmt.Sprintf("agg-%d-%d", p, a), swKind)
+			n := g.AddNode("agg-"+strconv.Itoa(p)+"-"+strconv.Itoa(a), swKind)
 			n.Ports = make([]Port, 0, k)
 			n.Layer = LayerAgg
 			n.Pod = p
@@ -99,7 +100,7 @@ func FatTree(opts FatTreeOpts) (*Graph, error) {
 			aggs[a] = n
 		}
 		for e := 0; e < half; e++ {
-			n := g.AddNode(fmt.Sprintf("edge-%d-%d", p, e), swKind)
+			n := g.AddNode("edge-"+strconv.Itoa(p)+"-"+strconv.Itoa(e), swKind)
 			n.Ports = make([]Port, 0, k)
 			n.Layer = LayerEdge
 			n.Pod = p
@@ -113,7 +114,7 @@ func FatTree(opts FatTreeOpts) (*Graph, error) {
 		for e := 0; e < half; e++ {
 			subnet := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(p), byte(e), 0}), 24)
 			for h := 0; h < half; h++ {
-				hn := g.AddHost(fmt.Sprintf("host-%d-%d-%d", p, e, h))
+				hn := g.AddHost("host-" + strconv.Itoa(p) + "-" + strconv.Itoa(e) + "-" + strconv.Itoa(h))
 				hn.Layer = LayerHost
 				hn.Pod = p
 				hn.Idx = e*half + h

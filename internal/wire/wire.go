@@ -57,6 +57,11 @@ func (b *Buffer) PrependBytes(n int) []byte {
 // Bytes returns the serialized packet.
 func (b *Buffer) Bytes() []byte { return b.data[b.start:] }
 
+// Reset empties the buffer for the next packet, keeping the whole
+// backing array as headroom: a caller that reuses one Buffer allocates
+// only until the array fits its largest packet.
+func (b *Buffer) Reset() { b.start = len(b.data) }
+
 // Layer is anything that can serialize itself onto the front of a Buffer.
 type Layer interface {
 	SerializeTo(b *Buffer) error
@@ -240,6 +245,8 @@ func (t *TCP) SerializeTo(b *Buffer) error {
 	buf[12] = 5 << 4 // data offset
 	buf[13] = t.Flags
 	binary.BigEndian.PutUint16(buf[14:16], t.Window)
+	// Checksum and urgent pointer stay zero; a reset Buffer is not.
+	binary.BigEndian.PutUint32(buf[16:20], 0)
 	return nil
 }
 

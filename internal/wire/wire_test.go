@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net/netip"
 	"testing"
@@ -227,6 +228,43 @@ func TestBufferGrowth(t *testing.T) {
 	out := b.Bytes()
 	if len(out) != 1004 || out[0] != 1 || out[4] != 0 || out[5] != 1 {
 		t.Fatalf("growth corrupted buffer: % x", out[:8])
+	}
+}
+
+// TestBufferReset reuses one Buffer across packets of shrinking and
+// growing size: each packet matches Serialize's, and once the array
+// fits the largest packet, building another allocates nothing.
+func TestBufferReset(t *testing.T) {
+	var b Buffer
+	build := func(payload []byte) {
+		b.Reset()
+		tcp := TCP{SrcPort: 49152, DstPort: 179, Seq: 7, Flags: TCPPsh | TCPAck}
+		ip := IPv4{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2"), Protocol: core.ProtoTCP}
+		eth := Ethernet{Dst: core.MACFromUint64(1), Src: core.MACFromUint64(2), EtherType: EtherTypeIPv4}
+		for _, err := range []error{Payload(payload).SerializeTo(&b), tcp.SerializeTo(&b), ip.SerializeTo(&b), eth.SerializeTo(&b)} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := Serialize(&eth, &ip, &tcp, Payload(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b.Bytes(), want) {
+			t.Fatalf("reused buffer built % x, want % x", b.Bytes(), want)
+		}
+	}
+	for _, n := range []int{0, 1460, 3, 1460, 200} {
+		build(bytes.Repeat([]byte{byte(n)}, n))
+	}
+	payload := make([]byte, 1460)
+	if n := testing.AllocsPerRun(100, func() {
+		b.Reset()
+		tcp := TCP{SrcPort: 1, DstPort: 2}
+		_ = Payload(payload).SerializeTo(&b)
+		_ = tcp.SerializeTo(&b)
+	}); n != 0 {
+		t.Errorf("reused buffer: %.1f allocs per packet, want 0", n)
 	}
 }
 
