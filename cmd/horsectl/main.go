@@ -218,6 +218,10 @@ func render(ev campaign.Event, prog *progress, w io.Writer) {
 		}
 		fmt.Fprintln(w, line)
 	case campaign.EvRunFailed:
+		if ev.State == campaign.Running {
+			fmt.Fprintf(w, "  run %d attempt %d failed, retrying  %s: %s\n", ev.Run.Index, ev.Run.Attempt, ev.Run.Spec, ev.Run.Error)
+			return
+		}
 		fmt.Fprintf(w, "  run %d FAILED (attempt %d)  %s: %s\n", ev.Run.Index, ev.Run.Attempt, ev.Run.Spec, ev.Run.Error)
 	case campaign.EvRunCanceled:
 		fmt.Fprintf(w, "  run %d canceled  %s\n", ev.Run.Index, ev.Run.Spec)

@@ -34,6 +34,15 @@
 // SIGTERM drains gracefully: in-flight runs finish and persist their
 // results, unstarted runs are recorded as canceled, and every SSE
 // stream ends after its campaign's final event.
+//
+// A campaign's status is the fold of its <id>/events.jsonl, so a
+// restart serves what the data directory holds: every campaign with
+// both campaign.json and events.jsonl comes back finished, with its
+// status, runs, artifacts, analysis and event replay. A campaign the
+// daemon was killed during has its log closed on restart (unfinished
+// runs canceled as "interrupted: horsed restarted", then campaign_done);
+// its interrupted runs are not re-run. New campaigns are numbered after
+// the highest ID already there.
 package main
 
 import (

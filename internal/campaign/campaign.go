@@ -14,7 +14,6 @@ package campaign
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/spec"
@@ -86,6 +85,12 @@ func (s Spec) Expand() ([]spec.Run, error) {
 	}
 	if len(s.Scenarios) == 0 {
 		return nil, fmt.Errorf("campaign: no scenarios (want e.g. [\"ecmp5\"])")
+	}
+	if s.Retries < 0 {
+		return nil, fmt.Errorf("campaign: retries %d is negative", s.Retries)
+	}
+	if s.Timeout < 0 {
+		return nil, fmt.Errorf("campaign: timeout %v is negative", s.Timeout.Duration())
 	}
 	traffics := s.Traffics
 	if len(traffics) == 0 {
@@ -177,8 +182,9 @@ func (s Spec) Expand() ([]spec.Run, error) {
 type State string
 
 // The lifecycle states. A campaign is Done only when every run
-// succeeded; Failed when it drained fully but some runs failed;
-// Canceled when a drain stopped it before every run was attempted.
+// succeeded; Failed when it drained fully but some runs failed, or when
+// its setup failed; Canceled when a drain stopped it before every run
+// was attempted.
 const (
 	Pending  State = "pending"
 	Running  State = "running"
@@ -196,48 +202,8 @@ type RunStatus struct {
 	Error    string   `json:"error,omitempty"`
 }
 
-// Campaign is one submitted sweep and its progress. All mutation goes
-// through the runner; readers take Status snapshots.
-type Campaign struct {
-	ID        string
-	Spec      Spec
-	Submitted time.Time
-
-	mu    sync.Mutex
-	state State
-	runs  []RunStatus
-	done  chan struct{}
-	bus   *bus
-}
-
-// NewCampaign expands the spec into a pending campaign and publishes
-// its campaign_accepted event (the first entry of the event log every
-// SSE subscriber replays).
-func NewCampaign(id string, s Spec) (*Campaign, error) {
-	runs, err := s.Expand()
-	if err != nil {
-		return nil, err
-	}
-	c := &Campaign{
-		ID:        id,
-		Spec:      s,
-		Submitted: time.Now(),
-		state:     Pending,
-		done:      make(chan struct{}),
-		bus:       newBus(),
-	}
-	for i, r := range runs {
-		c.runs = append(c.runs, RunStatus{Index: i, Spec: r, State: Pending})
-	}
-	c.bus.publish(Event{Type: EvCampaignAccepted, Campaign: id, State: Pending, Total: len(runs)})
-	return c, nil
-}
-
-// Done is closed when the campaign has finished (drained, failed or
-// canceled).
-func (c *Campaign) Done() <-chan struct{} { return c.done }
-
-// Status is a JSON-ready snapshot of campaign progress.
+// Status is a JSON-ready snapshot of campaign progress: the fold of the
+// campaign's event log through apply.
 type Status struct {
 	ID        string      `json:"id"`
 	Name      string      `json:"name,omitempty"`
@@ -250,19 +216,20 @@ type Status struct {
 	Runs      []RunStatus `json:"runs"`
 }
 
-// Status snapshots the campaign.
-func (c *Campaign) Status() Status {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := Status{
-		ID:        c.ID,
-		Name:      c.Spec.Name,
-		State:     c.state,
-		Submitted: c.Submitted,
-		Total:     len(c.runs),
-		Runs:      append([]RunStatus(nil), c.runs...),
-	}
-	for _, r := range c.runs {
+// apply is the lifecycle's one transition function: it folds ev into st.
+// Every event carries the state it moves its campaign or run to (a
+// run_failed says running when a retry follows and failed when it is
+// terminal), so the log alone determines the status.
+func apply(st *Status, ev Event) {
+	switch ev.Type {
+	case EvCampaignAccepted:
+		st.State, st.Submitted = ev.State, ev.Time
+	case EvCampaignStarted, EvCampaignDone:
+		st.State = ev.State
+	default:
+		// Finished states are terminal, so entering one is what counts.
+		r := &st.Runs[ev.Run.Index]
+		r.State = ev.State
 		switch r.State {
 		case Done:
 			st.Succeeded++
@@ -271,30 +238,101 @@ func (c *Campaign) Status() Status {
 		case Canceled:
 			st.Canceled++
 		}
+		switch ev.Type {
+		case EvRunStarted, EvRunRetried:
+			// A retry keeps the last attempt's error on view.
+			r.Attempts = ev.Run.Attempt
+		default:
+			r.Error = ev.Run.Error
+		}
 	}
-	return st
 }
+
+// Campaign is one submitted sweep. Its event log is its only record:
+// the runner changes lifecycle state only by publishing events, and
+// Status and Run read the fold of the log.
+type Campaign struct {
+	ID   string
+	Spec Spec
+
+	done chan struct{}
+	bus  *bus
+}
+
+// newCampaign expands the spec into a campaign with an empty log, every
+// run pending: the status the log is folded into.
+func newCampaign(id string, s Spec) (*Campaign, error) {
+	runs, err := s.Expand()
+	if err != nil {
+		return nil, err
+	}
+	st := Status{ID: id, Name: s.Name, Total: len(runs), Runs: make([]RunStatus, len(runs))}
+	for i, r := range runs {
+		st.Runs[i] = RunStatus{Index: i, Spec: r, State: Pending}
+	}
+	return &Campaign{ID: id, Spec: s, done: make(chan struct{}), bus: newBus(st)}, nil
+}
+
+// NewCampaign expands the spec into a pending campaign and publishes
+// its campaign_accepted event (the first entry of the event log every
+// SSE subscriber replays; its time is the campaign's Submitted).
+func NewCampaign(id string, s Spec) (*Campaign, error) {
+	c, err := newCampaign(id, s)
+	if err != nil {
+		return nil, err
+	}
+	c.publish(Event{Type: EvCampaignAccepted, State: Pending, Total: c.Status().Total})
+	return c, nil
+}
+
+// Done is closed when the campaign has finished (drained, failed or
+// canceled).
+func (c *Campaign) Done() <-chan struct{} { return c.done }
+
+// Status snapshots the campaign.
+func (c *Campaign) Status() Status { return c.bus.snapshot() }
 
 // Run returns the status of run n.
 func (c *Campaign) Run(n int) (RunStatus, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n < 0 || n >= len(c.runs) {
+	runs := c.Status().Runs
+	if n < 0 || n >= len(runs) {
 		return RunStatus{}, false
 	}
-	return c.runs[n], true
+	return runs[n], true
 }
 
-// setRun mutates run n under the lock.
-func (c *Campaign) setRun(n int, f func(*RunStatus)) {
-	c.mu.Lock()
-	f(&c.runs[n])
-	c.mu.Unlock()
+// publish appends ev, stamped with the campaign's ID, to the log.
+func (c *Campaign) publish(ev Event) {
+	ev.Campaign = c.ID
+	c.bus.publish(ev)
 }
 
-// setState transitions the campaign state.
-func (c *Campaign) setState(s State) {
-	c.mu.Lock()
-	c.state = s
-	c.mu.Unlock()
+// publishRun publishes a run event that moves run re.Index to state.
+func (c *Campaign) publishRun(typ EventType, state State, re RunEvent) {
+	c.publish(Event{Type: typ, State: state, Run: &re})
+}
+
+// finish closes the log: every run not yet finished is canceled with why
+// as its error, then campaign_done carries the final state and counts.
+// A campaign whose setup failed is Failed; otherwise a canceled run
+// makes it Canceled, a failed one Failed, and it is Done only when every
+// run succeeded.
+func (c *Campaign) finish(why string, setupFailed bool) {
+	for _, r := range c.Status().Runs {
+		if r.State == Pending || r.State == Running {
+			c.publishRun(EvRunCanceled, Canceled, RunEvent{Index: r.Index, Spec: r.Spec.String(), Error: why})
+		}
+	}
+	st := c.Status()
+	state := Done
+	switch {
+	case setupFailed:
+		state = Failed
+	case st.Canceled > 0:
+		state = Canceled
+	case st.Failed > 0:
+		state = Failed
+	}
+	c.publish(Event{Type: EvCampaignDone, State: state,
+		Total: st.Total, Succeeded: st.Succeeded, Failed: st.Failed, Canceled: st.Canceled})
 }

@@ -145,6 +145,9 @@ func TestExpandRejects(t *testing.T) {
 		{"wan without bgp", Spec{Topos: []string{"wan:abilene"}, Scenarios: []string{"ecmp5"}}, "bgp scenario"},
 		{"bad capacity", Spec{Topos: []string{"fattree:4"}, Scenarios: []string{"ecmp5"},
 			Capacities: []string{"flap:3"}}, `capacity "flap:3"`},
+		{"negative retries", Spec{Topos: []string{"fattree:4"}, Scenarios: []string{"ecmp5"}, Retries: -1}, "retries -1"},
+		{"negative timeout", Spec{Topos: []string{"fattree:4"}, Scenarios: []string{"ecmp5"},
+			Timeout: spec.Duration(-time.Second)}, "timeout -1s"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -164,11 +167,15 @@ func okOutcome(r spec.Run) *spec.Outcome {
 	return &spec.Outcome{Spec: r}
 }
 
-// newTestRunner builds a runner over t.TempDir with a stubbed Exec.
+// newTestRunner builds a runner over t.TempDir with a stubbed Exec. When
+// the test ends, every campaign log left under the directory must pass
+// the lifecycle check (checkLogsUnder).
 func newTestRunner(t *testing.T, exec func(r spec.Run) (*spec.Outcome, error)) *Runner {
 	t.Helper()
+	dir := t.TempDir()
+	t.Cleanup(func() { checkLogsUnder(t, dir) })
 	return &Runner{
-		Dir:         t.TempDir(),
+		Dir:         dir,
 		Concurrency: 2,
 		Exec:        exec,
 		Logf:        t.Logf,
@@ -188,7 +195,8 @@ func smallSpec() Spec {
 }
 
 // TestRunnerHappyPath drains a stubbed campaign and checks the on-disk
-// layout: campaign.json, status.json and each run's result.json.
+// layout: campaign.json, an events.jsonl whose fold is the status, and
+// each run's result.json.
 func TestRunnerHappyPath(t *testing.T) {
 	var calls atomic.Int32
 	rn := newTestRunner(t, func(r spec.Run) (*spec.Outcome, error) {
@@ -222,11 +230,7 @@ func TestRunnerHappyPath(t *testing.T) {
 	if persisted.Name != "fault" {
 		t.Errorf("campaign.json name = %q", persisted.Name)
 	}
-	var diskStatus Status
-	mustReadJSON(t, filepath.Join(dir, "status.json"), &diskStatus)
-	if diskStatus.State != Done || len(diskStatus.Runs) != 4 {
-		t.Errorf("status.json = %s with %d runs, want done with 4", diskStatus.State, len(diskStatus.Runs))
-	}
+	assertFoldParity(t, rn, c)
 	for n := 0; n < 4; n++ {
 		out, err := rn.Outcome(c.ID, n)
 		if err != nil {
@@ -372,7 +376,7 @@ func TestRunnerRetriesExhausted(t *testing.T) {
 
 // TestRunnerDrain pins the SIGTERM path: canceling the context mid-sweep
 // lets in-flight runs finish and persist while unfed runs are canceled,
-// and status.json records the whole story.
+// and the fold of events.jsonl records the whole story.
 func TestRunnerDrain(t *testing.T) {
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
@@ -437,11 +441,7 @@ func TestRunnerDrain(t *testing.T) {
 			t.Errorf("run %d in unexpected state %s after drain", rs.Index, rs.State)
 		}
 	}
-	var diskStatus Status
-	mustReadJSON(t, filepath.Join(rn.CampaignDir(c.ID), "status.json"), &diskStatus)
-	if diskStatus.State != Canceled {
-		t.Errorf("status.json state = %s, want canceled", diskStatus.State)
-	}
+	assertFoldParity(t, rn, c)
 }
 
 // TestWriteJSONFileAtomic pins that rewrites go through rename — the

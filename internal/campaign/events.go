@@ -37,8 +37,9 @@ type Event struct {
 	Type     EventType `json:"type"`
 	Campaign string    `json:"campaign"`
 
-	// State and the counts are set on campaign-level events (accepted
-	// carries Total; done carries the final tally).
+	// State is the state the event moves its campaign (campaign_*) or
+	// its run (run_*) to. The counts are set on campaign-level events
+	// (accepted carries Total; done carries the final tally).
 	State     State `json:"state,omitempty"`
 	Total     int   `json:"total,omitempty"`
 	Succeeded int   `json:"succeeded,omitempty"`
@@ -64,25 +65,28 @@ type RunEvent struct {
 	Wall     *spec.WallStats `json:"wall,omitempty"`
 }
 
-// bus is a campaign's event fan-out: an append-only in-memory log (the
-// replay source for reconnecting subscribers), an optional JSONL
-// persistence sink, and a set of live subscriber channels. Publishing
-// never blocks: a subscriber whose buffer is full is dropped — its
-// channel closed — so a stalled SSE client costs its own connection,
-// never the runner.
+// bus is a campaign's record: an append-only in-memory log (the replay
+// source for reconnecting subscribers), the status folded from it, an
+// optional JSONL persistence sink, and a set of live subscriber
+// channels, all under one lock. Publishing never blocks: a subscriber
+// whose buffer is full is dropped — its channel closed — so a stalled
+// SSE client costs its own connection, never the runner.
 type bus struct {
 	mu     sync.Mutex
 	events []Event
+	status Status // the fold of events through apply
 	subs   map[chan Event]struct{}
 	closed bool
 	logW   io.Writer // JSONL sink; nil until the runner attaches one
 	logged int       // events already flushed to logW
 }
 
-func newBus() *bus { return &bus{subs: map[chan Event]struct{}{}} }
+// newBus starts an empty log whose events fold into st.
+func newBus(st Status) *bus { return &bus{status: st, subs: map[chan Event]struct{}{}} }
 
 // publish stamps the event with the next sequence number and the wall
-// time, appends it to the log, persists it, and fans it out.
+// time, appends it to the log, folds it into the status, persists it,
+// and fans it out.
 func (b *bus) publish(ev Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -91,7 +95,7 @@ func (b *bus) publish(ev Event) {
 	}
 	ev.Seq = int64(len(b.events) + 1)
 	ev.Time = time.Now().UTC()
-	b.events = append(b.events, ev)
+	b.appendLocked(ev)
 	b.flushLogLocked()
 	for ch := range b.subs {
 		select {
@@ -101,6 +105,32 @@ func (b *bus) publish(ev Event) {
 			close(ch)
 		}
 	}
+}
+
+// appendLocked adds ev to the log and folds it into the status.
+func (b *bus) appendLocked(ev Event) {
+	b.events = append(b.events, ev)
+	apply(&b.status, ev)
+}
+
+// restore loads a log read back from its JSONL file: the events keep
+// their sequence numbers and times, and count as already persisted.
+func (b *bus) restore(evs []Event) {
+	b.mu.Lock()
+	for _, ev := range evs {
+		b.appendLocked(ev)
+	}
+	b.logged = len(b.events)
+	b.mu.Unlock()
+}
+
+// snapshot copies the folded status.
+func (b *bus) snapshot() Status {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	st := b.status
+	st.Runs = append([]RunStatus(nil), st.Runs...)
+	return st
 }
 
 // attachLog starts persisting events to w (JSON lines), flushing any
@@ -121,7 +151,9 @@ func (b *bus) flushLogLocked() {
 		if err != nil {
 			return
 		}
-		b.logW.Write(append(buf, '\n')) //nolint:errcheck // best-effort persistence; the in-memory log is authoritative
+		// Best effort: the in-memory log serves this daemon; a lost line
+		// makes the file fail its sequence check when a restart reads it.
+		b.logW.Write(append(buf, '\n')) //nolint:errcheck
 	}
 }
 
@@ -183,3 +215,18 @@ func (c *Campaign) Events(after int64, buf int) ([]Event, chan Event) {
 
 // Unsubscribe releases a live channel obtained from Events.
 func (c *Campaign) Unsubscribe(ch chan Event) { c.bus.unsubscribe(ch) }
+
+// readEvents parses a campaign's persisted events.jsonl.
+func readEvents(r io.Reader) ([]Event, error) {
+	var evs []Event
+	dec := json.NewDecoder(r)
+	for {
+		var ev Event
+		if err := dec.Decode(&ev); err == io.EOF {
+			return evs, nil
+		} else if err != nil {
+			return nil, err
+		}
+		evs = append(evs, ev)
+	}
+}

@@ -332,12 +332,12 @@ func (w *stalledWriter) Write(p []byte) (int, error) {
 // the whole campaign regardless.
 func TestSSESlowClientDroppedNotRunner(t *testing.T) {
 	// Bus layer.
-	b := newBus()
+	b := newBus(Status{Runs: make([]RunStatus, 1)})
 	_, ch := b.subscribe(0, 1)
 	for i := 0; i < 3; i++ {
 		donePub := make(chan struct{})
 		go func() {
-			b.publish(Event{Type: EvRunStarted, Campaign: "x"})
+			b.publish(Event{Type: EvRunStarted, Campaign: "x", State: Running, Run: &RunEvent{}})
 			close(donePub)
 		}()
 		select {

@@ -18,8 +18,8 @@ import (
 // Directory layout, relative to Dir:
 //
 //	<id>/campaign.json     the submitted Spec
-//	<id>/status.json       progress snapshot, rewritten as runs finish
-//	<id>/events.jsonl      the typed lifecycle event log (one JSON per line)
+//	<id>/events.jsonl      the typed lifecycle event log (one JSON per line);
+//	                       the campaign's status is its fold
 //	<id>/runs/<n>/result.json   the run's spec.Outcome
 //	<id>/runs/<n>/pcap/control.pcapng capture artifact (Spec.Capture)
 type Runner struct {
@@ -64,36 +64,20 @@ func (rn *Runner) RunDir(id string, n int) string {
 // drains gracefully — in-flight runs finish and persist, unstarted runs
 // are marked canceled — which is the daemon's SIGTERM path. Run returns
 // after the pool has drained; the campaign's Done channel is closed and
-// its final status (and status.json) reflects every run.
+// its log ends in campaign_done, even when setup fails.
 func (rn *Runner) Run(ctx context.Context, c *Campaign) error {
 	defer close(c.done)
 	defer c.bus.close()
-	dir := rn.CampaignDir(c.ID)
-	if err := os.MkdirAll(filepath.Join(dir, "runs"), 0o755); err != nil {
-		c.setState(Failed)
+	logF, err := rn.create(c)
+	if err != nil {
+		c.finish("campaign setup failed: "+err.Error(), true)
 		return err
 	}
-	if err := writeJSONFile(filepath.Join(dir, "campaign.json"), c.Spec); err != nil {
-		c.setState(Failed)
-		return err
-	}
-	// Persist the event log from here on (the accepted event published
-	// before the directory existed is flushed first).
-	if logF, err := os.OpenFile(filepath.Join(dir, "events.jsonl"),
-		os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644); err == nil {
-		c.bus.attachLog(logF)
-		defer logF.Close()
-	} else {
-		rn.logf("campaign %s: opening event log: %v", c.ID, err)
-	}
-	c.setState(Running)
-	c.bus.publish(Event{Type: EvCampaignStarted, Campaign: c.ID, State: Running, Total: len(c.Status().Runs)})
-	rn.persistStatus(c)
+	defer logF.Close()
+	total := c.Status().Total
+	c.publish(Event{Type: EvCampaignStarted, State: Running, Total: total})
 
-	workers := rn.Concurrency
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(rn.Concurrency, 1)
 	idxCh := make(chan int)
 	doneCh := make(chan struct{})
 	for w := 0; w < workers; w++ {
@@ -101,19 +85,14 @@ func (rn *Runner) Run(ctx context.Context, c *Campaign) error {
 			defer func() { doneCh <- struct{}{} }()
 			for idx := range idxCh {
 				rn.runOne(c, idx)
-				rn.persistStatus(c)
 			}
 		}()
 	}
-
-	total := len(c.Status().Runs)
-	drained := true
 feed:
 	for i := 0; i < total; i++ {
 		select {
 		case idxCh <- i:
 		case <-ctx.Done():
-			drained = false
 			break feed
 		}
 	}
@@ -123,38 +102,32 @@ feed:
 	}
 
 	// Anything still pending was never started (a drain interrupted the
-	// feed); record it so status.json tells the whole story.
-	canceled := false
+	// feed).
+	c.finish("campaign drained before this run started", false)
 	st := c.Status()
-	for _, r := range st.Runs {
-		if r.State == Pending || r.State == Running {
-			canceled = true
-			c.setRun(r.Index, func(rs *RunStatus) {
-				rs.State = Canceled
-				rs.Error = "campaign drained before this run started"
-			})
-			c.bus.publish(Event{Type: EvRunCanceled, Campaign: c.ID, Run: &RunEvent{
-				Index: r.Index, Spec: r.Spec.String(),
-				Error: "campaign drained before this run started",
-			}})
-		}
-	}
-	st = c.Status()
-	switch {
-	case canceled || !drained:
-		c.setState(Canceled)
-	case st.Failed > 0:
-		c.setState(Failed)
-	default:
-		c.setState(Done)
-	}
-	rn.persistStatus(c)
-	final := c.Status()
-	c.bus.publish(Event{Type: EvCampaignDone, Campaign: c.ID, State: final.State,
-		Total: final.Total, Succeeded: final.Succeeded, Failed: final.Failed, Canceled: final.Canceled})
 	rn.logf("campaign %s: %s (%d/%d succeeded, %d failed, %d canceled)",
-		c.ID, final.State, st.Succeeded, st.Total, st.Failed, st.Canceled)
+		c.ID, st.State, st.Succeeded, st.Total, st.Failed, st.Canceled)
 	return nil
+}
+
+// create lays out the campaign's directory and opens its event log,
+// flushing the events published before the file existed. The log is the
+// campaign's only record, so a log that cannot be opened fails the
+// campaign like a directory that cannot be made.
+func (rn *Runner) create(c *Campaign) (*os.File, error) {
+	dir := rn.CampaignDir(c.ID)
+	if err := os.MkdirAll(filepath.Join(dir, "runs"), 0o755); err != nil {
+		return nil, err
+	}
+	if err := writeJSONFile(filepath.Join(dir, "campaign.json"), c.Spec); err != nil {
+		return nil, err
+	}
+	logF, err := os.OpenFile(filepath.Join(dir, "events.jsonl"), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	c.bus.attachLog(logF)
+	return logF, nil
 }
 
 // runOne attempts run idx until it succeeds or its attempts are spent.
@@ -171,16 +144,12 @@ func (rn *Runner) runOne(c *Campaign, idx int) {
 	}
 	attempts := 1 + c.Spec.Retries
 	for a := 1; a <= attempts; a++ {
-		c.setRun(idx, func(rs *RunStatus) {
-			rs.State = Running
-			rs.Attempts = a
-		})
+		ev := RunEvent{Index: idx, Spec: r.String(), Attempt: a}
 		startType := EvRunStarted
 		if a > 1 {
 			startType = EvRunRetried
 		}
-		c.bus.publish(Event{Type: startType, Campaign: c.ID,
-			Run: &RunEvent{Index: idx, Spec: r.String(), Attempt: a}})
+		c.publishRun(startType, Running, ev)
 		rn.logf("campaign %s: run %d (%s) attempt %d/%d", c.ID, idx, r, a, attempts)
 		out, err := rn.attempt(r, timeout)
 		if err == nil {
@@ -188,34 +157,23 @@ func (rn *Runner) runOne(c *Campaign, idx int) {
 				err = writeJSONFile(filepath.Join(runDir, "result.json"), out)
 			}
 			if err != nil {
-				msg := fmt.Sprintf("persisting result: %v", err)
-				c.setRun(idx, func(rs *RunStatus) {
-					rs.State = Failed
-					rs.Error = msg
-				})
-				c.bus.publish(Event{Type: EvRunFailed, Campaign: c.ID,
-					Run: &RunEvent{Index: idx, Spec: r.String(), Attempt: a, Error: msg}})
+				ev.Error = fmt.Sprintf("persisting result: %v", err)
+				c.publishRun(EvRunFailed, Failed, ev)
 				return
 			}
-			c.setRun(idx, func(rs *RunStatus) {
-				rs.State = Done
-				rs.Error = ""
-			})
 			wall := out.Wall
-			c.bus.publish(Event{Type: EvRunSucceeded, Campaign: c.ID, Run: &RunEvent{
-				Index: idx, Spec: r.String(), Attempt: a,
-				Digest:   out.Fingerprint.Digest(),
-				SteadyRx: out.Fingerprint.SteadyRx,
-				Wall:     &wall,
-			}})
+			ev.Digest, ev.SteadyRx, ev.Wall = out.Fingerprint.Digest(), out.Fingerprint.SteadyRx, &wall
+			c.publishRun(EvRunSucceeded, Done, ev)
 			return
 		}
-		c.setRun(idx, func(rs *RunStatus) { rs.Error = err.Error() })
-		c.bus.publish(Event{Type: EvRunFailed, Campaign: c.ID,
-			Run: &RunEvent{Index: idx, Spec: r.String(), Attempt: a, Error: err.Error()}})
+		ev.Error = err.Error()
+		next := Running // a retry follows
+		if a == attempts {
+			next = Failed
+		}
+		c.publishRun(EvRunFailed, next, ev)
 		rn.logf("campaign %s: run %d (%s) attempt %d failed: %v", c.ID, idx, r, a, err)
 	}
-	c.setRun(idx, func(rs *RunStatus) { rs.State = Failed })
 }
 
 // attempt executes one run attempt, converting panics into errors and
@@ -248,14 +206,56 @@ func (rn *Runner) attempt(r spec.Run, timeout time.Duration) (*spec.Outcome, err
 	}
 }
 
-// persistStatus snapshots status.json. Concurrent workers may race
-// here; each write is atomic (temp file + rename) so readers always see
-// a complete snapshot.
-func (rn *Runner) persistStatus(c *Campaign) {
-	path := filepath.Join(rn.CampaignDir(c.ID), "status.json")
-	if err := writeJSONFile(path, c.Status()); err != nil {
-		rn.logf("campaign %s: writing status: %v", c.ID, err)
+// restore rebuilds campaign id from its directory: the spec from
+// campaign.json, the status from folding events.jsonl. A log cut short
+// by the daemon's death is closed through the same publish, appended to
+// the file: every unfinished run is canceled, then campaign_done. The
+// campaign comes back finished. A directory without both files is
+// fs.ErrNotExist.
+func (rn *Runner) restore(id string) (*Campaign, error) {
+	dir := rn.CampaignDir(id)
+	buf, err := os.ReadFile(filepath.Join(dir, "campaign.json"))
+	if err != nil {
+		return nil, err
 	}
+	var sp Spec
+	if err := json.Unmarshal(buf, &sp); err != nil {
+		return nil, fmt.Errorf("campaign.json: %w", err)
+	}
+	c, err := newCampaign(id, sp)
+	if err != nil {
+		return nil, err
+	}
+	logF, err := os.OpenFile(filepath.Join(dir, "events.jsonl"), os.O_RDWR|os.O_APPEND, 0)
+	if err != nil {
+		return nil, err
+	}
+	defer logF.Close()
+	evs, err := readEvents(logF)
+	if err != nil {
+		return nil, fmt.Errorf("events.jsonl: %w", err)
+	}
+	total := c.Status().Total
+	if len(evs) == 0 || evs[0].Type != EvCampaignAccepted || evs[0].Total != total {
+		return nil, fmt.Errorf("events.jsonl does not open with the acceptance of %d runs", total)
+	}
+	for i, ev := range evs {
+		campaignEv := ev.Type == EvCampaignAccepted || ev.Type == EvCampaignStarted || ev.Type == EvCampaignDone
+		switch {
+		case ev.Seq != int64(i+1):
+			return nil, fmt.Errorf("events.jsonl line %d has seq %d", i+1, ev.Seq)
+		case !campaignEv && (ev.Run == nil || ev.Run.Index < 0 || ev.Run.Index >= total):
+			return nil, fmt.Errorf("events.jsonl line %d: %s names none of the %d runs", i+1, ev.Type, total)
+		}
+	}
+	c.bus.restore(evs)
+	c.bus.attachLog(logF)
+	if evs[len(evs)-1].Type != EvCampaignDone {
+		c.finish("interrupted: horsed restarted", false)
+	}
+	c.bus.close()
+	close(c.done)
+	return c, nil
 }
 
 // Outcome loads run n's persisted result.

@@ -49,11 +49,14 @@ type Server struct {
 	wg        sync.WaitGroup
 }
 
-// NewServer creates the management plane over the given runner. Campaign
-// numbering continues after the highest cNNNN already under the runner's
-// data root: Runner.Run truncates the events log and overwrites the status
-// and results of the ID it is given, so a restarted daemon must not hand
-// out c0001 again.
+// NewServer creates the management plane over the given runner and
+// serves what its data root holds: every campaign directory with both
+// campaign.json and events.jsonl is rebuilt as a finished campaign (see
+// Runner.restore), so status, runs, artifacts, analysis and the event
+// replay survive a restart. Campaign numbering continues after the
+// highest cNNNN already there: Runner.Run truncates the events log and
+// overwrites the results of the ID it is given, so a restarted daemon
+// must not hand out c0001 again.
 func NewServer(rn *Runner, logf func(format string, args ...any)) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -69,8 +72,17 @@ func NewServer(rn *Runner, logf func(format string, args ...any)) *Server {
 	}
 	for _, e := range entries {
 		var n int
-		if _, err := fmt.Sscanf(e.Name(), "c%d", &n); err == nil && n > s.nextID {
-			s.nextID = n
+		if _, err := fmt.Sscanf(e.Name(), "c%d", &n); err != nil {
+			continue
+		}
+		s.nextID = max(s.nextID, n)
+		c, err := rn.restore(e.Name())
+		switch {
+		case err == nil:
+			s.campaigns[c.ID] = c
+			s.order = append(s.order, c.ID)
+		case !errors.Is(err, fs.ErrNotExist) && logf != nil:
+			logf("campaign %s: not restored: %v", e.Name(), err)
 		}
 	}
 	return s

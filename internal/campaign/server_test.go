@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,7 +23,8 @@ import (
 // its httptest front end. No test outlives its campaigns: the server is
 // drained when the test ends — cleanups run last-registered first, so
 // that is before the runner's TempDir is removed and while t.Logf may
-// still be called.
+// still be called — and then every campaign's persisted log must fold
+// to the status the server holds.
 func newTestServer(t *testing.T, exec func(r spec.Run) (*spec.Outcome, error)) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := NewServer(newTestRunner(t, exec), t.Logf)
@@ -32,6 +35,10 @@ func newTestServer(t *testing.T, exec func(r spec.Run) (*spec.Outcome, error)) (
 		defer cancel()
 		if err := srv.Drain(ctx); err != nil {
 			t.Error(err)
+			return
+		}
+		for _, id := range srv.order {
+			assertFoldParity(t, srv.runner, srv.campaigns[id])
 		}
 	})
 	return srv, ts
@@ -153,6 +160,7 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 		{"bad axis", `{"topos": ["fattree:x"], "scenarios": ["ecmp5"]}`, "positive"},
 		{"removed ablation knob", `{"topos": ["fattree:4"], "scenarios": ["ecmp5"], "base": {"naive_solver": true}}`, "naive_solver"},
 		{"removed worker axis", `{"topos": ["fattree:4"], "scenarios": ["ecmp5"], "solver_workers": [1, 4]}`, "solver_workers"},
+		{"negative retries", `{"topos": ["fattree:4"], "scenarios": ["ecmp5"], "retries": -1}`, "retries"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -405,5 +413,209 @@ func TestServerIDsAreSequential(t *testing.T) {
 	want := []string{"c0001-same", "c0002-same", "c0003-same"}
 	if fmt.Sprint(ids) != fmt.Sprint(want) {
 		t.Fatalf("ids = %v, want %v", ids, want)
+	}
+}
+
+// getBody fetches url and returns its status code and raw body.
+func getBody(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestRestartedServerServesFinishedCampaign: a second server over the
+// same data root rebuilds a finished campaign from campaign.json and the
+// fold of events.jsonl, and serves it byte for byte as the first did —
+// status (a retried run included), listing, run result, artifacts,
+// analysis and the event replay — without touching its log.
+func TestRestartedServerServesFinishedCampaign(t *testing.T) {
+	var flaked atomic.Bool
+	rn := newTestRunner(t, func(r spec.Run) (*spec.Outcome, error) {
+		if r.Topo == "linear:4" && !flaked.Swap(true) {
+			return nil, errors.New("transient failure")
+		}
+		if err := os.MkdirAll(r.CaptureDir, 0o755); err != nil {
+			return nil, err
+		}
+		if err := os.WriteFile(filepath.Join(r.CaptureDir, "control.pcapng"), []byte("pcap!"), 0o644); err != nil {
+			return nil, err
+		}
+		return flowOutcome(r), nil
+	})
+	rn.Concurrency = 1
+	sp := smallSpec()
+	sp.Capture = true
+	sp.Retries = 1
+	serve := func() (map[string][]byte, []sseEvent, string) {
+		t.Helper()
+		srv := NewServer(rn, t.Logf)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		c, ok := srv.Campaign("c0001-fault")
+		if !ok {
+			var err error
+			if c, err = srv.Submit(sp); err != nil {
+				t.Fatal(err)
+			}
+			<-c.Done()
+		}
+		bodies := map[string][]byte{}
+		for _, path := range []string{"", "/" + c.ID, "/" + c.ID + "/runs/1", "/" + c.ID + "/runs/1/artifacts", "/" + c.ID + "/analysis"} {
+			code, body := getBody(t, ts.URL+"/campaigns"+path)
+			if code != http.StatusOK {
+				t.Fatalf("GET /campaigns%s = %d: %s", path, code, body)
+			}
+			bodies[path] = body
+		}
+		events := collectSSE(t, ts.URL+"/campaigns/"+c.ID+"/events", "")
+		if err := srv.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		log, err := os.ReadFile(filepath.Join(rn.CampaignDir(c.ID), "events.jsonl"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bodies, events, string(log)
+	}
+	before, beforeEvents, beforeLog := serve()
+	after, afterEvents, afterLog := serve()
+	for path, want := range before {
+		if !bytes.Equal(after[path], want) {
+			t.Errorf("GET /campaigns%s after a restart:\n%s\nwant\n%s", path, after[path], want)
+		}
+	}
+	if fmt.Sprint(afterEvents) != fmt.Sprint(beforeEvents) {
+		t.Errorf("event replay after a restart:\n%v\nwant\n%v", afterEvents, beforeEvents)
+	}
+	if afterLog != beforeLog {
+		t.Errorf("the restart rewrote a finished campaign's log")
+	}
+	var st Status
+	if err := json.Unmarshal(after["/c0001-fault"], &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != Done || st.Succeeded != 4 || st.Runs[2].Attempts != 2 || st.Submitted.IsZero() {
+		t.Fatalf("restored status = %s %d succeeded, run 2 after %d attempts, submitted %v; want done 4, 2 attempts and its submission time",
+			st.State, st.Succeeded, st.Runs[2].Attempts, st.Submitted)
+	}
+}
+
+// TestRestartClosesInterruptedLog: a log the daemon's death cut after a
+// run_started reads back as canceled — the started run and the pending
+// ones canceled as interrupted — and the file then ends in
+// campaign_done, so a third start reads it unchanged.
+func TestRestartClosesInterruptedLog(t *testing.T) {
+	rn := newTestRunner(t, func(r spec.Run) (*spec.Outcome, error) { return okOutcome(r), nil })
+	c, err := NewCampaign("c0001-cut", smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rn.Run(context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(rn.CampaignDir(c.ID), "events.jsonl")
+	full, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// accepted, started, the first run_started: the daemon dies there.
+	lines := strings.SplitAfter(string(full), "\n")
+	cut := strings.Join(lines[:3], "")
+	if !strings.Contains(lines[2], `"type":"run_started"`) {
+		t.Fatalf("third event is not a run_started: %s", lines[2])
+	}
+	if err := os.WriteFile(logPath, []byte(cut), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var started Event
+	if err := json.Unmarshal([]byte(lines[2]), &started); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, ok := NewServer(rn, t.Logf).Campaign(c.ID)
+	if !ok {
+		t.Fatal("the restarted server does not serve the interrupted campaign")
+	}
+	<-restarted.Done()
+	st := restarted.Status()
+	if st.State != Canceled || st.Canceled != st.Total {
+		t.Fatalf("restored status = %s with %d/%d canceled, want canceled with every run", st.State, st.Canceled, st.Total)
+	}
+	for _, r := range st.Runs {
+		if r.Error != "interrupted: horsed restarted" {
+			t.Errorf("run %d error = %q, want the interruption", r.Index, r.Error)
+		}
+		want := 0
+		if r.Index == started.Run.Index {
+			want = 1
+		}
+		if r.Attempts != want {
+			t.Errorf("run %d attempts = %d, want %d", r.Index, r.Attempts, want)
+		}
+	}
+	closed, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(closed), cut) {
+		t.Fatal("the restart rewrote the log instead of appending to it")
+	}
+	if n := strings.Count(string(closed), "\n"); n != 3+st.Total+1 {
+		t.Fatalf("closed log has %d events, want the 3 read back, %d run_canceled and campaign_done", n, st.Total)
+	}
+	assertFoldParity(t, rn, restarted)
+
+	again, _ := NewServer(rn, t.Logf).Campaign(c.ID)
+	assertJSONEqual(t, "status on a third start", again.Status(), st)
+	if reread, _ := os.ReadFile(logPath); !bytes.Equal(reread, closed) {
+		t.Fatal("a third start changed the closed log")
+	}
+}
+
+// TestRestartSkipsUnreadableLog: a campaign directory whose log does not
+// replay is left out, not served half-built, and its number is still
+// taken.
+func TestRestartSkipsUnreadableLog(t *testing.T) {
+	accepted := `{"seq":1,"type":"campaign_accepted","campaign":"c0004-bad","state":"pending","total":1}` + "\n"
+	for name, log := range map[string]string{
+		"empty":            "",
+		"not json":         "{",
+		"seq gap":          accepted + `{"seq":3,"type":"campaign_started","campaign":"c0004-bad","state":"running"}` + "\n",
+		"run out of range": accepted + `{"seq":2,"type":"run_started","campaign":"c0004-bad","state":"running","run":{"index":1,"spec":"x"}}` + "\n",
+		"run event bare":   accepted + `{"seq":2,"type":"run_started","campaign":"c0004-bad","state":"running"}` + "\n",
+		"wrong total":      `{"seq":1,"type":"campaign_accepted","campaign":"c0004-bad","state":"pending","total":2}` + "\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			rn := &Runner{Dir: t.TempDir()}
+			dir := rn.CampaignDir("c0004-bad")
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeJSONFile(filepath.Join(dir, "campaign.json"), Spec{Topos: []string{"fattree:4"}, Scenarios: []string{"ecmp5"}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "events.jsonl"), []byte(log), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var logged []string
+			srv := NewServer(rn, func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) })
+			if _, ok := srv.Campaign("c0004-bad"); ok {
+				t.Fatal("a campaign whose log does not replay was restored")
+			}
+			if len(logged) != 1 || !strings.Contains(logged[0], "not restored") {
+				t.Errorf("logged %q, want one not-restored line", logged)
+			}
+			if srv.nextID != 4 {
+				t.Errorf("next ID after c%04d, want after c0004", srv.nextID)
+			}
+		})
 	}
 }
