@@ -193,7 +193,7 @@ func summarize(w io.Writer, r spec.Run, res *horse.Result) {
 		res.ControlBytes, res.ControlWrites, res.FlowModsApplied,
 		res.RouteInstalls, res.PacketIns, res.StatsQueries)
 	fmt.Fprintf(w, "rate solver         : %d solves, %d components (largest %d flows), %d refills (%d links promoted)\n",
-		res.Solves, res.Solver.Components, res.Solver.MaxComponentFlows,
+		res.Solver.Solves, res.Solver.Components, res.Solver.MaxComponentFlows,
 		res.Solver.Refills, res.Solver.Promoted)
 	mem := res.Solver.Mem
 	fmt.Fprintf(w, "solver memory       : %d flow slots (%d live, %d free), %d links, arenas %d B paths + %d B members, %d B scratch\n",

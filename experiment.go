@@ -298,7 +298,6 @@ func (e *Experiment) collect(rs *runState, simStats sim.Stats) (*Result, error) 
 		MinHostRx:       &rs.minRx,
 		PerHostRxBytes:  make(map[string]uint64),
 		MeanPathLatency: flows.MeanPathLatency(),
-		Solves:          flows.Solves(),
 		Solver:          flows.Totals(),
 		Injections:      m.Stats.Injections.Load(),
 		ControlBytes:    m.Stats.ControlBytes.Load(),
@@ -377,14 +376,11 @@ type Result struct {
 
 	Flows []FlowResult
 
-	// Solves counts rate-solver runs over the whole experiment; reroute
-	// storms are batched, so this tracks control plane event granularity
-	// rather than per-flow mutations.
-	Solves int
-
-	// Solver aggregates per-solve statistics (dirty-region sizes,
+	// Solver aggregates per-solve statistics (solves, dirty-region sizes,
 	// independent components, speculation misses), accumulated once per
-	// solve regardless of Defer/Resume batching.
+	// solve regardless of Defer/Resume batching. Reroute storms are
+	// batched, so Solver.Solves tracks control plane event granularity
+	// rather than per-flow mutations.
 	Solver fluid.Totals
 
 	// MeanPathLatency is the rate-weighted mean one-way propagation

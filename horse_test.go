@@ -402,51 +402,59 @@ func TestPerHostRxBytes(t *testing.T) {
 	}
 }
 
-// useNaiveSolver switches exp's data plane to the from-scratch reference
-// solver (fluid.Set.SetNaive) at t = 0. The injection runs after the
-// flows starting at t = 0 and SetNaive marks every flow dirty, so the
-// next solve is a full naive one. The reference solver is test
-// scaffolding: no Config field or CLI flag reaches it.
-func useNaiveSolver(exp *Experiment, naive bool) {
-	exp.addInjection(0, func(m *cm.Manager) { m.Net.Flows.SetNaive(naive) })
+// checkMaxMin calls the data plane's CheckInvariants (capacity, granted
+// loads and the max–min bottleneck property, from the definition alone:
+// no second solver) from an injection every 100 ms of [0, dur). Events due
+// at one instant run in the order they were scheduled, so a check at the
+// instant of an injection scheduled before checkMaxMin runs right after
+// it. Every failed check is reported; the returned slice holds the virtual
+// time of every call once Run returns.
+func checkMaxMin(t *testing.T, exp *Experiment, dur Time) *[]Time {
+	var calls []Time
+	for at := Time(0); at < dur; at += 100 * Millisecond {
+		exp.addInjection(at, func(m *cm.Manager) {
+			now := m.Engine.Now()
+			calls = append(calls, now)
+			if err := m.Net.Flows.CheckInvariants(); err != nil {
+				t.Errorf("t=%v: %v", now, err)
+			}
+		})
+	}
+	return &calls
 }
 
-// TestNaiveSolverParity runs the same proactive-ECMP demo with the
-// incremental water-filling solver and the naive full-recompute baseline:
-// max–min allocations are unique, so both must deliver the same steady
-// aggregate rate.
-func TestNaiveSolverParity(t *testing.T) {
-	run := func(naive bool) *Result {
-		t.Helper()
-		topo, err := FatTree(4, SDN())
-		if err != nil {
-			t.Fatal(err)
-		}
-		exp := NewExperiment(testConfig())
-		useNaiveSolver(exp, naive)
-		exp.SetTopology(topo)
-		exp.UseSDN(AppECMP5())
-		if err := exp.SendPermutation(1, 1*Gbps, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		res, err := exp.Run(10 * Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Solves == 0 {
-			t.Fatal("solver never ran")
-		}
-		if got := exp.Manager().Net.Flows.Naive(); got != naive {
-			t.Fatalf("run used naive=%v, want %v", got, naive)
-		}
-		return res
+// TestECMPRunIsMaxMinFair runs the proactive-ECMP demo and holds the data
+// plane's allocation to the max–min invariants every 100 ms and once more
+// after the run.
+func TestECMPRunIsMaxMinFair(t *testing.T) {
+	topo, err := FatTree(4, SDN())
+	if err != nil {
+		t.Fatal(err)
 	}
-	inc := run(false)
-	naive := run(true)
-	got, want := inc.SteadyAggregateRx(), naive.SteadyAggregateRx()
-	if diff := got - want; diff < -10*Mbps || diff > 10*Mbps {
-		t.Errorf("steady rx differs: incremental %v vs naive %v", got, want)
+	exp := NewExperiment(testConfig())
+	exp.SetTopology(topo)
+	exp.UseSDN(AppECMP5())
+	if err := exp.SendPermutation(1, 1*Gbps, 0, 0); err != nil {
+		t.Fatal(err)
 	}
+	calls := checkMaxMin(t, exp, 10*Second)
+	res, err := exp.Run(10 * Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Manager().Net.Flows.CheckInvariants(); err != nil {
+		t.Errorf("after the run: %v", err)
+	}
+	if res.Solver.Solves == 0 {
+		t.Fatal("solver never ran")
+	}
+	if rx := res.SteadyAggregateRx(); rx <= 0 {
+		t.Fatalf("steady rx %v: nothing was delivered", rx)
+	}
+	if len(*calls) != 100 {
+		t.Fatalf("%d CheckInvariants calls during the run, want 100", len(*calls))
+	}
+	t.Logf("%d CheckInvariants calls (+1 after the run), %d solves", len(*calls), res.Solver.Solves)
 }
 
 // TestChurnWorkload drives an arrival/departure workload through the full
@@ -780,49 +788,67 @@ func TestNodeDownUpBGP(t *testing.T) {
 	}
 }
 
-// TestFailureParityNaiveVsIncremental runs the same failure scenario
-// with the incremental dirty-region solver and the naive baseline: the
-// steady rates before the failure, during the outage and after repair
-// must agree (max–min allocations are unique), proving SetCapacity's
-// dirty-region seeding matches a full recompute.
-func TestFailureParityNaiveVsIncremental(t *testing.T) {
-	run := func(naive bool) *Result {
-		t.Helper()
-		topo, err := FatTree(2, SDN())
-		if err != nil {
-			t.Fatal(err)
-		}
-		exp := NewExperiment(testConfig())
-		useNaiveSolver(exp, naive)
-		exp.SetTopology(topo)
-		exp.UseSDN(AppECMP5())
-		if err := exp.SendPermutation(4, 1*Gbps, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		if err := exp.At(3*Second).SetLinkRate("agg-0-0", "core-0-0", 250*Mbps); err != nil {
-			t.Fatal(err)
-		}
-		if err := exp.At(5*Second).LinkDown("agg-0-0", "core-0-0"); err != nil {
-			t.Fatal(err)
-		}
-		if err := exp.At(7*Second).LinkUp("agg-0-0", "core-0-0"); err != nil {
-			t.Fatal(err)
-		}
-		res, err := exp.Run(9 * Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+// TestFailureRunIsMaxMinFair degrades a core cable to 250 Mbps at 3 s,
+// takes it down at 5 s and repairs it at 7 s, and holds the data plane's
+// allocation to the max–min invariants every 100 ms — right after each
+// injection at its own instant — and after the run. Each of the three
+// windows is checked. fattree:2 has one core switch and one flow each
+// way across it, so the degraded window delivers 2 × 250 Mbps, the down
+// window nothing (the pods are cut apart; rate 0 is the max–min answer)
+// and the repaired one traffic again.
+func TestFailureRunIsMaxMinFair(t *testing.T) {
+	topo, err := FatTree(2, SDN())
+	if err != nil {
+		t.Fatal(err)
 	}
-	inc := run(false)
-	naive := run(true)
-	for _, w := range [][2]Time{{2 * Second, 3 * Second}, {4 * Second, 5 * Second}, {8 * Second, 9 * Second}} {
-		got := inc.AggregateRx.MeanBetween(w[0], w[1])
-		want := naive.AggregateRx.MeanBetween(w[0], w[1])
-		if diff := got - want; diff < -float64(20*Mbps) || diff > float64(20*Mbps) {
-			t.Errorf("window %v-%v: incremental %v vs naive %v", w[0], w[1], Rate(got), Rate(want))
+	exp := NewExperiment(testConfig())
+	exp.SetTopology(topo)
+	exp.UseSDN(AppECMP5())
+	if err := exp.SendPermutation(4, 1*Gbps, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.At(3*Second).SetLinkRate("agg-0-0", "core-0-0", 250*Mbps); err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.At(5*Second).LinkDown("agg-0-0", "core-0-0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.At(7*Second).LinkUp("agg-0-0", "core-0-0"); err != nil {
+		t.Fatal(err)
+	}
+	calls := checkMaxMin(t, exp, 9*Second)
+	res, err := exp.Run(9 * Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Manager().Net.Flows.CheckInvariants(); err != nil {
+		t.Errorf("after the run: %v", err)
+	}
+	windows := []struct {
+		name         string
+		from, to     Time
+		minRx, maxRx Rate // the window's mean aggregate rx
+	}{
+		{"250 Mbps", 3 * Second, 5 * Second, Mbps, 2*250*Mbps + Mbps},
+		{"down", 5 * Second, 7 * Second, 0, 0},
+		{"repaired", 7 * Second, 9 * Second, Mbps, 2 * Gbps},
+	}
+	counts := make([]int, len(windows))
+	for i, w := range windows {
+		for _, at := range *calls {
+			if at >= w.from && at < w.to {
+				counts[i]++
+			}
+		}
+		if counts[i] == 0 {
+			t.Errorf("%s window %v-%v: no CheckInvariants call", w.name, w.from, w.to)
+		}
+		if rx := Rate(res.AggregateRx.MeanBetween(w.from, w.to)); rx < w.minRx || rx > w.maxRx {
+			t.Errorf("%s window %v-%v: mean rx %v, want %v-%v", w.name, w.from, w.to, rx, w.minRx, w.maxRx)
 		}
 	}
+	t.Logf("%d CheckInvariants calls (+1 after the run): %d in the 250 Mbps window, %d down, %d repaired",
+		len(*calls), counts[0], counts[1], counts[2])
 }
 
 // TestNodeUpDoesNotReviveScriptedLinkDown pins the composition rule: a

@@ -161,6 +161,7 @@ func TestServerRejectsBadSpecs(t *testing.T) {
 		{"removed ablation knob", `{"topos": ["fattree:4"], "scenarios": ["ecmp5"], "base": {"naive_solver": true}}`, "naive_solver"},
 		{"removed worker axis", `{"topos": ["fattree:4"], "scenarios": ["ecmp5"], "solver_workers": [1, 4]}`, "solver_workers"},
 		{"negative retries", `{"topos": ["fattree:4"], "scenarios": ["ecmp5"], "retries": -1}`, "retries"},
+		{"negative sample interval", `{"topos": ["fattree:4"], "scenarios": ["ecmp5"], "base": {"sample_interval": "-10ms"}}`, "negative sample interval"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -82,29 +82,6 @@ func prefixEq(a netip.Addr, b netip.Addr, bits int) bool {
 	return av>>shift == bv>>shift
 }
 
-// Matches reports whether the five-tuple arriving on inPort satisfies m.
-func (m Match) Matches(inPort core.PortID, ft core.FiveTuple) bool {
-	if m.HasInPort && m.InPort != inPort {
-		return false
-	}
-	if m.HasProto && m.Proto != ft.Proto {
-		return false
-	}
-	if !prefixEq(m.Src, ft.Src, m.SrcBits) {
-		return false
-	}
-	if !prefixEq(m.Dst, ft.Dst, m.DstBits) {
-		return false
-	}
-	if m.HasTpSrc && m.TpSrc != ft.SrcPort {
-		return false
-	}
-	if m.HasTpDst && m.TpDst != ft.DstPort {
-		return false
-	}
-	return true
-}
-
 // Covers reports whether m's match set is a superset of o's: every packet
 // o matches, m matches too. Used for OpenFlow non-strict delete.
 func (m Match) Covers(o Match) bool {

@@ -11,6 +11,30 @@ import (
 	"repro/internal/core"
 )
 
+// Matches reports whether the five-tuple arriving on inPort satisfies m:
+// the linear oracle's matcher (Table looks up by tuple-space keys).
+func (m Match) Matches(inPort core.PortID, ft core.FiveTuple) bool {
+	if m.HasInPort && m.InPort != inPort {
+		return false
+	}
+	if m.HasProto && m.Proto != ft.Proto {
+		return false
+	}
+	if !prefixEq(m.Src, ft.Src, m.SrcBits) {
+		return false
+	}
+	if !prefixEq(m.Dst, ft.Dst, m.DstBits) {
+		return false
+	}
+	if m.HasTpSrc && m.TpSrc != ft.SrcPort {
+		return false
+	}
+	if m.HasTpDst && m.TpDst != ft.DstPort {
+		return false
+	}
+	return true
+}
+
 // linearTable is the table as it was before the tuple-space index: one
 // slice, scanned for every strict probe and lookup and re-sorted on every
 // insert. It is the oracle TestIndexedTableMatchesLinear holds Table to.

@@ -91,10 +91,9 @@
 // convergence, same fat-tree), and batches are what the control plane
 // produces in wall-clock order, where a fill of history-dependent regions
 // would leave history-dependent last bits in the converged rates (below).
-// Gated off, under MarkDirty and in naive mode every link is active, no
-// flow is a seed that its links have not already reached, and the solve is
-// the plain closure and fill: same regions, same discovery order, same
-// arithmetic.
+// Gated off, every link is active, no flow is a seed that its links have
+// not already reached, and the solve is the plain closure and fill: same
+// regions, same discovery order, same arithmetic.
 //
 // Solver output is defined up to epsilon, not to the bit: when several
 // links sit within epsilon of a round's level, whichever is on top of the
@@ -111,9 +110,7 @@
 // Complexity per fill, for a dirty component with F flows, L active links
 // and P hops of which Pa cross active links: O(P + F log F + (L + Pa) log L);
 // a speculating solve adds O(P) for the check and makes at most
-// maxSpecRefills+2 fills. A full naive recompute
-// (kept behind SetNaive for benchmarking) is O(rounds · (F + L) + P) with
-// fresh map and slice allocations per solve.
+// maxSpecRefills+2 fills.
 package fluid
 
 import (
@@ -335,9 +332,9 @@ func (m *MemStats) max(o MemStats) {
 	}
 }
 
-// SolveStats describes the work done by the most recent Solve. A solve
-// covering several independent dirty components reports their merged
-// totals.
+// SolveStats describes the work done by one solve, the sample Totals
+// accumulates. A solve covering several independent dirty components
+// reports their merged totals.
 type SolveStats struct {
 	// Flows and Links are the total sizes of the re-solved dirty
 	// components (Links includes memberless links whose load was reset
@@ -349,8 +346,7 @@ type SolveStats struct {
 	// Refills counts the fills of the region beyond the first, each after
 	// a passive link was found over capacity; Promoted counts the links
 	// turned active for them. Both stay 0 where the speculation is gated
-	// off (at least as many live flows as known links, a Defer batch, or
-	// a full solve).
+	// off (at least as many live flows as known links, or a Defer batch).
 	Refills, Promoted int
 	// Components is the number of independent dirty components
 	// water-filled by this solve (1 after a refill, which fills everything
@@ -358,9 +354,6 @@ type SolveStats struct {
 	Components int
 	// MaxComponentFlows is the flow count of the largest component.
 	MaxComponentFlows int
-	// Full reports whether the solve covered the whole set (MarkDirty or
-	// naive mode) rather than a dirty region.
-	Full bool
 	// Mem gauges resident storage as of this solve.
 	Mem MemStats
 }
@@ -368,10 +361,9 @@ type SolveStats struct {
 // Totals aggregates SolveStats over the lifetime of a Set. Accumulation
 // happens exactly once per solve, at the end of Solve — a Defer/Resume
 // batch therefore contributes a single sample no matter how many
-// mutations it coalesced, and callers no longer need to sum LastSolve
-// snapshots at every mutation site.
+// mutations it coalesced.
 type Totals struct {
-	// Solves counts solver runs (same value as Set.Solves).
+	// Solves counts solver runs.
 	Solves int
 	// Flows, Links and Rounds sum the per-solve dirty-region sizes.
 	Flows, Links, Rounds int
@@ -402,7 +394,6 @@ type Set struct {
 	caps    func(core.LinkID) core.Rate
 	delayOf func(core.LinkID) core.Time // per-link propagation delay (nil = 0)
 	lastAt  core.Time
-	solves  int
 	epsilon core.Rate
 
 	// Flow store: handle-indexed parallel slices plus the id boundary map
@@ -445,9 +436,8 @@ type Set struct {
 	paths   pairArena
 	members pairArena
 
-	dirtyAll bool   // full re-solve needed (capacities changed)
-	epoch    uint64 // component-walk epoch counter
-	seedGen  uint64 // seed-dedup epoch counter
+	epoch   uint64 // component-walk epoch counter
+	seedGen uint64 // seed-dedup epoch counter
 
 	// seeds lists the links dirtied since the last solve, in seeding order.
 	seeds []int32
@@ -457,8 +447,7 @@ type Set struct {
 	// into the region, so the flow that changed is named itself.
 	seedFlows []int32
 
-	deferDepth int  // >0 suspends solving (batched mutations)
-	naive      bool // full-recompute baseline for benchmarks
+	deferDepth int // >0 suspends solving (batched mutations)
 	last       SolveStats
 	totals     Totals
 
@@ -475,8 +464,8 @@ type Set struct {
 }
 
 // NewSet creates a flow set over a network whose link capacities are
-// reported by caps. Capacities are read when a link first carries a flow
-// and re-read on MarkDirty.
+// reported by caps. A link's capacity is read once, when the set first
+// sees the link; SetCapacity changes it afterwards.
 func NewSet(caps func(core.LinkID) core.Rate) *Set {
 	return &Set{
 		caps:    caps,
@@ -537,22 +526,6 @@ func (s *Set) MeanPathLatency() core.Time {
 	}
 	return core.Time(weighted / float64(total))
 }
-
-// SetNaive toggles the naive full-recompute solver, the pre-incremental
-// baseline kept for benchmarking (BenchmarkSolveScale) and differential
-// testing. Allocations and solve cost match the from-scratch progressive
-// filling of the original implementation.
-func (s *Set) SetNaive(v bool) {
-	s.naive = v
-	s.dirtyAll = true
-}
-
-// Naive reports whether the naive baseline solver is active.
-func (s *Set) Naive() bool { return s.naive }
-
-// LastSolve reports statistics about the most recent solver run; ablation
-// benchmarks and tests use it to observe the dirty-region cut.
-func (s *Set) LastSolve() SolveStats { return s.last }
 
 // Totals reports the cumulative solver statistics, accumulated exactly
 // once per solve regardless of Defer/Resume batching.
@@ -781,10 +754,6 @@ func (s *Set) Flow(id FlowID) (Flow, bool) {
 // Len reports the number of live flows (pending or active).
 func (s *Set) Len() int { return len(s.byID) }
 
-// Solves reports how many times the rate solver has run; ablation
-// benchmarks use it to cost rate recomputation policies.
-func (s *Set) Solves() int { return s.solves }
-
 // SetPath reroutes a flow (or blackholes it with nil) and recomputes.
 func (s *Set) SetPath(id FlowID, path []core.LinkID, now core.Time) {
 	fh, ok := s.byID[id]
@@ -847,16 +816,11 @@ func (s *Set) appendPathOf(buf []core.LinkID, fh int32) []core.LinkID {
 // SetCapacity changes one link's capacity and recomputes the affected
 // allocations. It is the fluid layer's failure/dynamics injection seam:
 // a link-down clamps the capacity to zero (flows crossing it collapse to
-// rate 0 on the spot), a link-up or rate change restores it. Unlike
-// MarkDirty — which forces a full re-read and re-solve of every link —
-// SetCapacity seeds only the mutated link, so the next solve is confined
-// to the dirty component around the failure and performs no heap
-// allocations beyond the link slot created the first time the link is
-// ever seen.
-//
-// Callers must keep the caps callback consistent with the new value
-// (mutate the topology first): MarkDirty and the naive baseline solver
-// re-read capacities through the callback.
+// rate 0 on the spot), a link-up or rate change restores it. It seeds only
+// the mutated link, so the next solve is confined to the dirty component
+// around the failure and performs no heap allocations beyond the link slot
+// created the first time the link is ever seen. The caps callback is not
+// consulted again for a link the set already knows.
 func (s *Set) SetCapacity(id core.LinkID, c core.Rate, now core.Time) {
 	if c < 0 {
 		c = 0
@@ -911,27 +875,20 @@ func (s *Set) Solve(now core.Time) { s.solve(false) }
 
 // solve is Solve; batch says that the solve ends a Defer batch.
 func (s *Set) solve(batch bool) {
-	if s.deferDepth > 0 {
+	if s.deferDepth > 0 || len(s.seeds) == 0 {
 		return
 	}
-	if !s.dirtyAll && len(s.seeds) == 0 {
-		return
-	}
-	s.solves++
-	if s.naive {
-		s.solveNaive()
-	} else {
-		// Passive links trim per-link work and risk redoing per-flow work,
-		// and they are picked by the standing loads: the closure
-		// speculates only where links outnumber flows and one mutation
-		// separates the standing allocation from the new one.
-		speculate := !batch && !s.dirtyAll && len(s.byID) < len(s.lID)
-		if s.dirtyAll {
-			s.seedAll()
-		}
-		s.solveDirty(speculate)
-	}
-	s.dirtyAll = false
+	// Passive links trim per-link work and risk redoing per-flow work, and
+	// they are picked by the standing loads: the closure speculates only
+	// where links outnumber flows and one mutation separates the standing
+	// allocation from the new one.
+	s.solveDirty(!batch && len(s.byID) < len(s.lID))
+	s.endSolve()
+}
+
+// endSolve closes a solve: the seeds are spent, the memory gauged and the
+// solve's stats folded into the lifetime totals.
+func (s *Set) endSolve() {
 	s.seeds = s.seeds[:0]
 	s.seedFlows = s.seedFlows[:0]
 	s.seedGen++
@@ -967,19 +924,6 @@ func (s *Set) accumulate() {
 		s.totals.MaxComponentFlows = st.MaxComponentFlows
 	}
 	s.totals.Mem.max(st.Mem)
-}
-
-// seedAll refreshes every cached capacity from caps and seeds every known
-// link (in handle order, for run-to-run determinism), turning the next
-// solve into a full one.
-func (s *Set) seedAll() {
-	for lh := range s.lID {
-		s.lCap[lh] = s.capOf(s.lID[lh])
-		s.seed(int32(lh))
-	}
-	// Flows whose whole path vanished from link state cannot exist:
-	// storePath creates a slot for every path link. Pending and
-	// blackholed flows already hold rate 0.
 }
 
 // maxSpecRefills caps the speculative refills of one solve; a check that
@@ -1124,10 +1068,7 @@ func (s *Set) solveDirty(speculate bool) {
 		s.visitFlow(fh, speculate)
 		s.closeTask(fOff, lOff, speculate)
 	}
-	s.last = SolveStats{
-		Components: len(s.tasks),
-		Full:       s.dirtyAll,
-	}
+	s.last = SolveStats{Components: len(s.tasks)}
 	for i := range s.tasks {
 		s.waterfill(&s.tasks[i])
 		s.last.Rounds += s.tasks[i].rounds
@@ -1466,8 +1407,3 @@ func (s *Set) AppendFlows(buf []Flow) []Flow {
 	}
 	return buf
 }
-
-// MarkDirty forces the next Solve to re-read link capacities and
-// recompute every allocation, used when capacities change underneath the
-// set (e.g. link failure injection).
-func (s *Set) MarkDirty() { s.dirtyAll = true }

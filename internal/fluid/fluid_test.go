@@ -273,16 +273,11 @@ func TestDuplicateFlowIDPanics(t *testing.T) {
 func TestSolveIsLazy(t *testing.T) {
 	s := NewSet(capsConst(core.Gbps))
 	s.Add(mkFlow(1, core.Gbps, 0), 0)
-	before := s.Solves()
+	before := s.Totals().Solves
 	s.Solve(0)
 	s.Solve(0)
-	if s.Solves() != before {
+	if s.Totals().Solves != before {
 		t.Fatal("Solve recomputed without changes")
-	}
-	s.MarkDirty()
-	s.Solve(0)
-	if s.Solves() != before+1 {
-		t.Fatal("MarkDirty did not force recompute")
 	}
 }
 
@@ -497,9 +492,9 @@ func TestZeroCapacityLink(t *testing.T) {
 				}
 				return core.Gbps
 			})
-			s.SetNaive(naive)
-			s.Add(mkFlow(1, core.Gbps, 0, 1), 0) // crosses the dead link
-			s.Add(mkFlow(2, core.Gbps, 1), 0)    // healthy link only
+			add := naiveMode(s, naive)
+			add(mkFlow(1, core.Gbps, 0, 1)) // crosses the dead link
+			add(mkFlow(2, core.Gbps, 1))    // healthy link only
 			if got := rateOf(s, 1); got != 0 {
 				t.Errorf("flow across zero-capacity link: rate = %v, want 0", got)
 			}
@@ -521,8 +516,7 @@ func TestNegativeCapacityClamped(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			s := NewSet(func(core.LinkID) core.Rate { return -5 * core.Gbps })
-			s.SetNaive(naive)
-			s.Add(mkFlow(1, core.Gbps, 0), 0)
+			naiveMode(s, naive)(mkFlow(1, core.Gbps, 0))
 			if got := rateOf(s, 1); got != 0 || math.IsNaN(float64(got)) {
 				t.Fatalf("rate on negative-capacity link = %v, want 0", got)
 			}
@@ -546,14 +540,14 @@ func TestDustFreezeTermination(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			s := NewSet(caps)
-			s.SetNaive(naive)
+			add := naiveMode(s, naive)
 			var flows []*Flow
 			for i := 0; i < 30; i++ {
 				// Demands differing by fractions of the 1 bps epsilon.
 				d := core.Gbps/3 + core.Rate(i)*0.1
 				f := mkFlow(i+1, d, i%5, 5+i%7)
 				flows = append(flows, f)
-				s.Add(f, 0) // must return: termination is the test
+				add(f) // must return: termination is the test
 			}
 			refreshRates(s, flows)
 			loads := map[core.LinkID]core.Rate{}
@@ -653,9 +647,9 @@ func TestDirtyRegionComponentCut(t *testing.T) {
 	s.Add(mkFlow(4, core.Gbps, 10), 0)
 	// Removing flow 2 must re-solve only cluster A.
 	s.Remove(2, 0)
-	st := s.LastSolve()
-	if st.Flows != 1 || st.Full {
-		t.Fatalf("component stats after cluster-A removal = %+v, want Flows=1 partial", st)
+	st := s.last
+	if st.Flows != 1 {
+		t.Fatalf("component stats after cluster-A removal = %+v, want Flows=1 (cluster A only)", st)
 	}
 	if st.Links != 2 {
 		t.Fatalf("component links = %d, want 2 (links 0 and 1)", st.Links)
@@ -666,28 +660,22 @@ func TestDirtyRegionComponentCut(t *testing.T) {
 	if r3, r4 := rateOf(s, 3), rateOf(s, 4); !approxEq(r3, 500*core.Mbps) || !approxEq(r4, 500*core.Mbps) {
 		t.Fatalf("cluster B disturbed: %v, %v", r3, r4)
 	}
-	// MarkDirty forces a full re-solve over both clusters.
-	s.MarkDirty()
-	s.Solve(0)
-	if st := s.LastSolve(); !st.Full || st.Flows != 3 {
-		t.Fatalf("full solve stats = %+v", st)
-	}
 }
 
 func TestDeferBatchesSolves(t *testing.T) {
 	s := NewSet(capsConst(1 * core.Gbps))
 	s.Add(mkFlow(1, core.Gbps, 0), 0)
-	before := s.Solves()
+	before := s.Totals().Solves
 	s.Defer()
 	for i := 2; i <= 10; i++ {
 		s.Add(mkFlow(i, core.Gbps, 0), 0)
 	}
-	if s.Solves() != before {
-		t.Fatalf("solver ran inside deferred batch: %d solves", s.Solves()-before)
+	if got := s.Totals().Solves - before; got != 0 {
+		t.Fatalf("solver ran inside deferred batch: %d solves", got)
 	}
 	s.Resume(0)
-	if s.Solves() != before+1 {
-		t.Fatalf("batch resume ran %d solves, want 1", s.Solves()-before)
+	if got := s.Totals().Solves - before; got != 1 {
+		t.Fatalf("batch resume ran %d solves, want 1", got)
 	}
 	for _, f := range s.Flows() {
 		if !approxEq(f.Rate, 100*core.Mbps) {
@@ -757,13 +745,7 @@ func TestNaiveIncrementalParity(t *testing.T) {
 			}
 		}
 		// Oracle: same final flows, naive full solve.
-		oracle := NewSet(caps)
-		oracle.SetNaive(true)
-		for _, f := range inc.Flows() {
-			clone := &Flow{ID: f.ID, Demand: f.Demand, State: f.State, Dst: f.Dst}
-			clone.Path = append([]core.LinkID(nil), f.Path...)
-			oracle.Add(clone, 0)
-		}
+		oracle := naiveOracle(inc, caps)
 		for _, f := range inc.Flows() {
 			o, ok := oracle.Flow(f.ID)
 			if !ok {
@@ -836,13 +818,13 @@ func TestSetCapacityDirtyRegionConfined(t *testing.T) {
 		s.Add(mkFlow(i+1, core.Gbps, i), 0) // flows on links 0..7, disjoint
 	}
 	s.SetCapacity(2, 100*core.Mbps, 0)
-	if st := s.LastSolve(); st.Full || st.Links != 1 || st.Flows != 1 {
+	if st := s.last; st.Links != 1 || st.Flows != 1 {
 		t.Fatalf("solve stats after SetCapacity = %+v, want 1 link / 1 flow region", st)
 	}
 	// No-op capacity change must not solve at all.
-	n := s.Solves()
+	n := s.Totals().Solves
 	s.SetCapacity(2, 100*core.Mbps, 0)
-	if s.Solves() != n {
+	if s.Totals().Solves != n {
 		t.Fatal("no-op SetCapacity triggered a solve")
 	}
 }
@@ -933,13 +915,7 @@ func TestSetCapacityParity(t *testing.T) {
 				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}
 		}
-		oracle := NewSet(caps)
-		oracle.SetNaive(true)
-		for _, f := range inc.Flows() {
-			clone := &Flow{ID: f.ID, Demand: f.Demand, State: f.State, Dst: f.Dst}
-			clone.Path = append([]core.LinkID(nil), f.Path...)
-			oracle.Add(clone, 0)
-		}
+		oracle := naiveOracle(inc, caps)
 		for _, f := range inc.Flows() {
 			o, ok := oracle.Flow(f.ID)
 			if !ok {

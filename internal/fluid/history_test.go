@@ -103,7 +103,7 @@ func TestSolveStatsComponents(t *testing.T) {
 	// An idle link's capacity change: quiet, no component.
 	s.SetCapacity(20, 500*core.Mbps, 0)
 	s.Resume(0)
-	st := s.LastSolve()
+	st := s.last
 	if st.Components != 2 {
 		t.Fatalf("components = %d, want 2 (clusters A and B): %+v", st.Components, st)
 	}

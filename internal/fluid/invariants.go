@@ -24,7 +24,7 @@ import (
 // are still waiting for their solve (inside a Defer batch the loads are
 // stale by design). It allocates; it is meant for tests and debugging.
 func (s *Set) CheckInvariants() error {
-	if s.dirtyAll || len(s.seeds) > 0 {
+	if len(s.seeds) > 0 {
 		return fmt.Errorf("fluid: mutations pending, allocation not solved yet")
 	}
 	sums := make([]core.Rate, len(s.lID))

@@ -6,12 +6,33 @@ import (
 	"repro/internal/core"
 )
 
-// solveNaive is the pre-incremental solver: a from-scratch progressive
-// filling that rebuilds per-link state in fresh maps on every solve and
-// raises all active flows by uniform increments. It is retained behind
-// SetNaive as the benchmark baseline (BenchmarkSolveScale measures the
-// incremental solver against it) and as a differential-testing oracle —
-// max–min allocations are unique, so both solvers must agree.
+// The two reference solves the tests hold the incremental solver to. Both
+// are test scaffolding: no production path reaches either.
+
+// fullSolve runs muts and then solves the whole set as one Defer batch
+// with every known link seeded. A batch never speculates, so this is the
+// plain closure over everything: the full-closure reference of the
+// speculative twins and the full re-solve BenchmarkSolve times.
+func fullSolve(s *Set, now core.Time, muts ...func(*Set)) {
+	s.Defer()
+	for _, m := range muts {
+		m(s)
+	}
+	for lh := range s.lID {
+		s.seed(int32(lh))
+	}
+	s.Resume(now)
+}
+
+// naiveSolve is the pre-incremental solver: a from-scratch progressive
+// filling of the current state that rebuilds per-link state in fresh maps
+// and raises all active flows by uniform increments. It ignores Defer and
+// ends like a solve of the set (seeds spent, stats recorded). A set whose
+// every mutation is followed by naiveSolve inside an open Defer batch is
+// the naive baseline BenchmarkSolveScale measures the incremental solver
+// against, and a from-scratch naiveSolve of a final state is the
+// differential oracle of the parity tests — max–min allocations are
+// unique, so both solvers must agree.
 //
 // It deliberately keeps the original cost model (fresh map and slice
 // allocations per solve, uniform epsilon rounds) while reading flows and
@@ -23,7 +44,7 @@ import (
 // flow crossing a zero-capacity link freezes at rate 0 in the first round
 // instead of driving the increment negative and relying on the
 // numeric-dust fallback to terminate.
-func (s *Set) solveNaive() {
+func naiveSolve(s *Set) {
 	type naiveLink struct {
 		cap    core.Rate
 		load   core.Rate // allocation already granted on this link
@@ -54,7 +75,7 @@ func (s *Set) solveNaive() {
 		}
 	}
 	s.last = SolveStats{Flows: len(active), Links: len(links), Components: 1,
-		MaxComponentFlows: len(active), Full: true}
+		MaxComponentFlows: len(active)}
 
 	// Progressive filling: raise all active flows together until a link
 	// saturates or a flow reaches its demand; freeze and repeat.
@@ -125,7 +146,7 @@ func (s *Set) solveNaive() {
 	s.last.Rounds = rounds
 
 	// Refresh the persistent per-link granted loads so O(1) accessors
-	// (LinkRate) stay correct in naive mode.
+	// (LinkRate) and CheckInvariants see the naive allocation.
 	for lh := range s.lID {
 		mb := s.lMem[lh]
 		var load core.Rate
@@ -134,4 +155,33 @@ func (s *Set) solveNaive() {
 		}
 		s.lLoad[lh] = load
 	}
+	s.endSolve()
+}
+
+// naiveMode returns how a test adds a flow to s at time 0: directly, or,
+// with naive, into a Defer batch held open for good, each Add followed by
+// a naiveSolve — the set solved by the reference alone.
+func naiveMode(s *Set, naive bool) (add func(*Flow)) {
+	if !naive {
+		return func(f *Flow) { s.Add(f, 0) }
+	}
+	s.Defer()
+	return func(f *Flow) {
+		s.Add(f, 0)
+		naiveSolve(s)
+	}
+}
+
+// naiveOracle builds a fresh set over caps holding copies of s's flows
+// and solves it once from scratch with naiveSolve.
+func naiveOracle(s *Set, caps func(core.LinkID) core.Rate) *Set {
+	oracle := NewSet(caps)
+	oracle.Defer()
+	for _, f := range s.Flows() {
+		clone := &Flow{ID: f.ID, Demand: f.Demand, State: f.State, Dst: f.Dst}
+		clone.Path = append([]core.LinkID(nil), f.Path...)
+		oracle.Add(clone, 0)
+	}
+	naiveSolve(oracle)
+	return oracle
 }

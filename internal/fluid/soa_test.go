@@ -103,30 +103,6 @@ func TestChurnZeroAllocContended(t *testing.T) {
 	}
 }
 
-// TestFullSolveZeroAlloc pins the MarkDirty+Solve path (the cost the WAN
-// scenarios pay on a topology-wide event): after the first full solve has
-// sized the scratch, repeats must not allocate either.
-func TestFullSolveZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; guard runs in the non-race job")
-	}
-	s := NewSet(func(core.LinkID) core.Rate { return 10 * core.Gbps })
-	s.Defer()
-	for i := 0; i < 512; i++ {
-		s.Add(&Flow{ID: FlowID(i + 1), Demand: core.Gbps, State: Active, Path: crossCorePath(i)}, 0)
-	}
-	s.Resume(0)
-	s.MarkDirty()
-	s.Solve(0)
-	avg := testing.AllocsPerRun(50, func() {
-		s.MarkDirty()
-		s.Solve(0)
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state full solve allocates %.2f allocs/op, want 0", avg)
-	}
-}
-
 // --- Memory gauge plumbing ------------------------------------------------
 
 // TestMemStatsGauges checks the SolveStats.Mem counters track the store:
@@ -140,7 +116,7 @@ func TestMemStatsGauges(t *testing.T) {
 		s.Add(&Flow{ID: FlowID(i + 1), Demand: core.Gbps, State: Active, Path: crossCorePath(i)}, 0)
 	}
 	s.Resume(0)
-	m := s.LastSolve().Mem
+	m := s.last.Mem
 	if m.LiveFlows != n || m.FlowSlots != n || m.FreeFlows != 0 {
 		t.Fatalf("after %d adds: %+v", n, m)
 	}
@@ -151,14 +127,14 @@ func TestMemStatsGauges(t *testing.T) {
 	for i := 0; i < n/2; i++ {
 		s.Remove(FlowID(i+1), 0)
 	}
-	m = s.LastSolve().Mem
+	m = s.last.Mem
 	if m.LiveFlows != n/2 || m.FreeFlows != n/2 || m.FlowSlots != n {
 		t.Fatalf("after removing half: %+v", m)
 	}
 
 	// Readmission drains the freelist instead of growing the table.
 	s.Add(&Flow{ID: FlowID(n + 1), Demand: core.Gbps, State: Active, Path: crossCorePath(3)}, 0)
-	m = s.LastSolve().Mem
+	m = s.last.Mem
 	if m.FlowSlots != n || m.FreeFlows != n/2-1 {
 		t.Fatalf("readmission should reuse a free slot: %+v", m)
 	}
@@ -181,8 +157,13 @@ func TestChurnFailureParityWithNaive(t *testing.T) {
 		rates := map[bool]map[FlowID]core.Rate{}
 		for _, naive := range []bool{false, true} {
 			s := NewSet(func(core.LinkID) core.Rate { return core.Gbps })
-			s.SetNaive(naive)
+			if naive {
+				s.Defer() // every solve below is naiveSolve's
+			}
 			mutateEach(s, seed, 1, 6, 8, 400, func() {
+				if naive {
+					naiveSolve(s)
+				}
 				if err := s.CheckInvariants(); err != nil {
 					t.Fatalf("seed %d naive=%v: %v", seed, naive, err)
 				}
@@ -208,7 +189,7 @@ func ExampleSolveStats_mem() {
 	s := NewSet(func(core.LinkID) core.Rate { return core.Gbps })
 	s.Add(&Flow{ID: 1, Demand: core.Gbps, State: Active, Path: []core.LinkID{1, 2}}, 0)
 	s.Remove(1, 0)
-	m := s.LastSolve().Mem
+	m := s.last.Mem
 	fmt.Printf("slots=%d live=%d free=%d\n", m.FlowSlots, m.LiveFlows, m.FreeFlows)
 	// Output: slots=1 live=0 free=1
 }

@@ -18,12 +18,12 @@ func ratesClose(a, b core.Rate) bool {
 }
 
 // specTwins drives one mutation history through a speculating set and
-// through a reference twin that calls MarkDirty before every solve — a
-// full solve keeps every link active, so the twin is the full-closure
-// solver without any knob to select it. Single
-// mutations go in directly (those solves speculate), Defer batches as
-// batches (those do not, and leave the next speculation a standing
-// allocation it did not make).
+// through a reference twin that takes every mutation through fullSolve —
+// a batch over every link, which never speculates, so the twin is the
+// full-closure solver without any knob to select it. On the speculating
+// set single mutations go in directly (those solves speculate), Defer
+// batches as batches (those do not, and leave the next speculation a
+// standing allocation it did not make).
 type specTwins struct {
 	t    *testing.T
 	ctx  string
@@ -48,21 +48,16 @@ func newSpecTwins(t *testing.T, nLinks int, capOf func(l int) core.Rate) *specTw
 // sets — one solve each — then compares.
 func (tw *specTwins) apply(muts []func(s *Set)) {
 	tw.now += core.Millisecond
-	for _, s := range []*Set{tw.ref, tw.spec} {
-		if len(muts) > 1 {
-			s.Defer()
-		}
-		if s == tw.ref {
-			s.MarkDirty()
-		}
-		for _, m := range muts {
-			m(s)
-		}
-		if len(muts) > 1 {
-			s.Resume(tw.now)
-		}
+	fullSolve(tw.ref, tw.now, muts...)
+	if len(muts) > 1 {
+		tw.spec.Defer()
 	}
-	tw.ref.Solve(tw.now) // a mutation that changed nothing left MarkDirty standing
+	for _, m := range muts {
+		m(tw.spec)
+	}
+	if len(muts) > 1 {
+		tw.spec.Resume(tw.now)
+	}
 	tw.compare()
 }
 
@@ -75,8 +70,8 @@ func (tw *specTwins) compare() {
 	if err := tw.ref.CheckInvariants(); err != nil {
 		t.Fatalf("%s: reference: %v", tw.ctx, err)
 	}
-	if !tw.ref.LastSolve().Full || tw.ref.LastSolve().Refills != 0 {
-		t.Fatalf("%s: reference solve was not a plain full solve: %+v", tw.ctx, tw.ref.LastSolve())
+	if st := tw.ref.last; st.Links != len(tw.ref.lID) || st.Refills != 0 {
+		t.Fatalf("%s: reference solve was not a plain full solve: %+v", tw.ctx, st)
 	}
 	for _, id := range tw.live {
 		got, _ := tw.spec.Flow(id)
@@ -171,7 +166,7 @@ func TestSpeculativeMatchesFullSolve(t *testing.T) {
 					c = core.Rate(rng.Intn(2000)+1) * core.Mbps
 				}
 				return func(s *Set) {
-					tw.caps[l] = c // the reference re-reads it through the callback
+					tw.caps[l] = c // in step for a link first seen later
 					s.SetCapacity(l, c, tw.now)
 				}
 			}
@@ -210,7 +205,7 @@ func TestRefillOnPromotion(t *testing.T) {
 		t.Fatalf("flow 1 alone = %v, want its demand", got)
 	}
 	s.Add(mkFlow(2, core.Gbps, 1, 2), 0)
-	st := s.LastSolve()
+	st := s.last
 	if st.Refills != 1 || st.Promoted != 1 {
 		t.Fatalf("arrival on a slack link: %+v, want 1 refill promoting 1 link", st)
 	}
@@ -231,7 +226,7 @@ func TestRefillOnPromotion(t *testing.T) {
 	// Flow 2 leaves again: link 1 is saturated now, so it is active, flow 1
 	// is re-solved with it and recovers without a refill.
 	s.Remove(2, 0)
-	if st := s.LastSolve(); st.Refills != 0 || rateOf(s, 1) != 600*core.Mbps {
+	if st := s.last; st.Refills != 0 || rateOf(s, 1) != 600*core.Mbps {
 		t.Fatalf("after the departure: %+v, flow 1 at %v", st, rateOf(s, 1))
 	}
 	if err := s.CheckInvariants(); err != nil {
@@ -290,7 +285,7 @@ func TestCapacityReadCreatesNoLinkSlot(t *testing.T) {
 		t.Fatalf("capacity of a known link = %v, want 1Gbps", got)
 	}
 	s.Add(mkFlow(2, core.Gbps, 1, 2), 0) // 3 live flows, 3 known links
-	if st := s.LastSolve(); st.Mem.LinkSlots != 3 || st.Refills != 0 {
+	if st := s.last; st.Mem.LinkSlots != 3 || st.Refills != 0 {
 		t.Fatalf("after the reads: %d link slots, %d refills, want 3 and 0: %+v", st.Mem.LinkSlots, st.Refills, st)
 	}
 }
@@ -304,7 +299,7 @@ func TestBatchSolveDoesNotSpeculate(t *testing.T) {
 	s.Defer()
 	s.Add(mkFlow(2, core.Gbps, 1, 2), 0)
 	s.Resume(0)
-	if st := s.LastSolve(); st.Refills != 0 || st.Promoted != 0 || st.Flows != 2 || st.Links != 3 || st.Components != 1 {
+	if st := s.last; st.Refills != 0 || st.Promoted != 0 || st.Flows != 2 || st.Links != 3 || st.Components != 1 {
 		t.Fatalf("batch solve = %+v, want one plain fill of 2 flows / 3 links", st)
 	}
 	if r1, r2 := rateOf(s, 1), rateOf(s, 2); r1 != 500*core.Mbps || r2 != 500*core.Mbps {
@@ -377,7 +372,7 @@ func TestSpeculationWorstCaseBounded(t *testing.T) {
 	}
 	caps[x] = 1000 * core.Gbps
 	s.SetCapacity(x, caps[x], 0)
-	st := s.LastSolve()
+	st := s.last
 	if st.Refills != maxSpecRefills+1 {
 		t.Fatalf("worst case took %d refills, want the cap of %d: %+v", st.Refills, maxSpecRefills+1, st)
 	}
@@ -388,9 +383,8 @@ func TestSpeculationWorstCaseBounded(t *testing.T) {
 	for _, f := range s.Flows() {
 		rates[f.ID] = f.Rate
 	}
-	s.MarkDirty()
-	s.Solve(0)
-	full := s.LastSolve()
+	fullSolve(s, 0)
+	full := s.last
 	for _, f := range s.Flows() {
 		if !ratesClose(rates[f.ID], f.Rate) {
 			t.Fatalf("flow %d: %v after the capped refills, %v from the full solve", f.ID, rates[f.ID], f.Rate)
@@ -422,19 +416,19 @@ func BenchmarkSolveWorstCase(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				caps[x] = 1000 * core.Gbps
+				raise := func(s *Set) { s.SetCapacity(x, caps[x], 0) }
 				if full {
-					s.MarkDirty()
+					fullSolve(s, 0, raise)
+				} else {
+					raise(s)
 				}
-				s.SetCapacity(x, caps[x], 0)
 				b.StopTimer()
-				if got := s.LastSolve().Refills; !full && got != maxSpecRefills+1 {
+				if got := s.last.Refills; !full && got != maxSpecRefills+1 {
 					b.Fatalf("%d refills, want %d", got, maxSpecRefills+1)
 				}
 				caps[x] = 10 * core.Mbps
-				s.Defer()
-				s.SetCapacity(x, caps[x], 0)
-				s.MarkDirty() // the standing allocation exactly, not up to epsilon
-				s.Resume(0)
+				// The standing allocation exactly, not up to epsilon.
+				fullSolve(s, 0, func(s *Set) { s.SetCapacity(x, caps[x], 0) })
 				b.StartTimer()
 			}
 		})

@@ -152,7 +152,7 @@ func NewOutcome(r Run, res *horse.Result) *Outcome {
 			Transitions:     res.Sim.Transitions,
 			EvidenceExits:   res.Sim.EvidenceExits,
 			TimeoutExits:    res.Sim.TimeoutExits,
-			Solves:          res.Solves,
+			Solves:          res.Solver.Solves,
 			ControlBytes:    res.ControlBytes,
 			RouteInstalls:   res.RouteInstalls,
 			RouteWithdraws:  res.RouteWithdraws,

@@ -81,7 +81,8 @@ type Run struct {
 	Dur Duration `json:"dur,omitempty"`
 	// Pacing is the FTI virtual:wall ratio (default 1.0).
 	Pacing float64 `json:"pacing,omitempty"`
-	// SampleInterval overrides the aggregate-rate sampling period.
+	// SampleInterval overrides the aggregate-rate sampling period
+	// (default 100ms; negative is an error).
 	SampleInterval Duration `json:"sample_interval,omitempty"`
 	// DelayScale scales WAN geographic link delays; nil means 1.0 and
 	// an explicit 0 is the zero-latency ablation.
@@ -173,6 +174,9 @@ func (r Run) parse() (parts, error) {
 	}
 	if r.AdvertiseDelay < 0 {
 		return p, fmt.Errorf("spec: negative advertise delay %v", r.AdvertiseDelay.Duration())
+	}
+	if r.SampleInterval < 0 {
+		return p, fmt.Errorf("spec: negative sample interval %v", r.SampleInterval.Duration())
 	}
 	return p, nil
 }

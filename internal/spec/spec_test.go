@@ -394,6 +394,7 @@ func TestRunValidate(t *testing.T) {
 		{"negative pacing", neg(func(r *Run) { r.Pacing = -2 }), "negative pacing"},
 		{"negative delay scale", neg(func(r *Run) { r.DelayScale = &negDS }), "negative delay scale"},
 		{"negative advertise delay", neg(func(r *Run) { r.AdvertiseDelay = Duration(-time.Millisecond) }), "negative advertise delay"},
+		{"negative sample interval", neg(func(r *Run) { r.SampleInterval = Duration(-10 * time.Millisecond) }), "negative sample interval"},
 		{"wan multi needs bgp", Run{Topo: "wan:multi:7", Scenario: "ecmp5"}, "needs a bgp scenario"},
 	}
 	for _, tc := range cases {

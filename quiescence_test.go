@@ -230,7 +230,7 @@ func TestCapacityWalkRunsInDES(t *testing.T) {
 		t.Fatalf("FTI %v virtual over %d transitions; want boot convergence only, over before the walk starts at 1s",
 			res.Sim.VirtualFTI, res.Sim.Transitions)
 	}
-	if res.Solves < steps {
-		t.Fatalf("%d solves over %d walk steps: the walk did not reach the solver", res.Solves, steps)
+	if res.Solver.Solves < steps {
+		t.Fatalf("%d solves over %d walk steps: the walk did not reach the solver", res.Solver.Solves, steps)
 	}
 }
