@@ -83,34 +83,24 @@ type Config struct {
 type TopoOption func(*topoOpts)
 
 type topoOpts struct {
-	linkRate    Rate
-	linkRateSet bool
-	linkDelay   Time
-	routers     bool
-	delayScale  float64
-	fullTable   int
+	routers    bool
+	delayScale float64
+	fullTable  int
 }
 
-// LinkRate sets the capacity of every generated link (default 1 Gbps;
-// WAN and WANMesh default to 10 Gbps backbones).
-func LinkRate(r Rate) TopoOption {
-	return func(o *topoOpts) { o.linkRate = r; o.linkRateSet = true }
-}
+// The links of the generated LAN topologies (Linear, Star, TwoRouters,
+// WANRing): 1 Gbps with a 10µs propagation delay each way. FatTree uses
+// topo.FatTreeOpts' defaults (the same); the WAN generators use
+// topo.WANOpts' 10 Gbps backbones and geographic delays.
+const (
+	lanRate  = 1 * Gbps
+	lanDelay = 10 * Microsecond
+)
 
-// wan is what the three WAN generators take from the options. An
-// explicit LinkRate wins, otherwise 0 lets topo.WANOpts apply its own
-// 10 Gbps backbone default (the generic 1 Gbps seed here is a LAN-ish
-// default that would misrepresent a WAN core).
+// wan is what the three WAN generators take from the options.
 func (o topoOpts) wan() topo.WANOpts {
-	w := topo.WANOpts{DelayScale: o.delayScale, ZeroLatency: o.delayScale == 0}
-	if o.linkRateSet {
-		w.LinkRate = o.linkRate
-	}
-	return w
+	return topo.WANOpts{DelayScale: o.delayScale, ZeroLatency: o.delayScale == 0}
 }
-
-// LinkDelay sets the per-direction propagation delay (default 10µs).
-func LinkDelay(d Time) TopoOption { return func(o *topoOpts) { o.linkDelay = d } }
 
 // DelayScale multiplies the geographic propagation delays of WAN
 // topologies (WAN, WANMesh); 0 zeroes them — the zero-latency ablation
@@ -133,9 +123,7 @@ func SDN() TopoOption { return func(o *topoOpts) { o.routers = false } }
 // (k pods, k^3/4 hosts).
 func FatTree(k int, opts ...TopoOption) (*Topology, error) {
 	o := applyTopoOpts(opts)
-	return topo.FatTree(topo.FatTreeOpts{
-		K: k, LinkRate: o.linkRate, LinkDelay: o.linkDelay, Routers: o.routers,
-	})
+	return topo.FatTree(topo.FatTreeOpts{K: k, Routers: o.routers})
 }
 
 // Linear builds a chain of n forwarding nodes with one host each.
@@ -145,7 +133,7 @@ func Linear(n int, opts ...TopoOption) (*Topology, error) {
 	if o.routers {
 		kind = topo.Router
 	}
-	return topo.Linear(n, kind, o.linkRate, o.linkDelay)
+	return topo.Linear(n, kind, lanRate, lanDelay)
 }
 
 // Star builds a single forwarding node with n hosts.
@@ -155,28 +143,27 @@ func Star(n int, opts ...TopoOption) (*Topology, error) {
 	if o.routers {
 		kind = topo.Router
 	}
-	return topo.Star(n, kind, o.linkRate, o.linkDelay)
+	return topo.Star(n, kind, lanRate, lanDelay)
 }
 
 // TwoRouters builds the paper's Figure 1 scenario: two BGP routers with
-// one host each.
+// one host each. No option changes it.
 func TwoRouters(opts ...TopoOption) (*Topology, error) {
-	o := applyTopoOpts(opts)
-	return topo.TwoRouters(o.linkRate, o.linkDelay)
+	return topo.TwoRouters(lanRate, lanDelay)
 }
 
 // WANRing builds a ring of n BGP routers with chords every chord hops.
+// No option changes it.
 func WANRing(n, chord int, opts ...TopoOption) (*Topology, error) {
-	o := applyTopoOpts(opts)
-	return topo.WANRing(n, chord, o.linkRate, o.linkDelay)
+	return topo.WANRing(n, chord, lanRate, lanDelay)
 }
 
 // WAN builds one of the embedded measured WAN backbones ("abilene",
 // "tier1"; see topo.WANNames): one single-AS BGP router plus host per
 // PoP, link latency from great-circle city distance, and a route
 // reflector hierarchy chosen as a connected dominating set. Run it with
-// BGPOptions{RouteReflection: true, LinkLatency: true}. LinkDelay is
-// ignored — WAN delay comes from geography, scaled by DelayScale.
+// BGPOptions{RouteReflection: true, LinkLatency: true}. Delay comes
+// from geography, scaled by DelayScale.
 func WAN(name string, opts ...TopoOption) (*Topology, error) {
 	return topo.WANNamed(name, applyTopoOpts(opts).wan())
 }
@@ -184,8 +171,8 @@ func WAN(name string, opts ...TopoOption) (*Topology, error) {
 // WANMesh generates a seeded Rocketfuel-style WAN of pops PoPs:
 // degree-weighted, distance-penalized preferential attachment with
 // shortcut chords, latency from geographic distance. The same seed
-// reproduces the identical topology. LinkDelay is ignored — WAN delay
-// comes from geography, scaled by DelayScale.
+// reproduces the identical topology. Delay comes from geography, scaled
+// by DelayScale.
 func WANMesh(pops int, seed int64, opts ...TopoOption) (*Topology, error) {
 	w := applyTopoOpts(opts).wan()
 	w.PoPs, w.Seed = pops, seed
@@ -199,8 +186,7 @@ func WANMesh(pops int, seed int64, opts ...TopoOption) (*Topology, error) {
 // between them, so the transit core carries full-table-sized RIBs. Run
 // it with BGPOptions{RouteReflection: true, LinkLatency: true}: same-AS
 // adjacencies are iBGP with per-AS reflector hierarchies, cross-AS ones
-// are eBGP. LinkDelay is ignored — delay comes from geography, scaled
-// by DelayScale.
+// are eBGP. Delay comes from geography, scaled by DelayScale.
 func WANMultiAS(ases, pops int, seed int64, opts ...TopoOption) (*Topology, error) {
 	o := applyTopoOpts(opts)
 	w := o.wan()
@@ -209,7 +195,7 @@ func WANMultiAS(ases, pops int, seed int64, opts ...TopoOption) (*Topology, erro
 }
 
 func applyTopoOpts(opts []TopoOption) topoOpts {
-	o := topoOpts{linkRate: 1 * Gbps, linkDelay: 10 * Microsecond, delayScale: 1}
+	o := topoOpts{delayScale: 1}
 	for _, f := range opts {
 		f(&o)
 	}

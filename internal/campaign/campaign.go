@@ -216,36 +216,97 @@ type Status struct {
 	Runs      []RunStatus `json:"runs"`
 }
 
-// apply is the lifecycle's one transition function: it folds ev into st.
+// step is one lifecycle transition: the event that takes it and the
+// state of its campaign (campaign_* events) or run (run_* events)
+// before and after.
+type step struct {
+	ev       EventType
+	from, to State
+}
+
+// lifecycle is the transition table, one entry per action: apply takes
+// no step that is not here.
+var lifecycle = map[step]bool{
+	{EvCampaignAccepted, "", Pending}:     true,
+	{EvCampaignStarted, Pending, Running}: true,
+	{EvCampaignDone, Running, Done}:       true,
+	{EvCampaignDone, Running, Failed}:     true,
+	{EvCampaignDone, Running, Canceled}:   true,
+	{EvCampaignDone, Pending, Failed}:     true, // setup failed
+	{EvCampaignDone, Pending, Canceled}:   true, // a restart closes a log cut before the start
+
+	{EvRunStarted, Pending, Running}:   true,
+	{EvRunRetried, Running, Running}:   true,
+	{EvRunFailed, Running, Running}:    true, // a retry follows
+	{EvRunFailed, Running, Failed}:     true,
+	{EvRunSucceeded, Running, Done}:    true,
+	{EvRunCanceled, Pending, Canceled}: true,
+	{EvRunCanceled, Running, Canceled}: true, // a restart closes an interrupted run
+}
+
+// apply is the lifecycle's one transition function: it folds ev into st,
+// or returns why ev takes no legal step from st and leaves st as it was.
 // Every event carries the state it moves its campaign or run to (a
 // run_failed says running when a retry follows and failed when it is
-// terminal), so the log alone determines the status.
-func apply(st *Status, ev Event) {
+// terminal), so the log alone determines the status. Besides the table's
+// steps, a run starts or retries only while its campaign is running, and
+// nothing follows campaign_done.
+func apply(st *Status, ev Event) error {
+	from := st.State
+	var r *RunStatus
 	switch ev.Type {
-	case EvCampaignAccepted:
-		st.State, st.Submitted = ev.State, ev.Time
-	case EvCampaignStarted, EvCampaignDone:
-		st.State = ev.State
+	case EvCampaignAccepted, EvCampaignStarted, EvCampaignDone:
+		if ev.Run != nil {
+			return fmt.Errorf("%s carries run %d", ev.Type, ev.Run.Index)
+		}
 	default:
-		// Finished states are terminal, so entering one is what counts.
-		r := &st.Runs[ev.Run.Index]
-		r.State = ev.State
-		switch r.State {
-		case Done:
-			st.Succeeded++
-		case Failed:
-			st.Failed++
-		case Canceled:
-			st.Canceled++
+		if ev.Run == nil {
+			return fmt.Errorf("%s carries no run", ev.Type)
 		}
-		switch ev.Type {
-		case EvRunStarted, EvRunRetried:
-			// A retry keeps the last attempt's error on view.
-			r.Attempts = ev.Run.Attempt
-		default:
-			r.Error = ev.Run.Error
+		if ev.Run.Index < 0 || ev.Run.Index >= st.Total {
+			return fmt.Errorf("%s names run %d of %d", ev.Type, ev.Run.Index, st.Total)
 		}
+		r = &st.Runs[ev.Run.Index]
+		from = r.State
 	}
+	switch {
+	case st.State == Done || st.State == Failed || st.State == Canceled:
+		return fmt.Errorf("%s follows campaign_done", ev.Type)
+	case st.State == "" && ev.Type != EvCampaignAccepted:
+		return fmt.Errorf("%s before campaign_accepted", ev.Type)
+	case (ev.Type == EvRunStarted || ev.Type == EvRunRetried) && st.State != Running:
+		return fmt.Errorf("%s while the campaign is %s", ev.Type, st.State)
+	case !lifecycle[step{ev.Type, from, ev.State}]:
+		return fmt.Errorf("%s %s -> %s is not a lifecycle step", ev.Type, from, ev.State)
+	case ev.Type == EvCampaignAccepted && ev.Total != st.Total:
+		return fmt.Errorf("campaign_accepted of %d runs, the spec expands to %d", ev.Total, st.Total)
+	}
+
+	if r == nil {
+		st.State = ev.State
+		if ev.Type == EvCampaignAccepted {
+			st.Submitted = ev.Time
+		}
+		return nil
+	}
+	// Finished states are terminal, so entering one is what counts.
+	r.State = ev.State
+	switch r.State {
+	case Done:
+		st.Succeeded++
+	case Failed:
+		st.Failed++
+	case Canceled:
+		st.Canceled++
+	}
+	switch ev.Type {
+	case EvRunStarted, EvRunRetried:
+		// A retry keeps the last attempt's error on view.
+		r.Attempts = ev.Run.Attempt
+	default:
+		r.Error = ev.Run.Error
+	}
+	return nil
 }
 
 // Campaign is one submitted sweep. Its event log is its only record:
@@ -301,15 +362,16 @@ func (c *Campaign) Run(n int) (RunStatus, bool) {
 	return runs[n], true
 }
 
-// publish appends ev, stamped with the campaign's ID, to the log.
-func (c *Campaign) publish(ev Event) {
+// publish appends ev, stamped with the campaign's ID, to the log, or
+// returns why apply refuses it.
+func (c *Campaign) publish(ev Event) error {
 	ev.Campaign = c.ID
-	c.bus.publish(ev)
+	return c.bus.publish(ev)
 }
 
 // publishRun publishes a run event that moves run re.Index to state.
 func (c *Campaign) publishRun(typ EventType, state State, re RunEvent) {
-	c.publish(Event{Type: typ, State: state, Run: &re})
+	c.publish(Event{Type: typ, State: state, Run: &re}) //nolint:errcheck // the bus keeps the first refusal
 }
 
 // finish closes the log: every run not yet finished is canceled with why

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -72,30 +73,38 @@ type RunEvent struct {
 // whose buffer is full is dropped — its channel closed — so a stalled
 // SSE client costs its own connection, never the runner.
 type bus struct {
-	mu     sync.Mutex
-	events []Event
-	status Status // the fold of events through apply
-	subs   map[chan Event]struct{}
-	closed bool
-	logW   io.Writer // JSONL sink; nil until the runner attaches one
-	logged int       // events already flushed to logW
+	mu      sync.Mutex
+	events  []Event
+	status  Status // the fold of events through apply
+	refused error  // why apply refused the first event it did
+	subs    map[chan Event]struct{}
+	closed  bool
+	logW    io.Writer // JSONL sink; nil until the runner attaches one
+	logged  int       // events already flushed to logW
 }
 
 // newBus starts an empty log whose events fold into st.
 func newBus(st Status) *bus { return &bus{status: st, subs: map[chan Event]struct{}{}} }
 
 // publish stamps the event with the next sequence number and the wall
-// time, appends it to the log, folds it into the status, persists it,
-// and fans it out.
-func (b *bus) publish(ev Event) {
+// time, folds it into the status, appends it to the log, persists it,
+// and fans it out. An event apply refuses is none of these: publish
+// returns why, and the bus keeps the first refusal for Runner.Run.
+func (b *bus) publish(ev Event) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
-		return
+		return nil
 	}
 	ev.Seq = int64(len(b.events) + 1)
 	ev.Time = time.Now().UTC()
-	b.appendLocked(ev)
+	if err := apply(&b.status, ev); err != nil {
+		if b.refused == nil {
+			b.refused = err
+		}
+		return err
+	}
+	b.events = append(b.events, ev)
 	b.flushLogLocked()
 	for ch := range b.subs {
 		select {
@@ -105,23 +114,31 @@ func (b *bus) publish(ev Event) {
 			close(ch)
 		}
 	}
+	return nil
 }
 
-// appendLocked adds ev to the log and folds it into the status.
-func (b *bus) appendLocked(ev Event) {
-	b.events = append(b.events, ev)
-	apply(&b.status, ev)
-}
-
-// restore loads a log read back from its JSONL file: the events keep
-// their sequence numbers and times, and count as already persisted.
-func (b *bus) restore(evs []Event) {
+// refusal is the first event publish refused, or nil.
+func (b *bus) refusal() error {
 	b.mu.Lock()
-	for _, ev := range evs {
-		b.appendLocked(ev)
+	defer b.mu.Unlock()
+	return b.refused
+}
+
+// restore loads a log read back from its JSONL file through the same
+// apply as publish: the events keep their sequence numbers and times,
+// and count as already persisted. It stops at the first event apply
+// refuses and names its line.
+func (b *bus) restore(evs []Event) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, ev := range evs {
+		if err := apply(&b.status, ev); err != nil {
+			return fmt.Errorf("line %d: %w", i+1, err)
+		}
+		b.events = append(b.events, ev)
 	}
 	b.logged = len(b.events)
-	b.mu.Unlock()
+	return nil
 }
 
 // snapshot copies the folded status.

@@ -331,13 +331,15 @@ func (w *stalledWriter) Write(p []byte) (int, error) {
 // loses its subscription and returns once writable; the runner drains
 // the whole campaign regardless.
 func TestSSESlowClientDroppedNotRunner(t *testing.T) {
-	// Bus layer.
-	b := newBus(Status{Runs: make([]RunStatus, 1)})
+	// Bus layer: a running campaign of one run, started and retried twice.
+	b := newBus(Status{State: Running, Total: 1, Runs: []RunStatus{{State: Pending}}})
 	_, ch := b.subscribe(0, 1)
-	for i := 0; i < 3; i++ {
+	for _, typ := range []EventType{EvRunStarted, EvRunRetried, EvRunRetried} {
 		donePub := make(chan struct{})
 		go func() {
-			b.publish(Event{Type: EvRunStarted, Campaign: "x", State: Running, Run: &RunEvent{}})
+			if err := b.publish(Event{Type: typ, Campaign: "x", State: Running, Run: &RunEvent{}}); err != nil {
+				t.Error(err)
+			}
 			close(donePub)
 		}()
 		select {
@@ -452,7 +454,9 @@ func TestSSEDrainClosesStreams(t *testing.T) {
 		defer cancel()
 		drainErr <- srv.Drain(ctx)
 	}()
-	time.Sleep(20 * time.Millisecond)
+	// The feed sees the cancel while both workers are still busy, so the
+	// unstarted runs are canceled.
+	<-srv.ctx.Done()
 	close(release)
 	if err := <-drainErr; err != nil {
 		t.Fatalf("Drain: %v", err)

@@ -13,37 +13,12 @@ import (
 	"repro/internal/spec"
 )
 
-// step is one lifecycle transition: the event that takes it and the
-// state of its campaign (campaign_* events) or run (run_* events)
-// before and after.
-type step struct {
-	ev       EventType
-	from, to State
-}
-
-// legalSteps is the lifecycle's transition table, one entry per action
-// in the TypeOK style: every event of a log must take one of these.
-var legalSteps = map[step]bool{
-	{EvCampaignAccepted, "", Pending}:     true,
-	{EvCampaignStarted, Pending, Running}: true,
-	{EvCampaignDone, Running, Done}:       true,
-	{EvCampaignDone, Running, Failed}:     true,
-	{EvCampaignDone, Running, Canceled}:   true,
-	{EvCampaignDone, Pending, Failed}:     true, // setup failed
-	{EvCampaignDone, Pending, Canceled}:   true, // a restart closes a log cut before the start
-
-	{EvRunStarted, Pending, Running}:   true,
-	{EvRunRetried, Running, Running}:   true,
-	{EvRunFailed, Running, Running}:    true, // a retry follows
-	{EvRunFailed, Running, Failed}:     true,
-	{EvRunSucceeded, Running, Done}:    true,
-	{EvRunCanceled, Pending, Canceled}: true,
-	{EvRunCanceled, Running, Canceled}: true, // a restart closes an interrupted run
-}
-
 // replayChecked folds a finished campaign's log through apply, event by
-// event from the empty-log status, and fails t at the first event that
-// takes no legal step or breaks an invariant. It returns the fold.
+// event from the empty-log status, and fails t at the first event apply
+// refuses or after which the fold is inconsistent: the counts disagree
+// with the runs, a run has more attempts than its retries allow, a run
+// is unfinished at campaign_done, or campaign_done's counts are not the
+// fold's. It returns the fold.
 func replayChecked(t *testing.T, id string, sp Spec, evs []Event) Status {
 	t.Helper()
 	c, err := newCampaign(id, sp)
@@ -53,29 +28,8 @@ func replayChecked(t *testing.T, id string, sp Spec, evs []Event) Status {
 	st := c.Status()
 	for i, ev := range evs {
 		where := fmt.Sprintf("campaign %s event %d (%s)", id, i+1, ev.Type)
-		if ev.Seq != int64(i+1) {
-			t.Fatalf("%s: seq %d", where, ev.Seq)
-		}
-		if i > 0 && evs[i-1].Type == EvCampaignDone {
-			t.Fatalf("%s follows campaign_done", where)
-		}
-		isRun := strings.HasPrefix(string(ev.Type), "run_")
-		if isRun != (ev.Run != nil) || isRun && (ev.Run.Index < 0 || ev.Run.Index >= st.Total) {
-			t.Fatalf("%s: run payload %+v on a campaign of %d runs", where, ev.Run, st.Total)
-		}
-		state := func() State {
-			if isRun {
-				return st.Runs[ev.Run.Index].State
-			}
-			return st.State
-		}
-		from, campaignState := state(), st.State
-		apply(&st, ev)
-		if to := state(); !legalSteps[step{ev.Type, from, to}] {
-			t.Fatalf("%s: illegal step %q -> %q", where, from, to)
-		}
-		if (ev.Type == EvRunStarted || ev.Type == EvRunRetried) && campaignState != Running {
-			t.Fatalf("%s: a run starts in a %s campaign", where, campaignState)
+		if err := apply(&st, ev); err != nil {
+			t.Fatalf("%s: %v", where, err)
 		}
 		var tally [3]int
 		for _, r := range st.Runs {
@@ -248,5 +202,74 @@ func TestRunnerSetupFailure(t *testing.T) {
 				t.Fatalf("live stream ended after %s, want campaign_done", lastLive.Type)
 			}
 		})
+	}
+}
+
+// TestPublishRefusesIllegalEvent: an event apply refuses comes back as
+// publish's error and leaves no trace — the log and the status are as
+// they were — and Runner.Run returns the campaign's first refusal.
+func TestPublishRefusesIllegalEvent(t *testing.T) {
+	run := func(i int) *RunEvent { return &RunEvent{Index: i, Spec: "x"} }
+	accepted := Event{Type: EvCampaignAccepted, State: Pending, Total: 4}
+	for _, tc := range []struct {
+		name  string
+		prior []Event // legal events published first
+		ev    Event
+		want  string
+	}{
+		{"before acceptance", nil, Event{Type: EvCampaignStarted, State: Running},
+			"campaign_started before campaign_accepted"},
+		{"wrong total", nil, Event{Type: EvCampaignAccepted, State: Pending, Total: 3},
+			"campaign_accepted of 3 runs, the spec expands to 4"},
+		{"accepted twice", []Event{accepted}, accepted,
+			"campaign_accepted pending -> pending is not a lifecycle step"},
+		{"campaign event with a run", []Event{accepted}, Event{Type: EvCampaignStarted, State: Running, Run: run(0)},
+			"campaign_started carries run 0"},
+		{"run event bare", []Event{accepted}, Event{Type: EvRunCanceled, State: Canceled},
+			"run_canceled carries no run"},
+		{"run out of range", []Event{accepted}, Event{Type: EvRunCanceled, State: Canceled, Run: run(4)},
+			"run_canceled names run 4 of 4"},
+		{"run succeeds while pending", []Event{accepted, {Type: EvCampaignStarted, State: Running}},
+			Event{Type: EvRunSucceeded, State: Done, Run: run(0)},
+			"run_succeeded pending -> done is not a lifecycle step"},
+		{"run starts in a pending campaign", []Event{accepted}, Event{Type: EvRunStarted, State: Running, Run: run(0)},
+			"run_started while the campaign is pending"},
+		{"event after campaign_done", []Event{accepted, {Type: EvCampaignDone, State: Failed}},
+			Event{Type: EvRunCanceled, State: Canceled, Run: run(0)},
+			"run_canceled follows campaign_done"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := newCampaign("c0001-illegal", smallSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range tc.prior {
+				if err := c.publish(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+			evs, _ := c.Events(0, 0)
+			st := c.Status()
+			if err := c.publish(tc.ev); err == nil || err.Error() != tc.want {
+				t.Fatalf("publish = %v, want %q", err, tc.want)
+			}
+			after, _ := c.Events(0, 0)
+			assertJSONEqual(t, "events after a refused publish", after, evs)
+			assertJSONEqual(t, "status after a refused publish", c.Status(), st)
+		})
+	}
+
+	rn := newTestRunner(t, func(r spec.Run) (*spec.Outcome, error) { return okOutcome(r), nil })
+	c, err := NewCampaign("c0001-refused", smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := c.publish(Event{Type: EvRunSucceeded, State: Done, Run: run(0)})
+	c.publish(Event{Type: EvCampaignDone, State: Done}) //nolint:errcheck // a second refusal
+	if err := rn.Run(context.Background(), c); refused == nil || err != refused {
+		t.Fatalf("Run = %v, want the first refusal %v", err, refused)
+	}
+	if st := c.Status(); st.State != Done || st.Succeeded != st.Total {
+		t.Fatalf("status = %s with %d/%d succeeded, want the refusals to change nothing", st.State, st.Succeeded, st.Total)
 	}
 }

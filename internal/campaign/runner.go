@@ -1,9 +1,11 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -64,7 +66,9 @@ func (rn *Runner) RunDir(id string, n int) string {
 // drains gracefully — in-flight runs finish and persist, unstarted runs
 // are marked canceled — which is the daemon's SIGTERM path. Run returns
 // after the pool has drained; the campaign's Done channel is closed and
-// its log ends in campaign_done, even when setup fails.
+// its log ends in campaign_done, even when setup fails. Its error is the
+// setup failure, or else the first event the campaign's lifecycle
+// refused.
 func (rn *Runner) Run(ctx context.Context, c *Campaign) error {
 	defer close(c.done)
 	defer c.bus.close()
@@ -107,7 +111,7 @@ feed:
 	st := c.Status()
 	rn.logf("campaign %s: %s (%d/%d succeeded, %d failed, %d canceled)",
 		c.ID, st.State, st.Succeeded, st.Total, st.Failed, st.Canceled)
-	return nil
+	return c.bus.refusal()
 }
 
 // create lays out the campaign's directory and opens its event log,
@@ -207,10 +211,14 @@ func (rn *Runner) attempt(r spec.Run, timeout time.Duration) (*spec.Outcome, err
 }
 
 // restore rebuilds campaign id from its directory: the spec from
-// campaign.json, the status from folding events.jsonl. A log cut short
-// by the daemon's death is closed through the same publish, appended to
-// the file: every unfinished run is canceled, then campaign_done. The
-// campaign comes back finished. A directory without both files is
+// campaign.json, the status from folding events.jsonl through apply,
+// which refuses the log at its first illegal step. A log cut short by
+// the daemon's death is closed through the same publish, appended to the
+// file: every unfinished run is canceled, then campaign_done. A kill
+// during a publish can also leave a final line without its newline; that
+// line is dropped, and cut from the file before the closing events are
+// appended. A log that does not replay is left on disk as it was found.
+// The campaign comes back finished. A directory without both files is
 // fs.ErrNotExist.
 func (rn *Runner) restore(id string) (*Campaign, error) {
 	dir := rn.CampaignDir(id)
@@ -231,28 +239,37 @@ func (rn *Runner) restore(id string) (*Campaign, error) {
 		return nil, err
 	}
 	defer logF.Close()
-	evs, err := readEvents(logF)
+	logged, err := io.ReadAll(logF)
+	if err != nil {
+		return nil, err
+	}
+	whole := logged[:bytes.LastIndexByte(logged, '\n')+1]
+	evs, err := readEvents(bytes.NewReader(whole))
 	if err != nil {
 		return nil, fmt.Errorf("events.jsonl: %w", err)
 	}
-	total := c.Status().Total
-	if len(evs) == 0 || evs[0].Type != EvCampaignAccepted || evs[0].Total != total {
-		return nil, fmt.Errorf("events.jsonl does not open with the acceptance of %d runs", total)
-	}
 	for i, ev := range evs {
-		campaignEv := ev.Type == EvCampaignAccepted || ev.Type == EvCampaignStarted || ev.Type == EvCampaignDone
-		switch {
-		case ev.Seq != int64(i+1):
+		if ev.Seq != int64(i+1) {
 			return nil, fmt.Errorf("events.jsonl line %d has seq %d", i+1, ev.Seq)
-		case !campaignEv && (ev.Run == nil || ev.Run.Index < 0 || ev.Run.Index >= total):
-			return nil, fmt.Errorf("events.jsonl line %d: %s names none of the %d runs", i+1, ev.Type, total)
 		}
 	}
-	c.bus.restore(evs)
-	c.bus.attachLog(logF)
-	if evs[len(evs)-1].Type != EvCampaignDone {
-		c.finish("interrupted: horsed restarted", false)
+	if err := c.bus.restore(evs); err != nil {
+		return nil, fmt.Errorf("events.jsonl %w", err)
 	}
+	if n := len(evs); n == 0 || evs[n-1].Type != EvCampaignDone {
+		// Closed in memory first: the file changes only once the
+		// closing events are known to be legal.
+		c.finish("interrupted: horsed restarted", false)
+		if err := c.bus.refusal(); err != nil {
+			return nil, fmt.Errorf("closing events.jsonl: %w", err)
+		}
+	}
+	if len(whole) < len(logged) {
+		if err := logF.Truncate(int64(len(whole))); err != nil {
+			return nil, err
+		}
+	}
+	c.bus.attachLog(logF)
 	c.bus.close()
 	close(c.done)
 	return c, nil

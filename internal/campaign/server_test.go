@@ -316,8 +316,8 @@ func TestServerDrain(t *testing.T) {
 		drainErr <- srv.Drain(ctx)
 	}()
 	// Draining: new submissions are refused even while the pool winds
-	// down. Give Drain a moment to set the flag.
-	time.Sleep(20 * time.Millisecond)
+	// down. Drain sets the flag before it cancels the server's context.
+	<-srv.ctx.Done()
 	if _, err := srv.Submit(Spec{Topos: []string{"fattree:4"}, Scenarios: []string{"ecmp5"}}); err == nil {
 		t.Error("Submit succeeded during drain, want refusal")
 	}
@@ -581,20 +581,79 @@ func TestRestartClosesInterruptedLog(t *testing.T) {
 	}
 }
 
+// TestRestartDropsTornFinalLine: a kill during a publish can leave the
+// log's last line without its newline. The restart drops that line and
+// only that line, cuts it from the file, and closes the log again: a
+// finished campaign whose campaign_done was cut mid-record comes back
+// done, with the status it had.
+func TestRestartDropsTornFinalLine(t *testing.T) {
+	rn := newTestRunner(t, func(r spec.Run) (*spec.Outcome, error) { return okOutcome(r), nil })
+	c, err := NewCampaign("c0001-torn", smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rn.Run(context.Background(), c); err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(rn.CampaignDir(c.ID), "events.jsonl")
+	full, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := full[:bytes.LastIndexByte(full[:len(full)-1], '\n')+1]
+	done := full[len(body):]
+	if !bytes.Contains(done, []byte(`"type":"campaign_done"`)) {
+		t.Fatalf("last event is not campaign_done: %s", done)
+	}
+	torn := append(append([]byte(nil), body...), done[:len(done)/2]...)
+	if err := os.WriteFile(logPath, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, ok := NewServer(rn, t.Logf).Campaign(c.ID)
+	if !ok {
+		t.Fatal("the restarted server does not serve a campaign whose last line was torn")
+	}
+	assertJSONEqual(t, "status after a torn campaign_done", restarted.Status(), c.Status())
+	closed, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(closed, body) || bytes.Count(closed, []byte("\n")) != bytes.Count(full, []byte("\n")) {
+		t.Fatalf("closed log:\n%s\nwant the events before the torn line and one campaign_done", closed)
+	}
+	assertFoldParity(t, rn, restarted)
+}
+
 // TestRestartSkipsUnreadableLog: a campaign directory whose log does not
 // replay is left out, not served half-built, and its number is still
-// taken.
+// taken. The log is left on disk as it was found, and the logged error
+// says where it stopped: at the line apply refuses, or at the closing
+// events when there is no acceptance to close.
 func TestRestartSkipsUnreadableLog(t *testing.T) {
-	accepted := `{"seq":1,"type":"campaign_accepted","campaign":"c0004-bad","state":"pending","total":1}` + "\n"
-	for name, log := range map[string]string{
-		"empty":            "",
-		"not json":         "{",
-		"seq gap":          accepted + `{"seq":3,"type":"campaign_started","campaign":"c0004-bad","state":"running"}` + "\n",
-		"run out of range": accepted + `{"seq":2,"type":"run_started","campaign":"c0004-bad","state":"running","run":{"index":1,"spec":"x"}}` + "\n",
-		"run event bare":   accepted + `{"seq":2,"type":"run_started","campaign":"c0004-bad","state":"running"}` + "\n",
-		"wrong total":      `{"seq":1,"type":"campaign_accepted","campaign":"c0004-bad","state":"pending","total":2}` + "\n",
+	line := func(seq int, typ EventType, state State, more string) string {
+		return fmt.Sprintf(`{"seq":%d,"type":%q,"campaign":"c0004-bad","state":%q%s}`+"\n", seq, typ, state, more)
+	}
+	accepted := line(1, EvCampaignAccepted, Pending, `,"total":1`)
+	started := line(2, EvCampaignStarted, Running, "")
+	run0 := `,"run":{"index":0,"spec":"x"}`
+	for _, tc := range []struct{ name, log, want string }{
+		{"empty", "", "closing events.jsonl: run_canceled before campaign_accepted"},
+		{"not json", "{", "closing events.jsonl: run_canceled before campaign_accepted"},
+		{"seq gap", accepted + line(3, EvCampaignStarted, Running, ""), "events.jsonl line 2 has seq 3"},
+		{"run out of range", accepted + line(2, EvRunStarted, Running, `,"run":{"index":1,"spec":"x"}`),
+			"events.jsonl line 2: run_started names run 1 of 1"},
+		{"run event bare", accepted + line(2, EvRunStarted, Running, ""), "events.jsonl line 2: run_started carries no run"},
+		{"wrong total", line(1, EvCampaignAccepted, Pending, `,"total":2`),
+			"events.jsonl line 1: campaign_accepted of 2 runs, the spec expands to 1"},
+		{"run succeeds while pending", accepted + started + line(3, EvRunSucceeded, Done, run0),
+			"events.jsonl line 3: run_succeeded pending -> done is not a lifecycle step"},
+		{"run starts in a pending campaign", accepted + line(2, EvRunStarted, Running, run0),
+			"events.jsonl line 2: run_started while the campaign is pending"},
+		{"event after campaign_done", accepted + line(2, EvCampaignDone, Failed, `,"total":1`) + line(3, EvRunCanceled, Canceled, run0),
+			"events.jsonl line 3: run_canceled follows campaign_done"},
 	} {
-		t.Run(name, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			rn := &Runner{Dir: t.TempDir()}
 			dir := rn.CampaignDir("c0004-bad")
 			if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -603,7 +662,8 @@ func TestRestartSkipsUnreadableLog(t *testing.T) {
 			if err := writeJSONFile(filepath.Join(dir, "campaign.json"), Spec{Topos: []string{"fattree:4"}, Scenarios: []string{"ecmp5"}}); err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(filepath.Join(dir, "events.jsonl"), []byte(log), 0o644); err != nil {
+			logPath := filepath.Join(dir, "events.jsonl")
+			if err := os.WriteFile(logPath, []byte(tc.log), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			var logged []string
@@ -611,11 +671,14 @@ func TestRestartSkipsUnreadableLog(t *testing.T) {
 			if _, ok := srv.Campaign("c0004-bad"); ok {
 				t.Fatal("a campaign whose log does not replay was restored")
 			}
-			if len(logged) != 1 || !strings.Contains(logged[0], "not restored") {
-				t.Errorf("logged %q, want one not-restored line", logged)
+			if len(logged) != 1 || !strings.Contains(logged[0], "not restored") || !strings.HasSuffix(logged[0], tc.want) {
+				t.Errorf("logged %q, want one not-restored line ending %q", logged, tc.want)
 			}
 			if srv.nextID != 4 {
 				t.Errorf("next ID after c%04d, want after c0004", srv.nextID)
+			}
+			if after, _ := os.ReadFile(logPath); string(after) != tc.log {
+				t.Errorf("the unrestored log changed on disk: %q, was %q", after, tc.log)
 			}
 		})
 	}
