@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
@@ -233,6 +234,8 @@ func TestFlushBytesMatchTheMapBatch(t *testing.T) {
 	prefixes := scalePrefixes(3000)
 	for _, pc := range peers {
 		sess := s.sessions[pc.RemoteAddr]
+		sess.step(evOpen) // a flush goes out in Established only
+		sess.step(evKeepalive)
 		for i, p := range prefixes {
 			sess.queueAdvLocked(prefixKey(p), paths[i%len(paths)])
 		}
@@ -256,17 +259,23 @@ func TestFlushBytesMatchTheMapBatch(t *testing.T) {
 	s.mu.Unlock()
 	h := sha256.New()
 	for i, sess := range sessions {
+		if st := s.SessionState(sess.cfg.RemoteAddr); st != StateEstablished {
+			t.Fatalf("session %d is %v, want Established", i, st)
+		}
+		// The sink's lock is released before any failure: the deferred Stop
+		// writes a CEASE through it.
 		sink := []*wireSink{ebgp, ibgp}[i]
 		sink.mu.Lock()
 		open := len(sink.wrote)
 		sink.mu.Unlock()
 		sess.flushAdv()
 		sink.mu.Lock()
-		if len(sink.wrote) == open {
+		flushed := bytes.Clone(sink.wrote[open:])
+		sink.mu.Unlock()
+		if len(flushed) == 0 {
 			t.Fatalf("session %d flushed nothing", i)
 		}
-		h.Write(sink.wrote[open:])
-		sink.mu.Unlock()
+		h.Write(flushed)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("flush bytes hash to %s, want %s", got, want)

@@ -170,10 +170,6 @@ func (s *Speaker) scheduleReuseLocked(key dampKey, ds *dampState) {
 // otherwise re-arm.
 func (s *Speaker) dampReuse(key dampKey, gen uint64) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
 	d := s.cfg.Dampening
 	ds := s.damp[key]
 	if ds == nil || !ds.suppressed || ds.reuseGen != gen {
@@ -192,10 +188,11 @@ func (s *Speaker) dampReuse(key dampKey, gen uint64) {
 	var affected []netip.Prefix
 	var entries []*ribEntry
 	if parked != nil {
-		// The parked path is only valid while a session to its peer
-		// exists (a session reset after parking would leave a stale
-		// transport behind; the re-peered session re-announces anyway).
-		if _, live := s.sessions[key.peer]; live {
+		// The parked path is only valid while its session is established
+		// (a session reset after parking would leave a stale transport
+		// behind, and the re-peered session re-announces anyway; a
+		// stopping one acts on nothing).
+		if sess := s.sessions[key.peer]; sess != nil && sess.state == StateEstablished {
 			if e := s.rib.updateAdjIn(key.peer, key.prefix, parked); e != nil {
 				affected, entries = append(affected, key.prefix), append(entries, e)
 				s.Stats.RoutesReused.Add(1)

@@ -228,15 +228,23 @@ func encodeAttrs(a PathAttrs) ([]byte, error) {
 	var attrs []byte
 	// ORIGIN: flags 0x40 (well-known transitive).
 	attrs = append(attrs, 0x40, attrOrigin, 1, a.Origin)
-	// AS_PATH: one AS_SEQUENCE segment (possibly empty).
-	seg := []byte{}
-	if len(a.ASPath) > 0 {
-		seg = append(seg, asSequence, byte(len(a.ASPath)))
-		for _, asn := range a.ASPath {
+	// AS_PATH: AS_SEQUENCE segments of up to 255 ASNs (none for an empty
+	// path), in an extended-length attribute once they pass 255 bytes.
+	var seg []byte
+	for path := a.ASPath; len(path) > 0; {
+		n := min(len(path), 255)
+		seg = append(seg, asSequence, byte(n))
+		for _, asn := range path[:n] {
 			seg = binary.BigEndian.AppendUint16(seg, asn)
 		}
+		path = path[n:]
 	}
-	attrs = append(attrs, 0x40, attrASPath, byte(len(seg)))
+	if len(seg) > 255 {
+		attrs = append(attrs, 0x50, attrASPath)
+		attrs = binary.BigEndian.AppendUint16(attrs, uint16(len(seg)))
+	} else {
+		attrs = append(attrs, 0x40, attrASPath, byte(len(seg)))
+	}
 	attrs = append(attrs, seg...)
 	// NEXT_HOP.
 	nh := a.NextHop.As4()

@@ -3,6 +3,7 @@ package bgp
 import (
 	"bytes"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -148,6 +149,32 @@ func TestUpdateWithdrawOnly(t *testing.T) {
 	}
 	if len(msg.Upd.Withdrawn) != 1 || len(msg.Upd.NLRI) != 0 {
 		t.Fatalf("decode = %+v", msg.Upd)
+	}
+}
+
+// TestUpdateLongASPathRoundTrip: an AS path of more than 126 ASNs no longer
+// fits the one-byte attribute length, and one of more than 255 no longer
+// fits one segment; both still come back as they went out.
+func TestUpdateLongASPathRoundTrip(t *testing.T) {
+	for _, n := range []int{126, 127, 255, 256, 600} {
+		path := make([]uint16, n)
+		for i := range path {
+			path[i] = uint16(64512 + i)
+		}
+		b, err := EncodeUpdate(Update{
+			Attrs: PathAttrs{ASPath: path, NextHop: netip.MustParseAddr("172.16.0.1")},
+			NLRI:  []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := Decode(b)
+		if err != nil {
+			t.Fatalf("%d ASNs: %v", n, err)
+		}
+		if !slices.Equal(msg.Upd.Attrs.ASPath, path) {
+			t.Fatalf("%d ASNs decoded as %d", n, len(msg.Upd.Attrs.ASPath))
+		}
 	}
 }
 

@@ -77,25 +77,29 @@ func TestIBGPNoASPrepend(t *testing.T) {
 func TestIBGPNonClientRoutesNotReflected(t *testing.T) {
 	// a - m - b, all plain iBGP non-clients: m must NOT re-advertise
 	// a's route to b (that is the iBGP full-mesh rule reflection
-	// exists to relax).
-	var sinkB routeSink
+	// exists to relax). m originates nothing, so the first UPDATE it
+	// sends b is about a's route, and it is the withdrawal that clears
+	// what b may not hold.
 	a := mkSpeaker(t, "a", "1.1.1.1", []netip.Prefix{pfx("10.0.1.0/24")}, nil)
 	m := mkSpeaker(t, "m", "2.2.2.2", nil, nil)
-	b := mkSpeaker(t, "b", "3.3.3.3", nil, &sinkB)
 	defer a.Stop()
 	defer m.Stop()
-	defer b.Stop()
+	b := scriptedPeer(t, m, "172.16.0.2", "172.16.0.3", true)
 	ibgpPair(t, a, m, "172.16.0.0", "172.16.0.1", false, false)
-	ibgpPair(t, m, b, "172.16.0.2", "172.16.0.3", false, false)
 
-	waitFor(t, "m learns a's prefix", func() bool {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return len(m.rib.Best(pfx("10.0.1.0/24"))) == 1
-	})
-	time.Sleep(100 * time.Millisecond) // propagation would have happened by now
-	if ev, ok := sinkB.latest()[pfx("10.0.1.0/24")]; ok && len(ev.NextHops) > 0 {
-		t.Fatal("non-client iBGP route was re-advertised through m")
+	wire := newPeerWire(t, b)
+	for {
+		msg := wire.next()
+		if msg == nil {
+			t.Fatal("m closed the session to b")
+		}
+		if msg.Type != MsgUpdate {
+			continue
+		}
+		if u := msg.Upd; len(u.NLRI) != 0 || !slices.Equal(u.Withdrawn, []netip.Prefix{pfx("10.0.1.0/24")}) {
+			t.Fatalf("m's first UPDATE to b announces %v and withdraws %v; want 10.0.1.0/24 withdrawn and nothing announced", u.NLRI, u.Withdrawn)
+		}
+		return
 	}
 }
 

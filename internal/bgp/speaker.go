@@ -15,7 +15,10 @@ import (
 
 // SessionState is the RFC 4271 FSM state of one peering session. The
 // transport is handed to the speaker pre-connected (the emulation harness
-// wires both ends), so Connect/Active collapse into the initial state.
+// wires both ends), so a session starts in OpenSent: Idle, the zero value,
+// is a state no session is in, and Connect/Active do not exist. A session
+// of a speaker told it is stopping (BeginStop) is in a state of its own,
+// "Stopping", until it closes. The steps between the states are fsm's.
 type SessionState int
 
 const (
@@ -24,6 +27,10 @@ const (
 	StateOpenConfirm
 	StateEstablished
 	StateClosed
+	// stateStopping is a session of a stopping speaker: it takes in
+	// whatever it is sent and acts on none of it, and leaving it withdraws
+	// nothing.
+	stateStopping
 )
 
 // String names the FSM state ("Idle", "OpenSent", ...).
@@ -39,9 +46,43 @@ func (s SessionState) String() string {
 		return "Established"
 	case StateClosed:
 		return "Closed"
+	case stateStopping:
+		return "Stopping"
 	default:
 		return fmt.Sprintf("state%d", int(s))
 	}
+}
+
+// event is what moves a session from one state to the next.
+type event uint8
+
+const (
+	evOpen      event = iota // OPEN received
+	evKeepalive              // KEEPALIVE received
+	evUpdate                 // UPDATE received
+	evStop                   // the speaker is stopping (BeginStop)
+	evDown                   // NOTIFICATION received, transport error, hold expiry, ResetPeer or Stop
+	numEvents
+)
+
+var eventNames = [numEvents]string{"OPEN", "KEEPALIVE", "UPDATE", "stop", "down"}
+
+func (e event) String() string { return eventNames[e] }
+
+// fsm is the session lifecycle: fsm[from][ev] is the state ev takes a
+// session in from to, and StateIdle — which no step leads to — where there
+// is no step: the session refuses ev. A refused message is an FSM error.
+// step is the only writer of a session's state; what else a step does is
+// its caller's.
+var fsm = [...][numEvents]SessionState{
+	StateOpenSent:    {evOpen: StateOpenConfirm, evStop: stateStopping, evDown: StateClosed},
+	StateOpenConfirm: {evKeepalive: StateEstablished, evStop: stateStopping, evDown: StateClosed},
+	StateEstablished: {evKeepalive: StateEstablished, evUpdate: StateEstablished, evStop: stateStopping, evDown: StateClosed},
+	stateStopping:    {evOpen: stateStopping, evKeepalive: stateStopping, evUpdate: stateStopping, evStop: stateStopping, evDown: StateClosed},
+	// A closed session's reader may still find messages in the transport:
+	// it ignores a KEEPALIVE and refuses an OPEN or an UPDATE. A second
+	// down leaves it where it is, and down does nothing more.
+	StateClosed: {evKeepalive: StateClosed, evDown: StateClosed},
 }
 
 // RouteEvent is the speaker's FIB-install hook payload: the Connection
@@ -149,10 +190,9 @@ type Speaker struct {
 	rib      *RIB
 	sessions map[netip.Addr]*session
 	damp     map[dampKey]*dampState
-	// closed is set once the speaker has been told it is stopping
-	// (BeginStop): from then on it only closes sessions. The Loc-RIB stays
-	// what it was, no route event is emitted and nothing is advertised.
-	closed bool
+	// stopping is set by BeginStop: AddPeer opens no session after it.
+	// The sessions themselves are in stateStopping.
+	stopping bool
 	// advertiseTo is redecideLocked's list of established sessions,
 	// rebuilt per call and kept between calls for its backing array; so are
 	// affected and entries, processUpdateLocked's list of what one UPDATE
@@ -248,23 +288,22 @@ func (s *Speaker) logf(format string, args ...any) {
 }
 
 // AddPeer opens a session over a pre-connected transport and immediately
-// sends OPEN (the FSM enters OpenSent).
+// sends OPEN: the session starts in OpenSent.
 func (s *Speaker) AddPeer(pc PeerConfig) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if s.stopping {
 		return fmt.Errorf("bgp: speaker closed")
 	}
 	if _, dup := s.sessions[pc.RemoteAddr]; dup {
 		return fmt.Errorf("bgp: duplicate peer %v", pc.RemoteAddr)
 	}
-	sess := &session{sp: s, cfg: pc, state: StateIdle}
+	sess := &session{sp: s, cfg: pc, state: StateOpenSent}
 	s.sessions[pc.RemoteAddr] = sess
 	sess.send(EncodeOpen(Open{
 		Version: bgpVersion, ASN: s.asn16, HoldTime: s.hold, RouterID: s.cfg.RouterID,
 	}))
 	s.Stats.OpensSent.Add(1)
-	sess.state = StateOpenSent
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -273,26 +312,31 @@ func (s *Speaker) AddPeer(pc PeerConfig) error {
 	return nil
 }
 
-// BeginStop tells the speaker it is stopping, ahead of Stop. A stopping
-// speaker whose peer goes away keeps what it learned from it: no
-// withdrawal from the Loc-RIB, no dampening penalty, no route event, no
-// UPDATE processed and no batch flushed. Whoever stops several peered
-// speakers calls BeginStop on all of them before the first Stop;
+// BeginStop tells the speaker it is stopping, ahead of Stop: every session
+// steps into the stopping state. A stopping session takes in what it is
+// sent and acts on none of it — no UPDATE processed, no OPEN or KEEPALIVE
+// answered, no keepalive sent, no batch flushed — and when its peer goes
+// away the speaker keeps what it learned from it: no withdrawal from the
+// Loc-RIB, no dampening penalty, no route event. Whoever stops several
+// peered speakers calls BeginStop on all of them before the first Stop;
 // otherwise each Stop makes the speakers still running withdraw and
 // re-advertise every route the stopped one carried, to sessions that are
 // about to close too.
 func (s *Speaker) BeginStop() {
 	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	s.stopping = true
+	for _, sess := range s.sessions {
+		sess.step(evStop)
+	}
 }
 
-// Stop closes every session (sending CEASE) and waits for readers. The
-// Loc-RIB is left as it was when the speaker was told to stop (see
-// BeginStop); LocRIB still reads it afterwards.
+// Stop begins the stop, closes every session (sending CEASE) and waits for
+// readers. The Loc-RIB is left as it was when the speaker was told to stop
+// (see BeginStop); LocRIB still reads it afterwards.
 func (s *Speaker) Stop() {
+	s.BeginStop()
 	s.mu.Lock()
-	s.closed = true
 	sessions := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
 		sessions = append(sessions, sess)
@@ -300,7 +344,7 @@ func (s *Speaker) Stop() {
 	s.mu.Unlock()
 	for _, sess := range sessions {
 		sess.sendNotification(Notification{Code: NotifCease})
-		sess.close()
+		sess.down(fmt.Errorf("bgp: speaker stopped"))
 	}
 	s.wg.Wait()
 }
@@ -412,15 +456,35 @@ func (x *session) readLoop() {
 func (x *session) handle(m *Message) error {
 	s := x.sp
 	x.lastRecv.Store(int64(s.cfg.Clock.Now()))
+	var ev event
 	switch m.Type {
 	case MsgOpen:
 		s.Stats.OpensRecv.Add(1)
-		s.mu.Lock()
-		if x.state != StateOpenSent && x.state != StateIdle {
-			s.mu.Unlock()
-			x.sendNotification(Notification{Code: NotifFSMError})
-			return fmt.Errorf("bgp: OPEN in state %v", x.state)
-		}
+		ev = evOpen
+	case MsgKeepalive:
+		s.Stats.KeepalivesRecv.Add(1)
+		ev = evKeepalive
+	case MsgUpdate:
+		s.Stats.UpdatesRecv.Add(1)
+		ev = evUpdate
+	case MsgNotification:
+		s.Stats.NotificationsRecv.Add(1)
+		return *m.Notif
+	default:
+		return fmt.Errorf("bgp: unhandled message type %d", m.Type)
+	}
+
+	s.mu.Lock()
+	from, ok := x.step(ev)
+	if !ok {
+		s.mu.Unlock()
+		x.sendNotification(Notification{Code: NotifFSMError})
+		return fmt.Errorf("bgp: %v in state %v", ev, from)
+	}
+	switch {
+	case x.state == stateStopping:
+		// Taken in, and nothing done about it.
+	case ev == evOpen:
 		if x.cfg.RemoteAS != 0 && uint32(m.Open.ASN) != x.cfg.RemoteAS {
 			s.mu.Unlock()
 			x.sendNotification(Notification{Code: NotifOpenError, Subcode: 2}) // bad peer AS
@@ -433,7 +497,6 @@ func (x *session) handle(m *Message) error {
 			hold = mine
 		}
 		x.negotiated = hold
-		x.state = StateOpenConfirm
 		s.mu.Unlock()
 		x.send(EncodeKeepalive())
 		s.Stats.KeepalivesSent.Add(1)
@@ -441,54 +504,33 @@ func (x *session) handle(m *Message) error {
 			s.cfg.Clock.After(core.FromDuration(hold), x.holdCheck)
 		}
 		return nil
-
-	case MsgKeepalive:
-		s.Stats.KeepalivesRecv.Add(1)
-		s.mu.Lock()
-		if x.state == StateOpenConfirm {
-			x.state = StateEstablished
-			s.mu.Unlock()
-			x.established()
-			return nil
-		}
-		s.mu.Unlock()
-		return nil
-
-	case MsgUpdate:
-		s.Stats.UpdatesRecv.Add(1)
-		s.mu.Lock()
-		if x.state != StateEstablished {
-			s.mu.Unlock()
-			x.sendNotification(Notification{Code: NotifFSMError})
-			return fmt.Errorf("bgp: UPDATE in state %v", x.state)
-		}
-		if !s.closed {
-			s.processUpdateLocked(x, m.Upd)
-		}
-		s.mu.Unlock()
-		return nil
-
-	case MsgNotification:
-		s.Stats.NotificationsRecv.Add(1)
-		return *m.Notif
-
-	default:
-		return fmt.Errorf("bgp: unhandled message type %d", m.Type)
-	}
-}
-
-// established runs when the session reaches Established: start the
-// keepalive tick and advertise the full Loc-RIB.
-func (x *session) established() {
-	s := x.sp
-	s.logf("session %v established", x.cfg.RemoteAddr)
-	x.armKeepalive()
-	s.mu.Lock()
-	if !s.closed {
+	case ev == evKeepalive && from == StateOpenConfirm:
+		// Established: start the keepalive tick and advertise the whole
+		// Loc-RIB.
+		x.armKeepalive()
 		x.pending.expect(s.rib.trie.Len()) // the whole table is about to land in it
 		s.rib.eachSelected(func(p netip.Prefix, best []*Path) { x.queueAdvLocked(prefixKey(p), best[0]) })
+		s.mu.Unlock()
+		s.logf("session %v established", x.cfg.RemoteAddr)
+		return nil
+	case ev == evUpdate:
+		s.processUpdateLocked(x, m.Upd)
 	}
 	s.mu.Unlock()
+	return nil
+}
+
+// step moves the session along fsm on ev and returns the state it left; ok
+// is false when fsm has no such step, and the session stays where it was.
+// It is the only writer of x.state. Caller holds s.mu.
+func (x *session) step(ev event) (from SessionState, ok bool) {
+	from = x.state
+	to := fsm[from][ev]
+	if to == StateIdle {
+		return from, false
+	}
+	x.state = to
+	return from, true
 }
 
 // armKeepalive schedules the next KEEPALIVE a third of the hold time on.
@@ -537,19 +579,19 @@ func (x *session) holdCheck() {
 	s.cfg.Clock.After(max(remain, core.Nanosecond), x.holdCheck)
 }
 
-// down tears the session down and, unless the speaker is stopping,
-// withdraws everything learned from it.
+// down closes the session. Only a session that leaves Established
+// withdraws what it learned from its peer: one that never got there
+// learned nothing, and a stopping one keeps it.
 func (x *session) down(cause error) {
 	s := x.sp
 	s.mu.Lock()
-	if x.state == StateClosed {
+	was, _ := x.step(evDown)
+	if was == StateClosed {
 		s.mu.Unlock()
 		return
 	}
-	was := x.state
-	x.state = StateClosed
 	delete(s.sessions, x.cfg.RemoteAddr)
-	if !s.closed {
+	if was == StateEstablished {
 		affected, entries := s.rib.dropPeer(x.cfg.RemoteAddr)
 		// A session loss withdraws everything learned from the peer; each
 		// of those counts as a flap toward dampening, so a flapping cable
@@ -639,7 +681,7 @@ func (x *session) flushAdv() {
 	defer x.flushMu.Unlock()
 	s.mu.Lock()
 	x.advArmed = false
-	if s.closed || (x.state != StateEstablished && x.state != StateOpenConfirm && x.state != StateOpenSent) {
+	if x.state != StateEstablished {
 		s.mu.Unlock()
 		return
 	}
