@@ -34,7 +34,7 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := horse.WAN(*topoName, horse.BGP(), horse.DelayScale(*delayScale))
+	g, err := horse.WAN(*topoName, horse.DelayScale(*delayScale))
 	if err != nil {
 		log.Fatal(err)
 	}

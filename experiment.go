@@ -98,6 +98,9 @@ func (e *Experiment) AddFlow(src, dst string, rate Rate, start, duration Time) e
 	if e.g == nil {
 		return fmt.Errorf("horse: set a topology before adding flows")
 	}
+	if rate < 0 || !rate.Finite() {
+		return fmt.Errorf("horse: flow rate %v is negative or not finite", rate)
+	}
 	hosts := e.g.Hosts()
 	idx := func(name string) int {
 		for i, h := range hosts {
@@ -327,9 +330,6 @@ func (e *Experiment) collect(rs *runState, simStats sim.Stats) (*Result, error) 
 			Rate:  snap.Rate,
 			State: snap.State.String(),
 		}
-		if rs.until > 0 {
-			fr.AvgRate = Rate(float64(snap.Bytes*8) / rs.until.Seconds())
-		}
 		if lat, ok := flows.PathLatency(f.ID); ok {
 			fr.PathLatency = lat
 		}
@@ -418,9 +418,8 @@ type FlowResult struct {
 	// integrates through the wall-jittery convergence window) the final
 	// rate is a deterministic function of the converged topology and
 	// paths; internal/spec fingerprints it bit-for-bit.
-	Rate    Rate
-	AvgRate Rate
-	State   string
+	Rate  Rate
+	State string
 	// PathLatency is the one-way propagation latency of the flow's
 	// final path (zero for blackholed flows and delay-free topologies).
 	PathLatency Time

@@ -88,15 +88,6 @@ type topoOpts struct {
 	fullTable  int
 }
 
-// The links of the generated LAN topologies (Linear, Star, TwoRouters,
-// WANRing): 1 Gbps with a 10µs propagation delay each way. FatTree uses
-// topo.FatTreeOpts' defaults (the same); the WAN generators use
-// topo.WANOpts' 10 Gbps backbones and geographic delays.
-const (
-	lanRate  = 1 * Gbps
-	lanDelay = 10 * Microsecond
-)
-
 // wan is what the three WAN generators take from the options.
 func (o topoOpts) wan() topo.WANOpts {
 	return topo.WANOpts{DelayScale: o.delayScale, ZeroLatency: o.delayScale == 0}
@@ -133,7 +124,7 @@ func Linear(n int, opts ...TopoOption) (*Topology, error) {
 	if o.routers {
 		kind = topo.Router
 	}
-	return topo.Linear(n, kind, lanRate, lanDelay)
+	return topo.Linear(n, kind, topo.LANRate, topo.LANDelay)
 }
 
 // Star builds a single forwarding node with n hosts.
@@ -143,19 +134,18 @@ func Star(n int, opts ...TopoOption) (*Topology, error) {
 	if o.routers {
 		kind = topo.Router
 	}
-	return topo.Star(n, kind, lanRate, lanDelay)
+	return topo.Star(n, kind, topo.LANRate, topo.LANDelay)
 }
 
 // TwoRouters builds the paper's Figure 1 scenario: two BGP routers with
-// one host each. No option changes it.
-func TwoRouters(opts ...TopoOption) (*Topology, error) {
-	return topo.TwoRouters(lanRate, lanDelay)
+// one host each.
+func TwoRouters() (*Topology, error) {
+	return topo.TwoRouters(topo.LANRate, topo.LANDelay)
 }
 
 // WANRing builds a ring of n BGP routers with chords every chord hops.
-// No option changes it.
-func WANRing(n, chord int, opts ...TopoOption) (*Topology, error) {
-	return topo.WANRing(n, chord, lanRate, lanDelay)
+func WANRing(n, chord int) (*Topology, error) {
+	return topo.WANRing(n, chord, topo.LANRate, topo.LANDelay)
 }
 
 // WAN builds one of the embedded measured WAN backbones ("abilene",

@@ -1,6 +1,7 @@
 package horse
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -567,7 +568,7 @@ func TestFatTreeLinkFailureRecoverySDN(t *testing.T) {
 // surviving side of the ring; LinkUp re-peers and restores the original
 // best path.
 func TestBGPLinkFailureReroute(t *testing.T) {
-	topo, err := WANRing(4, 0, BGP())
+	topo, err := WANRing(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -694,6 +695,14 @@ func TestInjectionValidation(t *testing.T) {
 	if err := exp.At(Second).SetLinkRate("h0", "s0", -1); err == nil {
 		t.Error("negative rate accepted")
 	}
+	for _, r := range []Rate{Rate(math.NaN()), Rate(math.Inf(1))} {
+		if err := exp.At(Second).SetLinkRate("h0", "s0", r); err == nil {
+			t.Errorf("link rate %v accepted", r)
+		}
+		if err := exp.AddFlow("h0", "h1", r, 0, 0); err == nil {
+			t.Errorf("flow rate %v accepted", r)
+		}
+	}
 	if err := exp.At(Second).NodeDown("ghost"); err == nil {
 		t.Error("unknown node for NodeDown accepted")
 	}
@@ -749,7 +758,7 @@ func TestSetLinkRateMidRun(t *testing.T) {
 // TestNodeDownUpBGP kills a transit router and brings it back: the ring
 // re-converges around the dead node and heals when it returns.
 func TestNodeDownUpBGP(t *testing.T) {
-	topo, err := WANRing(4, 0, BGP())
+	topo, err := WANRing(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -856,7 +865,7 @@ func TestFailureRunIsMaxMinFair(t *testing.T) {
 // independent scripted LinkDown outlives the node outage until its own
 // LinkUp.
 func TestNodeUpDoesNotReviveScriptedLinkDown(t *testing.T) {
-	topo, err := WANRing(4, 0, BGP())
+	topo, err := WANRing(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -914,7 +923,7 @@ func TestNodeUpDoesNotReviveScriptedLinkDown(t *testing.T) {
 // router's connected /32 (interface-down), and the repair must reinstall
 // it or the host stays blackholed forever.
 func TestHostLinkFailureRestoresConnectedRoute(t *testing.T) {
-	topo, err := WANRing(4, 0, BGP())
+	topo, err := WANRing(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -951,7 +960,7 @@ func TestHostLinkFailureRestoresConnectedRoute(t *testing.T) {
 // cable down must convert it to an independent outage that NodeUp does
 // not revive.
 func TestLinkDownDuringNodeOutageSurvivesNodeUp(t *testing.T) {
-	topo, err := WANRing(4, 0, BGP())
+	topo, err := WANRing(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1002,7 +1011,7 @@ func TestLinkDownDuringNodeOutageSurvivesNodeUp(t *testing.T) {
 // shared cable to the second node's restore list; only the second
 // NodeUp revives it (and re-peers its BGP session).
 func TestAdjacentNodeOutagesDeferSharedCable(t *testing.T) {
-	topo, err := WANRing(4, 0, BGP())
+	topo, err := WANRing(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,8 +107,8 @@ func (p *InjectionPoint) LinkUp(a, b string) error {
 // Allocations re-solve incrementally over the dirty region around the
 // link; no routing state changes.
 func (p *InjectionPoint) SetLinkRate(a, b string, r Rate) error {
-	if r < 0 {
-		return fmt.Errorf("horse: negative link rate %v", r)
+	if r < 0 || !r.Finite() {
+		return fmt.Errorf("horse: link rate %v is negative or not finite", r)
 	}
 	ab, err := p.cable(a, b)
 	if err != nil {

@@ -202,9 +202,6 @@ type HederaApp struct {
 	// outstanding stats replies for the current poll round.
 	statsWait int
 	rounds    int
-
-	// Schedules counts scheduler rounds that moved at least one flow.
-	Schedules int
 }
 
 // Name implements App.
@@ -470,9 +467,6 @@ func (a *HederaApp) schedule(byteCounts map[core.FiveTuple]uint64) {
 		}
 	}
 	if moved > 0 {
-		a.mu.Lock()
-		a.Schedules++
-		a.mu.Unlock()
 		a.ctx.Logf("hedera: moved %d flows", moved)
 	}
 }

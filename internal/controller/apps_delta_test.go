@@ -3,7 +3,6 @@ package controller
 import (
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/emu"
@@ -34,13 +33,17 @@ func TestECMPRepairIsDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := New(g, &manualClock{fire: true}, &ECMPApp{}, t.Logf)
+	// Every pipe and every fired timer counts on one ledger, so the
+	// ledger reads zero exactly when no FLOW_MOD, PORT_STATUS or repair
+	// pass is left in flight.
+	var ledger emu.Ledger
+	ctl := New(g, &manualClock{fire: true, ledger: &ledger}, &ECMPApp{}, t.Logf)
 	defer ctl.Stop()
 
 	dps := make(map[core.NodeID]*countDP)
 	agents := make(map[core.NodeID]*openflow.Agent)
 	for _, sw := range g.Switches() {
-		swEnd, ctlEnd := emu.Pipe()
+		swEnd, ctlEnd := ledger.Pipe()
 		dp := &countDP{tableDP: &tableDP{table: flowtable.New()}}
 		var ports []openflow.PhyPort
 		for _, p := range sw.Ports {
@@ -69,18 +72,10 @@ func TestECMPRepairIsDelta(t *testing.T) {
 		}
 		return n
 	}
-	// settle waits until the FLOW_MOD stream has been quiet for a while,
-	// so counts taken afterwards cover the whole repair pass.
+	// settle waits for the ledger to read zero, so counts taken
+	// afterwards cover the whole repair pass.
 	settle := func() {
-		last := totalMods()
-		for quiet := 0; quiet < 5; {
-			time.Sleep(20 * time.Millisecond)
-			if now := totalMods(); now == last {
-				quiet++
-			} else {
-				last, quiet = now, 0
-			}
-		}
+		waitFor(t, "nothing in flight", func() bool { return ledger.InFlight() == 0 })
 	}
 	settle()
 	initial := totalMods()

@@ -15,12 +15,15 @@ import (
 )
 
 // manualClock runs timers immediately on a goroutine after a tiny delay,
-// standing in for the CM's virtual clock in unit tests.
+// standing in for the CM's virtual clock in unit tests. With a ledger,
+// a fired callback holds a token until it returns, as the CM's clock
+// does, so the ledger reads zero only once the woken app is done.
 type manualClock struct {
 	mu     sync.Mutex
 	now    core.Time
 	timers []func()
 	fire   bool
+	ledger *emu.Ledger
 }
 
 func (c *manualClock) Now() core.Time { return c.now }
@@ -28,7 +31,7 @@ func (c *manualClock) After(d core.Time, fn func()) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.fire {
-		go fn()
+		c.run(fn)
 		return
 	}
 	c.timers = append(c.timers, fn)
@@ -41,8 +44,20 @@ func (c *manualClock) fireAll() {
 	c.timers = nil
 	c.mu.Unlock()
 	for _, fn := range timers {
-		go fn()
+		c.run(fn)
 	}
+}
+
+func (c *manualClock) run(fn func()) {
+	if c.ledger == nil {
+		go fn()
+		return
+	}
+	c.ledger.Hold()
+	go func() {
+		defer c.ledger.Release()
+		fn()
+	}()
 }
 
 // tableDP applies flow mods directly into a flowtable and answers stats

@@ -10,6 +10,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"net/netip"
 	"time"
 )
@@ -76,6 +77,12 @@ const (
 	Mbps              = 1e6 * BitPerSecond
 	Gbps              = 1e9 * BitPerSecond
 )
+
+// Finite reports whether r is neither NaN nor infinite. A rate that
+// reaches the max–min solver must be: its fill never terminates on a NaN.
+func (r Rate) Finite() bool {
+	return !math.IsNaN(float64(r)) && !math.IsInf(float64(r), 0)
+}
 
 func (r Rate) String() string {
 	switch {

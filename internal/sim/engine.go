@@ -120,7 +120,6 @@ type Stats struct {
 	Events         uint64        // events executed
 	LateEvents     uint64        // events scheduled in the past (clamped to now)
 	ControlPosts   uint64        // external posts flagged as control activity
-	DataPosts      uint64        // external posts without the control flag
 	Transitions    int           // DES<->FTI mode switches
 	EvidenceExits  int           // FTI->DES switches on an in-flight reading of zero (SetInFlight)
 	TimeoutExits   int           // FTI->DES switches after QuietTimeout without control activity
@@ -246,9 +245,6 @@ func (e *Engine) NowExternal() core.Time { return core.Time(e.nowAt.Load()) }
 // Mode reports the current clock mode. Engine goroutine only.
 func (e *Engine) Mode() Mode { return e.mode }
 
-// Config returns the engine's effective configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // SetInFlight gives the engine a reading of the control plane work still
 // in flight (the Connection Manager's emu.Ledger); read is called on the
 // engine goroutine. With it the engine leaves FTI on evidence: settleSteps
@@ -355,10 +351,6 @@ func (e *Engine) Run(until core.Time) Stats {
 	return e.stats
 }
 
-// Stats returns a snapshot of the statistics gathered so far. Engine
-// goroutine only (or after Run returned).
-func (e *Engine) Stats() Stats { return e.stats }
-
 // drainInbox handles all currently queued external work without blocking.
 func (e *Engine) drainInbox() {
 	for _, x := range e.inbox.take() {
@@ -373,8 +365,6 @@ func (e *Engine) handleExternal(x external) {
 		if e.mode == DES {
 			e.switchMode(FTI)
 		}
-	} else {
-		e.stats.DataPosts++
 	}
 	if x.fn != nil {
 		x.fn()

@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -57,4 +59,72 @@ func TestGoldenReactiveDigest(t *testing.T) {
 	if got := out.Fingerprint.Digest(); got != goldenReactiveDigest {
 		t.Errorf("digest %s, want %s (steady rx %s)", got, goldenReactiveDigest, out.Fingerprint.SteadyRx)
 	}
+}
+
+// TestFingerprintStable executes each spec ten times and requires one
+// digest per spec. Hedera reschedules flows at every poll, so a
+// fingerprint that read anything sampled (the aggregate rate series, at
+// instants FTI pacing decides) would split here; one built from the
+// final allocation does not.
+func TestFingerprintStable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 50 experiments")
+	}
+	const runs = 10
+	for _, tc := range []struct{ topo, scenario, traffic string }{
+		{"fattree:4", "hedera", "permutation:8"},
+		{"fattree:4", "hedera", "permutation:14"},
+		{"fattree:4", "ecmp5", "permutation:8"},
+		{"fattree:4", "bgp-ecmp", "permutation:8"},
+		{"fattree:8", "hedera", "permutation:8"},
+	} {
+		r := Run{Topo: tc.topo, Scenario: tc.scenario, Traffic: tc.traffic,
+			Dur: Duration(20 * time.Second), Pacing: 40}
+		var first Fingerprint
+		digests := map[string]int{}
+		diff := ""
+		for i := 0; i < runs; i++ {
+			out, err := r.Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			digests[out.Fingerprint.Digest()]++
+			if i == 0 {
+				first = out.Fingerprint
+			} else if diff == "" {
+				diff = firstDiff("Fingerprint", reflect.ValueOf(first), reflect.ValueOf(out.Fingerprint))
+			}
+		}
+		if len(digests) != 1 {
+			t.Errorf("%s %s %s: %d distinct digests in %d runs %v; first difference: %s",
+				tc.topo, tc.scenario, tc.traffic, len(digests), runs, digests, diff)
+		}
+	}
+}
+
+// firstDiff names the first field, in declaration order, where a and b
+// differ, with both values; "" when they are equal.
+func firstDiff(path string, a, b reflect.Value) string {
+	switch a.Kind() {
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if d := firstDiff(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i)); d != "" {
+				return d
+			}
+		}
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s: %d vs %d entries", path, a.Len(), b.Len())
+		}
+		for i := 0; i < a.Len(); i++ {
+			if d := firstDiff(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i)); d != "" {
+				return d
+			}
+		}
+	default:
+		if !a.Equal(b) {
+			return fmt.Sprintf("%s: %v vs %v", path, a, b)
+		}
+	}
+	return ""
 }

@@ -30,22 +30,22 @@ type Outcome struct {
 }
 
 // Fingerprint is the deterministic projection of a horse.Result: the
-// converged steady state, which depends only on the spec — same seed,
-// any wall-clock jitter — once the control plane has settled. Two
-// executions of the same spec must produce bit-identical fingerprints
-// (rates are compared via Float64bits).
-// Quantities accumulated through the convergence window (delivered
-// bytes, event counts, solve counts) are wall-timing-sensitive and live
-// in WallStats instead.
+// converged state the run ended in, which depends only on the spec —
+// same seed, any wall-clock jitter — once the control plane has settled.
+// Two executions of the same spec must produce bit-identical
+// fingerprints (rates are compared via Float64bits). Nothing in it is
+// sampled: a sample's instant is decided by FTI pacing, so a series of
+// samples through the convergence window — delivered bytes, event
+// counts, solve counts, the aggregate rate series — is
+// wall-timing-sensitive and lives in WallStats instead.
 type Fingerprint struct {
 	Hosts    int `json:"hosts"`
 	Switches int `json:"switches"`
 	Routers  int `json:"routers"`
 
 	// SteadyRxBits is math.Float64bits of the steady aggregate receive
-	// rate (the mean over the second half of the run, when every sample
-	// is the converged allocation). SteadyRx is the same value
-	// human-readable.
+	// rate: the sum of the final flow rates, in Flows order. SteadyRx is
+	// the same value human-readable.
 	SteadyRxBits uint64 `json:"steady_rx_bits"`
 	SteadyRx     string `json:"steady_rx"`
 
@@ -102,6 +102,12 @@ type WallStats struct {
 	// Fingerprint.
 	ConvergedAt Duration `json:"converged_at,omitempty"`
 
+	// SampledSteadyRx is the mean sampled aggregate receive rate (bps)
+	// over the second half of the run. It equals the Fingerprint's
+	// steady rate when every sample in that window is the converged
+	// allocation, and differs when the control plane was still moving
+	// flows there (Hedera reschedules every poll).
+	SampledSteadyRx float64 `json:"sampled_steady_rx,omitempty"`
 	// MinHostRxFloor is the lowest per-host receive rate (bps)
 	// observed over the second half of the run — the fairness floor
 	// of the converged allocation as sampled.
@@ -110,17 +116,16 @@ type WallStats struct {
 
 // NewOutcome projects a finished run's Result into its Outcome.
 func NewOutcome(r Run, res *horse.Result) *Outcome {
-	steady := res.SteadyAggregateRx()
 	fp := Fingerprint{
 		Hosts:             res.Topology.Hosts,
 		Switches:          res.Topology.Switches,
 		Routers:           res.Topology.Routers,
-		SteadyRxBits:      math.Float64bits(float64(steady)),
-		SteadyRx:          steady.String(),
 		MeanPathLatencyNs: int64(res.MeanPathLatency),
 	}
+	var steady core.Rate
 	var rxBytes uint64
 	for _, f := range res.Flows {
+		steady += f.Rate
 		fp.Flows = append(fp.Flows, FlowPrint{
 			Tuple:         f.Tuple.String(),
 			State:         f.State,
@@ -130,6 +135,8 @@ func NewOutcome(r Run, res *horse.Result) *Outcome {
 		})
 		rxBytes += f.Bytes
 	}
+	fp.SteadyRxBits = math.Float64bits(float64(steady))
+	fp.SteadyRx = steady.String()
 	var convergedAt Duration
 	if at, ok := res.ConvergedAt(0.95); ok {
 		convergedAt = Duration(at.Duration())
@@ -162,6 +169,7 @@ func NewOutcome(r Run, res *horse.Result) *Outcome {
 			Drops:           res.Drops,
 			RxBytes:         rxBytes,
 			ConvergedAt:     convergedAt,
+			SampledSteadyRx: float64(res.SteadyAggregateRx()),
 			MinHostRxFloor:  minFloor,
 		},
 		CaptureFiles: res.CaptureFiles,

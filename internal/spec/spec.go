@@ -13,6 +13,7 @@ package spec
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -163,14 +164,23 @@ func (r Run) parse() (parts, error) {
 	if r.RateGbps < 0 {
 		return p, fmt.Errorf("spec: negative rate %vGbps", r.RateGbps)
 	}
+	if !finite(r.RateGbps) {
+		return p, fmt.Errorf("spec: rate %vGbps is not a finite number", r.RateGbps)
+	}
 	if r.Dur < 0 {
 		return p, fmt.Errorf("spec: negative duration %v", r.Dur.Duration())
 	}
 	if r.Pacing < 0 {
 		return p, fmt.Errorf("spec: negative pacing %v", r.Pacing)
 	}
+	if !finite(r.Pacing) {
+		return p, fmt.Errorf("spec: pacing %v is not a finite number", r.Pacing)
+	}
 	if ds := r.DelayScale; ds != nil && *ds < 0 {
 		return p, fmt.Errorf("spec: negative delay scale %v", *ds)
+	}
+	if ds := r.DelayScale; ds != nil && !finite(*ds) {
+		return p, fmt.Errorf("spec: delay scale %v is not a finite number", *ds)
 	}
 	if r.AdvertiseDelay < 0 {
 		return p, fmt.Errorf("spec: negative advertise delay %v", r.AdvertiseDelay.Duration())
@@ -180,6 +190,10 @@ func (r Run) parse() (parts, error) {
 	}
 	return p, nil
 }
+
+// finite reports whether x is neither NaN nor infinite. Flag parsing
+// accepts "nan" and "inf", and a NaN rate stalls the max–min solver.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // seedFields parses the SEED[:…] tail that the seeded grammars share
 // (pareto, lognormal, incast, walk, wan:mesh, wan:multi): arg, split on

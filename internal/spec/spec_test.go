@@ -3,6 +3,9 @@ package spec
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -28,62 +31,64 @@ func topoString(ts TopoSpec) string {
 	}
 }
 
+// topoCases are TestParseTopo's rows; FuzzSpec seeds its corpus with them.
+var topoCases = []struct {
+	in      string
+	want    TopoSpec
+	wantErr string // substring of the error; empty = must parse
+}{
+	{in: "fattree:4", want: TopoSpec{Kind: TopoFatTree, K: 4}},
+	{in: "fattree:8", want: TopoSpec{Kind: TopoFatTree, K: 8}},
+	{in: "fattree", wantErr: "positive"},
+	{in: "fattree:x", wantErr: "positive"},
+	{in: "fattree:0", wantErr: "positive"},
+	{in: "fattree:-2", wantErr: "positive"},
+	{in: "linear:5", want: TopoSpec{Kind: TopoLinear, K: 5}},
+	{in: "linear", wantErr: "positive"},
+	{in: "star:3", want: TopoSpec{Kind: TopoStar, K: 3}},
+	{in: "star:0", wantErr: "positive"},
+	{in: "ring:8", want: TopoSpec{Kind: TopoRing, K: 8}},
+	{in: "ring:8:2", want: TopoSpec{Kind: TopoRing, K: 8, Chord: 2}},
+	{in: "ring:8:0", want: TopoSpec{Kind: TopoRing, K: 8, Chord: 0}},
+	{in: "ring", wantErr: "ring:N[:CHORD]"},
+	{in: "ring:8:x", wantErr: "chord"},
+	{in: "ring:8:-1", wantErr: "chord"},
+	{in: "ring:8:2:9", wantErr: "ring:N[:CHORD]"},
+	{in: "two-routers", want: TopoSpec{Kind: TopoTwoRouters}},
+	{in: "two-routers:1", wantErr: "no arguments"},
+	{in: "wan:abilene", want: TopoSpec{Kind: TopoWAN, Name: "abilene"}},
+	{in: "wan:tier1", want: TopoSpec{Kind: TopoWAN, Name: "tier1"}},
+	{in: "wan:nosuch", wantErr: "unknown WAN backbone"},
+	{in: "wan:mesh:7", want: TopoSpec{Kind: TopoWANMesh, Seed: 7, PoPs: 16}},
+	{in: "wan:mesh:7:24", want: TopoSpec{Kind: TopoWANMesh, Seed: 7, PoPs: 24}},
+	{in: "wan:mesh:-3", want: TopoSpec{Kind: TopoWANMesh, Seed: -3, PoPs: 16}},
+	{in: "wan:mesh", wantErr: "needs a seed"},
+	{in: "wan:mesh:x", wantErr: "seed must be an integer"},
+	{in: "wan:mesh:7:0", wantErr: "PoP count"},
+	{in: "wan:mesh:7:24:5", wantErr: "wan:mesh:SEED[:POPS]"},
+	{in: "wan:multi:7", want: TopoSpec{Kind: TopoWANMultiAS, Seed: 7, ASes: 3, PoPs: 6}},
+	{in: "wan:multi:7:2", want: TopoSpec{Kind: TopoWANMultiAS, Seed: 7, ASes: 2, PoPs: 6}},
+	{in: "wan:multi:7:4:10", want: TopoSpec{Kind: TopoWANMultiAS, Seed: 7, ASes: 4, PoPs: 10}},
+	{in: "wan:multi:7:2:5:5000", want: TopoSpec{Kind: TopoWANMultiAS, Seed: 7, ASes: 2, PoPs: 5, FullTable: 5000}},
+	{in: "wan:multi:-3", want: TopoSpec{Kind: TopoWANMultiAS, Seed: -3, ASes: 3, PoPs: 6}},
+	{in: "wan:multi", wantErr: "needs a seed"},
+	{in: "wan:multi:x", wantErr: "seed must be an integer"},
+	{in: "wan:multi:7:1", wantErr: "AS count"},
+	{in: "wan:multi:7:2:0", wantErr: "PoP count"},
+	{in: "wan:multi:7:2:5:-1", wantErr: "prefix count"},
+	{in: "wan:multi:7:2:5:100:9", wantErr: "wan:multi:SEED[:ASES[:POPS[:PREFIXES]]]"},
+	{in: "", wantErr: "empty topology"},
+	{in: "mesh:4", wantErr: "unknown topology kind"},
+	{in: "fat-tree:4", wantErr: "unknown topology kind"},
+}
+
 // TestParseTopo covers every -topo form the CLIs accept, plus the
 // malformed specs a campaign submission must reject with an error that
 // names the offending part. Every accepted form also round-trips:
 // Parse(x.String()) == x, the property each of the four grammar tables
 // in this file checks row by row.
 func TestParseTopo(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    TopoSpec
-		wantErr string // substring of the error; empty = must parse
-	}{
-		{in: "fattree:4", want: TopoSpec{Kind: TopoFatTree, K: 4}},
-		{in: "fattree:8", want: TopoSpec{Kind: TopoFatTree, K: 8}},
-		{in: "fattree", wantErr: "positive"},
-		{in: "fattree:x", wantErr: "positive"},
-		{in: "fattree:0", wantErr: "positive"},
-		{in: "fattree:-2", wantErr: "positive"},
-		{in: "linear:5", want: TopoSpec{Kind: TopoLinear, K: 5}},
-		{in: "linear", wantErr: "positive"},
-		{in: "star:3", want: TopoSpec{Kind: TopoStar, K: 3}},
-		{in: "star:0", wantErr: "positive"},
-		{in: "ring:8", want: TopoSpec{Kind: TopoRing, K: 8}},
-		{in: "ring:8:2", want: TopoSpec{Kind: TopoRing, K: 8, Chord: 2}},
-		{in: "ring:8:0", want: TopoSpec{Kind: TopoRing, K: 8, Chord: 0}},
-		{in: "ring", wantErr: "ring:N[:CHORD]"},
-		{in: "ring:8:x", wantErr: "chord"},
-		{in: "ring:8:-1", wantErr: "chord"},
-		{in: "ring:8:2:9", wantErr: "ring:N[:CHORD]"},
-		{in: "two-routers", want: TopoSpec{Kind: TopoTwoRouters}},
-		{in: "two-routers:1", wantErr: "no arguments"},
-		{in: "wan:abilene", want: TopoSpec{Kind: TopoWAN, Name: "abilene"}},
-		{in: "wan:tier1", want: TopoSpec{Kind: TopoWAN, Name: "tier1"}},
-		{in: "wan:nosuch", wantErr: "unknown WAN backbone"},
-		{in: "wan:mesh:7", want: TopoSpec{Kind: TopoWANMesh, Seed: 7, PoPs: 16}},
-		{in: "wan:mesh:7:24", want: TopoSpec{Kind: TopoWANMesh, Seed: 7, PoPs: 24}},
-		{in: "wan:mesh:-3", want: TopoSpec{Kind: TopoWANMesh, Seed: -3, PoPs: 16}},
-		{in: "wan:mesh", wantErr: "needs a seed"},
-		{in: "wan:mesh:x", wantErr: "seed must be an integer"},
-		{in: "wan:mesh:7:0", wantErr: "PoP count"},
-		{in: "wan:mesh:7:24:5", wantErr: "wan:mesh:SEED[:POPS]"},
-		{in: "wan:multi:7", want: TopoSpec{Kind: TopoWANMultiAS, Seed: 7, ASes: 3, PoPs: 6}},
-		{in: "wan:multi:7:2", want: TopoSpec{Kind: TopoWANMultiAS, Seed: 7, ASes: 2, PoPs: 6}},
-		{in: "wan:multi:7:4:10", want: TopoSpec{Kind: TopoWANMultiAS, Seed: 7, ASes: 4, PoPs: 10}},
-		{in: "wan:multi:7:2:5:5000", want: TopoSpec{Kind: TopoWANMultiAS, Seed: 7, ASes: 2, PoPs: 5, FullTable: 5000}},
-		{in: "wan:multi:-3", want: TopoSpec{Kind: TopoWANMultiAS, Seed: -3, ASes: 3, PoPs: 6}},
-		{in: "wan:multi", wantErr: "needs a seed"},
-		{in: "wan:multi:x", wantErr: "seed must be an integer"},
-		{in: "wan:multi:7:1", wantErr: "AS count"},
-		{in: "wan:multi:7:2:0", wantErr: "PoP count"},
-		{in: "wan:multi:7:2:5:-1", wantErr: "prefix count"},
-		{in: "wan:multi:7:2:5:100:9", wantErr: "wan:multi:SEED[:ASES[:POPS[:PREFIXES]]]"},
-		{in: "", wantErr: "empty topology"},
-		{in: "mesh:4", wantErr: "unknown topology kind"},
-		{in: "fat-tree:4", wantErr: "unknown topology kind"},
-	}
-	for _, tc := range cases {
+	for _, tc := range topoCases {
 		t.Run(tc.in, func(t *testing.T) {
 			got, err := ParseTopo(tc.in)
 			if tc.wantErr != "" {
@@ -171,57 +176,62 @@ func TestParseScenario(t *testing.T) {
 	}
 }
 
+// trafficCases are TestParseTraffic's rows; FuzzSpec seeds its corpus with them.
+var trafficCases = []struct {
+	in         string
+	want       TrafficSpec
+	wantStr    string
+	wantSeeded bool
+	wantErr    string
+}{
+	{in: "permutation", want: TrafficSpec{Kind: "permutation", Seed: 42}, wantStr: "permutation:42", wantSeeded: true},
+	{in: "permutation:7", want: TrafficSpec{Kind: "permutation", Seed: 7, ExplicitSeed: true}, wantStr: "permutation:7", wantSeeded: true},
+	{in: "permutation:-1", want: TrafficSpec{Kind: "permutation", Seed: -1, ExplicitSeed: true}, wantStr: "permutation:-1", wantSeeded: true},
+	{in: "permutation:x", wantErr: "seed must be an integer"},
+	{in: "stride", want: TrafficSpec{Kind: "stride", N: 1}, wantStr: "stride:1"},
+	{in: "stride:4", want: TrafficSpec{Kind: "stride", N: 4}, wantStr: "stride:4"},
+	{in: "stride:0", wantErr: "positive"},
+	{in: "stride:x", wantErr: "positive"},
+	{in: "none", want: TrafficSpec{Kind: "none"}, wantStr: "none"},
+	{in: "none:1", wantErr: "no arguments"},
+	{in: "matrix:demands.csv", want: TrafficSpec{Kind: "matrix", File: "demands.csv", Scale: 1}, wantStr: "matrix:demands.csv"},
+	{in: "matrix:demands.csv:2", want: TrafficSpec{Kind: "matrix", File: "demands.csv", Scale: 2}, wantStr: "matrix:demands.csv:2"},
+	{in: "matrix:trace.pcapng:0.5", want: TrafficSpec{Kind: "matrix", File: "trace.pcapng", Scale: 0.5}, wantStr: "matrix:trace.pcapng:0.5"},
+	{in: "matrix", wantErr: "needs a file"},
+	{in: "matrix:", wantErr: "needs a file"},
+	{in: "matrix::2", wantErr: "needs a file"},
+	{in: "matrix:demands.csv:0", wantErr: "positive"},
+	{in: "matrix:demands.csv:x", wantErr: "positive"},
+	{in: "matrix:demands.csv:inf", wantErr: "finite"},
+	{in: "matrix:demands.csv:nan", wantErr: "finite"},
+	{in: "matrix:a:5:1", wantErr: "colon"},
+	{in: "pareto", want: TrafficSpec{Kind: "pareto", Seed: 42}, wantStr: "pareto:42", wantSeeded: true},
+	{in: "pareto:7", want: TrafficSpec{Kind: "pareto", Seed: 7, ExplicitSeed: true}, wantStr: "pareto:7", wantSeeded: true},
+	{in: "pareto:7:100", want: TrafficSpec{Kind: "pareto", Seed: 7, ExplicitSeed: true, N: 100}, wantStr: "pareto:7:100", wantSeeded: true},
+	{in: "pareto:x", wantErr: "seed must be an integer"},
+	{in: "pareto:7:0", wantErr: "positive"},
+	{in: "pareto:7:100:9", wantErr: "pareto[:SEED[:N]]"},
+	{in: "lognormal", want: TrafficSpec{Kind: "lognormal", Seed: 42}, wantStr: "lognormal:42", wantSeeded: true},
+	{in: "lognormal:3:50", want: TrafficSpec{Kind: "lognormal", Seed: 3, ExplicitSeed: true, N: 50}, wantStr: "lognormal:3:50", wantSeeded: true},
+	{in: "incast", want: TrafficSpec{Kind: "incast", Seed: 42}, wantStr: "incast:42", wantSeeded: true},
+	{in: "incast:7", want: TrafficSpec{Kind: "incast", Seed: 7, ExplicitSeed: true}, wantStr: "incast:7", wantSeeded: true},
+	{in: "incast:7:8", want: TrafficSpec{Kind: "incast", Seed: 7, ExplicitSeed: true, N: 8}, wantStr: "incast:7:8", wantSeeded: true},
+	{in: "incast:x", wantErr: "seed must be an integer"},
+	{in: "incast:7:0", wantErr: "positive"},
+	{in: "alltoall", want: TrafficSpec{Kind: "alltoall"}, wantStr: "alltoall"},
+	{in: "alltoall:3", want: TrafficSpec{Kind: "alltoall", N: 3}, wantStr: "alltoall:3"},
+	{in: "alltoall:0", wantErr: "positive"},
+	{in: "ring", want: TrafficSpec{Kind: "ring"}, wantStr: "ring"},
+	{in: "ring:4", want: TrafficSpec{Kind: "ring", N: 4}, wantStr: "ring:4"},
+	{in: "ring:x", wantErr: "positive"},
+	{in: "poisson", wantErr: "unknown traffic"},
+	{in: "", wantErr: "unknown traffic"},
+}
+
 // TestParseTraffic covers the workload grammar, seed-template detection
 // (the campaign seed axis), and canonical String round-trips.
 func TestParseTraffic(t *testing.T) {
-	cases := []struct {
-		in         string
-		want       TrafficSpec
-		wantStr    string
-		wantSeeded bool
-		wantErr    string
-	}{
-		{in: "permutation", want: TrafficSpec{Kind: "permutation", Seed: 42}, wantStr: "permutation:42", wantSeeded: true},
-		{in: "permutation:7", want: TrafficSpec{Kind: "permutation", Seed: 7, ExplicitSeed: true}, wantStr: "permutation:7", wantSeeded: true},
-		{in: "permutation:-1", want: TrafficSpec{Kind: "permutation", Seed: -1, ExplicitSeed: true}, wantStr: "permutation:-1", wantSeeded: true},
-		{in: "permutation:x", wantErr: "seed must be an integer"},
-		{in: "stride", want: TrafficSpec{Kind: "stride", N: 1}, wantStr: "stride:1"},
-		{in: "stride:4", want: TrafficSpec{Kind: "stride", N: 4}, wantStr: "stride:4"},
-		{in: "stride:0", wantErr: "positive"},
-		{in: "stride:x", wantErr: "positive"},
-		{in: "none", want: TrafficSpec{Kind: "none"}, wantStr: "none"},
-		{in: "none:1", wantErr: "no arguments"},
-		{in: "matrix:demands.csv", want: TrafficSpec{Kind: "matrix", File: "demands.csv", Scale: 1}, wantStr: "matrix:demands.csv"},
-		{in: "matrix:demands.csv:2", want: TrafficSpec{Kind: "matrix", File: "demands.csv", Scale: 2}, wantStr: "matrix:demands.csv:2"},
-		{in: "matrix:trace.pcapng:0.5", want: TrafficSpec{Kind: "matrix", File: "trace.pcapng", Scale: 0.5}, wantStr: "matrix:trace.pcapng:0.5"},
-		{in: "matrix", wantErr: "needs a file"},
-		{in: "matrix:", wantErr: "needs a file"},
-		{in: "matrix::2", wantErr: "needs a file"},
-		{in: "matrix:demands.csv:0", wantErr: "positive"},
-		{in: "matrix:demands.csv:x", wantErr: "positive"},
-		{in: "pareto", want: TrafficSpec{Kind: "pareto", Seed: 42}, wantStr: "pareto:42", wantSeeded: true},
-		{in: "pareto:7", want: TrafficSpec{Kind: "pareto", Seed: 7, ExplicitSeed: true}, wantStr: "pareto:7", wantSeeded: true},
-		{in: "pareto:7:100", want: TrafficSpec{Kind: "pareto", Seed: 7, ExplicitSeed: true, N: 100}, wantStr: "pareto:7:100", wantSeeded: true},
-		{in: "pareto:x", wantErr: "seed must be an integer"},
-		{in: "pareto:7:0", wantErr: "positive"},
-		{in: "pareto:7:100:9", wantErr: "pareto[:SEED[:N]]"},
-		{in: "lognormal", want: TrafficSpec{Kind: "lognormal", Seed: 42}, wantStr: "lognormal:42", wantSeeded: true},
-		{in: "lognormal:3:50", want: TrafficSpec{Kind: "lognormal", Seed: 3, ExplicitSeed: true, N: 50}, wantStr: "lognormal:3:50", wantSeeded: true},
-		{in: "incast", want: TrafficSpec{Kind: "incast", Seed: 42}, wantStr: "incast:42", wantSeeded: true},
-		{in: "incast:7", want: TrafficSpec{Kind: "incast", Seed: 7, ExplicitSeed: true}, wantStr: "incast:7", wantSeeded: true},
-		{in: "incast:7:8", want: TrafficSpec{Kind: "incast", Seed: 7, ExplicitSeed: true, N: 8}, wantStr: "incast:7:8", wantSeeded: true},
-		{in: "incast:x", wantErr: "seed must be an integer"},
-		{in: "incast:7:0", wantErr: "positive"},
-		{in: "alltoall", want: TrafficSpec{Kind: "alltoall"}, wantStr: "alltoall"},
-		{in: "alltoall:3", want: TrafficSpec{Kind: "alltoall", N: 3}, wantStr: "alltoall:3"},
-		{in: "alltoall:0", wantErr: "positive"},
-		{in: "ring", want: TrafficSpec{Kind: "ring"}, wantStr: "ring"},
-		{in: "ring:4", want: TrafficSpec{Kind: "ring", N: 4}, wantStr: "ring:4"},
-		{in: "ring:x", wantErr: "positive"},
-		{in: "poisson", wantErr: "unknown traffic"},
-		{in: "", wantErr: "unknown traffic"},
-	}
-	for _, tc := range cases {
+	for _, tc := range trafficCases {
 		t.Run(tc.in, func(t *testing.T) {
 			got, err := ParseTraffic(tc.in)
 			if tc.wantErr != "" {
@@ -280,34 +290,36 @@ func TestTrafficWithSeed(t *testing.T) {
 	}
 }
 
+// capacityCases are TestParseCapacity's rows; FuzzSpec seeds its corpus with them.
+var capacityCases = []struct {
+	in         string
+	want       CapacitySpec
+	wantStr    string
+	wantSeeded bool
+	wantErr    string
+}{
+	{in: "", want: CapacitySpec{}, wantStr: "none"},
+	{in: "none", want: CapacitySpec{}, wantStr: "none"},
+	{in: "walk", want: CapacitySpec{Kind: "walk", Seed: 42, Period: DefaultWalkPeriod}, wantStr: "walk:42", wantSeeded: true},
+	{in: "walk:7", want: CapacitySpec{Kind: "walk", Seed: 7, ExplicitSeed: true, Period: DefaultWalkPeriod}, wantStr: "walk:7", wantSeeded: true},
+	{in: "walk:-1", want: CapacitySpec{Kind: "walk", Seed: -1, ExplicitSeed: true, Period: DefaultWalkPeriod}, wantStr: "walk:-1", wantSeeded: true},
+	{in: "walk:7:250ms", want: CapacitySpec{Kind: "walk", Seed: 7, ExplicitSeed: true, Period: Duration(250 * time.Millisecond)}, wantStr: "walk:7:250ms", wantSeeded: true},
+	{in: "walk:7:500ms", want: CapacitySpec{Kind: "walk", Seed: 7, ExplicitSeed: true, Period: DefaultWalkPeriod}, wantStr: "walk:7", wantSeeded: true},
+	{in: "walk:x", wantErr: "seed must be an integer"},
+	{in: "walk:7:0s", wantErr: "positive duration"},
+	{in: "walk:7:brief", wantErr: "positive duration"},
+	{in: "walk:7:250ms:9", wantErr: "walk[:SEED[:PERIOD]]"},
+	{in: "trace:sched.csv", want: CapacitySpec{Kind: "trace", File: "sched.csv"}, wantStr: "trace:sched.csv"},
+	{in: "trace", wantErr: "needs a file"},
+	{in: "trace:", wantErr: "needs a file"},
+	{in: "flap:3", wantErr: "unknown capacity"},
+}
+
 // TestParseCapacity covers the -capacity grammar, seed-template
 // detection and canonical String round-trips, mirroring the traffic
 // table.
 func TestParseCapacity(t *testing.T) {
-	cases := []struct {
-		in         string
-		want       CapacitySpec
-		wantStr    string
-		wantSeeded bool
-		wantErr    string
-	}{
-		{in: "", want: CapacitySpec{}, wantStr: "none"},
-		{in: "none", want: CapacitySpec{}, wantStr: "none"},
-		{in: "walk", want: CapacitySpec{Kind: "walk", Seed: 42, Period: DefaultWalkPeriod}, wantStr: "walk:42", wantSeeded: true},
-		{in: "walk:7", want: CapacitySpec{Kind: "walk", Seed: 7, ExplicitSeed: true, Period: DefaultWalkPeriod}, wantStr: "walk:7", wantSeeded: true},
-		{in: "walk:-1", want: CapacitySpec{Kind: "walk", Seed: -1, ExplicitSeed: true, Period: DefaultWalkPeriod}, wantStr: "walk:-1", wantSeeded: true},
-		{in: "walk:7:250ms", want: CapacitySpec{Kind: "walk", Seed: 7, ExplicitSeed: true, Period: Duration(250 * time.Millisecond)}, wantStr: "walk:7:250ms", wantSeeded: true},
-		{in: "walk:7:500ms", want: CapacitySpec{Kind: "walk", Seed: 7, ExplicitSeed: true, Period: DefaultWalkPeriod}, wantStr: "walk:7", wantSeeded: true},
-		{in: "walk:x", wantErr: "seed must be an integer"},
-		{in: "walk:7:0s", wantErr: "positive duration"},
-		{in: "walk:7:brief", wantErr: "positive duration"},
-		{in: "walk:7:250ms:9", wantErr: "walk[:SEED[:PERIOD]]"},
-		{in: "trace:sched.csv", want: CapacitySpec{Kind: "trace", File: "sched.csv"}, wantStr: "trace:sched.csv"},
-		{in: "trace", wantErr: "needs a file"},
-		{in: "trace:", wantErr: "needs a file"},
-		{in: "flap:3", wantErr: "unknown capacity"},
-	}
-	for _, tc := range cases {
+	for _, tc := range capacityCases {
 		t.Run(tc.in, func(t *testing.T) {
 			got, err := ParseCapacity(tc.in)
 			if tc.wantErr != "" {
@@ -376,7 +388,7 @@ func TestRunValidate(t *testing.T) {
 		f(&r)
 		return r
 	}
-	negDS := -0.5
+	negDS, nanDS := -0.5, math.NaN()
 	cases := []struct {
 		name    string
 		run     Run
@@ -393,6 +405,10 @@ func TestRunValidate(t *testing.T) {
 		{"negative dur", neg(func(r *Run) { r.Dur = Duration(-time.Second) }), "negative duration"},
 		{"negative pacing", neg(func(r *Run) { r.Pacing = -2 }), "negative pacing"},
 		{"negative delay scale", neg(func(r *Run) { r.DelayScale = &negDS }), "negative delay scale"},
+		{"NaN rate", neg(func(r *Run) { r.RateGbps = math.NaN() }), "not a finite number"},
+		{"infinite rate", neg(func(r *Run) { r.RateGbps = math.Inf(1) }), "not a finite number"},
+		{"infinite pacing", neg(func(r *Run) { r.Pacing = math.Inf(1) }), "not a finite number"},
+		{"NaN delay scale", neg(func(r *Run) { r.DelayScale = &nanDS }), "not a finite number"},
 		{"negative advertise delay", neg(func(r *Run) { r.AdvertiseDelay = Duration(-time.Millisecond) }), "negative advertise delay"},
 		{"negative sample interval", neg(func(r *Run) { r.SampleInterval = Duration(-10 * time.Millisecond) }), "negative sample interval"},
 		{"wan multi needs bgp", Run{Topo: "wan:multi:7", Scenario: "ecmp5"}, "needs a bgp scenario"},
@@ -529,6 +545,48 @@ func TestRunString(t *testing.T) {
 // TestExperimentBadRun pins that Experiment rejects what Validate
 // rejects (the daemon calls Validate at submission, but Execute must be
 // safe against a spec that bypassed it).
+// TestNonFiniteInputsRefused feeds NaN and Inf through the workload files
+// a run reads (TestRunValidate covers the numeric Run fields). Each must
+// be an error before Run: a NaN rate or capacity reaches the max–min
+// solver, whose fill never terminates on one.
+func TestNonFiniteInputsRefused(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	nanCSV := write("nan.csv", "0,NaN\n1,0\n")
+	okCSV := write("ok.csv", "0,1\n1,0\n")
+	zeroCSV := write("zero.csv", "0,0\n0,0\n")
+	hugeCSV := write("huge.csv", "0,1e300\n1,0\n")
+	nanTrace := write("nan-rate.csv", "1s,agg-0-0,core-0-0,NaN\n")
+	base := Run{Topo: "fattree:4", Scenario: "ecmp5", Dur: Duration(2 * time.Second)}
+	with := func(f func(r *Run)) Run {
+		r := base
+		f(&r)
+		return r
+	}
+	for _, tc := range []struct {
+		name string
+		run  Run
+	}{
+		{"NaN matrix cell", with(func(r *Run) { r.Traffic = "matrix:" + nanCSV })},
+		{"NaN matrix scale", with(func(r *Run) { r.Traffic = "matrix:" + okCSV + ":nan" })},
+		{"zero times infinite scale", with(func(r *Run) { r.Traffic = "matrix:" + zeroCSV + ":inf" })},
+		{"overflowing demand", with(func(r *Run) { r.Traffic = "matrix:" + hugeCSV + ":1e300" })},
+		{"NaN capacity trace", with(func(r *Run) { r.Capacity = "trace:" + nanTrace })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := tc.run.Experiment(); err == nil {
+				t.Fatalf("Experiment(%s) accepted a non-finite input", tc.run)
+			}
+		})
+	}
+}
+
 func TestExperimentBadRun(t *testing.T) {
 	if _, err := (Run{Topo: "fattree:x", Scenario: "ecmp5"}).Experiment(); err == nil {
 		t.Error("Experiment accepted a malformed topo")

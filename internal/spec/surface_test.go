@@ -9,10 +9,12 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/cm"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // surface lists every settable field between a CLI flag or a campaign
-// JSON key and the engine, with the callers that keep it.
+// JSON key and the engine or a topology generator, with the callers that
+// keep it.
 var surface = []struct {
 	of     any
 	fields []string
@@ -67,6 +69,26 @@ var surface = []struct {
 		// transition sequence; ROADMAP's typed-event sink attaches to the hook.
 		"FTIStep", "OnModeChange",
 	}},
+	// The generators' link rates, delays, ASNs, chord counts, region
+	// spans and peering counts are constants in topo: one value each.
+	{topo.FatTreeOpts{}, []string{
+		// K from fattree:K (horse.FatTree) and fig3 -k; Routers from
+		// horse.BGP()/SDN(), the scenario's plane; bench/ sets both.
+		"K", "Routers",
+	}},
+	{topo.WANOpts{}, []string{
+		// horse.WANMesh and WANMultiAS from wan:mesh:SEED:POPS and
+		// wan:multi:SEED:ASES:POPS; bench/probes_wan.go sets both.
+		"PoPs", "Seed",
+		// horse's WAN generators from horse.DelayScale (-delay-scale,
+		// examples/bgpwan); 0 is the parity tests' zero-latency ablation.
+		"DelayScale", "ZeroLatency",
+	}},
+	{topo.MultiASOpts{}, []string{
+		// horse.WANMultiAS from wan:multi:SEED:ASES:POPS:PREFIXES and
+		// horse.FullTable; bench/probes_wan.go sets all three.
+		"WANOpts", "ASes", "FullTablePrefixes",
+	}},
 }
 
 func TestConfigSurface(t *testing.T) {
@@ -81,7 +103,7 @@ func TestConfigSurface(t *testing.T) {
 		slices.Sort(got)
 		slices.Sort(s.fields)
 		if !slices.Equal(got, s.fields) {
-			t.Errorf("%v has fields %v, surface_test.go lists %v: an exported config field stays only while two production callers (cmd/, non-test internal/, root) need different values of it — or one reaches it, for a hook — or bench/ references it, or tests substitute a fake through it; one value in use is a constant. Name the field's callers in internal/spec/surface_test.go, or delete the field",
+			t.Errorf("%v has fields %v, surface_test.go lists %v: an exported config or generator field stays only while two production callers (cmd/, non-test internal/, root) need different values of it — or one reaches it, for a hook — or bench/ references it, or tests substitute a fake through it; one value in use is a constant. Name the field's callers in internal/spec/surface_test.go, or delete the field",
 				typ, got, s.fields)
 		}
 	}

@@ -185,9 +185,9 @@ func (ts TopoSpec) Build(routers bool, delayScale float64) (*horse.Topology, err
 	case TopoStar:
 		return horse.Star(ts.K, opt)
 	case TopoRing:
-		return horse.WANRing(ts.K, ts.Chord, opt)
+		return horse.WANRing(ts.K, ts.Chord)
 	case TopoTwoRouters:
-		return horse.TwoRouters(opt)
+		return horse.TwoRouters()
 	case TopoWAN:
 		return horse.WAN(ts.Name, horse.DelayScale(delayScale))
 	case TopoWANMesh:

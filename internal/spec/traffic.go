@@ -68,18 +68,21 @@ func ParseTraffic(s string) (TrafficSpec, error) {
 		}
 		ts := TrafficSpec{Kind: "matrix", File: arg, Scale: 1}
 		// An optional trailing :SCALE multiplies the loaded demands.
-		// File paths containing colons are not supported by the string
-		// form (use the JSON Run field with a pre-scaled matrix).
+		// A file path containing a colon is refused: String could not
+		// spell it back unambiguously.
 		if i := strings.LastIndex(arg, ":"); i >= 0 {
 			scale, err := strconv.ParseFloat(arg[i+1:], 64)
-			if err != nil || scale <= 0 {
-				return TrafficSpec{}, fmt.Errorf("spec: matrix scale must be a positive number, got %q in %q", arg[i+1:], s)
+			if err != nil || scale <= 0 || !finite(scale) {
+				return TrafficSpec{}, fmt.Errorf("spec: matrix scale must be a positive finite number, got %q in %q", arg[i+1:], s)
 			}
 			ts.File = arg[:i]
 			ts.Scale = scale
 			if ts.File == "" {
 				return TrafficSpec{}, fmt.Errorf("spec: matrix needs a file, want matrix:FILE[:SCALE] in %q", s)
 			}
+		}
+		if strings.Contains(ts.File, ":") {
+			return TrafficSpec{}, fmt.Errorf("spec: matrix file %q contains a colon, which the string form cannot carry, in %q", ts.File, s)
 		}
 		return ts, nil
 	case "pareto", "lognormal", "incast":

@@ -8,30 +8,25 @@ import (
 	"repro/internal/core"
 )
 
+// The links of the LAN generators: 1 Gbps with a 10µs propagation delay
+// each way. FatTree uses them; the root package passes them to Linear,
+// Star, TwoRouters and WANRing.
+const (
+	LANRate  = 1 * core.Gbps
+	LANDelay = 10 * core.Microsecond
+)
+
 // FatTreeOpts parameterises FatTree.
 type FatTreeOpts struct {
 	// K is the fat-tree arity: K pods, (K/2)^2 core switches, K^3/4
 	// hosts. K must be even and >= 2. The paper's demo uses K in
-	// {4, 6, 8} with 1 Gbps links.
+	// {4, 6, 8} with 1 Gbps links (LANRate, LANDelay).
 	K int
-	// LinkRate is the capacity of every link (default 1 Gbps).
-	LinkRate core.Rate
-	// LinkDelay is the per-direction propagation delay (default 10µs).
-	LinkDelay core.Time
 	// Routers, when true, creates Router nodes (BGP scenario) instead
 	// of OpenFlow Switch nodes (SDN scenario). ASNs are assigned
 	// RFC 7938-style: one private ASN per switch, same ASN for all
 	// core switches.
 	Routers bool
-}
-
-func (o *FatTreeOpts) setDefaults() {
-	if o.LinkRate <= 0 {
-		o.LinkRate = 1 * core.Gbps
-	}
-	if o.LinkDelay <= 0 {
-		o.LinkDelay = 10 * core.Microsecond
-	}
 }
 
 // FatTree builds the k-ary fat-tree of Al-Fares et al. (SIGCOMM'08), the
@@ -41,7 +36,6 @@ func (o *FatTreeOpts) setDefaults() {
 // switch e of pod p has address 10.p.e.(h+2)/24, with the edge switch
 // holding 10.p.e.1 as the subnet gateway.
 func FatTree(opts FatTreeOpts) (*Graph, error) {
-	opts.setDefaults()
 	k := opts.K
 	if k < 2 || k%2 != 0 {
 		return nil, fmt.Errorf("topo: fat-tree arity must be even and >= 2, got %d", k)
@@ -120,21 +114,20 @@ func FatTree(opts FatTreeOpts) (*Graph, error) {
 				hn.Idx = e*half + h
 				hn.IP = netip.AddrFrom4([4]byte{10, byte(p), byte(e), byte(h + 2)})
 				hn.Prefix = netip.PrefixFrom(hn.IP, 32)
-				g.Connect(edges[e], hn, opts.LinkRate, opts.LinkDelay)
-				_ = subnet
+				g.Connect(edges[e], hn, LANRate, LANDelay)
 			}
 			edges[e].Prefix = subnet
 		}
 		// Edge <-> agg full bipartite within the pod.
 		for e := 0; e < half; e++ {
 			for a := 0; a < half; a++ {
-				g.Connect(edges[e], aggs[a], opts.LinkRate, opts.LinkDelay)
+				g.Connect(edges[e], aggs[a], LANRate, LANDelay)
 			}
 		}
 		// Agg a connects to core group a (cores a*half .. a*half+half-1).
 		for a := 0; a < half; a++ {
 			for c := 0; c < half; c++ {
-				g.Connect(aggs[a], cores[a*half+c], opts.LinkRate, opts.LinkDelay)
+				g.Connect(aggs[a], cores[a*half+c], LANRate, LANDelay)
 			}
 		}
 	}

@@ -29,6 +29,20 @@ const FiberDelayPerKm = 5 * core.Microsecond
 // access link; access spans are metro-scale, not geographic.
 const wanAccessDelay = core.Microsecond
 
+// The generated WANs' fixed parameters: every router of a single-AS WAN
+// (and the first AS of a multi-AS chain) is in AS wanASN; every backbone,
+// access and peering link runs at wanLinkRate; generated PoP fields span
+// wanRegionKm (continental scale); and adjacent ASes of a chain are
+// joined by peeringLinks cables (a primary and a geographically
+// redundant crossing, landing on distinct border PoPs on both sides).
+// A generated mesh adds PoPs/2 shortcut chords.
+const (
+	wanASN       = 65000
+	wanLinkRate  = 10 * core.Gbps
+	wanRegionKm  = 4000
+	peeringLinks = 2
+)
+
 // WANOpts parameterizes WANGraph and WANNamed.
 type WANOpts struct {
 	// PoPs is the number of points of presence (router + host pairs)
@@ -37,21 +51,9 @@ type WANOpts struct {
 	// Seed drives every random choice of WANGraph; the same seed and
 	// parameters reproduce the identical graph, link for link.
 	Seed int64
-	// Chords is how many extra distance-biased shortcut links WANGraph
-	// adds on top of the preferential-attachment tree (default PoPs/2).
-	Chords int
-	// ASN is the shared autonomous system number of every PoP router
-	// (default 65000). WAN scenarios are a single AS running iBGP.
-	ASN uint32
-	// LinkRate is the capacity of every backbone and access link
-	// (default 10 Gbps).
-	LinkRate core.Rate
-	// RegionKm is the coordinate span of the generated PoP field in
-	// kilometers (default 4000, continental scale); ignored by WANNamed.
-	RegionKm float64
 	// DelayScale multiplies every geographic propagation delay; the
-	// zero value means 1 (fiber at 5µs/km). Negative values are
-	// rejected.
+	// zero value means 1 (fiber at 5µs/km). Negative, NaN and infinite
+	// values are rejected.
 	DelayScale float64
 	// ZeroLatency zeroes every propagation delay (a DelayScale of 0
 	// cannot be expressed directly, since 0 is the "default" value).
@@ -61,20 +63,8 @@ type WANOpts struct {
 }
 
 func (o WANOpts) withDefaults() (WANOpts, error) {
-	if o.Chords == 0 {
-		o.Chords = o.PoPs / 2
-	}
-	if o.ASN == 0 {
-		o.ASN = 65000
-	}
-	if o.LinkRate == 0 {
-		o.LinkRate = 10 * core.Gbps
-	}
-	if o.RegionKm == 0 {
-		o.RegionKm = 4000
-	}
-	if o.DelayScale < 0 {
-		return o, fmt.Errorf("topo: negative WAN delay scale %v", o.DelayScale)
+	if o.DelayScale < 0 || math.IsNaN(o.DelayScale) || math.IsInf(o.DelayScale, 1) {
+		return o, fmt.Errorf("topo: WAN delay scale must be a finite number >= 0, got %v", o.DelayScale)
 	}
 	if o.DelayScale == 0 {
 		o.DelayScale = 1
@@ -91,9 +81,9 @@ func (o WANOpts) linkDelay(km float64) core.Time {
 }
 
 // WANGraph generates a seeded Rocketfuel-style WAN: PoPs scattered over
-// a RegionKm field, joined by degree-weighted preferential attachment
+// a wanRegionKm field, joined by degree-weighted preferential attachment
 // (heavy-tailed PoP degrees, as measured ISP maps show) with a distance
-// penalty (fiber follows geography), plus Chords distance-biased
+// penalty (fiber follows geography), plus PoPs/2 distance-biased
 // shortcut links. Link delay is distance at fiber speed (5µs/km) times
 // DelayScale. Reflectors are a greedy connected dominating set over the
 // result. The same WANOpts produce the identical graph.
@@ -109,7 +99,7 @@ func WANGraph(o WANOpts) (*Graph, error) {
 		return nil, fmt.Errorf("topo: WAN larger than addressing space: %d PoPs", o.PoPs)
 	}
 	rng := rand.New(rand.NewSource(o.Seed))
-	m := genWANMesh(o.PoPs, o.Chords, o.RegionKm, rng)
+	m := genWANMesh(o.PoPs, rng)
 
 	names := make([]string, o.PoPs)
 	for i := range names {
@@ -142,17 +132,17 @@ func (m *wanMesh) dist(i, j int) float64 {
 }
 
 // genWANMesh draws a Rocketfuel-style mesh from rng: PoPs scattered over
-// a regionKm field, joined by degree-weighted distance-penalized
-// preferential attachment plus chords shortcut links. The rng is
+// a wanRegionKm field, joined by degree-weighted distance-penalized
+// preferential attachment plus pops/2 shortcut chords. The rng is
 // consumed in a fixed order, so the same stream reproduces the
 // identical mesh.
-func genWANMesh(pops, chords int, regionKm float64, rng *rand.Rand) wanMesh {
+func genWANMesh(pops int, rng *rand.Rand) wanMesh {
 	// PoP coordinates: uniform over a continental-aspect field.
 	xs := make([]float64, pops)
 	ys := make([]float64, pops)
 	for i := range xs {
-		xs[i] = rng.Float64() * regionKm
-		ys[i] = rng.Float64() * regionKm * 0.6
+		xs[i] = rng.Float64() * wanRegionKm
+		ys[i] = rng.Float64() * wanRegionKm * 0.6
 	}
 	m := wanMesh{xs: xs, ys: ys}
 
@@ -181,7 +171,7 @@ func genWANMesh(pops, chords int, regionKm float64, rng *rand.Rand) wanMesh {
 		total := 0.0
 		w := make([]float64, i)
 		for j := 0; j < i; j++ {
-			w[j] = float64(deg[j]+1) / (0.1 + m.dist(i, j)/regionKm)
+			w[j] = float64(deg[j]+1) / (0.1 + m.dist(i, j)/wanRegionKm)
 			total += w[j]
 		}
 		pick := rng.Float64() * total
@@ -196,6 +186,7 @@ func genWANMesh(pops, chords int, regionKm float64, rng *rand.Rand) wanMesh {
 	}
 	// Shortcut chords, biased toward short spans: sample pairs and keep
 	// the closer of two candidates.
+	chords := pops / 2
 	for added, tries := 0, 0; added < chords && tries < 50*chords; tries++ {
 		a1, b1 := rng.Intn(pops), rng.Intn(pops)
 		a2, b2 := rng.Intn(pops), rng.Intn(pops)
@@ -295,8 +286,7 @@ var tier1Links = [][2]int{
 
 // WANNamed builds one of the embedded measured topologies ("abilene",
 // "tier1") with link latency derived from great-circle city distance.
-// Seed, PoPs, Chords and RegionKm in opts are ignored; rate, ASN and
-// DelayScale apply.
+// Seed and PoPs in opts are ignored; DelayScale and ZeroLatency apply.
 func WANNamed(name string, o WANOpts) (*Graph, error) {
 	o, err := o.withDefaults()
 	if err != nil {
@@ -331,19 +321,13 @@ func WANNamed(name string, o WANOpts) (*Graph, error) {
 // MultiASOpts parameterizes WANMultiAS: a chain of WANGraph-style
 // backbones, one autonomous system each, joined by eBGP peering links.
 type MultiASOpts struct {
-	// WANOpts applies to each component AS: PoPs and Chords size every
-	// backbone, Seed drives all random choices, ASN numbers the first
-	// AS (subsequent ASes count up from it), and RegionKm spans each
-	// AS's coordinate field. The fields WANGraph validates are
-	// validated here with the same limits.
+	// WANOpts applies to each component AS: PoPs sizes every backbone
+	// and Seed drives all random choices. The fields WANGraph validates
+	// are validated here with the same limits.
 	WANOpts
 	// ASes is how many backbones to compose (default 3, range 2..8 —
 	// bounded by the per-AS 10.(as+1).pop.0/24 addressing plan).
 	ASes int
-	// PeeringLinks is how many eBGP links join each adjacent AS pair
-	// (default 2: a primary and a geographically redundant crossing,
-	// landing on distinct border PoPs on both sides).
-	PeeringLinks int
 	// FullTablePrefixes synthesizes an Internet-scale routing table:
 	// this many /24s drawn from 20.0.0.0 are split between the two
 	// edge (stub) ASes of the chain and originated round-robin by
@@ -364,8 +348,8 @@ func fullTablePrefix(k int) netip.Prefix {
 
 // WANMultiAS composes ASes seeded backbones into a west-to-east chain of
 // eBGP-peered autonomous systems: each AS is a WANGraph-style mesh with
-// its own ASN (ASN+as), addressing (10.(as+1).pop.0/24), and iBGP route
-// reflector set; adjacent ASes are joined by PeeringLinks cables between
+// its own ASN (wanASN+as), addressing (10.(as+1).pop.0/24), and iBGP route
+// reflector set; adjacent ASes are joined by peeringLinks cables between
 // their geographically closest border PoPs, which become eBGP sessions
 // when the control plane is wired (internal/cm peers by ASN equality).
 // The two edge ASes originate FullTablePrefixes synthetic /24s between
@@ -382,12 +366,6 @@ func WANMultiAS(o MultiASOpts) (*Graph, error) {
 	if o.ASes < 2 || o.ASes > 8 {
 		return nil, fmt.Errorf("topo: multi-AS WAN wants 2..8 ASes, got %d", o.ASes)
 	}
-	if o.PeeringLinks == 0 {
-		o.PeeringLinks = 2
-	}
-	if o.PeeringLinks < 1 || o.PeeringLinks > wo.PoPs {
-		return nil, fmt.Errorf("topo: %d peering links per AS pair with %d PoPs per AS", o.PeeringLinks, wo.PoPs)
-	}
 	if wo.PoPs < 3 {
 		return nil, fmt.Errorf("topo: WAN needs >= 3 PoPs per AS, got %d", wo.PoPs)
 	}
@@ -403,8 +381,8 @@ func WANMultiAS(o MultiASOpts) (*Graph, error) {
 	rng := rand.New(rand.NewSource(wo.Seed))
 	meshes := make([]wanMesh, o.ASes)
 	for a := range meshes {
-		meshes[a] = genWANMesh(wo.PoPs, wo.Chords, wo.RegionKm, rng)
-		off := float64(a) * wo.RegionKm * 1.25
+		meshes[a] = genWANMesh(wo.PoPs, rng)
+		off := float64(a) * wanRegionKm * 1.25
 		for i := range meshes[a].xs {
 			meshes[a].xs[i] += off
 		}
@@ -428,7 +406,7 @@ func WANMultiAS(o MultiASOpts) (*Graph, error) {
 			r.Pod = a // Pod doubles as the AS index
 			r.IP = netip.AddrFrom4([4]byte{10, byte(a + 1), byte(i), 1})
 			r.Prefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(a + 1), byte(i), 0}), 24)
-			r.ASN = wo.ASN + uint32(a)
+			r.ASN = wanASN + uint32(a)
 			if reflectors[i] {
 				r.RouteReflector = true
 				r.Layer = LayerCore
@@ -441,14 +419,14 @@ func WANMultiAS(o MultiASOpts) (*Graph, error) {
 			h.Pod = a
 			h.IP = netip.AddrFrom4([4]byte{10, byte(a + 1), byte(i), 2})
 			h.Prefix = netip.PrefixFrom(h.IP, 32)
-			g.Connect(r, h, wo.LinkRate, accessDelay)
+			g.Connect(r, h, wanLinkRate, accessDelay)
 		}
 		for _, e := range m.edges {
-			g.Connect(routers[a][e[0]], routers[a][e[1]], wo.LinkRate, wo.linkDelay(m.dist(e[0], e[1])))
+			g.Connect(routers[a][e[0]], routers[a][e[1]], wanLinkRate, wo.linkDelay(m.dist(e[0], e[1])))
 		}
 	}
 
-	// eBGP peering: each adjacent AS pair joins at its PeeringLinks
+	// eBGP peering: each adjacent AS pair joins at its peeringLinks
 	// closest cross-field PoP pairs, preferring distinct border routers
 	// on both sides so one PoP failure cannot partition the chain.
 	for a := 0; a+1 < o.ASes; a++ {
@@ -477,14 +455,14 @@ func WANMultiAS(o MultiASOpts) (*Graph, error) {
 		usedJ := make(map[int]bool)
 		added := 0
 		for _, c := range cands {
-			if added == o.PeeringLinks {
+			if added == peeringLinks {
 				break
 			}
 			if usedI[c.i] || usedJ[c.j] {
 				continue
 			}
 			usedI[c.i], usedJ[c.j] = true, true
-			g.Connect(routers[a][c.i], routers[a+1][c.j], wo.LinkRate, wo.linkDelay(c.km))
+			g.Connect(routers[a][c.i], routers[a+1][c.j], wanLinkRate, wo.linkDelay(c.km))
 			added++
 		}
 	}
@@ -625,7 +603,7 @@ func buildWAN(o WANOpts, names []string, adj [][]int, link func(i int) (a, b int
 		r.Idx = i
 		r.IP = netip.AddrFrom4([4]byte{10, 1, byte(i), 1})
 		r.Prefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 1, byte(i), 0}), 24)
-		r.ASN = o.ASN
+		r.ASN = wanASN
 		if reflectors[i] {
 			r.RouteReflector = true
 			r.Layer = LayerCore
@@ -637,11 +615,11 @@ func buildWAN(o WANOpts, names []string, adj [][]int, link func(i int) (a, b int
 		h.Idx = i
 		h.IP = netip.AddrFrom4([4]byte{10, 1, byte(i), 2})
 		h.Prefix = netip.PrefixFrom(h.IP, 32)
-		g.Connect(r, h, o.LinkRate, accessDelay)
+		g.Connect(r, h, wanLinkRate, accessDelay)
 	}
 	for i := 0; i < nlinks; i++ {
 		a, b := link(i)
-		g.Connect(routers[a], routers[b], o.LinkRate, delays[i])
+		g.Connect(routers[a], routers[b], wanLinkRate, delays[i])
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err

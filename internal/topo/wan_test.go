@@ -295,7 +295,7 @@ func TestWANMultiASInvariants(t *testing.T) {
 			}
 		}
 	}
-	// eBGP peering: exactly PeeringLinks (default 2) cables between each
+	// eBGP peering: exactly peeringLinks (2) cables between each
 	// adjacent AS pair, none between non-adjacent ASes.
 	crossings := map[[2]uint32]int{}
 	for _, l := range g.Links {
@@ -319,8 +319,8 @@ func TestWANMultiASInvariants(t *testing.T) {
 		if pair[1] != pair[0]+1 {
 			t.Fatalf("non-adjacent ASes %d and %d peered", pair[0], pair[1])
 		}
-		if n != 2 {
-			t.Fatalf("AS pair %v has %d peering links, want 2", pair, n)
+		if n != peeringLinks {
+			t.Fatalf("AS pair %v has %d peering links, want %d", pair, n, peeringLinks)
 		}
 	}
 	// Full-table origination: the synthetic /24s live only in the two
@@ -375,7 +375,6 @@ func TestWANMultiASRejectsBadOptions(t *testing.T) {
 		{"huge AS", MultiASOpts{WANOpts: WANOpts{PoPs: 500, Seed: 1}, ASes: 2}},
 		{"negative table", MultiASOpts{WANOpts: base, ASes: 2, FullTablePrefixes: -1}},
 		{"oversized table", MultiASOpts{WANOpts: base, ASes: 2, FullTablePrefixes: 1 << 20}},
-		{"too many peerings", MultiASOpts{WANOpts: base, ASes: 2, PeeringLinks: 7}},
 		{"negative delay scale", MultiASOpts{WANOpts: WANOpts{PoPs: 6, Seed: 1, DelayScale: -1}, ASes: 2}},
 	} {
 		if _, err := WANMultiAS(tc.o); err == nil {

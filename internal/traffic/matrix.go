@@ -11,6 +11,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -36,8 +37,8 @@ type Matrix struct {
 // byte counts over the trace's time span). Every loaded rate is
 // multiplied by scale (use 1 for as-is).
 func LoadMatrix(path string, scale float64) (*Matrix, error) {
-	if scale <= 0 {
-		return nil, fmt.Errorf("traffic: matrix scale must be positive, got %v", scale)
+	if err := checkScale(scale); err != nil {
+		return nil, err
 	}
 	switch ext := strings.ToLower(filepath.Ext(path)); ext {
 	case ".csv":
@@ -81,10 +82,9 @@ func loadCSVMatrix(path string, scale float64) (*Matrix, error) {
 			if err != nil {
 				return nil, fmt.Errorf("traffic: matrix %s: row %d column %d: %w", path, i, j, err)
 			}
-			if v < 0 {
-				return nil, fmt.Errorf("traffic: matrix %s: negative demand %v at (%d,%d)", path, v, i, j)
+			if m.Demand[i][j], err = demand(v, scale); err != nil {
+				return nil, fmt.Errorf("traffic: matrix %s: %w at (%d,%d)", path, err, i, j)
 			}
-			m.Demand[i][j] = core.Rate(v*scale) * core.Gbps
 		}
 	}
 	return m, nil
@@ -122,10 +122,9 @@ func loadJSONMatrix(path string, scale float64) (*Matrix, error) {
 				return nil, fmt.Errorf("traffic: matrix %s: row %d has %d columns, want %d (square)", path, i, len(row), n)
 			}
 			for j, v := range row {
-				if v < 0 {
-					return nil, fmt.Errorf("traffic: matrix %s: negative demand %v at (%d,%d)", path, v, i, j)
+				if m.Demand[i][j], err = demand(v, scale); err != nil {
+					return nil, fmt.Errorf("traffic: matrix %s: %w at (%d,%d)", path, err, i, j)
 				}
-				m.Demand[i][j] = core.Rate(v*scale) * core.Gbps
 			}
 		}
 		return m, nil
@@ -151,9 +150,34 @@ func loadJSONMatrix(path string, scale float64) (*Matrix, error) {
 		if d.Src < 0 || d.Dst < 0 || d.Gbps < 0 {
 			return nil, fmt.Errorf("traffic: matrix %s: demand %d has negative fields", path, i)
 		}
-		m.Demand[d.Src][d.Dst] += core.Rate(d.Gbps*scale) * core.Gbps
+		r, err := demand(d.Gbps, scale)
+		if err != nil {
+			return nil, fmt.Errorf("traffic: matrix %s: demand %d: %w", path, i, err)
+		}
+		m.Demand[d.Src][d.Dst] += r
 	}
 	return m, nil
+}
+
+// checkScale refuses a matrix scale that is not a positive finite number.
+func checkScale(scale float64) error {
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return fmt.Errorf("traffic: matrix scale must be a positive finite number, got %v", scale)
+	}
+	return nil
+}
+
+// demand converts v Gbps, scaled, into a rate. Negative, NaN and
+// infinite demands are refused: a NaN rate stalls the max–min solver.
+func demand(v, scale float64) (core.Rate, error) {
+	if v < 0 {
+		return 0, fmt.Errorf("negative demand %v", v)
+	}
+	r := core.Rate(v*scale) * core.Gbps
+	if !r.Finite() {
+		return 0, fmt.Errorf("non-finite demand %v Gbps at scale %v", v, scale)
+	}
+	return r, nil
 }
 
 // MatrixFromTrace derives a demand matrix from a packet trace: bytes
@@ -164,8 +188,8 @@ func loadJSONMatrix(path string, scale float64) (*Matrix, error) {
 // a large scale turns a trace's *shape* into a drivable workload — the
 // public-trace stand-in pipeline).
 func MatrixFromTrace(tr *capture.Trace, scale float64) (*Matrix, error) {
-	if scale <= 0 {
-		return nil, fmt.Errorf("traffic: matrix scale must be positive, got %v", scale)
+	if err := checkScale(scale); err != nil {
+		return nil, err
 	}
 	type pair struct{ src, dst netip.Addr }
 	bytes := make(map[pair]uint64)
@@ -212,6 +236,9 @@ func MatrixFromTrace(tr *capture.Trace, scale float64) (*Matrix, error) {
 			continue
 		}
 		rate := core.Rate(float64(b*8) / span.Seconds() * scale)
+		if !rate.Finite() {
+			return nil, fmt.Errorf("traffic: trace %s: non-finite demand %v -> %v at scale %v", tr.Path, p.src, p.dst, scale)
+		}
 		m.Demand[index[p.src]][index[p.dst]] += rate
 	}
 	return m, nil

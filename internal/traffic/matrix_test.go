@@ -141,6 +141,8 @@ func TestLoadMatrixRejects(t *testing.T) {
 		{"bad extension", write("m.txt", "0,1\n1,0\n"), "unsupported extension"},
 		{"not square", write("rect.csv", "0,1,2\n1,0,3\n"), "square"},
 		{"negative", write("neg.csv", "0,-1\n1,0\n"), "negative demand"},
+		{"NaN cell", write("nan.csv", "0,NaN\n1,0\n"), "non-finite demand"},
+		{"infinite cell", write("inf.csv", "0,+Inf\n1,0\n"), "non-finite demand"},
 		{"empty json", write("empty.json", "[]"), "empty"},
 		{"no demands", write("none.json", `{"demands": []}`), "no demands"},
 	}
@@ -152,8 +154,13 @@ func TestLoadMatrixRejects(t *testing.T) {
 			}
 		})
 	}
-	if _, err := LoadMatrix(goldenPath, 0); err == nil {
-		t.Error("zero scale accepted")
+	for _, scale := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := LoadMatrix(goldenPath, scale); err == nil {
+			t.Errorf("scale %v accepted", scale)
+		}
+	}
+	if _, err := LoadMatrix(write("huge.csv", "0,1e300\n1,0\n"), 1e300); err == nil {
+		t.Error("a demand that overflows to +Inf accepted")
 	}
 }
 
@@ -252,6 +259,8 @@ func TestLoadRateSchedule(t *testing.T) {
 		{"negative time", "-1s,a,b,1\n", "negative time"},
 		{"bad rate", "1s,a,b,fast\n", "bad rate"},
 		{"negative rate", "1s,a,b,-1\n", "negative rate"},
+		{"NaN rate", "1s,a,b,NaN\n", "non-finite rate"},
+		{"infinite rate", "1s,a,b,inf\n", "non-finite rate"},
 		{"decreasing", "2s,a,b,1\n1s,a,b,1\n", "before previous"},
 		{"wrong fields", "1s,a,1\n", "wrong number of fields"},
 	}

@@ -72,6 +72,9 @@ func LoadRateSchedule(path string) (RateSchedule, error) {
 			B:    strings.TrimSpace(row[2]),
 			Rate: core.Rate(gbps) * core.Gbps,
 		}
+		if !ev.Rate.Finite() {
+			return nil, fmt.Errorf("traffic: capacity trace %s row %d: non-finite rate %v", path, i, gbps)
+		}
 		if n := len(sched); n > 0 && ev.At < sched[n-1].At {
 			return nil, fmt.Errorf("traffic: capacity trace %s row %d: time %v before previous %v", path, i, ev.At, sched[n-1].At)
 		}

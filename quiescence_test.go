@@ -38,7 +38,7 @@ func TestClockLeavesFTIOnEvidence(t *testing.T) {
 			use: func(e *Experiment) { e.UseSDN(AppECMP5()) }},
 		{name: "fattree:4/bgp-ecmp/fail", topo: fatTree(BGP()), fail: true, episodes: 3, // boot, down, up
 			use: func(e *Experiment) { e.UseBGP(BGPOptions{ECMP: true}) }},
-		{name: "wan:abilene/bgp-rr", topo: func() (*Topology, error) { return WAN("abilene", BGP()) }, episodes: 1,
+		{name: "wan:abilene/bgp-rr", topo: func() (*Topology, error) { return WAN("abilene") }, episodes: 1,
 			use: func(e *Experiment) { e.UseBGP(BGPOptions{RouteReflection: true, LinkLatency: true}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,7 +110,7 @@ func TestClockLeavesFTIOnEvidence(t *testing.T) {
 // delay -dur until`: the MRAI axis at paper-faithful pacing 1.
 func runTier1(tb testing.TB, delay time.Duration, until Time) *Result {
 	tb.Helper()
-	g, err := WAN("tier1", BGP())
+	g, err := WAN("tier1")
 	if err != nil {
 		tb.Fatal(err)
 	}

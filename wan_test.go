@@ -20,7 +20,7 @@ func wanConfig() Config {
 // the abilene topology at the given delay scale and returns the result.
 func runWAN(t *testing.T, delayScale float64, linkLatency bool) *Result {
 	t.Helper()
-	g, err := WAN("abilene", BGP(), DelayScale(delayScale))
+	g, err := WAN("abilene", DelayScale(delayScale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestWANConvergenceGrowsWithLatency(t *testing.T) {
 // the neighbor's routes, the post-repair re-announcements are parked,
 // and the virtual-clock decay releases them — all inside the run.
 func TestWANRouteDampeningScenario(t *testing.T) {
-	g, err := WAN("abilene", BGP())
+	g, err := WAN("abilene")
 	if err != nil {
 		t.Fatal(err)
 	}
