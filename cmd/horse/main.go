@@ -192,8 +192,13 @@ func summarize(w io.Writer, r spec.Run, res *horse.Result) {
 	fmt.Fprintf(w, "control plane       : %d bytes, %d writes, %d flowmods, %d routes, %d packet-ins, %d stats\n",
 		res.ControlBytes, res.ControlWrites, res.FlowModsApplied,
 		res.RouteInstalls, res.PacketIns, res.StatsQueries)
-	fmt.Fprintf(w, "rate solver         : %d solves, %d components (largest %d flows), %d refills (%d links promoted)\n",
-		res.Solver.Solves, res.Solver.Components, res.Solver.MaxComponentFlows,
+	// Flows a solve is the mean region size: what one solve re-fills.
+	perSolve := 0.0
+	if res.Solver.Solves > 0 {
+		perSolve = float64(res.Solver.Flows) / float64(res.Solver.Solves)
+	}
+	fmt.Fprintf(w, "rate solver         : %d solves (%.1f flows a solve), %d components (largest %d flows), %d refills (%d links promoted)\n",
+		res.Solver.Solves, perSolve, res.Solver.Components, res.Solver.MaxComponentFlows,
 		res.Solver.Refills, res.Solver.Promoted)
 	mem := res.Solver.Mem
 	fmt.Fprintf(w, "solver memory       : %d flow slots (%d live, %d free), %d links, arenas %d B paths + %d B members, %d B scratch\n",

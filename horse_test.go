@@ -458,6 +458,39 @@ func TestECMPRunIsMaxMinFair(t *testing.T) {
 	t.Logf("%d CheckInvariants calls (+1 after the run), %d solves", len(*calls), res.Solver.Solves)
 }
 
+// TestChurnRunIsMaxMinFair holds the allocation of a flow churn run to the
+// max–min invariants every 100 ms and after the run: 4000 heavy-tail
+// arrivals, each arrival and departure a solve of one Add or Remove — the
+// regime in which the solver holds the flows below the mutation's level.
+func TestChurnRunIsMaxMinFair(t *testing.T) {
+	topo, err := FatTree(4, SDN())
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := NewExperiment(testConfig())
+	exp.SetTopology(topo)
+	exp.UseSDN(AppECMP5())
+	if err := exp.AddTraffic(traffic.Pareto(1, 4000, 1*Gbps, 20*Second)); err != nil {
+		t.Fatal(err)
+	}
+	calls := checkMaxMin(t, exp, 20*Second)
+	res, err := exp.Run(20 * Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exp.Manager().Net.Flows.CheckInvariants(); err != nil {
+		t.Errorf("after the run: %v", err)
+	}
+	if res.Solver.Solves < 7900 { // one per arrival and departure within the run
+		t.Fatalf("%d solves, want at least 7900", res.Solver.Solves)
+	}
+	if len(*calls) != 200 {
+		t.Fatalf("%d CheckInvariants calls during the run, want 200", len(*calls))
+	}
+	t.Logf("%d CheckInvariants calls (+1 after the run), %d solves, %.1f flows a solve",
+		len(*calls), res.Solver.Solves, float64(res.Solver.Flows)/float64(res.Solver.Solves))
+}
+
 // TestChurnWorkload drives an arrival/departure workload through the full
 // stack: flows start and finish throughout the run, exercising the
 // solver's incremental bookkeeping (mid-interval removals, reroutes of a

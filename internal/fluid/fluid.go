@@ -93,7 +93,40 @@
 // would leave history-dependent last bits in the converged rates (below).
 // Gated off, every link is active, no flow is a seed that its links have
 // not already reached, and the solve is the plain closure and fill: same
-// regions, same discovery order, same arithmetic.
+// regions, same discovery order, same arithmetic (up to the level cut).
+//
+// # Level cut
+//
+// Water-filling raises one level in order, so after a single Add or
+// Remove every step of the fill below that flow's level repeats and the
+// flows frozen below it cannot move. A solve that answers exactly one
+// Add or Remove therefore holds them. The mutation fixes the solve's
+// level τ:
+//
+//   - Remove of an attached flow: its standing rate. It was unfrozen up to
+//     that level, so none of its links fired below it.
+//   - Add of an active routed flow: its demand, capped by capacity over
+//     member count (the flow included) on each link of its path. Each link
+//     grants each member at least that share, so none fires below it, and
+//     the new rate is at least τ.
+//   - Anything else (SetPath, SetCapacity, a Defer batch, or more than one
+//     mutation since the last solve): 0, which holds nobody.
+//
+// A member is held when its standing rate is below τ - epsilon and it was
+// not attached since the last solve (an attached flow is a seed and always
+// joins). expand does not pull a held member in; on a link in the fill,
+// held members are fixed load: the residual starts at capacity minus their
+// sum, the unfrozen count is the number of members in the region, and the
+// granted load starts at their sum, as it does for a component with no
+// flow in the region. Refills after promote keep τ.
+//
+// The result is exact up to epsilon. Below τ the new fill takes the same
+// steps as the old one, so every flow frozen below τ keeps its rate, and
+// a held flow's bottleneck fired below τ and still does. A flow at or
+// above τ that the region does not reach meets it only through held flows
+// or passive links, and promote verifies those as before. With nobody
+// held the fill is the plain one: same region, same order, same
+// arithmetic.
 //
 // Solver output is defined up to epsilon, not to the bit: when several
 // links sit within epsilon of a round's level, whichever is on top of the
@@ -108,8 +141,10 @@
 // digests of the pinned specs.
 //
 // Complexity per fill, for a dirty component with F flows, L active links
-// and P hops of which Pa cross active links: O(P + F log F + (L + Pa) log L);
-// a speculating solve adds O(P) for the check and makes at most
+// and P hops of which Pa cross active links: O(P + F log F + (L + Pa) log L),
+// where F counts only the flows at or above the level cut and Pa includes
+// the held members of the region's active links, which are summed but not
+// filled; a speculating solve adds O(P) for the check and makes at most
 // maxSpecRefills+2 fills.
 package fluid
 
@@ -447,6 +482,11 @@ type Set struct {
 	// into the region, so the flow that changed is named itself.
 	seedFlows []int32
 
+	// tau is the level cut of the next solve, set by the mutation it
+	// answers: members standing below it are held (see held). Zero holds
+	// nobody.
+	tau core.Rate
+
 	deferDepth int // >0 suspends solving (batched mutations)
 	last       SolveStats
 	totals     Totals
@@ -696,10 +736,29 @@ func (s *Set) Add(f *Flow, now core.Time) {
 	s.fState[fh] = f.State
 	s.fAttach[fh] = false
 	s.fVisit[fh] = 0
+	single := len(s.seeds) == 0
 	s.storePath(fh, f.Path)
 	s.attach(fh)
+	s.tau = 0
+	if single && s.fAttach[fh] {
+		s.tau = s.addLevel(fh)
+	}
 	s.maybeCompact()
 	s.Solve(now)
+}
+
+// addLevel is the level cut of a lone Add: the flow's demand, capped by
+// each path link's capacity over its members, the flow included. Every
+// link grants each member at least that equal share, so no link on the
+// path fires below it and the new rate is at least as high.
+func (s *Set) addLevel(fh int32) core.Rate {
+	level := s.fDemand[fh]
+	b := s.fPath[fh]
+	for i := int32(0); i < b.n; i++ {
+		lh := s.paths.a[b.off+i]
+		level = min(level, s.lCap[lh]/core.Rate(s.lMem[lh].n))
+	}
+	return max(level, 0)
 }
 
 // Remove finishes a flow, recycles its slot and recomputes allocations.
@@ -713,6 +772,12 @@ func (s *Set) Remove(id FlowID, now core.Time) (final Flow, ok bool) {
 		return Flow{}, false
 	}
 	s.Integrate(now)
+	// A lone departure's level cut is its standing rate: it was unfrozen
+	// up to that level, so none of its links fired below it.
+	s.tau = 0
+	if len(s.seeds) == 0 && s.fAttach[fh] {
+		s.tau = s.fRate[fh]
+	}
 	s.detach(fh)
 	final = s.snapshot(fh)
 	final.State = Done
@@ -761,6 +826,7 @@ func (s *Set) SetPath(id FlowID, path []core.LinkID, now core.Time) {
 		return
 	}
 	s.Integrate(now)
+	s.tau = 0
 	s.detach(fh)
 	s.storePath(fh, path)
 	s.fRate[fh] = 0
@@ -830,6 +896,7 @@ func (s *Set) SetCapacity(id core.LinkID, c core.Rate, now core.Time) {
 		return
 	}
 	s.Integrate(now)
+	s.tau = 0
 	s.lCap[lh] = c
 	s.lCapGen[lh] = s.seedGen
 	s.seed(lh)
@@ -877,6 +944,9 @@ func (s *Set) Solve(now core.Time) { s.solve(false) }
 func (s *Set) solve(batch bool) {
 	if s.deferDepth > 0 || len(s.seeds) == 0 {
 		return
+	}
+	if batch {
+		s.tau = 0
 	}
 	// Passive links trim per-link work and risk redoing per-flow work, and
 	// they are picked by the standing loads: the closure speculates only
@@ -971,14 +1041,40 @@ func (s *Set) visitFlow(fh int32, speculate bool) {
 	}
 }
 
+// held reports whether a member keeps its standing rate through the solve:
+// it stands below the level cut by more than epsilon and was not attached
+// since the last solve (see the package comment). A solve with a cut
+// answers one mutation, so seedFlows holds at most the flow it added.
+func (s *Set) held(fh int32) bool {
+	return s.fRate[fh] < s.tau-s.epsilon && !slices.Contains(s.seedFlows, fh)
+}
+
+// heldLoad sums the standing rates of a link's members outside the region
+// and counts those inside: after expand the members outside are exactly
+// its held ones, and at a level cut of 0 nobody is held.
+func (s *Set) heldLoad(lh int32) (load core.Rate, in int32) {
+	mb := s.lMem[lh]
+	if s.tau == 0 {
+		return 0, mb.n
+	}
+	for j := int32(0); j < mb.n; j++ {
+		if fh := s.members.a[mb.off+j]; s.fVisit[fh] == s.epoch {
+			in++
+		} else {
+			load += s.fRate[fh]
+		}
+	}
+	return load, in
+}
+
 // expand closes the region over taskLinks[from:]: every member of an
-// active link joins and drags the links of its path in, active ones to be
-// expanded in turn. A passive link pulls in nobody.
+// active link that is not held joins and drags the links of its path in,
+// active ones to be expanded in turn. A passive link pulls in nobody.
 func (s *Set) expand(from int32, speculate bool) {
 	for i := from; i < int32(len(s.taskLinks)); i++ {
 		mb := s.lMem[s.taskLinks[i]]
 		for j := int32(0); j < mb.n; j++ {
-			if fh := s.members.a[mb.off+j]; s.fVisit[fh] != s.epoch {
+			if fh := s.members.a[mb.off+j]; s.fVisit[fh] != s.epoch && !s.held(fh) {
 				s.visitFlow(fh, speculate)
 			}
 		}
@@ -987,15 +1083,16 @@ func (s *Set) expand(from int32, speculate bool) {
 
 // closeTask expands what a seed entered at (fOff, lOff) into one
 // component and files it as a task. A component without flows (e.g. a
-// capacity change on an idle link) needs no water-fill: its loads are
-// reset inline and their count returned.
+// capacity change on an idle link, or a departure whose link partners are
+// all held) needs no water-fill: its loads are set to their held members'
+// rates inline and their count returned.
 func (s *Set) closeTask(fOff, lOff int32, speculate bool) (quiet int) {
 	s.expand(lOff, speculate)
 	fN := int32(len(s.taskFlows)) - fOff
 	lN := int32(len(s.taskLinks)) - lOff
 	if fN == 0 {
 		for _, lh := range s.taskLinks[lOff:] {
-			s.lLoad[lh] = 0
+			s.lLoad[lh], _ = s.heldLoad(lh)
 		}
 		s.taskLinks = s.taskLinks[:lOff]
 		return int(lN)
@@ -1135,11 +1232,14 @@ func (s *Set) waterfill(t *taskRef) {
 	flows := s.taskFlows[t.fOff : t.fOff+t.fN]
 	links := s.taskLinks[t.lOff : t.lOff+t.lN]
 	inf := core.Rate(math.Inf(1))
+	// Held members are fixed load: the fill shares what they leave among
+	// the region's members.
 	for _, lh := range links {
-		s.lResidual[lh] = s.lCap[lh]
+		held, in := s.heldLoad(lh)
+		s.lResidual[lh] = max(s.lCap[lh]-held, 0)
 		s.lLast[lh] = 0
-		s.lNact[lh] = s.lMem[lh].n
-		s.lLoad[lh] = 0
+		s.lNact[lh] = in
+		s.lLoad[lh] = held
 	}
 	remaining := len(flows)
 	uniform := true

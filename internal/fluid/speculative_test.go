@@ -17,13 +17,13 @@ func ratesClose(a, b core.Rate) bool {
 	return diff <= 1e-3 || diff <= 1e-6*math.Max(math.Abs(float64(a)), math.Abs(float64(b)))
 }
 
-// specTwins drives one mutation history through a speculating set and
+// specTwins drives one mutation history through an incremental set and
 // through a reference twin that takes every mutation through fullSolve —
-// a batch over every link, which never speculates, so the twin is the
-// full-closure solver without any knob to select it. On the speculating
-// set single mutations go in directly (those solves speculate), Defer
-// batches as batches (those do not, and leave the next speculation a
-// standing allocation it did not make).
+// a batch over every link, which neither speculates nor cuts, so the twin
+// is the full-closure solver without any knob to select it. On the
+// incremental set single mutations go in directly (those solves speculate
+// and cut), Defer batches as batches (those do neither, and leave the next
+// solve a standing allocation it did not make).
 type specTwins struct {
 	t    *testing.T
 	ctx  string
@@ -32,10 +32,15 @@ type specTwins struct {
 	ref  *Set
 	live []FlowID
 	now  core.Time
+
+	// specFlows and refFlows sum SolveStats.Flows on either side; held
+	// counts the flows a single mutation's level cut kept at their rates.
+	specFlows, refFlows, held int
+	before                    map[FlowID]core.Rate
 }
 
 func newSpecTwins(t *testing.T, nLinks int, capOf func(l int) core.Rate) *specTwins {
-	tw := &specTwins{t: t, caps: make(map[core.LinkID]core.Rate, nLinks)}
+	tw := &specTwins{t: t, caps: make(map[core.LinkID]core.Rate, nLinks), before: make(map[FlowID]core.Rate)}
 	for l := 0; l < nLinks; l++ {
 		tw.caps[core.LinkID(l)] = capOf(l)
 	}
@@ -46,9 +51,18 @@ func newSpecTwins(t *testing.T, nLinks int, capOf func(l int) core.Rate) *specTw
 
 // apply runs one mutation directly, or several as one Defer batch, on both
 // sets — one solve each — then compares.
+//
+// A flow standing below the level cut of a single mutation's solve must
+// come out of it with the same rate bits: it was held, not refilled.
 func (tw *specTwins) apply(muts []func(s *Set)) {
 	tw.now += core.Millisecond
 	fullSolve(tw.ref, tw.now, muts...)
+	tw.refFlows += tw.ref.last.Flows
+	clear(tw.before)
+	for _, f := range tw.spec.AppendFlows(nil) {
+		tw.before[f.ID] = f.Rate
+	}
+	solves := tw.spec.Totals().Solves
 	if len(muts) > 1 {
 		tw.spec.Defer()
 	}
@@ -57,6 +71,20 @@ func (tw *specTwins) apply(muts []func(s *Set)) {
 	}
 	if len(muts) > 1 {
 		tw.spec.Resume(tw.now)
+	}
+	if tw.spec.Totals().Solves > solves {
+		tw.specFlows += tw.spec.last.Flows
+	}
+	if len(muts) == 1 && tw.spec.tau > 0 {
+		for id, r := range tw.before {
+			if r >= tw.spec.tau-tw.spec.epsilon {
+				continue
+			}
+			if got, ok := tw.spec.Flow(id); ok && math.Float64bits(float64(got.Rate)) != math.Float64bits(float64(r)) {
+				tw.t.Fatalf("%s: flow %d below the cut %v moved %v -> %v", tw.ctx, id, tw.spec.tau, r, got.Rate)
+			}
+			tw.held++
+		}
 	}
 	tw.compare()
 }
@@ -89,25 +117,30 @@ func (tw *specTwins) compare() {
 }
 
 // TestSpeculativeMatchesFullSolve is the differential test of the
-// speculative closure: random histories over Add/Remove/SetPath (with
-// blackholes)/SetCapacity (with failures)/Defer batches, with uniform and
-// mixed demands and capacities, must leave every rate where the
-// full-closure reference puts it after every single solve.
+// speculative closure and the level cut: random histories over
+// Add/Remove/SetPath (with blackholes)/SetCapacity (with failures)/Defer
+// batches, with uniform and mixed demands and capacities, must leave every
+// rate where the full-closure reference puts it after every single solve.
+// The last history keeps more flows live than there are links, with mixed
+// demands: the speculation is gated off there, the cut is not.
 func TestSpeculativeMatchesFullSolve(t *testing.T) {
 	const (
 		nClusters, clusterLinks = 4, 16
 		nLinks                  = nClusters * clusterLinks
-		maxLive                 = 44 // below nLinks: the speculation runs once the links are known
 	)
 	seeds, ops := 32, 3000
 	if testing.Short() || raceEnabled {
 		seeds = 6
 	}
 	mixedCaps := []core.Rate{500 * core.Mbps, core.Gbps, core.Gbps, 2 * core.Gbps, 10 * core.Gbps}
-	var refills, promoted int
-	for seed := 0; seed < seeds; seed++ {
+	var refills, promoted, specFlows, refFlows, held int
+	for seed := 0; seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
+		maxLive := 44 // below nLinks: the speculation runs once the links are known
 		uniformDemand, uniformCap := seed%2 == 0, seed%4 < 2
+		if seed == seeds {
+			maxLive, uniformDemand = 2*nLinks, false
+		}
 		capOf := func(int) core.Rate { return core.Gbps }
 		if !uniformCap {
 			capOf = func(int) core.Rate { return mixedCaps[rng.Intn(len(mixedCaps))] }
@@ -186,11 +219,18 @@ func TestSpeculativeMatchesFullSolve(t *testing.T) {
 		tot := tw.spec.Totals()
 		refills += tot.Refills
 		promoted += tot.Promoted
+		specFlows += tw.specFlows
+		refFlows += tw.refFlows
+		held += tw.held
 	}
 	if refills == 0 || promoted == 0 {
 		t.Fatalf("the histories never refilled (refills %d, promoted %d): the speculation was not exercised", refills, promoted)
 	}
-	t.Logf("%d seeds x %d ops: %d refills, %d links promoted", seeds, ops, refills, promoted)
+	if held == 0 || specFlows >= refFlows {
+		t.Fatalf("the cut never engaged: %d flows held, %d flows solved against the reference's %d", held, specFlows, refFlows)
+	}
+	t.Logf("%d+1 histories x %d ops: %d refills, %d links promoted, %d flows held, %d flows solved (reference %d)",
+		seeds, ops, refills, promoted, held, specFlows, refFlows)
 }
 
 // TestRefillOnPromotion builds the smallest miss by hand: flow 1 holds
@@ -433,4 +473,75 @@ func BenchmarkSolveWorstCase(b *testing.B) {
 			}
 		})
 	}
+}
+
+// TestLevelCutHoldsLowerFlows builds three tiers by hand: flows 1-4 share
+// link 0 (250 Mbps each), flows 5-6 share link 1 (500 Mbps each), and
+// flow 7 runs alone at its 1 Gbps demand over link 2; all seven cross
+// the slack 10 Gbps link 9. A lone Remove or Add re-fills only the flows
+// at or above its level; an Add whose level is 0 holds nobody.
+func TestLevelCutHoldsLowerFlows(t *testing.T) {
+	const M = core.Mbps
+	caps := map[core.LinkID]core.Rate{9: 10 * core.Gbps, 3: 0}
+	s := NewSet(func(l core.LinkID) core.Rate {
+		if c, ok := caps[l]; ok {
+			return c
+		}
+		return core.Gbps
+	})
+	s.Defer()
+	for id := 1; id <= 4; id++ {
+		s.Add(mkFlow(id, core.Gbps, 0, 9), 0)
+	}
+	s.Add(mkFlow(5, core.Gbps, 1, 9), 0)
+	s.Add(mkFlow(6, core.Gbps, 1, 9), 0)
+	s.Add(mkFlow(7, core.Gbps, 2, 9), 0)
+	s.Resume(0)
+	want := map[int]core.Rate{1: 250 * M, 2: 250 * M, 3: 250 * M, 4: 250 * M, 5: 500 * M, 6: 500 * M, 7: core.Gbps}
+	check := func(ctx string, flows int, load9 core.Rate) {
+		t.Helper()
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		for id, r := range want {
+			if got := rateOf(s, id); got != r {
+				t.Fatalf("%s: flow %d at %v, want %v", ctx, id, got, r)
+			}
+		}
+		if got := s.LinkRate(9); got != load9 {
+			t.Fatalf("%s: link 9 carries %v, want %v", ctx, got, load9)
+		}
+		if st := s.last; st.Flows != flows {
+			t.Fatalf("%s: re-filled %d flows, want %d: %+v", ctx, st.Flows, flows, st)
+		}
+	}
+	check("three tiers", 7, 3*core.Gbps)
+	bits := make([]uint64, 5)
+	for id := 1; id <= 4; id++ {
+		bits[id] = math.Float64bits(float64(rateOf(s, id)))
+	}
+
+	// Flow 5 leaves at 500 Mbps: flows 1-4 stand below that level and are
+	// held; flow 6 takes link 1 alone and flow 7 is reached through link 9.
+	s.Remove(5, 0)
+	delete(want, 5)
+	want[6] = core.Gbps
+	check("remove a 500 Mbps flow", 2, 3*core.Gbps)
+	for id := 1; id <= 4; id++ {
+		if got := math.Float64bits(float64(rateOf(s, id))); got != bits[id] {
+			t.Fatalf("held flow %d moved: bits %#x, want %#x", id, got, bits[id])
+		}
+	}
+
+	// Flow 8 joins flow 6 on link 1: its level is min(1 Gbps, 1 Gbps / 2,
+	// 10 Gbps / 7) = 500 Mbps, and flows 1-4 are held again.
+	s.Add(mkFlow(8, core.Gbps, 1, 9), 0)
+	want[6], want[8] = 500*M, 500*M
+	check("add at 500 Mbps", 3, 3*core.Gbps)
+
+	// Flow 9 crosses the zero-capacity link 3: its level is 0, so the
+	// solve holds nobody and link 9 pulls in every flow.
+	s.Add(mkFlow(9, core.Gbps, 3, 9), 0)
+	want[9] = 0
+	check("add at level 0", 8, 3*core.Gbps)
 }
