@@ -86,6 +86,8 @@ func BenchmarkFlushAdv(b *testing.B) {
 			}
 			s.mu.Lock()
 			sess := s.sessions[peer]
+			sess.step(evOpen) // a flush goes out in Established only
+			sess.step(evKeepalive)
 			paths := make([]*Path, groups)
 			for g := range paths {
 				from := addr(fmt.Sprintf("172.16.1.%d", 2*g+1))

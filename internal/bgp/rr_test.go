@@ -77,15 +77,24 @@ func TestIBGPNoASPrepend(t *testing.T) {
 func TestIBGPNonClientRoutesNotReflected(t *testing.T) {
 	// a - m - b, all plain iBGP non-clients: m must NOT re-advertise
 	// a's route to b (that is the iBGP full-mesh rule reflection
-	// exists to relax). m originates nothing, so the first UPDATE it
-	// sends b is about a's route, and it is the withdrawal that clears
-	// what b may not hold.
+	// exists to relax), and since b was never told of it, m withdraws
+	// nothing either. Once m holds a's route, a client c of m brings in
+	// 10.0.3.0/24, which m reflects to b: every UPDATE m sends b up to
+	// that announcement is silent about 10.0.1.0/24.
 	a := mkSpeaker(t, "a", "1.1.1.1", []netip.Prefix{pfx("10.0.1.0/24")}, nil)
 	m := mkSpeaker(t, "m", "2.2.2.2", nil, nil)
+	c := mkSpeaker(t, "c", "3.3.3.3", []netip.Prefix{pfx("10.0.3.0/24")}, nil)
 	defer a.Stop()
 	defer m.Stop()
+	defer c.Stop()
 	b := scriptedPeer(t, m, "172.16.0.2", "172.16.0.3", true)
 	ibgpPair(t, a, m, "172.16.0.0", "172.16.0.1", false, false)
+	waitFor(t, "m learns a's route", func() bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return len(m.rib.Best(pfx("10.0.1.0/24"))) == 1
+	})
+	ibgpPair(t, m, c, "172.16.0.4", "172.16.0.5", true, false) // m treats c as client
 
 	wire := newPeerWire(t, b)
 	for {
@@ -96,10 +105,13 @@ func TestIBGPNonClientRoutesNotReflected(t *testing.T) {
 		if msg.Type != MsgUpdate {
 			continue
 		}
-		if u := msg.Upd; len(u.NLRI) != 0 || !slices.Equal(u.Withdrawn, []netip.Prefix{pfx("10.0.1.0/24")}) {
-			t.Fatalf("m's first UPDATE to b announces %v and withdraws %v; want 10.0.1.0/24 withdrawn and nothing announced", u.NLRI, u.Withdrawn)
+		u := msg.Upd
+		if slices.Contains(u.NLRI, pfx("10.0.1.0/24")) || slices.Contains(u.Withdrawn, pfx("10.0.1.0/24")) {
+			t.Fatalf("m sent b an UPDATE announcing %v and withdrawing %v; a non-client's route must not reach b either way", u.NLRI, u.Withdrawn)
 		}
-		return
+		if slices.Contains(u.NLRI, pfx("10.0.3.0/24")) {
+			return
+		}
 	}
 }
 

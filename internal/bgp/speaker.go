@@ -506,10 +506,18 @@ func (x *session) handle(m *Message) error {
 		return nil
 	case ev == evKeepalive && from == StateOpenConfirm:
 		// Established: start the keepalive tick and advertise the whole
-		// Loc-RIB.
+		// Loc-RIB — what policy lets the peer hear of it. The peer holds
+		// nothing from us yet, so a forbidden best queues nothing; it opens
+		// the window all the same.
 		x.armKeepalive()
 		x.pending.expect(s.rib.trie.Len()) // the whole table is about to land in it
-		s.rib.eachSelected(func(p netip.Prefix, best []*Path) { x.queueAdvLocked(prefixKey(p), best[0]) })
+		s.rib.eachSelected(func(p netip.Prefix, best []*Path) {
+			if x.mayAdvertise(best[0]) {
+				x.queueAdvLocked(prefixKey(p), best[0])
+			} else {
+				x.armAdvLocked()
+			}
+		})
 		s.mu.Unlock()
 		s.logf("session %v established", x.cfg.RemoteAddr)
 		return nil
@@ -612,14 +620,26 @@ func (x *session) down(cause error) {
 }
 
 // queueAdvLocked schedules an announcement (path != nil) or withdrawal
-// for the peer; the batch flushes after AdvertiseDelay. Paths the
-// session's advertisement policy forbids are queued as withdrawals so
-// stale state clears. Caller holds s.mu.
+// for the peer and opens the advertisement window. A path the session's
+// advertisement policy forbids is queued as a withdrawal. Its callers keep
+// the invariant that the last thing queued toward a peer for a prefix is
+// what policy lets it hear of the current best, so they reach that
+// withdrawal only when the peer was told the previous best. Caller holds
+// s.mu.
 func (x *session) queueAdvLocked(k pfxKey, path *Path) {
 	if path != nil && !x.mayAdvertise(path) {
 		path = nil
 	}
 	x.pending.add(k, path)
+	x.armAdvLocked()
+}
+
+// armAdvLocked opens the advertisement window: the batch flushes after
+// AdvertiseDelay. Every Loc-RIB change opens it, whether or not it queued
+// anything toward this peer — the flush times of the windows later
+// announcements ride are part of the experiment's outcome. Caller holds
+// s.mu.
+func (x *session) armAdvLocked() {
 	if !x.advArmed {
 		x.advArmed = true
 		x.sp.cfg.Clock.After(core.FromDuration(x.sp.cfg.AdvertiseDelay), x.flushAdv)
@@ -690,6 +710,11 @@ func (x *session) flushAdv() {
 
 	// The batch is this goroutine's now, and a stored Path never changes.
 	defer x.flushing.reset()
+	if len(x.flushing.log) == 0 {
+		// A window a Loc-RIB change opened with nothing for this peer:
+		// it sends and allocates nothing.
+		return
+	}
 	log, runs := settleAdv(x.flushing.log), x.flushing.runs
 	idx := make(map[advKey]uint32)
 	var groups []UpdateGroup
@@ -897,10 +922,13 @@ func (s *Speaker) acceptLocked(x *session, a *PathAttrs, nlri int) bool {
 // redecideLocked re-runs the decision process for the given prefixes,
 // entries[i] being the RIB entry of prefixes[i], and, for each Loc-RIB
 // change as it is found, emits the FIB event and queues the new best toward
-// every established session. A decision that leaves an entry without a
-// route removes it, which is safe here: a prefix listed twice (withdrawn
-// and announced by one UPDATE) still holds the announced path, and nothing
-// is inserted before the list is done. Caller holds s.mu.
+// every established session that may hear the old best or the new one. A
+// session that may hear neither holds nothing from us for the prefix and is
+// sent nothing, but its advertisement window opens as if it were. A
+// decision that leaves an entry without a route removes it, which is safe
+// here: a prefix listed twice (withdrawn and announced by one UPDATE) still
+// holds the announced path, and nothing is inserted before the list is
+// done. Caller holds s.mu.
 func (s *Speaker) redecideLocked(prefixes []netip.Prefix, entries []*ribEntry) {
 	s.advertiseTo = s.advertiseTo[:0]
 	for _, sess := range s.sessions {
@@ -914,6 +942,10 @@ func (s *Speaker) redecideLocked(prefixes []netip.Prefix, entries []*ribEntry) {
 	var shared *Path
 	var hops []fib.NextHop
 	for i, p := range prefixes {
+		var was *Path // the standing best: decide rewrites the selection in place
+		if sel := entries[i].selected; len(sel) > 0 {
+			was = sel[0]
+		}
 		best, changed := s.rib.decide(entries[i], p)
 		if !changed {
 			continue
@@ -935,6 +967,10 @@ func (s *Speaker) redecideLocked(prefixes []netip.Prefix, entries []*ribEntry) {
 		}
 		k := prefixKey(p)
 		for _, sess := range s.advertiseTo {
+			if (adv == nil || !sess.mayAdvertise(adv)) && (was == nil || !sess.mayAdvertise(was)) {
+				sess.armAdvLocked()
+				continue
+			}
 			sess.queueAdvLocked(k, adv)
 		}
 	}

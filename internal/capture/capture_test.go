@@ -447,6 +447,70 @@ func TestPackedUpdateSummary(t *testing.T) {
 	}
 }
 
+// TestStrayWithdrawalsCounted: a withdrawal counts as stray when its
+// sender has not announced the prefix on that stream since its last OPEN —
+// never announced, announced by the other side only, or announced before
+// an OPEN restarted the session.
+func TestStrayWithdrawalsCounted(t *testing.T) {
+	c, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := bgpEndpoints()
+	sess, err := c.Session("pair", a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := netip.MustParsePrefix("10.1.0.0/24")
+	y := netip.MustParsePrefix("10.2.0.0/24")
+	z := netip.MustParsePrefix("10.3.0.0/24")
+	open := bgp.EncodeOpen(bgp.Open{Version: 4, ASN: 65001, HoldTime: 90, RouterID: a.IP})
+	steps := []struct {
+		dir   Dir
+		msg   []byte
+		stray int
+	}{
+		{AtoB, open, 0},
+		{AtoB, mustUpdate(t, []netip.Prefix{x, z}, nil), 0},
+		{AtoB, mustUpdate(t, nil, []netip.Prefix{y, x}), 1}, // y was never announced
+		{BtoA, mustUpdate(t, nil, []netip.Prefix{x}), 1},    // a announced x, b did not
+		{AtoB, open, 0},
+		{AtoB, mustUpdate(t, nil, []netip.Prefix{z}), 1}, // announced before the OPEN
+	}
+	for i, st := range steps {
+		sess.Data(st.dir, st.msg, core.Time(i+1)*core.Millisecond)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadFile(c.Files()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := Validate(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(msgs) != len(steps) {
+		t.Fatalf("decoded %d messages, want %d", len(msgs), len(steps))
+	}
+	for i, st := range steps {
+		if msgs[i].StrayWithdrawn != st.stray {
+			t.Errorf("message %d (%s, %d withdrawn) has %d stray, want %d", i, msgs[i].Type, msgs[i].Withdrawn, msgs[i].StrayWithdrawn, st.stray)
+		}
+	}
+	sum, err := Summarize(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.WithdrawnPrefixes != 4 || sum.StrayWithdrawn != 3 || sum.Sessions[0].StrayWithdrawn != 3 {
+		t.Fatalf("summary withdraws %d prefixes, %d stray (session: %d), want 4 and 3", sum.WithdrawnPrefixes, sum.StrayWithdrawn, sum.Sessions[0].StrayWithdrawn)
+	}
+	if !strings.Contains(sum.String(), "4 prefixes, 3 stray)") {
+		t.Errorf("summary does not print the stray count:\n%s", sum)
+	}
+}
+
 // TestDecodeRejectsStreamEndingInsideMessage: every emulated write is
 // whole, so bytes left over after the last complete message mean the
 // trace lost or invented data. Decode names the stream and the count.

@@ -154,10 +154,14 @@ type Message struct {
 	Proto     string // ProtoBGP or ProtoOpenFlow
 	Type      string // "UPDATE", "KEEPALIVE", "FLOW_MOD", ...
 	// Announced and Withdrawn count NLRI in a BGP UPDATE (one UPDATE
-	// can both announce and withdraw).
-	Announced int
-	Withdrawn int
-	Len       int
+	// can both announce and withdraw). StrayWithdrawn counts the
+	// withdrawn prefixes the sender had not announced on this stream
+	// since its last OPEN: withdrawals of routes the receiver does not
+	// hold from it.
+	Announced      int
+	Withdrawn      int
+	StrayWithdrawn int
+	Len            int
 }
 
 // stream reassembles one TCP direction of one session.
@@ -167,6 +171,9 @@ type stream struct {
 	buf     []byte
 	proto   string
 	msg     *Message // template carrying addressing for extracted messages
+	// held is what a BGP sender has announced on the stream and not
+	// withdrawn since its last OPEN.
+	held map[netip.Prefix]struct{}
 }
 
 // streamKey identifies one direction of one synthesized conversation.
@@ -182,7 +189,8 @@ type streamKey struct {
 // stream and is an error), reassembles the byte streams, and decodes
 // them as BGP (a port is 179) or OpenFlow (a port is 6633). Every
 // emulated write is whole, so a stream that ends inside a message is an
-// error too.
+// error too. A BGP stream keeps the prefixes its sender holds announced,
+// which is how a withdrawal is known to be stray.
 func Decode(tr *Trace) ([]Message, error) {
 	streams := make(map[streamKey]*stream)
 	var order []*stream // streams in first-seen order, for the tail check
@@ -220,7 +228,7 @@ func Decode(tr *Trace) ([]Message, error) {
 				Src:       ip.Src, Dst: ip.Dst,
 				SrcPort: tcp.SrcPort, DstPort: tcp.DstPort,
 				Proto: proto,
-			}}
+			}, held: make(map[netip.Prefix]struct{})}
 			streams[key] = st
 			order = append(order, st)
 		}
@@ -301,6 +309,7 @@ func (st *stream) peel() (Message, int, error) {
 		switch msg.Type {
 		case bgp.MsgOpen:
 			m.Type = "OPEN"
+			clear(st.held)
 		case bgp.MsgKeepalive:
 			m.Type = "KEEPALIVE"
 		case bgp.MsgNotification:
@@ -309,6 +318,15 @@ func (st *stream) peel() (Message, int, error) {
 			m.Type = "UPDATE"
 			m.Announced = len(msg.Upd.NLRI)
 			m.Withdrawn = len(msg.Upd.Withdrawn)
+			for _, p := range msg.Upd.Withdrawn {
+				if _, ok := st.held[p]; !ok {
+					m.StrayWithdrawn++
+				}
+				delete(st.held, p)
+			}
+			for _, p := range msg.Upd.NLRI {
+				st.held[p] = struct{}{}
+			}
 		}
 		return m, n, nil
 	case ProtoOpenFlow:

@@ -26,6 +26,9 @@ type SessionSummary struct {
 	// message counts above.
 	AnnouncedPrefixes int
 	WithdrawnPrefixes int
+	// StrayWithdrawn is how many of WithdrawnPrefixes named a route the
+	// receiver did not hold from the sender (see Message.StrayWithdrawn).
+	StrayWithdrawn int
 }
 
 // Summary aggregates the control plane conversation recorded across one
@@ -43,6 +46,8 @@ type Summary struct {
 	// grouped flush path achieves on the wire.
 	AnnouncedPrefixes int
 	WithdrawnPrefixes int
+	// StrayWithdrawn is how many of WithdrawnPrefixes were stray.
+	StrayWithdrawn int
 
 	// First and Last bound the decoded messages across all sessions.
 	First, Last core.Time
@@ -80,6 +85,7 @@ func Summarize(traces ...*Trace) (*Summary, error) {
 			}
 			ss.AnnouncedPrefixes += m.Announced
 			ss.WithdrawnPrefixes += m.Withdrawn
+			ss.StrayWithdrawn += m.StrayWithdrawn
 		}
 		for _, ss := range per {
 			if ss.Messages == 0 {
@@ -97,6 +103,7 @@ func Summarize(traces ...*Trace) (*Summary, error) {
 			s.FlowMods += ss.FlowMods
 			s.AnnouncedPrefixes += ss.AnnouncedPrefixes
 			s.WithdrawnPrefixes += ss.WithdrawnPrefixes
+			s.StrayWithdrawn += ss.StrayWithdrawn
 			s.Sessions = append(s.Sessions, *ss)
 		}
 	}
@@ -174,10 +181,10 @@ func MaxUpdateBurst(msgs []Message, window core.Time) int {
 // String renders the summary, one session per line.
 func (s *Summary) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d messages in [%v, %v]: %d updates (%.1f/s, %d prefixes, %.1f/msg), %d withdraws (%.1f/s, %d prefixes), %d flow-mods (%.1f/s)\n",
+	fmt.Fprintf(&b, "%d messages in [%v, %v]: %d updates (%.1f/s, %d prefixes, %.1f/msg), %d withdraws (%.1f/s, %d prefixes, %d stray), %d flow-mods (%.1f/s)\n",
 		s.Messages, s.First, s.Last,
 		s.Updates, s.UpdatesPerSec(), s.AnnouncedPrefixes, s.PackingFactor(),
-		s.Withdraws, s.WithdrawsPerSec(), s.WithdrawnPrefixes,
+		s.Withdraws, s.WithdrawsPerSec(), s.WithdrawnPrefixes, s.StrayWithdrawn,
 		s.FlowMods, s.FlowModsPerSec())
 	for _, ss := range s.Sessions {
 		fmt.Fprintf(&b, "  %-40s %4d msgs  first=%v last=%v\n", ss.Name, ss.Messages, ss.First, ss.Last)
