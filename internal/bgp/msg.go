@@ -16,8 +16,10 @@ package bgp
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 )
 
 // Message types (RFC 4271 §4.1).
@@ -219,61 +221,86 @@ func decodePrefixes(b []byte) ([]netip.Prefix, error) {
 	return out, nil
 }
 
-// encodeAttrs serializes one path-attribute set (the per-message attrs
-// block both EncodeUpdate and PackUpdates share).
-func encodeAttrs(a PathAttrs) ([]byte, error) {
-	if !a.NextHop.Is4() {
-		return nil, fmt.Errorf("bgp: update with NLRI requires IPv4 next hop")
+// errNoNextHop is what encoding an announcement without an IPv4 next hop
+// returns.
+var errNoNextHop = errors.New("bgp: update with NLRI requires IPv4 next hop")
+
+// asPathSegLen is the length of the AS_SEQUENCE segments carrying n ASNs:
+// segments of up to 255, none for an empty path.
+func asPathSegLen(n int) int { return 2*((n+254)/255) + 2*n }
+
+// attrsLen is the length of the attribute block appendAttrs writes for a.
+func attrsLen(a PathAttrs) int {
+	n := 4 + 7 // ORIGIN, NEXT_HOP
+	if seg := asPathSegLen(len(a.ASPath)); seg > 255 {
+		n += 4 + seg
+	} else {
+		n += 3 + seg
 	}
-	var attrs []byte
+	if a.HasMED {
+		n += 7
+	}
+	if a.HasLP {
+		n += 7
+	}
+	if a.OriginatorID.Is4() {
+		n += 7
+	}
+	if len(a.ClusterList) > 0 {
+		n += 4 + 4*len(a.ClusterList)
+	}
+	return n
+}
+
+// appendAttrs appends one path-attribute set (the attribute block of an
+// UPDATE) to dst. The next hop must be IPv4.
+func appendAttrs(dst []byte, a PathAttrs) []byte {
 	// ORIGIN: flags 0x40 (well-known transitive).
-	attrs = append(attrs, 0x40, attrOrigin, 1, a.Origin)
-	// AS_PATH: AS_SEQUENCE segments of up to 255 ASNs (none for an empty
-	// path), in an extended-length attribute once they pass 255 bytes.
-	var seg []byte
+	dst = append(dst, 0x40, attrOrigin, 1, a.Origin)
+	// AS_PATH: AS_SEQUENCE segments of up to 255 ASNs, in an
+	// extended-length attribute once they pass 255 bytes.
+	if seg := asPathSegLen(len(a.ASPath)); seg > 255 {
+		dst = append(dst, 0x50, attrASPath)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(seg))
+	} else {
+		dst = append(dst, 0x40, attrASPath, byte(seg))
+	}
 	for path := a.ASPath; len(path) > 0; {
 		n := min(len(path), 255)
-		seg = append(seg, asSequence, byte(n))
+		dst = append(dst, asSequence, byte(n))
 		for _, asn := range path[:n] {
-			seg = binary.BigEndian.AppendUint16(seg, asn)
+			dst = binary.BigEndian.AppendUint16(dst, asn)
 		}
 		path = path[n:]
 	}
-	if len(seg) > 255 {
-		attrs = append(attrs, 0x50, attrASPath)
-		attrs = binary.BigEndian.AppendUint16(attrs, uint16(len(seg)))
-	} else {
-		attrs = append(attrs, 0x40, attrASPath, byte(len(seg)))
-	}
-	attrs = append(attrs, seg...)
 	// NEXT_HOP.
 	nh := a.NextHop.As4()
-	attrs = append(attrs, 0x40, attrNextHop, 4)
-	attrs = append(attrs, nh[:]...)
+	dst = append(dst, 0x40, attrNextHop, 4)
+	dst = append(dst, nh[:]...)
 	if a.HasMED {
-		attrs = append(attrs, 0x80, attrMED, 4) // optional non-transitive
-		attrs = binary.BigEndian.AppendUint32(attrs, a.MED)
+		dst = append(dst, 0x80, attrMED, 4) // optional non-transitive
+		dst = binary.BigEndian.AppendUint32(dst, a.MED)
 	}
 	if a.HasLP {
-		attrs = append(attrs, 0x40, attrLocalPref, 4)
-		attrs = binary.BigEndian.AppendUint32(attrs, a.LocalPref)
+		dst = append(dst, 0x40, attrLocalPref, 4)
+		dst = binary.BigEndian.AppendUint32(dst, a.LocalPref)
 	}
 	if a.OriginatorID.Is4() {
 		oid := a.OriginatorID.As4()
-		attrs = append(attrs, 0x80, attrOriginatorID, 4) // optional non-transitive
-		attrs = append(attrs, oid[:]...)
+		dst = append(dst, 0x80, attrOriginatorID, 4) // optional non-transitive
+		dst = append(dst, oid[:]...)
 	}
 	if len(a.ClusterList) > 0 {
 		// Extended length: a deep reflection hierarchy can push the
 		// list past the 255-byte short form.
-		attrs = append(attrs, 0x90, attrClusterList)
-		attrs = binary.BigEndian.AppendUint16(attrs, uint16(4*len(a.ClusterList)))
+		dst = append(dst, 0x90, attrClusterList)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(4*len(a.ClusterList)))
 		for _, c := range a.ClusterList {
 			c4 := c.As4()
-			attrs = append(attrs, c4[:]...)
+			dst = append(dst, c4[:]...)
 		}
 	}
-	return attrs, nil
+	return dst
 }
 
 // EncodeUpdate serializes an UPDATE message. Attributes are included only
@@ -285,10 +312,10 @@ func EncodeUpdate(u Update) ([]byte, error) {
 	}
 	var attrs []byte
 	if len(u.NLRI) > 0 {
-		var err error
-		if attrs, err = encodeAttrs(u.Attrs); err != nil {
-			return nil, err
+		if !u.Attrs.NextHop.Is4() {
+			return nil, errNoNextHop
 		}
+		attrs = appendAttrs(nil, u.Attrs)
 	}
 	var nlri []byte
 	for _, p := range u.NLRI {
@@ -320,75 +347,108 @@ type UpdateGroup struct {
 // the withdrawals fill the front of the first messages, and each
 // group's NLRI packs until the 4096-byte message limit forces a split.
 // With G attribute groups and everything fitting, exactly max(G, 1)
-// messages come out — O(attr-groups), not O(prefixes).
+// messages come out — O(attr-groups), not O(prefixes). The messages share
+// one backing array.
 func PackUpdates(withdrawn []netip.Prefix, groups []UpdateGroup) ([][]byte, error) {
+	buf, err := appendUpdates(nil, withdrawn, groups)
+	if err != nil {
+		return nil, err
+	}
 	var msgs [][]byte
+	for len(buf) > 0 {
+		n := msgLen(buf)
+		msgs = append(msgs, buf[:n:n])
+		buf = buf[n:]
+	}
+	return msgs, nil
+}
+
+// growMsg makes room in dst for one more message — one prefix over the
+// limit, which the packer's last try may write before it backs it out —
+// doubling the array rather than growing it by append's quarter, so a
+// full table's flush copies its bytes twice over instead of five times.
+func growMsg(dst []byte) []byte {
+	if cap(dst)-len(dst) < maxMsgLen+maxPrefixEnc {
+		dst = slices.Grow(dst, max(len(dst), maxMsgLen+maxPrefixEnc))
+	}
+	return dst
+}
+
+// msgLen is the length field of the message header b starts with.
+func msgLen(b []byte) int { return int(binary.BigEndian.Uint16(b[16:18])) }
+
+// appendUpdates is PackUpdates writing its messages end to end onto dst.
+// Each group's attribute block is encoded once, into the group's first
+// message, and copied into the messages its NLRI splits over. On error
+// what dst holds past its original length is unspecified.
+func appendUpdates(dst []byte, withdrawn []netip.Prefix, groups []UpdateGroup) ([]byte, error) {
 	wi := 0 // next withdrawn prefix to place
+	// appendWithdrawn appends a withdrawn-routes field: its length, then
+	// the withdrawals from wi on, as many as fit in budget bytes with room
+	// bytes to spare.
+	appendWithdrawn := func(dst []byte, budget, room int) []byte {
+		at := len(dst)
+		dst = append(dst, 0, 0)
+		for ; wi < len(withdrawn); wi++ {
+			n := len(dst)
+			if dst = encodePrefix(dst, withdrawn[wi]); len(dst)-at-2+room > budget {
+				dst = dst[:n]
+				break
+			}
+		}
+		binary.BigEndian.PutUint16(dst[at:], uint16(len(dst)-at-2))
+		return dst
+	}
 	for _, g := range groups {
 		if len(g.NLRI) == 0 {
 			continue
 		}
-		attrs, err := encodeAttrs(g.Attrs)
-		if err != nil {
-			return nil, err
+		if !g.Attrs.NextHop.Is4() {
+			return dst, errNoNextHop
 		}
-		if headerLen+4+len(attrs)+maxPrefixEnc > maxMsgLen {
-			return nil, fmt.Errorf("bgp: attributes too large to pack (%d bytes)", len(attrs))
+		alen := attrsLen(g.Attrs)
+		if headerLen+4+alen+maxPrefixEnc > maxMsgLen {
+			return dst, fmt.Errorf("bgp: attributes too large to pack (%d bytes)", alen)
 		}
-		ni := 0
-		for ni < len(g.NLRI) {
-			var wd, nlri []byte
-			budget := maxMsgLen - headerLen - 4 - len(attrs)
+		budget := maxMsgLen - headerLen - 4 - alen
+		attrs := -1 // offset of the group's encoded attribute block in dst
+		for ni := 0; ni < len(g.NLRI); {
+			dst = growMsg(dst)
+			m := len(dst)
+			dst = appendHeader(dst, 0, MsgUpdate)
 			// Withdrawals first (they fit wherever room remains; the
-			// receiver processes them before the same message's NLRI).
-			for wi < len(withdrawn) {
-				next := encodePrefix(wd, withdrawn[wi])
-				// Always leave room for at least one NLRI prefix, or
-				// the attrs block would ship without announcements.
-				if len(next)+maxPrefixEnc > budget {
+			// receiver processes them before the same message's NLRI),
+			// always leaving room for one NLRI prefix, or the attrs block
+			// would ship without announcements.
+			dst = appendWithdrawn(dst, budget, maxPrefixEnc)
+			dst = binary.BigEndian.AppendUint16(dst, uint16(alen))
+			if attrs < 0 {
+				attrs = len(dst)
+				dst = appendAttrs(dst, g.Attrs)
+			} else {
+				dst = append(dst, dst[attrs:attrs+alen]...)
+			}
+			for ; ni < len(g.NLRI); ni++ {
+				n := len(dst)
+				if dst = encodePrefix(dst, g.NLRI[ni]); len(dst)-m-headerLen-4-alen > budget {
+					dst = dst[:n]
 					break
 				}
-				wd = next
-				wi++
 			}
-			for ni < len(g.NLRI) {
-				next := encodePrefix(nlri, g.NLRI[ni])
-				if len(wd)+len(next) > budget {
-					break
-				}
-				nlri = next
-				ni++
-			}
-			total := headerLen + 2 + len(wd) + 2 + len(attrs) + len(nlri)
-			msg := appendHeader(nil, total, MsgUpdate)
-			msg = binary.BigEndian.AppendUint16(msg, uint16(len(wd)))
-			msg = append(msg, wd...)
-			msg = binary.BigEndian.AppendUint16(msg, uint16(len(attrs)))
-			msg = append(msg, attrs...)
-			msgs = append(msgs, append(msg, nlri...))
+			binary.BigEndian.PutUint16(dst[m+markerLen:], uint16(len(dst)-m))
 		}
 	}
 	// Leftover withdrawals (no groups, or no room left): withdraw-only
 	// messages.
 	for wi < len(withdrawn) {
-		var wd []byte
-		budget := maxMsgLen - headerLen - 4
-		for wi < len(withdrawn) {
-			next := encodePrefix(wd, withdrawn[wi])
-			if len(next) > budget {
-				break
-			}
-			wd = next
-			wi++
-		}
-		total := headerLen + 2 + len(wd) + 2
-		msg := appendHeader(nil, total, MsgUpdate)
-		msg = binary.BigEndian.AppendUint16(msg, uint16(len(wd)))
-		msg = append(msg, wd...)
-		msg = binary.BigEndian.AppendUint16(msg, 0)
-		msgs = append(msgs, msg)
+		dst = growMsg(dst)
+		m := len(dst)
+		dst = appendHeader(dst, 0, MsgUpdate)
+		dst = appendWithdrawn(dst, maxMsgLen-headerLen-4, 0)
+		dst = binary.BigEndian.AppendUint16(dst, 0)
+		binary.BigEndian.PutUint16(dst[m+markerLen:], uint16(len(dst)-m))
 	}
-	return msgs, nil
+	return dst, nil
 }
 
 // maxPrefixEnc is the NLRI encoding size of a /32 (length byte + 4).
@@ -580,20 +640,31 @@ func decodeUpdate(body []byte) (*Message, error) {
 // ReadMessage reads exactly one BGP message from r (blocking), returning
 // the raw bytes of the full message.
 func ReadMessage(r interface{ Read([]byte) (int, error) }) ([]byte, error) {
-	hdr := make([]byte, headerLen)
-	if err := readFull(r, hdr); err != nil {
-		return nil, err
-	}
-	length := int(binary.BigEndian.Uint16(hdr[16:18]))
-	if length < headerLen || length > maxMsgLen {
-		return nil, fmt.Errorf("bgp: invalid length %d in header", length)
-	}
-	msg := make([]byte, length)
-	copy(msg, hdr)
-	if err := readFull(r, msg[headerLen:]); err != nil {
+	msg, err := appendMessage(nil, r)
+	if err != nil {
 		return nil, err
 	}
 	return msg, nil
+}
+
+// appendMessage reads exactly one BGP message from r and appends it to
+// dst. A header whose length is out of range is the RFC 4271 §6.1 Bad
+// Message Length error, and nothing is read past it.
+func appendMessage(dst []byte, r interface{ Read([]byte) (int, error) }) ([]byte, error) {
+	at := len(dst)
+	dst = slices.Grow(dst, headerLen)[:at+headerLen]
+	if err := readFull(r, dst[at:]); err != nil {
+		return dst[:at], err
+	}
+	length := msgLen(dst[at:])
+	if length < headerLen || length > maxMsgLen {
+		return dst[:at], Notification{Code: NotifMsgHeaderError, Subcode: 2}
+	}
+	dst = slices.Grow(dst, length-headerLen)[:at+length]
+	if err := readFull(r, dst[at+headerLen:]); err != nil {
+		return dst[:at], err
+	}
+	return dst, nil
 }
 
 func readFull(r interface{ Read([]byte) (int, error) }, b []byte) error {

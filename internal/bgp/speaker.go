@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -431,14 +431,18 @@ func (x *session) close() {
 	_ = x.cfg.Conn.Close()
 }
 
+// readLoop reads every message into one buffer, which grows to the
+// largest message the session has seen; Decode keeps nothing of it. A
+// malformed message is answered with the NOTIFICATION it calls for.
 func (x *session) readLoop() {
+	var buf []byte
 	for {
-		raw, err := ReadMessage(x.cfg.Conn)
-		if err != nil {
-			x.down(err)
-			return
+		raw, err := appendMessage(buf[:0], x.cfg.Conn)
+		var msg *Message
+		if err == nil {
+			buf = raw
+			msg, err = Decode(raw)
 		}
-		msg, err := Decode(raw)
 		if err != nil {
 			if n, ok := err.(Notification); ok {
 				x.sendNotification(n)
@@ -671,9 +675,9 @@ func (x *session) mayAdvertise(path *Path) bool {
 	return path.FromClient || x.cfg.RRClient
 }
 
-// advKey groups a pending advertisement batch by what outgoingAttrs
-// actually depends on: the interned incoming attribute handle, the
-// session kind of the path, and (for reflected iBGP paths) the
+// advKey groups a pending advertisement batch by what the outgoing
+// attributes actually depend on: the interned incoming attribute handle,
+// the session kind of the path, and (for reflected iBGP paths) the
 // originator stamped on the way out. Comparing handles is one pointer
 // compare — no per-path attribute serialization on the flush path.
 type advKey struct {
@@ -682,19 +686,67 @@ type advKey struct {
 	ibgp  bool
 }
 
+// flushScratch is the working memory of one flushAdv: the groups it
+// resolves and where it lays them out, the outgoing attributes it builds
+// and the wire bytes it packs. A flush takes one from flushPool and puts it
+// back, so a session holds none between windows and a flush the size of the
+// one before it allocates nothing.
+type flushScratch struct {
+	idx      map[advKey]uint32 // the group of an advKey, from 1
+	groups   []UpdateGroup
+	groupOf  []uint32 // the group of a run, from 1; 0 withdraws
+	at       []int
+	prefixes []netip.Prefix
+	asns     []uint16     // the outgoing AS paths, end to end
+	clusters []netip.Addr // the outgoing cluster lists, end to end
+	wire     []byte       // the packed UPDATEs, end to end
+}
+
+var flushPool = sync.Pool{New: func() any { return &flushScratch{idx: make(map[advKey]uint32)} }}
+
+// flushKeep and flushKeepGroups bound the scratch a flush puts back, in
+// entries and in attribute groups (clearing the group index costs what it
+// once held); one that grew past them is left to the collector. The pool holds a few scratches however many sessions there
+// are, so unlike a session's own log (advKeep) it keeps one the size of an
+// Internet table: each session's dump of a full table reuses the last
+// one's buffers, about 40 bytes a prefix.
+const (
+	flushKeep       = 1 << 20
+	flushKeepGroups = 256
+)
+
+// release empties the scratch and returns it to flushPool, unless it grew
+// past the bounds. An emptied scratch pins nothing a flush used.
+func (sc *flushScratch) release() {
+	if cap(sc.prefixes) > flushKeep || cap(sc.groupOf) > flushKeep || cap(sc.groups) > flushKeepGroups ||
+		cap(sc.asns) > flushKeep || cap(sc.clusters) > flushKeep || cap(sc.wire) > maxPrefixEnc*flushKeep {
+		return
+	}
+	clear(sc.idx)
+	clear(sc.groups)
+	sc.groups = sc.groups[:0]
+	sc.asns, sc.clusters = sc.asns[:0], sc.clusters[:0]
+	flushPool.Put(sc)
+}
+
+// resize returns s with length n, reusing its array when it is big enough.
+func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
 // flushAdv sends the batched UPDATEs: the pending withdrawals plus
 // announcements grouped by shared attributes, packed so that many
 // NLRIs (and the withdrawals) ride in each message — an MRAI window
-// emits O(attr-groups) UPDATEs, not O(prefixes), with PackUpdates
-// splitting at the 4096-byte message limit.
+// emits O(attr-groups) UPDATEs, not O(prefixes), split at the 4096-byte
+// message limit (see PackUpdates).
 //
 // The batch is a log (advBatch): one sort, which finds it nearly in
 // order, leaves every prefix's last write standing in (address, length)
 // order. What the flush then works out — may this path go to this peer was
 // settled when it was queued; with which attributes, in which message
-// group — it works out once per run of the log, not once per prefix, and a
-// counting pass cuts the one netip.Prefix list it allocates into the
-// withdrawn list and each group's NLRI, already sorted.
+// group — it works out once per run a standing entry names, not once per
+// prefix, and a counting pass cuts one prefix list into the withdrawn list
+// and each group's NLRI, already sorted. Everything it builds, the wire
+// bytes too, is in a pooled flushScratch; each UPDATE is still its own
+// Write.
 func (x *session) flushAdv() {
 	s := x.sp
 	x.flushMu.Lock()
@@ -715,30 +767,37 @@ func (x *session) flushAdv() {
 		// it sends and allocates nothing.
 		return
 	}
+	sc := flushPool.Get().(*flushScratch)
+	defer sc.release()
 	log, runs := settleAdv(x.flushing.log), x.flushing.runs
-	idx := make(map[advKey]uint32)
-	var groups []UpdateGroup
-	groupOf := make([]uint32, len(runs)) // 0 = withdrawn
-	for r, path := range runs {
-		if path == nil {
+	// A group for every path a standing entry names: a run whose every
+	// prefix a later write took over is not looked at.
+	groupOf := resize(sc.groupOf, len(runs))
+	clear(groupOf)
+	groups := sc.groups
+	for _, e := range log {
+		r := e & advRunMask
+		path := runs[r]
+		if path == nil || groupOf[r] != 0 {
 			continue
 		}
 		ak := advKey{attrs: path.Attrs, ibgp: path.IBGP}
 		if path.IBGP {
 			ak.orig = originatorOf(path)
 		}
-		group := idx[ak]
+		group := sc.idx[ak]
 		if group == 0 {
-			groups = append(groups, UpdateGroup{Attrs: x.outgoingAttrs(path)})
+			groups = append(groups, UpdateGroup{Attrs: x.outgoing(sc, path)})
 			group = uint32(len(groups))
-			idx[ak] = group
+			sc.idx[ak] = group
 		}
 		groupOf[r] = group
 	}
 	// A counting sort by group, stable, so every list comes out in log
 	// order: count each list, lay the lists out end to end in one array,
 	// fill them. at[g] ends up one past list g, which is where g+1 begins.
-	at := make([]int, len(groups)+1)
+	at := resize(sc.at, len(groups)+1)
+	clear(at)
 	for _, e := range log {
 		at[groupOf[e&advRunMask]]++
 	}
@@ -746,7 +805,7 @@ func (x *session) flushAdv() {
 	for g, n := range at {
 		at[g], sum = sum, sum+n
 	}
-	prefixes := make([]netip.Prefix, len(log))
+	prefixes := resize(sc.prefixes, len(log))
 	for _, e := range log {
 		g := groupOf[e&advRunMask]
 		prefixes[at[g]] = pfxKey(e >> advRunBits).prefix()
@@ -756,54 +815,47 @@ func (x *session) flushAdv() {
 	for g := range groups {
 		groups[g].NLRI = prefixes[at[g]:at[g+1]:at[g+1]]
 	}
+	sc.groupOf, sc.groups, sc.at, sc.prefixes = groupOf, groups, at, prefixes
 
-	gkeys := make([]string, len(groups))
-	for i := range groups {
-		gkeys[i] = attrsKey(groups[i].Attrs)
-	}
-	// Deterministic message order across groups.
-	sort.Sort(&groupsByKey{gkeys, groups})
-	msgs, err := PackUpdates(withdrawn, groups)
+	// Deterministic message order across groups: by attribute key, a tie
+	// in log order.
+	slices.SortStableFunc(groups, func(a, b UpdateGroup) int { return compareAttrs(&a.Attrs, &b.Attrs) })
+	wire, err := appendUpdates(sc.wire[:0], withdrawn, groups)
+	sc.wire = wire
 	if err != nil {
 		s.logf("flush to %v failed: %v", x.cfg.RemoteAddr, err)
 		return
 	}
-	for _, b := range msgs {
-		x.send(b)
-		s.Stats.UpdatesSent.Add(1)
+	sent := 0
+	for ; len(wire) > 0; sent++ {
+		n := msgLen(wire)
+		x.send(wire[:n])
+		wire = wire[n:]
 	}
+	s.Stats.UpdatesSent.Add(uint64(sent))
 }
 
-// groupsByKey sorts announcement groups by their serialized attribute
-// key, keeping flush output deterministic.
-type groupsByKey struct {
-	keys   []string
-	groups []UpdateGroup
-}
-
-func (g *groupsByKey) Len() int           { return len(g.keys) }
-func (g *groupsByKey) Less(i, j int) bool { return g.keys[i] < g.keys[j] }
-func (g *groupsByKey) Swap(i, j int) {
-	g.keys[i], g.keys[j] = g.keys[j], g.keys[i]
-	g.groups[i], g.groups[j] = g.groups[j], g.groups[i]
-}
-
-// outgoingAttrs computes the attributes a path is advertised with on
-// this session. eBGP prepends the local AS and strips internal
-// attributes; iBGP keeps the AS path, attaches LOCAL_PREF, applies
-// next-hop-self, and — when reflecting an iBGP-learned path — stamps
-// ORIGINATOR_ID and prepends the local cluster ID to CLUSTER_LIST.
-func (x *session) outgoingAttrs(path *Path) PathAttrs {
+// outgoing computes the attributes a path is advertised with on this
+// session, building the AS path and cluster list onto sc's arenas. eBGP
+// prepends the local AS and strips internal attributes; iBGP keeps the AS
+// path, attaches LOCAL_PREF, applies next-hop-self, and — when reflecting
+// an iBGP-learned path — stamps ORIGINATOR_ID and prepends the local
+// cluster ID to CLUSTER_LIST.
+func (x *session) outgoing(sc *flushScratch, path *Path) PathAttrs {
 	s := x.sp
 	out := PathAttrs{
 		Origin:  path.Attrs.Origin,
 		NextHop: x.cfg.LocalAddr,
 	}
+	n := len(sc.asns)
 	if !x.cfg.IBGP {
-		out.ASPath = append([]uint16{s.asn16}, path.Attrs.ASPath...)
+		sc.asns = append(sc.asns, s.asn16)
+	}
+	sc.asns = append(sc.asns, path.Attrs.ASPath...)
+	out.ASPath = sc.asns[n:len(sc.asns):len(sc.asns)]
+	if !x.cfg.IBGP {
 		return out
 	}
-	out.ASPath = append([]uint16(nil), path.Attrs.ASPath...)
 	out.HasLP = true
 	out.LocalPref = 100
 	if path.Attrs.HasLP {
@@ -816,38 +868,11 @@ func (x *session) outgoingAttrs(path *Path) PathAttrs {
 		if !out.OriginatorID.Is4() {
 			out.OriginatorID = path.PeerRouterID
 		}
-		out.ClusterList = append([]netip.Addr{s.cfg.RouterID}, path.Attrs.ClusterList...)
+		n := len(sc.clusters)
+		sc.clusters = append(append(sc.clusters, s.cfg.RouterID), path.Attrs.ClusterList...)
+		out.ClusterList = sc.clusters[n:len(sc.clusters):len(sc.clusters)]
 	}
 	return out
-}
-
-func attrsKey(a PathAttrs) string {
-	b := make([]byte, 0, 16+2*len(a.ASPath)+4*len(a.ClusterList))
-	b = append(b, a.Origin)
-	var nh [4]byte
-	if a.NextHop.Is4() {
-		nh = a.NextHop.As4()
-	}
-	b = append(b, nh[:]...)
-	if a.HasLP {
-		b = append(b, 1, byte(a.LocalPref>>24), byte(a.LocalPref>>16), byte(a.LocalPref>>8), byte(a.LocalPref))
-	} else {
-		b = append(b, 0)
-	}
-	var oid [4]byte
-	if a.OriginatorID.Is4() {
-		oid = a.OriginatorID.As4()
-	}
-	b = append(b, oid[:]...)
-	b = append(b, byte(len(a.ClusterList)))
-	for _, c := range a.ClusterList {
-		c4 := c.As4()
-		b = append(b, c4[:]...)
-	}
-	for _, asn := range a.ASPath {
-		b = append(b, byte(asn>>8), byte(asn))
-	}
-	return string(b)
 }
 
 // ---- speaker-side update processing (mu held) ----
