@@ -329,7 +329,6 @@ func (d *countingDataPlane) ApplyFlowMod(openflow.FlowMod) error {
 }
 func (*countingDataPlane) PortStats() []openflow.PortStatsEntry { return nil }
 func (*countingDataPlane) FlowStats() []openflow.FlowStatsEntry { return nil }
-func (*countingDataPlane) PacketOut(openflow.PacketOut)         {}
 
 // timerClock gives the controller a clock without a simulation engine.
 type timerClock struct{}

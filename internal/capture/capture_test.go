@@ -302,6 +302,68 @@ func TestOpenFlowDecode(t *testing.T) {
 	}
 }
 
+// TestRefusedOpenFlowCounted: each direction of an OpenFlow session is
+// replayed through its receiving end's channel table, and a message that
+// table has no step for is marked and counted — a PACKET_IN the
+// controller gets before FEATURES_REPLY, a PACKET_OUT the switch never
+// takes — while the handshake and what follows it are not.
+func TestRefusedOpenFlowCounted(t *testing.T) {
+	c, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := Endpoint{Name: "s1", MAC: core.MACFromUint64(1), IP: netip.MustParseAddr("172.16.0.1")}
+	ctl := Endpoint{Name: "ctl", MAC: core.MACFromUint64(2), IP: netip.MustParseAddr("172.16.0.2"), Port: PortOpenFlow}
+	sess, err := c.Session("openflow-s1", sw, ctl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packetIn := openflow.EncodePacketIn(9, openflow.PacketIn{InPort: 1, Data: []byte("frame")})
+	steps := []struct {
+		dir     Dir
+		msg     []byte
+		refused bool
+	}{
+		{AtoB, openflow.EncodeHello(1), false},
+		{AtoB, packetIn, true}, // the controller has no FEATURES_REPLY yet
+		{BtoA, openflow.EncodeHello(2), false},
+		{BtoA, openflow.EncodeFeaturesRequest(3), false},
+		{AtoB, openflow.EncodeFeaturesReply(3, openflow.FeaturesReply{DatapathID: 1}), false},
+		{AtoB, packetIn, false},
+		{BtoA, openflow.EncodeFlowMod(4, openflow.FlowMod{Actions: []openflow.Action{{Output: 1}}}), false},
+		{BtoA, openflow.EncodePacketOut(5, openflow.PacketOut{InPort: 1}), true},
+	}
+	for i, st := range steps {
+		sess.Data(st.dir, st.msg, core.Time(i+1)*core.Millisecond)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadFile(c.Files()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := Validate(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range steps {
+		if msgs[i].Refused != st.refused {
+			t.Errorf("message %d (%s) refused = %v, want %v", i, msgs[i].Type, msgs[i].Refused, st.refused)
+		}
+	}
+	sum, err := Summarize(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Refused != 2 || sum.Sessions[0].Refused != 2 {
+		t.Fatalf("summary refused %d (session: %d), want 2", sum.Refused, sum.Sessions[0].Refused)
+	}
+	if !strings.Contains(sum.String(), "1 flow-mods, 2 refused\n") {
+		t.Errorf("summary does not print the refused count:\n%s", sum)
+	}
+}
+
 // TestTimestampClampMonotone: a delivery handed over out of order can
 // never write a backwards timestamp (Validate would reject the file).
 func TestTimestampClampMonotone(t *testing.T) {

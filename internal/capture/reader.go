@@ -161,7 +161,10 @@ type Message struct {
 	Announced      int
 	Withdrawn      int
 	StrayWithdrawn int
-	Len            int
+	// Refused marks an OpenFlow message its receiving end's channel
+	// table has no step for, in the state the stream had put it in.
+	Refused bool
+	Len     int
 }
 
 // stream reassembles one TCP direction of one session.
@@ -174,6 +177,8 @@ type stream struct {
 	// held is what a BGP sender has announced on the stream and not
 	// withdrawn since its last OPEN.
 	held map[netip.Prefix]struct{}
+	// end is an OpenFlow stream's receiving end, stepped by every message.
+	end openflow.End
 }
 
 // streamKey identifies one direction of one synthesized conversation.
@@ -190,7 +195,9 @@ type streamKey struct {
 // them as BGP (a port is 179) or OpenFlow (a port is 6633). Every
 // emulated write is whole, so a stream that ends inside a message is an
 // error too. A BGP stream keeps the prefixes its sender holds announced,
-// which is how a withdrawal is known to be stray.
+// which is how a withdrawal is known to be stray; an OpenFlow stream
+// steps its receiving end's channel table, which is how a message is
+// known to be refused.
 func Decode(tr *Trace) ([]Message, error) {
 	streams := make(map[streamKey]*stream)
 	var order []*stream // streams in first-seen order, for the tail check
@@ -215,11 +222,14 @@ func Decode(tr *Trace) ([]Message, error) {
 		st := streams[key]
 		if st == nil {
 			proto := ""
+			var end openflow.End // the receiver's, for an OpenFlow stream
 			switch {
 			case tcp.SrcPort == PortBGP || tcp.DstPort == PortBGP:
 				proto = ProtoBGP
-			case tcp.SrcPort == PortOpenFlow || tcp.DstPort == PortOpenFlow:
-				proto = ProtoOpenFlow
+			case tcp.DstPort == PortOpenFlow:
+				proto, end = ProtoOpenFlow, openflow.ControllerEnd()
+			case tcp.SrcPort == PortOpenFlow:
+				proto, end = ProtoOpenFlow, openflow.SwitchEnd()
 			default:
 				return nil, fmt.Errorf("packet %d: no control plane port in %d->%d", i, tcp.SrcPort, tcp.DstPort)
 			}
@@ -228,7 +238,7 @@ func Decode(tr *Trace) ([]Message, error) {
 				Src:       ip.Src, Dst: ip.Dst,
 				SrcPort: tcp.SrcPort, DstPort: tcp.DstPort,
 				Proto: proto,
-			}, held: make(map[netip.Prefix]struct{})}
+			}, held: make(map[netip.Prefix]struct{}), end: end}
 			streams[key] = st
 			order = append(order, st)
 		}
@@ -341,6 +351,8 @@ func (st *stream) peel() (Message, int, error) {
 			return m, 0, nil
 		}
 		m.Type = ofTypeName(h.Type)
+		_, ok := st.end.Step(h.Type)
+		m.Refused = !ok
 		return m, int(h.Length), nil
 	}
 	return m, 0, fmt.Errorf("unknown stream protocol %q", st.proto)

@@ -29,11 +29,14 @@ type SessionSummary struct {
 	// StrayWithdrawn is how many of WithdrawnPrefixes named a route the
 	// receiver did not hold from the sender (see Message.StrayWithdrawn).
 	StrayWithdrawn int
+	// Refused counts the OpenFlow messages the receiving end's channel
+	// table has no step for (see Message.Refused).
+	Refused int
 }
 
 // Summary aggregates the control plane conversation recorded across one
-// or more traces: message mix, per-second rates over the captured
-// window, and first/last-message times per session.
+// or more traces: message mix, the UPDATE rate over the captured window,
+// refused OpenFlow messages, and first/last-message times per session.
 type Summary struct {
 	Sessions []SessionSummary
 
@@ -48,6 +51,9 @@ type Summary struct {
 	WithdrawnPrefixes int
 	// StrayWithdrawn is how many of WithdrawnPrefixes were stray.
 	StrayWithdrawn int
+	// Refused counts the OpenFlow messages with no step in their
+	// receiving end's channel table.
+	Refused int
 
 	// First and Last bound the decoded messages across all sessions.
 	First, Last core.Time
@@ -86,6 +92,9 @@ func Summarize(traces ...*Trace) (*Summary, error) {
 			ss.AnnouncedPrefixes += m.Announced
 			ss.WithdrawnPrefixes += m.Withdrawn
 			ss.StrayWithdrawn += m.StrayWithdrawn
+			if m.Refused {
+				ss.Refused++
+			}
 		}
 		for _, ss := range per {
 			if ss.Messages == 0 {
@@ -104,6 +113,7 @@ func Summarize(traces ...*Trace) (*Summary, error) {
 			s.AnnouncedPrefixes += ss.AnnouncedPrefixes
 			s.WithdrawnPrefixes += ss.WithdrawnPrefixes
 			s.StrayWithdrawn += ss.StrayWithdrawn
+			s.Refused += ss.Refused
 			s.Sessions = append(s.Sessions, *ss)
 		}
 	}
@@ -124,16 +134,6 @@ func (s *Summary) Window() core.Time {
 // single-message trace must not report +Inf).
 func (s *Summary) UpdatesPerSec() float64 {
 	return stats.PerSecond(float64(s.Updates), s.Window())
-}
-
-// WithdrawsPerSec is the withdraw rate over the captured window.
-func (s *Summary) WithdrawsPerSec() float64 {
-	return stats.PerSecond(float64(s.Withdraws), s.Window())
-}
-
-// FlowModsPerSec is the FLOW_MOD rate over the captured window.
-func (s *Summary) FlowModsPerSec() float64 {
-	return stats.PerSecond(float64(s.FlowMods), s.Window())
 }
 
 // PackingFactor is the mean number of announced prefixes per
@@ -181,13 +181,17 @@ func MaxUpdateBurst(msgs []Message, window core.Time) int {
 // String renders the summary, one session per line.
 func (s *Summary) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d messages in [%v, %v]: %d updates (%.1f/s, %d prefixes, %.1f/msg), %d withdraws (%.1f/s, %d prefixes, %d stray), %d flow-mods (%.1f/s)\n",
+	fmt.Fprintf(&b, "%d messages in [%v, %v]: %d updates (%.1f/s, %d prefixes, %.1f/msg), %d withdraws (%d prefixes, %d stray), %d flow-mods, %d refused\n",
 		s.Messages, s.First, s.Last,
 		s.Updates, s.UpdatesPerSec(), s.AnnouncedPrefixes, s.PackingFactor(),
-		s.Withdraws, s.WithdrawsPerSec(), s.WithdrawnPrefixes, s.StrayWithdrawn,
-		s.FlowMods, s.FlowModsPerSec())
+		s.Withdraws, s.WithdrawnPrefixes, s.StrayWithdrawn,
+		s.FlowMods, s.Refused)
 	for _, ss := range s.Sessions {
-		fmt.Fprintf(&b, "  %-40s %4d msgs  first=%v last=%v\n", ss.Name, ss.Messages, ss.First, ss.Last)
+		fmt.Fprintf(&b, "  %-40s %4d msgs  first=%v last=%v", ss.Name, ss.Messages, ss.First, ss.Last)
+		if ss.Refused > 0 {
+			fmt.Fprintf(&b, "  %d refused", ss.Refused)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

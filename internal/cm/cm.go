@@ -746,7 +746,12 @@ func (m *Manager) handlePacketIn(pi netmodel.PacketIn) {
 	m.Stats.PacketIns.Add(1)
 	// The punt is a control plane event: hold the clock in FTI while
 	// the controller reacts. Sending is one write on the tapped channel,
-	// which never blocks; safe from the engine goroutine.
+	// which never blocks; safe from the engine goroutine. An agent not
+	// yet Ready holds the PACKET_IN until its FEATURES_REPLY, and the
+	// clock stays in FTI meanwhile: WireSDN's Connect wrote HELLO and
+	// FEATURES_REQUEST before the engine ran, so the switch's inbound
+	// direction keeps its ledger token until the agent has handled
+	// FEATURES_REQUEST and written what it held.
 	m.Engine.MarkControl()
 	agent.SendPacketIn(uint16(pi.InPort), frame)
 }
@@ -810,13 +815,6 @@ func (d *dataPlane) FlowStats() []openflow.FlowStatsEntry {
 		return out
 	})
 	return entries
-}
-
-// PacketOut implements openflow.DataPlane. The fluid model has no
-// individual packets to inject; PACKET_OUTs are acknowledged and counted
-// but produce no data plane traffic.
-func (d *dataPlane) PacketOut(po openflow.PacketOut) {
-	d.m.Logf("cm: packet-out on %v ignored (fluid data plane)", d.node)
 }
 
 // translateFlowMod converts a wire FLOW_MOD into the data plane form.

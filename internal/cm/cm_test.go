@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fib"
 	"repro/internal/flowtable"
+	"repro/internal/fluid"
 	"repro/internal/netmodel"
 	"repro/internal/openflow"
 	"repro/internal/sim"
@@ -184,6 +185,44 @@ func TestWireSDNHandshakesAllSwitches(t *testing.T) {
 	}
 	if m.Stats.FlowModsApplied.Load() == 0 {
 		t.Fatal("no flow mods crossed the CM")
+	}
+}
+
+// TestReactivePacketInsReachController: in a reactive run whose flows
+// punt at t = 0, while agents may still be before Ready and hold what
+// they are handed, every PACKET_IN the CM hands an agent reaches the
+// controller: once the ledger reads zero the two counts agree.
+func TestReactivePacketInsReachController(t *testing.T) {
+	g, err := topo.FatTree(topo.FatTreeOpts{K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine := newEngine()
+	net := netmodel.New(g)
+	m := New(engine, net, nil)
+	defer m.Stop()
+	if err := m.WireSDN(&controller.ReactiveApp{}); err != nil {
+		t.Fatal(err)
+	}
+	hosts := g.Hosts()
+	for i, src := range hosts {
+		dst := hosts[(i+5)%len(hosts)]
+		f := &fluid.Flow{
+			ID:    fluid.FlowID(i + 1),
+			Tuple: core.FiveTuple{Src: src.IP, Dst: dst.IP, Proto: core.ProtoUDP, SrcPort: uint16(10000 + i), DstPort: 20000},
+			Src:   src.ID, Dst: dst.ID, Demand: core.Gbps,
+		}
+		engine.Schedule(0, func() { net.StartFlow(f, engine.Now()) })
+	}
+	engine.Schedule(core.Second, func() {})
+	engine.Run(core.Second)
+	waitLedgerZero(t, m)
+	punts, recv := m.Stats.PacketIns.Load(), m.Controller().Stats.PacketInsRecv.Load()
+	if punts == 0 {
+		t.Fatal("no flow punted")
+	}
+	if recv != int64(punts) {
+		t.Fatalf("controller received %d PACKET_INs, the CM handed agents %d", recv, punts)
 	}
 }
 

@@ -27,7 +27,8 @@ type App interface {
 	Name() string
 	// Init runs once before any switch connects.
 	Init(ctx *Context)
-	// SwitchReady fires after a switch completes the handshake.
+	// SwitchReady fires once per switch, on the step into Ready: its
+	// first FEATURES_REPLY.
 	SwitchReady(sw *SwitchHandle)
 	// PacketIn delivers a table-miss punt.
 	PacketIn(sw *SwitchHandle, pi openflow.PacketIn)
@@ -52,8 +53,10 @@ type SwitchHandle struct {
 	conn *openflow.Conn
 	ctl  *Controller
 
+	// mu guards the channel's controller end, which serve alone steps,
+	// and the ports.
 	mu    sync.Mutex
-	ready bool
+	end   openflow.End
 	ports []openflow.PhyPort
 }
 
@@ -61,7 +64,7 @@ type SwitchHandle struct {
 func (sw *SwitchHandle) Ready() bool {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	return sw.ready
+	return sw.end.State() == openflow.StateReady
 }
 
 // Ports returns the switch's advertised physical ports.
@@ -91,15 +94,12 @@ func (sw *SwitchHandle) SendFlowMod(fm openflow.FlowMod) {
 	sw.ctl.Stats.FlowModsSent.Add(1)
 }
 
-// RequestFlowStats asks for flow entry counters; cb runs on the switch's
-// reader goroutine when the reply arrives.
+// RequestFlowStats asks for flow entry counters; cb runs once on the
+// switch's reader goroutine, when the reply arrives, or with no entries
+// when the switch answers an ERROR or a reply that does not decode.
 func (sw *SwitchHandle) RequestFlowStats(cb func([]openflow.FlowStatsEntry)) {
 	xid := sw.ctl.xids.Next()
-	sw.ctl.addPending(xid, func(raw []byte) {
-		if entries, err := openflow.DecodeFlowStatsReply(raw); err == nil {
-			cb(entries)
-		}
-	})
+	sw.ctl.addPending(xid, cb)
 	sw.conn.Send(openflow.EncodeStatsRequest(xid, openflow.StatsFlow))
 	sw.ctl.Stats.StatsRequestsSent.Add(1)
 }
@@ -128,7 +128,7 @@ type Controller struct {
 
 	mu       sync.Mutex
 	switches map[uint64]*SwitchHandle
-	pending  map[uint32]func([]byte)
+	pending  map[uint32]func([]openflow.FlowStatsEntry)
 	closed   bool
 	wg       sync.WaitGroup
 
@@ -142,7 +142,7 @@ func New(g *topo.Graph, clock core.Clock, app App, logf func(string, ...any)) *C
 	}
 	c := &Controller{
 		switches: make(map[uint64]*SwitchHandle),
-		pending:  make(map[uint32]func([]byte)),
+		pending:  make(map[uint32]func([]openflow.FlowStatsEntry)),
 		app:      app,
 	}
 	c.ctx = Context{Topo: g, Clock: clock, Ctl: c, Logf: logf}
@@ -161,7 +161,7 @@ func (c *Controller) Connect(node core.NodeID, dpid uint64, rw io.ReadWriteClose
 	if _, dup := c.switches[dpid]; dup {
 		return fmt.Errorf("controller: duplicate dpid %d", dpid)
 	}
-	sw := &SwitchHandle{DPID: dpid, Node: node, conn: openflow.NewConn(rw), ctl: c}
+	sw := &SwitchHandle{DPID: dpid, Node: node, conn: openflow.NewConn(rw), ctl: c, end: openflow.ControllerEnd()}
 	c.switches[dpid] = sw
 	sw.conn.Send(openflow.EncodeHello(c.xids.Next()))
 	sw.conn.Send(openflow.EncodeFeaturesRequest(c.xids.Next()))
@@ -217,13 +217,13 @@ func (c *Controller) ReadyCount() int {
 	return int(c.Stats.SwitchesReady.Load())
 }
 
-func (c *Controller) addPending(xid uint32, cb func([]byte)) {
+func (c *Controller) addPending(xid uint32, cb func([]openflow.FlowStatsEntry)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.pending[xid] = cb
 }
 
-func (c *Controller) takePending(xid uint32) func([]byte) {
+func (c *Controller) takePending(xid uint32) func([]openflow.FlowStatsEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cb := c.pending[xid]
@@ -231,6 +231,9 @@ func (c *Controller) takePending(xid uint32) func([]byte) {
 	return cb
 }
 
+// serve reads one switch's channel: every message steps the controller
+// end first, and one it has no step for is refused — answered with an
+// ERROR and not dispatched.
 func (c *Controller) serve(sw *SwitchHandle) {
 	for {
 		raw, err := sw.conn.Recv()
@@ -242,9 +245,16 @@ func (c *Controller) serve(sw *SwitchHandle) {
 			c.ctx.Logf("controller: dpid %d: %v", sw.DPID, err)
 			return
 		}
+		sw.mu.Lock()
+		from, ok := sw.end.Step(h.Type)
+		sw.mu.Unlock()
+		if !ok {
+			c.ctx.Logf("controller: dpid %d: refused message type %d in %v", sw.DPID, h.Type, from)
+			sw.conn.Send(sw.end.Refusal(raw))
+			continue
+		}
+		// HELLO and BARRIER_REPLY: the step is all there is to do.
 		switch h.Type {
-		case openflow.TypeHello:
-			// Both sides hello unconditionally.
 		case openflow.TypeFeaturesReply:
 			fr, err := openflow.DecodeFeaturesReply(raw)
 			if err != nil {
@@ -253,10 +263,8 @@ func (c *Controller) serve(sw *SwitchHandle) {
 			}
 			sw.mu.Lock()
 			sw.ports = fr.Ports
-			first := !sw.ready
-			sw.ready = true
 			sw.mu.Unlock()
-			if first {
+			if from != openflow.StateReady {
 				c.Stats.SwitchesReady.Add(1)
 				c.app.SwitchReady(sw)
 			}
@@ -280,12 +288,18 @@ func (c *Controller) serve(sw *SwitchHandle) {
 			c.app.PortStatus(sw, ps)
 		case openflow.TypeStatsReply:
 			if cb := c.takePending(h.XID); cb != nil {
-				cb(raw)
+				entries, err := openflow.DecodeFlowStatsReply(raw)
+				if err != nil {
+					c.ctx.Logf("controller: bad flow stats from %d: %v", sw.DPID, err)
+				}
+				cb(entries)
 			}
-		case openflow.TypeBarrierReply, openflow.TypeError:
-			// Observed but not acted upon by the demo apps.
-		default:
-			c.ctx.Logf("controller: dpid %d: unhandled type %d", sw.DPID, h.Type)
+		case openflow.TypeError:
+			// An ERROR answering a stats request ends its wait.
+			if cb := c.takePending(h.XID); cb != nil {
+				c.ctx.Logf("controller: dpid %d refused stats request %d", sw.DPID, h.XID)
+				cb(nil)
+			}
 		}
 	}
 }

@@ -101,8 +101,6 @@ func (d *tableDP) FlowStats() []openflow.FlowStatsEntry {
 	return append([]openflow.FlowStatsEntry(nil), d.flows...)
 }
 
-func (d *tableDP) PacketOut(openflow.PacketOut) {}
-
 func (d *tableDP) tableLen() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -17,11 +17,10 @@ type DataPlane interface {
 	PortStats() []PortStatsEntry
 	// FlowStats snapshots the flow entry counters.
 	FlowStats() []FlowStatsEntry
-	// PacketOut injects a frame (Horse resolves it to flow forwarding).
-	PacketOut(po PacketOut)
 }
 
-// AgentStats counts protocol activity, atomically updated.
+// AgentStats counts protocol activity, atomically updated. A PACKET_IN or
+// PORT_STATUS counts when it is written, not while it is held.
 type AgentStats struct {
 	FlowModsRecv     atomic.Uint64
 	PacketInsSent    atomic.Uint64
@@ -31,24 +30,34 @@ type AgentStats struct {
 }
 
 // Agent is the switch-side OpenFlow endpoint: one per simulated switch,
-// running as an emulated process. It performs the handshake, answers the
-// controller, and forwards table changes into the simulated data plane.
+// running as an emulated process. It acts on what the switch end of the
+// channel table has a step for — the handshake, then the controller's
+// requests — and forwards table changes into the simulated data plane.
 type Agent struct {
 	DPID uint64
 	conn *Conn
 	dp   DataPlane
 	xids atomic.Uint32
 
-	// portMu guards ports: the reader goroutine serves FEATURES_REQUEST
-	// from it while the simulation side mutates link state through
-	// SetPortDown.
-	portMu sync.Mutex
-	ports  []PhyPort
+	// mu guards the channel end, what is held for Ready and the ports:
+	// the reader steps the end and answers FEATURES_REQUEST from the
+	// ports, while the simulation side sends PACKET_INs and PORT_STATUSes
+	// and mutates link state through SetPortDown.
+	mu    sync.Mutex
+	end   End
+	held  []heldMsg
+	ports []PhyPort
 
-	handshakeDone atomic.Bool
-	wg            sync.WaitGroup
-	Stats         AgentStats
-	logf          func(string, ...any)
+	wg    sync.WaitGroup
+	Stats AgentStats
+	logf  func(string, ...any)
+}
+
+// heldMsg is an asynchronous message handed to the agent before Ready,
+// and the counter its write bumps.
+type heldMsg struct {
+	msg  []byte
+	sent *atomic.Uint64
 }
 
 // NewAgent creates an agent for a switch with the given datapath id and
@@ -57,7 +66,7 @@ func NewAgent(dpid uint64, ports []PhyPort, rw io.ReadWriteCloser, dp DataPlane,
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	return &Agent{DPID: dpid, conn: NewConn(rw), dp: dp, ports: ports, logf: logf}
+	return &Agent{DPID: dpid, conn: NewConn(rw), dp: dp, end: SwitchEnd(), ports: ports, logf: logf}
 }
 
 // Start sends HELLO and begins serving the controller. It returns
@@ -71,56 +80,94 @@ func (a *Agent) Start() {
 	}()
 }
 
-// Stop closes the control channel and waits for the reader to exit.
+// Stop closes the control channel and waits for the reader to exit. An
+// agent stopped before Ready never writes what it holds.
 func (a *Agent) Stop() {
 	_ = a.conn.Close()
 	a.wg.Wait()
 }
 
-// Ready reports whether the handshake (HELLO + FEATURES) completed.
-func (a *Agent) Ready() bool { return a.handshakeDone.Load() }
-
 // SendPacketIn emits a PACKET_IN for a table miss; called by the
-// Connection Manager when the simulated data plane punts a flow.
+// Connection Manager when the simulated data plane punts a flow. Before
+// Ready it is held, and written right after FEATURES_REPLY.
 func (a *Agent) SendPacketIn(inPort uint16, frame []byte) {
-	a.conn.Send(EncodePacketIn(a.xids.Add(1), PacketIn{
+	msg := EncodePacketIn(a.xids.Add(1), PacketIn{
 		BufferID: 0xFFFFFFFF,
 		InPort:   inPort,
 		Reason:   0, // OFPR_NO_MATCH
 		Data:     frame,
-	}))
-	a.Stats.PacketInsSent.Add(1)
+	})
+	a.mu.Lock()
+	a.sendAsyncLocked(msg, &a.Stats.PacketInsSent)
+	a.mu.Unlock()
 }
 
 // SetPortDown records a carrier change on one of the agent's ports and
-// emits the corresponding PORT_STATUS (OFPPR_MODIFY) to the controller.
-// Called by the Connection Manager when a failure injection touches a
-// link of this switch; it reports whether the port was found.
+// emits the corresponding PORT_STATUS (OFPPR_MODIFY) to the controller,
+// held like a PACKET_IN before Ready. Called by the Connection Manager
+// when a failure injection touches a link of this switch; it reports
+// whether the port was found.
 func (a *Agent) SetPortDown(portNo uint16, down bool) bool {
-	a.portMu.Lock()
-	var desc *PhyPort
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	for i := range a.ports {
-		if a.ports[i].PortNo == portNo {
-			desc = &a.ports[i]
-			break
+		desc := &a.ports[i]
+		if desc.PortNo != portNo {
+			continue
 		}
+		if down {
+			desc.State |= PortStateLinkDown
+		} else {
+			desc.State &^= PortStateLinkDown
+		}
+		a.sendAsyncLocked(EncodePortStatus(a.xids.Add(1), PortStatus{
+			Reason: PortReasonModify,
+			Desc:   *desc,
+		}), &a.Stats.PortStatusesSent)
+		return true
 	}
-	if desc == nil {
-		a.portMu.Unlock()
+	return false
+}
+
+// sendAsyncLocked writes a PACKET_IN or PORT_STATUS from Ready and holds
+// it before. Caller holds a.mu.
+func (a *Agent) sendAsyncLocked(msg []byte, sent *atomic.Uint64) {
+	if a.end.State() != StateReady {
+		a.held = append(a.held, heldMsg{msg, sent})
+		return
+	}
+	a.conn.Send(msg)
+	sent.Add(1)
+}
+
+// step moves the agent's end on a received message and refuses one the
+// end has no step for. It runs under the lock the asynchronous sends
+// take, and the step that answers FEATURES_REQUEST writes the reply and
+// then, in order, everything held: nothing asynchronous precedes
+// FEATURES_REPLY.
+func (a *Agent) step(h Header, raw []byte) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	from, ok := a.end.Step(h.Type)
+	if !ok {
+		a.logf("agent %d: refused message type %d in %v", a.DPID, h.Type, from)
+		a.conn.Send(a.end.Refusal(raw))
 		return false
 	}
-	if down {
-		desc.State |= PortStateLinkDown
-	} else {
-		desc.State &^= PortStateLinkDown
+	if h.Type == TypeFeaturesRequest {
+		a.conn.Send(EncodeFeaturesReply(h.XID, FeaturesReply{
+			DatapathID: a.DPID,
+			NBuffers:   256,
+			NTables:    1,
+			Actions:    1, // OUTPUT
+			Ports:      a.ports,
+		}))
+		for _, m := range a.held {
+			a.conn.Send(m.msg)
+			m.sent.Add(1)
+		}
+		a.held = nil
 	}
-	snapshot := *desc
-	a.portMu.Unlock()
-	a.conn.Send(EncodePortStatus(a.xids.Add(1), PortStatus{
-		Reason: PortReasonModify,
-		Desc:   snapshot,
-	}))
-	a.Stats.PortStatusesSent.Add(1)
 	return true
 }
 
@@ -135,21 +182,11 @@ func (a *Agent) readLoop() {
 			a.logf("agent %d: %v", a.DPID, err)
 			return
 		}
+		if !a.step(h, raw) {
+			continue
+		}
+		// HELLO and FEATURES_REQUEST: the step did all there is to do.
 		switch h.Type {
-		case TypeHello:
-			// Nothing to do: both sides send HELLO unconditionally.
-		case TypeFeaturesRequest:
-			a.portMu.Lock()
-			ports := append([]PhyPort(nil), a.ports...)
-			a.portMu.Unlock()
-			a.conn.Send(EncodeFeaturesReply(h.XID, FeaturesReply{
-				DatapathID: a.DPID,
-				NBuffers:   256,
-				NTables:    1,
-				Actions:    1, // OUTPUT
-				Ports:      ports,
-			}))
-			a.handshakeDone.Store(true)
 		case TypeEchoRequest:
 			a.conn.Send(EncodeEcho(h.XID, true, raw[headerLen:]))
 			a.Stats.EchoesAnswered.Add(1)
@@ -165,31 +202,32 @@ func (a *Agent) readLoop() {
 			if err := a.dp.ApplyFlowMod(fm); err != nil {
 				a.logf("agent %d: flow mod rejected: %v", a.DPID, err)
 			}
-		case TypePacketOut:
-			po, err := DecodePacketOut(raw)
-			if err != nil {
-				a.logf("agent %d: bad packet out: %v", a.DPID, err)
-				continue
-			}
-			a.dp.PacketOut(po)
 		case TypeStatsRequest:
-			st, err := DecodeStatsRequestType(raw)
-			if err != nil {
-				continue
-			}
-			switch st {
-			case StatsPort:
-				a.conn.Send(EncodePortStatsReply(h.XID, a.dp.PortStats()))
-			case StatsFlow:
-				a.conn.Send(EncodeFlowStatsReply(h.XID, a.dp.FlowStats()))
-			default:
-				a.logf("agent %d: unsupported stats type %d", a.DPID, st)
-			}
-			a.Stats.StatsReplies.Add(1)
-		default:
-			a.logf("agent %d: ignoring message type %d", a.DPID, h.Type)
+			a.answerStats(h.XID, raw)
 		}
 	}
+}
+
+// answerStats replies to a STATS_REQUEST, or answers an ERROR: BAD_LEN
+// for a request that does not decode, BAD_STAT for a type the switch
+// does not serve.
+func (a *Agent) answerStats(xid uint32, raw []byte) {
+	st, err := DecodeStatsRequestType(raw)
+	switch {
+	case err != nil:
+		a.logf("agent %d: %v", a.DPID, err)
+		a.conn.Send(encodeError(raw, errBadRequest, brcBadLen))
+		return
+	case st == StatsPort:
+		a.conn.Send(EncodePortStatsReply(xid, a.dp.PortStats()))
+	case st == StatsFlow:
+		a.conn.Send(EncodeFlowStatsReply(xid, a.dp.FlowStats()))
+	default:
+		a.logf("agent %d: unsupported stats type %d", a.DPID, st)
+		a.conn.Send(encodeError(raw, errBadRequest, brcBadStat))
+		return
+	}
+	a.Stats.StatsReplies.Add(1)
 }
 
 // String identifies the agent in logs.

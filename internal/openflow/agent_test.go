@@ -9,61 +9,65 @@ import (
 	"repro/internal/emu"
 )
 
-// fakeDP records what the agent applies.
+// fakeDP records what the agent applies and how often it is asked.
 type fakeDP struct {
 	mu       sync.Mutex
 	flowMods []FlowMod
-	pktOuts  []PacketOut
+	calls    int // every DataPlane call
 }
 
 func (f *fakeDP) ApplyFlowMod(fm FlowMod) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.flowMods = append(f.flowMods, fm)
+	f.calls++
 	return nil
 }
 
 func (f *fakeDP) PortStats() []PortStatsEntry {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.calls++
 	return []PortStatsEntry{{PortNo: 1, TxBytes: 1000, RxBytes: 2000}}
 }
 
 func (f *fakeDP) FlowStats() []FlowStatsEntry {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.calls++
 	return []FlowStatsEntry{{Priority: 7, ByteCount: 99}}
 }
 
-func (f *fakeDP) PacketOut(po PacketOut) {
+func (f *fakeDP) applied() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.pktOuts = append(f.pktOuts, po)
+	return len(f.flowMods)
 }
 
-func (f *fakeDP) counts() (int, int) {
+func (f *fakeDP) callCount() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.flowMods), len(f.pktOuts)
+	return f.calls
 }
 
-// ctl is a minimal hand-rolled controller side for tests.
+// ctl is a minimal hand-rolled controller side for tests: it keeps what
+// it reads in arrival order.
 type ctl struct {
 	conn *Conn
 	mu   sync.Mutex
-	msgs map[uint8][][]byte
+	msgs [][]byte
 }
 
 func newCtl(rw io.ReadWriteCloser) *ctl {
-	c := &ctl{conn: NewConn(rw), msgs: make(map[uint8][][]byte)}
+	c := &ctl{conn: NewConn(rw)}
 	go func() {
 		for {
 			raw, err := c.conn.Recv()
 			if err != nil {
 				return
 			}
-			h, err := DecodeHeader(raw)
-			if err != nil {
-				return
-			}
 			c.mu.Lock()
-			c.msgs[h.Type] = append(c.msgs[h.Type], raw)
+			c.msgs = append(c.msgs, raw)
 			c.mu.Unlock()
 		}
 	}()
@@ -73,17 +77,52 @@ func newCtl(rw io.ReadWriteCloser) *ctl {
 func (c *ctl) count(typ uint8) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.msgs[typ])
+	n := 0
+	for _, m := range c.msgs {
+		if m[1] == typ {
+			n++
+		}
+	}
+	return n
 }
 
 func (c *ctl) last(typ uint8) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := c.msgs[typ]
-	if len(m) == 0 {
-		return nil
+	for i := len(c.msgs) - 1; i >= 0; i-- {
+		if c.msgs[i][1] == typ {
+			return c.msgs[i]
+		}
 	}
-	return m[len(m)-1]
+	return nil
+}
+
+// types lists the types of everything read so far, in order.
+func (c *ctl) types() []uint8 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]uint8, len(c.msgs))
+	for i, m := range c.msgs {
+		out[i] = m[1]
+	}
+	return out
+}
+
+// handshake steps the agent to Ready: HELLO, FEATURES_REQUEST, and the
+// wait for its FEATURES_REPLY.
+func (c *ctl) handshake(t *testing.T) {
+	t.Helper()
+	n := c.count(TypeFeaturesReply)
+	c.conn.Send(EncodeHello(1))
+	c.conn.Send(EncodeFeaturesRequest(2))
+	waitCond(t, "FEATURES_REPLY", func() bool { return c.count(TypeFeaturesReply) > n })
+}
+
+// state reads the agent's end.
+func (a *Agent) state() State {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.end.State()
 }
 
 func waitCond(t *testing.T, what string, cond func() bool) {
@@ -122,17 +161,20 @@ func TestAgentHandshake(t *testing.T) {
 	if fr.DatapathID != 42 || len(fr.Ports) != 1 || fr.Ports[0].Name != "p1" {
 		t.Fatalf("features = %+v", fr)
 	}
-	waitCond(t, "agent ready", agent.Ready)
+	if st := agent.state(); st != StateReady {
+		t.Fatalf("agent in %v after FEATURES_REQUEST, want Ready", st)
+	}
 }
 
 func TestAgentAppliesFlowMod(t *testing.T) {
 	_, c, dp := startAgent(t)
+	c.handshake(t)
 	fm := FlowMod{
 		Match: TupleToExactMatch(sampleTuple()), Command: FCAdd,
 		Priority: 10, Actions: []Action{{Output: 1}},
 	}
 	c.conn.Send(EncodeFlowMod(3, fm))
-	waitCond(t, "flow mod applied", func() bool { n, _ := dp.counts(); return n == 1 })
+	waitCond(t, "flow mod applied", func() bool { return dp.applied() == 1 })
 	dp.mu.Lock()
 	got := dp.flowMods[0]
 	dp.mu.Unlock()
@@ -143,6 +185,7 @@ func TestAgentAppliesFlowMod(t *testing.T) {
 
 func TestAgentAnswersStats(t *testing.T) {
 	agent, c, _ := startAgent(t)
+	c.handshake(t)
 	c.conn.Send(EncodeStatsRequest(5, StatsPort))
 	waitCond(t, "port stats reply", func() bool { return c.count(TypeStatsReply) >= 1 })
 	entries, err := DecodePortStatsReply(c.last(TypeStatsReply))
@@ -168,6 +211,7 @@ func TestAgentAnswersStats(t *testing.T) {
 
 func TestAgentEchoAndBarrier(t *testing.T) {
 	agent, c, _ := startAgent(t)
+	c.handshake(t)
 	c.conn.Send(EncodeEcho(9, false, []byte("ping")))
 	waitCond(t, "echo reply", func() bool { return c.count(TypeEchoReply) == 1 })
 	if string(c.last(TypeEchoReply)[8:]) != "ping" {
@@ -182,6 +226,7 @@ func TestAgentEchoAndBarrier(t *testing.T) {
 
 func TestAgentSendsPacketIn(t *testing.T) {
 	agent, c, _ := startAgent(t)
+	c.handshake(t)
 	agent.SendPacketIn(7, []byte("frame"))
 	waitCond(t, "packet in", func() bool { return c.count(TypePacketIn) == 1 })
 	pi, err := DecodePacketIn(c.last(TypePacketIn))
@@ -196,21 +241,34 @@ func TestAgentSendsPacketIn(t *testing.T) {
 	}
 }
 
+// TestAgentPacketOut: the fluid data plane has no packet to send, so a
+// PACKET_OUT has no step in any state and is refused as a bad type.
 func TestAgentPacketOut(t *testing.T) {
 	_, c, dp := startAgent(t)
+	c.handshake(t)
 	c.conn.Send(EncodePacketOut(11, PacketOut{InPort: 1, Actions: []Action{{Output: 2}}, Data: []byte("f")}))
-	waitCond(t, "packet out", func() bool { _, n := dp.counts(); return n == 1 })
+	waitCond(t, "ERROR", func() bool { return c.count(TypeError) == 1 })
+	if typ, code, xid := parseError(t, c.last(TypeError)); typ != errBadRequest || code != brcBadType || xid != 11 {
+		t.Fatalf("ERROR type %d code %d xid %d, want BAD_REQUEST/BAD_TYPE for xid 11", typ, code, xid)
+	}
+	if n := dp.callCount(); n != 0 {
+		t.Fatalf("%d data plane calls for a PACKET_OUT", n)
+	}
 }
 
 func TestAgentIgnoresGarbageGracefully(t *testing.T) {
 	_, c, dp := startAgent(t)
-	// A vendor message (unsupported type): must be ignored, not fatal.
+	c.handshake(t)
+	// A vendor message (unsupported type): refused, not fatal.
 	b := make([]byte, 8)
 	putHeader(b, TypeVendor, 8, 1)
 	c.conn.Send(b)
 	// Then a valid flow mod still works.
 	c.conn.Send(EncodeFlowMod(3, FlowMod{Command: FCAdd, Actions: []Action{{Output: 1}}}))
-	waitCond(t, "flow mod after garbage", func() bool { n, _ := dp.counts(); return n == 1 })
+	waitCond(t, "flow mod after garbage", func() bool { return dp.applied() == 1 })
+	if n := c.count(TypeError); n != 1 {
+		t.Fatalf("%d ERRORs, want 1 for the vendor message", n)
+	}
 }
 
 func TestConnSendAfterClose(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package openflow implements the OpenFlow 1.0 wire protocol subset Horse
 // needs: HELLO / FEATURES / FLOW_MOD / PACKET_IN / PACKET_OUT / STATS
-// (port and flow) / ECHO / BARRIER, plus the switch-side agent that
-// bridges an emulated controller connection to the simulated data plane.
+// (port and flow) / ECHO / BARRIER / ERROR, the channel table each end
+// acts by (channel.go), and the switch-side agent that bridges an
+// emulated controller connection to the simulated data plane.
 //
 // Encodings follow the OpenFlow 1.0.0 specification (wire version 0x01):
 // the 8-byte header, the 40-byte ofp_match with wildcard bits, and the
@@ -453,8 +454,13 @@ func decodeActions(b []byte) ([]Action, error) {
 			if alen < 12 || binary.BigEndian.Uint32(b[4:8]) != vendorHorse {
 				return nil, fmt.Errorf("openflow: unknown vendor action")
 			}
+			// The encoder's layout: a non-empty group, its ports and at
+			// least two bytes of padding.
 			n := int(binary.BigEndian.Uint16(b[8:10]))
-			if 10+2*n > alen {
+			if n == 0 {
+				return nil, fmt.Errorf("openflow: empty select group")
+			}
+			if 12+2*n > alen {
 				return nil, fmt.Errorf("openflow: select group overflows action")
 			}
 			group := make([]core.PortID, n)
