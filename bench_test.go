@@ -37,7 +37,6 @@ import (
 	"repro/internal/openflow"
 	"repro/internal/sim"
 	"repro/internal/topo"
-	"repro/internal/traffic"
 )
 
 // benchConfig is the accelerated clock used throughout the benches.
@@ -132,7 +131,7 @@ func BenchmarkFig3Baseline(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					flows := baselineFlows(g, 42)
+					flows := baseline.PermutationFlows(g, 42)
 					// The emulator runs 1:1 with the wall clock for the
 					// experiment's virtual duration, scaled by the same
 					// pacing factor the Horse benches use, keeping the
@@ -147,23 +146,6 @@ func BenchmarkFig3Baseline(b *testing.B) {
 			}
 		})
 	}
-}
-
-// baselineFlows builds the demo's permutation workload for the emulator.
-func baselineFlows(g *topo.Graph, seed int64) []baseline.FlowSpec {
-	hosts := g.Hosts()
-	specs := traffic.Permutation(seed, 1*core.Gbps, 0, 0)(len(hosts))
-	out := make([]baseline.FlowSpec, 0, len(specs))
-	for _, s := range specs {
-		src := hosts[s.SrcHost]
-		dst := hosts[s.DstHost]
-		out = append(out, baseline.FlowSpec{
-			Tuple: core.FiveTuple{Src: src.IP, Dst: dst.IP, Proto: s.Proto,
-				SrcPort: s.SrcPort, DstPort: s.DstPort},
-			Src: src.ID, Dst: dst.ID, Rate: s.Rate,
-		})
-	}
-	return out
 }
 
 // BenchmarkTopoCreate measures topology creation time — the first number
@@ -327,7 +309,6 @@ func (d *countingDataPlane) ApplyFlowMod(openflow.FlowMod) error {
 	}
 	return nil
 }
-func (*countingDataPlane) PortStats() []openflow.PortStatsEntry { return nil }
 func (*countingDataPlane) FlowStats() []openflow.FlowStatsEntry { return nil }
 
 // timerClock gives the controller a clock without a simulation engine.

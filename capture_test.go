@@ -190,3 +190,66 @@ func TestCapturePackedFlushOnWire(t *testing.T) {
 		t.Errorf("max per-window UPDATE burst = %d, want <= 3 (attr-group bound; per-prefix would be ~%d)", burst, table)
 	}
 }
+
+// TestAppsSpeakOnlyWhatTheSwitchServes pins the OpenFlow the controller
+// apps send to what the switch serves — ADD and DELETE_STRICT of entries
+// that never expire, and FLOW stats requests — since the switch answers
+// anything else with an OFPT_ERROR. Each app runs on fattree:4 with
+// capture on: reactive; Hedera through one 5 s poll; ECMP through a host
+// cable down and up, whose repair strictly deletes the host's rule on
+// every switch and adds it back. No trace may hold an ERROR, and every
+// FLOW_MOD on the wire must reach the data plane.
+func TestAppsSpeakOnlyWhatTheSwitchServes(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		app      App
+		dur      Time
+		flap     bool
+		flowMods int // 0: any but none
+	}{
+		{"reactive", AppReactive(), 3 * Second, false, 0},
+		{"hedera", AppHedera(5 * Second), 6 * Second, false, 0},
+		// 20 switches × 16 hosts installed, then 20 DELETE_STRICTs for
+		// host-0-0-0 when its cable goes down and 20 ADDs when it is back.
+		{"ecmp5", AppECMP5(), 6 * Second, true, 20*16 + 2*20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			topo, err := FatTree(4, SDN())
+			if err != nil {
+				t.Fatal(err)
+			}
+			exp := NewExperiment(testConfig())
+			exp.SetTopology(topo)
+			exp.CaptureTo(t.TempDir())
+			exp.UseSDN(tc.app)
+			if err := exp.SendPermutation(1, 1*Gbps, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			if tc.flap {
+				if err := exp.At(2*Second).LinkDown("host-0-0-0", "edge-0-0"); err != nil {
+					t.Fatal(err)
+				}
+				if err := exp.At(4*Second).LinkUp("host-0-0-0", "edge-0-0"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := exp.Run(tc.dur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, _ := validateCapture(t, res.CaptureFiles)
+			if sum.Errors != 0 || sum.Refused != 0 {
+				t.Errorf("trace holds %d OpenFlow ERRORs and %d refused messages, want none:\n%s", sum.Errors, sum.Refused, sum)
+			}
+			if uint64(sum.FlowMods) != res.FlowModsApplied {
+				t.Errorf("%d FLOW_MODs on the wire, %d applied", sum.FlowMods, res.FlowModsApplied)
+			}
+			if sum.FlowMods == 0 || tc.flowMods != 0 && sum.FlowMods != tc.flowMods {
+				t.Errorf("%d FLOW_MODs on the wire, want %d", sum.FlowMods, tc.flowMods)
+			}
+			if tc.name == "hedera" && res.StatsQueries == 0 {
+				t.Error("Hedera sent no STATS_REQUEST")
+			}
+		})
+	}
+}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/topo"
-	"repro/internal/traffic"
 )
 
 // teScenarios is the demonstration suite: the paper's three
@@ -229,7 +228,7 @@ func runBaselineSuite(k int, dur time.Duration, pacing float64, seed int64, fail
 				baseline.Injection{At: failAt, Link: cable, Down: true},
 				baseline.Injection{At: healAt, Link: cable, Down: false})
 		}
-		st := em.Run(flowsFor(g, seed), wallDur, injs...)
+		st := em.Run(baseline.PermutationFlows(g, seed), wallDur, injs...)
 		em.Close()
 		exec += em.SetupTime + st.Wall
 		repairNote := ""
@@ -264,20 +263,4 @@ func failCable(g *topo.Graph) (core.LinkID, error) {
 		return 0, fmt.Errorf("no cable between %s and %s", failFrom, failTo)
 	}
 	return l.ID, nil
-}
-
-func flowsFor(g *topo.Graph, seed int64) []baseline.FlowSpec {
-	hosts := g.Hosts()
-	specs := traffic.Permutation(seed, 1*core.Gbps, 0, 0)(len(hosts))
-	out := make([]baseline.FlowSpec, 0, len(specs))
-	for _, s := range specs {
-		src := hosts[s.SrcHost]
-		dst := hosts[s.DstHost]
-		out = append(out, baseline.FlowSpec{
-			Tuple: core.FiveTuple{Src: src.IP, Dst: dst.IP, Proto: s.Proto,
-				SrcPort: s.SrcPort, DstPort: s.DstPort},
-			Src: src.ID, Dst: dst.ID, Rate: s.Rate,
-		})
-	}
-	return out
 }

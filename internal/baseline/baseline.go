@@ -26,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/topo"
+	"repro/internal/traffic"
 )
 
 // Config tunes the emulator.
@@ -252,6 +253,25 @@ type FlowSpec struct {
 	Src   core.NodeID
 	Dst   core.NodeID
 	Rate  core.Rate
+}
+
+// PermutationFlows is the demo's workload for the emulator: the seeded
+// random permutation traffic.Permutation draws over g's hosts, each flow
+// at 1 Gbps.
+func PermutationFlows(g *topo.Graph, seed int64) []FlowSpec {
+	hosts := g.Hosts()
+	specs := traffic.Permutation(seed, 1*core.Gbps, 0, 0)(len(hosts))
+	out := make([]FlowSpec, 0, len(specs))
+	for _, s := range specs {
+		src := hosts[s.SrcHost]
+		dst := hosts[s.DstHost]
+		out = append(out, FlowSpec{
+			Tuple: core.FiveTuple{Src: src.IP, Dst: dst.IP, Proto: s.Proto,
+				SrcPort: s.SrcPort, DstPort: s.DstPort},
+			Src: src.ID, Dst: dst.ID, Rate: s.Rate,
+		})
+	}
+	return out
 }
 
 // Injection schedules a cable state change At into a Run — the baseline

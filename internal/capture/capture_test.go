@@ -2,6 +2,7 @@ package capture
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -306,7 +307,8 @@ func TestOpenFlowDecode(t *testing.T) {
 // replayed through its receiving end's channel table, and a message that
 // table has no step for is marked and counted — a PACKET_IN the
 // controller gets before FEATURES_REPLY, a PACKET_OUT the switch never
-// takes — while the handshake and what follows it are not.
+// takes — while the handshake and what follows it are not. The switch's
+// ERROR answering the PACKET_OUT is counted as an error, not refused.
 func TestRefusedOpenFlowCounted(t *testing.T) {
 	c, err := New(t.TempDir())
 	if err != nil {
@@ -332,6 +334,7 @@ func TestRefusedOpenFlowCounted(t *testing.T) {
 		{AtoB, packetIn, false},
 		{BtoA, openflow.EncodeFlowMod(4, openflow.FlowMod{Actions: []openflow.Action{{Output: 1}}}), false},
 		{BtoA, openflow.EncodePacketOut(5, openflow.PacketOut{InPort: 1}), true},
+		{AtoB, ofError(5), false},
 	}
 	for i, st := range steps {
 		sess.Data(st.dir, st.msg, core.Time(i+1)*core.Millisecond)
@@ -359,9 +362,23 @@ func TestRefusedOpenFlowCounted(t *testing.T) {
 	if sum.Refused != 2 || sum.Sessions[0].Refused != 2 {
 		t.Fatalf("summary refused %d (session: %d), want 2", sum.Refused, sum.Sessions[0].Refused)
 	}
-	if !strings.Contains(sum.String(), "1 flow-mods, 2 refused\n") {
-		t.Errorf("summary does not print the refused count:\n%s", sum)
+	if sum.Errors != 1 || sum.Sessions[0].Errors != 1 {
+		t.Fatalf("summary errors %d (session: %d), want 1", sum.Errors, sum.Sessions[0].Errors)
 	}
+	if !strings.Contains(sum.String(), "1 flow-mods, 2 refused, 1 errors\n") {
+		t.Errorf("summary does not print the refused and error counts:\n%s", sum)
+	}
+}
+
+// ofError is an OFPT_ERROR (BAD_REQUEST/BAD_TYPE) answering xid.
+func ofError(xid uint32) []byte {
+	b := make([]byte, 12)
+	b[0], b[1] = openflow.Version10, openflow.TypeError
+	binary.BigEndian.PutUint16(b[2:4], uint16(len(b)))
+	binary.BigEndian.PutUint32(b[4:8], xid)
+	binary.BigEndian.PutUint16(b[8:10], 1)
+	binary.BigEndian.PutUint16(b[10:12], 1)
+	return b
 }
 
 // TestTimestampClampMonotone: a delivery handed over out of order can

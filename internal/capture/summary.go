@@ -32,11 +32,15 @@ type SessionSummary struct {
 	// Refused counts the OpenFlow messages the receiving end's channel
 	// table has no step for (see Message.Refused).
 	Refused int
+	// Errors counts OFPT_ERRORs: an end's answer to what it refused or
+	// does not serve.
+	Errors int
 }
 
 // Summary aggregates the control plane conversation recorded across one
 // or more traces: message mix, the UPDATE rate over the captured window,
-// refused OpenFlow messages, and first/last-message times per session.
+// refused OpenFlow messages and ERRORs, and first/last-message times per
+// session.
 type Summary struct {
 	Sessions []SessionSummary
 
@@ -54,6 +58,8 @@ type Summary struct {
 	// Refused counts the OpenFlow messages with no step in their
 	// receiving end's channel table.
 	Refused int
+	// Errors counts OFPT_ERRORs.
+	Errors int
 
 	// First and Last bound the decoded messages across all sessions.
 	First, Last core.Time
@@ -86,8 +92,11 @@ func Summarize(traces ...*Trace) (*Summary, error) {
 			if m.Withdrawn > 0 {
 				ss.Withdraws++
 			}
-			if m.Type == "FLOW_MOD" {
+			switch m.Type {
+			case "FLOW_MOD":
 				ss.FlowMods++
+			case "ERROR":
+				ss.Errors++
 			}
 			ss.AnnouncedPrefixes += m.Announced
 			ss.WithdrawnPrefixes += m.Withdrawn
@@ -114,6 +123,7 @@ func Summarize(traces ...*Trace) (*Summary, error) {
 			s.WithdrawnPrefixes += ss.WithdrawnPrefixes
 			s.StrayWithdrawn += ss.StrayWithdrawn
 			s.Refused += ss.Refused
+			s.Errors += ss.Errors
 			s.Sessions = append(s.Sessions, *ss)
 		}
 	}
@@ -181,15 +191,18 @@ func MaxUpdateBurst(msgs []Message, window core.Time) int {
 // String renders the summary, one session per line.
 func (s *Summary) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d messages in [%v, %v]: %d updates (%.1f/s, %d prefixes, %.1f/msg), %d withdraws (%d prefixes, %d stray), %d flow-mods, %d refused\n",
+	fmt.Fprintf(&b, "%d messages in [%v, %v]: %d updates (%.1f/s, %d prefixes, %.1f/msg), %d withdraws (%d prefixes, %d stray), %d flow-mods, %d refused, %d errors\n",
 		s.Messages, s.First, s.Last,
 		s.Updates, s.UpdatesPerSec(), s.AnnouncedPrefixes, s.PackingFactor(),
 		s.Withdraws, s.WithdrawnPrefixes, s.StrayWithdrawn,
-		s.FlowMods, s.Refused)
+		s.FlowMods, s.Refused, s.Errors)
 	for _, ss := range s.Sessions {
 		fmt.Fprintf(&b, "  %-40s %4d msgs  first=%v last=%v", ss.Name, ss.Messages, ss.First, ss.Last)
 		if ss.Refused > 0 {
 			fmt.Fprintf(&b, "  %d refused", ss.Refused)
+		}
+		if ss.Errors > 0 {
+			fmt.Fprintf(&b, "  %d errors", ss.Errors)
 		}
 		b.WriteByte('\n')
 	}

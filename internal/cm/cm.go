@@ -591,8 +591,6 @@ func (m *Manager) WireSDN(app controller.App) error {
 			return err
 		}
 	}
-	// Flow entry expiry sweep, once per virtual second.
-	m.Engine.PostData(func() { m.expireLoop() })
 	return nil
 }
 
@@ -605,13 +603,6 @@ func mgmtIP(host uint32) netip.Addr {
 // mgmtMAC synthesizes a management-network MAC for capture framing.
 func mgmtMAC(v uint64) core.MAC {
 	return core.MACFromUint64(0x0F_0000_0000 | v)
-}
-
-func (m *Manager) expireLoop() {
-	m.Engine.After(core.Second, func() {
-		m.Net.ExpireFlowEntries(m.Engine.Now())
-		m.expireLoop()
-	})
 }
 
 // ---------------------------------------------------------------------------
@@ -779,24 +770,6 @@ func (d *dataPlane) ApplyFlowMod(fm openflow.FlowMod) error {
 	return nil
 }
 
-// PortStats implements openflow.DataPlane.
-func (d *dataPlane) PortStats() []openflow.PortStatsEntry {
-	d.m.Stats.StatsQueries.Add(1)
-	entries, _ := sim.Call(d.m.Engine, true, func() []openflow.PortStatsEntry {
-		stats := d.m.Net.PortStatsOf(d.node, d.m.Engine.Now())
-		out := make([]openflow.PortStatsEntry, 0, len(stats))
-		for _, s := range stats {
-			out = append(out, openflow.PortStatsEntry{
-				PortNo:  uint16(s.Port),
-				TxBytes: s.TxBytes,
-				RxBytes: s.RxBytes,
-			})
-		}
-		return out
-	})
-	return entries
-}
-
 // FlowStats implements openflow.DataPlane.
 func (d *dataPlane) FlowStats() []openflow.FlowStatsEntry {
 	d.m.Stats.StatsQueries.Add(1)
@@ -817,16 +790,13 @@ func (d *dataPlane) FlowStats() []openflow.FlowStatsEntry {
 	return entries
 }
 
-// translateFlowMod converts a wire FLOW_MOD into the data plane form.
+// translateFlowMod converts a wire FLOW_MOD into the data plane form. The
+// agent hands over only the two commands the switch serves.
 func translateFlowMod(fm openflow.FlowMod) (netmodel.FlowMod, error) {
 	var kind netmodel.FlowModKind
 	switch fm.Command {
 	case openflow.FCAdd:
 		kind = netmodel.FlowModAdd
-	case openflow.FCModify, openflow.FCModifyStrict:
-		kind = netmodel.FlowModModify
-	case openflow.FCDelete:
-		kind = netmodel.FlowModDelete
 	case openflow.FCDeleteStrict:
 		kind = netmodel.FlowModDeleteStrict
 	default:
@@ -846,12 +816,9 @@ func translateFlowMod(fm openflow.FlowMod) (netmodel.FlowMod, error) {
 	return netmodel.FlowMod{
 		Kind: kind,
 		Entry: flowtable.Entry{
-			Priority:    fm.Priority,
-			Match:       fm.Match.ToTable(),
-			Actions:     actions,
-			Cookie:      fm.Cookie,
-			IdleTimeout: core.Time(fm.IdleTimeout) * core.Second,
-			HardTimeout: core.Time(fm.HardTimeout) * core.Second,
+			Priority: fm.Priority,
+			Match:    fm.Match.ToTable(),
+			Actions:  actions,
 		},
 	}, nil
 }

@@ -82,10 +82,8 @@ func TestWireSDNRequiresSwitches(t *testing.T) {
 
 func TestTranslateFlowMod(t *testing.T) {
 	fm := openflow.FlowMod{
-		Command:     openflow.FCAdd,
-		Priority:    10,
-		IdleTimeout: 5,
-		HardTimeout: 60,
+		Command:  openflow.FCAdd,
+		Priority: 10,
 		Actions: []openflow.Action{
 			{Output: 3},
 			{ToCtrl: true},
@@ -96,11 +94,8 @@ func TestTranslateFlowMod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mod.Kind != netmodel.FlowModAdd {
-		t.Fatalf("kind = %v", mod.Kind)
-	}
-	if mod.Entry.IdleTimeout != 5*core.Second || mod.Entry.HardTimeout != 60*core.Second {
-		t.Fatalf("timeouts = %v/%v", mod.Entry.IdleTimeout, mod.Entry.HardTimeout)
+	if mod.Kind != netmodel.FlowModAdd || mod.Entry.Priority != 10 {
+		t.Fatalf("kind %v, priority %d", mod.Kind, mod.Entry.Priority)
 	}
 	if len(mod.Entry.Actions) != 3 ||
 		mod.Entry.Actions[0].Type != flowtable.ActionOutput ||
@@ -108,19 +103,13 @@ func TestTranslateFlowMod(t *testing.T) {
 		mod.Entry.Actions[2].Type != flowtable.ActionSelectGroup {
 		t.Fatalf("actions = %+v", mod.Entry.Actions)
 	}
-	for cmd, want := range map[uint16]netmodel.FlowModKind{
-		openflow.FCModify:       netmodel.FlowModModify,
-		openflow.FCModifyStrict: netmodel.FlowModModify,
-		openflow.FCDelete:       netmodel.FlowModDelete,
-		openflow.FCDeleteStrict: netmodel.FlowModDeleteStrict,
-	} {
-		m, err := translateFlowMod(openflow.FlowMod{Command: cmd})
-		if err != nil || m.Kind != want {
-			t.Fatalf("command %d -> %v, %v", cmd, m.Kind, err)
-		}
+	if m, err := translateFlowMod(openflow.FlowMod{Command: openflow.FCDeleteStrict}); err != nil || m.Kind != netmodel.FlowModDeleteStrict {
+		t.Fatalf("DELETE_STRICT -> %v, %v", m.Kind, err)
 	}
-	if _, err := translateFlowMod(openflow.FlowMod{Command: 99}); err == nil {
-		t.Fatal("unknown command accepted")
+	for _, cmd := range []uint16{openflow.FCModify, openflow.FCModifyStrict, openflow.FCDelete, 99} {
+		if _, err := translateFlowMod(openflow.FlowMod{Command: cmd}); err == nil {
+			t.Fatalf("command %d accepted", cmd)
+		}
 	}
 }
 
@@ -173,6 +162,9 @@ func TestWireSDNHandshakesAllSwitches(t *testing.T) {
 	if err := m.WireSDN(&controller.ECMPApp{}); err != nil {
 		t.Fatal(err)
 	}
+	// The run's end: an SDN wiring schedules nothing of its own, and an
+	// empty queue would be waited on for MaxIdleWall.
+	engine.Schedule(10*core.Second, func() {})
 	engine.Run(10 * core.Second)
 	if got := m.Controller().ReadyCount(); got != len(g.Switches()) {
 		t.Fatalf("ready switches = %d, want %d", got, len(g.Switches()))
@@ -272,6 +264,7 @@ func TestStopLeavesNoGoroutine(t *testing.T) {
 			if wired := runtime.NumGoroutine(); wired <= before {
 				t.Fatalf("wiring started no goroutine (%d -> %d)", before, wired)
 			}
+			engine.Schedule(core.Second, func() {}) // the run's end: SDN schedules nothing
 			engine.Run(core.Second)
 			m.Stop()
 			deadline := time.Now().Add(5 * time.Second)

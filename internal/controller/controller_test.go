@@ -82,18 +82,13 @@ func (d *tableDP) ApplyFlowMod(fm openflow.FlowMod) error {
 			actions = append(actions, flowtable.Action{Type: flowtable.ActionOutput, Port: core.PortID(a.Output)})
 		}
 	}
-	switch fm.Command {
-	case openflow.FCDelete:
-		d.table.Delete(fm.Match.ToTable())
-	case openflow.FCDeleteStrict:
+	if fm.Command == openflow.FCDeleteStrict {
 		d.table.DeleteStrict(fm.Match.ToTable(), fm.Priority)
-	default:
+	} else {
 		d.table.Add(flowtable.Entry{Priority: fm.Priority, Match: fm.Match.ToTable(), Actions: actions}, 0)
 	}
 	return nil
 }
-
-func (d *tableDP) PortStats() []openflow.PortStatsEntry { return nil }
 
 func (d *tableDP) FlowStats() []openflow.FlowStatsEntry {
 	d.mu.Lock()

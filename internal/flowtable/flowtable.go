@@ -1,7 +1,8 @@
 // Package flowtable implements the match/action table of simulated
 // OpenFlow switches: priority-ordered wildcard matching over the IPv4
-// five-tuple plus ingress port, with OpenFlow 1.0 add/modify/delete
-// semantics, idle/hard timeouts and per-entry byte/packet counters.
+// five-tuple plus ingress port. It serves what the controller apps send:
+// OpenFlow 1.0 ADD and DELETE_STRICT of entries that never expire; the
+// switch agent (internal/openflow) refuses every other command.
 //
 // The emulated SDN controller programs these tables with real FLOW_MOD
 // messages decoded by the switch agent (internal/openflow) and applied via
@@ -69,43 +70,6 @@ func DstPrefixMatch(p netip.Prefix) Match {
 	return Match{DstBits: p.Bits(), Dst: p.Masked().Addr()}
 }
 
-func prefixEq(a netip.Addr, b netip.Addr, bits int) bool {
-	if bits == 0 {
-		return true
-	}
-	if !a.Is4() || !b.Is4() {
-		return false
-	}
-	av := core.IPv4ToUint32(a)
-	bv := core.IPv4ToUint32(b)
-	shift := 32 - bits
-	return av>>shift == bv>>shift
-}
-
-// Covers reports whether m's match set is a superset of o's: every packet
-// o matches, m matches too. Used for OpenFlow non-strict delete.
-func (m Match) Covers(o Match) bool {
-	if m.HasInPort && (!o.HasInPort || m.InPort != o.InPort) {
-		return false
-	}
-	if m.HasProto && (!o.HasProto || m.Proto != o.Proto) {
-		return false
-	}
-	if m.SrcBits > o.SrcBits || (m.SrcBits > 0 && !prefixEq(m.Src, o.Src, m.SrcBits)) {
-		return false
-	}
-	if m.DstBits > o.DstBits || (m.DstBits > 0 && !prefixEq(m.Dst, o.Dst, m.DstBits)) {
-		return false
-	}
-	if m.HasTpSrc && (!o.HasTpSrc || m.TpSrc != o.TpSrc) {
-		return false
-	}
-	if m.HasTpDst && (!o.HasTpDst || m.TpDst != o.TpDst) {
-		return false
-	}
-	return true
-}
-
 // Equal reports field-wise equality (strict OpenFlow semantics).
 func (m Match) Equal(o Match) bool { return m == o }
 
@@ -143,8 +107,6 @@ const (
 	ActionOutput ActionType = iota
 	// ActionController punts the flow to the controller (PACKET_IN).
 	ActionController
-	// ActionDrop discards the flow.
-	ActionDrop
 	// ActionSelectGroup hashes the five-tuple over a port group
 	// (OpenFlow 1.3-style select group; Horse's SDN ECMP uses this for
 	// proactive 5-tuple hashing).
@@ -164,8 +126,6 @@ func (a Action) String() string {
 		return fmt.Sprintf("output:%v", a.Port)
 	case ActionController:
 		return "controller"
-	case ActionDrop:
-		return "drop"
 	case ActionSelectGroup:
 		return fmt.Sprintf("group:%v", a.Group)
 	default:
@@ -173,42 +133,25 @@ func (a Action) String() string {
 	}
 }
 
-// Entry is one flow table entry.
+// Entry is one flow table entry. An entry with no actions drops what it
+// matches. Entries never expire, and the table keeps no counters: flow
+// statistics are the bytes of the flows an entry forwards (netmodel).
 type Entry struct {
-	Priority uint16
-	Match    Match
-	Actions  []Action
-	Cookie   uint64
-
-	IdleTimeout core.Time // 0 = no idle expiry
-	HardTimeout core.Time // 0 = no hard expiry
+	Priority    uint16
+	Match       Match
+	Actions     []Action
 	InstalledAt core.Time
-	LastUsed    core.Time
-
-	Packets uint64
-	Bytes   uint64
 
 	seq  uint64 // insertion order tiebreak
 	next *Entry // the table's index chain, see band
-}
-
-// Expired reports whether the entry has timed out at virtual time now.
-func (e *Entry) Expired(now core.Time) bool {
-	if e.HardTimeout > 0 && now-e.InstalledAt >= e.HardTimeout {
-		return true
-	}
-	if e.IdleTimeout > 0 && now-e.LastUsed >= e.IdleTimeout {
-		return true
-	}
-	return false
 }
 
 // Table is a single OpenFlow-style flow table. Not safe for concurrent
 // use; all access happens on the simulation engine goroutine.
 type Table struct {
 	// entries is the table in match order: priority descending, then
-	// insertion order. Entries, String, flow statistics and the
-	// non-strict, prune and expiry filters walk it.
+	// insertion order. Entries, String, flow statistics and PrunePort
+	// walk it.
 	entries []*Entry
 	seq     uint64
 
@@ -244,7 +187,7 @@ type key struct {
 	tpSrc, tpDst uint16
 	proto        core.Proto
 	// unmatchable marks a match that compares a non-IPv4 address, which
-	// no packet satisfies (see prefixEq): it is indexed for the strict
+	// no packet satisfies (see maskAddr): it is indexed for the strict
 	// probes under a key no packet produces.
 	unmatchable bool
 }
@@ -282,8 +225,8 @@ func (s shape) matchKey(m Match) key {
 	return k
 }
 
-// maskAddr keeps the leading bits of an IPv4 address, as prefixEq
-// compares them.
+// maskAddr keeps the leading bits of an IPv4 address; ok is false for
+// an address that is not IPv4, which no match of bits > 0 selects.
 func maskAddr(a netip.Addr, bits int) (uint32, bool) {
 	if bits == 0 {
 		return 0, true
@@ -375,10 +318,9 @@ func (t *Table) unindex(e *Entry) {
 }
 
 // Add installs e at virtual time now. Per OpenFlow ADD semantics an entry
-// with identical match and priority is replaced (counters reset).
+// with identical match and priority is replaced (its install time reset).
 func (t *Table) Add(e Entry, now core.Time) {
 	e.InstalledAt = now
-	e.LastUsed = now
 	s := shapeOf(e.Priority, e.Match)
 	k := s.matchKey(e.Match)
 	i, ok := t.bandOf(s)
@@ -408,24 +350,6 @@ func (t *Table) Add(e Entry, now core.Time) {
 	t.entries[at] = &e
 }
 
-// Modify updates the actions of all entries covered by match (non-strict
-// OpenFlow MODIFY), preserving counters. It reports how many entries were
-// changed; if none and addIfAbsent is set, the entry is added.
-func (t *Table) Modify(e Entry, now core.Time, addIfAbsent bool) int {
-	n := 0
-	for _, old := range t.entries {
-		if e.Match.Covers(old.Match) {
-			old.Actions = e.Actions
-			old.Cookie = e.Cookie
-			n++
-		}
-	}
-	if n == 0 && addIfAbsent {
-		t.Add(e, now)
-	}
-	return n
-}
-
 // DeleteStrict removes the entry with exactly this match and priority.
 func (t *Table) DeleteStrict(m Match, priority uint16) []*Entry {
 	e := t.find(m, priority)
@@ -452,11 +376,6 @@ func (t *Table) removeIf(drop func(*Entry) bool) []*Entry {
 	}
 	t.entries = kept
 	return removed
-}
-
-// Delete removes all entries covered by m (non-strict semantics).
-func (t *Table) Delete(m Match) []*Entry {
-	return t.removeIf(func(e *Entry) bool { return m.Covers(e.Match) })
 }
 
 // Lookup returns the highest-priority entry matching the five-tuple on
@@ -498,11 +417,6 @@ func (t *Table) PrunePort(port core.PortID) []*Entry {
 	})
 }
 
-// ExpireDue removes and returns all entries expired at now.
-func (t *Table) ExpireDue(now core.Time) []*Entry {
-	return t.removeIf(func(e *Entry) bool { return e.Expired(now) })
-}
-
 // Entries returns the entries in match order (priority desc, then
 // insertion order). The returned slice is the table's own; callers must
 // not mutate it.
@@ -516,7 +430,7 @@ func (t *Table) String() string {
 		for _, a := range e.Actions {
 			fmt.Fprintf(&b, " %v", a)
 		}
-		fmt.Fprintf(&b, " (bytes=%d)\n", e.Bytes)
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -457,7 +457,6 @@ type Set struct {
 	lID       []core.LinkID
 	lCap      []core.Rate
 	lLoad     []core.Rate // sum of granted rates of member flows
-	lBytes    []uint64    // delivered bytes (the former linkB map)
 	lVisit    []uint64    // component-walk epoch
 	lSeeded   []uint64    // dirty-seed epoch
 	lCapGen   []uint64    // seedGen of the last SetCapacity: never passive in that solve
@@ -605,7 +604,6 @@ func (s *Set) linkHandle(id core.LinkID) int32 {
 	s.lID = append(s.lID, id)
 	s.lCap = append(s.lCap, s.capOf(id))
 	s.lLoad = append(s.lLoad, 0)
-	s.lBytes = append(s.lBytes, 0)
 	s.lVisit = append(s.lVisit, 0)
 	s.lSeeded = append(s.lSeeded, 0)
 	s.lCapGen = append(s.lCapGen, 0)
@@ -913,9 +911,10 @@ func (s *Set) Capacity(id core.LinkID) core.Rate {
 	return s.capOf(id)
 }
 
-// Integrate accrues delivered bytes at the current rates up to now.
-// It must be called before any rate-affecting mutation. The clock never
-// runs backwards: a now at or before the last integration is a no-op.
+// Integrate accrues each active flow's delivered bytes at its current rate
+// up to now. It must be called before any rate-affecting mutation. The
+// clock never runs backwards: a now at or before the last integration is
+// a no-op.
 func (s *Set) Integrate(now core.Time) {
 	dt := now - s.lastAt
 	if dt <= 0 {
@@ -925,12 +924,7 @@ func (s *Set) Integrate(now core.Time) {
 		if s.fState[fh] != Active || s.fRate[fh] <= 0 {
 			continue
 		}
-		bytes := s.fRate[fh].BytesIn(dt)
-		s.fBytes[fh] += bytes
-		pb := s.fPath[fh]
-		for i := int32(0); i < pb.n; i++ {
-			s.lBytes[s.paths.a[pb.off+i]] += bytes
-		}
+		s.fBytes[fh] += s.fRate[fh].BytesIn(dt)
 	}
 	s.lastAt = now
 }
@@ -1462,15 +1456,6 @@ func (s *Set) RxRateByDst(out map[core.NodeID]core.Rate) map[core.NodeID]core.Ra
 func (s *Set) LinkRate(l core.LinkID) core.Rate {
 	if lh, ok := s.byLink[l]; ok {
 		return s.lLoad[lh]
-	}
-	return 0
-}
-
-// LinkBytes reports the bytes delivered over a directed link so far
-// (integrate first to bring the figure up to now).
-func (s *Set) LinkBytes(l core.LinkID) uint64 {
-	if lh, ok := s.byLink[l]; ok {
-		return s.lBytes[lh]
 	}
 	return 0
 }

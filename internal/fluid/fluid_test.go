@@ -165,9 +165,6 @@ func TestByteIntegration(t *testing.T) {
 	if got := bytesOf(s, 1); got != 250_000_000 {
 		t.Fatalf("bytes = %d, want 250000000", got)
 	}
-	if s.LinkBytes(0) != 250_000_000 || s.LinkBytes(1) != 250_000_000 {
-		t.Fatalf("link bytes = %d/%d", s.LinkBytes(0), s.LinkBytes(1))
-	}
 	// Integration is idempotent at the same timestamp.
 	s.Integrate(2 * core.Second)
 	if got := bytesOf(s, 1); got != 250_000_000 {
@@ -187,9 +184,6 @@ func TestIntegrateNeverRewinds(t *testing.T) {
 	// 1 Gbps for 10 ms = 1.25 MB, once.
 	if got := bytesOf(s, 1); got != 1_250_000 {
 		t.Fatalf("flow bytes = %d, want 1250000", got)
-	}
-	if s.LinkBytes(0) != 1_250_000 || s.LinkBytes(1) != 1_250_000 {
-		t.Fatalf("link bytes = %d/%d, want 1250000 each", s.LinkBytes(0), s.LinkBytes(1))
 	}
 	// A mutation stamped in the past integrates nothing and rewinds nothing.
 	s.Add(mkFlow(2, 1*core.Gbps, 2), 2*core.Millisecond)
@@ -581,8 +575,8 @@ func TestIntegrateAcrossRemoveMidInterval(t *testing.T) {
 	if !ok {
 		t.Fatal("Remove(1) missing")
 	}
-	// f1 existed 1s @ 500 Mbps = 62.5 MB on links 0 and 1; the final
-	// snapshot is the last chance to read its byte count.
+	// f1 existed 1s @ 500 Mbps = 62.5 MB; the final snapshot is the last
+	// chance to read its byte count.
 	if final.Bytes != 62_500_000 {
 		t.Fatalf("removed flow bytes = %d, want 62500000", final.Bytes)
 	}
@@ -593,13 +587,6 @@ func TestIntegrateAcrossRemoveMidInterval(t *testing.T) {
 	// f2: 1s @ 500 Mbps + 2s @ 1 Gbps = 62.5 MB + 250 MB.
 	if got := bytesOf(s, 2); got != 312_500_000 {
 		t.Fatalf("survivor bytes = %d, want 312500000", got)
-	}
-	// Link 0 carried both; link 1 only f1 before its removal.
-	if got := s.LinkBytes(0); got != 375_000_000 {
-		t.Fatalf("link 0 bytes = %d, want 375000000", got)
-	}
-	if got := s.LinkBytes(1); got != 62_500_000 {
-		t.Fatalf("link 1 bytes = %d, want 62500000", got)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package netmodel glues the simulated data plane together: it owns the
 // per-node forwarding state (router FIBs, OpenFlow tables), routes fluid
-// flows across the topology, maintains port counters, and punts
+// flows across the topology, answers flow statistics, and punts
 // table-misses to the emulated controller as PACKET_IN events.
 //
 // It corresponds to the "Simulated Data Plane" box of the paper's Figure 2
@@ -119,7 +119,7 @@ func (n *Network) Table(id core.NodeID) *flowtable.Table { return n.tables[id] }
 // State are filled in before it is copied into the flow set (route walks
 // into the network's scratch buffer, so the spec gets its own copy).
 func (n *Network) StartFlow(f *fluid.Flow, now core.Time) {
-	path, status := n.route(f.Src, f.Tuple, now, true)
+	path, status := n.route(f.Src, f.Tuple, true)
 	switch status {
 	case routeOK:
 		f.Path = append([]core.LinkID(nil), path...)
@@ -155,8 +155,8 @@ const (
 // the next route call, and callers that retain it must copy (StartFlow
 // does; the reroute pass hands it straight to SetPath, which copies into
 // the flow store).
-func (n *Network) route(src core.NodeID, ft core.FiveTuple, now core.Time, punt bool) ([]core.LinkID, routeStatus) {
-	path, status := n.walkRoute(n.pathBuf[:0], src, ft, now, punt)
+func (n *Network) route(src core.NodeID, ft core.FiveTuple, punt bool) ([]core.LinkID, routeStatus) {
+	path, status := n.walkRoute(n.pathBuf[:0], src, ft, punt)
 	n.pathBuf = path // keep the grown backing
 	if status != routeOK {
 		return nil, status
@@ -164,7 +164,7 @@ func (n *Network) route(src core.NodeID, ft core.FiveTuple, now core.Time, punt 
 	return path, status
 }
 
-func (n *Network) walkRoute(path []core.LinkID, src core.NodeID, ft core.FiveTuple, now core.Time, punt bool) ([]core.LinkID, routeStatus) {
+func (n *Network) walkRoute(path []core.LinkID, src core.NodeID, ft core.FiveTuple, punt bool) ([]core.LinkID, routeStatus) {
 	cur := n.G.Node(src)
 	if cur == nil {
 		return path, routeDropped
@@ -199,7 +199,7 @@ func (n *Network) walkRoute(path []core.LinkID, src core.NodeID, ft core.FiveTup
 			cur = n.G.Node(p.Peer)
 			continue
 		}
-		egress, status := n.forwardAt(cur, inPort, ft, now, punt)
+		egress, status := n.forwardAt(cur, inPort, ft, punt)
 		if status != routeOK {
 			return path, status
 		}
@@ -224,7 +224,7 @@ func (n *Network) walkRoute(path []core.LinkID, src core.NodeID, ft core.FiveTup
 }
 
 // forwardAt decides the egress port of ft at a forwarding node.
-func (n *Network) forwardAt(node *topo.Node, inPort core.PortID, ft core.FiveTuple, now core.Time, punt bool) (core.PortID, routeStatus) {
+func (n *Network) forwardAt(node *topo.Node, inPort core.PortID, ft core.FiveTuple, punt bool) (core.PortID, routeStatus) {
 	switch node.Kind {
 	case topo.Router:
 		t := n.fibs[node.ID]
@@ -246,7 +246,6 @@ func (n *Network) forwardAt(node *topo.Node, inPort core.PortID, ft core.FiveTup
 			n.rxDrop++
 			return core.PortNone, routeDropped
 		}
-		e.LastUsed = now
 		for _, a := range e.Actions {
 			switch a.Type {
 			case flowtable.ActionOutput:
@@ -264,8 +263,6 @@ func (n *Network) forwardAt(node *topo.Node, inPort core.PortID, ft core.FiveTup
 					n.punt(node.ID, inPort, ft)
 					return core.PortNone, routePunted
 				}
-				return core.PortNone, routeDropped
-			case flowtable.ActionDrop:
 				return core.PortNone, routeDropped
 			}
 		}
@@ -291,7 +288,7 @@ func (n *Network) punt(node core.NodeID, inPort core.PortID, ft core.FiveTuple) 
 func (n *Network) clearPunts(ft core.FiveTuple) { delete(n.punted, ft) }
 
 // ReRouteAll recomputes the path of every live flow after forwarding
-// state changed (FIB install, FLOW_MOD, expiry). Pending flows whose
+// state changed (FIB install, FLOW_MOD, link state). Pending flows whose
 // forwarding state is now complete become active; active flows whose
 // state disappeared become pending again. The whole pass runs as one
 // deferred solver batch: a convergence burst that re-paths thousands of
@@ -305,7 +302,7 @@ func (n *Network) ReRouteAll(now core.Time) {
 	// without copying it out.
 	n.flowBuf = n.Flows.AppendFlows(n.flowBuf[:0])
 	for _, f := range n.flowBuf {
-		path, status := n.route(f.Src, f.Tuple, now, true)
+		path, status := n.route(f.Src, f.Tuple, true)
 		switch status {
 		case routeOK:
 			n.clearPunts(f.Tuple)
@@ -492,13 +489,12 @@ func (n *Network) WithdrawRoute(node core.NodeID, r fib.Route, now core.Time) er
 	return nil
 }
 
-// ApplyFlowMod applies an OpenFlow table change to a switch and reroutes.
+// FlowModKind is what a FLOW_MOD does to a switch's table: the two
+// OpenFlow commands the switch serves.
 type FlowModKind int
 
 const (
 	FlowModAdd FlowModKind = iota
-	FlowModModify
-	FlowModDelete
 	FlowModDeleteStrict
 )
 
@@ -517,60 +513,11 @@ func (n *Network) ApplyFlowMod(node core.NodeID, mod FlowMod, now core.Time) err
 	switch mod.Kind {
 	case FlowModAdd:
 		t.Add(mod.Entry, now)
-	case FlowModModify:
-		t.Modify(mod.Entry, now, true)
-	case FlowModDelete:
-		t.Delete(mod.Entry.Match)
 	case FlowModDeleteStrict:
 		t.DeleteStrict(mod.Entry.Match, mod.Entry.Priority)
 	}
 	n.maybeReroute(now)
 	return nil
-}
-
-// ExpireFlowEntries removes timed-out entries on every switch and
-// reroutes if anything expired. Returns the count.
-func (n *Network) ExpireFlowEntries(now core.Time) int {
-	total := 0
-	for _, sw := range n.G.Switches() {
-		total += len(n.tables[sw.ID].ExpireDue(now))
-	}
-	if total > 0 {
-		n.ReRouteAll(now)
-	}
-	return total
-}
-
-// PortStats are the OpenFlow-style counters of one port.
-type PortStats struct {
-	Port    core.PortID
-	TxBytes uint64
-	RxBytes uint64
-	TxRate  core.Rate // instantaneous
-	RxRate  core.Rate
-}
-
-// PortStatsOf reports counters for every port of a node at virtual time
-// now. The emulated OpenFlow agent answers PORT_STATS requests with this.
-func (n *Network) PortStatsOf(node core.NodeID, now core.Time) []PortStats {
-	nd := n.G.Node(node)
-	if nd == nil {
-		return nil
-	}
-	n.Flows.Integrate(now)
-	out := make([]PortStats, 0, len(nd.Ports))
-	for _, p := range nd.Ports {
-		l := n.G.Link(p.Link)
-		st := PortStats{Port: p.ID}
-		if l != nil {
-			st.TxBytes = n.Flows.LinkBytes(l.ID)
-			st.TxRate = n.Flows.LinkRate(l.ID)
-			st.RxBytes = n.Flows.LinkBytes(l.Reverse)
-			st.RxRate = n.Flows.LinkRate(l.Reverse)
-		}
-		out = append(out, st)
-	}
-	return out
 }
 
 // FlowStat is an OpenFlow-style flow entry statistic.
@@ -594,7 +541,7 @@ func (n *Network) FlowStatsOf(node core.NodeID, now core.Time) []FlowStat {
 	out := make([]FlowStat, 0, len(entries))
 	slot := make(map[*flowtable.Entry]int, len(entries))
 	for i, e := range entries {
-		out = append(out, FlowStat{Priority: e.Priority, Match: e.Match, Installed: e.InstalledAt, Bytes: e.Bytes})
+		out = append(out, FlowStat{Priority: e.Priority, Match: e.Match, Installed: e.InstalledAt})
 		slot[e] = i
 	}
 	// One pass over the flows (instead of one per entry): each active

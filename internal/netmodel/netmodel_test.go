@@ -280,50 +280,6 @@ func TestForwardingLoopDetected(t *testing.T) {
 	}
 }
 
-func TestPortStats(t *testing.T) {
-	n, g := starNet(t)
-	sw, _ := g.NodeByName("s0")
-	ft, src, dst := hostTuple(g, "h0", "h1")
-	// Proactive exact rule so the flow runs.
-	h1, _ := g.NodeByName("h1")
-	var egress core.PortID
-	for _, p := range sw.Ports {
-		if p.Peer == h1.ID {
-			egress = p.ID
-		}
-	}
-	n.Table(sw.ID).Add(flowtable.Entry{Priority: 1, Match: flowtable.MatchAll(),
-		Actions: []flowtable.Action{{Type: flowtable.ActionOutput, Port: egress}}}, 0)
-	f := &fluid.Flow{ID: 1, Tuple: ft, Src: src, Dst: dst, Demand: core.Gbps}
-	n.StartFlow(f, 0)
-
-	stats := n.PortStatsOf(sw.ID, core.Second)
-	if len(stats) != 4 {
-		t.Fatalf("port stats count = %d", len(stats))
-	}
-	var txSeen, rxSeen bool
-	for _, st := range stats {
-		if st.Port == egress {
-			if st.TxBytes != 125_000_000 {
-				t.Fatalf("egress tx = %d, want 125MB", st.TxBytes)
-			}
-			if st.TxRate != core.Gbps {
-				t.Fatalf("egress tx rate = %v", st.TxRate)
-			}
-			txSeen = true
-		}
-		if st.RxBytes == 125_000_000 {
-			rxSeen = true
-		}
-	}
-	if !txSeen || !rxSeen {
-		t.Fatalf("stats missing directions: %+v", stats)
-	}
-	if n.PortStatsOf(core.NodeID(99), 0) != nil {
-		t.Fatal("stats for missing node")
-	}
-}
-
 func TestFlowStats(t *testing.T) {
 	n, g := starNet(t)
 	sw, _ := g.NodeByName("s0")
@@ -352,41 +308,19 @@ func TestFlowStats(t *testing.T) {
 	}
 }
 
-func TestExpireFlowEntries(t *testing.T) {
+// TestEntryWithoutActionsDrops: an entry with an empty action list drops
+// what it matches; the flow stays pending and is not punted.
+func TestEntryWithoutActionsDrops(t *testing.T) {
 	n, g := starNet(t)
+	punts := 0
+	n.OnPacketIn = func(PacketIn) { punts++ }
 	sw, _ := g.NodeByName("s0")
-	n.Table(sw.ID).Add(flowtable.Entry{Priority: 1, Match: flowtable.MatchAll(),
-		Actions:     []flowtable.Action{{Type: flowtable.ActionDrop}},
-		HardTimeout: 5 * core.Second}, 0)
-	if got := n.ExpireFlowEntries(core.Second); got != 0 || n.Table(sw.ID).Len() != 1 {
-		t.Fatalf("premature expiry: %d, %d entries left", got, n.Table(sw.ID).Len())
-	}
-	if got := n.ExpireFlowEntries(6 * core.Second); got != 1 || n.Table(sw.ID).Len() != 0 {
-		t.Fatalf("expiry count = %d, %d entries left", got, n.Table(sw.ID).Len())
-	}
-}
-
-// TestExpireFlowEntriesAcrossSwitches: one call expires what is due on
-// every switch and leaves what is not.
-func TestExpireFlowEntriesAcrossSwitches(t *testing.T) {
-	g, err := topo.FatTree(topo.FatTreeOpts{K: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := New(g)
-	for _, sw := range g.Switches() {
-		for prio, hard := range []core.Time{5 * core.Second, core.Second, core.Second} {
-			n.Table(sw.ID).Add(flowtable.Entry{Priority: uint16(prio), Match: flowtable.MatchAll(),
-				Actions: []flowtable.Action{{Type: flowtable.ActionDrop}}, HardTimeout: hard}, 0)
-		}
-	}
-	if removed, want := n.ExpireFlowEntries(2*core.Second), 2*len(g.Switches()); removed != want {
-		t.Fatalf("expired %d entries, want %d", removed, want)
-	}
-	for _, sw := range g.Switches() {
-		if es := n.Table(sw.ID).Entries(); len(es) != 1 || es[0].Priority != 0 {
-			t.Fatalf("%s keeps %v, want only the 5s entry", sw.Name, es)
-		}
+	n.Table(sw.ID).Add(flowtable.Entry{Priority: 1, Match: flowtable.MatchAll()}, 0)
+	ft, src, dst := hostTuple(g, "h0", "h1")
+	f := &fluid.Flow{ID: 1, Tuple: ft, Src: src, Dst: dst, Demand: core.Gbps}
+	n.StartFlow(f, 0)
+	if f.State != fluid.Pending || punts != 0 {
+		t.Fatalf("state %v, %d punts; want pending, 0 punts", f.State, punts)
 	}
 }
 

@@ -11,11 +11,11 @@ import (
 // the Connection Manager. All methods may be called from the agent's
 // reader goroutine; implementations marshal onto the engine goroutine.
 type DataPlane interface {
-	// ApplyFlowMod installs/modifies/deletes table state.
+	// ApplyFlowMod adds an entry (FCAdd) or removes one (FCDeleteStrict);
+	// the agent hands it no other command and no timeout.
 	ApplyFlowMod(fm FlowMod) error
-	// PortStats snapshots the port counters.
-	PortStats() []PortStatsEntry
-	// FlowStats snapshots the flow entry counters.
+	// FlowStats snapshots each entry with the bytes of the flows it
+	// forwards.
 	FlowStats() []FlowStatsEntry
 }
 
@@ -193,24 +193,44 @@ func (a *Agent) readLoop() {
 		case TypeBarrierRequest:
 			a.conn.Send(EncodeBarrier(h.XID, true))
 		case TypeFlowMod:
-			fm, err := DecodeFlowMod(raw)
-			if err != nil {
-				a.logf("agent %d: bad flow mod: %v", a.DPID, err)
-				continue
-			}
-			a.Stats.FlowModsRecv.Add(1)
-			if err := a.dp.ApplyFlowMod(fm); err != nil {
-				a.logf("agent %d: flow mod rejected: %v", a.DPID, err)
-			}
+			a.applyFlowMod(raw)
 		case TypeStatsRequest:
 			a.answerStats(h.XID, raw)
 		}
 	}
 }
 
+// applyFlowMod hands a FLOW_MOD to the data plane if the switch serves
+// it, which is what the controller apps send: ADD and DELETE_STRICT of
+// entries that never expire. Anything else is answered with an ERROR and
+// reaches neither the data plane nor FlowModsRecv: BAD_LEN for a message
+// that does not decode, BAD_COMMAND for another command, UNSUPPORTED for
+// an idle or hard timeout.
+func (a *Agent) applyFlowMod(raw []byte) {
+	fm, err := DecodeFlowMod(raw)
+	switch {
+	case err != nil:
+		a.logf("agent %d: %v", a.DPID, err)
+		a.conn.Send(encodeError(raw, errBadRequest, brcBadLen))
+		return
+	case fm.Command != FCAdd && fm.Command != FCDeleteStrict:
+		a.logf("agent %d: unsupported flow mod command %d", a.DPID, fm.Command)
+		a.conn.Send(encodeError(raw, errFlowModFailed, fmfcBadCommand))
+		return
+	case fm.IdleTimeout != 0 || fm.HardTimeout != 0:
+		a.logf("agent %d: unsupported flow mod timeouts %d/%d s", a.DPID, fm.IdleTimeout, fm.HardTimeout)
+		a.conn.Send(encodeError(raw, errFlowModFailed, fmfcUnsupported))
+		return
+	}
+	a.Stats.FlowModsRecv.Add(1)
+	if err := a.dp.ApplyFlowMod(fm); err != nil {
+		a.logf("agent %d: flow mod rejected: %v", a.DPID, err)
+	}
+}
+
 // answerStats replies to a STATS_REQUEST, or answers an ERROR: BAD_LEN
-// for a request that does not decode, BAD_STAT for a type the switch
-// does not serve.
+// for a request that does not decode, BAD_STAT for a type other than
+// FLOW, the only one the controller apps request.
 func (a *Agent) answerStats(xid uint32, raw []byte) {
 	st, err := DecodeStatsRequestType(raw)
 	switch {
@@ -218,8 +238,6 @@ func (a *Agent) answerStats(xid uint32, raw []byte) {
 		a.logf("agent %d: %v", a.DPID, err)
 		a.conn.Send(encodeError(raw, errBadRequest, brcBadLen))
 		return
-	case st == StatsPort:
-		a.conn.Send(EncodePortStatsReply(xid, a.dp.PortStats()))
 	case st == StatsFlow:
 		a.conn.Send(EncodeFlowStatsReply(xid, a.dp.FlowStats()))
 	default:

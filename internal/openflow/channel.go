@@ -116,14 +116,18 @@ func (e *End) Refusal(raw []byte) []byte {
 	return encodeError(raw, errBadRequest, code)
 }
 
-// The error type and codes (ofp_error_type, ofp_bad_request_code) an end
-// answers with.
+// The error types and codes (ofp_error_type, ofp_bad_request_code,
+// ofp_flow_mod_failed_code) an end answers with.
 const (
 	errBadRequest = 1 // OFPET_BAD_REQUEST
 	brcBadType    = 1 // OFPBRC_BAD_TYPE: the end never acts on this type
 	brcBadStat    = 2 // OFPBRC_BAD_STAT: unsupported statistics type
 	brcEPerm      = 5 // OFPBRC_EPERM: not in the end's current state
 	brcBadLen     = 6 // OFPBRC_BAD_LEN: the body does not decode
+
+	errFlowModFailed = 3 // OFPET_FLOW_MOD_FAILED
+	fmfcBadCommand   = 4 // OFPFMFC_BAD_COMMAND: neither ADD nor DELETE_STRICT
+	fmfcUnsupported  = 5 // OFPFMFC_UNSUPPORTED: an idle or hard timeout
 )
 
 // encodeError builds the OFPT_ERROR answering raw: raw's xid, and as data

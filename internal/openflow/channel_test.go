@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -261,11 +262,12 @@ func TestAgentStoppedBeforeReadyDropsHeld(t *testing.T) {
 	}
 }
 
-// TestAgentRefusesUnsupportedStats: a DESC request (a stats type the
-// switch does not serve) and a request too short to name a type are each
-// answered with one ERROR, and neither counts as a stats reply.
+// TestAgentRefusesUnsupportedStats: a DESC or PORT request (stats types
+// the switch does not serve) and a request too short to name a type are
+// each answered with one ERROR, none counts as a stats reply, and none
+// reaches the data plane.
 func TestAgentRefusesUnsupportedStats(t *testing.T) {
-	agent, c, _ := startAgent(t)
+	agent, c, dp := startAgent(t)
 	c.handshake(t)
 	desc := make([]byte, headerLen+4) // OFPST_DESC: type 0, no body
 	putHeader(desc, TypeStatsRequest, len(desc), 5)
@@ -274,17 +276,64 @@ func TestAgentRefusesUnsupportedStats(t *testing.T) {
 	if typ, code, xid := parseError(t, c.last(TypeError)); typ != errBadRequest || code != brcBadStat || xid != 5 {
 		t.Fatalf("ERROR %d/%d for xid %d, want BAD_REQUEST/BAD_STAT for 5", typ, code, xid)
 	}
+	c.conn.Send(EncodeStatsRequest(7, StatsPort))
+	waitCond(t, "ERROR for PORT", func() bool { return c.count(TypeError) == 2 })
+	if typ, code, xid := parseError(t, c.last(TypeError)); typ != errBadRequest || code != brcBadStat || xid != 7 {
+		t.Fatalf("ERROR %d/%d for xid %d, want BAD_REQUEST/BAD_STAT for 7", typ, code, xid)
+	}
 	short := make([]byte, headerLen+2)
 	putHeader(short, TypeStatsRequest, len(short), 6)
 	c.conn.Send(short)
-	waitCond(t, "ERROR for the short request", func() bool { return c.count(TypeError) == 2 })
+	waitCond(t, "ERROR for the short request", func() bool { return c.count(TypeError) == 3 })
 	if typ, code, xid := parseError(t, c.last(TypeError)); typ != errBadRequest || code != brcBadLen || xid != 6 {
 		t.Fatalf("ERROR %d/%d for xid %d, want BAD_REQUEST/BAD_LEN for 6", typ, code, xid)
+	}
+	if n := dp.callCount(); n != 0 {
+		t.Fatalf("%d data plane calls", n)
 	}
 	if n := c.count(TypeStatsReply); n != 0 {
 		t.Fatalf("%d stats replies", n)
 	}
 	if n := agent.Stats.StatsReplies.Load(); n != 0 {
 		t.Fatalf("StatsReplies = %d, want 0", n)
+	}
+}
+
+// TestAgentRefusesUnservedFlowMods: the switch applies ADD and
+// DELETE_STRICT of entries that never expire. A MODIFY, an unknown
+// command, a timeout and a FLOW_MOD that does not decode are each
+// answered with one ERROR naming the request's xid; none reaches the data
+// plane or counts as received.
+func TestAgentRefusesUnservedFlowMods(t *testing.T) {
+	agent, c, dp := startAgent(t)
+	c.handshake(t)
+	fm := FlowMod{Match: TupleToExactMatch(sampleTuple()), Priority: 200, Actions: []Action{{Output: 1}}}
+	modify, unknown, timed := fm, fm, fm
+	modify.Command = FCModify
+	unknown.Command = 9
+	timed.HardTimeout = 5
+	truncated := EncodeFlowMod(24, fm)[:flowModLen-8]
+	binary.BigEndian.PutUint16(truncated[2:4], uint16(len(truncated)))
+	for i, tc := range []struct {
+		msg       []byte
+		typ, code uint16
+		xid       uint32
+	}{
+		{EncodeFlowMod(21, modify), errFlowModFailed, fmfcBadCommand, 21},
+		{EncodeFlowMod(22, unknown), errFlowModFailed, fmfcBadCommand, 22},
+		{EncodeFlowMod(23, timed), errFlowModFailed, fmfcUnsupported, 23},
+		{truncated, errBadRequest, brcBadLen, 24},
+	} {
+		c.conn.Send(tc.msg)
+		waitCond(t, fmt.Sprintf("ERROR for xid %d", tc.xid), func() bool { return c.count(TypeError) == i+1 })
+		if typ, code, xid := parseError(t, c.last(TypeError)); typ != tc.typ || code != tc.code || xid != tc.xid {
+			t.Errorf("ERROR %d/%d for xid %d, want %d/%d for %d", typ, code, xid, tc.typ, tc.code, tc.xid)
+		}
+	}
+	if n := dp.callCount(); n != 0 {
+		t.Fatalf("%d data plane calls for refused FLOW_MODs", n)
+	}
+	if n := agent.Stats.FlowModsRecv.Load(); n != 0 {
+		t.Fatalf("FlowModsRecv = %d, want 0", n)
 	}
 }

@@ -7,7 +7,7 @@ import (
 
 // FuzzDecode runs arbitrary bytes through DecodeHeader and then the
 // decoder of the header's type — FEATURES_REPLY, PORT_STATUS, FLOW_MOD,
-// PACKET_IN, PACKET_OUT, the STATS_REQUEST type and both stats replies —
+// PACKET_IN, PACKET_OUT, the STATS_REQUEST type and the flow stats reply —
 // none of which may panic. A FLOW_MOD that decodes must encode to one
 // that decodes to the same value.
 func FuzzDecode(f *testing.F) {
@@ -15,7 +15,8 @@ func FuzzDecode(f *testing.F) {
 		f.Add(sample(typ, 1))
 	}
 	f.Add(EncodeStatsRequest(1, StatsPort))
-	f.Add(EncodePortStatsReply(1, []PortStatsEntry{{PortNo: 1, RxBytes: 2000, TxBytes: 1000}}))
+	// A FLOW_MOD the switch refuses still decodes with every field.
+	f.Add(EncodeFlowMod(1, FlowMod{Command: FCModify, Cookie: 7, IdleTimeout: 5, HardTimeout: 60, Priority: 100}))
 	f.Add(EncodeFlowStatsReply(1, []FlowStatsEntry{{Match: TupleToExactMatch(sampleTuple()), Priority: 200, ByteCount: 3000}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := DecodeHeader(data)
@@ -34,7 +35,6 @@ func FuzzDecode(f *testing.F) {
 		case TypeStatsRequest:
 			_, _ = DecodeStatsRequestType(data)
 		case TypeStatsReply:
-			_, _ = DecodePortStatsReply(data)
 			_, _ = DecodeFlowStatsReply(data)
 		case TypeFlowMod:
 			fm, err := DecodeFlowMod(data)

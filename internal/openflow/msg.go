@@ -1,8 +1,8 @@
 // Package openflow implements the OpenFlow 1.0 wire protocol subset Horse
 // needs: HELLO / FEATURES / FLOW_MOD / PACKET_IN / PACKET_OUT / STATS
-// (port and flow) / ECHO / BARRIER / ERROR, the channel table each end
-// acts by (channel.go), and the switch-side agent that bridges an
-// emulated controller connection to the simulated data plane.
+// (flow) / ECHO / BARRIER / ERROR, the channel table each end acts by
+// (channel.go), and the switch-side agent that bridges an emulated
+// controller connection to the simulated data plane.
 //
 // Encodings follow the OpenFlow 1.0.0 specification (wire version 0x01):
 // the 8-byte header, the 40-byte ofp_match with wildcard bits, and the
@@ -558,7 +558,9 @@ func DecodePacketIn(b []byte) (PacketIn, error) {
 	}, nil
 }
 
-// PacketOut is an ofp_packet_out.
+// PacketOut is an ofp_packet_out. The switch refuses one (the fluid data
+// plane has no packet to send); the type stays for the benchmark's data
+// plane stub, which still names it.
 type PacketOut struct {
 	InPort  uint16
 	Actions []Action
@@ -598,7 +600,9 @@ func DecodePacketOut(b []byte) (PacketOut, error) {
 	}, nil
 }
 
-// PortStatsEntry is one ofp_port_stats record.
+// PortStatsEntry is one ofp_port_stats record. The switch answers a PORT
+// stats request with BAD_STAT; the type stays for the benchmark's data
+// plane stub, which still names it.
 type PortStatsEntry struct {
 	PortNo  uint16
 	RxBytes uint64
@@ -637,48 +641,6 @@ func DecodeStatsRequestType(b []byte) (uint16, error) {
 		return 0, fmt.Errorf("openflow: stats request truncated")
 	}
 	return binary.BigEndian.Uint16(b[8:10]), nil
-}
-
-// EncodePortStatsReply serializes a PORT stats reply.
-func EncodePortStatsReply(xid uint32, entries []PortStatsEntry) []byte {
-	const entryLen = 104
-	b := make([]byte, headerLen+4+entryLen*len(entries))
-	putHeader(b, TypeStatsReply, len(b), xid)
-	binary.BigEndian.PutUint16(b[8:10], StatsPort)
-	off := headerLen + 4
-	for _, e := range entries {
-		binary.BigEndian.PutUint16(b[off:], e.PortNo)
-		// rx_packets/tx_packets are synthesized from bytes at an MTU of
-		// 1500 — the fluid model has no packet counts.
-		binary.BigEndian.PutUint64(b[off+8:], e.RxBytes/1500)
-		binary.BigEndian.PutUint64(b[off+16:], e.TxBytes/1500)
-		binary.BigEndian.PutUint64(b[off+24:], e.RxBytes)
-		binary.BigEndian.PutUint64(b[off+32:], e.TxBytes)
-		off += entryLen
-	}
-	return b
-}
-
-// DecodePortStatsReply parses a PORT stats reply.
-func DecodePortStatsReply(b []byte) ([]PortStatsEntry, error) {
-	const entryLen = 104
-	if len(b) < headerLen+4 {
-		return nil, fmt.Errorf("openflow: stats reply truncated")
-	}
-	if t := binary.BigEndian.Uint16(b[8:10]); t != StatsPort {
-		return nil, fmt.Errorf("openflow: stats reply type %d, want port", t)
-	}
-	rest := b[headerLen+4:]
-	var out []PortStatsEntry
-	for len(rest) >= entryLen {
-		out = append(out, PortStatsEntry{
-			PortNo:  binary.BigEndian.Uint16(rest[0:2]),
-			RxBytes: binary.BigEndian.Uint64(rest[24:32]),
-			TxBytes: binary.BigEndian.Uint64(rest[32:40]),
-		})
-		rest = rest[entryLen:]
-	}
-	return out, nil
 }
 
 // EncodeFlowStatsReply serializes a FLOW stats reply.

@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -265,24 +266,6 @@ func TestPacketOutRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPortStatsRoundTrip(t *testing.T) {
-	entries := []PortStatsEntry{
-		{PortNo: 1, RxBytes: 1000, TxBytes: 125_000_000},
-		{PortNo: 2, RxBytes: 0, TxBytes: 42},
-	}
-	got, err := DecodePortStatsReply(EncodePortStatsReply(3, entries))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != entries[0] || got[1] != entries[1] {
-		t.Fatalf("round trip %+v", got)
-	}
-	// Wrong stats type rejected.
-	if _, err := DecodePortStatsReply(EncodeFlowStatsReply(3, nil)); err == nil {
-		t.Fatal("flow reply decoded as port reply")
-	}
-}
-
 func TestFlowStatsRoundTrip(t *testing.T) {
 	entries := []FlowStatsEntry{
 		{Match: TupleToExactMatch(sampleTuple()), Priority: 100, ByteCount: 999_000, DurationS: 5},
@@ -298,7 +281,9 @@ func TestFlowStatsRoundTrip(t *testing.T) {
 	if err != nil || ft != sampleTuple() {
 		t.Fatalf("tuple through stats = %v, %v", ft, err)
 	}
-	if _, err := DecodeFlowStatsReply(EncodePortStatsReply(3, nil)); err == nil {
+	port := EncodeFlowStatsReply(3, nil)
+	binary.BigEndian.PutUint16(port[8:10], StatsPort)
+	if _, err := DecodeFlowStatsReply(port); err == nil {
 		t.Fatal("port reply decoded as flow reply")
 	}
 }

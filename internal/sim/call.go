@@ -5,8 +5,8 @@ package sim
 // control plane activity (and therefore forces FTI mode).
 //
 // Call is how emulated control plane processes query simulated state, e.g.
-// an OpenFlow agent answering a PORT_STATS request reads the simulated
-// port counters through a Call.
+// an OpenFlow agent answering a FLOW stats request reads the simulated
+// flow table and flow bytes through a Call.
 //
 // The second return value is false when the engine has already finished,
 // in which case the zero value is returned. Call must never be invoked
