@@ -2,7 +2,6 @@ package controller
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/flowtable"
@@ -29,17 +28,7 @@ type ECMPApp struct {
 	// event raises two PORT_STATUS (one per adjacent switch) and a node
 	// failure raises two per attached cable; a single debounced repair
 	// pass covers the whole batch.
-	mu          sync.Mutex
 	repairArmed bool
-
-	// repairMu serializes table installs (initial and repair). Each
-	// pass is computed from the live topology, so with passes ordered
-	// the last one always converges the tables to the current state; an
-	// interleaved stale pass could otherwise land an FCDeleteStrict
-	// after a fresh pass's FCAdd and blackhole a destination. It also
-	// guards installed, keeping the cache in lockstep with the FLOW_MOD
-	// stream actually sent to each switch.
-	repairMu sync.Mutex
 
 	// installed caches, per switch, the next-hop port set last
 	// programmed for each destination host. Repair passes diff the
@@ -71,8 +60,6 @@ func (a *ECMPApp) PacketIn(sw *SwitchHandle, pi openflow.PacketIn) {
 // table starts empty again) gets every rule re-sent rather than
 // delta-skipped.
 func (a *ECMPApp) SwitchReady(sw *SwitchHandle) {
-	a.repairMu.Lock()
-	defer a.repairMu.Unlock()
 	a.installed[sw.Node] = make(map[core.NodeID][]core.PortID)
 	a.install(sw)
 }
@@ -86,26 +73,18 @@ func (a *ECMPApp) SwitchReady(sw *SwitchHandle) {
 // actually moved. Repairs are debounced: the burst of PORT_STATUS
 // messages one failure produces pays for a single recompute.
 func (a *ECMPApp) PortStatus(sw *SwitchHandle, ps openflow.PortStatus) {
-	a.mu.Lock()
-	armed := a.repairArmed
-	a.repairArmed = true
-	a.mu.Unlock()
-	if armed {
+	if a.repairArmed {
 		return
 	}
+	a.repairArmed = true
 	a.ctx.Clock.After(repairDebounce, a.repairPass)
 }
 
 // repairPass recomputes every ready switch's destination table from the
-// live topology and delta-installs it. Disarming happens after the pass
-// is serialized, so a topology change landing mid-pass re-arms a fresh
-// pass that runs after this one and converges the tables.
+// live topology and delta-installs it; a PORT_STATUS after it arms the
+// next pass.
 func (a *ECMPApp) repairPass() {
-	a.repairMu.Lock()
-	defer a.repairMu.Unlock()
-	a.mu.Lock()
 	a.repairArmed = false
-	a.mu.Unlock()
 	for _, h := range a.ctx.Ctl.Switches() {
 		if h.Ready() {
 			a.install(h)
@@ -119,7 +98,7 @@ func (a *ECMPApp) repairPass() {
 // already holds (per the installed cache). Destinations that
 // became unreachable have their rules deleted so flows blackhole at the
 // table miss (and re-punt) rather than into a dead port; destinations
-// whose ports are unchanged cost nothing. Caller holds repairMu.
+// whose ports are unchanged cost nothing.
 func (a *ECMPApp) install(sw *SwitchHandle) {
 	g := a.ctx.Topo
 	cache := a.installed[sw.Node]
@@ -194,13 +173,10 @@ type HederaApp struct {
 	// (default 5s, the paper's value).
 	PollInterval core.Time
 
-	mu sync.Mutex
 	// installed tracks the current path of every pinned flow.
 	installed map[core.FiveTuple][]core.LinkID
-	// liveBytes holds the last byte count per flow, to detect idleness.
+	// lastBytes holds the last byte count per flow, to detect idleness.
 	lastBytes map[core.FiveTuple]uint64
-	// outstanding stats replies for the current poll round.
-	statsWait int
 	rounds    int
 }
 
@@ -236,7 +212,6 @@ func (a *HederaApp) PortStatus(sw *SwitchHandle, ps openflow.PortStatus) {
 	}
 	dead := p.Link
 	deadRev := a.ctx.Topo.Link(dead).Reverse
-	a.mu.Lock()
 	for ft, path := range a.installed {
 		for _, lid := range path {
 			if lid == dead || lid == deadRev {
@@ -245,19 +220,15 @@ func (a *HederaApp) PortStatus(sw *SwitchHandle, ps openflow.PortStatus) {
 			}
 		}
 	}
-	a.mu.Unlock()
 }
 
 // PacketIn implements App: pin the new flow (pinPuntedFlow) and record
 // the placement for the scheduler.
 func (a *HederaApp) PacketIn(sw *SwitchHandle, pi openflow.PacketIn) {
 	ft, path, ok := pinPuntedFlow(a.ctx, pi)
-	if !ok {
-		return
+	if ok {
+		a.installed[ft] = path
 	}
-	a.mu.Lock()
-	a.installed[ft] = path
-	a.mu.Unlock()
 }
 
 // pinPuntedFlow is reactive path setup, shared by HederaApp and
@@ -314,7 +285,8 @@ func installPath(ctx *Context, ft core.FiveTuple, path []core.LinkID) {
 }
 
 // poll is one scheduler round: query flow stats from all edge switches,
-// then (when all replies are in) estimate and re-place.
+// folding each flow's largest byte count into one map, then (when the
+// last reply is in) estimate and re-place.
 func (a *HederaApp) poll() {
 	g := a.ctx.Topo
 	var edges []*SwitchHandle
@@ -325,45 +297,21 @@ func (a *HederaApp) poll() {
 			}
 		}
 	}
-	a.mu.Lock()
-	a.rounds++
-	a.statsWait = len(edges)
-	a.mu.Unlock()
 	if len(edges) == 0 {
 		a.ctx.Clock.After(a.PollInterval, a.poll)
 		return
 	}
-	type sample struct {
-		ft    core.FiveTuple
-		bytes uint64
-	}
-	var (
-		samplesMu sync.Mutex
-		samples   []sample
-	)
+	flows := make(map[core.FiveTuple]uint64)
+	wait := len(edges)
 	for _, sw := range edges {
 		sw.RequestFlowStats(func(entries []openflow.FlowStatsEntry) {
-			samplesMu.Lock()
 			for _, e := range entries {
 				if ft, err := openflow.MatchToTuple(e.Match); err == nil {
-					samples = append(samples, sample{ft: ft, bytes: e.ByteCount})
+					flows[ft] = max(flows[ft], e.ByteCount)
 				}
 			}
-			samplesMu.Unlock()
-			a.mu.Lock()
-			a.statsWait--
-			done := a.statsWait == 0
-			a.mu.Unlock()
-			if done {
-				samplesMu.Lock()
-				snapshot := append([]sample(nil), samples...)
-				samplesMu.Unlock()
-				flows := make(map[core.FiveTuple]uint64, len(snapshot))
-				for _, s := range snapshot {
-					if b, ok := flows[s.ft]; !ok || s.bytes > b {
-						flows[s.ft] = s.bytes
-					}
-				}
+			if wait--; wait == 0 {
+				a.rounds++
 				a.schedule(flows)
 				a.ctx.Clock.After(a.PollInterval, a.poll)
 			}
@@ -384,7 +332,6 @@ func (a *HederaApp) schedule(byteCounts map[core.FiveTuple]uint64) {
 	// last round, or newly seen).
 	var flows []*hedera.Flow
 	tuples := make(map[int]core.FiveTuple)
-	a.mu.Lock()
 	id := 0
 	// Deterministic iteration: sort the tuples.
 	ordered := make([]core.FiveTuple, 0, len(byteCounts))
@@ -409,7 +356,6 @@ func (a *HederaApp) schedule(byteCounts map[core.FiveTuple]uint64) {
 		id++
 		flows = append(flows, f)
 	}
-	a.mu.Unlock()
 	if len(flows) == 0 {
 		return
 	}
@@ -454,14 +400,8 @@ func (a *HederaApp) schedule(byteCounts map[core.FiveTuple]uint64) {
 	moved := 0
 	for _, pl := range placements {
 		ft := tuples[pl.FlowID]
-		a.mu.Lock()
-		cur := a.installed[ft]
-		same := linkSeqEqual(cur, pl.Path)
-		if !same {
+		if !linkSeqEqual(a.installed[ft], pl.Path) {
 			a.installed[ft] = pl.Path
-		}
-		a.mu.Unlock()
-		if !same {
 			installPath(a.ctx, ft, pl.Path)
 			moved++
 		}
@@ -471,10 +411,12 @@ func (a *HederaApp) schedule(byteCounts map[core.FiveTuple]uint64) {
 	}
 }
 
-// Rounds reports completed poll rounds.
+// Rounds reports the poll rounds whose last reply has arrived, each of
+// which ran the scheduler. It takes the controller's lock, so call it
+// from outside the app's callbacks.
 func (a *HederaApp) Rounds() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a.ctx.Ctl.mu.Lock()
+	defer a.ctx.Ctl.mu.Unlock()
 	return a.rounds
 }
 

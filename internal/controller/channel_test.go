@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/emu"
@@ -46,7 +47,7 @@ func newFakeSwitch(rw io.ReadWriteCloser) *fakeSwitch {
 	s := &fakeSwitch{conn: openflow.NewConn(rw)}
 	go func() {
 		for {
-			raw, err := s.conn.Recv()
+			_, raw, err := s.conn.Recv()
 			if err != nil {
 				return
 			}
@@ -182,7 +183,10 @@ func TestControllerEndEveryCell(t *testing.T) {
 				}
 			}
 			handle, _ := ctl.Switch(1)
-			if ready := handle.Ready(); ready != (want.State() == openflow.StateReady) {
+			ctl.mu.Lock()
+			ready := handle.Ready()
+			ctl.mu.Unlock()
+			if ready != (want.State() == openflow.StateReady) {
 				t.Errorf("%v/%d: Ready() = %v with the end in %v", st, typ, ready, want.State())
 			}
 			ctl.Stop()
@@ -229,16 +233,15 @@ func TestErrorEndsStatsWait(t *testing.T) {
 	}
 	sw.conn.Send(controllerSample(openflow.TypeHello, 1))
 	sw.conn.Send(controllerSample(openflow.TypeFeaturesReply, 2))
-	handle, _ := ctl.Switch(1)
-	waitFor(t, "ready", handle.Ready)
+	waitFor(t, "ready", func() bool { return ctl.ReadyCount() == 1 })
 
-	var mu sync.Mutex
 	var results [][]openflow.FlowStatsEntry
+	handle, _ := ctl.Switch(1)
+	ctl.mu.Lock()
 	handle.RequestFlowStats(func(e []openflow.FlowStatsEntry) {
-		mu.Lock()
 		results = append(results, e)
-		mu.Unlock()
 	})
+	ctl.mu.Unlock()
 	var req []byte
 	waitFor(t, "stats request", func() bool {
 		for _, m := range sw.read() {
@@ -254,9 +257,43 @@ func TestErrorEndsStatsWait(t *testing.T) {
 	sw.conn.Send(refusal) // a second ERROR for the same xid finds nothing pending
 	sw.conn.Send(openflow.EncodeEcho(99, false, nil))
 	waitFor(t, "sentinel echo", func() bool { return sw.echoed(99) })
-	mu.Lock()
-	defer mu.Unlock()
+	ctl.mu.Lock()
+	defer ctl.mu.Unlock()
 	if len(results) != 1 || results[0] != nil {
 		t.Fatalf("callback ran %d times (%v), want once with no entries", len(results), results)
 	}
+}
+
+// TestStoppedServeClosesItsEnd: a switch speaking another OpenFlow
+// version ends the controller's reader, which closes its end. The switch
+// reads EOF after HELLO and FEATURES_REQUEST, and once it closes too the
+// ledger reads zero, so the hybrid clock does not wait out its quiet
+// timeout on this channel.
+func TestStoppedServeClosesItsEnd(t *testing.T) {
+	g, _ := topo.Star(1, topo.Switch, core.Gbps, 0)
+	ctl := New(g, &manualClock{}, &recApp{}, t.Logf)
+	defer ctl.Stop()
+	var ledger emu.Ledger
+	swEnd, ctlEnd := ledger.Pipe()
+	if err := ctl.Connect(0, 1, ctlEnd); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := swEnd.Write([]byte{4, openflow.TypeHello, 0, 8, 0, 0, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	eof := make(chan error, 1)
+	go func() {
+		_, err := io.ReadAll(swEnd)
+		eof <- err
+	}()
+	select {
+	case err := <-eof:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the controller's reader stopped and left its end open")
+	}
+	_ = swEnd.Close()
+	waitFor(t, "an empty ledger", func() bool { return ledger.InFlight() == 0 })
 }

@@ -171,15 +171,17 @@ func (a *Agent) step(h Header, raw []byte) bool {
 	return true
 }
 
+// readLoop serves the controller until the channel ends. A reader that
+// stops — at EOF or on a framing error — closes its end, which gives the
+// channel's ledger token back.
 func (a *Agent) readLoop() {
+	defer a.conn.Close()
 	for {
-		raw, err := a.conn.Recv()
+		h, raw, err := a.conn.Recv()
 		if err != nil {
-			return
-		}
-		h, err := DecodeHeader(raw)
-		if err != nil {
-			a.logf("agent %d: %v", a.DPID, err)
+			if err != io.EOF {
+				a.logf("agent %d: %v", a.DPID, err)
+			}
 			return
 		}
 		if !a.step(h, raw) {

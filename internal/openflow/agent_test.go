@@ -55,7 +55,7 @@ func newCtl(rw io.ReadWriteCloser) *ctl {
 	c := &ctl{conn: NewConn(rw)}
 	go func() {
 		for {
-			raw, err := c.conn.Recv()
+			_, raw, err := c.conn.Recv()
 			if err != nil {
 				return
 			}
@@ -261,4 +261,34 @@ func TestConnSendAfterClose(t *testing.T) {
 	_ = c.Close()
 	c.Send(EncodeHello(1)) // must not panic
 	_ = c.Close()          // double close must be safe
+}
+
+// TestStoppedReadLoopClosesItsEnd: a controller speaking another OpenFlow
+// version ends the agent's reader, which closes its end. The controller
+// reads EOF, and once it closes too the ledger reads zero, so the hybrid
+// clock does not wait out its quiet timeout on this channel.
+func TestStoppedReadLoopClosesItsEnd(t *testing.T) {
+	var ledger emu.Ledger
+	a2c, c2a := ledger.Pipe()
+	agent := NewAgent(42, nil, a2c, &fakeDP{}, t.Logf)
+	agent.Start()
+	t.Cleanup(agent.Stop)
+	if _, err := c2a.Write([]byte{4, TypeHello, 0, 8, 0, 0, 0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	eof := make(chan error, 1)
+	go func() {
+		_, err := io.ReadAll(c2a)
+		eof <- err
+	}()
+	select {
+	case err := <-eof:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the agent's reader stopped and left its end open")
+	}
+	_ = c2a.Close()
+	waitCond(t, "an empty ledger", func() bool { return ledger.InFlight() == 0 })
 }

@@ -32,23 +32,24 @@ func (c *Conn) Send(msg []byte) {
 	c.mu.Unlock()
 }
 
-// Recv blocks until one complete message arrives and returns its raw
-// bytes (header included).
-func (c *Conn) Recv() ([]byte, error) {
+// Recv blocks until one complete message arrives and returns its
+// decoded header and raw bytes (header included). A header that does not
+// decode is an error: the stream has lost its framing.
+func (c *Conn) Recv() (Header, []byte, error) {
 	hdr := make([]byte, headerLen)
 	if err := readFull(c.rw, hdr); err != nil {
-		return nil, err
+		return Header{}, nil, err
 	}
 	h, err := DecodeHeader(hdr)
 	if err != nil {
-		return nil, err
+		return Header{}, nil, err
 	}
 	msg := make([]byte, h.Length)
 	copy(msg, hdr)
 	if err := readFull(c.rw, msg[headerLen:]); err != nil {
-		return nil, err
+		return Header{}, nil, err
 	}
-	return msg, nil
+	return h, msg, nil
 }
 
 // Close shuts the connection down; safe to call multiple times.
