@@ -29,6 +29,9 @@ type AttrVal struct {
 	pool *attrPool
 	key  string
 	refs int
+	// local is the Path of every prefix a RIB originates with this set
+	// (RIB.SetLocal).
+	local *Path
 }
 
 // attrsOf wraps a PathAttrs value in an unpooled handle: no dedupe, no

@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"reflect"
+	"runtime"
+	"runtime/metrics"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -154,7 +158,7 @@ func TestRIBTrieMatchesMapOracle(t *testing.T) {
 						}
 						var trieAdj []*Path
 						if e := trie.trie.Get(v4key(p)); e != nil {
-							trieAdj = e.peers
+							trieAdj = trie.candidates(e)
 						}
 						t.Fatalf("Decide(%v) selection diverged:\n trie:   %s\n oracle: %s\n trie adjIn:   %s\n oracle adjIn: %s",
 							p, fmtPaths(gotSel), fmtPaths(wantSel), fmtPaths(trieAdj), fmtPaths(refAdj))
@@ -379,4 +383,117 @@ func BenchmarkUpdatePacking(b *testing.B) {
 		}
 		b.ReportMetric(float64(msgs), "msgs")
 	})
+}
+
+// TestRIBEntryHoldsNoPointers: the trie's value slab is noscan only while
+// ribEntry holds nothing the collector must follow, and a table costs the
+// entry's size per prefix.
+func TestRIBEntryHoldsNoPointers(t *testing.T) {
+	var walk func(typ reflect.Type, at string)
+	walk = func(typ reflect.Type, at string) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+			reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %s", at, typ.Kind())
+		case reflect.Array:
+			walk(typ.Elem(), at+"[i]")
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				walk(typ.Field(i).Type, at+"."+typ.Field(i).Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(ribEntry{}), "ribEntry")
+	if size := unsafe.Sizeof(ribEntry{}); size > 24 {
+		t.Errorf("ribEntry is %d bytes, want at most 24", size)
+	}
+}
+
+// updateNLRI is how many /24s an UPDATE of the full-table runs carries: a
+// speaker builds one Path per UPDATE.
+const updateNLRI = 695
+
+// slash24 is the i-th of the consecutive /24s scalePrefixes lists, made on
+// demand: a list of netip.Prefix holds a pointer per prefix, which would
+// be measured with the RIB.
+func slash24(i int) netip.Prefix {
+	a := uint32(0x14000000) + uint32(i)*256
+	return netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}), 24)
+}
+
+// loadFullTable learns n consecutive /24s from each of peers eBGP peers
+// with equally long AS paths into a multipath RIB, deciding each route as
+// it lands, as a speaker does: one Path per UPDATE, and with two peers
+// every prefix holds two candidates and a two-path selection.
+func loadFullTable(n, peers int) *RIB {
+	r := NewRIB(true)
+	for k := range peers {
+		peer := netip.AddrFrom4([4]byte{172, 16, 0, byte(2*k + 1)})
+		h := r.Intern(PathAttrs{Origin: OriginIGP, ASPath: []uint16{uint16(65001 + k), 64512}, NextHop: peer})
+		var path *Path
+		for i := range n {
+			if i%updateNLRI == 0 {
+				path = &Path{Attrs: h, PeerAddr: peer, PeerRouterID: peer, Port: core.PortID(k + 1)}
+			}
+			p := slash24(i)
+			r.UpdateAdjIn(peer, p, path)
+			r.Decide(p)
+		}
+	}
+	return r
+}
+
+// scanHeap collects and returns the heap bytes the collector scanned.
+func scanHeap() int64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	metrics.Read(s)
+	return int64(s[0].Value.Uint64())
+}
+
+// TestFullTableRIBIsNotScanned: a full table from one peer gives the
+// collector nothing to scan but its few hundred Paths. With a pointer in
+// every entry it scanned 78 bytes a prefix.
+func TestFullTableRIBIsNotScanned(t *testing.T) {
+	const n = 100_000
+	before := scanHeap()
+	r := loadFullTable(n, 1)
+	scanned := scanHeap() - before
+	runtime.KeepAlive(r)
+	if per := float64(scanned) / n; per >= 4 {
+		t.Fatalf("a %d-prefix RIB adds %.1f scannable bytes a prefix, want under 4", n, per)
+	}
+}
+
+// BenchmarkRIBFullTable loads n consecutive /24s from one or two peers
+// (loadFullTable) and reports what the RIB holds afterwards, measured
+// across a collection: live B/prefix and objects/prefix, and
+// scan-B/prefix, the part of it the collector scans.
+func BenchmarkRIBFullTable(b *testing.B) {
+	for _, peers := range []int{1, 2} {
+		for _, n := range []int{100_000, 250_000, 500_000} {
+			b.Run(fmt.Sprintf("peers=%d/n=%d", peers, n), func(b *testing.B) {
+				var bytes, objects, scanned float64
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					var m0, m1 runtime.MemStats
+					s0 := scanHeap()
+					runtime.ReadMemStats(&m0)
+					b.StartTimer()
+					r := loadFullTable(n, peers)
+					b.StopTimer()
+					s1 := scanHeap()
+					runtime.ReadMemStats(&m1)
+					bytes += float64(m1.HeapAlloc) - float64(m0.HeapAlloc)
+					objects += float64(m1.HeapObjects) - float64(m0.HeapObjects)
+					scanned += float64(s1 - s0)
+					runtime.KeepAlive(r)
+					b.StartTimer()
+				}
+				b.ReportMetric(bytes/float64(b.N)/float64(n), "B/prefix")
+				b.ReportMetric(objects/float64(b.N)/float64(n), "objects/prefix")
+				b.ReportMetric(scanned/float64(b.N)/float64(n), "scan-B/prefix")
+			})
+		}
+	}
 }

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 )
 
@@ -156,4 +157,10 @@ func sortPrefixes(ps []netip.Prefix) {
 		}
 		return ps[i].Bits() < ps[j].Bits()
 	})
+}
+
+// pathSetEqual is the oracle's change predicate: the selections agree
+// path for path under samePath, the one the RIB's decide applies.
+func pathSetEqual(a, b []*Path) bool {
+	return slices.EqualFunc(a, b, samePath)
 }

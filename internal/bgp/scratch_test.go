@@ -426,11 +426,11 @@ func TestChangedMEDIsSeen(t *testing.T) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.rib.trie.Get(v4key(p1))
-	i := e.peerIndex(addr(peerA))
+	i := s.rib.peerIndex(e, addr(peerA))
 	if i < 0 {
 		t.Fatal("A's path for p1 is gone")
 	}
-	if med := e.peers[i].Attrs.MED; med != 20 {
+	if med := s.rib.candidate(e, i).Attrs.MED; med != 20 {
 		t.Fatalf("A's path for p1 reads MED %d, want 20", med)
 	}
 	if best := s.rib.Best(p1); len(best) != 1 || best[0].PeerAddr != addr(peerB) {

@@ -967,10 +967,7 @@ func (s *Speaker) redecideLocked(prefixes []netip.Prefix, entries []*ribEntry) {
 	var shared *Path
 	var hops []fib.NextHop
 	for i, p := range prefixes {
-		var was *Path // the standing best: decide rewrites the selection in place
-		if sel := entries[i].selected; len(sel) > 0 {
-			was = sel[0]
-		}
+		was := s.rib.best(entries[i]) // the standing best: decide rewrites the selection in place
 		best, changed := s.rib.decide(entries[i], p)
 		if !changed {
 			continue

@@ -17,9 +17,11 @@
 // Values live in a slab of chunks, 16 slots and doubling: a chunk never
 // moves, so the pointer Insert hands out stays valid until the prefix is
 // removed, growth copies nothing, and a 33-prefix table holds one
-// 16-slot and one 32-slot chunk. A removed prefix's slot is zeroed at
-// once (what it pointed to is garbage from then on) and handed out again
-// before the slab grows.
+// 16-slot and one 32-slot chunk. A chunk is a plain []V, so a V without
+// pointers makes it noscan like the node slice; both of this tree's are
+// (the RIB's 12-byte entry of path numbers, the FIB's group number), and
+// the collector walks no table of any size. A removed prefix's slot is
+// zeroed at once and handed out again before the slab grows.
 //
 // Callers pass length ≤ 32; address bits below the length are ignored.
 // A Trie is not safe for concurrent use.

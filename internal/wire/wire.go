@@ -5,9 +5,11 @@
 // serializing payload first, then transport, network and link layers.
 //
 // The simulated data plane itself is fluid (no per-packet processing);
-// wire is used where real bytes must cross the emulation boundary —
-// OpenFlow PACKET_IN/PACKET_OUT bodies carry a real Ethernet frame built
-// here, exactly as a hardware switch would deliver one to the controller.
+// wire is used where real bytes must cross the emulation boundary, which
+// is one place: the body of an OpenFlow PACKET_IN, a flow's first packet
+// as a real Ethernet frame built here, exactly as a hardware switch would
+// punt one to the controller. Nothing goes the other way: the switch
+// refuses PACKET_OUT.
 package wire
 
 import (
