@@ -10,6 +10,13 @@
 // faster than a path-compressed trie, whose nodes carry their own key and
 // whose inserts and removes split and re-join them.
 //
+// A descent costs the bits after its common prefix with the last one:
+// the Trie keeps the path of its last Insert, Get or Remove, and the next
+// of those starts from the node where the two addresses part, so a run of
+// consecutive /24s costs about two bits each instead of 24 from the root.
+// Longest, which must see every value above that node, and Walk start at
+// the root.
+//
 // Nothing here is allocated per prefix. Nodes are 12 bytes — two child
 // indexes and a value slot number — in one flat slice, freed ones on a
 // list threaded through them; with no pointer in it the garbage collector
@@ -24,7 +31,8 @@
 // zeroed at once and handed out again before the slab grows.
 //
 // Callers pass length ≤ 32; address bits below the length are ignored.
-// A Trie is not safe for concurrent use.
+// A Trie is not safe for concurrent use, and since Get leaves its path
+// too, not even for concurrent reads.
 package ptrie
 
 import (
@@ -46,6 +54,14 @@ type Trie[V any] struct {
 	slots    uint32   // slots ever handed out: the next fresh one
 	freeSlot []uint32 // removed prefixes' slots, zeroed
 	n        int
+
+	// The last descent: path[i] is the node at depth i on the way to
+	// pathAddr, live for every i ≤ pathLen. Insert, Get and Remove start
+	// from it and leave their own; only Remove frees nodes, and it lowers
+	// pathLen past every node it frees.
+	path     [33]uint32
+	pathAddr uint32
+	pathLen  uint8
 }
 
 type node struct {
@@ -55,9 +71,9 @@ type node struct {
 
 const firstChunk = 16
 
-// bit is bit i of addr, 0 being the most significant. Remove, which comes
-// back up the branch, uses it; the plain descents shift the address left a
-// bit a step and read its top bit.
+// bit is bit i of addr, 0 being the most significant. Insert's new branch
+// and Remove's climb back up use it; descend shifts the address left a
+// bit a step and reads its top bit.
 func bit(addr uint32, i uint8) int { return int(addr>>(31-i)) & 1 }
 
 // value is the address of a slot: one chunk lookup per operation, never
@@ -106,16 +122,16 @@ func (t *Trie[V]) Insert(addr uint32, length uint8) *V {
 	if len(t.nodes) == 0 {
 		t.nodes = append(t.nodes, node{})
 	}
-	cur := uint32(0)
-	for ; length > 0; length-- {
-		b := addr >> 31
-		addr <<= 1
-		next := t.nodes[cur].child[b]
-		if next == 0 {
-			next = t.newNode()
-			t.nodes[cur].child[b] = next
+	cur, ok := t.descend(addr, length)
+	if !ok {
+		// Below the first missing child every node is new.
+		for d := t.pathLen; d < length; d++ {
+			next := t.newNode()
+			t.nodes[cur].child[bit(addr, d)] = next
+			cur = next
+			t.path[d+1] = cur
 		}
-		cur = next
+		t.pathLen = length
 	}
 	if t.nodes[cur].val == 0 {
 		t.nodes[cur].val = t.newSlot() + 1
@@ -124,20 +140,15 @@ func (t *Trie[V]) Insert(addr uint32, length uint8) *V {
 	return t.value(t.nodes[cur].val - 1)
 }
 
-// Get returns the value held for exactly this prefix, or nil.
+// Get returns the value held for exactly this prefix, or nil. It leaves
+// its descent for the next one to start from, so it writes to the Trie.
 func (t *Trie[V]) Get(addr uint32, length uint8) *V {
 	nodes := t.nodes
 	if len(nodes) == 0 {
 		return nil
 	}
-	cur := uint32(0)
-	for ; length > 0; length-- {
-		if cur = nodes[cur].child[addr>>31]; cur == 0 {
-			return nil
-		}
-		addr <<= 1
-	}
-	if nodes[cur].val == 0 {
+	cur, ok := t.descend(addr, length)
+	if !ok || nodes[cur].val == 0 {
 		return nil
 	}
 	return t.value(nodes[cur].val - 1)
@@ -153,15 +164,8 @@ func (t *Trie[V]) Remove(addr uint32, length uint8) (old V, ok bool) {
 	if len(nodes) == 0 {
 		return old, false
 	}
-	var path [32]uint32 // path[i] is the node above bit i
-	cur := uint32(0)
-	for i := uint8(0); i < length; i++ {
-		path[i] = cur
-		if cur = nodes[cur].child[bit(addr, i)]; cur == 0 {
-			return old, false
-		}
-	}
-	if nodes[cur].val == 0 {
+	cur, ok := t.descend(addr, length)
+	if !ok || nodes[cur].val == 0 {
 		return old, false
 	}
 	slot := nodes[cur].val - 1
@@ -174,10 +178,34 @@ func (t *Trie[V]) Remove(addr uint32, length uint8) (old V, ok bool) {
 		nodes[cur].child[0] = t.freeNode
 		t.freeNode = cur
 		t.freeNodes++
-		cur = path[i-1]
+		cur = t.path[i-1]
 		nodes[cur].child[bit(addr, i-1)] = 0
+		t.pathLen = i - 1
 	}
 	return old, true
+}
+
+// descend follows the existing nodes to (addr, length), starting as far
+// down the last descent's path as the two addresses agree, and leaves its
+// own path. It returns the prefix's node, or the node above the first
+// missing child and false, the path then ending there.
+func (t *Trie[V]) descend(addr uint32, length uint8) (uint32, bool) {
+	nodes := t.nodes
+	d := min(uint8(bits.LeadingZeros32(addr^t.pathAddr)), t.pathLen, length)
+	cur := t.path[d]
+	t.pathAddr = addr
+	for a := addr << d; d < length; d++ {
+		next := nodes[cur].child[a>>31]
+		if next == 0 {
+			t.pathLen = d
+			return cur, false
+		}
+		cur = next
+		a <<= 1
+		t.path[d+1] = cur
+	}
+	t.pathLen = length
+	return cur, true
 }
 
 // Longest returns the value and the length of the longest prefix

@@ -2,6 +2,7 @@ package ptrie
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -224,9 +225,15 @@ func TestTrieLPMRespectsAcceptFilter(t *testing.T) {
 // of the map. The map holds, for every live prefix, the pointer Insert
 // returned for it and the value written through it: operation 5 reads
 // every one of those pointers back, after whatever inserts and removes of
-// other prefixes came in between, and operation 6 removes prefixes from
-// inside a Walk. It ends by removing everything, after which the trie
-// must be down to its root.
+// other prefixes came in between, and counts the nodes the live prefixes
+// need; operation 6 removes prefixes from inside a Walk. It ends by
+// removing everything, after which the trie must be down to its root.
+//
+// The operation byte also says where the prefix comes from (byte/14 % 4):
+// 0 the address bytes; or, from the previous operation's prefix, 1 its
+// address at this length, 2 the next prefix at its length and 3 its
+// sibling at its last bit. Random addresses share a few bits; these share
+// all but the last few, so a descent resumes far down the last one's path.
 func runModel(t *testing.T, ops []byte) {
 	type held struct {
 		p   *int
@@ -252,10 +259,28 @@ func runModel(t *testing.T, ops []byte) {
 				t.Fatalf("%s: Get %v = %p, want the held %p", when, rk, got, h.p)
 			}
 		}
+		ks := make([]key, 0, len(ref))
+		for rk := range ref {
+			ks = append(ks, rk)
+		}
+		if got, want := tr.Nodes(), modelNodes(ks); got != want {
+			t.Fatalf("%s: %d nodes, want %d for %d prefixes", when, got, want, len(ref))
+		}
 	}
+	var prevAddr uint32
+	var prevLen uint8
 	for ; len(ops) >= 6; ops = ops[6:] {
 		length := ops[1] % 33
 		addr := binary.BigEndian.Uint32(ops[2:6]) // unmasked: the trie ignores the low bits
+		switch ops[0] / 14 % 4 {
+		case 1:
+			addr = prevAddr
+		case 2:
+			addr, length = prevAddr+1<<(32-prevLen), prevLen // a /0 has no next: 1<<32 is 0
+		case 3:
+			addr, length = prevAddr^1<<(32-prevLen), prevLen
+		}
+		prevAddr, prevLen = addr, length
 		k := mkKey(addr, length)
 		parity := int(ops[0] / 7 % 2) // from the operation, so both halves of the values get picked over a run
 		switch ops[0] % 7 {
@@ -339,7 +364,8 @@ func runModel(t *testing.T, ops []byte) {
 
 // TestTrieMatchesModel feeds runModel seeded operations over a universe
 // small enough that prefixes nest, collide, and come back after a remove:
-// a handful of addresses at lengths that include /0 and /32.
+// a handful of addresses at lengths that include /0 and /32, and their
+// neighbours and siblings.
 func TestTrieMatchesModel(t *testing.T) {
 	lengths := []uint8{0, 1, 8, 15, 16, 24, 31, 32}
 	for seed := int64(1); seed <= 4; seed++ {
@@ -351,7 +377,9 @@ func TestTrieMatchesModel(t *testing.T) {
 		}
 		ops := make([]byte, 0, 6*5000)
 		for i := 0; i < 5000; i++ {
-			ops = append(ops, byte(rng.Intn(10)), lengths[rng.Intn(len(lengths))])
+			// Insert, Remove and Get twice as often as the rest, the
+			// prefix from one of runModel's four sources.
+			ops = append(ops, byte(rng.Intn(10)+14*rng.Intn(4)), lengths[rng.Intn(len(lengths))])
 			ops = binary.BigEndian.AppendUint32(ops, addrs[rng.Intn(len(addrs))])
 		}
 		runModel(t, ops)
@@ -394,6 +422,100 @@ func TestEmptiedTrieIsOnlyItsRoot(t *testing.T) {
 	}
 	if _, ok := tr.Remove(20<<24, 16); ok {
 		t.Fatal("second remove of the /16 reported it present")
+	}
+}
+
+// modelNodes is the node count a trie holding exactly ks must have: the
+// root and one node per distinct leading run of bits of a prefix.
+func modelNodes(ks []key) int {
+	runs := map[key]bool{}
+	for _, k := range ks {
+		for l := uint8(1); l <= k.length; l++ {
+			runs[mkKey(k.addr, l)] = true
+		}
+	}
+	return 1 + len(runs)
+}
+
+// TestDescentResumesAcrossRemove: a Remove frees a branch that the path
+// it leaves led through, and the next Insert hands the freed nodes to
+// another prefix; no later descent may resume through them. For siblings
+// that fork at the last bit and higher up, every step is checked against
+// a map, Len and the node count.
+func TestDescentResumesAcrossRemove(t *testing.T) {
+	for _, fork := range []uint8{23, 16, 8} {
+		var tr Trie[uint32]
+		ref := map[key]uint32{}
+		a := uint32(10<<24 | 1<<16 | 2<<8)
+		b := a ^ 1<<(31-fork)
+		far := uint32(200 << 24)
+		// check reads the trie by Walk, which leaves the path alone: a Get
+		// here would hide a stale one from the step after.
+		check := func(step string) {
+			t.Helper()
+			ks := make([]key, 0, len(ref))
+			tr.Walk(func(addr uint32, length uint8, v *uint32) bool {
+				if want, ok := ref[key{addr, length}]; !ok || *v != want {
+					t.Fatalf("fork /%d, %s: Walk visited %v holding %d, want %d (present %v)", fork, step, key{addr, length}, *v, want, ok)
+				}
+				ks = append(ks, key{addr, length})
+				return true
+			})
+			if len(ks) != len(ref) {
+				t.Fatalf("fork /%d, %s: Walk visited %d prefixes, want %d", fork, step, len(ks), len(ref))
+			}
+			if tr.Len() != len(ref) || tr.Nodes() != modelNodes(ks) {
+				t.Fatalf("fork /%d, %s: Len = %d, %d nodes; want %d and %d", fork, step, tr.Len(), tr.Nodes(), len(ref), modelNodes(ks))
+			}
+		}
+		insert := func(addr uint32) {
+			*tr.Insert(addr, 24) = addr
+			ref[mkKey(addr, 24)] = addr
+			check(fmt.Sprintf("insert %#x", addr))
+		}
+		remove := func(addr uint32) {
+			_, want := ref[mkKey(addr, 24)]
+			if v, ok := tr.Remove(addr, 24); ok != want || (ok && v != addr) {
+				t.Fatalf("fork /%d: Remove %#x = %d, %v; want present %v", fork, addr, v, ok, want)
+			}
+			delete(ref, mkKey(addr, 24))
+			check(fmt.Sprintf("remove %#x", addr))
+		}
+		get := func(addr uint32) {
+			v, ok := ref[mkKey(addr, 24)]
+			if got := tr.Get(addr, 24); (got != nil) != ok || (ok && *got != v) {
+				t.Fatalf("fork /%d: Get %#x = %v, want present %v", fork, addr, got, ok)
+			}
+		}
+		insert(a)
+		insert(b)
+		grown := len(tr.nodes)
+		remove(b) // frees b's 24 − fork nodes below the fork
+		if tr.freeNodes != int(24-fork) {
+			t.Fatalf("fork /%d: removing the sibling freed %d nodes, want %d", fork, tr.freeNodes, 24-fork)
+		}
+		insert(far) // takes every freed node back
+		if tr.freeNodes != 0 || len(tr.nodes) != grown+int(fork) {
+			t.Fatalf("fork /%d: the far prefix left %d nodes free and grew the slice to %d, want 0 and %d", fork, tr.freeNodes, len(tr.nodes), grown+int(fork))
+		}
+		get(b)
+		insert(b)
+		get(a)
+		remove(a)
+		get(a)
+		insert(a)
+		remove(b)
+		insert(b)
+		remove(far)
+		get(b)
+		remove(b)
+		remove(b)
+		insert(b)
+		remove(a)
+		remove(b)
+		if tr.Nodes() != 1 {
+			t.Fatalf("fork /%d: %d nodes left, want the root", fork, tr.Nodes())
+		}
 	}
 }
 
@@ -490,5 +612,45 @@ func TestRemovedSlotIsZeroedAndReused(t *testing.T) {
 	}
 	if got := len(tr.chunks); got != 1 {
 		t.Fatalf("three inserts and a remove took %d value chunks, want 1", got)
+	}
+}
+
+// BenchmarkTrie inserts, reads back and removes n /24s: in order, the run
+// of consecutive prefixes a full table's UPDATE carries, where each
+// descent resumes from the last one's path; and the same prefixes
+// shuffled, where the path almost never helps and costs what keeping it
+// costs. ns/prefix is the time of one prefix's three operations.
+func BenchmarkTrie(b *testing.B) {
+	for _, n := range []int{100_000} {
+		in := make([]uint32, n)
+		for i := range in {
+			in[i] = 20<<24 | uint32(i)<<8
+		}
+		shuffled := append([]uint32(nil), in...)
+		rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		for _, order := range []struct {
+			name  string
+			addrs []uint32
+		}{{"consecutive", in}, {"random", shuffled}} {
+			b.Run(fmt.Sprintf("%s/n=%d", order.name, n), func(b *testing.B) {
+				var tr Trie[uint32]
+				for i := 0; i < b.N; i++ {
+					for _, a := range order.addrs {
+						*tr.Insert(a, 24) = a
+					}
+					for _, a := range order.addrs {
+						if v := tr.Get(a, 24); v == nil || *v != a {
+							b.Fatalf("Get %#x = %v", a, v)
+						}
+					}
+					for _, a := range order.addrs {
+						if _, ok := tr.Remove(a, 24); !ok {
+							b.Fatalf("Remove %#x found nothing", a)
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/prefix")
+			})
+		}
 	}
 }
