@@ -98,7 +98,7 @@ func (b *advBatch) compact() {
 // reset empties the batch once its flush is done with it, keeping the
 // buffers for a later window — unless they grew to a full table's worth,
 // or every session that ever sent one would hold on to eight bytes a
-// prefix twice over.
+// prefix.
 func (b *advBatch) reset() {
 	if cap(b.log) > advKeep {
 		*b = advBatch{}

@@ -96,11 +96,12 @@ type RouteEvent struct {
 
 // PeerConfig describes one session to establish.
 type PeerConfig struct {
-	// Conn is the pre-connected transport. Its Write must not block (the
-	// transport contract of the emulated control plane, kept by emu.Pipe
-	// and the Connection Manager's taps over it): the session writes each
-	// message on the goroutine that produced it — the reader, a Clock
-	// callback, or the simulator's engine goroutine in ResetPeer.
+	// Conn is the pre-connected transport. Its Write and Close must not
+	// block (the transport contract of the emulated control plane, kept by
+	// emu.Pipe and the Connection Manager's taps over it): the session
+	// writes each message under the speaker's lock, on the goroutine that
+	// produced it — the reader, a Clock callback, or the simulator's engine
+	// goroutine in ResetPeer.
 	Conn       io.ReadWriteCloser
 	LocalAddr  netip.Addr // local /31 interface address (our NEXT_HOP)
 	RemoteAddr netip.Addr // peer /31 interface address
@@ -180,7 +181,12 @@ type Stats struct {
 	ReflectionLoops atomic.Uint64
 }
 
-// Speaker is one emulated BGP routing daemon.
+// Speaker is one emulated BGP routing daemon. Like a routing daemon's
+// event loop it acts on one thing at a time: a received message, a timer
+// (advertisement window, keepalive, hold deadline, dampening reuse), a
+// ResetPeer or a Stop each run whole under mu, writes to the wire
+// included, so no two of a speaker's writes overlap and nothing follows a
+// session's NOTIFICATION.
 type Speaker struct {
 	cfg   Config
 	asn16 uint16
@@ -205,34 +211,24 @@ type Speaker struct {
 	Stats Stats
 }
 
+// session is one peering. Every field past cfg is its speaker's: read and
+// written under Speaker.mu.
 type session struct {
 	sp    *Speaker
 	cfg   PeerConfig
-	state SessionState
+	state SessionState // Closed: the transport is closed and send writes nothing
 
 	peerRouterID netip.Addr
 	negotiated   time.Duration // negotiated hold time
 
 	// lastRecv is Config.Clock's reading when the latest message came in;
 	// the hold deadline measures the silence from it (holdCheck).
-	lastRecv atomic.Int64
+	lastRecv core.Time
 
-	// sendMu makes each outbound message one whole Write (see send) and
-	// guards closed.
-	sendMu sync.Mutex
-	closed bool
-
-	// The pending advertisement batch (see advBatch); advArmed while a
-	// flushAdv wakeup for it is due.
+	// The pending advertisement batch (see advBatch), which flushAdv sends
+	// and empties in place; advArmed while a flushAdv wakeup for it is due.
 	pending  advBatch
 	advArmed bool
-	// flushMu is held across one whole flushAdv, so a batch armed while
-	// the previous one is still being packed goes out after it, never in
-	// between its messages. It guards flushing: the batch a flush swapped
-	// out of pending, empty between flushes, whose buffers the next swap
-	// makes pending's.
-	flushMu  sync.Mutex
-	flushing advBatch
 }
 
 // NewSpeaker creates a speaker; call AddPeer to open sessions.
@@ -337,15 +333,10 @@ func (s *Speaker) BeginStop() {
 func (s *Speaker) Stop() {
 	s.BeginStop()
 	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
-		sessions = append(sessions, sess)
+		sess.down(&Notification{Code: NotifCease}, fmt.Errorf("bgp: speaker stopped"))
 	}
 	s.mu.Unlock()
-	for _, sess := range sessions {
-		sess.sendNotification(Notification{Code: NotifCease})
-		sess.down(fmt.Errorf("bgp: speaker stopped"))
-	}
 	s.wg.Wait()
 }
 
@@ -360,14 +351,12 @@ func (s *Speaker) Stop() {
 // session to peer existed.
 func (s *Speaker) ResetPeer(peer netip.Addr) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	sess := s.sessions[peer]
-	s.mu.Unlock()
-	if sess == nil {
-		return false
+	if sess != nil {
+		sess.down(&Notification{Code: NotifCease}, fmt.Errorf("bgp: peer %v reset (link down)", peer))
 	}
-	sess.sendNotification(Notification{Code: NotifCease})
-	sess.down(fmt.Errorf("bgp: peer %v reset (link down)", peer))
-	return true
+	return sess != nil
 }
 
 // SessionState reports the FSM state of the session to peer.
@@ -405,30 +394,16 @@ func fibHops(paths []*Path) []fib.NextHop {
 
 // ---- session internals ----
 
-// send writes one message to the transport on the caller's goroutine;
+// send writes one message to the transport; caller holds s.mu, so each
+// message is one whole Write and no two of the speaker's writes overlap.
 // PeerConfig.Conn's Write does not block, so neither does send, and no
-// message is ever dropped for want of room. Messages sent after close go
-// nowhere; a failed write means a broken transport, which the reader
+// message is ever dropped for want of room. A Closed session writes
+// nothing; a failed write means a broken transport, which the reader
 // observes.
 func (x *session) send(b []byte) {
-	x.sendMu.Lock()
-	defer x.sendMu.Unlock()
-	if x.closed {
-		return
+	if x.state != StateClosed {
+		_, _ = x.cfg.Conn.Write(b)
 	}
-	_, _ = x.cfg.Conn.Write(b)
-}
-
-func (x *session) sendNotification(n Notification) {
-	x.send(EncodeNotification(n))
-	x.sp.Stats.NotificationsSent.Add(1)
-}
-
-func (x *session) close() {
-	x.sendMu.Lock()
-	x.closed = true
-	x.sendMu.Unlock()
-	_ = x.cfg.Conn.Close()
 }
 
 // readLoop reads every message into one buffer, which grows to the
@@ -444,22 +419,29 @@ func (x *session) readLoop() {
 			msg, err = Decode(raw)
 		}
 		if err != nil {
+			var notify *Notification
 			if n, ok := err.(Notification); ok {
-				x.sendNotification(n)
+				notify = &n
 			}
-			x.down(err)
+			x.sp.mu.Lock()
+			x.down(notify, err)
+			x.sp.mu.Unlock()
 			return
 		}
-		if err := x.handle(msg); err != nil {
-			x.down(err)
+		if x.handle(msg) != nil {
 			return
 		}
 	}
 }
 
+// handle acts on one received message, the answer it sends included; a
+// message that ends the session has closed it by the time handle returns
+// the error.
 func (x *session) handle(m *Message) error {
 	s := x.sp
-	x.lastRecv.Store(int64(s.cfg.Clock.Now()))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	x.lastRecv = s.cfg.Clock.Now()
 	var ev event
 	switch m.Type {
 	case MsgOpen:
@@ -473,26 +455,28 @@ func (x *session) handle(m *Message) error {
 		ev = evUpdate
 	case MsgNotification:
 		s.Stats.NotificationsRecv.Add(1)
+		x.down(nil, *m.Notif)
 		return *m.Notif
 	default:
-		return fmt.Errorf("bgp: unhandled message type %d", m.Type)
+		err := fmt.Errorf("bgp: unhandled message type %d", m.Type)
+		x.down(nil, err)
+		return err
 	}
 
-	s.mu.Lock()
 	from, ok := x.step(ev)
 	if !ok {
-		s.mu.Unlock()
-		x.sendNotification(Notification{Code: NotifFSMError})
-		return fmt.Errorf("bgp: %v in state %v", ev, from)
+		err := fmt.Errorf("bgp: %v in state %v", ev, from)
+		x.down(&Notification{Code: NotifFSMError}, err)
+		return err
 	}
 	switch {
 	case x.state == stateStopping:
 		// Taken in, and nothing done about it.
 	case ev == evOpen:
 		if x.cfg.RemoteAS != 0 && uint32(m.Open.ASN) != x.cfg.RemoteAS {
-			s.mu.Unlock()
-			x.sendNotification(Notification{Code: NotifOpenError, Subcode: 2}) // bad peer AS
-			return fmt.Errorf("bgp: peer AS %d, expected %d", m.Open.ASN, x.cfg.RemoteAS)
+			err := fmt.Errorf("bgp: peer AS %d, expected %d", m.Open.ASN, x.cfg.RemoteAS)
+			x.down(&Notification{Code: NotifOpenError, Subcode: 2}, err) // bad peer AS
+			return err
 		}
 		x.peerRouterID = m.Open.RouterID
 		// Negotiated hold time: min of both, zero disables.
@@ -501,13 +485,11 @@ func (x *session) handle(m *Message) error {
 			hold = mine
 		}
 		x.negotiated = hold
-		s.mu.Unlock()
 		x.send(EncodeKeepalive())
 		s.Stats.KeepalivesSent.Add(1)
 		if hold > 0 {
 			s.cfg.Clock.After(core.FromDuration(hold), x.holdCheck)
 		}
-		return nil
 	case ev == evKeepalive && from == StateOpenConfirm:
 		// Established: start the keepalive tick and advertise the whole
 		// Loc-RIB — what policy lets the peer hear of it. The peer holds
@@ -522,13 +504,10 @@ func (x *session) handle(m *Message) error {
 				x.armAdvLocked()
 			}
 		})
-		s.mu.Unlock()
 		s.logf("session %v established", x.cfg.RemoteAddr)
-		return nil
 	case ev == evUpdate:
 		s.processUpdateLocked(x, m.Upd)
 	}
-	s.mu.Unlock()
 	return nil
 }
 
@@ -556,9 +535,8 @@ func (x *session) armKeepalive() {
 // long as the session is established.
 func (x *session) keepalive() {
 	x.sp.mu.Lock()
-	live := x.state == StateEstablished
-	x.sp.mu.Unlock()
-	if !live {
+	defer x.sp.mu.Unlock()
+	if x.state != StateEstablished {
 		return
 	}
 	x.send(EncodeKeepalive())
@@ -577,50 +555,51 @@ func (x *session) keepalive() {
 func (x *session) holdCheck() {
 	s := x.sp
 	s.mu.Lock()
-	closed := x.state == StateClosed
-	s.mu.Unlock()
-	if closed {
+	defer s.mu.Unlock()
+	if x.state == StateClosed {
 		return
 	}
-	remain := core.FromDuration(x.negotiated) - (s.cfg.Clock.Now() - core.Time(x.lastRecv.Load()))
+	remain := core.FromDuration(x.negotiated) - (s.cfg.Clock.Now() - x.lastRecv)
 	if remain < 0 {
-		x.sendNotification(Notification{Code: NotifHoldTimerExpired})
-		x.down(fmt.Errorf("bgp: hold timer expired for %v", x.cfg.RemoteAddr))
+		x.down(&Notification{Code: NotifHoldTimerExpired}, fmt.Errorf("bgp: hold timer expired for %v", x.cfg.RemoteAddr))
 		return
 	}
 	s.cfg.Clock.After(max(remain, core.Nanosecond), x.holdCheck)
 }
 
-// down closes the session. Only a session that leaves Established
-// withdraws what it learned from its peer: one that never got there
-// learned nothing, and a stopping one keeps it.
-func (x *session) down(cause error) {
+// down closes the session, writing notify first unless it is nil: the
+// NOTIFICATION is the last thing on the wire, since a Closed session sends
+// nothing more. A session already Closed is left as it is. Only a session
+// that leaves Established withdraws what it learned from its peer: one
+// that never got there learned nothing, and a stopping one keeps it.
+// Caller holds s.mu.
+func (x *session) down(notify *Notification, cause error) {
 	s := x.sp
-	s.mu.Lock()
-	was, _ := x.step(evDown)
-	if was == StateClosed {
-		s.mu.Unlock()
+	if x.state == StateClosed {
 		return
 	}
+	if notify != nil {
+		x.send(EncodeNotification(*notify))
+		s.Stats.NotificationsSent.Add(1)
+	}
+	was, _ := x.step(evDown)
+	_ = x.cfg.Conn.Close()
 	delete(s.sessions, x.cfg.RemoteAddr)
-	if was == StateEstablished {
-		affected, entries := s.rib.dropPeer(x.cfg.RemoteAddr)
-		// A session loss withdraws everything learned from the peer; each
-		// of those counts as a flap toward dampening, so a flapping cable
-		// suppresses its neighbor's routes after repeated resets. Parked
-		// announcements die with the session — whether the re-peered
-		// session still advertises them is for it to say.
-		for _, p := range affected {
-			s.dampWithdrawLocked(x.cfg.RemoteAddr, p)
-		}
-		s.dampDropPeerLocked(x.cfg.RemoteAddr)
-		s.redecideLocked(affected, entries)
+	if was != StateEstablished {
+		return
 	}
-	s.mu.Unlock()
-	x.close()
-	if was == StateEstablished {
-		s.logf("session %v down: %v", x.cfg.RemoteAddr, cause)
+	affected, entries := s.rib.dropPeer(x.cfg.RemoteAddr)
+	// A session loss withdraws everything learned from the peer; each of
+	// those counts as a flap toward dampening, so a flapping cable
+	// suppresses its neighbor's routes after repeated resets. Parked
+	// announcements die with the session — whether the re-peered session
+	// still advertises them is for it to say.
+	for _, p := range affected {
+		s.dampWithdrawLocked(x.cfg.RemoteAddr, p)
 	}
+	s.dampDropPeerLocked(x.cfg.RemoteAddr)
+	s.redecideLocked(affected, entries)
+	s.logf("session %v down: %v", x.cfg.RemoteAddr, cause)
 }
 
 // queueAdvLocked schedules an announcement (path != nil) or withdrawal
@@ -746,30 +725,24 @@ func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 // prefix, and a counting pass cuts one prefix list into the withdrawn list
 // and each group's NLRI, already sorted. Everything it builds, the wire
 // bytes too, is in a pooled flushScratch; each UPDATE is still its own
-// Write.
+// Write. The whole flush runs under s.mu, and empties the batch in place.
 func (x *session) flushAdv() {
 	s := x.sp
-	x.flushMu.Lock()
-	defer x.flushMu.Unlock()
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	x.advArmed = false
 	if x.state != StateEstablished {
-		s.mu.Unlock()
 		return
 	}
-	x.pending, x.flushing = x.flushing, x.pending
-	s.mu.Unlock()
-
-	// The batch is this goroutine's now, and a stored Path never changes.
-	defer x.flushing.reset()
-	if len(x.flushing.log) == 0 {
+	defer x.pending.reset()
+	if len(x.pending.log) == 0 {
 		// A window a Loc-RIB change opened with nothing for this peer:
 		// it sends and allocates nothing.
 		return
 	}
 	sc := flushPool.Get().(*flushScratch)
 	defer sc.release()
-	log, runs := settleAdv(x.flushing.log), x.flushing.runs
+	log, runs := settleAdv(x.pending.log), x.pending.runs
 	// A group for every path a standing entry names: a run whose every
 	// prefix a later write took over is not looked at.
 	groupOf := resize(sc.groupOf, len(runs))

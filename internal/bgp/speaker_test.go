@@ -1,10 +1,13 @@
 package bgp
 
 import (
+	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -530,9 +533,28 @@ func TestSessionSendIsLossless(t *testing.T) {
 	}
 }
 
+// teardownConn is a session transport whose first UPDATE starts a teardown
+// and whose every UPDATE takes 2 ms to write, so the teardown comes while a
+// flush of several UPDATEs is under way.
+type teardownConn struct {
+	io.ReadWriteCloser
+	start func()
+	once  sync.Once
+}
+
+func (c *teardownConn) Write(b []byte) (int, error) {
+	if len(b) > 18 && b[18] == MsgUpdate {
+		c.once.Do(c.start)
+		time.Sleep(2 * time.Millisecond)
+	}
+	return c.ReadWriteCloser.Write(b)
+}
+
 // TestCeaseReachesPeerBeforeEOF: Stop and ResetPeer put the CEASE on the
 // wire before they close the transport, so the peer reads it — last, and
-// then EOF — every time, not only when a writer goroutine wins a race.
+// then EOF — every time, not only when a writer goroutine wins a race. The
+// rows "during a flush" end the session while it is sending a table of
+// 3000 prefixes: no UPDATE of that flush follows the CEASE.
 func TestCeaseReachesPeerBeforeEOF(t *testing.T) {
 	peer := addr("172.16.0.1")
 	for _, tc := range []struct {
@@ -579,6 +601,113 @@ func TestCeaseReachesPeerBeforeEOF(t *testing.T) {
 				t.Fatalf("last message before EOF = %+v, want NOTIFICATION/Cease", last)
 			}
 		})
+		t.Run(tc.name+" during a flush", func(t *testing.T) {
+			a, err := NewSpeaker(Config{
+				Name: "r1", ASN: 65001, RouterID: addr("1.1.1.1"),
+				Networks: scalePrefixes(3000),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Stop()
+			ca, cb := emu.Pipe()
+			ended := make(chan struct{})
+			conn := &teardownConn{ReadWriteCloser: ca, start: func() {
+				go func() {
+					defer close(ended)
+					tc.end(a)
+				}()
+			}}
+			if err := a.AddPeer(PeerConfig{Conn: conn, LocalAddr: addr("172.16.0.0"), RemoteAddr: peer, Port: 1}); err != nil {
+				t.Fatal(err)
+			}
+			_, _ = cb.Write(EncodeOpen(Open{Version: 4, ASN: 65002, HoldTime: 0, RouterID: addr("2.2.2.2")}))
+			_, _ = cb.Write(EncodeKeepalive())
+
+			var got []string
+			for {
+				raw, err := ReadMessage(cb)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := Decode(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, wireName(m))
+			}
+			<-ended
+			cease := fmt.Sprintf("NOTIFICATION/%d", NotifCease)
+			if i := slices.Index(got, cease); i < 0 || i != len(got)-1 || !slices.Contains(got[:i], "UPDATE") {
+				t.Fatalf("the speaker sent %v: want UPDATEs, then the CEASE, then nothing", got)
+			}
+		})
+	}
+}
+
+// countingConn is one session's transport that counts, across every
+// transport sharing inFlight, the Writes under way; each takes 1 ms.
+type countingConn struct {
+	io.ReadWriteCloser
+	inFlight, peak *atomic.Int32
+}
+
+func (c countingConn) Write(b []byte) (int, error) {
+	n := c.inFlight.Add(1)
+	for p := c.peak.Load(); n > p && !c.peak.CompareAndSwap(p, n); p = c.peak.Load() {
+	}
+	time.Sleep(time.Millisecond)
+	defer c.inFlight.Add(-1)
+	return c.ReadWriteCloser.Write(b)
+}
+
+// TestSpeakerWritesOneAtATime: a speaker acts on one thing at a time, so
+// its writes never overlap — not the handshakes of four sessions, not the
+// four dumps of its table their windows flush at about the same instant,
+// not a ResetPeer's CEASE, not Stop.
+func TestSpeakerWritesOneAtATime(t *testing.T) {
+	const networks = 3000
+	s, err := NewSpeaker(Config{Name: "r1", ASN: 65001, RouterID: addr("1.1.1.1"), Networks: scalePrefixes(networks)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Stop()
+	var inFlight, peak, dumped atomic.Int32
+	var peers []netip.Addr
+	for i := range 4 {
+		local, remote := addr(fmt.Sprintf("172.16.0.%d", 2*i)), addr(fmt.Sprintf("172.16.0.%d", 2*i+1))
+		ca, cb := emu.Pipe()
+		if err := s.AddPeer(PeerConfig{Conn: countingConn{ca, &inFlight, &peak}, LocalAddr: local, RemoteAddr: remote, Port: core.PortID(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		peers = append(peers, remote)
+		go func() {
+			announced := 0
+			for {
+				raw, err := ReadMessage(cb)
+				if err != nil {
+					return
+				}
+				if m, err := Decode(raw); err == nil && m.Type == MsgUpdate {
+					if announced += len(m.Upd.NLRI); announced == networks {
+						dumped.Add(1)
+					}
+				}
+			}
+		}()
+		_, _ = cb.Write(EncodeOpen(Open{Version: 4, ASN: 65002, HoldTime: 0, RouterID: remote}))
+		_, _ = cb.Write(EncodeKeepalive())
+	}
+	waitFor(t, "the table dumped to every peer", func() bool { return dumped.Load() == 4 })
+	if !s.ResetPeer(peers[0]) {
+		t.Fatal("no session to reset")
+	}
+	s.Stop()
+	if p := peak.Load(); p != 1 {
+		t.Fatalf("%d writes under way at once, want 1", p)
 	}
 }
 

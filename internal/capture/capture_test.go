@@ -370,6 +370,59 @@ func TestRefusedOpenFlowCounted(t *testing.T) {
 	}
 }
 
+// TestMessageAfterNotificationRefused: NOTIFICATION is terminal, so a BGP
+// message that follows one in its direction is marked refused and counted;
+// the other direction, whose sender sent none, is not.
+func TestMessageAfterNotificationRefused(t *testing.T) {
+	c, err := New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := bgpEndpoints()
+	sess, err := c.Session("bgp-r1-r2", a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		dir     Dir
+		msg     []byte
+		refused bool
+	}{
+		{AtoB, bgp.EncodeNotification(bgp.Notification{Code: bgp.NotifCease}), false},
+		{BtoA, bgp.EncodeKeepalive(), false},
+		{AtoB, mustUpdate(t, []netip.Prefix{netip.MustParsePrefix("10.1.0.0/24")}, nil), true},
+	}
+	for i, st := range steps {
+		sess.Data(st.dir, st.msg, core.Time(i+1)*core.Millisecond)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadFile(c.Files()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs, err := Validate(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range steps {
+		if msgs[i].Refused != st.refused {
+			t.Errorf("message %d (%s) refused = %v, want %v", i, msgs[i].Type, msgs[i].Refused, st.refused)
+		}
+	}
+	sum, err := Summarize(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Refused != 1 || sum.Sessions[0].Refused != 1 {
+		t.Fatalf("summary refused %d (session: %d), want 1", sum.Refused, sum.Sessions[0].Refused)
+	}
+	if !strings.Contains(sum.String(), " 0 flow-mods, 1 refused, 0 errors\n") {
+		t.Errorf("summary does not print the refused count:\n%s", sum)
+	}
+}
+
 // ofError is an OFPT_ERROR (BAD_REQUEST/BAD_TYPE) answering xid.
 func ofError(xid uint32) []byte {
 	b := make([]byte, 12)

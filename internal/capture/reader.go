@@ -162,7 +162,9 @@ type Message struct {
 	Withdrawn      int
 	StrayWithdrawn int
 	// Refused marks an OpenFlow message its receiving end's channel
-	// table has no step for, in the state the stream had put it in.
+	// table has no step for, in the state the stream had put it in, and a
+	// BGP message that follows a NOTIFICATION on its stream: NOTIFICATION
+	// is terminal, and its receiver reads nothing after it.
 	Refused bool
 	Len     int
 }
@@ -175,8 +177,9 @@ type stream struct {
 	proto   string
 	msg     *Message // template carrying addressing for extracted messages
 	// held is what a BGP sender has announced on the stream and not
-	// withdrawn since its last OPEN.
-	held map[netip.Prefix]struct{}
+	// withdrawn since its last OPEN; notified is set by its NOTIFICATION.
+	held     map[netip.Prefix]struct{}
+	notified bool
 	// end is an OpenFlow stream's receiving end, stepped by every message.
 	end openflow.End
 }
@@ -195,9 +198,10 @@ type streamKey struct {
 // them as BGP (a port is 179) or OpenFlow (a port is 6633). Every
 // emulated write is whole, so a stream that ends inside a message is an
 // error too. A BGP stream keeps the prefixes its sender holds announced,
-// which is how a withdrawal is known to be stray; an OpenFlow stream
-// steps its receiving end's channel table, which is how a message is
-// known to be refused.
+// which is how a withdrawal is known to be stray, and whether its sender
+// has sent a NOTIFICATION, after which every message is refused; an
+// OpenFlow stream steps its receiving end's channel table, which is how a
+// message is known to be refused.
 func Decode(tr *Trace) ([]Message, error) {
 	streams := make(map[streamKey]*stream)
 	var order []*stream // streams in first-seen order, for the tail check
@@ -316,6 +320,7 @@ func (st *stream) peel() (Message, int, error) {
 		if err != nil {
 			return m, 0, fmt.Errorf("bgp decode: %w", err)
 		}
+		m.Refused = st.notified
 		switch msg.Type {
 		case bgp.MsgOpen:
 			m.Type = "OPEN"
@@ -324,6 +329,7 @@ func (st *stream) peel() (Message, int, error) {
 			m.Type = "KEEPALIVE"
 		case bgp.MsgNotification:
 			m.Type = "NOTIFICATION"
+			st.notified = true
 		case bgp.MsgUpdate:
 			m.Type = "UPDATE"
 			m.Announced = len(msg.Upd.NLRI)

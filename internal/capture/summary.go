@@ -30,7 +30,8 @@ type SessionSummary struct {
 	// receiver did not hold from the sender (see Message.StrayWithdrawn).
 	StrayWithdrawn int
 	// Refused counts the OpenFlow messages the receiving end's channel
-	// table has no step for (see Message.Refused).
+	// table has no step for and the BGP messages after a NOTIFICATION (see
+	// Message.Refused).
 	Refused int
 	// Errors counts OFPT_ERRORs: an end's answer to what it refused or
 	// does not serve.
@@ -39,8 +40,7 @@ type SessionSummary struct {
 
 // Summary aggregates the control plane conversation recorded across one
 // or more traces: message mix, the UPDATE rate over the captured window,
-// refused OpenFlow messages and ERRORs, and first/last-message times per
-// session.
+// refused messages and ERRORs, and first/last-message times per session.
 type Summary struct {
 	Sessions []SessionSummary
 
@@ -56,7 +56,8 @@ type Summary struct {
 	// StrayWithdrawn is how many of WithdrawnPrefixes were stray.
 	StrayWithdrawn int
 	// Refused counts the OpenFlow messages with no step in their
-	// receiving end's channel table.
+	// receiving end's channel table and the BGP messages after a
+	// NOTIFICATION.
 	Refused int
 	// Errors counts OFPT_ERRORs.
 	Errors int
