@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -23,17 +24,37 @@ func encodeMessage(m *Message) ([]byte, error) {
 	}
 }
 
+// sameMessage reports whether two decoded messages are alike, an empty
+// list and a nil one counting as the same: a message decoded into reused
+// buffers holds empty lists where a fresh one holds nil.
+func sameMessage(a, b *Message) bool {
+	norm := func(m *Message) Message {
+		n := *m
+		if m.Upd != nil {
+			u := *m.Upd
+			u.Withdrawn, u.NLRI = cloneOrNil(u.Withdrawn), cloneOrNil(u.NLRI)
+			u.Attrs.ASPath, u.Attrs.ClusterList = cloneOrNil(u.Attrs.ASPath), cloneOrNil(u.Attrs.ClusterList)
+			n.Upd = &u
+		}
+		return n
+	}
+	return reflect.DeepEqual(norm(a), norm(b))
+}
+
 // FuzzDecode runs arbitrary bytes through Decode, which must not panic on
 // any of them. Whatever decodes must encode, the encoding must decode, and
 // from there encoding is a fixed point: encode(decode(x)) comes back
 // unchanged through decode and encode. It is not the identity on x, since
 // the encoders keep only what the speaker reads — no OPEN optional
 // parameters, no unknown attribute, the AS path as one AS_SEQUENCE, and no
-// attributes on an UPDATE that announces nothing.
+// attributes on an UPDATE that announces nothing. Decoded into an Update
+// that holds one of the seed UPDATEs, as a session's reader decodes, x
+// gives what Decode gives, or the same error.
 func FuzzDecode(f *testing.F) {
 	f.Add(EncodeOpen(Open{Version: 4, ASN: 65001, HoldTime: 90, RouterID: netip.MustParseAddr("1.1.1.1")}))
 	f.Add(EncodeKeepalive())
 	f.Add(EncodeNotification(Notification{Code: NotifUpdateError, Subcode: 11, Data: []byte{2, 1}}))
+	var seeds [][]byte // the seed UPDATEs
 	for _, u := range []Update{
 		{Withdrawn: []netip.Prefix{pfx("10.0.0.0/8"), pfx("192.168.1.0/24")}},
 		{
@@ -52,9 +73,21 @@ func FuzzDecode(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(b)
+		seeds = append(seeds, b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
+		var warm Message
+		var upd Update
+		if err := warm.decode(seeds[len(data)%len(seeds)], &upd); err != nil {
+			t.Fatal(err)
+		}
+		switch werr := warm.decode(data, &upd); {
+		case (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error():
+			t.Fatalf("Decode says %v, decoding into a used Update %v", err, werr)
+		case err == nil && !sameMessage(&warm, m):
+			t.Fatalf("decoded into a used Update:\n%+v\nDecode:\n%+v", warm.Upd, m.Upd)
+		}
 		if err != nil {
 			return
 		}

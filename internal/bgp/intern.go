@@ -54,16 +54,27 @@ func newAttrPool() *attrPool { return &attrPool{m: make(map[string]*AttrVal)} }
 // intern returns the pooled handle for a, creating it with zero
 // references if absent. Callers retain() once per stored Path. A hit
 // allocates nothing: the key is built in the pool's buffer, and only a
-// miss copies it into a string.
+// miss copies it into a string. A miss also copies a's AS path and cluster
+// list, so the caller may reuse them once intern returns (a session
+// decodes every UPDATE into the same lists).
 func (p *attrPool) intern(a PathAttrs) *AttrVal {
 	p.key = appendAttrsKey(p.key[:0], a)
 	if h := p.m[string(p.key)]; h != nil {
 		return h
 	}
 	key := string(p.key)
+	a.ASPath, a.ClusterList = cloneOrNil(a.ASPath), cloneOrNil(a.ClusterList)
 	h := &AttrVal{PathAttrs: a, pool: p, key: key}
 	p.m[key] = h
 	return h
+}
+
+// cloneOrNil is a copy of s with its own array, nil when s is empty.
+func cloneOrNil[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return slices.Clone(s)
 }
 
 // len reports the number of live attribute sets in the pool.

@@ -194,13 +194,10 @@ func decodePrefix(b []byte) (netip.Prefix, []byte, error) {
 	return p.Masked(), b[1+n:], nil
 }
 
-// decodePrefixes reads a whole NLRI-form prefix list into a slice sized
-// by counting the length bytes first: a full UPDATE carries a thousand
+// appendPrefixes appends a whole NLRI-form prefix list to dst, growing it
+// once by the count of the length bytes: a full UPDATE carries a thousand
 // prefixes, and growing the list by doubling allocates it twice over.
-func decodePrefixes(b []byte) ([]netip.Prefix, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
+func appendPrefixes(dst []netip.Prefix, b []byte) ([]netip.Prefix, error) {
 	n := 0
 	for rest := b; len(rest) > 0; n++ {
 		step := 1 + (int(rest[0])+7)/8
@@ -209,16 +206,16 @@ func decodePrefixes(b []byte) ([]netip.Prefix, error) {
 		}
 		rest = rest[step:]
 	}
-	out := make([]netip.Prefix, 0, n)
+	dst = slices.Grow(dst, n)
 	for len(b) > 0 {
 		p, rest, err := decodePrefix(b)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		out = append(out, p)
+		dst = append(dst, p)
 		b = rest
 	}
-	return out, nil
+	return dst, nil
 }
 
 // errNoNextHop is what encoding an announcement without an IPv4 next hop
@@ -455,45 +452,65 @@ func appendUpdates(dst []byte, withdrawn []netip.Prefix, groups []UpdateGroup) (
 const maxPrefixEnc = 5
 
 // Decode parses one complete BGP message from buf (which must contain
-// exactly one message, header included).
+// exactly one message, header included) into a fresh Message, which keeps
+// nothing of buf.
 func Decode(buf []byte) (*Message, error) {
+	m := new(Message)
+	if err := m.decode(buf, nil); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// decode parses one complete BGP message from buf into m. An UPDATE is
+// decoded into upd, whose lists are emptied and appended to, so a reader
+// that hands in the same Update every time decodes into warm buffers; nil
+// decodes it into a new one. The message is valid until upd is decoded into
+// again, and keeps nothing of buf either way.
+func (m *Message) decode(buf []byte, upd *Update) error {
 	if len(buf) < headerLen {
-		return nil, fmt.Errorf("bgp: short message (%d bytes)", len(buf))
+		return fmt.Errorf("bgp: short message (%d bytes)", len(buf))
 	}
 	for i := 0; i < markerLen; i++ {
 		if buf[i] != 0xFF {
-			return nil, Notification{Code: NotifMsgHeaderError, Subcode: 1} // connection not synchronized
+			return Notification{Code: NotifMsgHeaderError, Subcode: 1} // connection not synchronized
 		}
 	}
 	length := int(binary.BigEndian.Uint16(buf[16:18]))
 	typ := buf[18]
 	if length != len(buf) || length < headerLen || length > maxMsgLen {
-		return nil, Notification{Code: NotifMsgHeaderError, Subcode: 2} // bad message length
+		return Notification{Code: NotifMsgHeaderError, Subcode: 2} // bad message length
 	}
 	body := buf[headerLen:]
+	*m = Message{Type: typ}
 	switch typ {
 	case MsgOpen:
-		return decodeOpen(body)
+		o, err := decodeOpen(body)
+		m.Open = o
+		return err
 	case MsgKeepalive:
 		if len(body) != 0 {
-			return nil, Notification{Code: NotifMsgHeaderError, Subcode: 2}
+			return Notification{Code: NotifMsgHeaderError, Subcode: 2}
 		}
-		return &Message{Type: MsgKeepalive}, nil
+		return nil
 	case MsgUpdate:
-		return decodeUpdate(body)
+		if upd == nil {
+			upd = new(Update)
+		}
+		m.Upd = upd
+		return upd.decode(body)
 	case MsgNotification:
 		if len(body) < 2 {
-			return nil, fmt.Errorf("bgp: truncated notification")
+			return fmt.Errorf("bgp: truncated notification")
 		}
-		return &Message{Type: MsgNotification, Notif: &Notification{
-			Code: body[0], Subcode: body[1], Data: append([]byte(nil), body[2:]...),
-		}}, nil
+		m.Notif = &Notification{Code: body[0], Subcode: body[1], Data: append([]byte(nil), body[2:]...)}
+		return nil
 	default:
-		return nil, Notification{Code: NotifMsgHeaderError, Subcode: 3} // bad message type
+		return Notification{Code: NotifMsgHeaderError, Subcode: 3} // bad message type
 	}
 }
 
-func decodeOpen(body []byte) (*Message, error) {
+func decodeOpen(body []byte) (*Open, error) {
 	if len(body) < 10 {
 		return nil, Notification{Code: NotifOpenError, Subcode: 0}
 	}
@@ -514,38 +531,45 @@ func decodeOpen(body []byte) (*Message, error) {
 	if len(body) != 10+optLen {
 		return nil, Notification{Code: NotifOpenError, Subcode: 0}
 	}
-	return &Message{Type: MsgOpen, Open: o}, nil
+	return o, nil
 }
 
-func decodeUpdate(body []byte) (*Message, error) {
-	u := &Update{}
+// decode parses an UPDATE body into u, emptying its lists and appending to
+// them, so their arrays are reused: a session's reader decodes every UPDATE
+// into one Update.
+func (u *Update) decode(body []byte) error {
+	*u = Update{
+		Withdrawn: u.Withdrawn[:0],
+		Attrs:     PathAttrs{ASPath: u.Attrs.ASPath[:0], ClusterList: u.Attrs.ClusterList[:0]},
+		NLRI:      u.NLRI[:0],
+	}
 	if len(body) < 2 {
-		return nil, Notification{Code: NotifUpdateError, Subcode: 1}
+		return Notification{Code: NotifUpdateError, Subcode: 1}
 	}
 	wlen := int(binary.BigEndian.Uint16(body[:2]))
 	body = body[2:]
 	if len(body) < wlen {
-		return nil, Notification{Code: NotifUpdateError, Subcode: 1}
+		return Notification{Code: NotifUpdateError, Subcode: 1}
 	}
 	var err error
-	if u.Withdrawn, err = decodePrefixes(body[:wlen]); err != nil {
-		return nil, Notification{Code: NotifUpdateError, Subcode: 10}
+	if u.Withdrawn, err = appendPrefixes(u.Withdrawn, body[:wlen]); err != nil {
+		return Notification{Code: NotifUpdateError, Subcode: 10}
 	}
 	body = body[wlen:]
 	if len(body) < 2 {
-		return nil, Notification{Code: NotifUpdateError, Subcode: 1}
+		return Notification{Code: NotifUpdateError, Subcode: 1}
 	}
 	alen := int(binary.BigEndian.Uint16(body[:2]))
 	body = body[2:]
 	if len(body) < alen {
-		return nil, Notification{Code: NotifUpdateError, Subcode: 1}
+		return Notification{Code: NotifUpdateError, Subcode: 1}
 	}
 	attrs := body[:alen]
 	nlri := body[alen:]
 	seenNextHop := false
 	for len(attrs) > 0 {
 		if len(attrs) < 3 {
-			return nil, Notification{Code: NotifUpdateError, Subcode: 1}
+			return Notification{Code: NotifUpdateError, Subcode: 1}
 		}
 		flags := attrs[0]
 		typ := attrs[1]
@@ -553,18 +577,18 @@ func decodeUpdate(body []byte) (*Message, error) {
 		var val []byte
 		if flags&0x10 != 0 { // extended length
 			if len(attrs) < 4 {
-				return nil, Notification{Code: NotifUpdateError, Subcode: 1}
+				return Notification{Code: NotifUpdateError, Subcode: 1}
 			}
 			alen = int(binary.BigEndian.Uint16(attrs[2:4]))
 			if len(attrs) < 4+alen {
-				return nil, Notification{Code: NotifUpdateError, Subcode: 1}
+				return Notification{Code: NotifUpdateError, Subcode: 1}
 			}
 			val = attrs[4 : 4+alen]
 			attrs = attrs[4+alen:]
 		} else {
 			alen = int(attrs[2])
 			if len(attrs) < 3+alen {
-				return nil, Notification{Code: NotifUpdateError, Subcode: 1}
+				return Notification{Code: NotifUpdateError, Subcode: 1}
 			}
 			val = attrs[3 : 3+alen]
 			attrs = attrs[3+alen:]
@@ -572,20 +596,20 @@ func decodeUpdate(body []byte) (*Message, error) {
 		switch typ {
 		case attrOrigin:
 			if len(val) != 1 {
-				return nil, Notification{Code: NotifUpdateError, Subcode: 5}
+				return Notification{Code: NotifUpdateError, Subcode: 5}
 			}
 			u.Attrs.Origin = val[0]
 		case attrASPath:
 			for len(val) > 0 {
 				if len(val) < 2 {
-					return nil, Notification{Code: NotifUpdateError, Subcode: 11}
+					return Notification{Code: NotifUpdateError, Subcode: 11}
 				}
 				segType, count := val[0], int(val[1])
 				if len(val) < 2+2*count {
-					return nil, Notification{Code: NotifUpdateError, Subcode: 11}
+					return Notification{Code: NotifUpdateError, Subcode: 11}
 				}
 				if segType != asSequence && segType != asSet {
-					return nil, Notification{Code: NotifUpdateError, Subcode: 11}
+					return Notification{Code: NotifUpdateError, Subcode: 11}
 				}
 				for i := 0; i < count; i++ {
 					u.Attrs.ASPath = append(u.Attrs.ASPath, binary.BigEndian.Uint16(val[2+2*i:4+2*i]))
@@ -594,30 +618,30 @@ func decodeUpdate(body []byte) (*Message, error) {
 			}
 		case attrNextHop:
 			if len(val) != 4 {
-				return nil, Notification{Code: NotifUpdateError, Subcode: 8}
+				return Notification{Code: NotifUpdateError, Subcode: 8}
 			}
 			u.Attrs.NextHop = netip.AddrFrom4([4]byte(val))
 			seenNextHop = true
 		case attrMED:
 			if len(val) != 4 {
-				return nil, Notification{Code: NotifUpdateError, Subcode: 5}
+				return Notification{Code: NotifUpdateError, Subcode: 5}
 			}
 			u.Attrs.MED = binary.BigEndian.Uint32(val)
 			u.Attrs.HasMED = true
 		case attrLocalPref:
 			if len(val) != 4 {
-				return nil, Notification{Code: NotifUpdateError, Subcode: 5}
+				return Notification{Code: NotifUpdateError, Subcode: 5}
 			}
 			u.Attrs.LocalPref = binary.BigEndian.Uint32(val)
 			u.Attrs.HasLP = true
 		case attrOriginatorID:
 			if len(val) != 4 {
-				return nil, Notification{Code: NotifUpdateError, Subcode: 5}
+				return Notification{Code: NotifUpdateError, Subcode: 5}
 			}
 			u.Attrs.OriginatorID = netip.AddrFrom4([4]byte(val))
 		case attrClusterList:
 			if len(val)%4 != 0 {
-				return nil, Notification{Code: NotifUpdateError, Subcode: 5}
+				return Notification{Code: NotifUpdateError, Subcode: 5}
 			}
 			for i := 0; i+4 <= len(val); i += 4 {
 				u.Attrs.ClusterList = append(u.Attrs.ClusterList, netip.AddrFrom4([4]byte(val[i:i+4])))
@@ -628,13 +652,13 @@ func decodeUpdate(body []byte) (*Message, error) {
 			// single-implementation).
 		}
 	}
-	if u.NLRI, err = decodePrefixes(nlri); err != nil {
-		return nil, Notification{Code: NotifUpdateError, Subcode: 10}
+	if u.NLRI, err = appendPrefixes(u.NLRI, nlri); err != nil {
+		return Notification{Code: NotifUpdateError, Subcode: 10}
 	}
 	if len(u.NLRI) > 0 && !seenNextHop {
-		return nil, Notification{Code: NotifUpdateError, Subcode: 3} // missing well-known attribute
+		return Notification{Code: NotifUpdateError, Subcode: 3} // missing well-known attribute
 	}
-	return &Message{Type: MsgUpdate, Upd: u}, nil
+	return nil
 }
 
 // ReadMessage reads exactly one BGP message from r (blocking), returning

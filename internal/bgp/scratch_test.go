@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -293,6 +294,81 @@ func TestDecodeKeepsNothingOfItsInput(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("type %d: overwriting the input changed the message:\n got  %+v\n want %+v", want.Type, got, want)
+		}
+	}
+}
+
+// TestDecodeIntoWarmBuffersAllocatesNothing: once an Update's lists have
+// grown to a message's size, decoding that UPDATE into it again — a
+// withdrawal, every attribute and three NLRI — allocates nothing.
+func TestDecodeIntoWarmBuffersAllocatesNothing(t *testing.T) {
+	raw, err := EncodeUpdate(Update{
+		Withdrawn: []netip.Prefix{pfx("10.9.0.0/16")},
+		Attrs: PathAttrs{
+			Origin: OriginEGP, ASPath: []uint16{65002, 65010}, NextHop: addr("172.16.0.1"),
+			MED: 7, HasMED: true, LocalPref: 200, HasLP: true,
+			OriginatorID: addr("9.9.9.9"), ClusterList: []netip.Addr{addr("2.2.2.2"), addr("3.3.3.3")},
+		},
+		NLRI: []netip.Prefix{pfx("0.0.0.0/0"), pfx("10.1.0.0/24"), pfx("10.1.1.1/32")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Message
+	var u Update
+	decode := func() {
+		if err := m.decode(raw, &u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
+		t.Fatalf("decoding an UPDATE into warm buffers allocates %.1f times, want 0", allocs)
+	}
+	if len(u.NLRI) != 3 || len(u.Withdrawn) != 1 || len(u.Attrs.ASPath) != 2 || len(u.Attrs.ClusterList) != 2 {
+		t.Fatalf("decoded %+v", u)
+	}
+}
+
+// TestInternedAttrsOutliveTheDecodeBuffers: a session decodes every UPDATE
+// into the same lists, so an attribute set the RIB keeps must not share
+// them. Two UPDATEs whose AS paths and cluster lists have the same lengths
+// — the second decode overwrites the first in place — each leave their
+// route with the attributes they carried.
+func TestInternedAttrsOutliveTheDecodeBuffers(t *testing.T) {
+	s := mkSpeaker(t, "a", "1.1.1.1", nil, nil)
+	defer s.Stop()
+	ca, cb := emu.Pipe()
+	if err := s.AddPeer(PeerConfig{Conn: ca, LocalAddr: addr("172.16.0.0"), RemoteAddr: addr("172.16.0.1"), RemoteAS: 65002, Port: 1}); err != nil {
+		t.Fatal(err)
+	}
+	w := newPeerWire(t, cb)
+	w.write(EncodeOpen(Open{Version: 4, ASN: 65002, HoldTime: 0, RouterID: addr("2.2.2.2")}))
+	w.write(EncodeKeepalive())
+	sent := []Update{
+		{Attrs: PathAttrs{ASPath: []uint16{65002, 65010}, NextHop: addr("172.16.0.1"),
+			ClusterList: []netip.Addr{addr("7.7.7.7"), addr("8.8.8.8")}}, NLRI: []netip.Prefix{pfx("10.0.1.0/24")}},
+		{Attrs: PathAttrs{ASPath: []uint16{65002, 65020}, NextHop: addr("172.16.0.1"),
+			ClusterList: []netip.Addr{addr("5.5.5.5"), addr("6.6.6.6")}}, NLRI: []netip.Prefix{pfx("10.0.2.0/24")}},
+	}
+	for _, u := range sent {
+		raw, err := EncodeUpdate(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.write(raw)
+	}
+	waitFor(t, "both routes", func() bool { return len(s.LocRIB()) == 2 })
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, u := range sent {
+		best := s.rib.Best(u.NLRI[0])
+		if len(best) != 1 {
+			t.Fatalf("%v has %d best paths", u.NLRI[0], len(best))
+		}
+		got := best[0].Attrs
+		if !slices.Equal(got.ASPath, u.Attrs.ASPath) || !slices.Equal(got.ClusterList, u.Attrs.ClusterList) {
+			t.Errorf("%v reads AS path %v and cluster list %v, it was announced with %v and %v",
+				u.NLRI[0], got.ASPath, got.ClusterList, u.Attrs.ASPath, u.Attrs.ClusterList)
 		}
 	}
 }

@@ -407,16 +407,21 @@ func (x *session) send(b []byte) {
 }
 
 // readLoop reads every message into one buffer, which grows to the
-// largest message the session has seen; Decode keeps nothing of it. A
-// malformed message is answered with the NOTIFICATION it calls for.
+// largest message the session has seen, and decodes it into one Message,
+// every UPDATE into one Update whose lists grow to the longest the session
+// has seen: handle is done with a message, under the speaker's lock, before
+// the next is read, and what the speaker keeps of one it copies (the
+// attribute pool clones a new set). A malformed message is answered with
+// the NOTIFICATION it calls for.
 func (x *session) readLoop() {
 	var buf []byte
+	var msg Message
+	var upd Update
 	for {
 		raw, err := appendMessage(buf[:0], x.cfg.Conn)
-		var msg *Message
 		if err == nil {
 			buf = raw
-			msg, err = Decode(raw)
+			err = msg.decode(raw, &upd)
 		}
 		if err != nil {
 			var notify *Notification
@@ -428,7 +433,7 @@ func (x *session) readLoop() {
 			x.sp.mu.Unlock()
 			return
 		}
-		if x.handle(msg) != nil {
+		if x.handle(&msg) != nil {
 			return
 		}
 	}

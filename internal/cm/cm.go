@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -103,6 +104,7 @@ func New(engine *sim.Engine, net *netmodel.Network, logf func(string, ...any)) *
 		speakers: make(map[core.NodeID]*bgp.Speaker),
 		agents:   make(map[core.NodeID]*openflow.Agent),
 	}
+	m.routes.drain = m.drainRoutes
 	engine.SetInFlight(m.ledger.InFlight)
 	net.OnPacketIn = m.handlePacketIn
 	// The CM coalesces reroutes: control plane bursts (a fat-tree BGP
@@ -466,79 +468,105 @@ func connectedRoute(p *topo.Port, host *topo.Node) fib.Route {
 	}
 }
 
-// routeChange is one Loc-RIB change on its way to a router's FIB.
-type routeChange struct {
-	node core.NodeID
-	bgp.RouteEvent
-}
-
 // routeQueue holds the route changes the speakers have emitted and the
 // engine goroutine has not yet applied, in arrival order. One engine post
-// drains however many have gathered by the time it runs — a full-table
-// burst is a few thousand posts, not one per route — and the two buffers
-// swap roles at each drain, so after the first bursts nothing is
-// allocated.
+// drains however many changes have gathered by the time it runs — a
+// full-table burst is a few thousand posts, not one per route — and the
+// two buffers swap roles at each drain, so after the first bursts nothing
+// is allocated.
 type routeQueue struct {
-	mu      sync.Mutex
-	backlog []routeChange
-	posted  bool          // a drainRoutes post is in the engine's inbox
-	spare   []routeChange // the last drained buffer; engine goroutine only
+	mu     sync.Mutex
+	log    []routeEntry
+	posted bool // a drainRoutes post is in the engine's inbox
+
+	// drain is m.drainRoutes, bound once: a method value made per post
+	// would allocate.
+	drain func()
+	spare []routeEntry // the last drained buffer; engine goroutine only
+}
+
+// routeEntry is one queued change: an IPv4 prefix on a node and its next
+// hops (none withdraws). The hops are the slice the speaker handed over,
+// not a copy.
+type routeEntry struct {
+	node core.NodeID
+	addr uint32
+	bits uint8
+	hops []fib.NextHop
 }
 
 // applyRoute queues a BGP Loc-RIB change for the simulated FIB. Runs on
 // the speaker's goroutine; the engine goroutine applies it. Route installs
 // are control plane activity (they correspond to kernel route installs in
-// the original Horse), so the drain is posted as such.
+// the original Horse), so the drain is posted as such. A change to a prefix
+// that is not IPv4 fits no entry and no FIB takes it: it is counted and
+// reported here.
 //
-// The clock cannot leave FTI with routes unapplied: a non-empty backlog
-// always has its post in the inbox (posted is set with the first append
-// and cleared only by the drain that takes the backlog), the speaker
-// goroutine appending here still holds its channel's ledger token, and
-// the engine calls a quiet plane quiescent only with the ledger at zero
-// and the inbox empty. (Once the run has ended the engine drops posts, so
-// what a speaker still emits stays in the backlog, unapplied.)
+// The clock cannot leave FTI with routes unapplied: a non-empty log always
+// has its post in the inbox (posted is set with the first append and
+// cleared only by the drain that takes the log), the speaker goroutine
+// appending here still holds its channel's ledger token, and the engine
+// calls a quiet plane quiescent only with the ledger at zero and the inbox
+// empty. (Once the run has ended the engine drops posts, so what a speaker
+// still emits stays in the log, unapplied and uncounted.)
 func (m *Manager) applyRoute(node core.NodeID, ev bgp.RouteEvent) {
-	if len(ev.NextHops) == 0 {
-		m.Stats.RouteWithdraws.Add(1)
-	} else {
-		m.Stats.RouteInstalls.Add(1)
+	a := ev.Prefix.Addr()
+	if !a.Is4() {
+		if len(ev.NextHops) == 0 {
+			m.Stats.RouteWithdraws.Add(1)
+		} else {
+			m.Stats.RouteInstalls.Add(1)
+		}
+		m.Logf("cm: route %v on %v not applied: not an IPv4 prefix", ev.Prefix, node)
+		return
 	}
 	q := &m.routes
 	q.mu.Lock()
-	q.backlog = append(q.backlog, routeChange{node, ev})
+	if len(q.log) == cap(q.log) {
+		// Twice the room, not append's quarter more: a full table's burst
+		// is copied twice over on the way up instead of five times.
+		q.log = slices.Grow(q.log, max(len(q.log), 64))
+	}
+	q.log = append(q.log, routeEntry{node: node, addr: core.IPv4ToUint32(a), bits: uint8(ev.Prefix.Bits()), hops: ev.NextHops})
 	post := !q.posted
 	q.posted = true
 	q.mu.Unlock()
 	if post {
-		m.Engine.Post(m.drainRoutes)
+		m.Engine.Post(q.drain)
 	}
 }
 
 // drainRoutes applies the queued route changes to the simulated FIBs in
-// arrival order; engine goroutine only. A change the network refuses (the
-// FIB takes valid IPv4 prefixes only) was counted when it was queued and
-// is reported here, or it would vanish without a trace.
+// arrival order and counts them in Stats, once per drain; engine goroutine
+// only. A change the network refuses (a node without a FIB) is counted all
+// the same, and reported here, or it would vanish without a trace.
 func (m *Manager) drainRoutes() {
 	q := &m.routes
 	q.mu.Lock()
-	batch := q.backlog
-	q.backlog = q.spare[:0]
+	log := q.log
+	q.log = q.spare[:0]
 	q.posted = false
 	q.mu.Unlock()
 	now := m.Engine.Now()
-	for i, rc := range batch {
+	var installs, withdraws uint64
+	for _, e := range log {
+		prefix := netip.PrefixFrom(core.IPv4FromUint32(e.addr), int(e.bits))
 		var err error
-		if len(rc.NextHops) == 0 {
-			err = m.Net.WithdrawRoute(rc.node, fib.Route{Prefix: rc.Prefix}, now)
+		if len(e.hops) == 0 {
+			withdraws++
+			err = m.Net.WithdrawRoute(e.node, fib.Route{Prefix: prefix}, now)
 		} else {
-			err = m.Net.InstallRoute(rc.node, fib.Route{Prefix: rc.Prefix, NextHops: rc.NextHops}, now)
+			installs++
+			err = m.Net.InstallRoute(e.node, fib.Route{Prefix: prefix, NextHops: e.hops}, now)
 		}
 		if err != nil {
-			m.Logf("cm: route %v on %v not applied: %v", rc.Prefix, rc.node, err)
+			m.Logf("cm: route %v on %v not applied: %v", prefix, e.node, err)
 		}
-		batch[i] = routeChange{} // the spare buffer pins no next-hop slice
 	}
-	q.spare = batch
+	clear(log) // the spare buffer pins no next-hop slice
+	q.spare = log
+	m.Stats.RouteInstalls.Add(installs)
+	m.Stats.RouteWithdraws.Add(withdraws)
 	m.scheduleFlush()
 }
 

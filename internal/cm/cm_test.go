@@ -439,8 +439,10 @@ func TestStopIsSilent(t *testing.T) {
 			if sent < uint64(sessions) || sent > 2*uint64(sessions) {
 				t.Errorf("%d NOTIFICATIONs for %d sessions, want one per session to one per session end", sent, sessions)
 			}
-			// A CEASE to a session the peer's CEASE already closed is
-			// counted but not written.
+			// Every NOTIFICATION counted is written, but the transport
+			// refuses one written after the other end closed it (a session
+			// whose peer's reader had not yet taken in the peer's CEASE), so
+			// that one is no control write.
 			if wrote := now.writes - was.writes; wrote < uint64(sessions) || wrote > sent {
 				t.Errorf("%d control writes during Stop for %d NOTIFICATIONs over %d sessions", wrote, sent, sessions)
 			}
@@ -513,9 +515,10 @@ func TestRouteQueueKeepsArrivalOrder(t *testing.T) {
 }
 
 // TestRefusedRouteIsReported: a route change the network refuses — here a
-// prefix the FIB does not take, and a node that has no FIB — is counted when
-// it is queued, so the drain has to say that it was not applied, with the
-// node and the prefix; the changes around it are.
+// prefix the FIB does not take, and a node that has no FIB — is counted all
+// the same, so it has to be reported as not applied, with the node and the
+// prefix: a prefix that is not IPv4 when it is queued, the rest by the drain
+// that counts them. The changes around it are applied.
 func TestRefusedRouteIsReported(t *testing.T) {
 	g, _ := topo.TwoRouters(core.Gbps, 0)
 	r1, _ := g.NodeByName("r1")
