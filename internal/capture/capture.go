@@ -59,7 +59,8 @@ const fileName = "control.pcapng"
 // session of the run (each BGP speaker pair's incarnations, each
 // switch-controller connection) is one capture interface in it. It is
 // safe for concurrent use: one mutex serializes every session's writes,
-// which all come from the engine goroutine in a run.
+// which come from the emulated processes' goroutines as they write and
+// from the engine goroutine as delayed messages land.
 type Capture struct {
 	mu        sync.Mutex
 	path      string
@@ -199,10 +200,10 @@ func (s *Session) Data(d Dir, p []byte, at core.Time) {
 	if c.f == nil {
 		return
 	}
-	// Delivery stamps never run backwards: the engine clock is monotone
-	// and all recording happens on the engine goroutine, but clamp
-	// defensively so a reordered hand-off can never corrupt the trace
-	// invariant the validator enforces.
+	// Stamps never run backwards in file order, the invariant the
+	// validator enforces. The engine clock is monotone, but a writer
+	// that read it just before another goroutine recorded a later
+	// instant takes the mutex second: it is stamped with that instant.
 	if at < c.lastTS {
 		at = c.lastTS
 	}

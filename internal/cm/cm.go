@@ -68,8 +68,8 @@ type Manager struct {
 	// Deliberately not counted, because they are events in the engine's own
 	// queue that MarkControl when due: every armed clock deadline — a
 	// speaker's advertisement window, keepalive tick and hold deadline, a
-	// dampening reuse, a controller poll — and delayed tap deliveries; and
-	// capture records (PostData).
+	// dampening reuse, a controller poll — and delayed tap deliveries.
+	// Capture records are neither: the tap writes them as it goes.
 	ledger emu.Ledger
 
 	stops    []func() // Stop of every speaker and agent, in start order
@@ -177,8 +177,8 @@ func (m *Manager) Speaker(n core.NodeID) *bgp.Speaker { return m.speakers[n] }
 // Close pass through.
 //
 // Undelayed, the bytes are readable at the peer when Write returns, and
-// the capture record is stamped with the engine's virtual time at
-// delivery, taken on the engine goroutine.
+// the writer records them itself, stamped with the engine's virtual time
+// at the write (NowExternal): delivery is the write.
 //
 // Delayed, a write is counted as control activity immediately (the
 // sender is active now), but the bytes become readable at the peer only
@@ -206,8 +206,7 @@ func (t tap) Write(p []byte) (int, error) {
 			m.Stats.ControlBytes.Add(uint64(n))
 			m.Stats.ControlWrites.Add(1)
 			if sess != nil {
-				cp := append([]byte(nil), p[:n]...)
-				m.Engine.PostData(func() { sess.Data(dir, cp, m.Engine.Now()) })
+				sess.Data(dir, p[:n], m.Engine.NowExternal())
 			}
 			m.Engine.NotifyControl()
 		}

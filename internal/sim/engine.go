@@ -170,9 +170,10 @@ type external struct {
 // deadlocks experiment bootstrap when the emulated plane floods events
 // while the engine is not yet (or briefly not) draining.
 type postQueue struct {
-	mu   sync.Mutex
-	q    []external
-	wake chan struct{} // capacity 1: wake signal for blocked waits
+	mu    sync.Mutex
+	q     []external
+	spare []external    // the last drained buffer; engine goroutine only
+	wake  chan struct{} // capacity 1: wake signal for blocked waits
 }
 
 func (p *postQueue) put(x external) {
@@ -191,12 +192,14 @@ func (p *postQueue) empty() bool {
 	return len(p.q) == 0
 }
 
-// take returns all queued work (nil when empty).
+// take returns all queued work; new work queues into the spare buffer,
+// which drainInbox refills with the slice once it has run.
 func (p *postQueue) take() []external {
 	p.mu.Lock()
 	q := p.q
-	p.q = nil
+	p.q = p.spare
 	p.mu.Unlock()
+	p.spare = nil
 	return q
 }
 
@@ -353,9 +356,12 @@ func (e *Engine) Run(until core.Time) Stats {
 
 // drainInbox handles all currently queued external work without blocking.
 func (e *Engine) drainInbox() {
-	for _, x := range e.inbox.take() {
+	q := e.inbox.take()
+	for _, x := range q {
 		e.handleExternal(x)
 	}
+	clear(q) // the spare buffer pins no closure
+	e.inbox.spare = q[:0]
 }
 
 func (e *Engine) handleExternal(x external) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -231,6 +232,38 @@ func TestPostAfterRunDropped(t *testing.T) {
 	e.PostData(func() { t.Error("post after run executed") })
 	if _, ok := Call(e, false, func() int { return 7 }); ok {
 		t.Fatal("Call after run reported success")
+	}
+}
+
+// TestSteadyPostAllocatesNothing: once the inbox has grown to its
+// working size, posting a pre-bound func that a running engine drains
+// allocates nothing — the drained buffer becomes the next one.
+func TestSteadyPostAllocatesNothing(t *testing.T) {
+	// Unpaced and never quiet, so the engine stays in FTI and never
+	// arms a wait timer.
+	e := New(Config{FTIStep: core.Millisecond, QuietTimeout: core.MaxTime, Pacing: 1e12, StartInFTI: true})
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		e.Run(core.MaxTime)
+	}()
+	defer func() {
+		e.Stop()
+		<-ran
+	}()
+	handled := make(chan struct{}, 1)
+	fn := func() {
+		handled <- struct{}{}
+		// AllocsPerRun runs at GOMAXPROCS 1 and the unpaced engine never
+		// blocks: hand the processor back to the poster.
+		runtime.Gosched()
+	}
+	post := func() {
+		e.Post(fn)
+		<-handled
+	}
+	if allocs := testing.AllocsPerRun(1000, post); allocs != 0 {
+		t.Fatalf("a steady Post allocates %v times, want 0", allocs)
 	}
 }
 

@@ -401,40 +401,42 @@ func (g *Graph) Validate() error {
 // Hosts never appear as intermediate nodes: traffic is not switched
 // through end hosts. Dead links and dead nodes (see LinkAlive) are
 // excluded, so after a failure injection the controller apps recompute
-// repairs over the surviving topology.
+// repairs over the surviving topology. Paths come in port order: the
+// first differing hop of two paths decides, by the lower port.
+//
+// One BFS from dst, against link direction, gives every node its
+// distance to dst; the walk from src then steps only to a neighbour one
+// hop closer, so it visits the returned paths' links and no others.
 func (g *Graph) AllShortestPaths(src, dst core.NodeID) [][]core.LinkID {
 	if src == dst {
 		return [][]core.LinkID{{}}
 	}
-	// BFS computing distance from src, forbidding host transit.
+	// transits reports whether n may forward: hosts never do, except
+	// src, where every path starts.
+	transits := func(n core.NodeID) bool { return n == src || g.Nodes[n].Kind != Host }
 	const unseen = -1
-	dist := make([]int, len(g.Nodes))
+	dist := make([]int32, len(g.Nodes))
 	for i := range dist {
 		dist[i] = unseen
 	}
-	dist[src] = 0
-	queue := []core.NodeID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur != src && g.Nodes[cur].Kind == Host {
-			continue // do not expand through hosts
-		}
+	dist[dst] = 0
+	queue := make([]core.NodeID, 1, len(g.Nodes))
+	queue[0] = dst
+	// Only dst and nodes that transit are queued. Nodes nearer dst than
+	// src are all labelled once src is: the BFS stops there.
+	for head := 0; head < len(queue) && dist[src] == unseen; head++ {
+		cur := queue[head]
 		for _, p := range g.Nodes[cur].Ports {
-			nxt := p.Peer
-			if !g.LinkAlive(p.Link) {
-				continue
-			}
-			if dist[nxt] == unseen {
+			// p.Peer reaches cur over the reverse of p's link.
+			if nxt := p.Peer; dist[nxt] == unseen && transits(nxt) && g.LinkAlive(g.Links[p.Link].Reverse) {
 				dist[nxt] = dist[cur] + 1
 				queue = append(queue, nxt)
 			}
 		}
 	}
-	if dist[dst] == unseen {
+	if dist[src] == unseen {
 		return nil
 	}
-	// DFS backward-free enumeration along strictly increasing distance.
 	var paths [][]core.LinkID
 	var walk func(cur core.NodeID, acc []core.LinkID)
 	walk = func(cur core.NodeID, acc []core.LinkID) {
@@ -442,16 +444,13 @@ func (g *Graph) AllShortestPaths(src, dst core.NodeID) [][]core.LinkID {
 			paths = append(paths, append([]core.LinkID(nil), acc...))
 			return
 		}
-		if cur != src && g.Nodes[cur].Kind == Host {
-			return
-		}
 		for _, p := range g.Nodes[cur].Ports {
-			if dist[p.Peer] == dist[cur]+1 && g.LinkAlive(p.Link) {
+			if dist[p.Peer] == dist[cur]-1 && g.LinkAlive(p.Link) {
 				walk(p.Peer, append(acc, p.Link))
 			}
 		}
 	}
-	walk(src, nil)
+	walk(src, make([]core.LinkID, 0, dist[src]))
 	return paths
 }
 
