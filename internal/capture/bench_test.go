@@ -2,7 +2,6 @@ package capture
 
 import (
 	"fmt"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/bgp"
@@ -11,8 +10,9 @@ import (
 
 // BenchmarkCapture measures what recording costs a run:
 //   - sessions=139: New, 139 sessions with one KEEPALIVE each, then
-//     Close, in a fresh directory per iteration — one campaign-sweep
-//     run's worth of sessions;
+//     Close — one campaign-sweep run's worth of sessions. Every
+//     iteration rewrites the one file of one directory, so the
+//     directory does not grow with b.N;
 //   - data/1KB: one session's Data with a 1 KB write, the per-message
 //     cost once the session is open.
 func BenchmarkCapture(b *testing.B) {
@@ -23,10 +23,10 @@ func BenchmarkCapture(b *testing.B) {
 		for i := range pairs {
 			pairs[i] = fmt.Sprintf("bgp-r%d-r%d", i, i+1)
 		}
-		root := b.TempDir()
+		dir := b.TempDir()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c, err := New(filepath.Join(root, fmt.Sprint(i)))
+			c, err := New(dir)
 			if err != nil {
 				b.Fatal(err)
 			}

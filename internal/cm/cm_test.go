@@ -24,7 +24,6 @@ import (
 
 func newEngine() *sim.Engine {
 	return sim.New(sim.Config{
-		FTIStep:      core.Millisecond,
 		QuietTimeout: 100 * core.Millisecond,
 		Pacing:       50,
 		MaxIdleWall:  2 * time.Second,

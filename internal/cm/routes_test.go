@@ -64,7 +64,7 @@ func BenchmarkRouteQueue(b *testing.B) {
 	g, _ := topo.TwoRouters(core.Gbps, 0)
 	r1, _ := g.NodeByName("r1")
 	// Unpaced, and idle for as long as the benchmark takes between bursts.
-	engine := sim.New(sim.Config{FTIStep: core.Millisecond, Pacing: 1e9, MaxIdleWall: time.Hour})
+	engine := sim.New(sim.Config{Pacing: 1e9, MaxIdleWall: time.Hour})
 	m := New(engine, netmodel.New(g), nil)
 	ran := make(chan struct{})
 	go func() {

@@ -1,7 +1,8 @@
 package controller
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/flowtable"
@@ -110,7 +111,7 @@ func (a *ECMPApp) install(sw *SwitchHandle) {
 	for _, host := range g.Hosts() {
 		ports := next[host.ID]
 		prev, had := cache[host.ID]
-		if portSeqEqual(prev, ports) {
+		if slices.Equal(prev, ports) {
 			continue
 		}
 		m := openflow.MatchFromTable(flowtable.Match{
@@ -141,19 +142,6 @@ func (a *ECMPApp) install(sw *SwitchHandle) {
 			Actions:  []openflow.Action{action},
 		})
 	}
-}
-
-// portSeqEqual reports whether two sorted port lists are identical.
-func portSeqEqual(a, b []core.PortID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -338,7 +326,10 @@ func (a *HederaApp) schedule(byteCounts map[core.FiveTuple]uint64) {
 	for ft := range byteCounts {
 		ordered = append(ordered, ft)
 	}
-	sortTuples(ordered)
+	slices.SortFunc(ordered, func(a, b core.FiveTuple) int {
+		return cmp.Or(a.Src.Compare(b.Src), a.Dst.Compare(b.Dst),
+			cmp.Compare(a.SrcPort, b.SrcPort), cmp.Compare(a.DstPort, b.DstPort))
+	})
 	for _, ft := range ordered {
 		bytes := byteCounts[ft]
 		last, seen := a.lastBytes[ft]
@@ -400,7 +391,7 @@ func (a *HederaApp) schedule(byteCounts map[core.FiveTuple]uint64) {
 	moved := 0
 	for _, pl := range placements {
 		ft := tuples[pl.FlowID]
-		if !linkSeqEqual(a.installed[ft], pl.Path) {
+		if !slices.Equal(a.installed[ft], pl.Path) {
 			a.installed[ft] = pl.Path
 			installPath(a.ctx, ft, pl.Path)
 			moved++
@@ -418,33 +409,6 @@ func (a *HederaApp) Rounds() int {
 	a.ctx.Ctl.mu.Lock()
 	defer a.ctx.Ctl.mu.Unlock()
 	return a.rounds
-}
-
-func linkSeqEqual(a, b []core.LinkID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortTuples(ts []core.FiveTuple) {
-	sort.Slice(ts, func(i, j int) bool {
-		if c := ts[i].Src.Compare(ts[j].Src); c != 0 {
-			return c < 0
-		}
-		if c := ts[i].Dst.Compare(ts[j].Dst); c != 0 {
-			return c < 0
-		}
-		if ts[i].SrcPort != ts[j].SrcPort {
-			return ts[i].SrcPort < ts[j].SrcPort
-		}
-		return ts[i].DstPort < ts[j].DstPort
-	})
 }
 
 // DPIDOf maps a topology node to its datapath id; the Connection Manager

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -291,7 +292,7 @@ func TestHederaAppPollsAndSchedules(t *testing.T) {
 	// The hash places this tuple on the last of its four shortest paths;
 	// Global First Fit, on an empty fabric, takes the first that fits.
 	paths := g.AllShortestPaths(src.ID, dst.ID)
-	if len(paths) != 4 || !linkSeqEqual(pinned, paths[3]) {
+	if len(paths) != 4 || !slices.Equal(pinned, paths[3]) {
 		t.Fatalf("pinned %v, want the hash path %v of %d", pinned, paths[3], len(paths))
 	}
 
@@ -314,7 +315,7 @@ func TestHederaAppPollsAndSchedules(t *testing.T) {
 	ctl.mu.Lock()
 	placed := app.installed[ft]
 	ctl.mu.Unlock()
-	if !linkSeqEqual(placed, paths[0]) {
+	if !slices.Equal(placed, paths[0]) {
 		t.Fatalf("after a round the flow is on %v, want Global First Fit's %v", placed, paths[0])
 	}
 }

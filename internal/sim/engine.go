@@ -50,10 +50,6 @@ func (m Mode) String() string {
 
 // Config tunes the hybrid clock.
 type Config struct {
-	// FTIStep is the virtual time advanced per FTI increment.
-	// Default 1ms, matching the reference implementation.
-	FTIStep core.Time
-
 	// QuietTimeout is how long (virtual time) the engine stays in FTI
 	// after the last control plane event before resuming DES: the exit
 	// rule of an engine without SetInFlight, the upper bound of one with
@@ -85,6 +81,10 @@ type Config struct {
 	OnModeChange func(from, to Mode, at core.Time)
 }
 
+// ftiStep is the virtual time advanced per FTI increment: 1ms, matching
+// the reference implementation.
+const ftiStep = core.Millisecond
+
 // settleSteps is how many FTI increments without control activity the
 // engine lets pass before it believes an in-flight reading of zero
 // (SetInFlight). Work that lives on the engine side for a moment — the
@@ -94,9 +94,6 @@ type Config struct {
 const settleSteps = 3
 
 func (c *Config) setDefaults() {
-	if c.FTIStep <= 0 {
-		c.FTIStep = core.Millisecond
-	}
 	if c.QuietTimeout <= 0 {
 		c.QuietTimeout = 500 * core.Millisecond
 	}
@@ -219,8 +216,9 @@ type Engine struct {
 	stopped     atomic.Bool
 	done        chan struct{} // closed when Run returns; Call selects on it
 	stats       Stats
-	modeEntered time.Time // wall time current mode was entered
-	virtEntered core.Time // virtual time current mode was entered
+	modeEntered time.Time   // wall time current mode was entered
+	virtEntered core.Time   // virtual time current mode was entered
+	timer       *time.Timer // every wall wait of Run; engine goroutine only
 }
 
 // New creates an engine with the given configuration.
@@ -345,6 +343,9 @@ func (e *Engine) Run(until core.Time) Stats {
 			}
 		}
 	}
+	if e.timer != nil {
+		e.timer.Stop()
+	}
 	e.accountMode(e.mode) // close out the final mode interval
 	e.stats.VirtualEnd = e.now
 	e.stats.WallTotal = time.Since(start)
@@ -412,22 +413,18 @@ func (e *Engine) stepDES(until core.Time) bool {
 	if len(e.queue) == 0 {
 		// Nothing scheduled: the only possible source of progress is the
 		// emulated control plane. Wait a bounded wall time for it.
-		timer := time.NewTimer(e.cfg.MaxIdleWall)
-		defer timer.Stop()
-		select {
-		case <-e.inbox.wake:
+		if e.wait(e.cfg.MaxIdleWall) {
 			e.drainInbox()
 			return false
-		case <-timer.C:
-			// Nothing scheduled and nothing arrived: the experiment has
-			// run out of work. Finish at the requested horizon so that
-			// callers observe the full virtual duration.
-			if until < core.MaxTime {
-				e.advance(until)
-			}
-			e.stats.EndedIdle = true
-			return true
 		}
+		// Nothing scheduled and nothing arrived: the experiment has run
+		// out of work. Finish at the requested horizon so that callers
+		// observe the full virtual duration.
+		if until < core.MaxTime {
+			e.advance(until)
+		}
+		e.stats.EndedIdle = true
+		return true
 	}
 	next := e.queue[0]
 	if next.at > until {
@@ -444,7 +441,7 @@ func (e *Engine) stepDES(until core.Time) bool {
 // drops back to DES once the control plane is quiescent (or has been quiet
 // for QuietTimeout).
 func (e *Engine) stepFTI(until core.Time) {
-	target := e.now + e.cfg.FTIStep
+	target := e.now + ftiStep
 	if target > until {
 		target = until
 	}
@@ -455,22 +452,18 @@ func (e *Engine) stepFTI(until core.Time) {
 	}
 	e.advance(target)
 
-	// Pace: one increment of virtual time costs FTIStep/Pacing wall time.
-	// Sleep in a select so control activity arriving mid-sleep is handled
-	// immediately (it executes at the current virtual time).
-	wallBudget := time.Duration(float64(e.cfg.FTIStep.Duration()) / e.cfg.Pacing)
+	// Pace: one increment of virtual time costs ftiStep/Pacing wall time.
+	// Wait on the inbox too, so control activity arriving mid-sleep is
+	// handled immediately (it executes at the current virtual time).
+	wallBudget := time.Duration(float64(ftiStep.Duration()) / e.cfg.Pacing)
 	deadline := time.Now().Add(wallBudget)
 	for {
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			break
 		}
-		timer := time.NewTimer(remain)
-		select {
-		case <-e.inbox.wake:
-			timer.Stop()
+		if e.wait(remain) {
 			e.drainInbox()
-		case <-timer.C:
 		}
 		if !e.running.Load() {
 			return
@@ -481,9 +474,35 @@ func (e *Engine) stepFTI(until core.Time) {
 	case quiet >= e.cfg.QuietTimeout:
 		e.stats.TimeoutExits++
 		e.switchMode(DES)
-	case quiet >= settleSteps*e.cfg.FTIStep && e.quiescent():
+	case quiet >= settleSteps*ftiStep && e.quiescent():
 		e.stats.EvidenceExits++
 		e.switchMode(DES)
+	}
+}
+
+// wait blocks until the inbox is woken, reporting true, or until d of wall
+// time has passed. Every wait reuses the engine's one timer, so a paced
+// increment and the post that wakes it allocate nothing.
+func (e *Engine) wait(d time.Duration) bool {
+	if e.timer == nil {
+		e.timer = time.NewTimer(d)
+	} else {
+		// Before Go 1.23 timer semantics (go.mod says go 1.22) a Reset
+		// timer may still deliver the expiry of its previous wait: stop
+		// it and drain that expiry first.
+		if !e.timer.Stop() {
+			select {
+			case <-e.timer.C:
+			default:
+			}
+		}
+		e.timer.Reset(d)
+	}
+	select {
+	case <-e.inbox.wake:
+		return true
+	case <-e.timer.C:
+		return false
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 // fast returns a config that never sleeps long, for unit tests.
 func fast() Config {
 	return Config{
-		FTIStep:      core.Millisecond,
 		QuietTimeout: 5 * core.Millisecond,
 		Pacing:       1000, // 1ms virtual costs 1µs wall
 		MaxIdleWall:  50 * time.Millisecond,
@@ -240,8 +239,20 @@ func TestPostAfterRunDropped(t *testing.T) {
 // allocates nothing — the drained buffer becomes the next one.
 func TestSteadyPostAllocatesNothing(t *testing.T) {
 	// Unpaced and never quiet, so the engine stays in FTI and never
-	// arms a wait timer.
-	e := New(Config{FTIStep: core.Millisecond, QuietTimeout: core.MaxTime, Pacing: 1e12, StartInFTI: true})
+	// waits on the wall clock.
+	steadyPostAllocs(t, 1e12)
+}
+
+// TestPacedSteadyPostAllocatesNothing is the paced twin: every post
+// wakes the engine from its pacing wait, and each wait reuses the
+// engine's one timer.
+func TestPacedSteadyPostAllocatesNothing(t *testing.T) {
+	steadyPostAllocs(t, 1)
+}
+
+func steadyPostAllocs(t *testing.T, pacing float64) {
+	t.Helper()
+	e := New(Config{QuietTimeout: core.MaxTime, Pacing: pacing, StartInFTI: true})
 	ran := make(chan struct{})
 	go func() {
 		defer close(ran)

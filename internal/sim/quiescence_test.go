@@ -23,7 +23,7 @@ func keepBusy(e *Engine) {
 	e.Schedule(0, tick)
 }
 
-const settle = settleSteps * core.Millisecond // at fast()'s 1ms FTIStep
+const settle = settleSteps * ftiStep
 
 func TestEvidenceExitAfterSettle(t *testing.T) {
 	e := New(quiescenceConfig())

@@ -65,9 +65,9 @@ var surface = []struct {
 		"Pacing", "StartInFTI",
 		// bench/probes_des.go; engine tests shorten the 500ms and 2s bounds.
 		"QuietTimeout", "MaxIdleWall",
-		// test fakes: engine and cm tests count in 1ms steps and watch the
-		// transition sequence; ROADMAP's typed-event sink attaches to the hook.
-		"FTIStep", "OnModeChange",
+		// test fakes: engine tests watch the transition sequence; ROADMAP's
+		// typed-event sink attaches to the hook.
+		"OnModeChange",
 	}},
 	// The generators' link rates, delays, ASNs, chord counts, region
 	// spans and peering counts are constants in topo: one value each.
