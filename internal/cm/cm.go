@@ -17,6 +17,7 @@
 package cm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/netip"
@@ -87,7 +88,10 @@ type Manager struct {
 
 	// routes is where every speaker's Loc-RIB changes wait for the engine
 	// goroutine (applyRoute, drainRoutes).
-	routes routeQueue
+	routes drainQueue[[]routeEntry]
+	// flowMods is where every agent's FLOW_MODs wait for it
+	// (dataPlane.ApplyFlowMod, drainFlowMods).
+	flowMods flowModLog
 }
 
 // New creates a Connection Manager bridging the given engine and
@@ -105,6 +109,7 @@ func New(engine *sim.Engine, net *netmodel.Network, logf func(string, ...any)) *
 		agents:   make(map[core.NodeID]*openflow.Agent),
 	}
 	m.routes.drain = m.drainRoutes
+	m.flowMods.drain = m.drainFlowMods
 	engine.SetInFlight(m.ledger.InFlight)
 	net.OnPacketIn = m.handlePacketIn
 	// The CM coalesces reroutes: control plane bursts (a fat-tree BGP
@@ -467,22 +472,61 @@ func connectedRoute(p *topo.Port, host *topo.Node) fib.Route {
 	}
 }
 
-// routeQueue holds the route changes the speakers have emitted and the
-// engine goroutine has not yet applied, in arrival order. One engine post
-// drains however many changes have gathered by the time it runs — a
-// full-table burst is a few thousand posts, not one per route — and the
-// two buffers swap roles at each drain, so after the first bursts nothing
+// drainQueue is where the changes the emulated processes emit wait for the
+// engine goroutine, in arrival order, in a log of type L. The first append
+// since the last drain posts one drain, which applies however many changes
+// have gathered by the time it runs — a full-table burst or a whole
+// proactive install is a few thousand posts, not one per change — and the
+// log swaps with a spare at each drain, so after the first bursts nothing
 // is allocated.
-type routeQueue struct {
+//
+// The clock cannot leave FTI with changes unapplied: a non-empty log always
+// has its drain in the inbox (posted is set with the first append and
+// cleared only by the take that empties the log), the goroutine appending
+// still holds its channel's ledger token, and the engine calls a quiet plane
+// quiescent only with the ledger at zero and the inbox empty. (Once the run
+// has ended the engine drops posts, so what is appended then stays in the
+// log, unapplied.)
+type drainQueue[L any] struct {
 	mu     sync.Mutex
-	log    []routeEntry
-	posted bool // a drainRoutes post is in the engine's inbox
+	log    L
+	posted bool // a drain post is in the engine's inbox
 
-	// drain is m.drainRoutes, bound once: a method value made per post
-	// would allocate.
+	// drain is the Manager's drain method, bound once: a method value made
+	// per post would allocate.
 	drain func()
-	spare []routeEntry // the last drained buffer; engine goroutine only
+	spare L // the last drained log; engine goroutine only
 }
+
+// lock takes the queue for an append to the log it returns.
+func (q *drainQueue[L]) lock() *L {
+	q.mu.Lock()
+	return &q.log
+}
+
+// unlock ends an append, posting the drain if none is in the inbox.
+func (q *drainQueue[L]) unlock(e *sim.Engine) {
+	post := !q.posted
+	q.posted = true
+	q.mu.Unlock()
+	if post {
+		e.Post(q.drain)
+	}
+}
+
+// take hands the drain the log and puts the spare in its place; engine
+// goroutine only. The drain hands the emptied log back through recycle.
+func (q *drainQueue[L]) take() L {
+	q.mu.Lock()
+	log := q.log
+	q.log = q.spare
+	q.posted = false
+	q.mu.Unlock()
+	return log
+}
+
+// recycle keeps a drained log as the next spare; engine goroutine only.
+func (q *drainQueue[L]) recycle(log L) { q.spare = log }
 
 // routeEntry is one queued change: an IPv4 prefix on a node and its next
 // hops (none withdraws). The hops are the slice the speaker handed over,
@@ -495,19 +539,11 @@ type routeEntry struct {
 }
 
 // applyRoute queues a BGP Loc-RIB change for the simulated FIB. Runs on
-// the speaker's goroutine; the engine goroutine applies it. Route installs
-// are control plane activity (they correspond to kernel route installs in
-// the original Horse), so the drain is posted as such. A change to a prefix
-// that is not IPv4 fits no entry and no FIB takes it: it is counted and
-// reported here.
-//
-// The clock cannot leave FTI with routes unapplied: a non-empty log always
-// has its post in the inbox (posted is set with the first append and
-// cleared only by the drain that takes the log), the speaker goroutine
-// appending here still holds its channel's ledger token, and the engine
-// calls a quiet plane quiescent only with the ledger at zero and the inbox
-// empty. (Once the run has ended the engine drops posts, so what a speaker
-// still emits stays in the log, unapplied and uncounted.)
+// the speaker's goroutine; the engine goroutine applies it (drainQueue).
+// Route installs are control plane activity (they correspond to kernel
+// route installs in the original Horse), so the drain is posted as such. A
+// change to a prefix that is not IPv4 fits no entry and no FIB takes it: it
+// is counted and reported here.
 func (m *Manager) applyRoute(node core.NodeID, ev bgp.RouteEvent) {
 	a := ev.Prefix.Addr()
 	if !a.Is4() {
@@ -519,20 +555,14 @@ func (m *Manager) applyRoute(node core.NodeID, ev bgp.RouteEvent) {
 		m.Logf("cm: route %v on %v not applied: not an IPv4 prefix", ev.Prefix, node)
 		return
 	}
-	q := &m.routes
-	q.mu.Lock()
-	if len(q.log) == cap(q.log) {
+	log := m.routes.lock()
+	if len(*log) == cap(*log) {
 		// Twice the room, not append's quarter more: a full table's burst
 		// is copied twice over on the way up instead of five times.
-		q.log = slices.Grow(q.log, max(len(q.log), 64))
+		*log = slices.Grow(*log, max(len(*log), 64))
 	}
-	q.log = append(q.log, routeEntry{node: node, addr: core.IPv4ToUint32(a), bits: uint8(ev.Prefix.Bits()), hops: ev.NextHops})
-	post := !q.posted
-	q.posted = true
-	q.mu.Unlock()
-	if post {
-		m.Engine.Post(q.drain)
-	}
+	*log = append(*log, routeEntry{node: node, addr: core.IPv4ToUint32(a), bits: uint8(ev.Prefix.Bits()), hops: ev.NextHops})
+	m.routes.unlock(m.Engine)
 }
 
 // drainRoutes applies the queued route changes to the simulated FIBs in
@@ -540,12 +570,7 @@ func (m *Manager) applyRoute(node core.NodeID, ev bgp.RouteEvent) {
 // only. A change the network refuses (a node without a FIB) is counted all
 // the same, and reported here, or it would vanish without a trace.
 func (m *Manager) drainRoutes() {
-	q := &m.routes
-	q.mu.Lock()
-	log := q.log
-	q.log = q.spare[:0]
-	q.posted = false
-	q.mu.Unlock()
+	log := m.routes.take()
 	now := m.Engine.Now()
 	var installs, withdraws uint64
 	for _, e := range log {
@@ -563,7 +588,7 @@ func (m *Manager) drainRoutes() {
 		}
 	}
 	clear(log) // the spare buffer pins no next-hop slice
-	q.spare = log
+	m.routes.recycle(log[:0])
 	m.Stats.RouteInstalls.Add(installs)
 	m.Stats.RouteWithdraws.Add(withdraws)
 	m.scheduleFlush()
@@ -779,22 +804,83 @@ func (m *Manager) handlePacketIn(pi netmodel.PacketIn) {
 type dataPlane struct {
 	m    *Manager
 	node core.NodeID
+	rec  []byte // ApplyFlowMod's record buffer; the agent's reader's alone
 }
 
-// ApplyFlowMod implements openflow.DataPlane.
+// ApplyFlowMod implements openflow.DataPlane: it copies fm into the CM's
+// FLOW_MOD log, which the engine goroutine drains in arrival order
+// (drainQueue). A command the switch does not serve is refused here,
+// before anything is queued.
 func (d *dataPlane) ApplyFlowMod(fm openflow.FlowMod) error {
-	mod, err := translateFlowMod(fm)
-	if err != nil {
+	if _, err := flowModKind(fm.Command); err != nil {
 		return err
 	}
+	d.rec = binary.BigEndian.AppendUint32(d.rec[:0], uint32(d.node))
+	d.rec = openflow.AppendFlowMod(d.rec, 0, fm)
 	d.m.Stats.FlowModsApplied.Add(1)
-	d.m.Engine.Post(func() {
-		if err := d.m.Net.ApplyFlowMod(d.node, mod, d.m.Engine.Now()); err != nil {
-			d.m.Logf("cm: flow mod on %v: %v", d.node, err)
-		}
-		d.m.scheduleFlush()
-	})
+	d.m.flowMods.lock().Write(d.rec)
+	d.m.flowMods.unlock(d.m.Engine)
 	return nil
+}
+
+// flowModLog is the CM's FLOW_MOD queue: one pointer-free log of records,
+// each a switch's node ID (4 bytes) and the FLOW_MOD in its wire form,
+// held in the pooled chunks of an emu.FIFO. A whole proactive install
+// waits there for the engine goroutine without a per-message allocation.
+type flowModLog struct {
+	drainQueue[emu.FIFO]
+
+	// The drain's buffers; engine goroutine only.
+	rec     []byte
+	fm      openflow.FlowMod
+	actions []flowtable.Action
+}
+
+// nodeLen is the length of a record's node ID.
+const nodeLen = 4
+
+// next reads the log's next record into the drain's FlowMod and reports
+// its switch and data plane command; log is the non-empty log the drain
+// took. Only a record ApplyFlowMod wrote is in the log, so an error means
+// the log is corrupt.
+func (q *flowModLog) next(log *emu.FIFO) (core.NodeID, netmodel.FlowModKind, error) {
+	const head = nodeLen + 8 // node ID, then the FLOW_MOD's ofp_header
+	q.rec = slices.Grow(q.rec[:0], head)[:head]
+	log.Read(q.rec)
+	h, err := openflow.DecodeHeader(q.rec[nodeLen:])
+	if err != nil {
+		return 0, 0, err
+	}
+	q.rec = slices.Grow(q.rec, int(h.Length))[:nodeLen+int(h.Length)]
+	log.Read(q.rec[head:])
+	if err := openflow.DecodeFlowModInto(&q.fm, q.rec[nodeLen:]); err != nil {
+		return 0, 0, err
+	}
+	kind, err := flowModKind(q.fm.Command)
+	return core.NodeID(binary.BigEndian.Uint32(q.rec)), kind, err
+}
+
+// drainFlowMods applies the queued FLOW_MODs to the switches' tables in
+// arrival order, then schedules one coalesced reroute; engine goroutine
+// only. The tables copy what they keep, so the drain decodes every record
+// into the same buffers.
+func (m *Manager) drainFlowMods() {
+	q := &m.flowMods
+	log := q.take()
+	now := m.Engine.Now()
+	for log.Len() > 0 {
+		node, kind, err := q.next(&log)
+		if err != nil {
+			panic(fmt.Sprintf("cm: FLOW_MOD log corrupt: %v", err))
+		}
+		mod := translateFlowMod(kind, q.fm, q.actions[:0])
+		q.actions = mod.Entry.Actions
+		if err := m.Net.ApplyFlowMod(node, mod, now); err != nil {
+			m.Logf("cm: flow mod on %v: %v", node, err)
+		}
+	}
+	q.recycle(log)
+	m.scheduleFlush()
 }
 
 // FlowStats implements openflow.DataPlane.
@@ -817,19 +903,22 @@ func (d *dataPlane) FlowStats() []openflow.FlowStatsEntry {
 	return entries
 }
 
-// translateFlowMod converts a wire FLOW_MOD into the data plane form. The
-// agent hands over only the two commands the switch serves.
-func translateFlowMod(fm openflow.FlowMod) (netmodel.FlowMod, error) {
-	var kind netmodel.FlowModKind
-	switch fm.Command {
+// flowModKind is the data plane command of a FLOW_MOD command: the two
+// the switch serves.
+func flowModKind(cmd uint16) (netmodel.FlowModKind, error) {
+	switch cmd {
 	case openflow.FCAdd:
-		kind = netmodel.FlowModAdd
+		return netmodel.FlowModAdd, nil
 	case openflow.FCDeleteStrict:
-		kind = netmodel.FlowModDeleteStrict
-	default:
-		return netmodel.FlowMod{}, fmt.Errorf("cm: unknown flow mod command %d", fm.Command)
+		return netmodel.FlowModDeleteStrict, nil
 	}
-	var actions []flowtable.Action
+	return 0, fmt.Errorf("cm: unknown flow mod command %d", cmd)
+}
+
+// translateFlowMod converts a wire FLOW_MOD whose command flowModKind has
+// made kind into the data plane form, appending its actions to actions.
+// The entry borrows fm's groups.
+func translateFlowMod(kind netmodel.FlowModKind, fm openflow.FlowMod, actions []flowtable.Action) netmodel.FlowMod {
 	for _, a := range fm.Actions {
 		switch {
 		case len(a.Group) > 0:
@@ -847,5 +936,5 @@ func translateFlowMod(fm openflow.FlowMod) (netmodel.FlowMod, error) {
 			Match:    fm.Match.ToTable(),
 			Actions:  actions,
 		},
-	}, nil
+	}
 }

@@ -89,10 +89,7 @@ func TestTranslateFlowMod(t *testing.T) {
 			{Group: []core.PortID{1, 2}},
 		},
 	}
-	mod, err := translateFlowMod(fm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod := translateFlowMod(netmodel.FlowModAdd, fm, nil)
 	if mod.Kind != netmodel.FlowModAdd || mod.Entry.Priority != 10 {
 		t.Fatalf("kind %v, priority %d", mod.Kind, mod.Entry.Priority)
 	}
@@ -102,11 +99,14 @@ func TestTranslateFlowMod(t *testing.T) {
 		mod.Entry.Actions[2].Type != flowtable.ActionSelectGroup {
 		t.Fatalf("actions = %+v", mod.Entry.Actions)
 	}
-	if m, err := translateFlowMod(openflow.FlowMod{Command: openflow.FCDeleteStrict}); err != nil || m.Kind != netmodel.FlowModDeleteStrict {
-		t.Fatalf("DELETE_STRICT -> %v, %v", m.Kind, err)
+	if k, err := flowModKind(openflow.FCAdd); err != nil || k != netmodel.FlowModAdd {
+		t.Fatalf("ADD -> %v, %v", k, err)
+	}
+	if k, err := flowModKind(openflow.FCDeleteStrict); err != nil || k != netmodel.FlowModDeleteStrict {
+		t.Fatalf("DELETE_STRICT -> %v, %v", k, err)
 	}
 	for _, cmd := range []uint16{openflow.FCModify, openflow.FCModifyStrict, openflow.FCDelete, 99} {
-		if _, err := translateFlowMod(openflow.FlowMod{Command: cmd}); err == nil {
+		if _, err := flowModKind(cmd); err == nil {
 			t.Fatalf("command %d accepted", cmd)
 		}
 	}

@@ -37,6 +37,10 @@ type ECMPApp struct {
 	// destinations whose forwarding actually changed — a single link
 	// failure costs O(affected rules), not O(switches × hosts).
 	installed map[core.NodeID]map[core.NodeID][]core.PortID
+
+	// action is every FLOW_MOD's one action; SendFlowMod copies it onto
+	// the wire.
+	action [1]openflow.Action
 }
 
 // repairDebounce is the PORT_STATUS coalescing window (virtual time).
@@ -61,7 +65,7 @@ func (a *ECMPApp) PacketIn(sw *SwitchHandle, pi openflow.PacketIn) {
 // table starts empty again) gets every rule re-sent rather than
 // delta-skipped.
 func (a *ECMPApp) SwitchReady(sw *SwitchHandle) {
-	a.installed[sw.Node] = make(map[core.NodeID][]core.PortID)
+	delete(a.installed, sw.Node)
 	a.install(sw)
 }
 
@@ -102,13 +106,14 @@ func (a *ECMPApp) repairPass() {
 // whose ports are unchanged cost nothing.
 func (a *ECMPApp) install(sw *SwitchHandle) {
 	g := a.ctx.Topo
+	hosts := g.Hosts()
 	cache := a.installed[sw.Node]
 	if cache == nil {
-		cache = make(map[core.NodeID][]core.PortID)
+		cache = make(map[core.NodeID][]core.PortID, len(hosts))
 		a.installed[sw.Node] = cache
 	}
 	next := g.NextHopPorts(sw.Node)
-	for _, host := range g.Hosts() {
+	for _, host := range hosts {
 		ports := next[host.ID]
 		prev, had := cache[host.ID]
 		if slices.Equal(prev, ports) {
@@ -129,17 +134,16 @@ func (a *ECMPApp) install(sw *SwitchHandle) {
 			continue
 		}
 		cache[host.ID] = ports
-		var action openflow.Action
 		if len(ports) == 1 {
-			action = openflow.Action{Output: uint16(ports[0])}
+			a.action[0] = openflow.Action{Output: uint16(ports[0])}
 		} else {
-			action = openflow.Action{Group: ports}
+			a.action[0] = openflow.Action{Group: ports}
 		}
 		sw.SendFlowMod(openflow.FlowMod{
 			Match:    m,
 			Command:  openflow.FCAdd,
 			Priority: 100,
-			Actions:  []openflow.Action{action},
+			Actions:  a.action[:],
 		})
 	}
 }

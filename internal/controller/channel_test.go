@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"bytes"
 	"encoding/binary"
 	"io"
 	"slices"
@@ -52,7 +53,7 @@ func newFakeSwitch(rw io.ReadWriteCloser) *fakeSwitch {
 				return
 			}
 			s.mu.Lock()
-			s.msgs = append(s.msgs, raw)
+			s.msgs = append(s.msgs, bytes.Clone(raw)) // Recv reuses raw
 			s.mu.Unlock()
 		}
 	}()

@@ -85,10 +85,14 @@ type SwitchHandle struct {
 // Ready reports whether the handshake completed.
 func (sw *SwitchHandle) Ready() bool { return sw.end.State() == openflow.StateReady }
 
-// SendFlowMod sends a FLOW_MOD to this switch.
+// SendFlowMod sends a FLOW_MOD to this switch. It encodes into the
+// controller's one send buffer, which the channel's Write copies, so
+// neither fm nor the wire bytes outlive the call.
 func (sw *SwitchHandle) SendFlowMod(fm openflow.FlowMod) {
-	sw.conn.Send(openflow.EncodeFlowMod(sw.ctl.nextXID(), fm))
-	sw.ctl.Stats.FlowModsSent.Add(1)
+	c := sw.ctl
+	c.out = openflow.AppendFlowMod(c.out[:0], c.nextXID(), fm)
+	sw.conn.Send(c.out)
+	c.Stats.FlowModsSent.Add(1)
 }
 
 // RequestFlowStats asks for flow entry counters; cb runs once, under the
@@ -120,6 +124,7 @@ type Controller struct {
 	// it, and every app callback (see App) runs under it.
 	mu       sync.Mutex
 	xid      uint32 // the last transaction id handed out
+	out      []byte // SendFlowMod's encoding buffer
 	switches map[uint64]*SwitchHandle
 	pending  map[uint32]func([]openflow.FlowStatsEntry)
 	closed   bool

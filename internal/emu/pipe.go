@@ -45,6 +45,10 @@ func (l *Ledger) InFlight() int64 { return l.n.Load() }
 // and OpenFlow connections rely on it — they write on whatever goroutine
 // produced the message, the engine goroutine included, with no queue or
 // writer goroutine of their own.
+//
+// Each direction keeps its unread bytes in a FIFO of small pooled chunks:
+// a backlog grows a chunk at a time without copying what it holds, and a
+// direction its reader has drained holds no chunk at all.
 func Pipe() (io.ReadWriteCloser, io.ReadWriteCloser) {
 	return new(Ledger).Pipe() // a ledger nobody reads
 }
@@ -74,8 +78,7 @@ func (l *Ledger) Pipe() (io.ReadWriteCloser, io.ReadWriteCloser) {
 type half struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	buf    []byte // written bytes; buf[off:] are unread
-	off    int
+	buf    FIFO // the unread bytes
 	closed bool // by either end: writes fail, reads drain then EOF
 
 	ledger *Ledger
@@ -111,14 +114,7 @@ func (h *half) write(p []byte) (int, error) {
 	if h.closed {
 		return 0, io.ErrClosedPipe
 	}
-	if h.off > 0 && len(h.buf)+len(p) > cap(h.buf) {
-		// Out of room behind a reader that has not caught up: move the
-		// unread bytes down over the read ones rather than carry those
-		// into a bigger array.
-		h.buf = h.buf[:copy(h.buf, h.buf[h.off:])]
-		h.off = 0
-	}
-	h.buf = append(h.buf, p...)
+	h.buf.Write(p)
 	h.hold()
 	h.cond.Broadcast()
 	return len(p), nil
@@ -127,21 +123,14 @@ func (h *half) write(p []byte) (int, error) {
 func (h *half) read(p []byte) (int, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for h.off == len(h.buf) && !h.closed {
+	for h.buf.Len() == 0 && !h.closed {
 		h.release() // parked: whatever was delivered has been dealt with
 		h.cond.Wait()
 	}
-	if h.off == len(h.buf) {
+	if h.buf.Len() == 0 {
 		return 0, io.EOF
 	}
-	n := copy(p, h.buf[h.off:])
-	if h.off += n; h.off == len(h.buf) {
-		// Drained: the next write starts the array over. A pipe that is
-		// emptied and refilled — every control channel, all run long —
-		// settles on one buffer instead of reallocating for ever.
-		h.buf, h.off = h.buf[:0], 0
-	}
-	return n, nil
+	return h.buf.Read(p), nil
 }
 
 // closeWrite is Close on the writing end: EOF is the last delivery —

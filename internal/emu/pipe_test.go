@@ -122,7 +122,8 @@ func TestPipeConcurrentWriters(t *testing.T) {
 
 // TestPipeReusesBufferWhenDrained: a direction that is written, read to
 // empty and written again — what every control channel does all run long —
-// settles on one buffer: once warm, a cycle allocates nothing.
+// takes its chunks from the shared reserve and gives them back: once warm,
+// a cycle allocates nothing, under the race detector too.
 func TestPipeReusesBufferWhenDrained(t *testing.T) {
 	w, r := Pipe()
 	msg := bytes.Repeat([]byte("u"), 4096)
@@ -141,19 +142,28 @@ func TestPipeReusesBufferWhenDrained(t *testing.T) {
 			left -= n
 		}
 	}
-	cycle() // warm-up: the buffer grows to its working size
+	cycle() // warm-up: the chunk list grows to its working size
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("%v allocations per write-then-drain cycle, want 0", allocs)
 	}
 }
 
+// held reports the chunks a direction holds and the slots of its chunk
+// list.
+func held(end io.ReadWriteCloser) (chunks, slots int) {
+	f := &end.(*pipeEnd).w.buf
+	return len(f.chunks) - f.head, cap(f.chunks)
+}
+
 // TestPipeCompactsBehindSlowReader: a reader that never quite catches up
-// does not make the buffer carry what it has already read.
+// leaves held only the chunks its unread bytes span, and the chunk list
+// does not carry the slots of chunks already read.
 func TestPipeCompactsBehindSlowReader(t *testing.T) {
 	w, r := Pipe()
 	msg := bytes.Repeat([]byte("u"), 1024)
 	buf := make([]byte, len(msg))
 	_, _ = w.Write(msg)
+	most := 0
 	for i := 0; i < 10000; i++ { // always one message behind
 		if _, err := w.Write(msg); err != nil {
 			t.Fatal(err)
@@ -161,8 +171,67 @@ func TestPipeCompactsBehindSlowReader(t *testing.T) {
 		if _, err := io.ReadFull(r, buf); err != nil || !bytes.Equal(buf, msg) {
 			t.Fatalf("cycle %d: read %v", i, err)
 		}
+		chunks, slots := held(w)
+		if chunks > 2 {
+			t.Fatalf("cycle %d: %d chunks held behind a reader one %d-byte message behind", i, chunks, len(msg))
+		}
+		most = max(most, slots)
 	}
-	if c := cap(w.(*pipeEnd).w.buf); c > 16*len(msg) {
-		t.Fatalf("buffer grew to %d bytes behind a reader at most %d behind", c, 2*len(msg))
+	if most > 8 {
+		t.Fatalf("chunk list grew to %d slots behind a reader at most 2 chunks behind", most)
+	}
+}
+
+// TestPipeDrainedHalfHoldsNoChunk: a direction read to empty gives every
+// chunk back, whatever it carried, so the pipes of a large run hold memory
+// only for what is in flight.
+func TestPipeDrainedHalfHoldsNoChunk(t *testing.T) {
+	w, r := Pipe()
+	for _, size := range []int{1, chunkSize - 1, chunkSize, 5*chunkSize + 3} {
+		msg := bytes.Repeat([]byte("d"), size)
+		if _, err := w.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if chunks, _ := held(w); chunks != (size+chunkSize-1)/chunkSize {
+			t.Fatalf("%d bytes unread in %d chunks", size, chunks)
+		}
+		buf := make([]byte, size)
+		if _, err := io.ReadFull(r, buf); err != nil || !bytes.Equal(buf, msg) {
+			t.Fatalf("read back %d bytes: %v", size, err)
+		}
+		if chunks, _ := held(w); chunks != 0 {
+			t.Fatalf("drained after %d bytes, the direction holds %d chunks", size, chunks)
+		}
+	}
+}
+
+// TestFIFOKeepsOrderAcrossChunks: writes and reads of sizes that straddle
+// chunk boundaries read back the bytes written, in order.
+func TestFIFOKeepsOrderAcrossChunks(t *testing.T) {
+	var f FIFO
+	var want, got []byte
+	next := byte(0)
+	buf := make([]byte, 3*chunkSize)
+	for i := 0; i < 200; i++ {
+		p := make([]byte, (i*977)%(2*chunkSize)+1)
+		for j := range p {
+			p[j], next = next, next+1
+		}
+		f.Write(p)
+		want = append(want, p...)
+		n := f.Read(buf[:(i*1237)%(3*chunkSize)])
+		got = append(got, buf[:n]...)
+		if f.Len() != len(want)-len(got) {
+			t.Fatalf("step %d: Len %d, want %d", i, f.Len(), len(want)-len(got))
+		}
+	}
+	for f.Len() > 0 {
+		got = append(got, buf[:f.Read(buf)]...)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("bytes read back differ from the bytes written")
+	}
+	if len(f.chunks) != 0 {
+		t.Fatalf("drained FIFO holds %d chunks", len(f.chunks))
 	}
 }

@@ -142,8 +142,9 @@ type Entry struct {
 	Actions     []Action
 	InstalledAt core.Time
 
-	seq  uint64 // insertion order tiebreak
-	next *Entry // the table's index chain, see band
+	seq  uint64    // insertion order tiebreak
+	next *Entry    // the table's index chain, see band
+	one  [1]Action // holds Actions when there is exactly one
 }
 
 // Table is a single OpenFlow-style flow table. Not safe for concurrent
@@ -319,8 +320,12 @@ func (t *Table) unindex(e *Entry) {
 
 // Add installs e at virtual time now. Per OpenFlow ADD semantics an entry
 // with identical match and priority is replaced (its install time reset).
+// The table keeps a copy of e's actions and groups, not e's slices, so the
+// caller may reuse them; an entry of one action holds it inline. A
+// replacement writes over the replaced entry's storage where it fits:
+// re-adding a rule with as many actions and same-sized groups allocates
+// nothing.
 func (t *Table) Add(e Entry, now core.Time) {
-	e.InstalledAt = now
 	s := shapeOf(e.Priority, e.Match)
 	k := s.matchKey(e.Match)
 	i, ok := t.bandOf(s)
@@ -333,21 +338,41 @@ func (t *Table) Add(e Entry, now core.Time) {
 	var prev *Entry
 	for old := b.m[k]; old != nil; old = old.next {
 		if old.Match.Equal(e.Match) {
-			e.seq, e.next = old.seq, old.next
-			t.entries[t.position(old)] = &e
-			b.link(k, prev, &e)
+			old.Actions = copyActions(old.Actions, e.Actions)
+			old.InstalledAt = now
 			return
 		}
 		prev = old
 	}
 	t.seq++
-	e.seq, e.next = t.seq, nil
-	b.link(k, prev, &e)
+	ne := &Entry{Priority: e.Priority, Match: e.Match, InstalledAt: now, seq: t.seq}
+	ne.Actions = copyActions(ne.one[:0], e.Actions)
+	b.link(k, prev, ne)
 	// The newest entry of its priority goes after all the others.
-	at := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Priority < e.Priority })
+	at := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Priority < ne.Priority })
 	t.entries = append(t.entries, nil)
 	copy(t.entries[at+1:], t.entries[at:])
-	t.entries[at] = &e
+	t.entries[at] = ne
+}
+
+// copyActions copies src over dst's storage, reusing each group slice of
+// dst whose capacity fits, and returns the copy; nil for no actions.
+func copyActions(dst, src []Action) []Action {
+	if len(src) == 0 {
+		return nil
+	}
+	if cap(dst) < len(src) {
+		dst = make([]Action, len(src))
+	}
+	dst = dst[:len(src)]
+	for i, a := range src {
+		var g []core.PortID
+		if len(a.Group) > 0 {
+			g = append(dst[i].Group[:0], a.Group...)
+		}
+		dst[i] = Action{Type: a.Type, Port: a.Port, Group: g}
+	}
+	return dst
 }
 
 // DeleteStrict removes the entry with exactly this match and priority.

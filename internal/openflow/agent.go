@@ -12,7 +12,8 @@ import (
 // reader goroutine; implementations marshal onto the engine goroutine.
 type DataPlane interface {
 	// ApplyFlowMod adds an entry (FCAdd) or removes one (FCDeleteStrict);
-	// the agent hands it no other command and no timeout.
+	// the agent hands it no other command and no timeout. fm's slices are
+	// borrowed for the call: what outlives it is copied.
 	ApplyFlowMod(fm FlowMod) error
 	// FlowStats snapshots each entry with the bytes of the flows it
 	// forwards.
@@ -51,6 +52,8 @@ type Agent struct {
 	wg    sync.WaitGroup
 	Stats AgentStats
 	logf  func(string, ...any)
+
+	fm FlowMod // every FLOW_MOD decodes into it; the reader's alone
 }
 
 // heldMsg is an asynchronous message handed to the agent before Ready,
@@ -207,9 +210,11 @@ func (a *Agent) readLoop() {
 // entries that never expire. Anything else is answered with an ERROR and
 // reaches neither the data plane nor FlowModsRecv: BAD_LEN for a message
 // that does not decode, BAD_COMMAND for another command, UNSUPPORTED for
-// an idle or hard timeout.
+// an idle or hard timeout. Every FLOW_MOD decodes into the agent's one
+// FlowMod, whose slices the data plane borrows for the call.
 func (a *Agent) applyFlowMod(raw []byte) {
-	fm, err := DecodeFlowMod(raw)
+	err := DecodeFlowModInto(&a.fm, raw)
+	fm := &a.fm
 	switch {
 	case err != nil:
 		a.logf("agent %d: %v", a.DPID, err)
@@ -225,7 +230,7 @@ func (a *Agent) applyFlowMod(raw []byte) {
 		return
 	}
 	a.Stats.FlowModsRecv.Add(1)
-	if err := a.dp.ApplyFlowMod(fm); err != nil {
+	if err := a.dp.ApplyFlowMod(*fm); err != nil {
 		a.logf("agent %d: flow mod rejected: %v", a.DPID, err)
 	}
 }

@@ -1,7 +1,9 @@
 package openflow
 
 import (
+	"bytes"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +21,11 @@ type fakeDP struct {
 func (f *fakeDP) ApplyFlowMod(fm FlowMod) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	// fm's slices are the agent's, borrowed for the call: keep a copy.
+	fm.Actions = slices.Clone(fm.Actions)
+	for i := range fm.Actions {
+		fm.Actions[i].Group = slices.Clone(fm.Actions[i].Group)
+	}
 	f.flowMods = append(f.flowMods, fm)
 	f.calls++
 	return nil
@@ -60,7 +67,7 @@ func newCtl(rw io.ReadWriteCloser) *ctl {
 				return
 			}
 			c.mu.Lock()
-			c.msgs = append(c.msgs, raw)
+			c.msgs = append(c.msgs, bytes.Clone(raw)) // Recv reuses raw
 			c.mu.Unlock()
 		}
 	}()

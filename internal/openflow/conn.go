@@ -3,6 +3,7 @@ package openflow
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -10,6 +11,7 @@ import (
 type Conn struct {
 	rw io.ReadWriteCloser
 	mu sync.Mutex // one Write per message, whole, whoever sends
+	in []byte     // the message Recv returned last; the reader's alone
 }
 
 // NewConn wraps a duplex stream whose Write must not block (the
@@ -34,22 +36,23 @@ func (c *Conn) Send(msg []byte) {
 
 // Recv blocks until one complete message arrives and returns its
 // decoded header and raw bytes (header included). A header that does not
-// decode is an error: the stream has lost its framing.
+// decode is an error: the stream has lost its framing. The bytes are the
+// conn's own buffer, valid until the next Recv: a caller that keeps a
+// message past that copies it. Recv is for one reader goroutine.
 func (c *Conn) Recv() (Header, []byte, error) {
-	hdr := make([]byte, headerLen)
-	if err := readFull(c.rw, hdr); err != nil {
+	c.in = slices.Grow(c.in[:0], headerLen)[:headerLen]
+	if err := readFull(c.rw, c.in); err != nil {
 		return Header{}, nil, err
 	}
-	h, err := DecodeHeader(hdr)
+	h, err := DecodeHeader(c.in)
 	if err != nil {
 		return Header{}, nil, err
 	}
-	msg := make([]byte, h.Length)
-	copy(msg, hdr)
-	if err := readFull(c.rw, msg[headerLen:]); err != nil {
+	c.in = slices.Grow(c.in, int(h.Length)-headerLen)[:h.Length]
+	if err := readFull(c.rw, c.in[headerLen:]); err != nil {
 		return Header{}, nil, err
 	}
-	return h, msg, nil
+	return h, c.in, nil
 }
 
 // Close shuts the connection down; safe to call multiple times.

@@ -14,6 +14,7 @@ package openflow
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/flowtable"
@@ -402,26 +403,41 @@ type Action struct {
 	ToCtrl bool          // OUTPUT to the controller port
 }
 
-func encodeActions(actions []Action) []byte {
-	var b []byte
+// actionLen is the wire length of one action.
+func actionLen(a Action) int {
+	if len(a.Group) > 0 {
+		// Vendor action: type=0xFFFF, len, vendor id, port count, ports
+		// (2 bytes each), padded to 8.
+		body := 12 + 2*len(a.Group)
+		return body + (8-body%8)%8
+	}
+	return 8
+}
+
+// extend appends n zero bytes to b. Unlike append(b, make([]byte, n)...),
+// it does not allocate when b has room under the race detector either.
+func extend(b []byte, n int) []byte {
+	b = slices.Grow(b, n)[:len(b)+n]
+	clear(b[len(b)-n:])
+	return b
+}
+
+// appendActions appends the wire form of actions to b.
+func appendActions(b []byte, actions []Action) []byte {
 	for _, a := range actions {
+		at, n := len(b), actionLen(a)
+		b = extend(b, n)
+		ab := b[at:]
 		if len(a.Group) > 0 {
-			// Vendor action: type=0xFFFF, len, vendor id, port count,
-			// ports (2 bytes each), padded to 8.
-			body := 12 + 2*len(a.Group)
-			pad := (8 - body%8) % 8
-			ab := make([]byte, body+pad)
 			binary.BigEndian.PutUint16(ab[0:2], 0xFFFF)
-			binary.BigEndian.PutUint16(ab[2:4], uint16(len(ab)))
+			binary.BigEndian.PutUint16(ab[2:4], uint16(n))
 			binary.BigEndian.PutUint32(ab[4:8], vendorHorse)
 			binary.BigEndian.PutUint16(ab[8:10], uint16(len(a.Group)))
 			for i, p := range a.Group {
 				binary.BigEndian.PutUint16(ab[10+2*i:12+2*i], uint16(p))
 			}
-			b = append(b, ab...)
 			continue
 		}
-		ab := make([]byte, 8)
 		binary.BigEndian.PutUint16(ab[0:2], 0) // OFPAT_OUTPUT
 		binary.BigEndian.PutUint16(ab[2:4], 8)
 		port := a.Output
@@ -430,21 +446,21 @@ func encodeActions(actions []Action) []byte {
 		}
 		binary.BigEndian.PutUint16(ab[4:6], port)
 		binary.BigEndian.PutUint16(ab[6:8], 0xFFFF) // max_len
-		b = append(b, ab...)
 	}
 	return b
 }
 
-func decodeActions(b []byte) ([]Action, error) {
-	var out []Action
+// decodeActions appends the actions b holds to out. An action that lands
+// in out's spare capacity reuses the group storage already there.
+func decodeActions(out []Action, b []byte) ([]Action, error) {
 	for len(b) > 0 {
 		if len(b) < 4 {
-			return nil, fmt.Errorf("openflow: truncated action")
+			return out, fmt.Errorf("openflow: truncated action")
 		}
 		typ := binary.BigEndian.Uint16(b[0:2])
 		alen := int(binary.BigEndian.Uint16(b[2:4]))
 		if alen < 8 || alen%8 != 0 || len(b) < alen {
-			return nil, fmt.Errorf("openflow: bad action length %d", alen)
+			return out, fmt.Errorf("openflow: bad action length %d", alen)
 		}
 		switch typ {
 		case 0: // OUTPUT
@@ -452,24 +468,26 @@ func decodeActions(b []byte) ([]Action, error) {
 			out = append(out, Action{Output: port, ToCtrl: port == PortController})
 		case 0xFFFF: // vendor
 			if alen < 12 || binary.BigEndian.Uint32(b[4:8]) != vendorHorse {
-				return nil, fmt.Errorf("openflow: unknown vendor action")
+				return out, fmt.Errorf("openflow: unknown vendor action")
 			}
 			// The encoder's layout: a non-empty group, its ports and at
 			// least two bytes of padding.
 			n := int(binary.BigEndian.Uint16(b[8:10]))
 			if n == 0 {
-				return nil, fmt.Errorf("openflow: empty select group")
+				return out, fmt.Errorf("openflow: empty select group")
 			}
 			if 12+2*n > alen {
-				return nil, fmt.Errorf("openflow: select group overflows action")
+				return out, fmt.Errorf("openflow: select group overflows action")
 			}
-			group := make([]core.PortID, n)
-			for i := 0; i < n; i++ {
+			out = slices.Grow(out, 1)[:len(out)+1]
+			a := &out[len(out)-1]
+			group := slices.Grow(a.Group[:0], n)[:n]
+			for i := range group {
 				group[i] = core.PortID(binary.BigEndian.Uint16(b[10+2*i : 12+2*i]))
 			}
-			out = append(out, Action{Group: group})
+			*a = Action{Group: group}
 		default:
-			return nil, fmt.Errorf("openflow: unsupported action type %d", typ)
+			return out, fmt.Errorf("openflow: unsupported action type %d", typ)
 		}
 		b = b[alen:]
 	}
@@ -487,11 +505,17 @@ type FlowMod struct {
 	Actions     []Action
 }
 
-// EncodeFlowMod serializes a FLOW_MOD.
+// EncodeFlowMod serializes a FLOW_MOD into a new buffer.
 func EncodeFlowMod(xid uint32, fm FlowMod) []byte {
-	actions := encodeActions(fm.Actions)
-	b := make([]byte, flowModLen+len(actions))
-	putHeader(b, TypeFlowMod, len(b), xid)
+	return AppendFlowMod(nil, xid, fm)
+}
+
+// AppendFlowMod appends the wire form of a FLOW_MOD to dst. A sender that
+// hands it the same buffer for every message encodes without allocating.
+func AppendFlowMod(dst []byte, xid uint32, fm FlowMod) []byte {
+	at := len(dst)
+	dst = extend(dst, flowModLen)
+	b := dst[at:]
 	putMatch(b[8:48], fm.Match)
 	binary.BigEndian.PutUint64(b[48:56], fm.Cookie)
 	binary.BigEndian.PutUint16(b[56:58], fm.Command)
@@ -500,29 +524,38 @@ func EncodeFlowMod(xid uint32, fm FlowMod) []byte {
 	binary.BigEndian.PutUint16(b[62:64], fm.Priority)
 	binary.BigEndian.PutUint32(b[64:68], 0xFFFFFFFF) // buffer_id: none
 	binary.BigEndian.PutUint16(b[68:70], PortNone)   // out_port
-	copy(b[flowModLen:], actions)
-	return b
+	dst = appendActions(dst, fm.Actions)
+	putHeader(dst[at:], TypeFlowMod, len(dst)-at, xid)
+	return dst
 }
 
-// DecodeFlowMod parses a FLOW_MOD (header included).
+// DecodeFlowMod parses a FLOW_MOD (header included) into a new FlowMod.
 func DecodeFlowMod(b []byte) (FlowMod, error) {
-	if len(b) < flowModLen {
-		return FlowMod{}, fmt.Errorf("openflow: flow mod truncated (%d bytes)", len(b))
-	}
-	fm := FlowMod{
-		Match:       parseMatch(b[8:48]),
-		Cookie:      binary.BigEndian.Uint64(b[48:56]),
-		Command:     binary.BigEndian.Uint16(b[56:58]),
-		IdleTimeout: binary.BigEndian.Uint16(b[58:60]),
-		HardTimeout: binary.BigEndian.Uint16(b[60:62]),
-		Priority:    binary.BigEndian.Uint16(b[62:64]),
-	}
-	actions, err := decodeActions(b[flowModLen:])
-	if err != nil {
+	var fm FlowMod
+	if err := DecodeFlowModInto(&fm, b); err != nil {
 		return FlowMod{}, err
 	}
-	fm.Actions = actions
 	return fm, nil
+}
+
+// DecodeFlowModInto parses a FLOW_MOD (header included) into fm, reusing
+// the storage of its actions and their groups: a reader that decodes every
+// FLOW_MOD into the same FlowMod allocates only when a message has more
+// actions, or larger groups, than any before it. Nothing of b is kept. On
+// error fm holds no meaningful value.
+func DecodeFlowModInto(fm *FlowMod, b []byte) error {
+	if len(b) < flowModLen {
+		return fmt.Errorf("openflow: flow mod truncated (%d bytes)", len(b))
+	}
+	fm.Match = parseMatch(b[8:48])
+	fm.Cookie = binary.BigEndian.Uint64(b[48:56])
+	fm.Command = binary.BigEndian.Uint16(b[56:58])
+	fm.IdleTimeout = binary.BigEndian.Uint16(b[58:60])
+	fm.HardTimeout = binary.BigEndian.Uint16(b[60:62])
+	fm.Priority = binary.BigEndian.Uint16(b[62:64])
+	var err error
+	fm.Actions, err = decodeActions(fm.Actions[:0], b[flowModLen:])
+	return err
 }
 
 // PacketIn is an ofp_packet_in.
@@ -569,7 +602,7 @@ type PacketOut struct {
 
 // EncodePacketOut serializes a PACKET_OUT.
 func EncodePacketOut(xid uint32, po PacketOut) []byte {
-	actions := encodeActions(po.Actions)
+	actions := appendActions(nil, po.Actions)
 	b := make([]byte, headerLen+8+len(actions)+len(po.Data))
 	putHeader(b, TypePacketOut, len(b), xid)
 	binary.BigEndian.PutUint32(b[8:12], 0xFFFFFFFF) // buffer_id: none
@@ -589,7 +622,7 @@ func DecodePacketOut(b []byte) (PacketOut, error) {
 	if len(b) < 16+alen {
 		return PacketOut{}, fmt.Errorf("openflow: packet out actions truncated")
 	}
-	actions, err := decodeActions(b[16 : 16+alen])
+	actions, err := decodeActions(nil, b[16:16+alen])
 	if err != nil {
 		return PacketOut{}, err
 	}

@@ -1,8 +1,10 @@
 package openflow
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -225,15 +227,15 @@ func TestFlowModControllerAction(t *testing.T) {
 }
 
 func TestDecodeActionsMalformed(t *testing.T) {
-	if _, err := decodeActions([]byte{0, 0, 0}); err == nil {
+	if _, err := decodeActions(nil, []byte{0, 0, 0}); err == nil {
 		t.Fatal("truncated action accepted")
 	}
 	// Bad length (not multiple of 8).
-	if _, err := decodeActions([]byte{0, 0, 0, 9, 0, 0, 0, 0, 0}); err == nil {
+	if _, err := decodeActions(nil, []byte{0, 0, 0, 9, 0, 0, 0, 0, 0}); err == nil {
 		t.Fatal("bad action length accepted")
 	}
 	// Unknown type.
-	if _, err := decodeActions([]byte{0, 7, 0, 8, 0, 0, 0, 0}); err == nil {
+	if _, err := decodeActions(nil, []byte{0, 7, 0, 8, 0, 0, 0, 0}); err == nil {
 		t.Fatal("unknown action type accepted")
 	}
 }
@@ -349,5 +351,56 @@ func TestPhyPortStateSurvivesFeaturesReply(t *testing.T) {
 	}
 	if len(got.Ports) != 2 || got.Ports[1] != fr.Ports[1] || got.Ports[0] != fr.Ports[0] {
 		t.Fatalf("ports = %+v", got.Ports)
+	}
+}
+
+// TestDecodersKeepNothingOfTheirInput: no decoder's result shares memory
+// with the bytes it decoded. Conn.Recv returns its own buffer, which the
+// next message overwrites, so a result kept past the next Recv must not
+// change under it: each result here must survive its input being
+// overwritten.
+func TestDecodersKeepNothingOfTheirInput(t *testing.T) {
+	// A FlowMod whose actions and groups have room for the sample's.
+	used := func() FlowMod {
+		fm, err := DecodeFlowMod(EncodeFlowMod(1, FlowMod{Actions: []Action{{Group: make([]core.PortID, 8)}, {Group: make([]core.PortID, 8)}}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fm
+	}
+	for _, tc := range []struct {
+		typ    uint8
+		decode func([]byte) (any, error)
+	}{
+		{TypeHello, result(DecodeHeader)},
+		{TypeFeaturesReply, result(DecodeFeaturesReply)},
+		{TypePortStatus, result(DecodePortStatus)},
+		{TypeFlowMod, result(DecodeFlowMod)},
+		{TypeFlowMod, func(b []byte) (any, error) { fm := used(); err := DecodeFlowModInto(&fm, b); return fm, err }},
+		{TypePacketIn, result(DecodePacketIn)},
+		{TypePacketOut, result(DecodePacketOut)},
+		{TypeStatsRequest, result(DecodeStatsRequestType)},
+		{TypeStatsReply, result(DecodeFlowStatsReply)},
+	} {
+		raw := sample(tc.typ, 7)
+		want, err := tc.decode(bytes.Clone(raw))
+		if err != nil {
+			t.Fatalf("type %d: %v", tc.typ, err)
+		}
+		got, _ := tc.decode(raw)
+		for i := range raw {
+			raw[i] = ^raw[i]
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("type %d: overwriting the input changed the result:\n got %+v\nwant %+v", tc.typ, got, want)
+		}
+	}
+}
+
+// result adapts a decoder to the table above.
+func result[T any](decode func([]byte) (T, error)) func([]byte) (any, error) {
+	return func(b []byte) (any, error) {
+		v, err := decode(b)
+		return v, err
 	}
 }
