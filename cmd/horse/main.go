@@ -197,9 +197,9 @@ func summarize(w io.Writer, r spec.Run, res *horse.Result) {
 	if res.Solver.Solves > 0 {
 		perSolve = float64(res.Solver.Flows) / float64(res.Solver.Solves)
 	}
-	fmt.Fprintf(w, "rate solver         : %d solves (%.1f flows a solve), %d components (largest %d flows), %d refills (%d links promoted)\n",
+	fmt.Fprintf(w, "rate solver         : %d solves (%.1f flows a solve), %d components (largest %d flows), %d refills (%d links promoted), %d check refills\n",
 		res.Solver.Solves, perSolve, res.Solver.Components, res.Solver.MaxComponentFlows,
-		res.Solver.Refills, res.Solver.Promoted)
+		res.Solver.Refills, res.Solver.Promoted, res.Solver.Checks)
 	mem := res.Solver.Mem
 	fmt.Fprintf(w, "solver memory       : %d flow slots (%d live, %d free), %d links, arenas %d B paths + %d B members, %d B scratch\n",
 		mem.FlowSlots, mem.LiveFlows, mem.FreeFlows, mem.LinkSlots,

@@ -122,6 +122,7 @@ func BenchmarkChurn(b *testing.B) {
 		b.ReportMetric(float64(tot.Flows-base.Flows)/solves, "flows/solve")
 		b.ReportMetric(float64(tot.Links-base.Links)/solves, "links/solve")
 		b.ReportMetric(float64(tot.Refills-base.Refills)/solves, "refills/solve")
+		b.ReportMetric(float64(tot.Checks-base.Checks)/solves, "checks/solve")
 	})
 }
 

@@ -62,10 +62,11 @@
 // link's load is recomputed over all its members, inside the region or
 // not, and a link found over capacity is promoted to active, the closure
 // continues from it, and the whole region discovered so far is filled
-// again as one component. At most maxSpecRefills such refills are followed
-// by one fill with every link of the region active, which is the full
-// closure, so a solve is bounded by a fixed number of fills of at most its
-// full component however the speculation fares.
+// again as one component. At most maxSpecRefills such refills (counting
+// the bottleneck cut's check refills, below) are followed by one fill
+// with every link of the region active, which is the full closure, so a
+// solve is bounded by a fixed number of fills of at most its full
+// component however the speculation fares.
 //
 // The result is exact by the bottleneck property, not by agreement with a
 // second solver. Every link that can fire is active and has all its
@@ -92,10 +93,11 @@
 // produces in wall-clock order, where a fill of history-dependent regions
 // would leave history-dependent last bits in the converged rates (below).
 // Gated off, every link is active, no flow is a seed that its links have
-// not already reached, and the solve is the plain closure and fill: same
-// regions, same discovery order, same arithmetic (up to the level cut).
+// not already reached, the bottleneck cut (below) is off, and the solve is
+// the plain closure and fill: same regions, same discovery order, same
+// arithmetic (up to the level cut).
 //
-// # Level cut
+// # Level cut and bottleneck cut
 //
 // Water-filling raises one level in order, so after a single Add or
 // Remove every step of the fill below that flow's level repeats and the
@@ -118,15 +120,41 @@
 // held members are fixed load: the residual starts at capacity minus their
 // sum, the unfrozen count is the number of members in the region, and the
 // granted load starts at their sum, as it does for a component with no
-// flow in the region. Refills after promote keep τ.
+// flow in the region. Refills keep τ.
 //
-// The result is exact up to epsilon. Below τ the new fill takes the same
-// steps as the old one, so every flow frozen below τ keeps its rate, and
-// a held flow's bottleneck fired below τ and still does. A flow at or
-// above τ that the region does not reach meets it only through held flows
-// or passive links, and promote verifies those as before. With nobody
-// held the fill is the plain one: same region, same order, same
-// arithmetic.
+// The level cut is exact up to epsilon. Below τ the new fill takes the
+// same steps as the old one, so every flow frozen below τ keeps its rate,
+// and a held flow's bottleneck fired below τ and still does.
+//
+// Max–min allocation is bottleneck-local above τ as well, and a speculating
+// solve (the gate above) uses that. Every fill records, per flow, the link
+// that froze it, or -1 if its demand did. Under the bottleneck cut an
+// active region link pulls in a member only if the member is a seed, the
+// link froze it, or the link is open: its capacity changed in this solve,
+// or promote found it over capacity. It never pulls in a member below τ.
+// Every other member is held as well, as fixed load.
+//
+// Held members are checked speculation, like passive links. While
+// heldLoad sums a filled link's held members it keeps their largest rate.
+// After each fill, pullHeld pulls into the region the held members of a
+// link that fired at a level below their rates, and all held members of a
+// link that did not fire but carries more than its capacity (members below
+// τ excepted). The region then refills as one component inside promote's
+// loop, under the same maxSpecRefills bound; a refill that promoted no
+// link counts in SolveStats.Checks, not Refills. The last pass, which
+// promotes every passive link, also drops the bottleneck cut, closing
+// over every member at or above τ.
+//
+// The bottleneck cut is exact by the bottleneck property. A held flow's
+// recorded bottleneck fired, so it is saturated up to epsilon per member
+// and never passive. Had a region flow crossed that link, the link would
+// be in the region and would have pulled the held flow in; since none
+// did, every member of the bottleneck stands and so does the held flow.
+// A region flow frozen by a link holds the highest rate on it: over the
+// region's members by the fill, over the held ones by the check. Since a
+// member held on one seed's link may join through another seed's link,
+// the seeds' closures are no longer disjoint, so under the cut the region
+// fills as one task.
 //
 // Solver output is defined up to epsilon, not to the bit: when several
 // links sit within epsilon of a round's level, whichever is on top of the
@@ -142,9 +170,12 @@
 //
 // Complexity per fill, for a dirty component with F flows, L active links
 // and P hops of which Pa cross active links: O(P + F log F + (L + Pa) log L),
-// where F counts only the flows at or above the level cut and Pa includes
-// the held members of the region's active links, which are summed but not
-// filled; a speculating solve adds O(P) for the check and makes at most
+// where F counts only the flows the cuts let in (at or above the level
+// cut and, under the bottleneck cut, seeds and members of the links that
+// froze them or of open links) and Pa includes the held members of the
+// region's active links, which are summed but not filled. A speculating
+// solve adds O(P) for the passive check and O(L) for the held check, plus
+// the held members of each link that fails it, and makes at most
 // maxSpecRefills+2 fills.
 package fluid
 
@@ -383,6 +414,11 @@ type SolveStats struct {
 	// turned active for them. Both stay 0 where the speculation is gated
 	// off (at least as many live flows as known links, or a Defer batch).
 	Refills, Promoted int
+	// Checks counts the fills beyond the first after which no passive link
+	// was over capacity but a held member was pulled in by the bottleneck
+	// cut's check. It stays 0 where the speculation is gated off. Refills
+	// and Checks together stay within maxSpecRefills+1.
+	Checks int
 	// Components is the number of independent dirty components
 	// water-filled by this solve (1 after a refill, which fills everything
 	// discovered as one component).
@@ -402,8 +438,9 @@ type Totals struct {
 	Solves int
 	// Flows, Links and Rounds sum the per-solve dirty-region sizes.
 	Flows, Links, Rounds int
-	// Refills and Promoted sum the per-solve speculation misses.
-	Refills, Promoted int
+	// Refills and Promoted sum the per-solve speculation misses, Checks
+	// the refills the bottleneck cut's check asked for.
+	Refills, Promoted, Checks int
 	// Components sums per-solve independent component counts.
 	Components int
 	// MaxComponentFlows is the largest single component ever solved.
@@ -445,6 +482,7 @@ type Set struct {
 	fState  []State
 	fAttach []bool   // holds link memberships
 	fVisit  []uint64 // component-walk epoch marker
+	fNeck   []int32  // link handle that froze the flow in its last fill, -1 for its demand
 	fPath   []block  // into paths: (link handle, member index) per hop
 
 	// Link store: handle-indexed parallel slices (links are never freed).
@@ -452,19 +490,23 @@ type Set struct {
 	// during one solve: lResidual is the unallocated capacity as of fill
 	// level lLast, and the level at which the link saturates
 	// (lLast + lResidual/lNact) is invariant under lazy sync while lNact
-	// is unchanged.
+	// is unchanged. lHeldMax and lFire are the last fill's largest held
+	// member rate and the level the link fired at (+Inf if it did not),
+	// which the bottleneck cut checks afterwards.
 	byLink    map[core.LinkID]int32
 	lID       []core.LinkID
 	lCap      []core.Rate
 	lLoad     []core.Rate // sum of granted rates of member flows
 	lVisit    []uint64    // component-walk epoch
 	lSeeded   []uint64    // dirty-seed epoch
-	lCapGen   []uint64    // seedGen of the last SetCapacity: never passive in that solve
+	lOpenGen  []uint64    // seedGen of a solve in which the link is open: see open
 	lPassive  []bool      // speculated slack by the current solve: left out of the fill
 	lResidual []core.Rate
 	lLast     []core.Rate
 	lKey      []core.Rate // heap key: saturation level when pushed
 	lNact     []int32
+	lHeldMax  []core.Rate
+	lFire     []core.Rate
 	lMem      []block // into members: (flow handle, hop index) per member
 
 	paths   pairArena
@@ -485,6 +527,10 @@ type Set struct {
 	// answers: members standing below it are held (see held). Zero holds
 	// nobody.
 	tau core.Rate
+
+	// cut says that the current solve runs the bottleneck cut: an active
+	// link pulls in only the members it froze (see the package comment).
+	cut bool
 
 	deferDepth int // >0 suspends solving (batched mutations)
 	last       SolveStats
@@ -606,12 +652,14 @@ func (s *Set) linkHandle(id core.LinkID) int32 {
 	s.lLoad = append(s.lLoad, 0)
 	s.lVisit = append(s.lVisit, 0)
 	s.lSeeded = append(s.lSeeded, 0)
-	s.lCapGen = append(s.lCapGen, 0)
+	s.lOpenGen = append(s.lOpenGen, 0)
 	s.lPassive = append(s.lPassive, false)
 	s.lResidual = append(s.lResidual, 0)
 	s.lLast = append(s.lLast, 0)
 	s.lKey = append(s.lKey, 0)
 	s.lNact = append(s.lNact, 0)
+	s.lHeldMax = append(s.lHeldMax, 0)
+	s.lFire = append(s.lFire, 0)
 	s.lMem = append(s.lMem, block{})
 	return lh
 }
@@ -634,6 +682,7 @@ func (s *Set) allocFlow() int32 {
 	s.fState = append(s.fState, stateFree)
 	s.fAttach = append(s.fAttach, false)
 	s.fVisit = append(s.fVisit, 0)
+	s.fNeck = append(s.fNeck, -1)
 	s.fPath = append(s.fPath, block{})
 	return fh
 }
@@ -896,7 +945,7 @@ func (s *Set) SetCapacity(id core.LinkID, c core.Rate, now core.Time) {
 	s.Integrate(now)
 	s.tau = 0
 	s.lCap[lh] = c
-	s.lCapGen[lh] = s.seedGen
+	s.lOpenGen[lh] = s.seedGen
 	s.seed(lh)
 	s.Solve(now)
 }
@@ -983,6 +1032,7 @@ func (s *Set) accumulate() {
 	s.totals.Rounds += st.Rounds
 	s.totals.Refills += st.Refills
 	s.totals.Promoted += st.Promoted
+	s.totals.Checks += st.Checks
 	s.totals.Components += st.Components
 	if st.MaxComponentFlows > s.totals.MaxComponentFlows {
 		s.totals.MaxComponentFlows = st.MaxComponentFlows
@@ -1013,7 +1063,7 @@ func (s *Set) slack(lh int32) bool {
 // it is active, onto the passive list when it is speculated to stay slack.
 func (s *Set) visitLink(lh int32, speculate bool) {
 	s.lVisit[lh] = s.epoch
-	if speculate && s.lCapGen[lh] != s.seedGen && s.slack(lh) {
+	if speculate && !s.open(lh) && s.slack(lh) {
 		s.lPassive[lh] = true
 		s.passive = append(s.passive, lh)
 		return
@@ -1035,40 +1085,58 @@ func (s *Set) visitFlow(fh int32, speculate bool) {
 	}
 }
 
-// held reports whether a member keeps its standing rate through the solve:
-// it stands below the level cut by more than epsilon and was not attached
-// since the last solve (see the package comment). A solve with a cut
-// answers one mutation, so seedFlows holds at most the flow it added.
-func (s *Set) held(fh int32) bool {
-	return s.fRate[fh] < s.tau-s.epsilon && !slices.Contains(s.seedFlows, fh)
+// open reports whether the link's standing load says nothing about the
+// current solve: its capacity changed, or promote found it over capacity.
+// An open link is never passive and pulls in every member not below the
+// level cut.
+func (s *Set) open(lh int32) bool { return s.lOpenGen[lh] == s.seedGen }
+
+// joins reports whether member fh of the active region link lh joins the
+// region. A seed always does; a member standing below the level cut by
+// more than epsilon never does; under the bottleneck cut the rest join
+// only the link that froze them, or an open link (see the package
+// comment). A solve with a cut answers one mutation, so seedFlows holds at
+// most the flow it attached.
+func (s *Set) joins(fh, lh int32) bool {
+	if s.fRate[fh] < s.tau-s.epsilon || s.cut && s.fNeck[fh] != lh && !s.open(lh) {
+		return slices.Contains(s.seedFlows, fh)
+	}
+	return true
 }
 
-// heldLoad sums the standing rates of a link's members outside the region
-// and counts those inside: after expand the members outside are exactly
-// its held ones, and at a level cut of 0 nobody is held.
-func (s *Set) heldLoad(lh int32) (load core.Rate, in int32) {
+// heldLoad sums the standing rates of a link's members outside the region,
+// finds the largest of them and counts the members inside: after expand
+// the members outside are exactly its held ones, and at a level cut of 0
+// without the bottleneck cut nobody is held.
+func (s *Set) heldLoad(lh int32) (load, top core.Rate, in int32) {
 	mb := s.lMem[lh]
-	if s.tau == 0 {
-		return 0, mb.n
+	if s.tau == 0 && !s.cut {
+		return 0, 0, mb.n
 	}
 	for j := int32(0); j < mb.n; j++ {
-		if fh := s.members.a[mb.off+j]; s.fVisit[fh] == s.epoch {
+		fh := s.members.a[mb.off+j]
+		if s.fVisit[fh] == s.epoch {
 			in++
-		} else {
-			load += s.fRate[fh]
+			continue
+		}
+		r := s.fRate[fh]
+		load += r
+		if r > top {
+			top = r
 		}
 	}
-	return load, in
+	return load, top, in
 }
 
 // expand closes the region over taskLinks[from:]: every member of an
-// active link that is not held joins and drags the links of its path in,
-// active ones to be expanded in turn. A passive link pulls in nobody.
+// active link that joins it drags the links of its path in, active ones
+// to be expanded in turn. A passive link pulls in nobody.
 func (s *Set) expand(from int32, speculate bool) {
 	for i := from; i < int32(len(s.taskLinks)); i++ {
-		mb := s.lMem[s.taskLinks[i]]
+		lh := s.taskLinks[i]
+		mb := s.lMem[lh]
 		for j := int32(0); j < mb.n; j++ {
-			if fh := s.members.a[mb.off+j]; s.fVisit[fh] != s.epoch && !s.held(fh) {
+			if fh := s.members.a[mb.off+j]; s.fVisit[fh] != s.epoch && s.joins(fh, lh) {
 				s.visitFlow(fh, speculate)
 			}
 		}
@@ -1079,14 +1147,16 @@ func (s *Set) expand(from int32, speculate bool) {
 // component and files it as a task. A component without flows (e.g. a
 // capacity change on an idle link, or a departure whose link partners are
 // all held) needs no water-fill: its loads are set to their held members'
-// rates inline and their count returned.
+// rates inline and their count returned. Under the bottleneck cut the
+// whole region is one task, so a quiet one changed no rate and no member
+// joins it later.
 func (s *Set) closeTask(fOff, lOff int32, speculate bool) (quiet int) {
 	s.expand(lOff, speculate)
 	fN := int32(len(s.taskFlows)) - fOff
 	lN := int32(len(s.taskLinks)) - lOff
 	if fN == 0 {
 		for _, lh := range s.taskLinks[lOff:] {
-			s.lLoad[lh], _ = s.heldLoad(lh)
+			s.lLoad[lh], _, _ = s.heldLoad(lh)
 		}
 		s.taskLinks = s.taskLinks[:lOff]
 		return int(lN)
@@ -1099,7 +1169,9 @@ func (s *Set) closeTask(fOff, lOff int32, speculate bool) (quiet int) {
 // recomputed over all its members, re-solved or not, and a link found over
 // capacity turns active — onto taskLinks, for expand to close the region
 // from. With all set, every remaining passive link is promoted unchecked.
-func (s *Set) promote(all bool) {
+// It returns the number of links promoted.
+func (s *Set) promote(all bool) int {
+	n := len(s.passive)
 	keep := s.passive[:0]
 	for _, lh := range s.passive {
 		if !all {
@@ -1115,9 +1187,38 @@ func (s *Set) promote(all bool) {
 			}
 		}
 		s.lPassive[lh] = false
+		s.lOpenGen[lh] = s.seedGen
 		s.taskLinks = append(s.taskLinks, lh)
 	}
 	s.passive = keep
+	return n - len(keep)
+}
+
+// pullHeld checks the held members after a fill under the bottleneck cut:
+// a filled link whose largest held rate stands above the level it fired
+// at pulls those members into the region, and a filled link that did not
+// fire but carries more than its capacity pulls in all of them.
+func (s *Set) pullHeld() {
+	for _, t := range s.tasks {
+		for _, lh := range s.taskLinks[t.lOff : t.lOff+t.lN] {
+			fire := s.lFire[lh]
+			if math.IsInf(float64(fire), 1) {
+				if s.lLoad[lh] <= s.lCap[lh]+s.epsilon {
+					continue
+				}
+				fire = core.Rate(math.Inf(-1))
+			} else if s.lHeldMax[lh] <= fire+s.epsilon {
+				continue
+			}
+			mb := s.lMem[lh]
+			for j := int32(0); j < mb.n; j++ {
+				fh := s.members.a[mb.off+j]
+				if r := s.fRate[fh]; s.fVisit[fh] != s.epoch && r > fire+s.epsilon && r >= s.tau-s.epsilon {
+					s.visitFlow(fh, true)
+				}
+			}
+		}
+	}
 }
 
 // solveDirty expands the dirty seeds into independent connected
@@ -1135,9 +1236,13 @@ func (s *Set) promote(all bool) {
 //
 // With speculate the closure is speculative (see the package comment):
 // slack links stay passive, the fill is checked against them afterwards,
-// and a miss promotes the link and refills.
+// and a miss promotes the link and refills. The bottleneck cut runs with
+// it, and since a member held on one seed's link may join through
+// another's, the closures are no longer disjoint: the region fills as one
+// task, and its held members are checked after every fill as well.
 func (s *Set) solveDirty(speculate bool) {
 	s.epoch++
+	s.cut = speculate
 	quietLinks := 0
 	s.tasks = s.tasks[:0]
 	s.taskFlows = s.taskFlows[:0]
@@ -1149,7 +1254,9 @@ func (s *Set) solveDirty(speculate bool) {
 		}
 		fOff, lOff := int32(len(s.taskFlows)), int32(len(s.taskLinks))
 		s.visitLink(lh, speculate)
-		quietLinks += s.closeTask(fOff, lOff, speculate)
+		if !s.cut {
+			quietLinks += s.closeTask(fOff, lOff, speculate)
+		}
 	}
 	for _, fh := range s.seedFlows {
 		if !s.fAttach[fh] || s.fVisit[fh] == s.epoch {
@@ -1157,7 +1264,12 @@ func (s *Set) solveDirty(speculate bool) {
 		}
 		fOff, lOff := int32(len(s.taskFlows)), int32(len(s.taskLinks))
 		s.visitFlow(fh, speculate)
-		s.closeTask(fOff, lOff, speculate)
+		if !s.cut {
+			s.closeTask(fOff, lOff, speculate)
+		}
+	}
+	if s.cut {
+		s.closeTask(0, 0, speculate)
 	}
 	s.last = SolveStats{Components: len(s.tasks)}
 	for i := range s.tasks {
@@ -1168,23 +1280,33 @@ func (s *Set) solveDirty(speculate bool) {
 		}
 	}
 	// Verify, promote, refill. A refill continues the closure from the
-	// promoted links and fills everything discovered so far as one
-	// component: a promoted link may join what were separate tasks. The
-	// last allowed refill promotes every passive link left and closes
-	// without speculating, which is the full closure.
-	for len(s.passive) > 0 {
-		lOff := int32(len(s.taskLinks))
-		s.promote(false)
-		if int32(len(s.taskLinks)) == lOff {
+	// promoted links and the pulled-in members and fills everything
+	// discovered so far as one component: a promoted link may join what
+	// were separate tasks. The last allowed refill promotes every passive
+	// link left and closes without speculating or the bottleneck cut,
+	// which is the full closure down to the level cut.
+	for len(s.passive) > 0 || s.cut {
+		lOff, fOff := int32(len(s.taskLinks)), int32(len(s.taskFlows))
+		promoted := s.promote(false)
+		if s.cut {
+			s.pullHeld()
+		}
+		if promoted == 0 && int32(len(s.taskFlows)) == fOff {
 			break
 		}
-		last := s.last.Refills == maxSpecRefills
-		if last {
-			s.promote(true)
+		if promoted > 0 {
+			s.last.Refills++
+		} else {
+			s.last.Checks++
 		}
-		s.last.Refills++
-		s.last.Promoted += len(s.taskLinks) - int(lOff)
-		s.expand(lOff, !last)
+		if last := s.last.Refills+s.last.Checks > maxSpecRefills; last {
+			promoted += s.promote(true)
+			s.cut = false
+			s.expand(0, false)
+		} else {
+			s.expand(lOff, true)
+		}
+		s.last.Promoted += promoted
 		s.tasks = append(s.tasks[:0], taskRef{fN: int32(len(s.taskFlows)), lN: int32(len(s.taskLinks))})
 		s.waterfill(&s.tasks[0])
 		s.last.Rounds += s.tasks[0].rounds
@@ -1229,11 +1351,13 @@ func (s *Set) waterfill(t *taskRef) {
 	// Held members are fixed load: the fill shares what they leave among
 	// the region's members.
 	for _, lh := range links {
-		held, in := s.heldLoad(lh)
+		held, top, in := s.heldLoad(lh)
 		s.lResidual[lh] = max(s.lCap[lh]-held, 0)
 		s.lLast[lh] = 0
 		s.lNact[lh] = in
 		s.lLoad[lh] = held
+		s.lHeldMax[lh] = top
+		s.lFire[lh] = inf
 	}
 	remaining := len(flows)
 	uniform := true
@@ -1249,7 +1373,7 @@ func (s *Set) waterfill(t *taskRef) {
 	// Flows with no positive demand freeze at zero before filling starts.
 	for _, fh := range flows {
 		if s.fDemand[fh] <= 0 {
-			s.freeze(fh, 0, 0)
+			s.freeze(fh, 0, 0, -1)
 			remaining--
 		}
 	}
@@ -1325,7 +1449,7 @@ func (s *Set) waterfill(t *taskRef) {
 				if s.fDemand[fh] > level+s.epsilon {
 					break
 				}
-				s.freeze(fh, s.fDemand[fh], level)
+				s.freeze(fh, s.fDemand[fh], level, -1)
 				remaining--
 				di++
 			}
@@ -1343,11 +1467,12 @@ func (s *Set) waterfill(t *taskRef) {
 					break
 				}
 				heap = s.heapPop(heap)
+				s.lFire[top] = level
 				mb := s.lMem[top]
 				for j := int32(0); j < mb.n; j++ {
 					fh := s.members.a[mb.off+j]
 					if s.fRate[fh] < 0 {
-						s.freeze(fh, level, level)
+						s.freeze(fh, level, level, top)
 						remaining--
 					}
 				}
@@ -1358,12 +1483,14 @@ func (s *Set) waterfill(t *taskRef) {
 	s.heap = heap[:0]
 }
 
-// freeze finalizes a flow's rate and retires it from every active link it
-// crosses: the links' residuals are synced to the fill level, their
-// unfrozen counts drop, and the granted load is recorded. Passive links
-// take no part in the fill; promote recomputes their load afterwards.
-func (s *Set) freeze(fh int32, rate, level core.Rate) {
+// freeze finalizes a flow's rate, records the link that froze it (-1 for
+// its demand) and retires it from every active link it crosses: the
+// links' residuals are synced to the fill level, their unfrozen counts
+// drop, and the granted load is recorded. Passive links take no part in
+// the fill; promote recomputes their load afterwards.
+func (s *Set) freeze(fh int32, rate, level core.Rate, neck int32) {
 	s.fRate[fh] = rate
+	s.fNeck[fh] = neck
 	b := s.fPath[fh]
 	for i := int32(0); i < b.n; i++ {
 		lh := s.paths.a[b.off+i]

@@ -34,9 +34,11 @@ type specTwins struct {
 	now  core.Time
 
 	// specFlows and refFlows sum SolveStats.Flows on either side; held
-	// counts the flows a single mutation's level cut kept at their rates.
-	specFlows, refFlows, held int
-	before                    map[FlowID]core.Rate
+	// counts the flows a single mutation's level cut kept at their rates,
+	// heldOff those the bottleneck cut kept on an active link of the
+	// region although they stand at or above the level cut.
+	specFlows, refFlows, held, heldOff int
+	before                             map[FlowID]core.Rate
 }
 
 func newSpecTwins(t *testing.T, nLinks int, capOf func(l int) core.Rate) *specTwins {
@@ -72,8 +74,11 @@ func (tw *specTwins) apply(muts []func(s *Set)) {
 	if len(muts) > 1 {
 		tw.spec.Resume(tw.now)
 	}
-	if tw.spec.Totals().Solves > solves {
-		tw.specFlows += tw.spec.last.Flows
+	if st := tw.spec.last; tw.spec.Totals().Solves > solves {
+		tw.specFlows += st.Flows
+		if st.Refills+st.Checks > maxSpecRefills+1 {
+			tw.t.Fatalf("%s: the solve took %d fills, more than %d: %+v", tw.ctx, 1+st.Refills+st.Checks, maxSpecRefills+2, st)
+		}
 	}
 	if len(muts) == 1 && tw.spec.tau > 0 {
 		for id, r := range tw.before {
@@ -86,7 +91,36 @@ func (tw *specTwins) apply(muts []func(s *Set)) {
 			tw.held++
 		}
 	}
+	if len(muts) == 1 {
+		for _, fh := range heldOff(tw.spec) {
+			id := tw.spec.fID[fh]
+			if got := tw.spec.fRate[fh]; math.Float64bits(float64(got)) != math.Float64bits(float64(tw.before[id])) {
+				tw.t.Fatalf("%s: flow %d held off its bottleneck moved %v -> %v", tw.ctx, id, tw.before[id], got)
+			}
+			tw.heldOff++
+		}
+	}
 	tw.compare()
+}
+
+// heldOff lists the flows the last solve left out of its region although
+// they cross one of its active links and stand at or above its level cut:
+// the members the bottleneck cut held because another link froze them.
+func heldOff(s *Set) []int32 {
+	var out []int32
+	for fh := range s.fID {
+		if !s.fAttach[fh] || s.fVisit[fh] == s.epoch || s.fRate[fh] < s.tau-s.epsilon {
+			continue
+		}
+		pb := s.fPath[fh]
+		for i := int32(0); i < pb.n; i++ {
+			if lh := s.paths.a[pb.off+i]; s.lVisit[lh] == s.epoch && !s.lPassive[lh] {
+				out = append(out, int32(fh))
+				break
+			}
+		}
+	}
+	return out
 }
 
 func (tw *specTwins) compare() {
@@ -117,12 +151,13 @@ func (tw *specTwins) compare() {
 }
 
 // TestSpeculativeMatchesFullSolve is the differential test of the
-// speculative closure and the level cut: random histories over
-// Add/Remove/SetPath (with blackholes)/SetCapacity (with failures)/Defer
-// batches, with uniform and mixed demands and capacities, must leave every
-// rate where the full-closure reference puts it after every single solve.
-// The last history keeps more flows live than there are links, with mixed
-// demands: the speculation is gated off there, the cut is not.
+// speculative closure, the level cut and the bottleneck cut: random
+// histories over Add/Remove/SetPath (with blackholes)/SetCapacity (with
+// failures)/Defer batches, with uniform and mixed demands and capacities,
+// must leave every rate where the full-closure reference puts it after
+// every single solve. The last history keeps more flows live than there
+// are links, with mixed demands: the speculation and the bottleneck cut
+// are gated off there, the level cut is not.
 func TestSpeculativeMatchesFullSolve(t *testing.T) {
 	const (
 		nClusters, clusterLinks = 4, 16
@@ -133,7 +168,7 @@ func TestSpeculativeMatchesFullSolve(t *testing.T) {
 		seeds = 6
 	}
 	mixedCaps := []core.Rate{500 * core.Mbps, core.Gbps, core.Gbps, 2 * core.Gbps, 10 * core.Gbps}
-	var refills, promoted, specFlows, refFlows, held int
+	var refills, promoted, checks, specFlows, refFlows, held, heldOffs int
 	for seed := 0; seed <= seeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		maxLive := 44 // below nLinks: the speculation runs once the links are known
@@ -219,9 +254,11 @@ func TestSpeculativeMatchesFullSolve(t *testing.T) {
 		tot := tw.spec.Totals()
 		refills += tot.Refills
 		promoted += tot.Promoted
+		checks += tot.Checks
 		specFlows += tw.specFlows
 		refFlows += tw.refFlows
 		held += tw.held
+		heldOffs += tw.heldOff
 	}
 	if refills == 0 || promoted == 0 {
 		t.Fatalf("the histories never refilled (refills %d, promoted %d): the speculation was not exercised", refills, promoted)
@@ -229,8 +266,11 @@ func TestSpeculativeMatchesFullSolve(t *testing.T) {
 	if held == 0 || specFlows >= refFlows {
 		t.Fatalf("the cut never engaged: %d flows held, %d flows solved against the reference's %d", held, specFlows, refFlows)
 	}
-	t.Logf("%d+1 histories x %d ops: %d refills, %d links promoted, %d flows held, %d flows solved (reference %d)",
-		seeds, ops, refills, promoted, held, specFlows, refFlows)
+	if heldOffs == 0 || checks == 0 {
+		t.Fatalf("the bottleneck cut never engaged: %d flows held off their bottleneck, %d check refills", heldOffs, checks)
+	}
+	t.Logf("%d+1 histories x %d ops: %d refills, %d links promoted, %d check refills, %d flows held, %d held off their bottleneck, %d flows solved (reference %d)",
+		seeds, ops, refills, promoted, checks, held, heldOffs, specFlows, refFlows)
 }
 
 // TestRefillOnPromotion builds the smallest miss by hand: flow 1 holds
@@ -544,4 +584,80 @@ func TestLevelCutHoldsLowerFlows(t *testing.T) {
 	s.Add(mkFlow(9, core.Gbps, 3, 9), 0)
 	want[9] = 0
 	check("add at level 0", 8, 3*core.Gbps)
+}
+
+// TestBottleneckCutHoldsOffBottleneckFlows builds the bottleneck cut's
+// three cases by hand. Every flow also crosses a private 100 Gbps link, so
+// links outnumber flows and the cut runs.
+//
+//   - Flow 1 leaves links 0 (550 Mbps) and 1 (400 Mbps), where it stood at
+//     200 Mbps, frozen by link 1. Flow 2 shares link 0 at the same 200
+//     Mbps, but link 2 (400 Mbps, shared with flow 4) froze it: it is
+//     held with its rate bits, and only flow 3, frozen by link 1, is
+//     re-filled.
+//   - Flow 8 joins link 5 (1 Gbps), where flow 6 stands at 600 Mbps, frozen
+//     by its own link 6, and flow 7 at its 300 Mbps demand. Flow 6 is held,
+//     the fill leaves flow 8 100 Mbps, link 5 fires below flow 6's rate,
+//     and the check pulls flow 6 in: 350 Mbps each after one check refill.
+//   - Link 10 (1 Gbps) carries flows 11 and 12 at 300 Mbps each, frozen by
+//     their own links. Cut to 400 Mbps, it pulls in both: 200 Mbps each,
+//     in one fill.
+func TestBottleneckCutHoldsOffBottleneckFlows(t *testing.T) {
+	const M = core.Mbps
+	caps := map[core.LinkID]core.Rate{
+		0: 550 * M, 1: 400 * M, 2: 400 * M,
+		5: core.Gbps, 6: 600 * M,
+		10: core.Gbps, 11: 300 * M, 12: 300 * M,
+	}
+	s := NewSet(func(l core.LinkID) core.Rate {
+		if c, ok := caps[l]; ok {
+			return c
+		}
+		return 100 * core.Gbps
+	})
+	add := func(id int, demand core.Rate, path ...int) {
+		s.Add(mkFlow(id, demand, append(path, 100+id)...), 0)
+	}
+	// check holds the allocation to want and, unless flows is -1, the
+	// last solve to its region size and check refills.
+	check := func(ctx string, want map[int]core.Rate, flows, checks int) {
+		t.Helper()
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		if len(s.byID) >= len(s.lID) {
+			t.Fatalf("%s: %d flows on %d links, the cut is gated off", ctx, len(s.byID), len(s.lID))
+		}
+		for id, r := range want {
+			if got := rateOf(s, id); !approxEq(got, r) {
+				t.Fatalf("%s: flow %d at %v, want %v", ctx, id, got, r)
+			}
+		}
+		if st := s.last; flows >= 0 && (st.Flows != flows || st.Checks != checks || st.Refills != 0) {
+			t.Fatalf("%s: %+v, want %d flows, %d check refills and no refill", ctx, st, flows, checks)
+		}
+	}
+
+	add(1, core.Gbps, 0, 1)
+	add(2, core.Gbps, 0, 2)
+	add(3, core.Gbps, 1)
+	add(4, core.Gbps, 2)
+	check("same level", map[int]core.Rate{1: 200 * M, 2: 200 * M, 3: 200 * M, 4: 200 * M}, -1, 0)
+	bits2, bits4 := math.Float64bits(float64(rateOf(s, 2))), math.Float64bits(float64(rateOf(s, 4)))
+	s.Remove(1, 0)
+	check("remove at the held flow's level", map[int]core.Rate{2: 200 * M, 3: 400 * M, 4: 200 * M}, 1, 0)
+	if b2, b4 := math.Float64bits(float64(rateOf(s, 2))), math.Float64bits(float64(rateOf(s, 4))); b2 != bits2 || b4 != bits4 {
+		t.Fatalf("held flows moved: bits %#x %#x, want %#x %#x", b2, b4, bits2, bits4)
+	}
+
+	add(6, core.Gbps, 5, 6)
+	add(7, 300*M, 5)
+	add(8, core.Gbps, 5)
+	check("a share below a held rate", map[int]core.Rate{6: 350 * M, 7: 300 * M, 8: 350 * M}, 2, 1)
+
+	add(11, core.Gbps, 10, 11)
+	add(12, core.Gbps, 10, 12)
+	caps[10] = 400 * M
+	s.SetCapacity(10, caps[10], 0)
+	check("a capacity cut", map[int]core.Rate{11: 200 * M, 12: 200 * M}, 2, 0)
 }

@@ -22,7 +22,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -137,24 +136,64 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
+// eventHeap is a binary min-heap of events ordered by (at, seq). It holds
+// the events by value, so a Schedule allocates nothing once the slice has
+// grown to the queue's depth.
+type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() (popped any) {
-	old := *h
-	n := len(old)
-	popped = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return
+
+func (h *eventHeap) push(ev event) {
+	if len(*h) == cap(*h) {
+		// Double: append grows a large slice by a quarter, and a queue
+		// filled up front (a run's flow arrivals) would then copy itself
+		// about five times over.
+		q := make(eventHeap, len(*h), max(2*cap(*h), 64))
+		copy(q, *h)
+		*h = q
+	}
+	*h = append(*h, ev)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
+}
+
+// pop removes the earliest event and returns it. The vacated slot drops
+// its fn, so the queue's spare capacity keeps no closure alive.
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0] = q[n]
+	q[n] = event{}
+	q = q[:n]
+	for i := 0; ; {
+		m := i
+		if l := 2*i + 1; l < n && q.less(l, m) {
+			m = l
+		}
+		if r := 2*i + 2; r < n && q.less(r, m) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	*h = q
+	return top
 }
 
 type external struct {
@@ -264,7 +303,7 @@ func (e *Engine) Schedule(at core.Time, fn func()) {
 		e.stats.LateEvents++
 	}
 	e.seq++
-	heap.Push(&e.queue, &event{at: at, seq: e.seq, fn: fn})
+	e.queue.push(event{at: at, seq: e.seq, fn: fn})
 	if len(e.queue) > e.stats.PeakQueueDepth {
 		e.stats.PeakQueueDepth = len(e.queue)
 	}
@@ -527,8 +566,8 @@ func (e *Engine) advance(t core.Time) {
 // runDue executes every event with timestamp <= t.
 func (e *Engine) runDue(t core.Time) {
 	for len(e.queue) > 0 && e.queue[0].at <= t {
-		ev := heap.Pop(&e.queue).(*event)
+		fn := e.queue.pop().fn
 		e.stats.Events++
-		ev.fn()
+		fn()
 	}
 }

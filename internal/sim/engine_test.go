@@ -250,6 +250,45 @@ func TestPacedSteadyPostAllocatesNothing(t *testing.T) {
 	steadyPostAllocs(t, 1)
 }
 
+// TestSteadyScheduleAllocatesNothing schedules batches of events, some at
+// one instant, and runs them: once the queue has grown to the batch's
+// depth, neither Schedule nor the run of what it queued allocates, since
+// the queue holds its events by value. Every event runs once, in
+// (time, schedule) order.
+func TestSteadyScheduleAllocatesNothing(t *testing.T) {
+	e := New(fast())
+	var ran []int
+	last := -1
+	fns := make([]func(), 8)
+	for i := range fns {
+		fns[i] = func() {
+			if i < last {
+				t.Errorf("event at +%d ran after one at +%d", i, last)
+			}
+			last = i
+			ran[i]++
+		}
+	}
+	ran = make([]int, len(fns))
+	batch := func() {
+		last = -1
+		for i := 0; i < 64; i++ {
+			at := (i * 5) % len(fns)
+			e.Schedule(e.now+core.Time(at), fns[at])
+		}
+		e.runDue(e.now + core.Time(len(fns)))
+	}
+	batch()
+	if allocs := testing.AllocsPerRun(100, batch); allocs != 0 {
+		t.Fatalf("a steady Schedule-then-run allocates %v times a batch, want 0", allocs)
+	}
+	for i, n := range ran {
+		if n != 102*64/len(fns) {
+			t.Fatalf("event at +%d ran %d times, want %d", i, n, 102*64/len(fns))
+		}
+	}
+}
+
 func steadyPostAllocs(t *testing.T, pacing float64) {
 	t.Helper()
 	e := New(Config{QuietTimeout: core.MaxTime, Pacing: pacing, StartInFTI: true})
