@@ -123,12 +123,20 @@ func (e *Experiment) AddFlow(src, dst string, rate Rate, start, duration Time) e
 	return nil
 }
 
-// AddTraffic applies a workload pattern over the topology's hosts.
+// AddTraffic applies a workload pattern over the topology's hosts. A
+// pattern naming a host the topology lacks is refused whole.
 func (e *Experiment) AddTraffic(p traffic.Pattern) error {
 	if e.g == nil {
 		return fmt.Errorf("horse: set a topology before adding traffic")
 	}
-	e.flows = append(e.flows, p(len(e.g.Hosts()))...)
+	n := len(e.g.Hosts())
+	specs := p(n)
+	for _, s := range specs {
+		if s.SrcHost < 0 || s.SrcHost >= n || s.DstHost < 0 || s.DstHost >= n {
+			return fmt.Errorf("horse: traffic pattern produced a flow from host %d to host %d; the topology has %d hosts", s.SrcHost, s.DstHost, n)
+		}
+	}
+	e.flows = append(e.flows, specs...)
 	return nil
 }
 
@@ -186,12 +194,11 @@ type runState struct {
 	until     Time
 	pcap      *capture.Capture
 	setupWall time.Duration
-	// flows keeps the scheduled flows for final reporting; finals
-	// records each stopped flow's last snapshot (the flow set recycles
-	// the slot on StopFlow, so the stop event is the only chance to read
-	// its delivered bytes).
-	flows        []*fluid.Flow
-	finals       map[fluid.FlowID]fluid.Flow
+	// flows is Result.Flows, indexed by FlowID-1: schedule writes each
+	// entry pending, a stop event its flow's final entry (StopFlow
+	// recycles the slot, so that is the only chance to read its bytes),
+	// and collect the flows still live.
+	flows        []FlowResult
 	aggRx, minRx stats.Series
 }
 
@@ -225,13 +232,10 @@ func (e *Experiment) build() (pcap *capture.Capture, err error) {
 func (e *Experiment) schedule(rs *runState) {
 	m := e.mgr
 	hosts := e.g.Hosts()
-	rs.finals = make(map[fluid.FlowID]fluid.Flow)
+	rs.flows = make([]FlowResult, len(e.flows))
 	rs.aggRx.Name, rs.minRx.Name = "aggregate-rx", "min-host-rx"
 	m.Engine.PostData(func() {
 		for i, spec := range e.flows {
-			if spec.SrcHost >= len(hosts) || spec.DstHost >= len(hosts) {
-				continue
-			}
 			src, dst := hosts[spec.SrcHost], hosts[spec.DstHost]
 			f := &fluid.Flow{
 				ID: fluid.FlowID(i + 1),
@@ -241,14 +245,14 @@ func (e *Experiment) schedule(rs *runState) {
 				},
 				Src: src.ID, Dst: dst.ID, Demand: spec.Rate,
 			}
-			rs.flows = append(rs.flows, f)
+			rs.flows[i] = FlowResult{Tuple: f.Tuple, State: fluid.Pending.String()}
 			m.Engine.Schedule(spec.Start, func() {
 				m.Net.StartFlow(f, m.Engine.Now())
 			})
 			if spec.Duration > 0 {
 				m.Engine.Schedule(spec.Start+spec.Duration, func() {
 					if final, ok := m.Net.StopFlow(f.ID, m.Engine.Now()); ok {
-						rs.finals[f.ID] = final
+						rs.flows[i] = FlowResult{Tuple: f.Tuple, Bytes: final.Bytes, State: final.State.String()}
 					}
 				})
 			}
@@ -293,13 +297,23 @@ func (e *Experiment) collect(rs *runState, simStats sim.Stats) (*Result, error) 
 	m := e.mgr
 	flows := m.Net.Flows
 	flows.Integrate(simStats.VirtualEnd)
+	for i := range rs.flows {
+		id := fluid.FlowID(i + 1)
+		snap, live := flows.Flow(id)
+		if !live {
+			continue // stopped mid-run, or never started
+		}
+		fr := &rs.flows[i]
+		fr.Bytes, fr.Rate, fr.State = snap.Bytes, snap.Rate, snap.State.String()
+		fr.PathLatency, _ = flows.PathLatency(id)
+	}
 	res := &Result{
 		Topology:        e.g.Size(),
 		Sim:             simStats,
 		SetupWall:       rs.setupWall,
 		AggregateRx:     &rs.aggRx,
 		MinHostRx:       &rs.minRx,
-		PerHostRxBytes:  make(map[string]uint64),
+		Flows:           rs.flows,
 		MeanPathLatency: flows.MeanPathLatency(),
 		Solver:          flows.Totals(),
 		Injections:      m.Stats.Injections.Load(),
@@ -311,29 +325,6 @@ func (e *Experiment) collect(rs *runState, simStats sim.Stats) (*Result, error) 
 		PacketIns:       m.Stats.PacketIns.Load(),
 		StatsQueries:    m.Stats.StatsQueries.Load(),
 		Drops:           m.Net.Drops(),
-	}
-	for _, f := range flows.Flows() {
-		if dst := e.g.Node(f.Dst); dst != nil {
-			res.PerHostRxBytes[dst.Name] += f.Bytes
-		}
-	}
-	for _, f := range rs.flows {
-		snap, live := flows.Flow(f.ID)
-		if !live {
-			// Stopped mid-run (final snapshot recorded at the stop
-			// event) or never started (zero value: pending, no bytes).
-			snap = rs.finals[f.ID]
-		}
-		fr := FlowResult{
-			Tuple: f.Tuple,
-			Bytes: snap.Bytes,
-			Rate:  snap.Rate,
-			State: snap.State.String(),
-		}
-		if lat, ok := flows.PathLatency(f.ID); ok {
-			fr.PathLatency = lat
-		}
-		res.Flows = append(res.Flows, fr)
 	}
 	teardownStart := time.Now()
 	m.Stop()
@@ -370,10 +361,8 @@ type Result struct {
 	// contribute (the series is empty while nothing flows).
 	MinHostRx *stats.Series
 
-	// PerHostRxBytes maps destination host name to bytes received by
-	// flows still live at the end of the run.
-	PerHostRxBytes map[string]uint64
-
+	// Flows holds one entry per scheduled flow, in scheduling order; a
+	// flow stopped mid-run reads done, one that never started pending.
 	Flows []FlowResult
 
 	// Solver aggregates per-solve statistics (solves, dirty-region sizes,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cm"
+	"repro/internal/core"
 	"repro/internal/fluid"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -369,7 +370,11 @@ func TestRouterFailureWithdrawsRoutes(t *testing.T) {
 	}
 }
 
-func TestPerHostRxBytes(t *testing.T) {
+func TestResultFlowsOneEntryPerFlow(t *testing.T) {
+	// One entry per scheduled flow, in scheduling order: a flow stopped
+	// mid-run reads done with what it delivered, one due after the
+	// horizon reads pending, and live ones read their final state. On a
+	// star every host-to-host path is two 10µs links.
 	topo, err := Star(4, SDN())
 	if err != nil {
 		t.Fatal(err)
@@ -377,29 +382,68 @@ func TestPerHostRxBytes(t *testing.T) {
 	exp := NewExperiment(testConfig())
 	exp.SetTopology(topo)
 	exp.UseSDN(AppReactive())
-	if err := exp.AddFlow("h0", "h1", 100*Mbps, 0, 0); err != nil {
+	const until = 10 * Second
+	flows := []struct {
+		src, dst        string
+		rate            Rate
+		start, duration Time
+	}{
+		{"h0", "h1", 100 * Mbps, 0, 0},
+		{"h2", "h1", 200 * Mbps, Second, 2 * Second},
+		{"h3", "h0", 100 * Mbps, 2 * until, 0},
+	}
+	for _, f := range flows {
+		if err := exp.AddFlow(f.src, f.dst, f.rate, f.start, f.duration); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := traffic.Spec{SrcHost: 3, DstHost: 2, Rate: 300 * Mbps, Proto: core.ProtoUDP, SrcPort: 7, DstPort: 9}
+	if err := exp.AddTraffic(func(int) []traffic.Spec { return []traffic.Spec{live} }); err != nil {
 		t.Fatal(err)
 	}
-	if err := exp.AddFlow("h2", "h1", 100*Mbps, 0, 0); err != nil {
-		t.Fatal(err)
+	// A pattern is caller input: one naming a host the topology lacks
+	// is refused whole.
+	outside := func(n int) []traffic.Spec {
+		return []traffic.Spec{live, {SrcHost: 0, DstHost: n, Rate: Mbps}}
 	}
-	res, err := exp.Run(10 * Second)
+	if err := exp.AddTraffic(outside); err == nil {
+		t.Error("AddTraffic took a flow to host index 4 of 4 hosts")
+	}
+	res, err := exp.Run(until)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PerHostRxBytes["h1"] == 0 {
-		t.Fatalf("h1 received nothing: %v", res.PerHostRxBytes)
+
+	tuple := func(src, dst string, sport, dport uint16) core.FiveTuple {
+		s, _ := topo.NodeByName(src)
+		d, _ := topo.NodeByName(dst)
+		return core.FiveTuple{Src: s.IP, Dst: d.IP, Proto: core.ProtoUDP, SrcPort: sport, DstPort: dport}
 	}
-	if res.PerHostRxBytes["h3"] != 0 {
-		t.Fatalf("h3 received traffic: %v", res.PerHostRxBytes)
+	const pathLatency = 2 * 10 * Microsecond
+	want := []struct {
+		tuple    core.FiveTuple
+		maxBytes uint64 // demand over the time the flow could run
+		rate     Rate
+		state    fluid.State
+		latency  Time
+	}{
+		{tuple("h0", "h1", 10000, 20000), 100e6 / 8 * 10, 100 * Mbps, fluid.Active, pathLatency},
+		{tuple("h2", "h1", 10001, 20001), 200e6 / 8 * 2, 0, fluid.Done, 0},
+		{tuple("h3", "h0", 10002, 20002), 0, 0, fluid.Pending, 0},
+		{tuple("h3", "h2", 7, 9), 300e6 / 8 * 10, 300 * Mbps, fluid.Active, pathLatency},
 	}
-	// h1's bytes equal the sum of both flows' deliveries.
-	var sum uint64
-	for _, f := range res.Flows {
-		sum += f.Bytes
+	if len(res.Flows) != len(want) {
+		t.Fatalf("%d flow results, want %d: %+v", len(res.Flows), len(want), res.Flows)
 	}
-	if res.PerHostRxBytes["h1"] != sum {
-		t.Fatalf("per-host %d != flow sum %d", res.PerHostRxBytes["h1"], sum)
+	for i, w := range want {
+		got := res.Flows[i]
+		if got.Tuple != w.tuple || got.Rate != w.rate || got.State != w.state.String() || got.PathLatency != w.latency {
+			t.Errorf("flow %d = %v %v %s latency %v, want %v %v %s latency %v",
+				i, got.Tuple, got.Rate, got.State, got.PathLatency, w.tuple, w.rate, w.state, w.latency)
+		}
+		if got.Bytes > w.maxBytes || (w.maxBytes > 0) != (got.Bytes > 0) {
+			t.Errorf("flow %d delivered %d bytes, want some and at most %d (none if it never ran)", i, got.Bytes, w.maxBytes)
+		}
 	}
 }
 

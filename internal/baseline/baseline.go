@@ -42,9 +42,6 @@ type Config struct {
 	// PerLinkSetup is the emulated cost of one cable (veth pair).
 	// Default 500µs.
 	PerLinkSetup time.Duration
-	// QueueTokens is the per-port queue depth; tokens beyond it drop
-	// (UDP has no congestion control). Default 16.
-	QueueTokens int
 	// RepairDelay is the emulated control plane's reconvergence time
 	// after a failure injection: tokens forwarded into a dead cable drop
 	// immediately, and this long afterwards the routing tables are
@@ -52,10 +49,16 @@ type Config struct {
 	// Mininet controller/daemon repair latency the paper's baseline
 	// would pay in real time. Default 200ms.
 	RepairDelay time.Duration
-	// SampleInterval is the delivered-bytes sampling period during Run
-	// (used to measure dip depth and repair latency). Default 25ms.
-	SampleInterval time.Duration
 }
+
+const (
+	// queueTokens is the per-port queue depth; tokens beyond it drop
+	// (UDP has no congestion control).
+	queueTokens = 16
+	// sampleInterval is the delivered-bytes sampling period during Run
+	// (used to measure dip depth and repair latency).
+	sampleInterval = 25 * time.Millisecond
+)
 
 func (c *Config) setDefaults() {
 	if c.TokenBytes <= 0 {
@@ -67,14 +70,8 @@ func (c *Config) setDefaults() {
 	if c.PerLinkSetup <= 0 {
 		c.PerLinkSetup = 500 * time.Microsecond
 	}
-	if c.QueueTokens <= 0 {
-		c.QueueTokens = 16
-	}
 	if c.RepairDelay <= 0 {
 		c.RepairDelay = 200 * time.Millisecond
-	}
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = 25 * time.Millisecond
 	}
 }
 
@@ -130,7 +127,7 @@ func New(g *topo.Graph, cfg Config) (*Emulator, error) {
 	// (rebuildTables) do not.
 	for _, n := range g.Nodes {
 		time.Sleep(cfg.PerNodeSetup)
-		e.in[n.ID] = make(chan token, cfg.QueueTokens)
+		e.in[n.ID] = make(chan token, queueTokens)
 	}
 	e.rebuildTables()
 	for range g.Links {
@@ -344,7 +341,7 @@ func (e *Emulator) Run(flows []FlowSpec, duration time.Duration, injs ...Injecti
 	sampleWG.Add(1)
 	go func() {
 		defer sampleWG.Done()
-		tick := time.NewTicker(e.cfg.SampleInterval)
+		tick := time.NewTicker(sampleInterval)
 		defer tick.Stop()
 		for {
 			select {
@@ -387,7 +384,7 @@ type RunStats struct {
 	DeliveredBytes uint64
 	DroppedBytes   uint64
 	// Samples is the delivered-bytes timeline (cumulative), recorded
-	// every Config.SampleInterval.
+	// every 25ms.
 	Samples []Sample
 }
 

@@ -14,7 +14,6 @@ func fastCfg() Config {
 		TokenBytes:   125_000, // 1000 tokens/s at 1 Gbps
 		PerNodeSetup: 100 * time.Microsecond,
 		PerLinkSetup: 50 * time.Microsecond,
-		QueueTokens:  16,
 	}
 }
 
@@ -169,9 +168,8 @@ func TestFailureDipAndRepair(t *testing.T) {
 	g.Connect(out, h1, core.Gbps, 0)
 
 	cfg := fastCfg()
-	cfg.TokenBytes = 12_500 // 1000 tokens/s per 100 Mbps flow
-	cfg.RepairDelay = 60 * time.Millisecond
-	cfg.SampleInterval = 10 * time.Millisecond
+	cfg.TokenBytes = 12_500                  // 1000 tokens/s per 100 Mbps flow
+	cfg.RepairDelay = 150 * time.Millisecond // six sampling intervals
 	e, err := New(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +205,7 @@ func TestFailureDipAndRepair(t *testing.T) {
 	}
 	// Repair cannot precede the emulated reconvergence delay by more than
 	// one sampling interval, and must happen well before the heal.
-	if lat < cfg.RepairDelay-2*cfg.SampleInterval {
+	if lat < cfg.RepairDelay-2*sampleInterval {
 		t.Fatalf("repair latency %v earlier than the %v reconvergence delay", lat, cfg.RepairDelay)
 	}
 	if lat > healAt-failAt {

@@ -83,8 +83,10 @@ type Manager struct {
 	// trace stamped with delivery virtual time (see tap).
 	cap *capture.Capture
 
-	// flushArmed coalesces reroute flushes; engine goroutine only.
+	// flushArmed coalesces reroute flushes; engine goroutine only. flush
+	// is the armed flush, bound once: a closure per arming would allocate.
 	flushArmed bool
+	flush      func()
 
 	// routes is where every speaker's Loc-RIB changes wait for the engine
 	// goroutine (applyRoute, drainRoutes).
@@ -110,6 +112,10 @@ func New(engine *sim.Engine, net *netmodel.Network, logf func(string, ...any)) *
 	}
 	m.routes.drain = m.drainRoutes
 	m.flowMods.drain = m.drainFlowMods
+	m.flush = func() {
+		m.flushArmed = false
+		m.Net.FlushReroutes(m.Engine.Now())
+	}
 	engine.SetInFlight(m.ledger.InFlight)
 	net.OnPacketIn = m.handlePacketIn
 	// The CM coalesces reroutes: control plane bursts (a fat-tree BGP
@@ -131,10 +137,7 @@ func (m *Manager) scheduleFlush() {
 		return
 	}
 	m.flushArmed = true
-	m.Engine.After(flushDelay, func() {
-		m.flushArmed = false
-		m.Net.FlushReroutes(m.Engine.Now())
-	})
+	m.Engine.After(flushDelay, m.flush)
 }
 
 // Stop terminates every emulated process: speakers and agents in reverse

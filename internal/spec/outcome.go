@@ -122,6 +122,9 @@ func NewOutcome(r Run, res *horse.Result) *Outcome {
 		Routers:           res.Topology.Routers,
 		MeanPathLatencyNs: int64(res.MeanPathLatency),
 	}
+	if len(res.Flows) > 0 { // a run without flows keeps nil: its JSON reads null
+		fp.Flows = make([]FlowPrint, 0, len(res.Flows))
+	}
 	var steady core.Rate
 	var rxBytes uint64
 	for _, f := range res.Flows {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	horse "repro"
+	"repro/internal/baseline"
 	"repro/internal/bgp"
 	"repro/internal/cm"
 	"repro/internal/sim"
@@ -68,6 +69,12 @@ var surface = []struct {
 		// test fakes: engine tests watch the transition sequence; ROADMAP's
 		// typed-event sink attaches to the hook.
 		"OnModeChange",
+	}},
+	{baseline.Config{}, []string{
+		// test fakes: cmd/horse fig3 and the root benchmarks take the
+		// defaults; baseline_test.go shrinks the tokens and the setup
+		// costs to run fast, and the repair delay to see the repair.
+		"TokenBytes", "PerNodeSetup", "PerLinkSetup", "RepairDelay",
 	}},
 	// The generators' link rates, delays, ASNs, chord counts, region
 	// spans and peering counts are constants in topo: one value each.
